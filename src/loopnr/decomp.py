@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .rings import (
     is_local_ring,
     validate_ring_tables,
 )
+from .tables import relabel
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,27 +95,28 @@ class CornerRing:
     carrier: tuple
     ring: FiniteRing
 
-    @cached_property
-    def unit(self) -> int:
-        return self.e
-
 
 def corner_ring(ring: FiniteRing, e: int) -> CornerRing:
+    """The corner ring at an idempotent, built once per (ring, e)."""
     if not 0 <= e < ring.n:
         raise NotIdempotent(f"{e} outside the carrier")
     if int(ring.mul[e, e]) != e:
         raise NotIdempotent(f"{e} is not idempotent")
-    mul = ring.mul
-    carrier = np.unique(mul[e, mul[:, e]])
-    pos = {int(v): i for i, v in enumerate(carrier)}
-    grid = np.ix_(carrier, carrier)
-    relabel = np.vectorize(pos.__getitem__, otypes=[np.int64])
-    sub = validate_ring_tables(
-        relabel(ring.add[grid]), relabel(mul[grid]), pos[e]
-    )
-    return CornerRing(
-        parent=ring, e=e, carrier=tuple(int(v) for v in carrier), ring=sub
-    )
+    corner = ring._corners.get(int(e))
+    if corner is None:
+        mul = ring.mul
+        carrier = np.unique(mul[e, mul[:, e]])
+        grid = np.ix_(carrier, carrier)
+        sub = validate_ring_tables(
+            relabel(carrier, ring.add[grid]),
+            relabel(carrier, mul[grid]),
+            relabel(carrier, e),
+        )
+        corner = CornerRing(
+            parent=ring, e=e, carrier=tuple(int(v) for v in carrier), ring=sub
+        )
+        ring._corners[int(e)] = corner
+    return corner
 
 
 def is_primitive(ring: FiniteRing, e: int) -> bool:
@@ -366,14 +367,13 @@ def verify_retract_matching(
         for f in idempotents(ring).sorted_members
         if f != ring.zero and is_primitive(ring, f)
     ]
+    canon_inv = {e: corner_signature(ring, e)[:3] for e in canonical.members}
     matches = []
     for f in prim:
         partner = None
         f_inv = corner_signature(ring, f)[:3]
         for e in canonical.members:
-            if corner_signature(ring, e)[:3] == f_inv and idempotents_isomorphic(
-                ring, f, e
-            ):
+            if canon_inv[e] == f_inv and idempotents_isomorphic(ring, f, e):
                 partner = e
                 break
         if partner is None:

@@ -35,6 +35,7 @@ from .nearrings import (
     units,
 )
 from .rings import FiniteRing, is_local_ring, validate_ring_tables
+from .tables import relabel
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,14 +167,13 @@ def image_subring(hom: LnrHom) -> ImageRing:
     if not isinstance(hom.target, FiniteRing):
         raise TargetNotARing("image_subring needs a ring codomain")
     carrier = np.fromiter(hom.image.sorted_members, dtype=np.int64)
-    pos = {int(v): i for i, v in enumerate(carrier)}
     grid = np.ix_(carrier, carrier)
-    add_i = np.vectorize(pos.__getitem__, otypes=[np.int64])(hom.target.add[grid])
-    mul_i = np.vectorize(pos.__getitem__, otypes=[np.int64])(hom.target.mul[grid])
-    ring = validate_ring_tables(add_i, mul_i, pos[int(hom._arr[hom.source.one])])
-    surj = validate_lnr_hom(
-        [pos[int(v)] for v in hom.map], hom.source, ring
+    ring = validate_ring_tables(
+        relabel(carrier, hom.target.add[grid]),
+        relabel(carrier, hom.target.mul[grid]),
+        relabel(carrier, hom._arr[hom.source.one]),
     )
+    surj = validate_lnr_hom(relabel(carrier, hom._arr), hom.source, ring)
     return ImageRing(ring=ring, carrier=tuple(int(v) for v in carrier), surjection=surj)
 
 

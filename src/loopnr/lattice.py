@@ -1,0 +1,128 @@
+"""Closure lattices over Cayley tables: one engine for subloops,
+N-subloops and sub-near-rings.
+
+A closure system on the carrier 0 .. n-1 is given by binary tables and
+an optional left-absorbing table.  A subset S is closed when t[a, b]
+lies in S for every binary table t and all a, b in S, and, when an
+absorbing table is given, absorbing[y, x] lies in S for every y in the
+carrier and every x in S.  Subloops use the table add alone: in a
+finite loop a subset that contains 0 and is closed under + is closed
+under both differences too, because translation by a member maps it
+into itself injectively, hence onto.  N-subloops add mul as the
+absorbing table (N*S <= S); sub-near-rings use mul as a further binary
+table.
+
+Subsets grow as boolean masks.  Closed sets are de-duplicated and
+compared as Python-int bitsets (bit i set when i is a member).
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Iterator
+
+import numpy as np
+
+
+def bits_of(mask: np.ndarray) -> int:
+    """The bitset of a boolean mask."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+class ClosureSystem:
+    """Closure under fixed tables on the carrier 0 .. n-1."""
+
+    def __init__(self, n: int, binary: Iterable[np.ndarray], absorbing: np.ndarray | None = None):
+        self.n = n
+        self.binary = tuple(binary)
+        self.absorbing = absorbing
+
+    def _images(self, frontier: np.ndarray, members: np.ndarray) -> Iterator[np.ndarray]:
+        """Every table entry with at least one argument in the frontier."""
+        if self.absorbing is not None:
+            yield self.absorbing[:, frontier]
+        for t in self.binary:
+            yield t[frontier[:, None], members]
+            yield t[members[:, None], frontier]
+
+    def _saturate(self, mask: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+        """Close ``mask``, given that every entry with no argument in
+        ``frontier`` already lies inside it.
+
+        Each round gathers the entries touching the frontier and
+        scatters them into the next mask; the new elements are the
+        next frontier.  Stops as soon as the mask covers the carrier.
+        """
+        while frontier.size:
+            members = np.flatnonzero(mask)
+            grown = mask.copy()
+            for block in self._images(frontier, members):
+                grown[block] = True
+                if grown.all():
+                    return grown
+            frontier = np.flatnonzero(grown & ~mask)
+            mask = grown
+        return mask
+
+    def close(self, seed: Iterable[int]) -> np.ndarray:
+        """The smallest closed set containing ``seed``, as a mask."""
+        mask = np.zeros(self.n, dtype=bool)
+        mask[list(seed)] = True
+        return self._saturate(mask, np.flatnonzero(mask))
+
+    def join(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The closure of a | b for closed masks a and b.
+
+        Entries within a or within b stay inside, so only pairs that
+        touch the smaller of the two differences are new.
+        """
+        only_b = np.flatnonzero(b & ~a)
+        only_a = np.flatnonzero(a & ~b)
+        frontier = only_b if only_b.size <= only_a.size else only_a
+        return self._saturate(a | b, frontier)
+
+    def closed_sets(
+        self, seed: Iterable[int] = (), spanning: np.ndarray | None = None
+    ) -> Iterator[np.ndarray]:
+        """Yield every closed set containing ``seed`` once, as found.
+
+        The first is the closure of the seed; then the principal
+        closures cl(seed + x).  Every closed set is the join of the
+        principal closures of its elements, so joining each set found
+        with each distinct principal closure reaches all of them.
+        Comparable pairs and unions already tried are skipped.
+        ``spanning`` masks elements known to generate the whole
+        carrier; their closures are not computed.
+        """
+        n = self.n
+        bottom = self.close(seed)
+        found = {bits_of(bottom): bottom}
+        yield bottom
+        full = np.ones(n, dtype=bool)
+        principals = {}
+        for x in np.flatnonzero(~bottom):
+            if spanning is not None and spanning[x]:
+                p = full
+            else:
+                p = bottom.copy()
+                p[x] = True
+                p = self._saturate(p, np.array([x]))
+            pb = bits_of(p)
+            principals.setdefault(pb, p)
+            if pb not in found:
+                found[pb] = p
+                yield p
+        queue = list(found.items())
+        tried = set(found)
+        for sb, s in queue:
+            for pb, p in principals.items():
+                u = sb | pb
+                if u in tried:
+                    continue
+                tried.add(u)
+                j = self.join(s, p)
+                jb = bits_of(j)
+                if jb not in found:
+                    found[jb] = j
+                    tried.add(jb)
+                    queue.append((jb, j))
+                    yield j

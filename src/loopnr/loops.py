@@ -26,6 +26,7 @@ from .errors import (
     NotASubloop,
     NotLatinSquare,
 )
+from .lattice import ClosureSystem
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,10 @@ class ElementSubset:
     @classmethod
     def of(cls, ambient_n: int, items: Iterable[int]) -> "ElementSubset":
         return cls(ambient_n, frozenset(int(x) for x in items))
+
+    @classmethod
+    def from_mask(cls, mask: np.ndarray) -> "ElementSubset":
+        return cls(mask.size, frozenset(np.flatnonzero(mask).tolist()))
 
     @cached_property
     def sorted_members(self) -> tuple:
@@ -112,12 +117,13 @@ class CayleyLoop:
         return self.add.tolist()
 
     @cached_property
-    def _py_ldiff(self):
-        return self.ldiff.tolist()
+    def _closure(self) -> ClosureSystem:
+        # closure under + alone also closes under ldiff and rdiff (see lattice)
+        return ClosureSystem(self.n, (self.add,))
 
     @cached_property
-    def _py_rdiff(self):
-        return self.rdiff.tolist()
+    def _subloops(self) -> tuple:
+        return _sorted_subsets(self._closure.closed_sets((self.zero,)))
 
 
 def validate_loop(table) -> CayleyLoop:
@@ -163,29 +169,9 @@ def _as_member_set(loop: CayleyLoop, subset) -> frozenset:
 
 
 def subloop_closure(loop: CayleyLoop, seed) -> ElementSubset:
-    """Smallest subset containing seed and zero, closed under +, ldiff, rdiff.
-
-    Worklist over new elements; each ordered pair is visited once, so
-    the cost is O(|closure|^2) table lookups.
-    """
-    add, ld, rd = loop._py_add, loop._py_ldiff, loop._py_rdiff
-    members = set(_as_member_set(loop, seed))
-    members.add(loop.zero)
-    processed: list = []
-    frontier = sorted(members)
-    while frontier:
-        fresh: set = set()
-        current = processed + frontier
-        for a in frontier:
-            add_a, ld_a, rd_a = add[a], ld[a], rd[a]
-            for b in current:
-                for v in (add_a[b], ld_a[b], rd_a[b], add[b][a], ld[b][a], rd[b][a]):
-                    if v not in members:
-                        members.add(v)
-                        fresh.add(v)
-        processed = current
-        frontier = sorted(fresh)
-    return ElementSubset(loop.n, frozenset(members))
+    """Smallest subset containing seed and zero, closed under +, ldiff, rdiff."""
+    members = _as_member_set(loop, seed) | {loop.zero}
+    return ElementSubset.from_mask(loop._closure.close(members))
 
 
 def is_subloop(loop: CayleyLoop, subset) -> bool:
@@ -203,48 +189,21 @@ def is_subloop(loop: CayleyLoop, subset) -> bool:
     return True
 
 
+def _sorted_subsets(masks) -> tuple:
+    return tuple(sorted(map(ElementSubset.from_mask, masks), key=lambda s: s.sort_key))
+
+
 def enumerate_subloops(loop: CayleyLoop, bounds: Bounds = DEFAULT_BOUNDS) -> list:
-    """All subloops, as closures of <= 2 generators plus iterated joins.
+    """All subloops, sorted by (size, members).
 
-    Every subloop is a join of single-element closures, so seeding with
-    empty, singleton and pair generators and then closing under
-    pairwise join reaches the whole lattice.  Output is sorted by
-    (size, members).
+    Every subloop is a join of single-element closures, so the engine
+    closes those under join.  The lattice is built once per loop.
     """
-    n = loop.n
-    if n > bounds.max_subloop_n:
+    if loop.n > bounds.max_subloop_n:
         raise BoundExceeded(
-            f"subloop enumeration needs n <= {bounds.max_subloop_n}, got {n}"
+            f"subloop enumeration needs n <= {bounds.max_subloop_n}, got {loop.n}"
         )
-    seen = {}
-
-    def record(s: ElementSubset):
-        if s.members not in seen:
-            seen[s.members] = s
-            return True
-        return False
-
-    record(subloop_closure(loop, ()))
-    for x in range(n):
-        record(subloop_closure(loop, (x,)))
-    for x in range(n):
-        for y in range(x + 1, n):
-            record(subloop_closure(loop, (x, y)))
-
-    queue = sorted(seen.values(), key=lambda s: s.sort_key)
-    while queue:
-        nxt = []
-        current = sorted(seen.values(), key=lambda s: s.sort_key)
-        for a in queue:
-            for b in current:
-                # comparable sets join to the larger one, already present
-                if a.members >= b.members or a.members <= b.members:
-                    continue
-                j = subloop_closure(loop, a.members | b.members)
-                if record(j):
-                    nxt.append(j)
-        queue = nxt
-    return sorted(seen.values(), key=lambda s: s.sort_key)
+    return list(loop._subloops)
 
 
 def is_normal_subloop(loop: CayleyLoop, subset) -> bool:

@@ -35,7 +35,8 @@ from .errors import (
     ValidationError,
     ZeroNotLeftAbsorbing,
 )
-from .loops import CayleyLoop, ElementSubset, validate_loop
+from .lattice import ClosureSystem
+from .loops import CayleyLoop, ElementSubset, _sorted_subsets, is_subloop, validate_loop
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -60,8 +61,8 @@ class LoopNearRing:
         return self.additive.zero
 
     @cached_property
-    def _py_mul(self):
-        return self.mul.tolist()
+    def _n_subloops(self) -> tuple:
+        return _n_subloop_lattice(self)
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n})"
@@ -152,97 +153,41 @@ def idempotents(nr: LoopNearRing) -> ElementSubset:
 
 def is_N_subloop(nr: LoopNearRing, subset) -> bool:
     """Subloop of (N, +) absorbing multiplication from the left: N*I <= I."""
-    if isinstance(subset, ElementSubset):
-        members = subset.members
-    else:
-        members = frozenset(int(x) for x in subset)
-    if nr.zero not in members:
+    if not isinstance(subset, ElementSubset):
+        subset = ElementSubset.of(nr.n, subset)
+    if not is_subloop(nr.additive, subset):
         return False
-    idx = np.fromiter(sorted(members), dtype=np.int64)
-    m = np.zeros(nr.n, dtype=bool)
-    m[idx] = True
-    grid = np.ix_(idx, idx)
-    loop = nr.additive
-    for t in (loop.add, loop.ldiff, loop.rdiff):
-        if not m[t[grid]].all():
-            return False
-    return bool(m[nr.mul[:, idx]].all())
+    return bool(subset.mask()[nr.mul[:, list(subset.members)]].all())
 
 
-def _n_subloop_closure(nr: LoopNearRing, seed) -> frozenset:
-    """Smallest N-subloop containing seed, by frontier saturation."""
-    n = nr.n
-    loop = nr.additive
-    mask = np.zeros(n, dtype=bool)
-    mask[loop.zero] = True
-    for x in seed:
-        mask[x] = True
-    frontier = np.flatnonzero(mask)
-    while frontier.size:
-        members = np.flatnonzero(mask)
-        parts = []
-        for t in (loop.add, loop.ldiff, loop.rdiff):
-            parts.append(t[np.ix_(frontier, members)].ravel())
-            parts.append(t[np.ix_(members, frontier)].ravel())
-        parts.append(nr.mul[:, frontier].ravel())
-        cand = np.unique(np.concatenate(parts))
-        new_mask = mask.copy()
-        new_mask[cand] = True
-        frontier = np.flatnonzero(new_mask & ~mask)
-        mask = new_mask
-    return frozenset(np.flatnonzero(mask).tolist())
+def _n_subloop_lattice(nr: LoopNearRing) -> tuple:
+    system = ClosureSystem(nr.n, nr.additive._closure.binary, absorbing=nr.mul)
+    # a unit generates everything: N*u = N
+    spanning = units(nr).members.mask()
+    return _sorted_subsets(system.closed_sets((nr.zero,), spanning))
+
+
+def _check_enum_bound(nr: LoopNearRing, bounds: Bounds) -> None:
+    if nr.n > bounds.max_enum_n:
+        raise BoundExceeded(f"N-subloop enumeration needs n <= {bounds.max_enum_n}, got {nr.n}")
 
 
 def enumerate_N_subloops(nr: LoopNearRing, bounds: Bounds = DEFAULT_BOUNDS) -> list:
     """The full lattice of N-subloops, sorted by (size, members).
 
-    Seeds are the single-element closures; the lattice is then closed
-    under pairwise join.  For a ring this is exactly the lattice of
-    left ideals.
+    The engine closes the single-element closures under join; the
+    lattice is built once per near-ring.  For a ring this is exactly
+    the lattice of left ideals.
     """
-    n = nr.n
-    if n > bounds.max_enum_n:
-        raise BoundExceeded(f"N-subloop enumeration needs n <= {bounds.max_enum_n}, got {n}")
-    unit_mask = units(nr).members.mask()
-    full = frozenset(range(n))
-    seen = {}
-
-    def record(ms: frozenset):
-        if ms not in seen:
-            seen[ms] = ElementSubset(n, ms)
-            return True
-        return False
-
-    record(_n_subloop_closure(nr, ()))
-    for x in range(n):
-        # a unit generates everything: N*u = N
-        ms = full if unit_mask[x] else _n_subloop_closure(nr, (x,))
-        record(ms)
-
-    queue = sorted(seen.values(), key=lambda s: s.sort_key)
-    while queue:
-        nxt = []
-        current = sorted(seen.values(), key=lambda s: s.sort_key)
-        for a in queue:
-            for b in current:
-                if a.members >= b.members or a.members <= b.members:
-                    continue
-                j = _n_subloop_closure(nr, a.members | b.members)
-                if record(j):
-                    nxt.append(seen[j])
-        queue = nxt
-    return sorted(seen.values(), key=lambda s: s.sort_key)
+    _check_enum_bound(nr, bounds)
+    return list(nr._n_subloops)
 
 
 def maximal_N_subloops(nr: LoopNearRing, bounds: Bounds = DEFAULT_BOUNDS) -> list:
     """Proper N-subloops not strictly contained in another proper one."""
-    lattice = enumerate_N_subloops(nr, bounds)
-    proper = [s for s in lattice if len(s) < nr.n]
-    out = []
-    for s in proper:
-        if not any(s is not t and s.members < t.members for t in proper):
-            out.append(s)
-    return sorted(out, key=lambda s: s.sort_key)
+    _check_enum_bound(nr, bounds)
+    proper = [s for s in nr._n_subloops if len(s) < nr.n]
+    return [s for s in proper if not any(s.members < t.members for t in proper)]
 
 
 def annihilator(nr: LoopNearRing, e: int) -> ElementSubset:

@@ -62,6 +62,16 @@ def _locality_section(structure, bounds: Bounds) -> dict:
     }
 
 
+def _radical_section(ring: FiniteRing, bounds: Bounds) -> dict:
+    ideal = jacobson_radical(ring, bounds)
+    return {
+        "members": list(ideal.members.sorted_members),
+        "size": len(ideal.members.members),
+        "semisimple": is_semisimple(ring, bounds),
+        "semiperfect": is_semiperfect(ring, bounds),
+    }
+
+
 def analysis_report(
     structure,
     name: str,
@@ -123,13 +133,9 @@ def analysis_report(
                 "local", lambda: _locality_section(structure, bounds)
             )
         if with_radical and isinstance(structure, FiniteRing):
-            ideal = timed("radical", lambda: jacobson_radical(structure, bounds))
-            payload["radical"] = {
-                "members": list(ideal.members.sorted_members),
-                "size": len(ideal.members.members),
-                "semisimple": is_semisimple(structure, bounds),
-                "semiperfect": is_semiperfect(structure, bounds),
-            }
+            payload["radical"] = timed(
+                "radical", lambda: _radical_section(structure, bounds)
+            )
     if with_timing:
         payload["timing"] = timing
     return finalize_report(payload)

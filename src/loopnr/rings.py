@@ -56,6 +56,11 @@ class FiniteRing(LoopNearRing):
         """a - b, elementwise over arrays or ints."""
         return self.add[a, self.neg[b]]
 
+    @cached_property
+    def _corners(self) -> dict:
+        # corner rings e*A*e by idempotent e, filled by decomp.corner_ring
+        return {}
+
 
 def validate_ring(nr: LoopNearRing) -> FiniteRing:
     """Upgrade a validated loop near-ring to a ring, or refuse.

@@ -34,6 +34,17 @@ def as_table(obj) -> np.ndarray:
     return out
 
 
+def relabel(carrier, table) -> np.ndarray:
+    """Replace each entry of ``table`` by its position in ``carrier``.
+
+    ``carrier`` is ascending and contains every entry of ``table``.
+    """
+    carrier = np.asarray(carrier, dtype=np.int64)
+    lookup = np.full(int(carrier[-1]) + 1, -1, dtype=np.int64)
+    lookup[carrier] = np.arange(carrier.size)
+    return lookup[table]
+
+
 def entries_in_range(table: np.ndarray, n: int) -> bool:
     return bool(((table >= 0) & (table < n)).all())
 

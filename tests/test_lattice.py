@@ -1,0 +1,193 @@
+import importlib.util
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import corpus
+import latin_oracle
+from loopnr import (
+    Bounds,
+    BoundExceeded,
+    corner_ring,
+    enumerate_N_subloops,
+    enumerate_subloops,
+    is_N_subloop,
+    map_near_ring,
+    maximal_N_subloops,
+    parse_spec,
+    random_loop,
+    validate_lnr,
+)
+from loopnr import nearrings, reports
+from loopnr.cli import main
+from loopnr.lattice import ClosureSystem, bits_of
+from loopnr.tables import relabel
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+# zero-symmetric structures of order <= 12
+SMALL = {
+    **{f"cyclic:{n}": (lambda n=n: corpus.z(n)) for n in range(1, 13)},
+    "gf:4": lambda: corpus.gf(4),
+    "gf:8": lambda: corpus.gf(8),
+    "gf:9": lambda: corpus.gf(9),
+    "z2xz2": lambda: corpus.zz(2, 2),
+    "z2xz3": lambda: corpus.zz(2, 3),
+    "z4xz2": lambda: corpus.zz(4, 2),
+    "z3xz3": lambda: corpus.zz(3, 3),
+    "z2xz6": lambda: corpus.zz(2, 6),
+    "z2xz2xz2": lambda: parse_spec("product:cyclic:2+cyclic:2+cyclic:2"),
+    "ut2(z2)": lambda: corpus.ut2(2),
+    "m0(z2)": lambda: map_near_ring(corpus.cyclic_loop(2), zero_fixing=True),
+    "m0(z3)": lambda: corpus.m0("small:3,0"),
+}
+
+
+def relabelled(nr, perm):
+    """The near-ring carried over along a permutation that fixes 0."""
+    p = np.asarray(perm)
+    add = np.empty_like(nr.add)
+    mul = np.empty_like(nr.mul)
+    add[np.ix_(p, p)] = p[nr.add]
+    mul[np.ix_(p, p)] = p[nr.mul]
+    return validate_lnr(add, mul, int(p[nr.one]))
+
+
+def brute_n_subloops(nr) -> set:
+    rest = range(1, nr.n)
+    found = set()
+    for bits in range(1 << (nr.n - 1)):
+        subset = frozenset([0] + [x for i, x in enumerate(rest) if bits >> i & 1])
+        if is_N_subloop(nr, subset):
+            found.add(subset)
+    return found
+
+
+@st.composite
+def small_near_rings(draw):
+    nr = SMALL[draw(st.sampled_from(sorted(SMALL)))]()
+    perm = [0] + draw(st.permutations(range(1, nr.n)))
+    return relabelled(nr, perm)
+
+
+class TestEngineMatchesBruteScan:
+    @given(small_near_rings())
+    def test_n_subloops_equal_subset_scan(self, nr):
+        got = [s.members for s in enumerate_N_subloops(nr)]
+        assert len(got) == len(set(got))
+        assert set(got) == brute_n_subloops(nr)
+
+    @given(st.integers(1, 8), st.integers(0, 10_000))
+    def test_subloops_equal_subset_scan(self, n, seed):
+        loop = random_loop(n, seed)
+        got = [s.members for s in enumerate_subloops(loop)]
+        assert len(got) == len(set(got))
+        assert set(got) == latin_oracle.brute_subloops(loop._py_add)
+
+
+class TestClosureSystem:
+    @given(small_near_rings())
+    def test_join_is_closure_of_union(self, nr):
+        loop = nr.additive
+        system = ClosureSystem(nr.n, (loop.add, loop.ldiff, loop.rdiff), absorbing=nr.mul)
+        closed = [s.mask() for s in enumerate_N_subloops(nr)]
+        for a in closed:
+            for b in closed:
+                want = system.close(np.flatnonzero(a | b).tolist())
+                assert np.array_equal(system.join(a, b), want)
+
+    def test_each_closed_set_yielded_once(self):
+        nr = corpus.ut2(2)
+        system = ClosureSystem(
+            nr.n, (nr.add, nr.additive.ldiff, nr.additive.rdiff, nr.mul)
+        )
+        found = [bits_of(m) for m in system.closed_sets((nr.zero, nr.one))]
+        assert len(found) == len(set(found))
+        assert bits_of(np.ones(nr.n, dtype=bool)) in found
+
+    def test_relabel(self):
+        out = relabel([0, 3, 5], np.array([[3, 5], [0, 3]]))
+        assert out.tolist() == [[1, 2], [0, 1]]
+        assert int(relabel([0, 3, 5], 5)) == 2
+
+
+class TestLatticeCache:
+    def test_analyze_builds_one_lattice_per_structure(self, monkeypatch, capsys):
+        built = []
+        original = nearrings._n_subloop_lattice
+
+        def counting(nr):
+            built.append(nr)
+            return original(nr)
+
+        monkeypatch.setattr(nearrings, "_n_subloop_lattice", counting)
+        argv = ["analyze", "matrix:cyclic:2,2",
+                "--local", "--subloops", "--radical", "--idempotents"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        # the ring itself and its quotient A/J, once each
+        assert len(built) == 2
+        assert built[0] is not built[1]
+
+    def test_tighter_bounds_still_refuse_once_cached(self):
+        nr = parse_spec("product:cyclic:4+cyclic:2")
+        assert enumerate_N_subloops(nr)
+        tight = Bounds(max_enum_n=nr.n - 1)
+        with pytest.raises(BoundExceeded):
+            enumerate_N_subloops(nr, tight)
+        with pytest.raises(BoundExceeded):
+            maximal_N_subloops(nr, tight)
+        loop = random_loop(6, 0)
+        assert enumerate_subloops(loop)
+        with pytest.raises(BoundExceeded):
+            enumerate_subloops(loop, Bounds(max_subloop_n=5))
+
+    def test_mutating_a_result_leaves_the_cache_intact(self):
+        nr = parse_spec("product:cyclic:4+cyclic:2")
+        first = enumerate_N_subloops(nr)
+        want = list(first)
+        first.clear()
+        assert enumerate_N_subloops(nr) == want
+        maximal = maximal_N_subloops(nr)
+        want_max = list(maximal)
+        maximal.pop()
+        assert maximal_N_subloops(nr) == want_max
+
+    def test_corner_built_once_per_idempotent(self):
+        ring = parse_spec("matrix:cyclic:2,2")
+        e = next(int(x) for x in range(ring.n)
+                 if x not in (ring.zero, ring.one) and ring.mul[x, x] == x)
+        assert corner_ring(ring, e) is corner_ring(ring, e)
+
+
+def test_radical_timing_covers_semisimple_and_semiperfect(monkeypatch):
+    original = reports.is_semiperfect
+
+    def slow(ring, bounds):
+        time.sleep(0.2)
+        return original(ring, bounds)
+
+    monkeypatch.setattr(reports, "is_semiperfect", slow)
+    payload = reports.analysis_report(
+        corpus.z(4), "cyclic:4", with_radical=True, with_timing=True
+    )
+    assert payload["timing"]["radical"] >= 0.2
+
+
+def test_search_script_runs_at_default_args(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "search_local_nonring", SCRIPTS / "search_local_nonring.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == (
+        "outcome: no local loop near-ring that is not a ring was found "
+        "in the searched corpus"
+    )
+    assert "m0(loop 4.0): n=64, 47 sub-near-rings" in lines
