@@ -6,7 +6,7 @@ strings like ``cyclic:6`` and ``m0:nonassoc5``; an argument naming an
 existing file is read as a file, anything else is parsed as a spec.
 
 Exit codes: 0 success, 1 invalid structure or homomorphism, 2 parse
-error, 3 bound exceeded, 4 theorem hypothesis unmet.
+error, 3 bound exceeded, 4 theorem hypothesis unmet, 5 theorem violated.
 """
 
 from __future__ import annotations
@@ -26,17 +26,21 @@ from .errors import (
     ParseError,
     PreconditionFailed,
     TargetNotARing,
+    TheoremViolation,
     ValidationError,
 )
 from .generators import CATALOG, parse_spec
 from .homs import validate_lnr_hom
 from .io import (
+    StructureFile,
     canonical_json,
+    check_order,
     dump_structure,
     dump_structure_text,
     kind_of,
     load_structure,
     parse_structure,
+    read_text,
 )
 from .nearrings import LoopNearRing
 from .reports import (
@@ -58,7 +62,10 @@ def _emit(payload: dict, as_text: bool) -> None:
 
 
 def _bounds_from_args(args) -> Bounds:
-    bounds = bounds_from_env(DEFAULT_BOUNDS, os.environ)
+    try:
+        bounds = bounds_from_env(DEFAULT_BOUNDS, os.environ)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     overrides = {}
     if args.max_n is not None:
         overrides["max_n"] = args.max_n
@@ -77,21 +84,15 @@ def _load_input(arg: str, bounds: Bounds):
 
 
 def cmd_check(args) -> int:
+    """A file is checked row by row; a spec was validated as it was built."""
     bounds = _bounds_from_args(args)
     if os.path.exists(args.input):
-        with open(args.input, encoding="utf-8") as fh:
-            sf = parse_structure(fh.read())
-        if sf.n > bounds.max_n:
-            raise BoundExceeded(
-                f"structure order {sf.n} exceeds max_n={bounds.max_n}"
-            )
-        payload = check_report(sf.kind, sf.n, sf.add, sf.mul, sf.one, args.input)
+        sf = parse_structure(read_text(args.input))
+        check_order(sf.n, bounds)
     else:
         structure = parse_spec(args.input, bounds)
-        kind = kind_of(structure)
-        mul = None if kind == "loop" else structure.mul
-        one = None if kind == "loop" else structure.one
-        payload = check_report(kind, structure.n, structure.add, mul, one, args.input)
+        sf = StructureFile(kind_of(structure), structure.n, structure)
+    payload = check_report(sf.kind, sf.n, sf.add, sf.mul, sf.one, args.input)
     _emit(payload, args.text)
     return 0 if payload["valid"] else 1
 
@@ -130,11 +131,7 @@ def cmd_decompose(args) -> int:
 
 
 def _load_map(path: str) -> list:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
+    text = read_text(path)
     stripped = text.lstrip()
     if not stripped:
         raise ParseError("empty map file")
@@ -281,7 +278,18 @@ def main(argv=None) -> int:
     except LoopNrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except TheoremViolation as exc:
+        print(f"theorem violated: {exc}", file=sys.stderr)
+        return 5
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the
+        # interpreter's final flush cannot raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, as a shell reports a reader-closed pipe
+    raise SystemExit(code)

@@ -20,6 +20,10 @@ class ValidationError(LoopNrError):
         self.witness = witness
 
 
+class EntriesOutOfRange(ValidationError):
+    axiom = "entries-in-range"
+
+
 class NotLatinSquare(ValidationError):
     axiom = "latin-square"
 

@@ -35,8 +35,7 @@ from .errors import BoundExceeded, ParseError
 from .loops import CayleyLoop, validate_loop
 from .nearrings import LoopNearRing, validate_lnr
 from .rings import FiniteRing, validate_ring_tables
-
-KINDS = ("loop", "lnr", "ring")
+from .tables import KINDS
 
 
 def kind_of(structure) -> str:
@@ -219,10 +218,14 @@ def parse_structure(text: str) -> StructureFile:
     return _parse_text(text)
 
 
+def check_order(n: int, bounds: Bounds) -> None:
+    if n > bounds.max_n:
+        raise BoundExceeded(f"structure order {n} exceeds max_n={bounds.max_n}")
+
+
 def realize(sf: StructureFile, bounds: Bounds = DEFAULT_BOUNDS):
     """Validate a parsed file into a structure of its declared kind."""
-    if sf.n > bounds.max_n:
-        raise BoundExceeded(f"structure order {sf.n} exceeds max_n={bounds.max_n}")
+    check_order(sf.n, bounds)
     if sf.kind == "loop":
         return validate_loop(sf.add)
     if sf.kind == "lnr":
@@ -230,15 +233,18 @@ def realize(sf: StructureFile, bounds: Bounds = DEFAULT_BOUNDS):
     return validate_ring_tables(sf.add, sf.mul, sf.one)
 
 
+def read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+
+
 def load_structure(path: str, bounds: Bounds = DEFAULT_BOUNDS):
     """Read, parse and validate a structure file.
 
     Returns (structure, meta).
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    sf = parse_structure(text)
+    sf = parse_structure(read_text(path))
     return realize(sf, bounds), sf.meta

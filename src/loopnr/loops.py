@@ -19,13 +19,7 @@ import numpy as np
 
 from . import tables
 from .config import DEFAULT_BOUNDS, Bounds
-from .errors import (
-    BoundExceeded,
-    NoTwoSidedZero,
-    NotAHomomorphism,
-    NotASubloop,
-    NotLatinSquare,
-)
+from .errors import BoundExceeded, NotAHomomorphism, NotASubloop
 from .lattice import ClosureSystem
 
 
@@ -127,22 +121,12 @@ class CayleyLoop:
 
 
 def validate_loop(table) -> CayleyLoop:
-    """Check the loop axioms on a raw table and build a CayleyLoop.
-
-    Raises NotLatinSquare or NoTwoSidedZero with the least witness.
+    """Check the loop rows of ``tables.AXIOMS`` on a raw table and build
+    a CayleyLoop; the first failing row is raised with its least witness.
     """
     add = tables.as_table(table)
+    tables.require(add, kind="loop")
     n = add.shape[0]
-    bad = tables.latin_witness(add)
-    if bad is not None:
-        axis, idx, val = bad
-        raise NotLatinSquare(
-            f"{axis} {idx} is not a permutation of 0..{n - 1} (value {val})",
-            witness=bad,
-        )
-    want = np.arange(n, dtype=tables.DTYPE)
-    if not (np.array_equal(add[0], want) and np.array_equal(add[:, 0], want)):
-        raise NoTwoSidedZero("index 0 is not a two-sided zero", witness=0)
     ldiff = np.argsort(add, axis=1).astype(tables.DTYPE)
     rdiff = np.argsort(add, axis=0).astype(tables.DTYPE)
     ldiff.setflags(write=False)

@@ -26,14 +26,10 @@ from . import tables
 from .config import DEFAULT_BOUNDS, Bounds
 from .errors import (
     BoundExceeded,
-    MulNotAssociative,
     NotIdempotent,
-    NotIdentity,
     PreconditionFailed,
-    RightDistributivityFails,
     TheoremViolation,
     ValidationError,
-    ZeroNotLeftAbsorbing,
 )
 from .lattice import ClosureSystem
 from .loops import CayleyLoop, ElementSubset, _sorted_subsets, is_subloop, validate_loop
@@ -69,9 +65,10 @@ class LoopNearRing:
 
 
 def validate_lnr(add_table, mul_table, one: int) -> LoopNearRing:
-    """Check every loop near-ring axiom on raw tables.
+    """Check every loop near-ring row of ``tables.AXIOMS`` on raw tables.
 
-    ``add_table`` may be a raw table or an already validated CayleyLoop.
+    ``add_table`` may be a raw table or an already validated CayleyLoop,
+    whose loop rows are then not rescanned.
     """
     if isinstance(add_table, CayleyLoop):
         additive = add_table
@@ -81,24 +78,8 @@ def validate_lnr(add_table, mul_table, one: int) -> LoopNearRing:
     mul = tables.as_table(mul_table)
     if mul.shape[0] != n:
         raise ValidationError(f"mul table is {mul.shape[0]}x{mul.shape[0]}, additive has n={n}")
-    if not tables.entries_in_range(mul, n):
-        raise ValidationError("mul entries outside the carrier 0..n-1")
     one = int(one)
-    if not 0 <= one < n:
-        raise ValidationError(f"one={one} outside the carrier")
-    w = tables.identity_witness(mul, one)
-    if w is not None:
-        raise NotIdentity(f"one={one} is not a two-sided multiplicative identity at {w}", witness=w)
-    w = tables.assoc_witness(mul)
-    if w is not None:
-        raise MulNotAssociative(f"(a*b)*c != a*(b*c) at {w}", witness=w)
-    w = tables.right_dist_witness(additive.add, mul)
-    if w is not None:
-        raise RightDistributivityFails(f"(a+b)*c != a*c + b*c at {w}", witness=w)
-    if (mul[additive.zero] != additive.zero).any():
-        # unreachable given right distributivity and cancellation
-        bad = int(np.argmax(mul[additive.zero] != additive.zero))
-        raise ZeroNotLeftAbsorbing(f"0 * {bad} != 0", witness=bad)
+    tables.require(additive.add, mul, one, start="lnr", kind="lnr")
     zero_symmetric = bool((mul[:, additive.zero] == additive.zero).all())
     return LoopNearRing(additive=additive, mul=mul, one=one, zero_symmetric=zero_symmetric)
 

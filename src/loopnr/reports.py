@@ -12,16 +12,14 @@ from __future__ import annotations
 import hashlib
 import time
 
-import numpy as np
-
 from . import tables
 from .config import DEFAULT_BOUNDS, Bounds
 from .decomp import corner_signature, decompose_regular, verify_ks_uniqueness
 from .errors import PreconditionFailed
 from .homs import idempotent_kill_check, verify_local_transfer
 from .io import canonical_json, kind_of, structure_sha256
-from .loops import enumerate_subloops, is_associative, is_commutative
-from .nearrings import enumerate_N_subloops, idempotents, is_local_lnr, units
+from .loops import CayleyLoop, enumerate_subloops, is_associative, is_commutative
+from .nearrings import LoopNearRing, enumerate_N_subloops, idempotents, is_local_lnr, units
 from .rings import FiniteRing, is_semiperfect, is_semisimple, jacobson_radical
 
 VOLATILE_KEYS = ("sha256", "timing")
@@ -230,70 +228,23 @@ def hom_report(
     return finalize_report(payload)
 
 
-def _violations(kind: str, n: int, add, mul, one) -> list:
-    """Scan every axiom of the declared kind, least witness each."""
-    out = []
-
-    def hit(axiom, witness, message):
-        out.append(
-            {
-                "axiom": axiom,
-                "witness": None if witness is None else list(witness),
-                "message": message,
-            }
-        )
-
-    add = np.asarray(add, dtype=np.int64)
-    if not tables.entries_in_range(add, n):
-        hit("entries-in-range", None, "add entries outside 0..n-1")
-        return out
-    w = tables.latin_witness(add)
-    if w is not None:
-        axis, i, v = w
-        hit("latin-square", (i, v), f"duplicate {v} in add {axis} {i}")
-    idx = np.arange(n)
-    if not (np.array_equal(add[0], idx) and np.array_equal(add[:, 0], idx)):
-        bad = np.where((add[0] != idx) | (add[:, 0] != idx))[0]
-        hit("two-sided-zero", (int(bad[0]),), "0 is not a two-sided zero")
-    if kind == "loop":
-        return out
-
-    mul = np.asarray(mul, dtype=np.int64)
-    if not tables.entries_in_range(mul, n):
-        hit("entries-in-range", None, "mul entries outside 0..n-1")
-        return out
-    if not 0 <= one < n:
-        hit("mul-identity", (one,), f"identity index {one} outside the carrier")
-        return out
-    w = tables.identity_witness(mul, one)
-    if w is not None:
-        hit("mul-identity", (w,), f"{one} is not a two-sided multiplicative identity")
-    w = tables.assoc_witness(mul)
-    if w is not None:
-        hit("mul-associative", w, "multiplication is not associative")
-    w = tables.right_dist_witness(add, mul)
-    if w is not None:
-        hit("right-distributivity", w, "(a+b)*c != a*c + b*c")
-    bad = np.where(mul[0] != 0)[0]
-    if bad.size:
-        hit("zero-left-absorbing", (int(bad[0]),), "0*n != 0")
-    if kind == "lnr":
-        return out
-
-    w = tables.comm_witness(add)
-    if w is not None:
-        hit("abelian-addition", w, "addition is not commutative")
-    w = tables.assoc_witness(add)
-    if w is not None:
-        hit("abelian-addition", w, "addition is not associative")
-    w = tables.left_dist_witness(add, mul)
-    if w is not None:
-        hit("left-distributivity", w, "c*(a+b) != c*a + c*b")
-    return out
-
-
 def check_report(kind: str, n: int, add, mul, one, name: str) -> dict:
-    violations = _violations(kind, n, add, mul, one)
+    """Every failing row of ``tables.AXIOMS`` up to ``kind``, in order.
+
+    ``add`` may instead be a structure of that kind built by the
+    validators (as ``parse_spec`` returns), with ``mul`` and ``one``
+    None: every axiom of its kind already holds, so nothing is rescanned.
+    """
+    if isinstance(add, (CayleyLoop, LoopNearRing)):
+        found = ()
+    else:
+        add = tables.as_table(add)
+        mul = None if kind == "loop" else tables.as_table(mul)
+        found = tables.violations(add, mul, one, kind=kind)
+    violations = [
+        {"axiom": error.axiom, "witness": witness and list(witness), "message": message}
+        for error, message, witness in found
+    ]
     payload = {
         "command": "check",
         "input": name,

@@ -1,4 +1,4 @@
-"""Low-level Cayley-table kernels.
+"""Low-level Cayley-table kernels and ``AXIOMS``, the one axiom table.
 
 All structure axioms reduce to pointwise identities between gathered
 copies of the operation tables.  The checks below scan in blocks of
@@ -9,7 +9,11 @@ violating tuple, which keeps error messages reproducible.
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
+
+from . import errors
 
 DTYPE = np.int16
 
@@ -18,18 +22,27 @@ _BLOCK_ELEMS = 1 << 22
 
 
 def as_table(obj) -> np.ndarray:
-    """Coerce to a read-only square int16 array without range checks."""
+    """Coerce to a read-only square int16 array.
+
+    The range check runs on the raw entries, before narrowing: an entry
+    outside 0..n-1 becomes -1, so no value can wrap into the carrier,
+    and the entries-in-range rows of ``AXIOMS`` still reject the table.
+    """
     try:
         arr = np.asarray(obj)
     except ValueError:
         raise ValueError("expected a square n x n table, got ragged rows") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise ValueError(f"expected a square n x n table with n >= 1, got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
+    # entries beyond int64 arrive as an object array of Python ints
+    if not (np.issubdtype(arr.dtype, np.integer)
+            or arr.dtype == object and all(isinstance(v, int) for v in arr.flat)):
         raise ValueError("table entries must be integers")
-    out = np.ascontiguousarray(arr, dtype=DTYPE)
-    if out is arr:
-        out = arr.copy()
+    outside = (arr < 0) | (arr >= arr.shape[0])
+    if arr.dtype == object:
+        arr = np.where(outside, -1, arr)
+    out = arr.astype(DTYPE)
+    out[outside] = -1
     out.setflags(write=False)
     return out
 
@@ -45,35 +58,18 @@ def relabel(carrier, table) -> np.ndarray:
     return lookup[table]
 
 
-def entries_in_range(table: np.ndarray, n: int) -> bool:
-    return bool(((table >= 0) & (table < n)).all())
-
-
 def latin_witness(table: np.ndarray):
-    """First row or column that is not a permutation of 0..n-1.
+    """First row, then column, that is not a permutation of 0..n-1.
 
-    Returns None, or ("row"|"col", index, offending value).
+    Entries must lie in 0..n-1.  Returns None, or ("row"|"col", index,
+    least value repeated in that line).
     """
     n = table.shape[0]
-    want = np.arange(n, dtype=DTYPE)
-    for axis, name in ((1, "row"), (0, "col")):
-        sorted_ = np.sort(table, axis=axis)
-        bad = sorted_ != (want[None, :] if axis == 1 else want[:, None])
+    for name, lines in (("row", table), ("col", table.T)):
+        bad = (np.sort(lines, axis=1) != np.arange(n)).any(axis=1)
         if bad.any():
-            if axis == 1:
-                lines = bad.any(axis=1)
-                i = int(np.argmax(lines))
-                line = table[i]
-            else:
-                lines = bad.any(axis=0)
-                i = int(np.argmax(lines))
-                line = table[:, i]
-            counts = np.bincount(np.clip(line, 0, None).astype(np.int64), minlength=n)
-            if (line < 0).any() or (line >= n).any():
-                v = int(line[(line < 0) | (line >= n)][0])
-            else:
-                v = int(np.argmax(counts > 1))
-            return (name, i, v)
+            i = int(np.argmax(bad))
+            return (name, i, int(np.argmax(np.bincount(lines[i], minlength=n) > 1)))
     return None
 
 
@@ -144,6 +140,85 @@ def identity_witness(op: np.ndarray, e: int):
     if bad.any():
         return int(np.argmax(bad))
     return None
+
+
+def _outside(table: np.ndarray):
+    # as_table marks out-of-range entries -1; the failure has no witness
+    return () if (table < 0).any() else None
+
+
+def _first(bad: np.ndarray):
+    return (int(np.argmax(bad)),) if bad.any() else None
+
+
+def _single(w):
+    return None if w is None else (w,)
+
+
+class Axiom(NamedTuple):
+    # ``witness(add, mul, one)`` is None when the law holds, else a tuple;
+    # ``message`` is formatted with its entries and ``one``, and its
+    # ``shown`` entries are the least witness.  A ``stop`` row is one that
+    # later rows index through, so its failure ends the scan.
+    error: type
+    kind: str
+    witness: Callable
+    message: str
+    stop: bool = False
+    shown: slice = slice(None)
+
+
+KINDS = ("loop", "lnr", "ring")
+
+# Every axiom of a loop, loop near-ring and ring, in scan order.  A row
+# applies to its kind and to every later kind in KINDS.
+AXIOMS = (
+    Axiom(errors.EntriesOutOfRange, "loop", lambda add, mul, one: _outside(add),
+          "add entries outside 0..n-1", stop=True),
+    Axiom(errors.NotLatinSquare, "loop", lambda add, mul, one: latin_witness(add),
+          "duplicate {2} in add {0} {1}", shown=slice(1, None)),
+    Axiom(errors.NoTwoSidedZero, "loop", lambda add, mul, one: _single(identity_witness(add, 0)),
+          "0 is not a two-sided zero"),
+    Axiom(errors.EntriesOutOfRange, "lnr", lambda add, mul, one: _outside(mul),
+          "mul entries outside 0..n-1", stop=True),
+    Axiom(errors.NotIdentity, "lnr", lambda add, mul, one: None if 0 <= one < len(mul) else (one,),
+          "identity index {one} outside the carrier", stop=True),
+    Axiom(errors.NotIdentity, "lnr", lambda add, mul, one: _single(identity_witness(mul, one)),
+          "{one} is not a two-sided multiplicative identity"),
+    Axiom(errors.MulNotAssociative, "lnr", lambda add, mul, one: assoc_witness(mul),
+          "multiplication is not associative"),
+    Axiom(errors.RightDistributivityFails, "lnr",
+          lambda add, mul, one: right_dist_witness(add, mul), "(a+b)*c != a*c + b*c"),
+    Axiom(errors.ZeroNotLeftAbsorbing, "lnr", lambda add, mul, one: _first(mul[0] != 0),
+          "0*n != 0"),
+    Axiom(errors.AdditionNotAbelianGroup, "ring", lambda add, mul, one: comm_witness(add),
+          "addition is not commutative"),
+    Axiom(errors.AdditionNotAbelianGroup, "ring", lambda add, mul, one: assoc_witness(add),
+          "addition is not associative"),
+    Axiom(errors.LeftDistributivityFails, "ring",
+          lambda add, mul, one: left_dist_witness(add, mul), "c*(a+b) != c*a + c*b"),
+)
+
+
+def violations(add, mul=None, one=None, start: str = "loop", kind: str = "ring"):
+    """Yield (error class, message, witness) for each failing row of AXIOMS.
+
+    Scans the rows of kinds ``start`` through ``kind``, in order, on
+    tables from ``as_table``; a witness is None or a tuple.
+    """
+    kinds = KINDS[KINDS.index(start):KINDS.index(kind) + 1]
+    for row in AXIOMS:
+        found = row.witness(add, mul, one) if row.kind in kinds else None
+        if found is not None:
+            yield row.error, row.message.format(*found, one=one), tuple(found[row.shown]) or None
+            if row.stop:
+                return
+
+
+def require(add, mul=None, one=None, start: str = "loop", kind: str = "ring") -> None:
+    """Raise the first failing row of ``violations`` as its error class."""
+    for error, message, witness in violations(add, mul, one, start, kind):
+        raise error(message, witness=witness)
 
 
 def mixed_radix_weights(radices) -> np.ndarray:

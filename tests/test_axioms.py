@@ -1,0 +1,195 @@
+"""One axiom table: validators and ``check`` agree, with brute witnesses.
+
+``tables.AXIOMS`` is the only place the loop, near-ring and ring axioms
+are written down.  The validators raise its first failing row and
+``check_report`` lists every failing row; these tests hold both to a
+pure-Python triple loop, on tables near the corpus and on tables with
+entries outside the carrier, including values that int16 would wrap.
+"""
+
+from functools import lru_cache
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from loopnr import (
+    EntriesOutOfRange,
+    StructureFile,
+    ValidationError,
+    check_report,
+    parse_spec,
+    realize,
+    tables,
+    validate_lnr,
+    validate_loop,
+    validate_ring_tables,
+)
+from loopnr.tables import AXIOMS, KINDS
+
+WRAP = 1 << 16
+
+# valid structures with n <= 5, with the kind each is built as
+SPECS = (
+    "cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "gf:4",
+    "product:cyclic:2+cyclic:2", "m:cyclic:2", "m0:cyclic:2",
+    "nonassoc5", "smallloop:4,1", "smallloop:5,3", "random_loop:5,2",
+)
+
+
+@lru_cache(maxsize=None)
+def base(spec):
+    s = parse_spec(spec)
+    if hasattr(s, "mul"):
+        return s.n, s.add.tolist(), s.mul.tolist(), s.one
+    return s.n, s.add.tolist(), None, None
+
+
+def brute(kind, n, add, mul, one):
+    """Every failing axiom of ``kind`` by plain loops: (axiom, witness)."""
+    out = []
+    r = range(n)
+
+    def in_range(t):
+        return all(0 <= v < n for row in t for v in row)
+
+    def least(cells, bad):
+        return next((tuple(c) for c in cells if bad(*c)), None)
+
+    def hit(axiom, witness):
+        if witness is not None:
+            out.append((axiom, list(witness)))
+
+    if not in_range(add):
+        return [("entries-in-range", None)]
+    lines = [("row", add[i]) for i in r] + [("col", [add[j][i] for j in r]) for i in r]
+    for pos, (_, line) in enumerate(lines):
+        if sorted(line) != list(r):
+            hit("latin-square", (pos % n, min(v for v in line if line.count(v) > 1)))
+            break
+    hit("two-sided-zero", least(product(r), lambda a: add[0][a] != a or add[a][0] != a))
+    if kind == "loop":
+        return out
+    if not in_range(mul):
+        return out + [("entries-in-range", None)]
+    if not 0 <= one < n:
+        return out + [("mul-identity", [one])]
+    hit("mul-identity", least(product(r), lambda a: mul[one][a] != a or mul[a][one] != a))
+    hit("mul-associative", least(product(r, r, r),
+        lambda a, b, c: mul[mul[a][b]][c] != mul[a][mul[b][c]]))
+    hit("right-distributivity", least(product(r, r, r),
+        lambda a, b, c: mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]))
+    hit("zero-left-absorbing", least(product(r), lambda c: mul[0][c] != 0))
+    if kind == "lnr":
+        return out
+    hit("abelian-addition", least(product(r, r), lambda a, b: add[a][b] != add[b][a]))
+    hit("abelian-addition", least(product(r, r, r),
+        lambda a, b, c: add[add[a][b]][c] != add[a][add[b][c]]))
+    hit("left-distributivity", least(product(r, r, r),
+        lambda a, b, c: mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]))
+    return out
+
+
+@st.composite
+def near_valid(draw):
+    spec = draw(st.sampled_from(SPECS))
+    n, add, mul, one = base(spec)
+    add = [row[:] for row in add]
+    mul = None if mul is None else [row[:] for row in mul]
+    # a near-ring table may be declared as any kind, a loop table only as a loop
+    kind = draw(st.sampled_from(KINDS if mul is not None else ("loop",)))
+    if kind == "loop":
+        mul = one = None
+    names = ("add",) if mul is None else ("add", "mul")
+    for _ in range(draw(st.integers(0, 2))):
+        t = add if draw(st.sampled_from(names)) == "add" else mul
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        old = t[i][j]
+        t[i][j] = draw(st.one_of(
+            st.integers(0, n - 1),
+            st.integers(-3, -1),
+            st.integers(n, n + 3),
+            st.sampled_from((old + WRAP, old - WRAP, old + WRAP + 1, 2 ** 70)),
+        ))
+    if mul is not None and draw(st.booleans()):
+        one = draw(st.integers(-2, n + 1))
+    return StructureFile(kind=kind, n=n, add=add, mul=mul, one=one)
+
+
+@settings(max_examples=400)
+@given(near_valid())
+def test_check_agrees_with_realize_and_brute(sf):
+    report = check_report(sf.kind, sf.n, sf.add, sf.mul, sf.one, "x")
+    got = [(v["axiom"], v["witness"]) for v in report["violations"]]
+    assert got == brute(sf.kind, sf.n, sf.add, sf.mul, sf.one)
+    try:
+        realize(sf)
+    except ValidationError as exc:
+        assert not report["valid"]
+        first = report["violations"][0]
+        assert exc.axiom == first["axiom"]
+        assert (None if exc.witness is None else list(exc.witness)) == first["witness"]
+        assert str(exc) == first["message"]
+    else:
+        assert report["valid"]
+
+
+class TestWraparound:
+    def test_loop_entry_past_int16(self):
+        with pytest.raises(EntriesOutOfRange) as exc:
+            validate_loop([[0, 1], [1, 65536]])
+        assert exc.value.axiom == "entries-in-range"
+        assert exc.value.witness is None
+
+    def test_ring_mul_entry_past_int16(self):
+        ring = parse_spec("cyclic:3")
+        mul = ring.mul.tolist()
+        mul[2][2] = 65537                  # narrows to 1 = 2*2 mod 3
+        with pytest.raises(EntriesOutOfRange) as exc:
+            validate_ring_tables(ring.add.tolist(), mul, ring.one)
+        assert exc.value.axiom == "entries-in-range"
+        assert str(exc.value) == "mul entries outside 0..n-1"
+
+    def test_check_lists_range_first(self):
+        add = [[0, 1], [1, 65536]]
+        report = check_report("ring", 2, add, [[0, 0], [0, 1]], 1, "w")
+        assert [v["axiom"] for v in report["violations"]] == ["entries-in-range"]
+
+    def test_entries_beyond_int64(self):
+        with pytest.raises(EntriesOutOfRange):
+            validate_loop([[0, 1], [1, 2 ** 70]])
+        report = check_report("loop", 2, [[0, 1], [1, -2 ** 70]], None, None, "w")
+        assert report["violations"][0]["axiom"] == "entries-in-range"
+
+    def test_as_table_marks_out_of_range(self):
+        t = tables.as_table(np.array([[0, 1], [1, 65536]], dtype=np.int64))
+        assert t.dtype == tables.DTYPE and t.tolist() == [[0, 1], [1, -1]]
+        assert not t.flags.writeable
+
+
+class TestAxiomTable:
+    def test_every_kind_has_rows_and_range_rows_stop(self):
+        assert {row.kind for row in AXIOMS} == set(KINDS)
+        for row in AXIOMS:
+            assert issubclass(row.error, ValidationError)
+            if row.error is EntriesOutOfRange:
+                assert row.stop
+
+    def test_lnr_on_validated_loop_skips_loop_rows(self, monkeypatch):
+        ring = parse_spec("cyclic:3")
+        loop = validate_loop(ring.add)
+        calls = []
+        monkeypatch.setattr(tables, "latin_witness", lambda t: calls.append(t))
+        nr = validate_lnr(loop, ring.mul, 1)
+        assert nr.additive is loop and calls == []
+
+    def test_validators_raise_check_message_and_witness(self):
+        add = [[0, 1, 2], [1, 1, 0], [2, 0, 1]]
+        with pytest.raises(ValidationError) as exc:
+            validate_loop(add)
+        first = check_report("loop", 3, add, None, None, "x")["violations"][0]
+        assert (exc.value.axiom, str(exc.value), list(exc.value.witness)) == (
+            first["axiom"], first["message"], first["witness"])
+        assert str(exc.value) == "duplicate 1 in add row 1"

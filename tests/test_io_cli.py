@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import loopnr
 from loopnr import (
     BoundExceeded,
     ParseError,
@@ -189,6 +193,105 @@ class TestCliCheck:
         monkeypatch.setenv("LOOPNR_MAX_N", "10")
         code, _ = run_cli(capsys, "check", "cyclic:50")
         assert code == 3
+
+    def test_malformed_env_is_a_parse_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("LOOPNR_MAX_N", "abc")
+        code, out = run_cli(capsys, "analyze", "cyclic:4")
+        assert code == 2
+        assert out == "parse error: LOOPNR_MAX_N must be an integer, got 'abc'\n"
+
+    def test_spec_is_not_rescanned(self, capsys, monkeypatch):
+        from loopnr import tables
+
+        calls = []
+        kernel = tables.assoc_witness
+        monkeypatch.setattr(tables, "assoc_witness", lambda t: calls.append(1) or kernel(t))
+        code, payload = run_json(capsys, "check", "cyclic:4")
+        assert code == 0 and payload["valid"] is True
+        # parse_spec scans * and + once each; the report scans nothing
+        assert len(calls) == 2
+
+    def test_file_is_checked_once_as_int16(self, capsys, monkeypatch, tmp_path):
+        from loopnr import tables
+
+        seen = []
+        kernel = tables.assoc_witness
+        monkeypatch.setattr(
+            tables, "assoc_witness", lambda t: seen.append(t.dtype) or kernel(t))
+        p = tmp_path / "z4.json"
+        p.write_text(dump_structure(corpus.z(4)))
+        code, payload = run_json(capsys, "check", str(p))
+        assert code == 0 and payload["valid"] is True
+        assert seen == [np.dtype(np.int16)] * 2
+
+
+def wrapped_file(tmp_path):
+    """Z/3 with mul[2][2] = 1 + 2**16, which int16 would narrow to 1."""
+    ring = corpus.z(3)
+    mul = ring.mul.tolist()
+    mul[2][2] += 1 << 16
+    p = tmp_path / "wrap.json"
+    p.write_text(json.dumps({"kind": "ring", "n": 3, "add": ring.add.tolist(),
+                             "mul": mul, "one": ring.one}))
+    return str(p)
+
+
+class TestWraparoundCli:
+    def test_analyze_rejects(self, capsys, tmp_path):
+        code, out = run_cli(capsys, "analyze", wrapped_file(tmp_path))
+        assert code == 1
+        assert out == "invalid [entries-in-range]: mul entries outside 0..n-1\n"
+
+    def test_check_lists_range_first(self, capsys, tmp_path):
+        code, payload = run_json(capsys, "check", wrapped_file(tmp_path))
+        assert code == 1
+        assert payload["violations"][0] == {
+            "axiom": "entries-in-range", "message": "mul entries outside 0..n-1",
+            "witness": None,
+        }
+
+    def test_diagnostic_carries_check_message_and_witness(self, capsys, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"kind": "loop", "n": 3,
+                                 "add": [[0, 1, 2], [1, 1, 0], [2, 0, 1]]}))
+        code, out = run_cli(capsys, "analyze", str(p))
+        assert code == 1
+        assert out == "invalid [latin-square]: duplicate 1 in add row 1 witness=(1, 1)\n"
+
+
+class TestTheoremViolation:
+    def test_exit_5_with_one_line(self, capsys, monkeypatch):
+        from loopnr import rings
+
+        monkeypatch.setattr(
+            rings, "radical_by_quasiregularity",
+            lambda ring: rings.ElementSubset.of(ring.n, range(ring.n)))
+        code, out = run_cli(capsys, "analyze", "cyclic:4", "--radical")
+        assert code == 5
+        assert out.startswith("theorem violated: radical procedures disagree")
+        assert out.count("\n") == 1
+
+
+def closed_stdout_run(*argv):
+    """Run the CLI with stdout a pipe whose reader is already gone."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(loopnr.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "loopnr", *argv], stdout=write,
+            stderr=subprocess.PIPE, env=env, timeout=120, check=False)
+    finally:
+        os.close(write)
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [("catalog",), ("generate", "cyclic:64")])
+    def test_exits_quietly(self, argv):
+        proc = closed_stdout_run(*argv)
+        assert proc.stderr == b""
+        assert proc.returncode == 141
 
 
 class TestCliAnalyze:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from loopnr import (
     BoundExceeded,
     ElementSubset,
+    EntriesOutOfRange,
     NoTwoSidedZero,
     NotAHomomorphism,
     NotASubloop,
@@ -56,7 +57,8 @@ class TestValidateLoop:
             validate_loop([[0, 1, 2], [1, 2, 0]])
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(NotLatinSquare):
+        # the range row comes before the Latin row in tables.AXIOMS
+        with pytest.raises(EntriesOutOfRange):
             validate_loop([[0, 1], [1, 2]])
 
     def test_rejects_repeated_row_entry(self):
