@@ -128,6 +128,15 @@ def is_primitive(ring: FiniteRing, e: int) -> bool:
     return len(idem.members) == 2
 
 
+def _primitives(ring: FiniteRing) -> list:
+    """The nonzero primitive idempotents, ascending."""
+    return [
+        int(e)
+        for e in idempotents(ring).sorted_members
+        if e != ring.zero and is_primitive(ring, e)
+    ]
+
+
 def is_strongly_indecomposable_corner(
     ring: FiniteRing, e: int, bounds: Bounds = DEFAULT_BOUNDS
 ) -> bool:
@@ -135,6 +144,13 @@ def is_strongly_indecomposable_corner(
     if e == ring.zero:
         raise ZeroIdempotent("strong indecomposability is about nonzero idempotents")
     return is_local_ring(corner_ring(ring, e).ring, bounds)
+
+
+def _require_local_corners(ring: FiniteRing, members, bounds: Bounds, what: str) -> None:
+    """Raise HypothesisFailed at the first member whose corner is not local."""
+    for e in members:
+        if not is_strongly_indecomposable_corner(ring, e, bounds):
+            raise HypothesisFailed(f"{what} without a local corner", witness=e)
 
 
 def _corner_candidates(ring: FiniteRing, e: int) -> np.ndarray:
@@ -173,6 +189,11 @@ def decompose_regular(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> Idem
     return validate_idempotent_family(ring, split(ring.one))
 
 
+def _check_family_bound(ring: FiniteRing, bounds: Bounds) -> None:
+    if ring.n > bounds.max_family_n:
+        raise BoundExceeded(f"ring order {ring.n} exceeds max_family_n={bounds.max_family_n}")
+
+
 def enumerate_complete_primitive_families(
     ring: FiniteRing, limit: int | None = None, bounds: Bounds = DEFAULT_BOUNDS
 ) -> list:
@@ -182,19 +203,12 @@ def enumerate_complete_primitive_families(
     order.  If more than ``limit`` families exist, LimitReached is
     raised carrying the ones found so far in ``partial``.
     """
-    if ring.n > bounds.max_family_n:
-        raise BoundExceeded(
-            f"ring order {ring.n} exceeds max_family_n={bounds.max_family_n}"
-        )
+    _check_family_bound(ring, bounds)
     if limit is None:
         limit = bounds.max_families
     if ring.one == ring.zero:
         return [validate_idempotent_family(ring, ())]
-    prim = [
-        int(e)
-        for e in idempotents(ring).sorted_members
-        if e != ring.zero and is_primitive(ring, e)
-    ]
+    prim = _primitives(ring)
     mul = ring.mul
     add = ring.add
     zero, one = ring.zero, ring.one
@@ -300,11 +314,7 @@ def verify_ks_uniqueness(
             f"canonical family {canonical.members} missing from enumeration"
         )
     seen = sorted(set(e for f in families for e in f.members))
-    for e in seen:
-        if not is_strongly_indecomposable_corner(ring, e, bounds):
-            raise HypothesisFailed(
-                "family member without a local corner", witness=e
-            )
+    _require_local_corners(ring, seen, bounds, "family member")
     labels = _iso_class_labels(ring, seen)
     canon_multiset = sorted(labels[e] for e in canonical.members)
     for fam in families:
@@ -352,21 +362,10 @@ def verify_retract_matching(
     canonical decomposition.  ``matches`` pairs every primitive f with
     the least canonical member isomorphic to it.
     """
-    if ring.n > bounds.max_family_n:
-        raise BoundExceeded(
-            f"ring order {ring.n} exceeds max_family_n={bounds.max_family_n}"
-        )
+    _check_family_bound(ring, bounds)
     canonical = decompose_regular(ring, bounds)
-    for e in canonical.members:
-        if not is_strongly_indecomposable_corner(ring, e, bounds):
-            raise HypothesisFailed(
-                "canonical member without a local corner", witness=e
-            )
-    prim = [
-        int(f)
-        for f in idempotents(ring).sorted_members
-        if f != ring.zero and is_primitive(ring, f)
-    ]
+    _require_local_corners(ring, canonical.members, bounds, "canonical member")
+    prim = _primitives(ring)
     canon_inv = {e: corner_signature(ring, e)[:3] for e in canonical.members}
     matches = []
     for f in prim:

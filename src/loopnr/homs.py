@@ -27,7 +27,7 @@ from .errors import (
     TargetNotARing,
     TheoremViolation,
 )
-from .loops import ElementSubset, Verdict
+from .loops import StructureHom, Verdict, _checked_map, _require_law
 from .nearrings import (
     LoopNearRing,
     idempotents,
@@ -38,28 +38,13 @@ from .rings import FiniteRing, is_local_ring, validate_ring_tables
 from .tables import relabel
 
 
-@dataclass(frozen=True, eq=False)
-class LnrHom:
-    """A validated near-ring homomorphism given as a total index map."""
-
-    source: LoopNearRing
-    target: LoopNearRing
-    map: tuple
+@dataclass(frozen=True, eq=False, repr=False)
+class LnrHom(StructureHom):
+    """A validated homomorphism of loop near-rings, as a total index map."""
 
     @cached_property
     def _arr(self) -> np.ndarray:
         return np.asarray(self.map, dtype=np.int64)
-
-    @cached_property
-    def image(self) -> ElementSubset:
-        return ElementSubset.of(self.target.n, set(self.map))
-
-    @cached_property
-    def kernel(self) -> ElementSubset:
-        z = self.target.zero
-        return ElementSubset.of(
-            self.source.n, (i for i, v in enumerate(self.map) if v == z)
-        )
 
     @cached_property
     def nontrivial(self) -> bool:
@@ -74,39 +59,19 @@ class LnrHom:
     def idempotent_lifting(self) -> bool:
         return bool(is_idempotent_lifting(self))
 
-    def __repr__(self):
-        return f"LnrHom({self.source!r} -> {self.target!r})"
-
 
 def validate_lnr_hom(
     f, source: LoopNearRing, target: LoopNearRing
 ) -> LnrHom:
     """Check additivity, multiplicativity and preservation of one."""
-    fm = np.asarray(list(f), dtype=np.int64)
-    if fm.shape != (source.n,):
-        raise NotAHomomorphism(f"map must have exactly {source.n} entries")
-    if fm.size and (fm.min() < 0 or fm.max() >= target.n):
-        raise NotAHomomorphism("map entries outside the target carrier")
+    fm = _checked_map(f, source.n, target.n)
     if int(fm[source.one]) != target.one:
         raise NotAHomomorphism(
             f"f(one) = {int(fm[source.one])} != {target.one}", witness=(source.one,)
         )
-    grid = np.ix_(fm, fm)
-    bad = fm[source.add] != target.add[grid]
-    if bad.any():
-        a, b = np.argwhere(bad)[0]
-        raise NotAHomomorphism(
-            f"f({int(a)} + {int(b)}) != f({int(a)}) + f({int(b)})",
-            witness=(int(a), int(b)),
-        )
-    bad = fm[source.mul] != target.mul[grid]
-    if bad.any():
-        a, b = np.argwhere(bad)[0]
-        raise NotAHomomorphism(
-            f"f({int(a)} * {int(b)}) != f({int(a)}) * f({int(b)})",
-            witness=(int(a), int(b)),
-        )
-    return LnrHom(source=source, target=target, map=tuple(int(x) for x in fm))
+    _require_law(fm, source.add, target.add, "+")
+    _require_law(fm, source.mul, target.mul, "*")
+    return LnrHom(source=source, target=target, map=tuple(fm.tolist()))
 
 
 def is_unit_reflecting(hom: LnrHom) -> Verdict:
@@ -130,12 +95,10 @@ def is_idempotent_lifting(hom: LnrHom) -> Verdict:
     hand-built LnrHom need not be a homomorphism.
     """
     fm = hom._arr
-    tmul = hom.target.mul
-    vals = fm
-    idem_value = tmul[vals, vals] == vals
+    idem_value = hom.target.mul[fm, fm] == fm
     lifted = np.zeros(hom.target.n, dtype=bool)
     lifted[[fm[e] for e in idempotents(hom.source)]] = True
-    bad = idem_value & ~lifted[vals]
+    bad = idem_value & ~lifted[fm]
     if bad.any():
         return Verdict(False, (int(np.argmax(bad)),))
     return Verdict(True)

@@ -240,7 +240,7 @@ class StructureHom:
         return ElementSubset.of(self.target.n, set(self.map))
 
     def __repr__(self):
-        return f"StructureHom({self.source!r} -> {self.target!r})"
+        return f"{type(self).__name__}({self.source!r} -> {self.target!r})"
 
 
 def validate_loop_hom(f, source: CayleyLoop, target: CayleyLoop) -> StructureHom:
@@ -249,23 +249,30 @@ def validate_loop_hom(f, source: CayleyLoop, target: CayleyLoop) -> StructureHom
     Preservation of zero and of both differences follows from the
     addition law by cancellation, so only the one law is scanned.
     """
-    fm = np.asarray(list(f), dtype=np.int64)
-    if fm.shape != (source.n,):
-        raise NotAHomomorphism(
-            f"map has {fm.shape[0] if fm.ndim == 1 else '?'} entries, expected {source.n}"
-        )
-    if fm.size and (fm.min() < 0 or fm.max() >= target.n):
+    fm = _checked_map(f, source.n, target.n)
+    _require_law(fm, source.add, target.add, "+")
+    return StructureHom(source=source, target=target, map=tuple(fm.tolist()))
+
+
+def _checked_map(f, source_n: int, target_n: int) -> np.ndarray:
+    """The map as an int64 array, once its length and entries are in range.
+
+    Entries are range-checked as Python ints, so one past int64 is refused too.
+    """
+    entries = [int(v) for v in f]
+    if len(entries) != source_n:
+        raise NotAHomomorphism(f"map has {len(entries)} entries, expected {source_n}")
+    if not all(0 <= v < target_n for v in entries):
         raise NotAHomomorphism("map entries outside the target carrier")
-    lhs = fm[source.add]
-    rhs = target.add[np.ix_(fm, fm)]
-    bad = lhs != rhs
+    return np.asarray(entries, dtype=np.int64)
+
+
+def _require_law(fm: np.ndarray, src: np.ndarray, tgt: np.ndarray, op: str) -> None:
+    """f(a op b) = f(a) op f(b) for all a, b, or the least failing (a, b)."""
+    bad = fm[src] != tgt[np.ix_(fm, fm)]
     if bad.any():
-        a, b = np.argwhere(bad)[0]
-        raise NotAHomomorphism(
-            f"f({int(a)} + {int(b)}) != f({int(a)}) + f({int(b)})",
-            witness=(int(a), int(b)),
-        )
-    return StructureHom(source=source, target=target, map=tuple(int(x) for x in fm))
+        a, b = (int(x) for x in np.argwhere(bad)[0])
+        raise NotAHomomorphism(f"f({a} {op} {b}) != f({a}) {op} f({b})", witness=(a, b))
 
 
 def kernel(hom) -> ElementSubset:

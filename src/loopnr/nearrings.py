@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -56,9 +57,25 @@ class LoopNearRing:
     def zero(self) -> int:
         return self.additive.zero
 
+    # derived objects, each computed once per near-ring; the public
+    # functions check their size bounds before reading them
+    @cached_property
+    def _units(self) -> UnitGroup:
+        return _unit_group(self)
+
+    @cached_property
+    def _idempotents(self) -> ElementSubset:
+        diag = self.mul[np.arange(self.n), np.arange(self.n)]
+        return ElementSubset.of(self.n, np.flatnonzero(diag == np.arange(self.n)).tolist())
+
     @cached_property
     def _n_subloops(self) -> tuple:
         return _n_subloop_lattice(self)
+
+    @cached_property
+    def _maximal_n_subloops(self) -> tuple:
+        proper = [s for s in self._n_subloops if len(s) < self.n]
+        return tuple(s for s in proper if not any(s.members < t.members for t in proper))
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n})"
@@ -86,10 +103,10 @@ def validate_lnr(add_table, mul_table, one: int) -> LoopNearRing:
 
 @dataclass(frozen=True, eq=False)
 class UnitGroup:
-    """The two-sided units, with the inverse of each unit."""
+    """The two-sided units, with the (read-only) inverse of each unit."""
 
     members: ElementSubset
-    inverse: dict
+    inverse: MappingProxyType
 
     def __contains__(self, x) -> bool:
         return x in self.members
@@ -105,8 +122,12 @@ def units(nr: LoopNearRing) -> UnitGroup:
     """Elements with a two-sided multiplicative inverse.
 
     The result is asserted to be closed under multiplication and under
-    inverse, i.e. to form a group.
+    inverse, i.e. to form a group.  Computed once per near-ring.
     """
+    return nr._units
+
+
+def _unit_group(nr: LoopNearRing) -> UnitGroup:
     mul = nr.mul
     hits = mul == nr.one
     two_sided = hits & hits.T
@@ -121,15 +142,13 @@ def units(nr: LoopNearRing) -> UnitGroup:
         raise TheoremViolation("units are not closed under multiplication")
     return UnitGroup(
         members=ElementSubset.of(nr.n, members.tolist()),
-        inverse=inverse,
+        inverse=MappingProxyType(inverse),
     )
 
 
 def idempotents(nr: LoopNearRing) -> ElementSubset:
-    """All e with e * e = e."""
-    n = nr.n
-    diag = nr.mul[np.arange(n), np.arange(n)]
-    return ElementSubset.of(n, np.flatnonzero(diag == np.arange(n)).tolist())
+    """All e with e * e = e, computed once per near-ring."""
+    return nr._idempotents
 
 
 def is_N_subloop(nr: LoopNearRing, subset) -> bool:
@@ -167,8 +186,7 @@ def enumerate_N_subloops(nr: LoopNearRing, bounds: Bounds = DEFAULT_BOUNDS) -> l
 def maximal_N_subloops(nr: LoopNearRing, bounds: Bounds = DEFAULT_BOUNDS) -> list:
     """Proper N-subloops not strictly contained in another proper one."""
     _check_enum_bound(nr, bounds)
-    proper = [s for s in nr._n_subloops if len(s) < nr.n]
-    return [s for s in proper if not any(s.members < t.members for t in proper)]
+    return list(nr._maximal_n_subloops)
 
 
 def annihilator(nr: LoopNearRing, e: int) -> ElementSubset:
@@ -220,8 +238,7 @@ def is_local_lnr(nr: LoopNearRing, bounds: Bounds = DEFAULT_BOUNDS) -> LocalityR
     """
     if not nr.zero_symmetric:
         raise PreconditionFailed("locality analysis requires a zero-symmetric near-ring")
-    u = units(nr)
-    nonunits = ElementSubset.of(nr.n, set(range(nr.n)) - u.members.members)
+    nonunits = ElementSubset.of(nr.n, set(range(nr.n)) - units(nr).members.members)
     via_units = is_N_subloop(nr, nonunits)
     maximal = tuple(maximal_N_subloops(nr, bounds))
     via_maximal = len(maximal) == 1

@@ -7,10 +7,13 @@ are asserted to agree:
 
   * the Jacobson radical via quasi-regularity and via the intersection
     of maximal left ideals,
-  * locality via the non-unit set being a left ideal and via the
-    quotient by the radical being a division ring,
+  * locality via three routes: a unique maximal left ideal and the
+    non-unit set being a left ideal (both from ``is_local_lnr``), and
+    the quotient by the radical being a division ring,
   * idempotent lifting via the polynomial iteration and via coset
     search.
+
+The certified radical and the quotient A/J are computed once per ring.
 """
 
 from __future__ import annotations
@@ -31,10 +34,10 @@ from .errors import (
 from .loops import ElementSubset
 from .nearrings import (
     LoopNearRing,
+    _check_enum_bound,
     enumerate_N_subloops,
     idempotents,
-    is_N_subloop,
-    maximal_N_subloops,
+    is_local_lnr,
     units,
     validate_lnr,
 )
@@ -57,6 +60,26 @@ class FiniteRing(LoopNearRing):
     def _corners(self) -> dict:
         # corner rings e*A*e by idempotent e, filled by decomp.corner_ring
         return {}
+
+    @cached_property
+    def _radical(self) -> TwoSidedIdeal:
+        # the radical both ways, asserted equal and two-sided, once per ring
+        a = radical_by_quasiregularity(self)
+        b = _meet_of_maximal(self)
+        if a.members != b.members:
+            raise TheoremViolation(
+                "radical procedures disagree: quasi-regularity gives "
+                f"{a.sorted_members}, maximal left ideals give {b.sorted_members}"
+            )
+        try:
+            return validate_ideal(self, a)
+        except NotAnIdeal as exc:
+            raise TheoremViolation(f"Jacobson radical is not a two-sided ideal: {exc}") from exc
+
+    @cached_property
+    def _quotient(self) -> Quotient:
+        # A/J, built and validated once
+        return quotient_ring(self, self._radical)
 
 
 def validate_ring(nr: LoopNearRing) -> FiniteRing:
@@ -98,10 +121,7 @@ class TwoSidedIdeal:
 
 def validate_ideal(ring: FiniteRing, subset) -> TwoSidedIdeal:
     """Additive subgroup absorbing multiplication on both sides."""
-    if isinstance(subset, ElementSubset):
-        sub = subset
-    else:
-        sub = ElementSubset.of(ring.n, subset)
+    sub = subset if isinstance(subset, ElementSubset) else ElementSubset.of(ring.n, subset)
     if ring.zero not in sub.members:
         raise NotAnIdeal("ideal must contain 0")
     idx = np.fromiter(sub.sorted_members, dtype=np.int64)
@@ -137,28 +157,22 @@ def radical_by_maximal_left_ideals(
     ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS
 ) -> ElementSubset:
     """J = intersection of all maximal left ideals (the whole ring if none)."""
-    maximal = maximal_N_subloops(ring, bounds)
-    if not maximal:
-        return ElementSubset.of(ring.n, range(ring.n))
-    acc = set(maximal[0].members)
-    for s in maximal[1:]:
-        acc &= s.members
-    return ElementSubset.of(ring.n, acc)
+    _check_enum_bound(ring, bounds)
+    return _meet_of_maximal(ring)
+
+
+def _meet_of_maximal(ring: FiniteRing) -> ElementSubset:
+    meet = frozenset(range(ring.n)).intersection(*(s.members for s in ring._maximal_n_subloops))
+    return ElementSubset(ring.n, meet)
 
 
 def jacobson_radical(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> TwoSidedIdeal:
-    """The radical, computed both ways, asserted equal and two-sided."""
-    a = radical_by_quasiregularity(ring)
-    b = radical_by_maximal_left_ideals(ring, bounds)
-    if a.members != b.members:
-        raise TheoremViolation(
-            "radical procedures disagree: quasi-regularity gives "
-            f"{a.sorted_members}, maximal left ideals give {b.sorted_members}"
-        )
-    try:
-        return validate_ideal(ring, a)
-    except NotAnIdeal as exc:
-        raise TheoremViolation(f"Jacobson radical is not a two-sided ideal: {exc}") from exc
+    """The radical, computed both ways, asserted equal and two-sided.
+
+    The certified radical is computed once per ring.
+    """
+    _check_enum_bound(ring, bounds)
+    return ring._radical
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,10 +194,7 @@ class Quotient:
 
 def quotient_ring(ring: FiniteRing, ideal) -> Quotient:
     """A / I with canonical least-element coset representatives."""
-    if isinstance(ideal, TwoSidedIdeal):
-        ideal = validate_ideal(ring, ideal.members)
-    else:
-        ideal = validate_ideal(ring, ideal)
+    ideal = validate_ideal(ring, ideal.members if isinstance(ideal, TwoSidedIdeal) else ideal)
     n = ring.n
     ii = np.fromiter(ideal.members.sorted_members, dtype=np.int64)
     # leader[x] = min(x + I)
@@ -211,18 +222,16 @@ def is_division_ring(ring: FiniteRing) -> bool:
 
 
 def is_local_ring(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> bool:
-    """Non-units form a left ideal; cross-checked against A/J division."""
-    u = units(ring)
-    nonunits = ElementSubset.of(ring.n, set(range(ring.n)) - u.members.members)
-    by_units = is_N_subloop(ring, nonunits)
-    j = jacobson_radical(ring, bounds)
-    by_quotient = is_division_ring(quotient_ring(ring, j).ring)
-    if by_units != by_quotient:
+    """Both routes of ``is_local_lnr``, cross-checked against A/J division."""
+    # is_local_lnr checks the size bound before A/J is read
+    by_lnr = is_local_lnr(ring, bounds).is_local
+    by_quotient = is_division_ring(ring._quotient.ring)
+    if by_lnr != by_quotient:
         raise TheoremViolation(
-            f"locality characterizations disagree on a ring: non-unit ideal "
-            f"route {by_units}, division-quotient route {by_quotient}"
+            f"locality characterizations disagree on a ring: maximal and non-unit "
+            f"routes {by_lnr}, division-quotient route {by_quotient}"
         )
-    return by_units
+    return by_lnr
 
 
 def is_semisimple(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> bool:
@@ -236,8 +245,8 @@ def is_semiperfect(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> bool:
     Every finite ring satisfies both; the check runs anyway because it
     exercises the same machinery the decomposition theory relies on.
     """
-    j = jacobson_radical(ring, bounds)
-    q = quotient_ring(ring, j)
+    _check_enum_bound(ring, bounds)
+    q = ring._quotient
     if not is_semisimple(q.ring, bounds):
         return False
     proj = np.fromiter(q.projection, dtype=np.int64, count=ring.n)

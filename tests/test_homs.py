@@ -1,14 +1,18 @@
+import numpy as np
 import pytest
 
 from loopnr import (
     NotAHomomorphism,
     PreconditionFailed,
+    StructureHom,
     TargetNotARing,
     idempotent_kill_check,
     idempotents,
+    image,
     image_subring,
     is_idempotent_lifting,
     is_unit_reflecting,
+    kernel,
     validate_lnr_hom,
     verify_local_transfer,
 )
@@ -46,6 +50,31 @@ class TestValidateLnrHom:
     def test_rejects_non_additive(self):
         with pytest.raises(NotAHomomorphism):
             validate_lnr_hom([0, 1, 1, 0], corpus.z(4), corpus.z(2))
+
+    @pytest.mark.parametrize("entry", [-1, 2, 2 ** 63, 2 ** 70, -(2 ** 70)])
+    def test_rejects_entries_outside_the_target(self, entry):
+        with pytest.raises(NotAHomomorphism, match="outside the target carrier"):
+            validate_lnr_hom([0, entry], corpus.z(2), corpus.z(2))
+
+    def test_least_witness_of_each_law(self):
+        with pytest.raises(NotAHomomorphism) as exc:
+            validate_lnr_hom([0, 1, 1, 0], corpus.z(4), corpus.z(2))
+        assert exc.value.witness == (1, 1)
+        assert str(exc.value) == "f(1 + 1) != f(1) + f(1)"
+        src = corpus.m0("small:3,0")
+        with pytest.raises(NotAHomomorphism) as exc:
+            validate_lnr_hom([i // 3 for i in range(src.n)], src, corpus.z(3))
+        a, b = exc.value.witness
+        assert str(exc.value) == f"f({a} * {b}) != f({a}) * f({b})"
+        fm = np.array([i // 3 for i in range(src.n)])
+        bad = np.argwhere(fm[src.mul] != corpus.z(3).mul[np.ix_(fm, fm)])
+        assert (a, b) == tuple(int(x) for x in bad[0])
+
+    def test_kernel_and_image_come_from_the_loop_hom(self):
+        f = validate_lnr_hom([0, 1, 0, 1], corpus.z(4), corpus.z(2))
+        assert isinstance(f, StructureHom)
+        assert kernel(f) is f.kernel and image(f) is f.image
+        assert repr(f) == "LnrHom(FiniteRing(n=4) -> FiniteRing(n=2))"
 
     def test_scalars_embed_in_zero_fixing_maps(self):
         tgt = corpus.m0("small:3,0")

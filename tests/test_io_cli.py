@@ -189,6 +189,13 @@ class TestCliCheck:
         code, _ = run_cli(capsys, "check", "cyclic:50", "--max-n", "100")
         assert code == 0
 
+    @pytest.mark.parametrize("spec", ["m:cyclic:4", "m0:cyclic:5", "matrix:cyclic:2,3"])
+    def test_flag_bounds_map_and_matrix_specs(self, capsys, spec):
+        # n = 256, 625 and 512: refused before anything is built
+        code, out = run_cli(capsys, "check", spec, "--max-n", "100")
+        assert code == 3
+        assert out.startswith("bound exceeded:") and "cap is 100" in out
+
     def test_env_bound(self, capsys, monkeypatch):
         monkeypatch.setenv("LOOPNR_MAX_N", "10")
         code, _ = run_cli(capsys, "check", "cyclic:50")
@@ -424,6 +431,13 @@ class TestCliHom:
         p.write_text("0 1\n")
         code, _ = run_cli(capsys, "hom", "cyclic:4", "cyclic:2", str(p))
         assert code == 1
+
+    def test_entry_past_int64_exit_1(self, capsys, tmp_path):
+        p = tmp_path / "map.json"
+        p.write_text(f"[0, {2 ** 70}]")
+        code, out = run_cli(capsys, "hom", "cyclic:2", "cyclic:2", str(p))
+        assert code == 1
+        assert out == "invalid [homomorphism]: map entries outside the target carrier\n"
 
     def test_loop_arguments_rejected(self, capsys, tmp_path):
         p = tmp_path / "map.txt"

@@ -13,16 +13,25 @@ from loopnr import (
     Bounds,
     BoundExceeded,
     corner_ring,
+    decompose_report,
     enumerate_N_subloops,
     enumerate_subloops,
+    idempotents,
+    is_local_ring,
     is_N_subloop,
+    is_semiperfect,
+    is_semisimple,
+    jacobson_radical,
     map_near_ring,
     maximal_N_subloops,
     parse_spec,
+    radical_by_maximal_left_ideals,
     random_loop,
+    units,
     validate_lnr,
+    verify_retract_matching,
 )
-from loopnr import nearrings, reports
+from loopnr import nearrings, reports, rings
 from loopnr.cli import main
 from loopnr.lattice import ClosureSystem, bits_of
 from loopnr.tables import relabel
@@ -145,6 +154,68 @@ class TestLatticeCache:
         assert enumerate_subloops(loop)
         with pytest.raises(BoundExceeded):
             enumerate_subloops(loop, Bounds(max_subloop_n=5))
+
+    def test_full_analyze_certifies_each_radical_once(self, monkeypatch, capsys):
+        certified, quotients = [], []
+        radical = rings.radical_by_quasiregularity
+        quotient = rings.quotient_ring
+
+        def counting_radical(ring):
+            certified.append(ring)
+            return radical(ring)
+
+        def counting_quotient(ring, ideal):
+            quotients.append(ring)
+            return quotient(ring, ideal)
+
+        monkeypatch.setattr(rings, "radical_by_quasiregularity", counting_radical)
+        monkeypatch.setattr(rings, "quotient_ring", counting_quotient)
+        argv = ["analyze", "matrix:cyclic:4,2",
+                "--local", "--subloops", "--radical", "--idempotents"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        # A and A/J, once each; A/J is built and validated once
+        assert len(certified) == 2
+        assert certified[0] is not certified[1]
+        assert certified[0].n == 256 and certified[1].n == 16
+        assert quotients == [certified[0]]
+
+    def test_decompose_certifies_each_corner_radical_once(self, monkeypatch):
+        certified = []
+        radical = rings.radical_by_quasiregularity
+
+        def counting(ring):
+            certified.append(ring)
+            return radical(ring)
+
+        monkeypatch.setattr(rings, "radical_by_quasiregularity", counting)
+        ring = parse_spec("matrix:cyclic:2,2")
+        decompose_report(ring, "matrix:cyclic:2,2", verify_uniqueness=True)
+        verify_retract_matching(ring)
+        corners = [c.ring for c in ring._corners.values()]
+        assert certified
+        assert len(set(map(id, certified))) == len(certified)
+        assert all(any(r is c for c in corners) for r in certified)
+
+    def test_tighter_bounds_still_refuse_the_cached_radical(self):
+        ring = parse_spec("product:cyclic:4+cyclic:2")
+        j = jacobson_radical(ring)
+        assert jacobson_radical(ring) is j
+        assert not is_local_ring(ring)
+        assert not is_semisimple(ring) and is_semiperfect(ring)
+        tight = Bounds(max_enum_n=ring.n - 1)
+        for fn in (jacobson_radical, is_local_ring, is_semisimple, is_semiperfect,
+                   radical_by_maximal_left_ideals):
+            with pytest.raises(BoundExceeded):
+                fn(ring, tight)
+        assert jacobson_radical(ring, Bounds(max_enum_n=ring.n)) is j
+
+    def test_units_and_idempotents_once_per_near_ring(self):
+        nr = parse_spec("m0:cyclic:3")
+        u = units(nr)
+        assert units(nr) is u and idempotents(nr) is idempotents(nr)
+        with pytest.raises(TypeError):
+            u.inverse[0] = 0
 
     def test_mutating_a_result_leaves_the_cache_intact(self):
         nr = parse_spec("product:cyclic:4+cyclic:2")

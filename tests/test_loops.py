@@ -229,6 +229,12 @@ class TestLoopHoms:
         with pytest.raises(NotAHomomorphism):
             validate_loop_hom([0, 5], src, src)
 
+    @pytest.mark.parametrize("entry", [2 ** 63, 2 ** 70, -(2 ** 70)])
+    def test_rejects_entries_past_int64(self, entry):
+        src = validate_loop(cyclic_table(2))
+        with pytest.raises(NotAHomomorphism, match="outside the target carrier"):
+            validate_loop_hom([0, entry], src, src)
+
     @given(st.integers(2, 8), st.integers(0, 10 ** 6))
     def test_identity_hom_on_random_loops(self, n, seed):
         loop = random_loop(n, seed)
