@@ -19,15 +19,15 @@ import numpy as np
 
 from loopnr import (
     all_loops,
+    induced,
     is_local_lnr,
     map_near_ring,
     smallest_nonassociative_loop,
-    validate_lnr,
     validate_ring,
 )
 from loopnr.errors import ValidationError
 from loopnr.lattice import ClosureSystem
-from loopnr.tables import relabel
+from loopnr.tables import positions
 
 
 @dataclass
@@ -58,10 +58,8 @@ def enumerate_subnearrings(nr, cap: int) -> tuple[list, bool]:
 
 def restrict(nr, carrier: frozenset):
     """The sub-near-ring on the given carrier, re-indexed to 0..k-1."""
-    idx = np.fromiter(sorted(carrier), dtype=np.int64)
-    grid = np.ix_(idx, idx)
-    return validate_lnr(relabel(idx, nr.add[grid]), relabel(idx, nr.mul[grid]),
-                        one=relabel(idx, nr.one))
+    idx = sorted(carrier)
+    return induced(nr, idx, positions(idx, nr.n), nr.one)
 
 
 def is_a_ring(nr) -> bool:

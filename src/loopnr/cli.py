@@ -34,7 +34,6 @@ from .homs import validate_lnr_hom
 from .io import (
     StructureFile,
     canonical_json,
-    check_order,
     dump_structure,
     dump_structure_text,
     kind_of,
@@ -88,7 +87,7 @@ def cmd_check(args) -> int:
     bounds = _bounds_from_args(args)
     if os.path.exists(args.input):
         sf = parse_structure(read_text(args.input))
-        check_order(sf.n, bounds)
+        bounds.check("max_n", sf.n, "structure file")
     else:
         structure = parse_spec(args.input, bounds)
         sf = StructureFile(kind_of(structure), structure.n, structure)

@@ -10,16 +10,26 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
+from .errors import BoundExceeded
+
 
 @dataclass(frozen=True)
 class Bounds:
-    max_n: int = 4096            # largest carrier any constructor will build
-    max_matrix_size: int = 6561  # |base| ** (k*k) cap for matrix rings
-    max_map_size: int = 4096     # carrier cap for map near-rings
+    max_n: int = 4096            # largest carrier any constructor or file will build
     max_subloop_n: int = 24      # loop size cap for full subloop enumeration
     max_enum_n: int = 4096       # carrier cap for N-subloop / left-ideal lattices
     max_family_n: int = 64       # ring size cap for primitive-family enumeration
     max_families: int = 4096     # enumerated-family cap before LimitReached
+
+    def check(self, cap: str, size: int, what: str) -> None:
+        """Refuse ``what`` of ``size`` elements when it exceeds the field ``cap``.
+
+        The one place a size is compared with a cap, so every refusal
+        reads the same and names its cap.
+        """
+        limit = getattr(self, cap)
+        if size > limit:
+            raise BoundExceeded(f"{what} has {size} elements, cap is {limit} ({cap})")
 
 
 # Environment knobs.  The three names used by the CLI flags come first;
@@ -30,8 +40,6 @@ _ENV_FIELDS = {
     "LOOPNR_MAX_FAMILIES": "max_families",
     "LOOPNR_MAX_FAMILY_N": "max_family_n",
     "LOOPNR_MAX_ENUM_N": "max_enum_n",
-    "LOOPNR_MAX_MATRIX": "max_matrix_size",
-    "LOOPNR_MAX_MAP": "max_map_size",
 }
 
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from .config import DEFAULT_BOUNDS, Bounds
 from .errors import (
-    BoundExceeded,
     HypothesisFailed,
     LimitReached,
     NotIdempotent,
@@ -27,14 +26,9 @@ from .errors import (
     TheoremViolation,
     ZeroIdempotent,
 )
-from .nearrings import idempotents, units
-from .rings import (
-    FiniteRing,
-    idempotents_isomorphic,
-    is_local_ring,
-    validate_ring_tables,
-)
-from .tables import relabel
+from .nearrings import idempotents, induced, units
+from .rings import FiniteRing, idempotents_isomorphic, is_local_ring, validate_ring
+from .tables import all_integers, positions
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,6 +55,9 @@ class IdempotentFamily:
 
 def validate_idempotent_family(ring: FiniteRing, members) -> IdempotentFamily:
     """Check idempotence, orthogonality and completeness, then wrap."""
+    members = list(members)
+    if not all_integers(members):
+        raise PreconditionFailed("family members must be integers")
     ms = tuple(sorted(int(e) for e in members))
     mul = ring.mul
     for e in ms:
@@ -104,14 +101,8 @@ def corner_ring(ring: FiniteRing, e: int) -> CornerRing:
         raise NotIdempotent(f"{e} is not idempotent")
     corner = ring._corners.get(int(e))
     if corner is None:
-        mul = ring.mul
-        carrier = np.unique(mul[e, mul[:, e]])
-        grid = np.ix_(carrier, carrier)
-        sub = validate_ring_tables(
-            relabel(carrier, ring.add[grid]),
-            relabel(carrier, mul[grid]),
-            relabel(carrier, e),
-        )
+        carrier = np.unique(ring.mul[e, ring.mul[:, e]])
+        sub = validate_ring(induced(ring, carrier, positions(carrier, ring.n), e))
         corner = CornerRing(
             parent=ring, e=e, carrier=tuple(int(v) for v in carrier), ring=sub
         )
@@ -173,8 +164,7 @@ def decompose_regular(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> Idem
     off its complement within the corner, and recurse on both halves.
     The least-index choice makes the result canonical.
     """
-    if ring.n > bounds.max_n:
-        raise BoundExceeded(f"ring order {ring.n} exceeds max_n={bounds.max_n}")
+    bounds.check("max_n", ring.n, "ring to decompose")
     if ring.one == ring.zero:
         return validate_idempotent_family(ring, ())
 
@@ -189,11 +179,6 @@ def decompose_regular(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> Idem
     return validate_idempotent_family(ring, split(ring.one))
 
 
-def _check_family_bound(ring: FiniteRing, bounds: Bounds) -> None:
-    if ring.n > bounds.max_family_n:
-        raise BoundExceeded(f"ring order {ring.n} exceeds max_family_n={bounds.max_family_n}")
-
-
 def enumerate_complete_primitive_families(
     ring: FiniteRing, limit: int | None = None, bounds: Bounds = DEFAULT_BOUNDS
 ) -> list:
@@ -203,7 +188,7 @@ def enumerate_complete_primitive_families(
     order.  If more than ``limit`` families exist, LimitReached is
     raised carrying the ones found so far in ``partial``.
     """
-    _check_family_bound(ring, bounds)
+    bounds.check("max_family_n", ring.n, "ring for family enumeration")
     if limit is None:
         limit = bounds.max_families
     if ring.one == ring.zero:
@@ -362,7 +347,7 @@ def verify_retract_matching(
     canonical decomposition.  ``matches`` pairs every primitive f with
     the least canonical member isomorphic to it.
     """
-    _check_family_bound(ring, bounds)
+    bounds.check("max_family_n", ring.n, "ring for family enumeration")
     canonical = decompose_regular(ring, bounds)
     _require_local_corners(ring, canonical.members, bounds, "canonical member")
     prim = _primitives(ring)

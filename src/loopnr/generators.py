@@ -44,13 +44,6 @@ from .nearrings import LoopNearRing, validate_lnr
 from .rings import FiniteRing, validate_ring, validate_ring_tables
 
 
-def _check_size(what: str, size: int, *caps: int) -> None:
-    """Refuse a construction of ``size`` elements before anything is built."""
-    for cap in caps:
-        if size > cap:
-            raise BoundExceeded(f"{what} would have {size} elements, cap is {cap}")
-
-
 def cyclic_ring(n: int) -> FiniteRing:
     """Z/n.  The degenerate n = 1 zero ring is allowed."""
     if n < 1:
@@ -148,7 +141,7 @@ def matrix_ring(base: FiniteRing, k: int, bounds: Bounds = DEFAULT_BOUNDS) -> Fi
         raise ValueError("matrix ring needs k >= 1")
     b = base.n
     size = b ** (k * k)
-    _check_size("matrix ring", size, bounds.max_matrix_size, bounds.max_n)
+    bounds.check("max_n", size, "matrix ring")
     radices = [b] * (k * k)
     digits = tables.decode_all(size, radices)          # (size, k*k)
     badd, bmul = base.add, base.mul
@@ -176,7 +169,7 @@ def upper_triangular_ring(base: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> 
     """Upper triangular 2x2 matrices (a, b, d) over the base ring."""
     b = base.n
     size = b ** 3
-    _check_size("triangular ring", size, bounds.max_n)
+    bounds.check("max_n", size, "triangular ring")
     radices = [b] * 3
     digits = tables.decode_all(size, radices)          # columns: a, b, d
     badd, bmul = base.add, base.mul
@@ -208,7 +201,7 @@ def map_near_ring(loop: CayleyLoop, zero_fixing: bool, bounds: Bounds = DEFAULT_
     """
     n = loop.n
     size = n ** (n - 1) if zero_fixing else n ** n
-    _check_size("map near-ring", size, bounds.max_map_size, bounds.max_n)
+    bounds.check("max_n", size, "map near-ring")
     if zero_fixing:
         free = tables.decode_all(size, [n] * (n - 1)) if n > 1 else np.zeros((1, 0), tables.DTYPE)
         maps = np.concatenate([np.zeros((size, 1), dtype=tables.DTYPE), free], axis=1)
@@ -332,7 +325,7 @@ def product(structures, bounds: Bounds = DEFAULT_BOUNDS):
     size = 1
     for s in structures:
         size *= s.n
-    _check_size("product", size, bounds.max_n)
+    bounds.check("max_n", size, "product")
     radices = [s.n for s in structures]
     digits = tables.decode_all(size, radices)
     loops = [s if isinstance(s, CayleyLoop) else s.additive for s in structures]
@@ -407,13 +400,11 @@ def parse_spec(spec: str, bounds: Bounds = DEFAULT_BOUNDS):
         n = as_int(rest, "order")
         if n < 1:
             raise ParseError("cyclic wants n >= 1")
-        if n > bounds.max_n:
-            raise BoundExceeded(f"order {n} exceeds max_n={bounds.max_n}")
+        bounds.check("max_n", n, "cyclic ring")
         return cyclic_ring(n)
     if head == "gf":
         q = as_int(rest, "order")
-        if q > bounds.max_n:
-            raise BoundExceeded(f"order {q} exceeds max_n={bounds.max_n}")
+        bounds.check("max_n", q, "field")
         try:
             return galois_field(q)
         except ValueError as exc:

@@ -31,11 +31,12 @@ from .loops import StructureHom, Verdict, _checked_map, _require_law
 from .nearrings import (
     LoopNearRing,
     idempotents,
+    induced,
     is_local_lnr,
     units,
 )
-from .rings import FiniteRing, is_local_ring, validate_ring_tables
-from .tables import relabel
+from .rings import FiniteRing, is_local_ring, validate_ring
+from .tables import positions
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -129,15 +130,11 @@ def image_subring(hom: LnrHom) -> ImageRing:
     """
     if not isinstance(hom.target, FiniteRing):
         raise TargetNotARing("image_subring needs a ring codomain")
-    carrier = np.fromiter(hom.image.sorted_members, dtype=np.int64)
-    grid = np.ix_(carrier, carrier)
-    ring = validate_ring_tables(
-        relabel(carrier, hom.target.add[grid]),
-        relabel(carrier, hom.target.mul[grid]),
-        relabel(carrier, hom._arr[hom.source.one]),
-    )
-    surj = validate_lnr_hom(relabel(carrier, hom._arr), hom.source, ring)
-    return ImageRing(ring=ring, carrier=tuple(int(v) for v in carrier), surjection=surj)
+    carrier = hom.image.sorted_members
+    label = positions(carrier, hom.target.n)
+    ring = validate_ring(induced(hom.target, carrier, label, hom._arr[hom.source.one]))
+    surj = validate_lnr_hom(label[hom._arr], hom.source, ring)
+    return ImageRing(ring=ring, carrier=carrier, surjection=surj)
 
 
 @dataclass(frozen=True)

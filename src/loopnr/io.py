@@ -31,7 +31,7 @@ import json
 from dataclasses import dataclass, field
 
 from .config import DEFAULT_BOUNDS, Bounds
-from .errors import BoundExceeded, ParseError
+from .errors import ParseError
 from .loops import CayleyLoop, validate_loop
 from .nearrings import LoopNearRing, validate_lnr
 from .rings import FiniteRing, validate_ring_tables
@@ -218,14 +218,9 @@ def parse_structure(text: str) -> StructureFile:
     return _parse_text(text)
 
 
-def check_order(n: int, bounds: Bounds) -> None:
-    if n > bounds.max_n:
-        raise BoundExceeded(f"structure order {n} exceeds max_n={bounds.max_n}")
-
-
 def realize(sf: StructureFile, bounds: Bounds = DEFAULT_BOUNDS):
     """Validate a parsed file into a structure of its declared kind."""
-    check_order(sf.n, bounds)
+    bounds.check("max_n", sf.n, "structure file")
     if sf.kind == "loop":
         return validate_loop(sf.add)
     if sf.kind == "lnr":

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tables
 from .config import DEFAULT_BOUNDS, Bounds
-from .errors import BoundExceeded, NotAHomomorphism, NotASubloop
+from .errors import NotAHomomorphism, NotASubloop
 from .lattice import ClosureSystem
 
 
@@ -183,10 +183,7 @@ def enumerate_subloops(loop: CayleyLoop, bounds: Bounds = DEFAULT_BOUNDS) -> lis
     Every subloop is a join of single-element closures, so the engine
     closes those under join.  The lattice is built once per loop.
     """
-    if loop.n > bounds.max_subloop_n:
-        raise BoundExceeded(
-            f"subloop enumeration needs n <= {bounds.max_subloop_n}, got {loop.n}"
-        )
+    bounds.check("max_subloop_n", loop.n, "loop for subloop enumeration")
     return list(loop._subloops)
 
 
@@ -257,11 +254,15 @@ def validate_loop_hom(f, source: CayleyLoop, target: CayleyLoop) -> StructureHom
 def _checked_map(f, source_n: int, target_n: int) -> np.ndarray:
     """The map as an int64 array, once its length and entries are in range.
 
-    Entries are range-checked as Python ints, so one past int64 is refused too.
+    Entries must be integers (``tables.all_integers``) and are
+    range-checked before the int64 conversion, so one past int64 is
+    refused too.
     """
-    entries = [int(v) for v in f]
+    entries = list(f)
     if len(entries) != source_n:
         raise NotAHomomorphism(f"map has {len(entries)} entries, expected {source_n}")
+    if not tables.all_integers(entries):
+        raise NotAHomomorphism("map entries must be integers")
     if not all(0 <= v < target_n for v in entries):
         raise NotAHomomorphism("map entries outside the target carrier")
     return np.asarray(entries, dtype=np.int64)

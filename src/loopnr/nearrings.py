@@ -26,7 +26,6 @@ import numpy as np
 from . import tables
 from .config import DEFAULT_BOUNDS, Bounds
 from .errors import (
-    BoundExceeded,
     NotIdempotent,
     PreconditionFailed,
     TheoremViolation,
@@ -101,6 +100,19 @@ def validate_lnr(add_table, mul_table, one: int) -> LoopNearRing:
     return LoopNearRing(additive=additive, mul=mul, one=one, zero_symmetric=zero_symmetric)
 
 
+def induced(nr: LoopNearRing, reps, label, one: int) -> LoopNearRing:
+    """The near-ring that ``nr`` induces on the elements ``reps``.
+
+    Gathers add and mul on reps x reps and sends every entry, and the
+    parent element ``one``, through the lookup array ``label`` (parent
+    element -> new index).  Corner rings, images and sub-near-rings use
+    the positions of an ascending carrier; quotients use the coset
+    projection.  The validator certifies the result in full.
+    """
+    grid = np.ix_(reps, reps)
+    return validate_lnr(label[nr.add[grid]], label[nr.mul[grid]], label[one])
+
+
 @dataclass(frozen=True, eq=False)
 class UnitGroup:
     """The two-sided units, with the (read-only) inverse of each unit."""
@@ -167,11 +179,6 @@ def _n_subloop_lattice(nr: LoopNearRing) -> tuple:
     return _sorted_subsets(system.closed_sets((nr.zero,), spanning))
 
 
-def _check_enum_bound(nr: LoopNearRing, bounds: Bounds) -> None:
-    if nr.n > bounds.max_enum_n:
-        raise BoundExceeded(f"N-subloop enumeration needs n <= {bounds.max_enum_n}, got {nr.n}")
-
-
 def enumerate_N_subloops(nr: LoopNearRing, bounds: Bounds = DEFAULT_BOUNDS) -> list:
     """The full lattice of N-subloops, sorted by (size, members).
 
@@ -179,13 +186,13 @@ def enumerate_N_subloops(nr: LoopNearRing, bounds: Bounds = DEFAULT_BOUNDS) -> l
     lattice is built once per near-ring.  For a ring this is exactly
     the lattice of left ideals.
     """
-    _check_enum_bound(nr, bounds)
+    bounds.check("max_enum_n", nr.n, "near-ring for N-subloop enumeration")
     return list(nr._n_subloops)
 
 
 def maximal_N_subloops(nr: LoopNearRing, bounds: Bounds = DEFAULT_BOUNDS) -> list:
     """Proper N-subloops not strictly contained in another proper one."""
-    _check_enum_bound(nr, bounds)
+    bounds.check("max_enum_n", nr.n, "near-ring for N-subloop enumeration")
     return list(nr._maximal_n_subloops)
 
 

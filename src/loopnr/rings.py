@@ -34,9 +34,9 @@ from .errors import (
 from .loops import ElementSubset
 from .nearrings import (
     LoopNearRing,
-    _check_enum_bound,
     enumerate_N_subloops,
     idempotents,
+    induced,
     is_local_lnr,
     units,
     validate_lnr,
@@ -157,7 +157,7 @@ def radical_by_maximal_left_ideals(
     ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS
 ) -> ElementSubset:
     """J = intersection of all maximal left ideals (the whole ring if none)."""
-    _check_enum_bound(ring, bounds)
+    bounds.check("max_enum_n", ring.n, "ring for left-ideal enumeration")
     return _meet_of_maximal(ring)
 
 
@@ -171,7 +171,7 @@ def jacobson_radical(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> TwoSi
 
     The certified radical is computed once per ring.
     """
-    _check_enum_bound(ring, bounds)
+    bounds.check("max_enum_n", ring.n, "ring for left-ideal enumeration")
     return ring._radical
 
 
@@ -195,18 +195,12 @@ class Quotient:
 def quotient_ring(ring: FiniteRing, ideal) -> Quotient:
     """A / I with canonical least-element coset representatives."""
     ideal = validate_ideal(ring, ideal.members if isinstance(ideal, TwoSidedIdeal) else ideal)
-    n = ring.n
     ii = np.fromiter(ideal.members.sorted_members, dtype=np.int64)
-    # leader[x] = min(x + I)
-    cosets = ring.add[:, ii]
-    leader_of = cosets.min(axis=1)
+    # leader[x] = min(x + I); the coset index of x is the rank of its leader
+    leader_of = ring.add[:, ii].min(axis=1)
     leaders = np.unique(leader_of)
-    index_of = {int(l): i for i, l in enumerate(leaders)}
-    proj = np.fromiter((index_of[int(l)] for l in leader_of), dtype=np.int64, count=n)
-    k = leaders.size
-    add_q = proj[ring.add[np.ix_(leaders, leaders)]]
-    mul_q = proj[ring.mul[np.ix_(leaders, leaders)]]
-    q = validate_ring_tables(add_q, mul_q, int(proj[ring.one]))
+    proj = np.searchsorted(leaders, leader_of)
+    q = validate_ring(induced(ring, leaders, proj, ring.one))
     return Quotient(
         ring=q,
         leaders=tuple(int(x) for x in leaders),
@@ -245,7 +239,7 @@ def is_semiperfect(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> bool:
     Every finite ring satisfies both; the check runs anyway because it
     exercises the same machinery the decomposition theory relies on.
     """
-    _check_enum_bound(ring, bounds)
+    bounds.check("max_enum_n", ring.n, "ring for left-ideal enumeration")
     q = ring._quotient
     if not is_semisimple(q.ring, bounds):
         return False

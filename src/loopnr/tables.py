@@ -21,6 +21,15 @@ DTYPE = np.int16
 _BLOCK_ELEMS = 1 << 22
 
 
+def all_integers(values) -> bool:
+    """Whether every value is an int or a numpy integer.
+
+    A bool, float or string is refused rather than truncated or read
+    as 0/1; ``as_table`` and the map and family validators share it.
+    """
+    return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values)
+
+
 def as_table(obj) -> np.ndarray:
     """Coerce to a read-only square int16 array.
 
@@ -36,7 +45,7 @@ def as_table(obj) -> np.ndarray:
         raise ValueError(f"expected a square n x n table with n >= 1, got shape {arr.shape}")
     # entries beyond int64 arrive as an object array of Python ints
     if not (np.issubdtype(arr.dtype, np.integer)
-            or arr.dtype == object and all(isinstance(v, int) for v in arr.flat)):
+            or arr.dtype == object and all_integers(arr.flat)):
         raise ValueError("table entries must be integers")
     outside = (arr < 0) | (arr >= arr.shape[0])
     if arr.dtype == object:
@@ -47,15 +56,12 @@ def as_table(obj) -> np.ndarray:
     return out
 
 
-def relabel(carrier, table) -> np.ndarray:
-    """Replace each entry of ``table`` by its position in ``carrier``.
-
-    ``carrier`` is ascending and contains every entry of ``table``.
-    """
-    carrier = np.asarray(carrier, dtype=np.int64)
-    lookup = np.full(int(carrier[-1]) + 1, -1, dtype=np.int64)
-    lookup[carrier] = np.arange(carrier.size)
-    return lookup[table]
+def positions(carrier, n: int) -> np.ndarray:
+    """Lookup array over 0..n-1: the position of each member of the
+    ascending ``carrier``, -1 for every other element."""
+    lookup = np.full(n, -1, dtype=np.int64)
+    lookup[np.asarray(carrier, dtype=np.int64)] = np.arange(len(carrier))
+    return lookup
 
 
 def latin_witness(table: np.ndarray):

@@ -57,6 +57,11 @@ class TestValidateFamily:
         with pytest.raises(PreconditionFailed, match="sums to"):
             validate_idempotent_family(corpus.z(6), (3,))
 
+    @pytest.mark.parametrize("members", [(3.9, 4.2), (3.0, 4.0), ("3", "4"), (True,)])
+    def test_rejects_non_integer_members(self, members):
+        with pytest.raises(PreconditionFailed, match="must be integers"):
+            validate_idempotent_family(corpus.z(6), members)
+
     def test_rejects_repeated_member(self):
         with pytest.raises((PreconditionFailed, ZeroIdempotent)):
             validate_idempotent_family(corpus.z(6), (3, 3))

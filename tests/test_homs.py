@@ -56,6 +56,13 @@ class TestValidateLnrHom:
         with pytest.raises(NotAHomomorphism, match="outside the target carrier"):
             validate_lnr_hom([0, entry], corpus.z(2), corpus.z(2))
 
+    @pytest.mark.parametrize(
+        "fmap", [[0, 1.7], [0.2, 1.9], ["0", "1"], [False, True], np.array([0.0, 1.0])]
+    )
+    def test_rejects_non_integer_entries(self, fmap):
+        with pytest.raises(NotAHomomorphism, match="must be integers"):
+            validate_lnr_hom(fmap, corpus.z(2), corpus.z(2))
+
     def test_least_witness_of_each_law(self):
         with pytest.raises(NotAHomomorphism) as exc:
             validate_lnr_hom([0, 1, 1, 0], corpus.z(4), corpus.z(2))

@@ -189,12 +189,24 @@ class TestCliCheck:
         code, _ = run_cli(capsys, "check", "cyclic:50", "--max-n", "100")
         assert code == 0
 
-    @pytest.mark.parametrize("spec", ["m:cyclic:4", "m0:cyclic:5", "matrix:cyclic:2,3"])
-    def test_flag_bounds_map_and_matrix_specs(self, capsys, spec):
+    @pytest.mark.parametrize("argv, env, limit, cap", [
         # n = 256, 625 and 512: refused before anything is built
-        code, out = run_cli(capsys, "check", spec, "--max-n", "100")
+        *(pytest.param(["check", spec, "--max-n", "100"], {}, 100, "max_n", id=spec)
+          for spec in ("m:cyclic:4", "m0:cyclic:5", "matrix:cyclic:2,3")),
+        pytest.param(["analyze", "random_loop:8,1", "--subloops", "--max-subloops", "4"],
+                     {}, 4, "max_subloop_n", id="max_subloop_n"),
+        pytest.param(["analyze", "cyclic:16", "--local"],
+                     {"LOOPNR_MAX_ENUM_N": "8"}, 8, "max_enum_n", id="max_enum_n"),
+        pytest.param(["decompose", "cyclic:16", "--verify-uniqueness"],
+                     {"LOOPNR_MAX_FAMILY_N": "8"}, 8, "max_family_n", id="max_family_n"),
+    ])
+    def test_flag_bounds_map_and_matrix_specs(self, capsys, monkeypatch, argv, env, limit, cap):
+        # every refusal names the cap that refused it
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        code, out = run_cli(capsys, *argv)
         assert code == 3
-        assert out.startswith("bound exceeded:") and "cap is 100" in out
+        assert out.startswith("bound exceeded:") and f"cap is {limit} ({cap})" in out
 
     def test_env_bound(self, capsys, monkeypatch):
         monkeypatch.setenv("LOOPNR_MAX_N", "10")

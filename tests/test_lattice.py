@@ -34,7 +34,7 @@ from loopnr import (
 from loopnr import nearrings, reports, rings
 from loopnr.cli import main
 from loopnr.lattice import ClosureSystem, bits_of
-from loopnr.tables import relabel
+from loopnr.tables import positions
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -118,10 +118,10 @@ class TestClosureSystem:
         assert len(found) == len(set(found))
         assert bits_of(np.ones(nr.n, dtype=bool)) in found
 
-    def test_relabel(self):
-        out = relabel([0, 3, 5], np.array([[3, 5], [0, 3]]))
-        assert out.tolist() == [[1, 2], [0, 1]]
-        assert int(relabel([0, 3, 5], 5)) == 2
+    def test_positions(self):
+        label = positions([0, 3, 5], 6)
+        assert label.tolist() == [0, -1, -1, 1, -1, 2]
+        assert label[np.array([[3, 5], [0, 3]])].tolist() == [[1, 2], [0, 1]]
 
 
 class TestLatticeCache:
@@ -249,16 +249,23 @@ def test_radical_timing_covers_semisimple_and_semiperfect(monkeypatch):
     assert payload["timing"]["radical"] >= 0.2
 
 
-def test_search_script_runs_at_default_args(capsys):
-    spec = importlib.util.spec_from_file_location(
-        "search_local_nonring", SCRIPTS / "search_local_nonring.py"
-    )
+@pytest.mark.parametrize("name, argv, last, line", [
+    ("search_local_nonring", [],
+     "outcome: no local loop near-ring that is not a ring was found in the searched corpus",
+     "m0(loop 4.0): n=64, 47 sub-near-rings"),
+    # the corner sizes come from corner_ring(...).carrier
+    ("corpus_sweep", ["--max-n", "64"], "swept 36 of 39 catalog entries",
+     "ut2:cyclic:3                 ring  n=27    not-local  |U|=12    |E|=8    "
+     "|J|=3    corners=(3, 3)"),
+    ("conjugacy_vs_isomorphism", ["--max-n", "64"],
+     "outcome: the two relations coincide on every ring swept",
+     "matrix:cyclic:2,2            n=16   idempotents=7    iso_pairs=15   conj_pairs=15  "),
+], ids=["search_local_nonring", "corpus_sweep", "conjugacy_vs_isomorphism"])
+def test_search_script_runs_at_default_args(capsys, name, argv, last, line):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    assert script.main([]) == 0
+    assert script.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == (
-        "outcome: no local loop near-ring that is not a ring was found "
-        "in the searched corpus"
-    )
-    assert "m0(loop 4.0): n=64, 47 sub-near-rings" in lines
+    assert lines[-1] == last
+    assert line in lines

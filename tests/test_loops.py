@@ -235,6 +235,12 @@ class TestLoopHoms:
         with pytest.raises(NotAHomomorphism, match="outside the target carrier"):
             validate_loop_hom([0, entry], src, src)
 
+    @pytest.mark.parametrize("fmap", [[0, 1.7], [0.2, 1.9], ["0", "1"], [False, True]])
+    def test_rejects_non_integer_entries(self, fmap):
+        src = validate_loop(cyclic_table(2))
+        with pytest.raises(NotAHomomorphism, match="must be integers"):
+            validate_loop_hom(fmap, src, src)
+
     @given(st.integers(2, 8), st.integers(0, 10 ** 6))
     def test_identity_hom_on_random_loops(self, n, seed):
         loop = random_loop(n, seed)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from loopnr import (
+    CATALOG,
     AdditionNotAbelianGroup,
     LeftDistributivityFails,
     NotAnIdeal,
     NotApproximatelyIdempotent,
+    corner_ring,
     coset_idempotents,
     idempotents,
     idempotents_conjugate,
@@ -17,6 +19,7 @@ from loopnr import (
     jacobson_radical,
     left_ideals,
     lift_idempotent,
+    parse_spec,
     quotient_ring,
     radical_by_maximal_left_ideals,
     radical_by_quasiregularity,
@@ -132,6 +135,42 @@ class TestQuotient:
         q = quotient_ring(ring, {0, 3})
         f = validate_lnr_hom(q.projection, ring, q.ring)
         assert not f.unit_reflecting
+
+
+SMALL_CATALOG_RINGS = [spec for spec, kind, n in CATALOG if kind == "ring" and n <= 64]
+
+
+@pytest.mark.parametrize("spec", SMALL_CATALOG_RINGS)
+class TestInducedLabelling:
+    """Quotients and corners against their definitions, element by element."""
+
+    def test_quotient_by_radical(self, spec):
+        ring = parse_spec(spec)
+        j = jacobson_radical(ring)
+        q = quotient_ring(ring, j)
+        proj = q.projection
+        for x in range(ring.n):
+            for y in range(ring.n):
+                assert (proj[x] == proj[y]) == (int(ring.sub(x, y)) in j)
+        for i, leader in enumerate(q.leaders):
+            assert leader == min(x for x in range(ring.n) if proj[x] == i)
+        for i, a in enumerate(q.leaders):
+            for k, b in enumerate(q.leaders):
+                assert q.ring.add[i, k] == proj[ring.add[a, b]]
+                assert q.ring.mul[i, k] == proj[ring.mul[a, b]]
+        assert q.ring.one == proj[ring.one]
+
+    def test_corner_at_each_idempotent(self, spec):
+        ring = parse_spec(spec)
+        for e in idempotents(ring):
+            corner = corner_ring(ring, e)
+            want = sorted({int(ring.mul[ring.mul[e, a], e]) for a in range(ring.n)})
+            assert list(corner.carrier) == want
+            assert corner.ring.one == want.index(e)
+            for i, a in enumerate(want):
+                for k, b in enumerate(want):
+                    assert want[corner.ring.add[i, k]] == ring.add[a, b]
+                    assert want[corner.ring.mul[i, k]] == ring.mul[a, b]
 
 
 class TestRingPredicates:
