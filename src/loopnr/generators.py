@@ -27,6 +27,10 @@ Indexing conventions (documented here so golden files are portable):
                       that is not associative.
   * random_loop:n,s   seeded random Latin square completion, rows and
                       columns through 0 fixed to the identity.
+
+Every table other than cyclic:n comes from one builder, ``_table``,
+which writes int16 row i as op(digits[i], every digit vector) encoded
+in the mixed radix above.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import random
 
 import numpy as np
 
-from . import tables
+from . import io, tables
 from .config import DEFAULT_BOUNDS, Bounds
 from .errors import BoundExceeded, ParseError
 from .loops import CayleyLoop, is_associative, validate_loop
@@ -54,6 +58,35 @@ def cyclic_ring(n: int) -> FiniteRing:
     return validate_ring_tables(add, mul, 1 % n)
 
 
+def _table(digits, radices, op) -> np.ndarray:
+    """The int16 Cayley table whose row i is op(digits[i], digits).
+
+    ``digits`` holds one digit vector per element, and ``op(x, ys)``
+    returns the digit vectors of x op y for every row y of ``ys``; each
+    is encoded in the mixed radix ``radices``.
+    """
+    w = tables.mixed_radix_weights(radices)
+    out = np.empty((len(digits), len(digits)), dtype=tables.DTYPE)
+    for i, x in enumerate(digits):
+        out[i] = op(x, digits) @ w
+    return out
+
+
+def _componentwise(op_tables):
+    """x op y computed in each digit with that digit's own table."""
+    def op(x, ys):
+        out = np.empty_like(ys)
+        for j, t in enumerate(op_tables):
+            out[:, j] = t[x[j], ys[:, j]]
+        return out
+    return op
+
+
+def _index(digits, radices) -> int:
+    """The element index of one digit vector."""
+    return int(np.dot(np.asarray(digits, dtype=np.int64), tables.mixed_radix_weights(radices)))
+
+
 def _factor_prime_power(q: int):
     for p in range(2, q + 1):
         if q % p == 0:
@@ -66,23 +99,6 @@ def _factor_prime_power(q: int):
                 return p, k
             return None
     return None
-
-
-def _poly_mul_mod(a, b, modpoly, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    # reduce by the monic modulus
-    k = len(modpoly) - 1
-    for i in range(len(out) - 1, k - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(k):
-                out[i - k + j] = (out[i - k + j] - c * modpoly[j]) % p
-    return out[:k] + [0] * (k - len(out[:k]))
 
 
 def _find_irreducible(p: int, k: int):
@@ -122,17 +138,20 @@ def galois_field(q: int) -> FiniteRing:
     p, k = fac
     if k == 1:
         return cyclic_ring(p)
-    modpoly = _find_irreducible(p, k)
-    polys = [[(x // p ** i) % p for i in range(k)] for x in range(q)]
+    radices = [p] * k
+    digits = tables.decode_all(q, radices)   # highest-degree coefficient first
+    mod = np.array(_find_irreducible(p, k)[::-1], dtype=np.int64)
 
-    def enc(poly):
-        return sum(c * p ** i for i, c in enumerate(poly))
+    def mul(x, ys):
+        prod = np.zeros((q, 2 * k - 1), dtype=np.int64)
+        for i in range(k):
+            prod[:, i:i + k] += np.multiply(x[i], ys, dtype=np.int64)
+        for i in range(k - 1):           # cancel the leading terms by the monic modulus
+            prod[:, i:i + k + 1] -= prod[:, i:i + 1] % p * mod
+        return prod[:, k - 1:] % p
 
-    add = [[enc([(a + b) % p for a, b in zip(polys[x], polys[y])]) for y in range(q)]
-           for x in range(q)]
-    mul = [[enc(_poly_mul_mod(polys[x], polys[y], modpoly, p)) for y in range(q)]
-           for x in range(q)]
-    return validate_ring_tables(add, mul, 1)
+    add = _table(digits, radices, _componentwise([cyclic_ring(p).add] * k))
+    return validate_ring_tables(add, _table(digits, radices, mul), 1)
 
 
 def matrix_ring(base: FiniteRing, k: int, bounds: Bounds = DEFAULT_BOUNDS) -> FiniteRing:
@@ -142,27 +161,21 @@ def matrix_ring(base: FiniteRing, k: int, bounds: Bounds = DEFAULT_BOUNDS) -> Fi
     b = base.n
     size = b ** (k * k)
     bounds.check("max_n", size, "matrix ring")
+    bounds.check("max_n", k * k, f"{k} x {k} matrix")
     radices = [b] * (k * k)
     digits = tables.decode_all(size, radices)          # (size, k*k)
     badd, bmul = base.add, base.mul
-    add_rows = np.empty((size, size), dtype=np.int64)
-    mul_rows = np.empty((size, size), dtype=np.int64)
-    mats = digits.reshape(size, k, k)
-    for i in range(size):
-        add_rows[i] = tables.encode(badd[digits[i][None, :], digits], radices)
-        acc = np.zeros((size, k, k), dtype=tables.DTYPE)
-        a = mats[i]
-        for r in range(k):
-            for c in range(k):
-                s = np.zeros(size, dtype=tables.DTYPE)
-                for t in range(k):
-                    s = badd[s, bmul[a[r, t], mats[:, t, c]]]
-                acc[:, r, c] = s
-        mul_rows[i] = tables.encode(acc.reshape(size, k * k), radices)
-    eye = np.zeros((k, k), dtype=np.int64)
-    eye[np.arange(k), np.arange(k)] = base.one
-    one = int(tables.encode(eye.reshape(1, k * k), radices)[0])
-    return validate_ring_tables(add_rows, mul_rows, one)
+
+    def mul(x, ys):
+        a, m = x.reshape(k, k), ys.reshape(size, k, k)
+        acc = np.zeros_like(m)
+        for t in range(k):               # [s, r, c] += a[r, t] * m[s, t, c]
+            acc = badd[acc, bmul[a[None, :, t, None], m[:, None, t, :]]]
+        return acc.reshape(size, k * k)
+
+    add = _table(digits, radices, _componentwise([badd] * (k * k)))
+    one = _index(np.eye(k, dtype=np.int64).ravel() * base.one, radices)
+    return validate_ring_tables(add, _table(digits, radices, mul), one)
 
 
 def upper_triangular_ring(base: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> FiniteRing:
@@ -173,23 +186,17 @@ def upper_triangular_ring(base: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> 
     radices = [b] * 3
     digits = tables.decode_all(size, radices)          # columns: a, b, d
     badd, bmul = base.add, base.mul
-    add_rows = np.empty((size, size), dtype=np.int64)
-    mul_rows = np.empty((size, size), dtype=np.int64)
-    for i in range(size):
-        ai, bi, di = (int(x) for x in digits[i])
-        add_rows[i] = tables.encode(badd[digits[i][None, :], digits], radices)
+
+    def mul(x, ys):
         # (a,b,d)*(a',b',d') = (a a', a b' + b d', d d')
-        prod = np.stack(
-            [
-                bmul[ai, digits[:, 0]],
-                badd[bmul[ai, digits[:, 1]], bmul[bi, digits[:, 2]]],
-                bmul[di, digits[:, 2]],
-            ],
-            axis=1,
-        )
-        mul_rows[i] = tables.encode(prod, radices)
-    one = int(tables.encode(np.array([[base.one, 0, base.one]], dtype=np.int64), radices)[0])
-    return validate_ring_tables(add_rows, mul_rows, one)
+        a, b, d = x
+        return np.stack([bmul[a, ys[:, 0]],
+                         badd[bmul[a, ys[:, 1]], bmul[b, ys[:, 2]]],
+                         bmul[d, ys[:, 2]]], axis=1)
+
+    add = _table(digits, radices, _componentwise([badd] * 3))
+    one = _index([base.one, 0, base.one], radices)
+    return validate_ring_tables(add, _table(digits, radices, mul), one)
 
 
 def map_near_ring(loop: CayleyLoop, zero_fixing: bool, bounds: Bounds = DEFAULT_BOUNDS) -> LoopNearRing:
@@ -202,31 +209,13 @@ def map_near_ring(loop: CayleyLoop, zero_fixing: bool, bounds: Bounds = DEFAULT_
     n = loop.n
     size = n ** (n - 1) if zero_fixing else n ** n
     bounds.check("max_n", size, "map near-ring")
-    if zero_fixing:
-        free = tables.decode_all(size, [n] * (n - 1)) if n > 1 else np.zeros((1, 0), tables.DTYPE)
-        maps = np.concatenate([np.zeros((size, 1), dtype=tables.DTYPE), free], axis=1)
-        radices = [n] * (n - 1)
-
-        def enc(vals):
-            if n == 1:
-                return np.zeros(len(vals), dtype=np.int64)
-            return tables.encode(vals[:, 1:], radices)
-    else:
-        maps = tables.decode_all(size, [n] * n)
-        radices = [n] * n
-
-        def enc(vals):
-            return tables.encode(vals, radices)
-
-    add_rows = np.empty((size, size), dtype=np.int64)
-    mul_rows = np.empty((size, size), dtype=np.int64)
-    ladd = loop.add
-    for i in range(size):
-        add_rows[i] = enc(ladd[maps[i][None, :], maps])   # pointwise f(x) + g(x)
-        mul_rows[i] = enc(maps[i][maps])                  # composition f(g(x))
-    ident = np.arange(n, dtype=tables.DTYPE)
-    one = int(enc(ident[None, :])[0])
-    return validate_lnr(add_rows, mul_rows, one)
+    lo = 1 if zero_fixing else 0                       # m0 omits the f(0) = 0 digit
+    radices = [n] * (n - lo)
+    maps = tables.decode_all(size, radices)            # values at lo..n-1
+    pad = np.zeros(lo, dtype=tables.DTYPE)
+    add = _table(maps, radices, _componentwise([loop.add] * (n - lo)))   # f(x) + g(x)
+    mul = _table(maps, radices, lambda f, gs: np.concatenate((pad, f))[gs])   # f(g(x))
+    return validate_lnr(add, mul, _index(range(lo, n), radices))
 
 
 def _reduced_latin_squares(n: int, rng: random.Random | None = None):
@@ -310,16 +299,7 @@ def product(structures, bounds: Bounds = DEFAULT_BOUNDS):
     structures = list(structures)
     if not structures:
         raise ValueError("product needs at least one factor")
-    kinds = set()
-    for s in structures:
-        if isinstance(s, FiniteRing):
-            kinds.add("ring")
-        elif isinstance(s, LoopNearRing):
-            kinds.add("lnr")
-        elif isinstance(s, CayleyLoop):
-            kinds.add("loop")
-        else:
-            raise TypeError(f"cannot take products of {type(s).__name__}")
+    kinds = {io.kind_of(s) for s in structures}
     if "loop" in kinds and len(kinds) > 1:
         raise TypeError("cannot mix loops with near-rings in a product")
     size = 1
@@ -329,23 +309,11 @@ def product(structures, bounds: Bounds = DEFAULT_BOUNDS):
     radices = [s.n for s in structures]
     digits = tables.decode_all(size, radices)
     loops = [s if isinstance(s, CayleyLoop) else s.additive for s in structures]
-
-    def combine(op_tables):
-        rows = np.empty((size, size), dtype=np.int64)
-        cols = np.empty((size, len(structures)), dtype=tables.DTYPE)
-        for i in range(size):
-            for t, op in enumerate(op_tables):
-                cols[:, t] = op[digits[i, t], digits[:, t]]
-            rows[i] = tables.encode(cols, radices)
-        return rows
-
-    add = combine([l.add for l in loops])
+    add = _table(digits, radices, _componentwise([l.add for l in loops]))
     if kinds == {"loop"}:
         return validate_loop(add)
-    mul = combine([s.mul for s in structures])
-    one = int(tables.encode(
-        np.array([[s.one for s in structures]], dtype=np.int64), radices)[0])
-    nr = validate_lnr(add, mul, one)
+    mul = _table(digits, radices, _componentwise([s.mul for s in structures]))
+    nr = validate_lnr(add, mul, _index([s.one for s in structures], radices))
     if kinds == {"ring"}:
         return validate_ring(nr)
     return nr
@@ -413,7 +381,10 @@ def parse_spec(spec: str, bounds: Bounds = DEFAULT_BOUNDS):
         base_spec, _, k_tok = rest.rpartition(",")
         if not base_spec:
             raise ParseError(f"matrix wants base,k, got {rest!r}")
-        return matrix_ring(as_ring(base_spec), as_int(k_tok, "matrix size"), bounds)
+        base, k = as_ring(base_spec), as_int(k_tok, "matrix size")
+        if k < 1:
+            raise ParseError("matrix wants k >= 1")
+        return matrix_ring(base, k, bounds)
     if head == "ut2":
         return upper_triangular_ring(as_ring(rest), bounds)
     if head in ("m", "m0"):

@@ -274,13 +274,3 @@ def _require_law(fm: np.ndarray, src: np.ndarray, tgt: np.ndarray, op: str) -> N
     if bad.any():
         a, b = (int(x) for x in np.argwhere(bad)[0])
         raise NotAHomomorphism(f"f({a} {op} {b}) != f({a}) {op} f({b})", witness=(a, b))
-
-
-def kernel(hom) -> ElementSubset:
-    """Preimage of zero under a validated homomorphism."""
-    return hom.kernel
-
-
-def image(hom) -> ElementSubset:
-    """Value set of a validated homomorphism."""
-    return hom.image

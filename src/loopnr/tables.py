@@ -83,50 +83,39 @@ def _blocks(n: int) -> int:
     return max(1, _BLOCK_ELEMS // max(n * n, 1))
 
 
-def assoc_witness(op: np.ndarray):
-    """First (a, b, c) with (a op b) op c != a op (b op c), else None."""
-    n = op.shape[0]
+def _first_bad(n: int, block):
+    """Least (a, b, c) where the gathers ``block(rows)`` disagree, else None.
+
+    ``block(rows)`` returns the (lhs, rhs) pair of (B, n, n) gathers for
+    the rows a in the slice ``rows``; neither outlives the comparison.
+    """
     step = _blocks(n)
     for a0 in range(0, n, step):
-        rows = op[a0:a0 + step]          # (B, n)
-        lhs = op[rows]                   # [i,b,c] = op[op[a,b], c]
-        rhs = rows[:, op]                # [i,b,c] = op[a, op[b,c]]
-        bad = lhs != rhs
+        bad = np.not_equal(*block(slice(a0, a0 + step)))
         if bad.any():
             i, b, c = np.argwhere(bad)[0]
             return (a0 + int(i), int(b), int(c))
     return None
+
+
+def assoc_witness(op: np.ndarray):
+    """First (a, b, c) with (a op b) op c != a op (b op c), else None."""
+    # [i,b,c] = op[op[a,b], c] and op[a, op[b,c]]
+    return _first_bad(len(op), lambda rows: (op[op[rows]], op[rows][:, op]))
 
 
 def right_dist_witness(add: np.ndarray, mul: np.ndarray):
     """First (a, b, c) with (a+b)*c != a*c + b*c, else None."""
-    n = add.shape[0]
-    step = _blocks(n)
-    for a0 in range(0, n, step):
-        arows = add[a0:a0 + step]        # (B, n)
-        mrows = mul[a0:a0 + step]        # (B, n), entry [i,c] = a*c
-        lhs = mul[arows]                 # [i,b,c] = mul[a+b, c]
-        rhs = add[mrows[:, None, :], mul[None, :, :]]   # [i,b,c] = (a*c) + (b*c)
-        bad = lhs != rhs
-        if bad.any():
-            i, b, c = np.argwhere(bad)[0]
-            return (a0 + int(i), int(b), int(c))
-    return None
+    # [i,b,c] = mul[a+b, c] and (a*c) + (b*c)
+    return _first_bad(len(add), lambda rows: (mul[add[rows]],
+                                              add[mul[rows][:, None, :], mul[None, :, :]]))
 
 
 def left_dist_witness(add: np.ndarray, mul: np.ndarray):
     """First (a, b, c) with a*(b+c) != a*b + a*c, else None."""
-    n = add.shape[0]
-    step = _blocks(n)
-    for a0 in range(0, n, step):
-        mrows = mul[a0:a0 + step]        # (B, n)
-        lhs = mrows[:, add]              # [i,b,c] = mul[a, b+c]
-        rhs = add[mrows[:, :, None], mrows[:, None, :]]  # [i,b,c] = a*b + a*c
-        bad = lhs != rhs
-        if bad.any():
-            i, b, c = np.argwhere(bad)[0]
-            return (a0 + int(i), int(b), int(c))
-    return None
+    # [i,b,c] = mul[a, b+c] and a*b + a*c
+    return _first_bad(len(add), lambda rows: (mul[rows][:, add],
+                                              add[mul[rows][:, :, None], mul[rows][:, None, :]]))
 
 
 def comm_witness(op: np.ndarray):
@@ -241,8 +230,3 @@ def decode_all(count: int, radices) -> np.ndarray:
     idx = np.arange(count, dtype=np.int64)
     digits = (idx[:, None] // w[None, :]) % np.asarray(radices, dtype=np.int64)[None, :]
     return digits.astype(DTYPE)
-
-
-def encode(digits: np.ndarray, radices) -> np.ndarray:
-    w = mixed_radix_weights(radices)
-    return digits.astype(np.int64) @ w

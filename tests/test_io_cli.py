@@ -193,6 +193,8 @@ class TestCliCheck:
         # n = 256, 625 and 512: refused before anything is built
         *(pytest.param(["check", spec, "--max-n", "100"], {}, 100, "max_n", id=spec)
           for spec in ("m:cyclic:4", "m0:cyclic:5", "matrix:cyclic:2,3")),
+        # one element for every k: the k x k digit vector is what is capped
+        pytest.param(["check", "matrix:cyclic:1,65"], {}, 4096, "max_n", id="matrix:cyclic:1,65"),
         pytest.param(["analyze", "random_loop:8,1", "--subloops", "--max-subloops", "4"],
                      {}, 4, "max_subloop_n", id="max_subloop_n"),
         pytest.param(["analyze", "cyclic:16", "--local"],
