@@ -29,7 +29,10 @@ class Bounds:
         """
         limit = getattr(self, cap)
         if size > limit:
-            raise BoundExceeded(f"{what} has {size} elements, cap is {limit} ({cap})")
+            # a size past 20 digits is worded, not printed: Python refuses
+            # to format an int of more than 4300 digits
+            count = size if size <= 10 ** 20 else "more than 10^20"
+            raise BoundExceeded(f"{what} has {count} elements, cap is {limit} ({cap})")
 
 
 # Environment knobs.  The three names used by the CLI flags come first;

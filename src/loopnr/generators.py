@@ -158,10 +158,10 @@ def matrix_ring(base: FiniteRing, k: int, bounds: Bounds = DEFAULT_BOUNDS) -> Fi
     """k x k matrices over a finite base ring."""
     if k < 1:
         raise ValueError("matrix ring needs k >= 1")
+    bounds.check("max_n", k * k, f"{k} x {k} matrix")
     b = base.n
     size = b ** (k * k)
     bounds.check("max_n", size, "matrix ring")
-    bounds.check("max_n", k * k, f"{k} x {k} matrix")
     radices = [b] * (k * k)
     digits = tables.decode_all(size, radices)          # (size, k*k)
     badd, bmul = base.add, base.mul

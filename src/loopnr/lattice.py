@@ -69,6 +69,28 @@ class ClosureSystem:
         mask[list(seed)] = True
         return self._saturate(mask, np.flatnonzero(mask))
 
+    def generating_set(self) -> list:
+        """A set S whose closure is the whole carrier, grown greedily.
+
+        Candidates go by descending rank, the number of distinct entries
+        in the element's row of the first binary table, least index
+        first on ties; each candidate outside the closure of S so far
+        joins S.  High-rank elements, such as units, reach most of the
+        carrier at once, which keeps S small.
+        """
+        rows = np.sort(self.binary[0], axis=1)
+        rank = (rows[:, 1:] != rows[:, :-1]).sum(axis=1)
+        mask = np.zeros(self.n, dtype=bool)
+        out = []
+        for x in np.argsort(-rank, kind="stable"):
+            if mask.all():
+                break
+            if not mask[x]:
+                out.append(int(x))
+                mask[x] = True
+                mask = self._saturate(mask, np.array([x]))
+        return out
+
     def join(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The closure of a | b for closed masks a and b.
 

@@ -127,8 +127,13 @@ def validate_loop(table) -> CayleyLoop:
     add = tables.as_table(table)
     tables.require(add, kind="loop")
     n = add.shape[0]
-    ldiff = np.argsort(add, axis=1).astype(tables.DTYPE)
-    rdiff = np.argsort(add, axis=0).astype(tables.DTYPE)
+    # every row and column of a Latin square is a permutation, so each
+    # difference table is one scatter: ldiff[a, a+b] = b, rdiff[a+b, b] = a
+    idx = np.arange(n, dtype=tables.DTYPE)
+    ldiff = np.empty_like(add)
+    ldiff[idx[:, None], add] = idx
+    rdiff = np.empty_like(add)
+    rdiff[add, idx] = idx[:, None]
     ldiff.setflags(write=False)
     rdiff.setflags(write=False)
     return CayleyLoop(n=n, add=add, ldiff=ldiff, rdiff=rdiff, zero=0)

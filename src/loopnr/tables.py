@@ -1,10 +1,16 @@
 """Low-level Cayley-table kernels and ``AXIOMS``, the one axiom table.
 
 All structure axioms reduce to pointwise identities between gathered
-copies of the operation tables.  The checks below scan in blocks of
-rows so that the O(n^3) laws stay vectorized without materializing an
-(n, n, n) cube; witnesses are always the lexicographically least
-violating tuple, which keeps error messages reproducible.
+copies of the operation tables.  The four cubic laws (associativity of
+``*`` and of ``+``, both distributive laws) are decided on a generating
+set S of the multiplicative or additive magma, from
+``lattice.ClosureSystem.generating_set``, in O(|S| n^2): the elements
+where such a law holds are closed under the operation (Light's test
+for associativity; for distributivity once ``*`` is associative).  Only
+a law that fails is scanned again, in blocks of rows, so the O(n^3)
+search stays vectorized without materializing an (n, n, n) cube and
+finds the lexicographically least violating tuple; witnesses and
+error messages therefore do not depend on S.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import errors
+from .lattice import ClosureSystem
 
 DTYPE = np.int16
 
@@ -79,8 +86,9 @@ def latin_witness(table: np.ndarray):
     return None
 
 
-def _blocks(n: int) -> int:
-    return max(1, _BLOCK_ELEMS // max(n * n, 1))
+def _blocks(row_elems: int) -> int:
+    """Rows per block when each row gathers ``row_elems`` entries."""
+    return max(1, _BLOCK_ELEMS // max(row_elems, 1))
 
 
 def _first_bad(n: int, block):
@@ -89,7 +97,7 @@ def _first_bad(n: int, block):
     ``block(rows)`` returns the (lhs, rhs) pair of (B, n, n) gathers for
     the rows a in the slice ``rows``; neither outlives the comparison.
     """
-    step = _blocks(n)
+    step = _blocks(n * n)
     for a0 in range(0, n, step):
         bad = np.not_equal(*block(slice(a0, a0 + step)))
         if bad.any():
@@ -98,14 +106,53 @@ def _first_bad(n: int, block):
     return None
 
 
+def _agree(n: int, pair) -> bool:
+    """Whether the (B, n) gathers ``pair(rows)`` agree on every block of rows."""
+    step = _blocks(n)
+    return all(np.array_equal(*pair(slice(r, r + step))) for r in range(0, n, step))
+
+
+def _light(op: np.ndarray):
+    """A generating set of the magma ``op`` if ``op`` is associative, else None.
+
+    Light's test: the s with x(sy) = (xs)y for all x, y are closed under
+    ``op``, so associativity at each member of a generating set is
+    associativity everywhere.
+    """
+    gens = ClosureSystem(len(op), (op,)).generating_set()
+    # [x, y] = op[x, op[s, y]] and op[op[x, s], y]
+    ok = all(_agree(len(op), lambda rows, s=s: (op[rows][:, op[s]], op[op[rows, s]]))
+             for s in gens)
+    return gens if ok else None
+
+
+def _distributes(add: np.ndarray, mul: np.ndarray, maps: np.ndarray) -> bool:
+    """Whether ``*`` is associative and each row ``maps[s]``, s in a
+    generating set of ``*``, is an endomorphism of ``+``.
+
+    Row s is x -> x*s in ``mul.T`` and x -> s*x in ``mul``.  With ``*``
+    associative the s where either map is additive are closed under
+    ``*``, so the distributive law holds everywhere once it holds there.
+    """
+    gens = _light(mul)
+    # [a, b] = v[a + b] and v[a] + v[b]
+    return gens is not None and all(
+        _agree(len(add), lambda rows, v=maps[s]: (v[add[rows]], add[v[rows, None], v]))
+        for s in gens)
+
+
 def assoc_witness(op: np.ndarray):
     """First (a, b, c) with (a op b) op c != a op (b op c), else None."""
+    if _light(op) is not None:
+        return None
     # [i,b,c] = op[op[a,b], c] and op[a, op[b,c]]
     return _first_bad(len(op), lambda rows: (op[op[rows]], op[rows][:, op]))
 
 
 def right_dist_witness(add: np.ndarray, mul: np.ndarray):
     """First (a, b, c) with (a+b)*c != a*c + b*c, else None."""
+    if _distributes(add, mul, mul.T):
+        return None
     # [i,b,c] = mul[a+b, c] and (a*c) + (b*c)
     return _first_bad(len(add), lambda rows: (mul[add[rows]],
                                               add[mul[rows][:, None, :], mul[None, :, :]]))
@@ -113,6 +160,8 @@ def right_dist_witness(add: np.ndarray, mul: np.ndarray):
 
 def left_dist_witness(add: np.ndarray, mul: np.ndarray):
     """First (a, b, c) with a*(b+c) != a*b + a*c, else None."""
+    if _distributes(add, mul, mul):
+        return None
     # [i,b,c] = mul[a, b+c] and a*b + a*c
     return _first_bad(len(add), lambda rows: (mul[rows][:, add],
                                               add[mul[rows][:, :, None], mul[rows][:, None, :]]))

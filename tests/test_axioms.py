@@ -27,15 +27,21 @@ from loopnr import (
     validate_loop,
     validate_ring_tables,
 )
+from loopnr.cli import main
+from loopnr.lattice import ClosureSystem
 from loopnr.tables import AXIOMS, KINDS
 
 WRAP = 1 << 16
 
-# valid structures with n <= 5, with the kind each is built as
+# valid structures with n <= 16, with the kind each is built as; those of
+# order 6 and up have multiplicative generating sets of 2 or more elements,
+# so the cubic rows are decided at several generators before any fallback
 SPECS = (
     "cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "gf:4",
     "product:cyclic:2+cyclic:2", "m:cyclic:2", "m0:cyclic:2",
     "nonassoc5", "smallloop:4,1", "smallloop:5,3", "random_loop:5,2",
+    "ut2:cyclic:2", "m0:cyclic:3", "gf:8", "product:cyclic:2+cyclic:4",
+    "matrix:cyclic:2,2", "cyclic:12",
 )
 
 
@@ -193,3 +199,33 @@ class TestAxiomTable:
         assert (exc.value.axiom, str(exc.value), list(exc.value.witness)) == (
             first["axiom"], first["message"], first["witness"])
         assert str(exc.value) == "duplicate 1 in add row 1"
+
+
+class TestGeneratorRoute:
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_specs_have_the_generating_sets_they_claim(self, spec):
+        s = parse_spec(spec)
+        op = getattr(s, "mul", s.add)
+        if s.n >= 6:
+            assert len(ClosureSystem(s.n, (op,)).generating_set()) >= 2
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "cyclic:256"), ("analyze", "cyclic:256"),
+        ("check", "m0:nonassoc5"), ("analyze", "m0:nonassoc5"),
+    ])
+    def test_valid_structures_never_block_scan(self, argv, monkeypatch, capsys):
+        # every law holds, so each cubic row is decided at generators alone
+        calls = []
+        monkeypatch.setattr(tables, "_first_bad", lambda *a: calls.append(a))
+        assert main(list(argv)) == 0
+        capsys.readouterr()
+        assert calls == []
+
+    def test_failing_row_falls_back_to_the_block_scan(self, monkeypatch):
+        ring = parse_spec("gf:8")
+        mul = ring.mul.copy()
+        mul[3, 5] = mul[5, 3] = 0
+        calls = []
+        scan = tables._first_bad
+        monkeypatch.setattr(tables, "_first_bad", lambda *a: calls.append(1) or scan(*a))
+        assert tables.assoc_witness(mul) is not None and calls == [1]

@@ -195,6 +195,9 @@ class TestCliCheck:
           for spec in ("m:cyclic:4", "m0:cyclic:5", "matrix:cyclic:2,3")),
         # one element for every k: the k x k digit vector is what is capped
         pytest.param(["check", "matrix:cyclic:1,65"], {}, 4096, "max_n", id="matrix:cyclic:1,65"),
+        # 2^14400 and 16^4096 elements: past what Python will format as digits
+        *(pytest.param(["check", spec], {}, 4096, "max_n", id=spec)
+          for spec in ("matrix:cyclic:2,120", "matrix:cyclic:16,64")),
         pytest.param(["analyze", "random_loop:8,1", "--subloops", "--max-subloops", "4"],
                      {}, 4, "max_subloop_n", id="max_subloop_n"),
         pytest.param(["analyze", "cyclic:16", "--local"],

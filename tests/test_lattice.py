@@ -118,6 +118,26 @@ class TestClosureSystem:
         assert len(found) == len(set(found))
         assert bits_of(np.ones(nr.n, dtype=bool)) in found
 
+    @pytest.mark.parametrize("spec", ["cyclic:12", "gf:8", "ut2:cyclic:2", "m0:cyclic:3",
+                                      "m0:smallloop:4,1", "product:cyclic:2+cyclic:4"])
+    def test_generating_set_is_greedy_in_rank_order(self, spec):
+        nr = parse_spec(spec)
+        for op in (nr.add, nr.mul):
+            system = ClosureSystem(nr.n, (op,))
+            got = system.generating_set()
+            assert system.close(got).all()
+            # reference: candidates by descending distinct-entry count per
+            # row, least index first; each one outside the closure so far joins
+            order = sorted(range(nr.n), key=lambda x: (-len(set(op[x].tolist())), x))
+            want = []
+            for x in order:
+                reached = system.close(want)
+                if reached.all():
+                    break
+                if not reached[x]:
+                    want.append(x)
+            assert got == want
+
     def test_positions(self):
         label = positions([0, 3, 5], 6)
         assert label.tolist() == [0, -1, -1, 1, -1, 2]

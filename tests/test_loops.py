@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from loopnr import (
+    CATALOG,
     BoundExceeded,
     ElementSubset,
     EntriesOutOfRange,
@@ -17,6 +18,7 @@ from loopnr import (
     is_commutative,
     is_normal_subloop,
     is_subloop,
+    parse_spec,
     random_loop,
     smallest_nonassociative_loop,
     subloop_closure,
@@ -81,6 +83,21 @@ class TestValidateLoop:
         )
         # a \ (a + b) = b and (b + a) / a = b
         assert np.array_equal(loop.ldiff[idx[:, None], loop.add], np.tile(idx, (n, 1)))
+
+    @pytest.mark.parametrize("spec", [spec for spec, _, _ in CATALOG])
+    def test_difference_tables_invert_add_on_every_catalog_loop(self, spec):
+        built = parse_spec(spec)
+        loop = getattr(built, "additive", built)
+        n = loop.n
+        idx = np.arange(n)
+        rows, cols = np.tile(idx[:, None], (1, n)), np.tile(idx, (n, 1))
+        # a \ (a + b) = b, (a + b) / b = a, a + (a \ c) = c, (c / b) + b = c
+        assert np.array_equal(loop.ldiff[rows, loop.add], cols)
+        assert np.array_equal(loop.rdiff[loop.add, cols], rows)
+        assert np.array_equal(loop.add[rows, loop.ldiff], cols)
+        assert np.array_equal(loop.add[loop.rdiff, cols], rows)
+        for table in (loop.ldiff, loop.rdiff):
+            assert table.dtype == loop.add.dtype and not table.flags.writeable
 
 
 class TestLaws:
