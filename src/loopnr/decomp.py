@@ -93,12 +93,16 @@ class CornerRing:
     ring: FiniteRing
 
 
-def corner_ring(ring: FiniteRing, e: int) -> CornerRing:
-    """The corner ring at an idempotent, built once per (ring, e)."""
+def _require_idempotent(ring: FiniteRing, e: int) -> None:
     if not 0 <= e < ring.n:
         raise NotIdempotent(f"{e} outside the carrier")
     if int(ring.mul[e, e]) != e:
         raise NotIdempotent(f"{e} is not idempotent")
+
+
+def corner_ring(ring: FiniteRing, e: int) -> CornerRing:
+    """The corner ring at an idempotent, built once per (ring, e)."""
+    _require_idempotent(ring, e)
     corner = ring._corners.get(int(e))
     if corner is None:
         carrier = np.unique(ring.mul[e, ring.mul[:, e]])
@@ -111,12 +115,30 @@ def corner_ring(ring: FiniteRing, e: int) -> CornerRing:
 
 
 def is_primitive(ring: FiniteRing, e: int) -> bool:
-    """e generates an indecomposable summand: corner idempotents trivial."""
+    """e generates an indecomposable summand: corner idempotents trivial.
+
+    The idempotents of e*A*e are the idempotents g of A with
+    e*g = g*e = g, so a g outside {0, e} is read off the parent's
+    tables and decides "not primitive" without building the corner.
+    Otherwise the corner is built and its own idempotents confirm it.
+    """
     if e == ring.zero:
         raise ZeroIdempotent("primitivity is about nonzero idempotents")
-    corner = corner_ring(ring, e)
-    idem = idempotents(corner.ring)
-    return len(idem.members) == 2
+    _require_idempotent(ring, e)
+    mul = ring.mul
+    for g in _corner_candidates(ring, e):
+        g = int(g)
+        if g not in (ring.zero, e):
+            if not int(mul[g, g]) == int(mul[e, g]) == int(mul[g, e]) == g:
+                raise TheoremViolation(f"parent route: {g} is no idempotent of the corner at {e}")
+            return False
+    count = len(idempotents(corner_ring(ring, e).ring).members)
+    if count != 2:
+        raise TheoremViolation(
+            f"primitivity of {e}: the parent route finds 2 corner idempotents, "
+            f"the corner route {count}"
+        )
+    return True
 
 
 def _primitives(ring: FiniteRing) -> list:
@@ -145,15 +167,10 @@ def _require_local_corners(ring: FiniteRing, members, bounds: Bounds, what: str)
 
 
 def _corner_candidates(ring: FiniteRing, e: int) -> np.ndarray:
-    """Idempotents g with e*g = g*e = g, ascending (parent indexing)."""
-    n = ring.n
-    idx = np.arange(n)
-    mask = (
-        (ring.mul[idx, idx] == idx)
-        & (ring.mul[e, :] == idx)
-        & (ring.mul[:, e] == idx)
-    )
-    return np.where(mask)[0]
+    """The idempotents of e*A*e: idempotents g with e*g = g*e = g,
+    ascending (parent indexing)."""
+    idem = np.asarray(idempotents(ring).sorted_members)
+    return idem[(ring.mul[e, idem] == idem) & (ring.mul[idem, e] == idem)]
 
 
 def decompose_regular(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> IdempotentFamily:

@@ -118,9 +118,9 @@ def _as_int_table(rows, what: str) -> list:
             width = len(row)
         elif len(row) != width:
             raise ParseError(f"{what} table is not rectangular")
-        for v in row:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ParseError(f"{what} table entries must be integers")
+        # one type-set test per row; bools (type bool) are refused too
+        if not set(map(type, row)) <= {int}:
+            raise ParseError(f"{what} table entries must be integers")
     return rows
 
 

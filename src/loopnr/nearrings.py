@@ -43,6 +43,8 @@ class LoopNearRing:
     mul: np.ndarray
     one: int
     zero_symmetric: bool
+    # Light's test of ``*``, run by validation; the ring rows reuse it
+    light: tables.Light
 
     @property
     def n(self) -> int:
@@ -95,9 +97,11 @@ def validate_lnr(add_table, mul_table, one: int) -> LoopNearRing:
     if mul.shape[0] != n:
         raise ValidationError(f"mul table is {mul.shape[0]}x{mul.shape[0]}, additive has n={n}")
     one = int(one)
-    tables.require(additive.add, mul, one, start="lnr", kind="lnr")
+    light = tables.Light(mul)
+    tables.require(additive.add, mul, one, start="lnr", kind="lnr", light=light)
     zero_symmetric = bool((mul[:, additive.zero] == additive.zero).all())
-    return LoopNearRing(additive=additive, mul=mul, one=one, zero_symmetric=zero_symmetric)
+    return LoopNearRing(additive=additive, mul=mul, one=one, zero_symmetric=zero_symmetric,
+                        light=light)
 
 
 def induced(nr: LoopNearRing, reps, label, one: int) -> LoopNearRing:

@@ -89,12 +89,12 @@ def validate_ring(nr: LoopNearRing) -> FiniteRing:
     associativity of +, left distributivity); the near-ring rows were
     already certified by the near-ring validator.
     """
-    tables.require(nr.add, nr.mul, nr.one, start="ring", kind="ring")
+    tables.require(nr.add, nr.mul, nr.one, start="ring", kind="ring", light=nr.light)
     if not nr.zero_symmetric:
         # left distributivity forces n*0 = 0, so this cannot happen
         raise TheoremViolation("ring axioms hold but n*0 != 0 somewhere")
     return FiniteRing(
-        additive=nr.additive, mul=nr.mul, one=nr.one, zero_symmetric=True
+        additive=nr.additive, mul=nr.mul, one=nr.one, zero_symmetric=True, light=nr.light
     )
 
 

@@ -7,14 +7,15 @@ set S of the multiplicative or additive magma, from
 ``lattice.ClosureSystem.generating_set``, in O(|S| n^2): the elements
 where such a law holds are closed under the operation (Light's test
 for associativity; for distributivity once ``*`` is associative).  Only
-a law that fails is scanned again, in blocks of rows, so the O(n^3)
-search stays vectorized without materializing an (n, n, n) cube and
-finds the lexicographically least violating tuple; witnesses and
-error messages therefore do not depend on S.
+a law that fails is scanned again, in blocks of 1, 2, 4, ... rows, so
+the O(n^3) search stays vectorized without materializing an (n, n, n)
+cube and finds the lexicographically least violating tuple; witnesses
+and error messages therefore do not depend on S.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -96,13 +97,17 @@ def _first_bad(n: int, block):
 
     ``block(rows)`` returns the (lhs, rhs) pair of (B, n, n) gathers for
     the rows a in the slice ``rows``; neither outlives the comparison.
+    Blocks grow 1, 2, 4, ... rows up to the block budget, so a witness
+    at row a costs O((a + 1) n^2).
     """
-    step = _blocks(n * n)
-    for a0 in range(0, n, step):
+    cap = _blocks(n * n)
+    a0, step = 0, 1
+    while a0 < n:
         bad = np.not_equal(*block(slice(a0, a0 + step)))
         if bad.any():
             i, b, c = np.argwhere(bad)[0]
             return (a0 + int(i), int(b), int(c))
+        a0, step = a0 + step, min(2 * step, cap)
     return None
 
 
@@ -112,21 +117,31 @@ def _agree(n: int, pair) -> bool:
     return all(np.array_equal(*pair(slice(r, r + step))) for r in range(0, n, step))
 
 
-def _light(op: np.ndarray):
-    """A generating set of the magma ``op`` if ``op`` is associative, else None.
+class Light:
+    """Light's associativity test of one table, run once, on first use.
 
-    Light's test: the s with x(sy) = (xs)y for all x, y are closed under
-    ``op``, so associativity at each member of a generating set is
-    associativity everywhere.
+    The s with x(sy) = (xs)y for all x, y are closed under the
+    operation, so associativity at each member of a generating set is
+    associativity everywhere.  One validation hands one ``Light`` of
+    ``*`` to its associativity row and both distributivity rows, and a
+    near-ring keeps it for its ring rows.
     """
-    gens = ClosureSystem(len(op), (op,)).generating_set()
-    # [x, y] = op[x, op[s, y]] and op[op[x, s], y]
-    ok = all(_agree(len(op), lambda rows, s=s: (op[rows][:, op[s]], op[op[rows, s]]))
-             for s in gens)
-    return gens if ok else None
+
+    def __init__(self, op: np.ndarray):
+        self.op = op
+
+    @cached_property
+    def generators(self):
+        """A generating set of the magma if it is associative, else None."""
+        op = self.op
+        gens = tuple(ClosureSystem(len(op), (op,)).generating_set())
+        # [x, y] = op[x, op[s, y]] and op[op[x, s], y]
+        ok = all(_agree(len(op), lambda rows, s=s: (op[rows][:, op[s]], op[op[rows, s]]))
+                 for s in gens)
+        return gens if ok else None
 
 
-def _distributes(add: np.ndarray, mul: np.ndarray, maps: np.ndarray) -> bool:
+def _distributes(add: np.ndarray, maps: np.ndarray, light: Light) -> bool:
     """Whether ``*`` is associative and each row ``maps[s]``, s in a
     generating set of ``*``, is an endomorphism of ``+``.
 
@@ -134,33 +149,36 @@ def _distributes(add: np.ndarray, mul: np.ndarray, maps: np.ndarray) -> bool:
     associative the s where either map is additive are closed under
     ``*``, so the distributive law holds everywhere once it holds there.
     """
-    gens = _light(mul)
+    gens = light.generators
     # [a, b] = v[a + b] and v[a] + v[b]
     return gens is not None and all(
         _agree(len(add), lambda rows, v=maps[s]: (v[add[rows]], add[v[rows, None], v]))
         for s in gens)
 
 
-def assoc_witness(op: np.ndarray):
-    """First (a, b, c) with (a op b) op c != a op (b op c), else None."""
-    if _light(op) is not None:
+def assoc_witness(op: np.ndarray, light: Light | None = None):
+    """First (a, b, c) with (a op b) op c != a op (b op c), else None.
+
+    ``light`` is a ``Light(op)`` shared with other rows, if any.
+    """
+    if (light or Light(op)).generators is not None:
         return None
     # [i,b,c] = op[op[a,b], c] and op[a, op[b,c]]
     return _first_bad(len(op), lambda rows: (op[op[rows]], op[rows][:, op]))
 
 
-def right_dist_witness(add: np.ndarray, mul: np.ndarray):
+def right_dist_witness(add: np.ndarray, mul: np.ndarray, light: Light | None = None):
     """First (a, b, c) with (a+b)*c != a*c + b*c, else None."""
-    if _distributes(add, mul, mul.T):
+    if _distributes(add, mul.T, light or Light(mul)):
         return None
     # [i,b,c] = mul[a+b, c] and (a*c) + (b*c)
     return _first_bad(len(add), lambda rows: (mul[add[rows]],
                                               add[mul[rows][:, None, :], mul[None, :, :]]))
 
 
-def left_dist_witness(add: np.ndarray, mul: np.ndarray):
+def left_dist_witness(add: np.ndarray, mul: np.ndarray, light: Light | None = None):
     """First (a, b, c) with a*(b+c) != a*b + a*c, else None."""
-    if _distributes(add, mul, mul):
+    if _distributes(add, mul, light or Light(mul)):
         return None
     # [i,b,c] = mul[a, b+c] and a*b + a*c
     return _first_bad(len(add), lambda rows: (mul[rows][:, add],
@@ -200,7 +218,8 @@ def _single(w):
 
 
 class Axiom(NamedTuple):
-    # ``witness(add, mul, one)`` is None when the law holds, else a tuple;
+    # ``witness(add, mul, one, light)`` is None when the law holds, else a
+    # tuple; ``light`` is the ``Light`` of ``mul`` that the scan shares;
     # ``message`` is formatted with its entries and ``one``, and its
     # ``shown`` entries are the least witness.  A ``stop`` row is one that
     # later rows index through, so its failure ends the scan.
@@ -217,51 +236,59 @@ KINDS = ("loop", "lnr", "ring")
 # Every axiom of a loop, loop near-ring and ring, in scan order.  A row
 # applies to its kind and to every later kind in KINDS.
 AXIOMS = (
-    Axiom(errors.EntriesOutOfRange, "loop", lambda add, mul, one: _outside(add),
+    Axiom(errors.EntriesOutOfRange, "loop", lambda add, mul, one, light: _outside(add),
           "add entries outside 0..n-1", stop=True),
-    Axiom(errors.NotLatinSquare, "loop", lambda add, mul, one: latin_witness(add),
+    Axiom(errors.NotLatinSquare, "loop", lambda add, mul, one, light: latin_witness(add),
           "duplicate {2} in add {0} {1}", shown=slice(1, None)),
-    Axiom(errors.NoTwoSidedZero, "loop", lambda add, mul, one: _single(identity_witness(add, 0)),
+    Axiom(errors.NoTwoSidedZero, "loop",
+          lambda add, mul, one, light: _single(identity_witness(add, 0)),
           "0 is not a two-sided zero"),
-    Axiom(errors.EntriesOutOfRange, "lnr", lambda add, mul, one: _outside(mul),
+    Axiom(errors.EntriesOutOfRange, "lnr", lambda add, mul, one, light: _outside(mul),
           "mul entries outside 0..n-1", stop=True),
-    Axiom(errors.NotIdentity, "lnr", lambda add, mul, one: None if 0 <= one < len(mul) else (one,),
+    Axiom(errors.NotIdentity, "lnr",
+          lambda add, mul, one, light: None if 0 <= one < len(mul) else (one,),
           "identity index {one} outside the carrier", stop=True),
-    Axiom(errors.NotIdentity, "lnr", lambda add, mul, one: _single(identity_witness(mul, one)),
+    Axiom(errors.NotIdentity, "lnr",
+          lambda add, mul, one, light: _single(identity_witness(mul, one)),
           "{one} is not a two-sided multiplicative identity"),
-    Axiom(errors.MulNotAssociative, "lnr", lambda add, mul, one: assoc_witness(mul),
+    Axiom(errors.MulNotAssociative, "lnr", lambda add, mul, one, light: assoc_witness(mul, light),
           "multiplication is not associative"),
     Axiom(errors.RightDistributivityFails, "lnr",
-          lambda add, mul, one: right_dist_witness(add, mul), "(a+b)*c != a*c + b*c"),
-    Axiom(errors.ZeroNotLeftAbsorbing, "lnr", lambda add, mul, one: _first(mul[0] != 0),
+          lambda add, mul, one, light: right_dist_witness(add, mul, light), "(a+b)*c != a*c + b*c"),
+    Axiom(errors.ZeroNotLeftAbsorbing, "lnr", lambda add, mul, one, light: _first(mul[0] != 0),
           "0*n != 0"),
-    Axiom(errors.AdditionNotAbelianGroup, "ring", lambda add, mul, one: comm_witness(add),
+    Axiom(errors.AdditionNotAbelianGroup, "ring", lambda add, mul, one, light: comm_witness(add),
           "addition is not commutative"),
-    Axiom(errors.AdditionNotAbelianGroup, "ring", lambda add, mul, one: assoc_witness(add),
+    Axiom(errors.AdditionNotAbelianGroup, "ring", lambda add, mul, one, light: assoc_witness(add),
           "addition is not associative"),
     Axiom(errors.LeftDistributivityFails, "ring",
-          lambda add, mul, one: left_dist_witness(add, mul), "c*(a+b) != c*a + c*b"),
+          lambda add, mul, one, light: left_dist_witness(add, mul, light), "c*(a+b) != c*a + c*b"),
 )
 
 
-def violations(add, mul=None, one=None, start: str = "loop", kind: str = "ring"):
+def violations(add, mul=None, one=None, start: str = "loop", kind: str = "ring",
+               light: Light | None = None):
     """Yield (error class, message, witness) for each failing row of AXIOMS.
 
     Scans the rows of kinds ``start`` through ``kind``, in order, on
-    tables from ``as_table``; a witness is None or a tuple.
+    tables from ``as_table``; a witness is None or a tuple.  ``light``
+    is the caller's ``Light(mul)``, if it holds one; else the scan makes
+    its own, so Light's test of ``*`` runs at most once per scan.
     """
     kinds = KINDS[KINDS.index(start):KINDS.index(kind) + 1]
+    light = Light(mul) if light is None else light
     for row in AXIOMS:
-        found = row.witness(add, mul, one) if row.kind in kinds else None
+        found = row.witness(add, mul, one, light) if row.kind in kinds else None
         if found is not None:
             yield row.error, row.message.format(*found, one=one), tuple(found[row.shown]) or None
             if row.stop:
                 return
 
 
-def require(add, mul=None, one=None, start: str = "loop", kind: str = "ring") -> None:
+def require(add, mul=None, one=None, start: str = "loop", kind: str = "ring",
+            light: Light | None = None) -> None:
     """Raise the first failing row of ``violations`` as its error class."""
-    for error, message, witness in violations(add, mul, one, start, kind):
+    for error, message, witness in violations(add, mul, one, start, kind, light):
         raise error(message, witness=witness)
 
 

@@ -229,3 +229,75 @@ class TestGeneratorRoute:
         scan = tables._first_bad
         monkeypatch.setattr(tables, "_first_bad", lambda *a: calls.append(1) or scan(*a))
         assert tables.assoc_witness(mul) is not None and calls == [1]
+
+
+class TestLightOnce:
+    @pytest.fixture
+    def mul_scans(self, monkeypatch):
+        """The first table of every generating set grown, as a list."""
+        seen = []
+        grow = ClosureSystem.generating_set
+        monkeypatch.setattr(ClosureSystem, "generating_set",
+                            lambda self: seen.append(self.binary[0].tolist()) or grow(self))
+        return seen
+
+    @pytest.mark.parametrize("spec", ["cyclic:12", "gf:8", "matrix:cyclic:2,2", "ut2:cyclic:3"])
+    def test_one_generating_set_of_mul_per_ring_validation(self, spec, mul_scans):
+        n, add, mul, one = base(spec)
+        mul_scans.clear()  # base builds the structure on its first call
+        validate_ring_tables(add, mul, one)
+        assert mul_scans.count(mul) == 1 and mul_scans.count(add) == 1
+
+    def test_one_per_near_ring_validation(self, mul_scans):
+        n, add, mul, one = base("m0:cyclic:3")
+        mul_scans.clear()
+        validate_lnr(add, mul, one)
+        assert mul_scans.count(mul) == 1
+
+    def test_one_per_check_with_every_failing_row(self, mul_scans):
+        # * is not associative: all three rows that need Light's verdict on
+        # * fail and are listed, from one generating set
+        n, add, mul, one = base("gf:8")
+        mul_scans.clear()
+        mul = [row[:] for row in mul]
+        mul[3][5] = mul[5][3] = 0
+        got = [v["axiom"] for v in check_report("ring", n, add, mul, one, "x")["violations"]]
+        assert got == [a for a, _ in brute("ring", n, add, mul, one)]
+        assert {"mul-associative", "right-distributivity", "left-distributivity"} <= set(got)
+        assert mul_scans.count(mul) == 1
+
+
+def least_assoc_witness(op):
+    n = len(op)
+    return next(((a, b, c) for a, b, c in product(range(n), repeat=3)
+                 if op[op[a][b]][c] != op[a][op[b][c]]), None)
+
+
+class TestFirstBad:
+    @pytest.mark.parametrize("cap", [None, 4])
+    def test_witness_in_the_last_row_crosses_every_block(self, cap, monkeypatch):
+        # op is 0 except op[n-1, 0] = 1, so (a b) c = a (b c) for every
+        # a < n-1, and (n-1, 0, 0) is the least witness
+        n = 20
+        op = np.zeros((n, n), dtype=np.int16)
+        op[n - 1, 0] = 1
+        if cap is not None:
+            monkeypatch.setattr(tables, "_BLOCK_ELEMS", cap * n * n)
+        rows = []
+        scan = tables._first_bad
+        monkeypatch.setattr(tables, "_first_bad", lambda n, block: scan(
+            n, lambda r: rows.append((r.start, min(r.stop, n))) or block(r)))
+        assert tables.assoc_witness(op) == least_assoc_witness(op.tolist()) == (n - 1, 0, 0)
+        # blocks of 1, 2, 4, ... rows, capped, covering every row in order
+        sizes = [b - a for a, b in rows]
+        assert rows[0][0] == 0 and rows[-1][1] == n
+        assert all(b == c for (_, b), (c, _) in zip(rows, rows[1:]))
+        want = [1, 2, 4, 8, 5] if cap is None else [1, 2, 4, 4, 4, 4, 1]
+        assert sizes == want
+
+    @given(st.integers(1, 12), st.integers(0, 10 ** 6))
+    def test_matches_the_triple_loop(self, n, seed):
+        rng = np.random.default_rng(seed)
+        op = rng.integers(0, max(1, n // 3), (n, n)).astype(np.int16)
+        assert tables._first_bad(n, lambda r: (op[op[r]], op[r][:, op])) == least_assoc_witness(
+            op.tolist())

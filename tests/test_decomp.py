@@ -5,17 +5,21 @@ import pytest
 from loopnr import (
     DEFAULT_BOUNDS,
     BoundExceeded,
+    ElementSubset,
     LimitReached,
     NotIdempotent,
     PreconditionFailed,
+    TheoremViolation,
     ZeroIdempotent,
     corner_ring,
     corner_signature,
     decompose_regular,
+    decompose_report,
     enumerate_complete_primitive_families,
     is_local_ring,
     is_primitive,
     is_strongly_indecomposable_corner,
+    parse_spec,
     validate_idempotent_family,
     verify_ks_uniqueness,
     verify_retract_matching,
@@ -105,6 +109,54 @@ class TestPrimitivity:
     def test_rejects_zero(self):
         with pytest.raises(ZeroIdempotent):
             is_primitive(corpus.z(6), 0)
+
+    @pytest.mark.parametrize("e", [2, 6, -1])
+    def test_rejects_non_idempotent_and_outside(self, e):
+        with pytest.raises(NotIdempotent):
+            is_primitive(corpus.z(6), e)
+
+    def test_matches_brute_corner_idempotents_on_corpus(self):
+        # brute oracle: e is primitive when e*A*e, built from the parent's
+        # table by plain loops, has exactly the idempotents 0 and e
+        from loopnr import idempotents
+
+        for name, ring in corpus.small_ring_corpus():
+            mul = ring.mul.tolist()
+            for e in idempotents(ring):
+                if e == ring.zero:
+                    continue
+                corner = {mul[mul[e][a]][e] for a in range(ring.n)}
+                brute = sum(mul[x][x] == x for x in corner) == 2
+                assert is_primitive(ring, e) == brute, (name, e)
+
+    def test_non_primitive_builds_no_corner(self):
+        ring = parse_spec("cyclic:6")
+        assert not is_primitive(ring, 1)
+        assert ring._corners == {}
+        assert is_primitive(ring, 3) and set(ring._corners) == {3}
+
+    def test_corner_route_disagreeing_is_a_theorem_violation(self, monkeypatch):
+        from loopnr import decomp
+
+        ring = parse_spec("cyclic:4")
+        real = decomp.idempotents
+        # the corner at 1 claims a third idempotent; the parent has none
+        monkeypatch.setattr(decomp, "idempotents", lambda nr: real(nr) if nr is ring
+                            else ElementSubset.of(nr.n, (0, 1, 2)))
+        with pytest.raises(TheoremViolation, match="parent.*corner") as exc:
+            is_primitive(ring, 1)
+        assert "primitivity of 1" in str(exc.value)
+
+    @pytest.mark.parametrize("spec, primitives", [
+        ("product:" + "+".join(["cyclic:2"] * 7), 7),
+        ("product:matrix:cyclic:2,2+matrix:cyclic:2,2", 12),
+    ])
+    def test_decompose_builds_corners_of_primitives_only(self, spec, primitives):
+        ring = parse_spec(spec)
+        decompose_report(ring, spec, verify_uniqueness=True,
+                         bounds=replace(DEFAULT_BOUNDS, max_family_n=256))
+        assert len(ring._corners) == primitives
+        assert all(is_primitive(ring, e) for e in ring._corners)
 
     def test_matches_strong_indecomposability_on_corpus(self):
         # for finite rings the two notions coincide; both routes are

@@ -118,6 +118,24 @@ class TestStructureFiles:
         with pytest.raises(ParseError):
             parse_structure(json.dumps(payload))
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0, 1, 2], [1, 2, 0], [2, 0, True]], "entries must be integers"),
+            ([[0, 1, 2], [1, 2, 0], [2, 0.0, 1]], "entries must be integers"),
+            ([[0, 1, 2], [1, 2, 0], ["2", 0, 1]], "entries must be integers"),
+            # rows are checked in order: list, then width, then entries
+            ([[0, 1, 2], [1, 2, "0"], [2, 0]], "entries must be integers"),
+            ([[0, 1, 2], [1, 2], [2, 0, "1"]], "is not rectangular"),
+            ([[0, 1, 2], [1, 2, False], 7], "entries must be integers"),
+            ([[0, 1, 2], 7, [2, 0, None]], "rows must be lists"),
+        ],
+    )
+    def test_json_entry_errors_in_a_late_row(self, rows, message):
+        payload = {"kind": "loop", "n": 3, "add": rows}
+        with pytest.raises(ParseError, match=f"add table {message}"):
+            parse_structure(json.dumps(payload))
+
     def test_realize_validates(self):
         from loopnr import NotLatinSquare
 
@@ -229,7 +247,8 @@ class TestCliCheck:
 
         calls = []
         kernel = tables.assoc_witness
-        monkeypatch.setattr(tables, "assoc_witness", lambda t: calls.append(1) or kernel(t))
+        monkeypatch.setattr(tables, "assoc_witness",
+                            lambda t, *light: calls.append(1) or kernel(t, *light))
         code, payload = run_json(capsys, "check", "cyclic:4")
         assert code == 0 and payload["valid"] is True
         # parse_spec scans * and + once each; the report scans nothing
@@ -241,7 +260,7 @@ class TestCliCheck:
         seen = []
         kernel = tables.assoc_witness
         monkeypatch.setattr(
-            tables, "assoc_witness", lambda t: seen.append(t.dtype) or kernel(t))
+            tables, "assoc_witness", lambda t, *light: seen.append(t.dtype) or kernel(t, *light))
         p = tmp_path / "z4.json"
         p.write_text(dump_structure(corpus.z(4)))
         code, payload = run_json(capsys, "check", str(p))
