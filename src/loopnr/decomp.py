@@ -27,8 +27,8 @@ from .errors import (
     ZeroIdempotent,
 )
 from .nearrings import idempotents, induced, units
-from .rings import FiniteRing, idempotents_isomorphic, is_local_ring, validate_ring
-from .tables import all_integers, positions
+from .rings import FiniteRing, idempotents_isomorphic, is_local_ring
+from .tables import all_integers, distinct, positions
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,8 +105,8 @@ def corner_ring(ring: FiniteRing, e: int) -> CornerRing:
     _require_idempotent(ring, e)
     corner = ring._corners.get(int(e))
     if corner is None:
-        carrier = np.unique(ring.mul[e, ring.mul[:, e]])
-        sub = validate_ring(induced(ring, carrier, positions(carrier, ring.n), e))
+        carrier = distinct(ring.mul[e, ring.mul[:, e]], ring.n)
+        sub = induced(ring, carrier, positions(carrier, ring.n), e)
         corner = CornerRing(
             parent=ring, e=e, carrier=tuple(int(v) for v in carrier), ring=sub
         )

@@ -28,9 +28,9 @@ Indexing conventions (documented here so golden files are portable):
   * random_loop:n,s   seeded random Latin square completion, rows and
                       columns through 0 fixed to the identity.
 
-Every table other than cyclic:n comes from one builder, ``_table``,
-which writes int16 row i as op(digits[i], every digit vector) encoded
-in the mixed radix above.
+Every table comes from one builder, ``_table``, which writes int16
+row i as op(digits[i], every digit vector) encoded in the mixed radix
+above (for cyclic:n, one digit of radix n).
 """
 
 from __future__ import annotations
@@ -44,18 +44,17 @@ from . import io, tables
 from .config import DEFAULT_BOUNDS, Bounds
 from .errors import BoundExceeded, ParseError
 from .loops import CayleyLoop, is_associative, validate_loop
-from .nearrings import LoopNearRing, validate_lnr
-from .rings import FiniteRing, validate_ring, validate_ring_tables
+from .nearrings import LoopNearRing, _validated, validate_lnr
+from .rings import FiniteRing, validate_ring_tables
 
 
 def cyclic_ring(n: int) -> FiniteRing:
     """Z/n.  The degenerate n = 1 zero ring is allowed."""
     if n < 1:
         raise ValueError("cyclic ring needs n >= 1")
-    idx = np.arange(n, dtype=np.int64)
-    add = (idx[:, None] + idx[None, :]) % n
-    mul = (idx[:, None] * idx[None, :]) % n
-    return validate_ring_tables(add, mul, 1 % n)
+    digits = np.arange(n, dtype=np.int64)[:, None]
+    add = _table(digits, [n], lambda x, ys: (x + ys) % n)
+    return validate_ring_tables(add, _table(digits, [n], lambda x, ys: x * ys % n), 1 % n)
 
 
 def _table(digits, radices, op) -> np.ndarray:
@@ -313,10 +312,8 @@ def product(structures, bounds: Bounds = DEFAULT_BOUNDS):
     if kinds == {"loop"}:
         return validate_loop(add)
     mul = _table(digits, radices, _componentwise([s.mul for s in structures]))
-    nr = validate_lnr(add, mul, _index([s.one for s in structures], radices))
-    if kinds == {"ring"}:
-        return validate_ring(nr)
-    return nr
+    cls = FiniteRing if kinds == {"ring"} else LoopNearRing
+    return _validated(cls, add, mul, _index([s.one for s in structures], radices))
 
 
 def opposite(nr: LoopNearRing):
@@ -326,11 +323,7 @@ def opposite(nr: LoopNearRing):
     near-ring in the convention used here; when it does not, the
     validator raises RightDistributivityFails with a witness.
     """
-    mul_op = np.ascontiguousarray(nr.mul.T)
-    out = validate_lnr(nr.additive, mul_op, nr.one)
-    if isinstance(nr, FiniteRing):
-        return validate_ring(out)
-    return out
+    return _validated(type(nr), nr.additive, np.ascontiguousarray(nr.mul.T), nr.one)
 
 
 def parse_spec(spec: str, bounds: Bounds = DEFAULT_BOUNDS):

@@ -35,7 +35,7 @@ from .nearrings import (
     is_local_lnr,
     units,
 )
-from .rings import FiniteRing, is_local_ring, validate_ring
+from .rings import FiniteRing, is_local_ring
 from .tables import positions
 
 
@@ -132,7 +132,7 @@ def image_subring(hom: LnrHom) -> ImageRing:
         raise TargetNotARing("image_subring needs a ring codomain")
     carrier = hom.image.sorted_members
     label = positions(carrier, hom.target.n)
-    ring = validate_ring(induced(hom.target, carrier, label, hom._arr[hom.source.one]))
+    ring = induced(hom.target, carrier, label, hom._arr[hom.source.one])
     surj = validate_lnr_hom(label[hom._arr], hom.source, ring)
     return ImageRing(ring=ring, carrier=carrier, surjection=surj)
 

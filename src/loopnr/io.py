@@ -30,22 +30,20 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .config import DEFAULT_BOUNDS, Bounds
 from .errors import ParseError
 from .loops import CayleyLoop, validate_loop
 from .nearrings import LoopNearRing, validate_lnr
-from .rings import FiniteRing, validate_ring_tables
+from .rings import validate_ring_tables
 from .tables import KINDS
 
 
 def kind_of(structure) -> str:
-    if isinstance(structure, FiniteRing):
-        return "ring"
-    if isinstance(structure, LoopNearRing):
-        return "lnr"
-    if isinstance(structure, CayleyLoop):
-        return "loop"
-    raise TypeError(f"not a structure: {structure!r}")
+    if not isinstance(structure, (CayleyLoop, LoopNearRing)):
+        raise TypeError(f"not a structure: {structure!r}")
+    return structure.kind
 
 
 @dataclass(frozen=True)
@@ -101,10 +99,29 @@ def dump_structure_text(structure) -> str:
 
 
 def structure_sha256(structure) -> str:
-    """Identity hash over the algebraic content only (meta excluded)."""
-    d = structure_to_dict(structure)
-    d.pop("meta")
-    return hashlib.sha256(canonical_json(d).encode()).hexdigest()
+    """Identity hash over the algebraic content only (meta excluded).
+
+    The bytes hashed are ``canonical_json`` of ``structure_to_dict``
+    without its meta; each table goes to ``hashlib`` one row at a time,
+    so the hash needs O(n) memory beyond the tables.
+    """
+    kind = kind_of(structure)
+    fields = {"add": structure.add, "kind": kind, "n": structure.n}
+    if kind != "loop":
+        fields.update(mul=structure.mul, one=structure.one)
+    decimal = np.array([str(v) for v in range(structure.n)], dtype=object)
+    h = hashlib.sha256()
+    for i, key in enumerate(sorted(fields)):
+        value = fields[key]
+        h.update(f'{"," if i else "{"}"{key}":'.encode())
+        if isinstance(value, np.ndarray):
+            for r, row in enumerate(value):
+                h.update(f'{",[" if r else "[["}{",".join(decimal[row].tolist())}]'.encode())
+            h.update(b"]")
+        else:
+            h.update(json.dumps(value).encode())
+    h.update(b"}\n")
+    return h.hexdigest()
 
 
 def _as_int_table(rows, what: str) -> list:

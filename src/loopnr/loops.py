@@ -97,6 +97,8 @@ class CayleyLoop:
     is the unique y with y + a = b.
     """
 
+    kind = "loop"  # the ``tables.AXIOMS`` kind ``validate_loop`` scans
+
     n: int
     add: np.ndarray
     ldiff: np.ndarray

@@ -39,12 +39,12 @@ from .loops import CayleyLoop, ElementSubset, _sorted_subsets, is_subloop, valid
 class LoopNearRing:
     """Validated loop near-ring over the carrier 0 .. n-1."""
 
+    kind = "lnr"  # the last ``tables.AXIOMS`` kind the validator scans
+
     additive: CayleyLoop
     mul: np.ndarray
     one: int
     zero_symmetric: bool
-    # Light's test of ``*``, run by validation; the ring rows reuse it
-    light: tables.Light
 
     @property
     def n(self) -> int:
@@ -82,39 +82,45 @@ class LoopNearRing:
         return f"{type(self).__name__}(n={self.n})"
 
 
+def _validated(cls, add_table, mul_table, one: int):
+    """Certify tables as a ``cls``: the loop rows unless ``add_table`` is
+    already a CayleyLoop, then one ``tables.AXIOMS`` scan of the rows of
+    kinds "lnr" through ``cls.kind``."""
+    additive = add_table if isinstance(add_table, CayleyLoop) else validate_loop(add_table)
+    n = additive.n
+    mul = tables.as_table(mul_table)
+    if mul.shape[0] != n:
+        raise ValidationError(f"mul table is {mul.shape[0]}x{mul.shape[0]}, additive has n={n}")
+    one = int(one)
+    tables.require(additive.add, mul, one, start="lnr", kind=cls.kind)
+    zero_symmetric = bool((mul[:, additive.zero] == additive.zero).all())
+    if cls.kind == "ring" and not zero_symmetric:
+        # left distributivity forces n*0 = 0, so this cannot happen
+        raise TheoremViolation("ring axioms hold but n*0 != 0 somewhere")
+    return cls(additive=additive, mul=mul, one=one, zero_symmetric=zero_symmetric)
+
+
 def validate_lnr(add_table, mul_table, one: int) -> LoopNearRing:
     """Check every loop near-ring row of ``tables.AXIOMS`` on raw tables.
 
     ``add_table`` may be a raw table or an already validated CayleyLoop,
     whose loop rows are then not rescanned.
     """
-    if isinstance(add_table, CayleyLoop):
-        additive = add_table
-    else:
-        additive = validate_loop(add_table)
-    n = additive.n
-    mul = tables.as_table(mul_table)
-    if mul.shape[0] != n:
-        raise ValidationError(f"mul table is {mul.shape[0]}x{mul.shape[0]}, additive has n={n}")
-    one = int(one)
-    light = tables.Light(mul)
-    tables.require(additive.add, mul, one, start="lnr", kind="lnr", light=light)
-    zero_symmetric = bool((mul[:, additive.zero] == additive.zero).all())
-    return LoopNearRing(additive=additive, mul=mul, one=one, zero_symmetric=zero_symmetric,
-                        light=light)
+    return _validated(LoopNearRing, add_table, mul_table, one)
 
 
 def induced(nr: LoopNearRing, reps, label, one: int) -> LoopNearRing:
-    """The near-ring that ``nr`` induces on the elements ``reps``.
+    """The structure of ``nr``'s own type induced on the elements ``reps``.
 
     Gathers add and mul on reps x reps and sends every entry, and the
     parent element ``one``, through the lookup array ``label`` (parent
     element -> new index).  Corner rings, images and sub-near-rings use
     the positions of an ascending carrier; quotients use the coset
-    projection.  The validator certifies the result in full.
+    projection.  One validator scan certifies the result in full, up to
+    ``nr.kind``, so a ring's corner, quotient or image is a FiniteRing.
     """
     grid = np.ix_(reps, reps)
-    return validate_lnr(label[nr.add[grid]], label[nr.mul[grid]], label[one])
+    return _validated(type(nr), label[nr.add[grid]], label[nr.mul[grid]], label[one])
 
 
 @dataclass(frozen=True, eq=False)

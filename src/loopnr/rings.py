@@ -34,18 +34,20 @@ from .errors import (
 from .loops import ElementSubset
 from .nearrings import (
     LoopNearRing,
+    _validated,
     enumerate_N_subloops,
     idempotents,
     induced,
     is_local_lnr,
     units,
-    validate_lnr,
 )
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class FiniteRing(LoopNearRing):
     """A loop near-ring whose axioms upgrade it to an associative ring."""
+
+    kind = "ring"
 
     @cached_property
     def neg(self) -> np.ndarray:
@@ -83,23 +85,13 @@ class FiniteRing(LoopNearRing):
 
 
 def validate_ring(nr: LoopNearRing) -> FiniteRing:
-    """Upgrade a validated loop near-ring to a ring, or refuse.
-
-    Scans the ring rows of ``tables.AXIOMS`` (commutativity and
-    associativity of +, left distributivity); the near-ring rows were
-    already certified by the near-ring validator.
-    """
-    tables.require(nr.add, nr.mul, nr.one, start="ring", kind="ring", light=nr.light)
-    if not nr.zero_symmetric:
-        # left distributivity forces n*0 = 0, so this cannot happen
-        raise TheoremViolation("ring axioms hold but n*0 != 0 somewhere")
-    return FiniteRing(
-        additive=nr.additive, mul=nr.mul, one=nr.one, zero_symmetric=True, light=nr.light
-    )
+    """Re-validate a loop near-ring as a ring, or refuse."""
+    return validate_ring_tables(nr.additive, nr.mul, nr.one)
 
 
 def validate_ring_tables(add_table, mul_table, one: int) -> FiniteRing:
-    return validate_ring(validate_lnr(add_table, mul_table, one))
+    """Check every near-ring and ring row of ``tables.AXIOMS`` in one scan."""
+    return _validated(FiniteRing, add_table, mul_table, one)
 
 
 @dataclass(frozen=True)
@@ -198,9 +190,9 @@ def quotient_ring(ring: FiniteRing, ideal) -> Quotient:
     ii = np.fromiter(ideal.members.sorted_members, dtype=np.int64)
     # leader[x] = min(x + I); the coset index of x is the rank of its leader
     leader_of = ring.add[:, ii].min(axis=1)
-    leaders = np.unique(leader_of)
+    leaders = tables.distinct(leader_of, ring.n)
     proj = np.searchsorted(leaders, leader_of)
-    q = validate_ring(induced(ring, leaders, proj, ring.one))
+    q = induced(ring, leaders, proj, ring.one)
     return Quotient(
         ring=q,
         leaders=tuple(int(x) for x in leaders),
@@ -299,8 +291,8 @@ def idempotents_isomorphic(ring: FiniteRing, e: int, f: int) -> bool:
     for g in (e, f):
         if int(mul[g, g]) != g:
             raise NotIdempotent(f"{g} is not idempotent")
-    eaf = np.unique(mul[e, mul[:, f]])
-    fae = np.unique(mul[f, mul[:, e]])
+    eaf = tables.distinct(mul[e, mul[:, f]], ring.n)
+    fae = tables.distinct(mul[f, mul[:, e]], ring.n)
     for a in eaf:
         ab = mul[a, fae]
         hits = np.flatnonzero(ab == e)

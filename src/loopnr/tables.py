@@ -72,6 +72,11 @@ def positions(carrier, n: int) -> np.ndarray:
     return lookup
 
 
+def distinct(values, n: int) -> np.ndarray:
+    """The distinct entries of ``values``, all in 0..n-1, ascending."""
+    return np.flatnonzero(np.bincount(np.ravel(values), minlength=n))
+
+
 def latin_witness(table: np.ndarray):
     """First row, then column, that is not a permutation of 0..n-1.
 
@@ -122,9 +127,9 @@ class Light:
 
     The s with x(sy) = (xs)y for all x, y are closed under the
     operation, so associativity at each member of a generating set is
-    associativity everywhere.  One validation hands one ``Light`` of
-    ``*`` to its associativity row and both distributivity rows, and a
-    near-ring keeps it for its ring rows.
+    associativity everywhere.  ``violations`` hands one ``Light`` of
+    ``*`` to its associativity row and both distributivity rows, so one
+    scan up to a structure's kind grows one generating set of ``*``.
     """
 
     def __init__(self, op: np.ndarray):
@@ -219,7 +224,7 @@ def _single(w):
 
 class Axiom(NamedTuple):
     # ``witness(add, mul, one, light)`` is None when the law holds, else a
-    # tuple; ``light`` is the ``Light`` of ``mul`` that the scan shares;
+    # tuple; ``light`` is the scan's one ``Light`` of ``mul``;
     # ``message`` is formatted with its entries and ``one``, and its
     # ``shown`` entries are the least witness.  A ``stop`` row is one that
     # later rows index through, so its failure ends the scan.
@@ -266,17 +271,16 @@ AXIOMS = (
 )
 
 
-def violations(add, mul=None, one=None, start: str = "loop", kind: str = "ring",
-               light: Light | None = None):
+def violations(add, mul=None, one=None, start: str = "loop", kind: str = "ring"):
     """Yield (error class, message, witness) for each failing row of AXIOMS.
 
     Scans the rows of kinds ``start`` through ``kind``, in order, on
-    tables from ``as_table``; a witness is None or a tuple.  ``light``
-    is the caller's ``Light(mul)``, if it holds one; else the scan makes
-    its own, so Light's test of ``*`` runs at most once per scan.
+    tables from ``as_table``; a witness is None or a tuple.  The scan
+    makes one ``Light(mul)`` for every row that needs Light's verdict on
+    ``*``, so that test runs at most once per scan.
     """
     kinds = KINDS[KINDS.index(start):KINDS.index(kind) + 1]
-    light = Light(mul) if light is None else light
+    light = Light(mul)
     for row in AXIOMS:
         found = row.witness(add, mul, one, light) if row.kind in kinds else None
         if found is not None:
@@ -285,10 +289,9 @@ def violations(add, mul=None, one=None, start: str = "loop", kind: str = "ring",
                 return
 
 
-def require(add, mul=None, one=None, start: str = "loop", kind: str = "ring",
-            light: Light | None = None) -> None:
+def require(add, mul=None, one=None, start: str = "loop", kind: str = "ring") -> None:
     """Raise the first failing row of ``violations`` as its error class."""
-    for error, message, witness in violations(add, mul, one, start, kind, light):
+    for error, message, witness in violations(add, mul, one, start, kind):
         raise error(message, witness=witness)
 
 

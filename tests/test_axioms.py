@@ -17,13 +17,20 @@ from hypothesis import strategies as st
 
 from loopnr import (
     EntriesOutOfRange,
+    FiniteRing,
     StructureFile,
     ValidationError,
     check_report,
+    corner_ring,
+    idempotents,
+    image_subring,
+    jacobson_radical,
     parse_spec,
+    quotient_ring,
     realize,
     tables,
     validate_lnr,
+    validate_lnr_hom,
     validate_loop,
     validate_ring_tables,
 )
@@ -247,6 +254,27 @@ class TestLightOnce:
         mul_scans.clear()  # base builds the structure on its first call
         validate_ring_tables(add, mul, one)
         assert mul_scans.count(mul) == 1 and mul_scans.count(add) == 1
+
+    @pytest.mark.parametrize("derive", ["corner_ring", "quotient_ring", "image_subring"])
+    def test_derived_ring_from_one_generating_set(self, derive, mul_scans):
+        # the derived ring is certified up to its parent's kind in one scan
+        ring = parse_spec("ut2:cyclic:3")  # fresh: corners are cached per ring
+        if derive == "corner_ring":
+            e = min(e for e in idempotents(ring) if e not in (ring.zero, ring.one))
+            mul_scans.clear()
+            sub = corner_ring(ring, e).ring
+        elif derive == "quotient_ring":
+            j = jacobson_radical(ring)
+            mul_scans.clear()
+            sub = quotient_ring(ring, j).ring
+        else:
+            # Z/4 onto {0, 5, 10, 15} in Z/4 x Z/4, whose identity is 5
+            target = parse_spec("product:cyclic:4+cyclic:4")
+            hom = validate_lnr_hom([5 * x for x in range(4)], parse_spec("cyclic:4"), target)
+            mul_scans.clear()
+            sub = image_subring(hom).ring
+        assert type(sub) is FiniteRing
+        assert mul_scans.count(sub.mul.tolist()) == 1 and mul_scans.count(sub.add.tolist()) == 1
 
     def test_one_per_near_ring_validation(self, mul_scans):
         n, add, mul, one = base("m0:cyclic:3")

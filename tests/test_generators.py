@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from loopnr import (
     LoopNearRing,
     ParseError,
     all_loops,
+    canonical_json,
     cyclic_ring,
     galois_field,
     is_associative,
@@ -26,6 +28,7 @@ from loopnr import (
     random_loop,
     smallest_nonassociative_loop,
     structure_sha256,
+    structure_to_dict,
     upper_triangular_ring,
     validate_lnr_hom,
 )
@@ -250,8 +253,16 @@ class TestParseSpec:
     def test_every_catalog_entry_rebuilds(self):
         for spec, kind, n in CATALOG:
             s = build(spec)
-            assert kind_of(s) == kind, spec
+            assert kind_of(s) == type(s).kind == kind, spec
             assert s.n == n, spec
+
+    def test_streamed_hash_is_the_hash_of_the_canonical_json(self):
+        for spec, _, _ in CATALOG:
+            s = build(spec)
+            d = structure_to_dict(s)
+            del d["meta"]
+            want = hashlib.sha256(canonical_json(d).encode()).hexdigest()
+            assert structure_sha256(s) == want, spec
 
     def test_catalog_hashes_are_pinned(self):
         assert list(CATALOG_SHA256) == [spec for spec, _, _ in CATALOG]
@@ -441,6 +452,9 @@ def small(i):
 
 
 DEFINITIONS = {
+    "cyclic:1": lambda: zn_ops(1),
+    "cyclic:6": lambda: zn_ops(6),
+    "cyclic:255": lambda: zn_ops(255),
     "gf:4": lambda: gf_ops(4),
     "gf:8": lambda: gf_ops(8),
     "gf:9": lambda: gf_ops(9),

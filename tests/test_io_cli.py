@@ -63,6 +63,12 @@ class TestStructureFiles:
         assert kind_of(back) == "lnr"
         assert np.array_equal(back.mul, nr.mul)
 
+    def test_kind_of_refuses_a_non_structure(self):
+        sf = parse_structure(dump_structure(corpus.z(2)))
+        for obj in (sf, corpus.z(2).add, None):
+            with pytest.raises(TypeError):
+                kind_of(obj)
+
     def test_text_whitespace_tolerance(self):
         text = "loop 2\n\n  0 1\n\n  1\t0\n"
         sf = parse_structure(text)
@@ -213,6 +219,9 @@ class TestCliCheck:
           for spec in ("m:cyclic:4", "m0:cyclic:5", "matrix:cyclic:2,3")),
         # one element for every k: the k x k digit vector is what is capped
         pytest.param(["check", "matrix:cyclic:1,65"], {}, 4096, "max_n", id="matrix:cyclic:1,65"),
+        # the next size up from the largest accepted cyclic and triangular rings
+        *(pytest.param(["analyze", spec], {}, 4096, "max_n", id=spec)
+          for spec in ("cyclic:4097", "ut2:cyclic:17")),
         # 2^14400 and 16^4096 elements: past what Python will format as digits
         *(pytest.param(["check", spec], {}, 4096, "max_n", id=spec)
           for spec in ("matrix:cyclic:2,120", "matrix:cyclic:16,64")),
@@ -416,6 +425,24 @@ class TestCliDecompose:
     def test_near_ring_input_exit_4(self, capsys):
         code, _ = run_cli(capsys, "decompose", "m0:cyclic:3")
         assert code == 4
+
+
+    def test_no_masked_array_module_is_imported(self):
+        # np.unique imports numpy.ma on its first call; the library dedupes
+        # over 0..n-1 with tables.distinct instead
+        src = os.path.dirname(os.path.dirname(os.path.abspath(loopnr.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, LOOPNR_MAX_FAMILY_N="256")
+        script = (
+            "import contextlib, io, sys\n"
+            "from loopnr.cli import main\n"
+            "for argv in (['decompose', 'ut2:cyclic:6', '--verify-uniqueness'],\n"
+            "             ['analyze', 'matrix:cyclic:4,2', '--radical']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              env=env, timeout=120, check=False)
+        assert proc.returncode == 0, proc.stderr.decode()
 
 
 class TestCliHom:

@@ -1,9 +1,12 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from loopnr import (
     BoundExceeded,
+    LoopNearRing,
     MulNotAssociative,
     NotIdempotent,
     NotIdentity,
@@ -37,6 +40,12 @@ def members(subsets):
 
 
 class TestValidateLnr:
+    def test_holds_only_its_tables(self):
+        # no validator state rides along: the class name is the kind
+        names = tuple(f.name for f in dataclasses.fields(LoopNearRing))
+        assert names == ("additive", "mul", "one", "zero_symmetric")
+        assert LoopNearRing.kind == "lnr"
+
     def test_accepts_cyclic(self):
         add, mul = cyclic_tables(6)
         nr = validate_lnr(add, mul, 1)
