@@ -50,7 +50,6 @@ from .reports import (
     hom_report,
     render_text,
 )
-from .rings import FiniteRing
 
 
 def _emit(payload: dict, as_text: bool) -> None:
@@ -116,8 +115,6 @@ def cmd_analyze(args) -> int:
 def cmd_decompose(args) -> int:
     bounds = _bounds_from_args(args)
     structure, _meta = _load_input(args.input, bounds)
-    if not isinstance(structure, FiniteRing):
-        raise PreconditionFailed("decompose needs a ring input")
     payload = decompose_report(
         structure,
         args.input,

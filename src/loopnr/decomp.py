@@ -26,7 +26,7 @@ from .errors import (
     TheoremViolation,
     ZeroIdempotent,
 )
-from .nearrings import idempotents, induced, units
+from .nearrings import _require_idempotent, idempotents, induced, units
 from .rings import FiniteRing, idempotents_isomorphic, is_local_ring
 from .tables import all_integers, distinct, positions
 
@@ -93,45 +93,32 @@ class CornerRing:
     ring: FiniteRing
 
 
-def _require_idempotent(ring: FiniteRing, e: int) -> None:
-    if not 0 <= e < ring.n:
-        raise NotIdempotent(f"{e} outside the carrier")
-    if int(ring.mul[e, e]) != e:
-        raise NotIdempotent(f"{e} is not idempotent")
-
-
 def corner_ring(ring: FiniteRing, e: int) -> CornerRing:
     """The corner ring at an idempotent, built once per (ring, e)."""
-    _require_idempotent(ring, e)
-    corner = ring._corners.get(int(e))
+    e = _require_idempotent(ring, e)
+    corner = ring._corners.get(e)
     if corner is None:
         carrier = distinct(ring.mul[e, ring.mul[:, e]], ring.n)
         sub = induced(ring, carrier, positions(carrier, ring.n), e)
         corner = CornerRing(
             parent=ring, e=e, carrier=tuple(int(v) for v in carrier), ring=sub
         )
-        ring._corners[int(e)] = corner
+        ring._corners[e] = corner
     return corner
 
 
 def is_primitive(ring: FiniteRing, e: int) -> bool:
     """e generates an indecomposable summand: corner idempotents trivial.
 
-    The idempotents of e*A*e are the idempotents g of A with
-    e*g = g*e = g, so a g outside {0, e} is read off the parent's
-    tables and decides "not primitive" without building the corner.
-    Otherwise the corner is built and its own idempotents confirm it.
+    A ``_splitter`` of e, read off the parent's tables, decides "not
+    primitive" without building the corner.  Otherwise the corner is
+    built and its own idempotents confirm the verdict.
     """
     if e == ring.zero:
         raise ZeroIdempotent("primitivity is about nonzero idempotents")
-    _require_idempotent(ring, e)
-    mul = ring.mul
-    for g in _corner_candidates(ring, e):
-        g = int(g)
-        if g not in (ring.zero, e):
-            if not int(mul[g, g]) == int(mul[e, g]) == int(mul[g, e]) == g:
-                raise TheoremViolation(f"parent route: {g} is no idempotent of the corner at {e}")
-            return False
+    e = _require_idempotent(ring, e)
+    if _splitter(ring, e) is not None:
+        return False
     count = len(idempotents(corner_ring(ring, e).ring).members)
     if count != 2:
         raise TheoremViolation(
@@ -166,32 +153,33 @@ def _require_local_corners(ring: FiniteRing, members, bounds: Bounds, what: str)
             raise HypothesisFailed(f"{what} without a local corner", witness=e)
 
 
-def _corner_candidates(ring: FiniteRing, e: int) -> np.ndarray:
-    """The idempotents of e*A*e: idempotents g with e*g = g*e = g,
-    ascending (parent indexing)."""
+def _splitter(ring: FiniteRing, e: int) -> int | None:
+    """The least idempotent g of A with e*g = g*e = g outside {0, e}, or
+    None.  Such g are the idempotents of e*A*e other than its 0 and 1,
+    so e is primitive exactly when it has no splitter."""
     idem = np.asarray(idempotents(ring).sorted_members)
-    return idem[(ring.mul[e, idem] == idem) & (ring.mul[idem, e] == idem)]
+    inside = (ring.mul[e, idem] == idem) & (ring.mul[idem, e] == idem)
+    g = idem[inside & (idem != ring.zero) & (idem != e)]
+    return int(g[0]) if g.size else None
 
 
 def decompose_regular(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> IdempotentFamily:
     """The canonical complete family of primitive idempotents.
 
-    Recursive splitting: among the idempotents of the current corner,
-    pick the least one distinct from 0 and the corner identity, split
-    off its complement within the corner, and recurse on both halves.
-    The least-index choice makes the result canonical.
+    Recursive splitting: the current corner's ``_splitter`` g and its
+    complement e - g within the corner are split in turn, and a corner
+    without a splitter is a primitive member.  The least-index choice
+    makes the result canonical.
     """
     bounds.check("max_n", ring.n, "ring to decompose")
     if ring.one == ring.zero:
         return validate_idempotent_family(ring, ())
 
     def split(e: int) -> list:
-        for g in _corner_candidates(ring, e):
-            g = int(g)
-            if g not in (ring.zero, e):
-                h = int(ring.add[e, ring.neg[g]])
-                return split(g) + split(h)
-        return [e]
+        g = _splitter(ring, e)
+        if g is None:
+            return [e]
+        return split(g) + split(int(ring.sub(e, g)))
 
     return validate_idempotent_family(ring, split(ring.one))
 
@@ -362,21 +350,20 @@ def verify_retract_matching(
     idempotent f carves the indecomposable summand f*A out of the
     regular module, and that summand must already occur in the
     canonical decomposition.  ``matches`` pairs every primitive f with
-    the least canonical member isomorphic to it.
+    the least canonical member in f's isomorphism class; the canonical
+    members are primitive, so one labelling of the primitives covers both.
     """
     bounds.check("max_family_n", ring.n, "ring for family enumeration")
     canonical = decompose_regular(ring, bounds)
     _require_local_corners(ring, canonical.members, bounds, "canonical member")
     prim = _primitives(ring)
-    canon_inv = {e: corner_signature(ring, e)[:3] for e in canonical.members}
+    labels = _iso_class_labels(ring, prim)
+    least = {}
+    for e in canonical.members:
+        least.setdefault(labels[e], e)
     matches = []
     for f in prim:
-        partner = None
-        f_inv = corner_signature(ring, f)[:3]
-        for e in canonical.members:
-            if canon_inv[e] == f_inv and idempotents_isomorphic(ring, f, e):
-                partner = e
-                break
+        partner = least.get(labels[f])
         if partner is None:
             raise TheoremViolation(
                 f"primitive idempotent {f} matches no canonical family member"

@@ -24,8 +24,10 @@ from .rings import FiniteRing, is_semiperfect, is_semisimple, jacobson_radical
 
 VOLATILE_KEYS = ("sha256", "timing")
 
-# associativity and commutativity scans are cubic; skip them on loops
-# larger than this when building reports
+# associativity is decided by Light's test on a generating set and
+# commutativity by one quadratic pass; only a failing associativity's
+# least-witness block scan is cubic.  Reports skip both laws on loops
+# larger than this
 _LAW_SCAN_CAP = 256
 
 
@@ -149,7 +151,7 @@ def decompose_report(
     bounds: Bounds = DEFAULT_BOUNDS,
 ) -> dict:
     if not isinstance(ring, FiniteRing):
-        raise PreconditionFailed("decomposition needs a ring input")
+        raise PreconditionFailed("decompose needs a ring input")
     timing = {}
     t0 = time.perf_counter()
     family = decompose_regular(ring, bounds)

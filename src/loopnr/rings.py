@@ -28,12 +28,12 @@ from .config import DEFAULT_BOUNDS, Bounds
 from .errors import (
     NotAnIdeal,
     NotApproximatelyIdempotent,
-    NotIdempotent,
     TheoremViolation,
 )
 from .loops import ElementSubset
 from .nearrings import (
     LoopNearRing,
+    _require_idempotent,
     _validated,
     enumerate_N_subloops,
     idempotents,
@@ -287,10 +287,7 @@ def idempotents_isomorphic(ring: FiniteRing, e: int, f: int) -> bool:
     b*a = f.  Decided by exhaustive search over both corner sets.
     """
     mul = ring.mul
-    e, f = int(e), int(f)
-    for g in (e, f):
-        if int(mul[g, g]) != g:
-            raise NotIdempotent(f"{g} is not idempotent")
+    e, f = _require_idempotent(ring, e), _require_idempotent(ring, f)
     eaf = tables.distinct(mul[e, mul[:, f]], ring.n)
     fae = tables.distinct(mul[f, mul[:, e]], ring.n)
     for a in eaf:
@@ -305,10 +302,7 @@ def idempotents_isomorphic(ring: FiniteRing, e: int, f: int) -> bool:
 def idempotents_conjugate(ring: FiniteRing, e: int, f: int) -> bool:
     """Whether f = u^-1 * e * u for some unit u."""
     mul = ring.mul
-    e, f = int(e), int(f)
-    for g in (e, f):
-        if int(mul[g, g]) != g:
-            raise NotIdempotent(f"{g} is not idempotent")
+    e, f = _require_idempotent(ring, e), _require_idempotent(ring, f)
     u = units(ring)
     for v in u.members:
         vinv = u.inverse[v]

@@ -16,6 +16,7 @@ from loopnr import (
     decompose_regular,
     decompose_report,
     enumerate_complete_primitive_families,
+    idempotents_isomorphic,
     is_local_ring,
     is_primitive,
     is_strongly_indecomposable_corner,
@@ -298,7 +299,11 @@ class TestRetractMatching:
         assert rep.matches == ((3, 3), (4, 4))
 
     def test_whole_small_corpus(self):
+        # reference for the partner: the least canonical member that the
+        # module isomorphism test pairs with f, found without class labels
         for name, ring in corpus.small_ring_corpus():
             rep = verify_retract_matching(ring)
             for f, partner in rep.matches:
                 assert partner in rep.canonical, name
+                expected = min(e for e in rep.canonical if idempotents_isomorphic(ring, f, e))
+                assert partner == expected, (name, f)

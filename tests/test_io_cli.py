@@ -420,11 +420,12 @@ class TestCliDecompose:
     def test_loop_input_exit_4(self, capsys):
         code, out = run_cli(capsys, "decompose", "nonassoc5")
         assert code == 4
-        assert "ring" in out
+        assert out == "hypothesis not met: decompose needs a ring input\n"
 
     def test_near_ring_input_exit_4(self, capsys):
-        code, _ = run_cli(capsys, "decompose", "m0:cyclic:3")
+        code, out = run_cli(capsys, "decompose", "m0:cyclic:3")
         assert code == 4
+        assert out == "hypothesis not met: decompose needs a ring input\n"
 
 
     def test_no_masked_array_module_is_imported(self):

@@ -273,6 +273,9 @@ def test_radical_timing_covers_semisimple_and_semiperfect(monkeypatch):
     ("search_local_nonring", [],
      "outcome: no local loop near-ring that is not a ring was found in the searched corpus",
      "m0(loop 4.0): n=64, 47 sub-near-rings"),
+    ("search_local_nonring", ["--include-nonassoc5"],
+     "outcome: no local loop near-ring that is not a ring was found in the searched corpus",
+     "m0(nonassoc5): n=625, 3 sub-near-rings"),
     # the corner sizes come from corner_ring(...).carrier
     ("corpus_sweep", ["--max-n", "64"], "swept 36 of 39 catalog entries",
      "ut2:cyclic:3                 ring  n=27    not-local  |U|=12    |E|=8    "
@@ -280,7 +283,8 @@ def test_radical_timing_covers_semisimple_and_semiperfect(monkeypatch):
     ("conjugacy_vs_isomorphism", ["--max-n", "64"],
      "outcome: the two relations coincide on every ring swept",
      "matrix:cyclic:2,2            n=16   idempotents=7    iso_pairs=15   conj_pairs=15  "),
-], ids=["search_local_nonring", "corpus_sweep", "conjugacy_vs_isomorphism"])
+], ids=["search_local_nonring", "search_local_nonring_nonassoc5", "corpus_sweep",
+        "conjugacy_vs_isomorphism"])
 def test_search_script_runs_at_default_args(capsys, name, argv, last, line):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     script = importlib.util.module_from_spec(spec)

@@ -174,9 +174,14 @@ class TestAnnihilator:
         assert annihilator(nr, 1).members == frozenset({0})
         assert annihilator(nr, 0).members == frozenset(range(6))
 
-    def test_rejects_non_idempotent(self):
-        with pytest.raises(NotIdempotent):
-            annihilator(corpus.z(6), 2)
+    @pytest.mark.parametrize("e, message", [
+        (2, "2 is not idempotent"),
+        (6, "6 outside the carrier"),
+        (-1, "-1 outside the carrier"),
+    ], ids=["square_differs", "past_the_end", "negative"])
+    def test_rejects_non_idempotent(self, e, message):
+        with pytest.raises(NotIdempotent, match=f"^{message}$"):
+            annihilator(corpus.z(6), e)
 
     def test_complement_sizes_multiply(self):
         # |Ann(e)| * |N*e| = |N| in the additive decomposition

@@ -7,6 +7,7 @@ from loopnr import (
     LeftDistributivityFails,
     NotAnIdeal,
     NotApproximatelyIdempotent,
+    NotIdempotent,
     corner_ring,
     coset_idempotents,
     idempotents,
@@ -269,6 +270,18 @@ class TestIdempotentRelations:
                 for f in idem:
                     if idempotents_conjugate(ring, e, f):
                         assert idempotents_isomorphic(ring, e, f)
+
+    @pytest.mark.parametrize("relation", [idempotents_isomorphic, idempotents_conjugate])
+    @pytest.mark.parametrize("e, message", [
+        (2, "2 is not idempotent"),
+        (6, "6 outside the carrier"),
+        (-1, "-1 outside the carrier"),
+    ], ids=["square_differs", "past_the_end", "negative"])
+    @pytest.mark.parametrize("first", [True, False], ids=["e_first", "e_second"])
+    def test_rejects_non_idempotent(self, relation, e, message, first):
+        args = (e, 3) if first else (3, e)
+        with pytest.raises(NotIdempotent, match=f"^{message}$"):
+            relation(corpus.z(6), *args)
 
     def test_units_act_by_conjugation(self):
         ring = corpus.m2(2)
