@@ -12,6 +12,13 @@ into itself injectively, hence onto.  N-subloops add mul as the
 absorbing table (N*S <= S); sub-near-rings use mul as a further binary
 table.
 
+Enumeration does two things less than joining every single-element
+closure with every set found.  With the units of the absorbing table
+given, one single-element closure is computed per left unit orbit,
+since cl(u*x) = cl(x).  And the joins use only the join-irreducible
+single-element closures, those that the ones strictly below them do
+not generate: in a finite lattice these generate every element.
+
 Subsets grow as boolean masks.  Closed sets are de-duplicated and
 compared as Python-int bitsets (bit i set when i is a member).
 """
@@ -87,9 +94,14 @@ class ClosureSystem:
                 break
             if not mask[x]:
                 out.append(int(x))
-                mask[x] = True
-                mask = self._saturate(mask, np.array([x]))
+                mask = self._extend(mask, x)
         return out
+
+    def _extend(self, closed: np.ndarray, x: int) -> np.ndarray:
+        """The closure of closed + {x}, for a closed mask."""
+        mask = closed.copy()
+        mask[x] = True
+        return self._saturate(mask, np.array([x]))
 
     def join(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The closure of a | b for closed masks a and b.
@@ -103,40 +115,56 @@ class ClosureSystem:
         return self._saturate(a | b, frontier)
 
     def closed_sets(
-        self, seed: Iterable[int] = (), spanning: np.ndarray | None = None
+        self, seed: Iterable[int] = (), units: np.ndarray | None = None
     ) -> Iterator[np.ndarray]:
         """Yield every closed set containing ``seed`` once, as found.
 
         The first is the closure of the seed; then the principal
-        closures cl(seed + x).  Every closed set is the join of the
-        principal closures of its elements, so joining each set found
-        with each distinct principal closure reaches all of them.
-        Comparable pairs and unions already tried are skipped.
-        ``spanning`` masks elements known to generate the whole
-        carrier; their closures are not computed.
+        closures cl(seed + x).  ``units`` masks the units of the
+        absorbing table, read as an associative monoid: a unit u spans
+        the carrier (N*u = N), and cl(u*x) = cl(x), since u*x lies in
+        N*cl(x) and x = u^-1*(u*x).  So one principal closure is
+        computed per left unit orbit.
+
+        Every closed set is the join of the principal closures of its
+        elements, and a principal that is the closure of the union of
+        the principals strictly below it is their join (Birkhoff: the
+        join-irreducibles generate a finite lattice).  Joining each set
+        found with each join-irreducible principal therefore reaches all
+        of them.  Unions already tried are skipped.
         """
         n = self.n
         bottom = self.close(seed)
         found = {bits_of(bottom): bottom}
         yield bottom
         full = np.ones(n, dtype=bool)
+        lift = None if units is None else np.flatnonzero(units)
+        seen = bottom.copy()
         principals = {}
         for x in np.flatnonzero(~bottom):
-            if spanning is not None and spanning[x]:
-                p = full
-            else:
-                p = bottom.copy()
-                p[x] = True
-                p = self._saturate(p, np.array([x]))
+            if seen[x]:
+                continue
+            p = full if lift is not None and units[x] else self._extend(bottom, x)
+            if lift is not None:
+                seen[self.absorbing[lift, x]] = True
             pb = bits_of(p)
             principals.setdefault(pb, p)
             if pb not in found:
                 found[pb] = p
                 yield p
+        irreducible = []
+        for pb, p in principals.items():
+            below = [q for qb, q in principals.items() if qb != pb and qb & ~pb == 0]
+            union = np.logical_or.reduce([bottom, *below])
+            ub = bits_of(union)
+            # cl(union) lies in p, and p is their join when it fills p; a
+            # union already found is closed
+            if ub != pb and (ub in found or not self.close(np.flatnonzero(union))[p].all()):
+                irreducible.append((pb, p))
         queue = list(found.items())
         tried = set(found)
         for sb, s in queue:
-            for pb, p in principals.items():
+            for pb, p in irreducible:
                 u = sb | pb
                 if u in tried:
                     continue

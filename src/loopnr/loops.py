@@ -109,10 +109,6 @@ class CayleyLoop:
         return f"CayleyLoop(n={self.n})"
 
     @cached_property
-    def _py_add(self):
-        return self.add.tolist()
-
-    @cached_property
     def _closure(self) -> ClosureSystem:
         # closure under + alone also closes under ldiff and rdiff (see lattice)
         return ClosureSystem(self.n, (self.add,))

@@ -172,8 +172,10 @@ def idempotents(nr: LoopNearRing) -> ElementSubset:
 
 
 def _require_idempotent(nr: LoopNearRing, e) -> int:
-    """``e`` as an int, or NotIdempotent if it is outside the carrier or
-    e * e != e."""
+    """``e`` as an int, or NotIdempotent if it is not an integer
+    (``tables.all_integers``), is outside the carrier or has e * e != e."""
+    if not tables.all_integers([e]):
+        raise NotIdempotent(f"{e!r} is not an integer")
     e = int(e)
     if not 0 <= e < nr.n:
         raise NotIdempotent(f"{e} outside the carrier")
@@ -193,9 +195,7 @@ def is_N_subloop(nr: LoopNearRing, subset) -> bool:
 
 def _n_subloop_lattice(nr: LoopNearRing) -> tuple:
     system = ClosureSystem(nr.n, nr.additive._closure.binary, absorbing=nr.mul)
-    # a unit generates everything: N*u = N
-    spanning = units(nr).members.mask()
-    return _sorted_subsets(system.closed_sets((nr.zero,), spanning))
+    return _sorted_subsets(system.closed_sets((nr.zero,), units(nr).members.mask()))
 
 
 def enumerate_N_subloops(nr: LoopNearRing, bounds: Bounds = DEFAULT_BOUNDS) -> list:

@@ -185,8 +185,13 @@ class Quotient:
 
 
 def quotient_ring(ring: FiniteRing, ideal) -> Quotient:
-    """A / I with canonical least-element coset representatives."""
+    """A / I with canonical least-element coset representatives.
+
+    A / {0} is A itself: its tables would be A's byte for byte.
+    """
     ideal = validate_ideal(ring, ideal.members if isinstance(ideal, TwoSidedIdeal) else ideal)
+    if len(ideal) == 1:
+        return Quotient(ring=ring, leaders=tuple(range(ring.n)), projection=tuple(range(ring.n)))
     ii = np.fromiter(ideal.members.sorted_members, dtype=np.int64)
     # leader[x] = min(x + I); the coset index of x is the rank of its leader
     leader_of = ring.add[:, ii].min(axis=1)

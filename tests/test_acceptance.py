@@ -202,7 +202,7 @@ def test_c8_loop_foundations_match_brute_oracles():
     for order in range(1, 6):
         for loop in all_loops(order):
             got = {s.members for s in enumerate_subloops(loop)}
-            assert got == latin_oracle.brute_subloops(loop._py_add)
+            assert got == latin_oracle.brute_subloops(loop.add.tolist())
             swept += 1
     for grid in latin_oracle.reduced_latin_squares(6):
         loop = validate_loop(grid)

@@ -11,6 +11,7 @@ from loopnr import (
     PreconditionFailed,
     TheoremViolation,
     ZeroIdempotent,
+    annihilator,
     corner_ring,
     corner_signature,
     decompose_regular,
@@ -33,6 +34,21 @@ WIDE = replace(DEFAULT_BOUNDS, max_family_n=81)
 
 def families_members(fams):
     return [f.members for f in fams]
+
+
+@pytest.mark.parametrize("check", [
+    annihilator,
+    corner_ring,
+    is_primitive,
+    lambda ring, e: idempotents_isomorphic(ring, e, 3),
+    lambda ring, e: idempotents_isomorphic(ring, 3, e),
+], ids=["annihilator", "corner_ring", "is_primitive", "isomorphic_e_first",
+        "isomorphic_e_second"])
+@pytest.mark.parametrize("e", [3.9, 4.5, True, "3"], ids=["3.9", "4.5", "True", "str_3"])
+def test_non_integer_idempotent_is_refused(check, e):
+    # int(e) would read each of these as an idempotent of Z6
+    with pytest.raises(NotIdempotent, match=f"^{e!r} is not an integer$"):
+        check(corpus.z(6), e)
 
 
 class TestValidateFamily:

@@ -34,6 +34,7 @@ from loopnr import (
 )
 
 import corpus
+from loopnr.cli import main
 
 NONASSOC5_TABLE = [
     [0, 1, 2, 3, 4],
@@ -246,6 +247,52 @@ CATALOG_SHA256 = {
     "random_loop:8,1": "cd7b6658cf4a5c487e75a0eb8f52b30b247c5d663097ec1abe92460a9ede60af",
 }
 
+# sha256 of the stdout of ``analyze SPEC --local --subloops --radical
+# --idempotents`` for every ring and near-ring entry, and of ``analyze
+# SPEC --subloops`` for every loop: any change to a lattice, radical,
+# locality or idempotent verdict moves one of them.
+ANALYZE_SHA256 = {
+    "cyclic:1": "fd864cad47caa565038b783644f19bec2e2a0b961d51247ed0dceb6f90f18d4a",
+    "cyclic:2": "e16a7ba86120e64819139072fe339f2536263cd5fc2f08b14074719eee824a19",
+    "cyclic:3": "6a755dbb332afacbcea73f350f26b1fd52744f649a167ae33ba211f5eb09ed58",
+    "cyclic:4": "98801c6183f52e71b93a86293a68d43175d2edf37570df679a00c522b1963bea",
+    "cyclic:5": "6ecbb3407c2ce46505807a6dfc9505d35a7b536126c109d4b156090a29dd8d8d",
+    "cyclic:6": "3ec9bc0ba66eea0083a73ad4fdfd1a14e98feb7108709c6fd7982e893b62c632",
+    "cyclic:7": "eb661ff498a2aed6280caff13dd18a051ffed740fb377c9ac50f46611aa08960",
+    "cyclic:8": "9b758745931961475c3ef514c2caf6b51531f131b65873a3a8c72b469958f37b",
+    "cyclic:9": "84ea08a4dd62730e5fc5b09d13955786206de9561ff00c1caa4e8a80e5b3f6ce",
+    "cyclic:10": "a3e11aee3fab8566e7cfce4d1fc5ea50138cee04fe18d7bebb265a5d1ab06e01",
+    "cyclic:11": "e75ff3528976d63a561fd24b61fd5c1a1317734d9b088abbd7769ee812bc13fb",
+    "cyclic:12": "e5d49655666a85eca586190a6b0d10b75bc2b376b97a3139acfe9ab6c0beafaf",
+    "cyclic:13": "ecfe430738d1b4cd8818c322de0eff5d4140f2bf4dde2b2c730c184658b7153f",
+    "cyclic:14": "66039fe4b586ae0b92c68137e8d3b3c71a4f3572cb148bce68c5c5f15b04e325",
+    "cyclic:15": "f5fce04fe8e9213b58b8d39447eac59b91736a52de1a5ee218c68d3ea1cd2638",
+    "cyclic:16": "e2e2e8c930247f9431edd75aa919b6f93218d7a5c8535b5c65a46193b9744bbf",
+    "gf:4": "a200b1febe5df3b064d97802551e9db07fbe6367283ff633bb3ec1557edca5f8",
+    "product:cyclic:2+cyclic:2": "a4f0fcc0e12e81cddf71ed5458c90d7c1b1e1c84e1bdd88e464cf0ff669fb7fe",
+    "product:cyclic:2+cyclic:3": "96f4909671d46121ebe8db89b1d9b2c93e7dbee34f9bdcde63f50c38990b7ee4",
+    "product:cyclic:4+cyclic:2": "823fc5d75f9131a250443ece603eb06239e8e41cc3bfa41213f16a91de2f24f9",
+    "matrix:cyclic:2,2": "3dce347789f7a03594424174821bc33a3353972147380ff60765e5d5f0a45e95",
+    "matrix:cyclic:3,2": "f556997a8e54c35f39a7896fa1a68b6ce82763dab5f0f5e08bea6eda97b2e6fd",
+    "matrix:cyclic:4,2": "c4c6df4799c325d464d17a98df3b14ab65ffc68f4104e12df6202cb198e5a5b9",
+    "ut2:cyclic:2": "02384ec6b817f1c4c99cd23c69cb0fc463f94be99dad3d0006490d56ad58d3e3",
+    "ut2:cyclic:3": "099c6adfcdf892ca01e47673e235b7dfe22de7fd65a7591b7882664829df2ef2",
+    "opposite:matrix:cyclic:2,2": "925c714ff9812d930a8a584d73f36c7214a535727bcd3fff208b74eadf8d443e",
+    "m:cyclic:2": "a8c0123aadea1c863fa74f12941844445a87d30da3b405eebaeeaa4d7e64182c",
+    "m0:cyclic:2": "c13269d77079ef0f28b40be0126a589bc5d9e7b85ecaff44fd79970788b8ada9",
+    "m0:cyclic:3": "3b11a0ad3c8926360cf2d160c23c4532e7890ea78010d587af8e5be2c19e9f30",
+    "m0:cyclic:4": "23e9e8937dfcf376d9e51eed0d246bad0412d915528697c6feedbbaff1daddb6",
+    "m0:smallloop:4,0": "d6feac046465e5acf03846f64455d0101b6f5f0b3818498c137b045a3cb0e016",
+    "m0:smallloop:4,1": "a14b27dd8fa43832a1052fad15cc1d272eae437b42452568aea92e742f4afe74",
+    "m0:smallloop:4,2": "f77d9547dae0640e82e623de7b0078a3d1a2887eb05afd0f8fa1be5be8ea92be",
+    "m0:smallloop:4,3": "e2752f7bb5f07dae54bff1e8caeb0df5b338b33f73e656d432af2a44e96c05b7",
+    "m0:nonassoc5": "72844db2a58d44dda9047135c5684913d45f1ea55c43c6cdd47adbff62fd2701",
+    "nonassoc5": "85d873f3348f585085d247789d86b1a87e8942c4a77ffadcefd0798f0b8f9249",
+    "smallloop:5,0": "206617060896b6b6a51686bccd971effc22c2967cc872382382715472caef481",
+    "random_loop:6,0": "e1f152946846d0d632da645c013acd868a9afeccdb74756a3d53e700c3b8b75b",
+    "random_loop:8,1": "5d68f98bb05e1bd67f43fc8a33ce9986e077dc29753a7f9bd7b5c8f1fe2dcd34",
+}
+
 build = functools.cache(parse_spec)
 
 
@@ -268,6 +315,15 @@ class TestParseSpec:
         assert list(CATALOG_SHA256) == [spec for spec, _, _ in CATALOG]
         for spec in CATALOG_SHA256:
             assert structure_sha256(build(spec)) == CATALOG_SHA256[spec], spec
+
+    def test_full_analyze_reports_are_pinned(self, capsys):
+        assert list(ANALYZE_SHA256) == [spec for spec, _, _ in CATALOG]
+        for spec, kind, _ in CATALOG:
+            flags = ["--subloops"] if kind == "loop" else [
+                "--local", "--subloops", "--radical", "--idempotents"]
+            assert main(["analyze", spec, *flags]) == 0, spec
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_SHA256[spec], spec
 
     def test_catalog_specs_unique(self):
         specs = [spec for spec, _, _ in CATALOG]

@@ -95,7 +95,97 @@ class TestEngineMatchesBruteScan:
         loop = random_loop(n, seed)
         got = [s.members for s in enumerate_subloops(loop)]
         assert len(got) == len(set(got))
-        assert set(got) == latin_oracle.brute_subloops(loop._py_add)
+        assert set(got) == latin_oracle.brute_subloops(loop.add.tolist())
+
+
+def brute_closed_sets(n, tables, fixed) -> set:
+    """Every subset containing ``fixed`` that each table maps into itself."""
+    rest = [x for x in range(n) if x not in fixed]
+    found = set()
+    for bits in range(1 << len(rest)):
+        subset = sorted(set(fixed) | {x for i, x in enumerate(rest) if bits >> i & 1})
+        grid = np.ix_(subset, subset)
+        if all(set(t[grid].flat) <= set(subset) for t in tables):
+            found.add(frozenset(subset))
+    return found
+
+
+def sparse_rule_table(seed):
+    """A binary table on 6 to 9 elements sending most pairs (a, b) to a, so
+    that few pairs force a new member and the closed sets are many."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 10))
+    t = np.repeat(np.arange(n)[:, None], n, axis=1)
+    rules = rng.random((n, n)) < 0.15
+    t[rules] = rng.integers(0, n, int(rules.sum()))
+    return t
+
+
+class TestClosedSetsWork:
+    """The engine saturates once per left unit orbit and joins only with
+    join-irreducible principals."""
+
+    @staticmethod
+    def principal_saturations(monkeypatch, nr) -> int:
+        calls = []
+        extend = ClosureSystem._extend
+
+        def counting(self, closed, x):
+            calls.append(int(x))
+            return extend(self, closed, x)
+
+        monkeypatch.setattr(ClosureSystem, "_extend", counting)
+        nearrings._n_subloop_lattice(nr)
+        assert len(calls) == len(set(calls))
+        return len(calls)
+
+    @pytest.mark.parametrize("spec, orbits", [
+        ("cyclic:256", 7),
+        ("product:cyclic:4+cyclic:4+cyclic:4", 25),
+        ("matrix:cyclic:2,2", 3),  # one per kernel line of F2^2
+        ("m0:cyclic:4", 13),
+    ])
+    def test_one_saturation_per_left_unit_orbit(self, monkeypatch, spec, orbits):
+        nr = parse_spec(spec)
+        u = sorted(units(nr))
+        nonunits = [x for x in range(nr.n) if x != nr.zero and x not in units(nr)]
+        left_orbits = {frozenset(nr.mul[u, x].tolist()) for x in nonunits}
+        assert len(left_orbits) == orbits
+        assert self.principal_saturations(monkeypatch, nr) == orbits
+
+    def test_joins_use_only_the_atoms_of_a_boolean_lattice(self, monkeypatch):
+        nr = parse_spec("product:cyclic:2+cyclic:2+cyclic:2+cyclic:2+cyclic:2")
+        joined = set()
+        join = ClosureSystem.join
+
+        def recording(self, a, b):
+            joined.add(bits_of(b))
+            return join(self, a, b)
+
+        monkeypatch.setattr(ClosureSystem, "join", recording)
+        lattice = nearrings._n_subloop_lattice(nr)
+        assert len(lattice) == 32
+        atoms = {bits_of(s.mask()) for s in lattice if len(s) == 2}
+        assert len(atoms) == 5
+        assert joined == atoms
+
+    @given(small_near_rings())
+    def test_sub_near_rings_equal_subset_scan(self, nr):
+        system = ClosureSystem(nr.n, (nr.add, nr.mul))
+        got = [frozenset(np.flatnonzero(m).tolist())
+               for m in system.closed_sets((nr.zero, nr.one))]
+        assert len(got) == len(set(got))
+        assert set(got) == brute_closed_sets(nr.n, (nr.add, nr.mul), (nr.zero, nr.one))
+
+    def test_closed_sets_of_sparse_tables_equal_subset_scan(self):
+        # lattices with join-irreducible principals whose lower cover is
+        # no principal, where a wrong redundancy test loses closed sets
+        for seed in range(200):
+            t = sparse_rule_table(seed)
+            got = [frozenset(np.flatnonzero(m).tolist())
+                   for m in ClosureSystem(len(t), (t,)).closed_sets((0,))]
+            assert len(got) == len(set(got)), seed
+            assert set(got) == brute_closed_sets(len(t), (t,), (0,)), seed
 
 
 class TestClosureSystem:
@@ -145,7 +235,10 @@ class TestClosureSystem:
 
 
 class TestLatticeCache:
-    def test_analyze_builds_one_lattice_per_structure(self, monkeypatch, capsys):
+    # M2(F2) is semisimple, so A/J is A and its lattice is A's; ut2(Z2)
+    # has a radical of order 2, so A/J is a second ring with its own
+    @pytest.mark.parametrize("spec, builds", [("matrix:cyclic:2,2", 1), ("ut2:cyclic:2", 2)])
+    def test_analyze_builds_one_lattice_per_structure(self, monkeypatch, capsys, spec, builds):
         built = []
         original = nearrings._n_subloop_lattice
 
@@ -154,13 +247,11 @@ class TestLatticeCache:
             return original(nr)
 
         monkeypatch.setattr(nearrings, "_n_subloop_lattice", counting)
-        argv = ["analyze", "matrix:cyclic:2,2",
-                "--local", "--subloops", "--radical", "--idempotents"]
+        argv = ["analyze", spec, "--local", "--subloops", "--radical", "--idempotents"]
         assert main(argv) == 0
         capsys.readouterr()
-        # the ring itself and its quotient A/J, once each
-        assert len(built) == 2
-        assert built[0] is not built[1]
+        assert len(built) == builds
+        assert len(set(map(id, built))) == builds
 
     def test_tighter_bounds_still_refuse_once_cached(self):
         nr = parse_spec("product:cyclic:4+cyclic:2")

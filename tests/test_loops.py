@@ -112,7 +112,7 @@ class TestLaws:
         assert not v.ok
         a, b, c = v.witness
         assert (a, b, c) == (1, 1, 2)
-        add = loop._py_add
+        add = loop.add.tolist()
         assert add[add[a][b]][c] != add[a][add[b][c]]
 
     def test_commutativity_witness_is_real(self):
@@ -126,7 +126,8 @@ class TestLaws:
         v = is_commutative(loop)
         if not v.ok:
             a, b = v.witness
-            assert loop._py_add[a][b] != loop._py_add[b][a]
+            add = loop.add.tolist()
+            assert add[a][b] != add[b][a]
 
 
 class TestSubloops:
@@ -180,7 +181,7 @@ class TestSubloops:
         for order in range(1, 6):
             for loop in all_loops(order):
                 got = members(enumerate_subloops(loop))
-                want = latin_oracle.brute_subloops(loop._py_add)
+                want = latin_oracle.brute_subloops(loop.add.tolist())
                 assert got == want
 
     def test_enumeration_bound(self):
