@@ -30,12 +30,14 @@ Indexing conventions (documented here so golden files are portable):
 
 Every table comes from one builder, ``_table``, which writes int16
 row i as op(digits[i], every digit vector) encoded in the mixed radix
-above (for cyclic:n, one digit of radix n).
+above (for cyclic:n, one digit of radix n).  The one exception is the
+multiplication of gf:q, gathered from Zech logarithm tables.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 
 import numpy as np
@@ -130,7 +132,12 @@ def _find_irreducible(p: int, k: int):
 
 
 def galois_field(q: int) -> FiniteRing:
-    """The field with q = p^k elements."""
+    """The field with q = p^k elements.
+
+    Multiplication goes through Zech-logarithm tables (Lidl and
+    Niederreiter, *Finite Fields*, ch. 9): with g primitive and
+    exp[j] = g^j, x*y = exp[(log x + log y) mod (q-1)] for x, y != 0.
+    """
     fac = _factor_prime_power(q)
     if fac is None:
         raise ValueError(f"{q} is not a prime power")
@@ -141,16 +148,30 @@ def galois_field(q: int) -> FiniteRing:
     digits = tables.decode_all(q, radices)   # highest-degree coefficient first
     mod = np.array(_find_irreducible(p, k)[::-1], dtype=np.int64)
 
-    def mul(x, ys):
+    def times(x):
+        """Indices of x*y for every y, by the polynomial product mod ``mod``."""
         prod = np.zeros((q, 2 * k - 1), dtype=np.int64)
         for i in range(k):
-            prod[:, i:i + k] += np.multiply(x[i], ys, dtype=np.int64)
+            prod[:, i:i + k] += np.multiply(x[i], digits, dtype=np.int64)
         for i in range(k - 1):           # cancel the leading terms by the monic modulus
             prod[:, i:i + k + 1] -= prod[:, i:i + 1] % p * mod
-        return prod[:, k - 1:] % p
+        return (prod[:, k - 1:] % p @ tables.mixed_radix_weights(radices)).tolist()
 
+    # the least g whose powers reach every nonzero element
+    for g in range(2, q):
+        step, exp = times(digits[g]), [1]
+        while step[exp[-1]] != 1:
+            exp.append(step[exp[-1]])
+        if len(exp) == q - 1:
+            break
+    exp = np.array(exp * 2, dtype=tables.DTYPE)   # twice over: no reduction mod q-1
+    log = np.zeros(q, dtype=np.int64)
+    log[exp[:q - 1]] = np.arange(q - 1)
+    mul = np.zeros((q, q), dtype=tables.DTYPE)    # row and column 0 stay 0
+    for x in range(1, q):
+        mul[x, 1:] = exp[log[x] + log[1:]]
     add = _table(digits, radices, _componentwise([cyclic_ring(p).add] * k))
-    return validate_ring_tables(add, _table(digits, radices, mul), 1)
+    return validate_ring_tables(add, mul, 1)
 
 
 def matrix_ring(base: FiniteRing, k: int, bounds: Bounds = DEFAULT_BOUNDS) -> FiniteRing:
@@ -256,12 +277,26 @@ def _reduced_latin_squares(n: int, rng: random.Random | None = None):
     yield from fill(0)
 
 
+def _check_enumerable(n: int) -> None:
+    if not 1 <= n <= 5:
+        raise BoundExceeded("full loop enumeration is supported for n <= 5 only")
+
+
 @functools.cache
 def all_loops(n: int) -> tuple:
     """All reduced Latin squares of order n <= 5, as validated loops."""
-    if not 1 <= n <= 5:
-        raise BoundExceeded("full loop enumeration is supported for n <= 5 only")
+    _check_enumerable(n)
     return tuple(validate_loop(g) for g in _reduced_latin_squares(n))
+
+
+def small_loop(n: int, i: int) -> CayleyLoop:
+    """The i-th reduced Latin square of order n <= 5, the only one validated."""
+    _check_enumerable(n)
+    grid = next(itertools.islice(_reduced_latin_squares(n), i, None), None) if i >= 0 else None
+    if grid is None:
+        count = sum(1 for _ in _reduced_latin_squares(n))
+        raise ParseError(f"smallloop index {i} out of range, order {n} has {count}")
+    return validate_loop(grid)
 
 
 @functools.cache
@@ -400,11 +435,7 @@ def parse_spec(spec: str, bounds: Bounds = DEFAULT_BOUNDS):
         return opposite(inner)
     if head == "smallloop":
         n_tok, _, i_tok = rest.partition(",")
-        n, i = as_int(n_tok, "order"), as_int(i_tok, "index")
-        loops = all_loops(n)
-        if not 0 <= i < len(loops):
-            raise ParseError(f"smallloop index {i} out of range, order {n} has {len(loops)}")
-        return loops[i]
+        return small_loop(as_int(n_tok, "order"), as_int(i_tok, "index"))
     if head == "random_loop":
         n_tok, _, s_tok = rest.partition(",")
         return random_loop(as_int(n_tok, "order"), as_int(s_tok, "seed"))

@@ -6,11 +6,14 @@ copies of the operation tables.  The four cubic laws (associativity of
 set S of the multiplicative or additive magma, from
 ``lattice.ClosureSystem.generating_set``, in O(|S| n^2): the elements
 where such a law holds are closed under the operation (Light's test
-for associativity; for distributivity once ``*`` is associative).  Only
-a law that fails is scanned again, in blocks of 1, 2, 4, ... rows, so
-the O(n^3) search stays vectorized without materializing an (n, n, n)
-cube and finds the lexicographically least violating tuple; witnesses
-and error messages therefore do not depend on S.
+for associativity).  A distributive law is decided at S+ if ``+`` is
+associative or at S* if ``*`` is, whichever is smaller.  Only a law
+that fails is scanned again, in blocks of 1, 2, 4, ... rows, so the
+O(n^3) search stays vectorized without materializing an (n, n, n) cube
+and finds the lexicographically least violating tuple; a failing left
+distributive law with ``+`` associative first finds its least bad row
+in O(|S+| n^2) and scans that row alone.  Witnesses and error messages
+therefore do not depend on S.
 """
 
 from __future__ import annotations
@@ -97,16 +100,17 @@ def _blocks(row_elems: int) -> int:
     return max(1, _BLOCK_ELEMS // max(row_elems, 1))
 
 
-def _first_bad(n: int, block):
-    """Least (a, b, c) where the gathers ``block(rows)`` disagree, else None.
+def _first_bad(n: int, block, start: int = 0):
+    """Least (a, b, c) with a >= ``start`` where the gathers ``block(rows)``
+    disagree, else None.
 
     ``block(rows)`` returns the (lhs, rhs) pair of (B, n, n) gathers for
     the rows a in the slice ``rows``; neither outlives the comparison.
     Blocks grow 1, 2, 4, ... rows up to the block budget, so a witness
-    at row a costs O((a + 1) n^2).
+    at row a costs O((a - start + 1) n^2).
     """
     cap = _blocks(n * n)
-    a0, step = 0, 1
+    a0, step = start, 1
     while a0 < n:
         bad = np.not_equal(*block(slice(a0, a0 + step)))
         if bad.any():
@@ -127,9 +131,9 @@ class Light:
 
     The s with x(sy) = (xs)y for all x, y are closed under the
     operation, so associativity at each member of a generating set is
-    associativity everywhere.  ``violations`` hands one ``Light`` of
-    ``*`` to its associativity row and both distributivity rows, so one
-    scan up to a structure's kind grows one generating set of ``*``.
+    associativity everywhere.  ``violations`` hands one ``Light`` of each
+    table to every row that needs its verdict, so one scan grows at most
+    one generating set of ``*`` and one of ``+``.
     """
 
     def __init__(self, op: np.ndarray):
@@ -146,19 +150,59 @@ class Light:
         return gens if ok else None
 
 
-def _distributes(add: np.ndarray, maps: np.ndarray, light: Light) -> bool:
-    """Whether ``*`` is associative and each row ``maps[s]``, s in a
-    generating set of ``*``, is an endomorphism of ``+``.
+class Lights(NamedTuple):
+    """One scan's ``Light`` of ``*`` and, if the scan reaches the ring
+    rows, of ``+`` (else None)."""
+    mul: Light
+    add: Light | None
 
-    Row s is x -> x*s in ``mul.T`` and x -> s*x in ``mul``.  With ``*``
-    associative the s where either map is additive are closed under
-    ``*``, so the distributive law holds everywhere once it holds there.
+    def additive_generators(self):
+        """S+ if ``+`` is certified associative, else None."""
+        return None if self.add is None else self.add.generators
+
+
+def _distributes(n: int, lights: Lights, at_add, at_mul) -> bool:
+    """Whether a distributive law holds, decided at the smaller certified
+    generating set: S+ if ``+`` is associative, S* if ``*`` is.
+
+    ``at_add(a)`` is the ``_agree`` pair checking that every row map of
+    the law is additive at a in S+; with ``+`` associative the x where a
+    map is additive are closed under ``+``.  ``at_mul(s)`` is the pair
+    checking that the map of s in S* is additive; with ``*`` associative
+    the s with an additive map are closed under ``*``.  False when
+    neither set is certified.  Ties go to S*.
     """
-    gens = light.generators
-    # [a, b] = v[a + b] and v[a] + v[b]
-    return gens is not None and all(
-        _agree(len(add), lambda rows, v=maps[s]: (v[add[rows]], add[v[rows, None], v]))
-        for s in gens)
+    plus, star = lights.additive_generators(), lights.mul.generators
+    if plus is not None and (star is None or len(plus) < len(star)):
+        gens, pair = plus, at_add
+    elif star is not None:
+        gens, pair = star, at_mul
+    else:
+        return False
+    return all(_agree(n, pair(g)) for g in gens)
+
+
+def _endomorphism(add: np.ndarray, v: np.ndarray):
+    """The ``_agree`` pair of v(a + b) and v(a) + v(b), rows a."""
+    return lambda rows: (v[add[rows]], add[v[rows, None], v])
+
+
+def _first_nonadditive_row(mul: np.ndarray, add: np.ndarray, plus) -> int:
+    """Least a whose row map x -> a*x is not additive at some s in S+.
+
+    With ``+`` associative that is the least a with a*(b+c) != a*b + a*c
+    for some b, c; the caller knows one exists.  One pass over row
+    blocks, all of S+ at once: O(|S+| n^2).
+    """
+    n, s = len(add), np.asarray(plus)
+    step = _blocks(len(s) * n)
+    for r in range(0, n, step):
+        m = mul[r:r + step]
+        # [a, i, c] = a*(s_i + c) and a*s_i + a*c
+        bad = (m[:, add[s]] != add[m[:, s, None], m[:, None, :]]).any(axis=(1, 2))
+        if bad.any():
+            return r + int(np.argmax(bad))
+    raise RuntimeError("a failed verdict has a non-additive row")  # unreachable
 
 
 def assoc_witness(op: np.ndarray, light: Light | None = None):
@@ -172,22 +216,42 @@ def assoc_witness(op: np.ndarray, light: Light | None = None):
     return _first_bad(len(op), lambda rows: (op[op[rows]], op[rows][:, op]))
 
 
-def right_dist_witness(add: np.ndarray, mul: np.ndarray, light: Light | None = None):
-    """First (a, b, c) with (a+b)*c != a*c + b*c, else None."""
-    if _distributes(add, mul.T, light or Light(mul)):
+def right_dist_witness(add: np.ndarray, mul: np.ndarray, lights: Lights | None = None):
+    """First (a, b, c) with (a+b)*c != a*c + b*c, else None.
+
+    ``lights`` are the scan's shared ``Lights``; alone, both are built.
+    """
+    lights = lights or Lights(Light(mul), Light(add))
+    # x -> x*c at a in S+, rows b: [b, c] = (a+b)*c and a*c + b*c
+    if _distributes(len(add), lights,
+                    lambda a: lambda rows: (mul[add[a, rows]], add[mul[a], mul[rows]]),
+                    lambda s: _endomorphism(add, mul[:, s])):
         return None
     # [i,b,c] = mul[a+b, c] and (a*c) + (b*c)
     return _first_bad(len(add), lambda rows: (mul[add[rows]],
                                               add[mul[rows][:, None, :], mul[None, :, :]]))
 
 
-def left_dist_witness(add: np.ndarray, mul: np.ndarray, light: Light | None = None):
-    """First (a, b, c) with a*(b+c) != a*b + a*c, else None."""
-    if _distributes(add, mul, light or Light(mul)):
+def left_dist_witness(add: np.ndarray, mul: np.ndarray, lights: Lights | None = None):
+    """First (a, b, c) with a*(b+c) != a*b + a*c, else None.
+
+    When the law fails and ``+`` is associative, the least witness lies
+    in the least row whose map is not additive at S+, so only that row
+    is scanned; otherwise rows are scanned in growing blocks.
+    """
+    lights = lights or Lights(Light(mul), Light(add))
+    n = len(add)
+    # x -> a*x at s in S+, rows a: [a, c] = a*(s+c) and a*s + a*c
+    if _distributes(n, lights,
+                    lambda s: lambda rows: (mul[rows][:, add[s]],
+                                            add[mul[rows, s][:, None], mul[rows]]),
+                    lambda s: _endomorphism(add, mul[s])):
         return None
+    plus = lights.additive_generators()
+    start = 0 if plus is None else _first_nonadditive_row(mul, add, plus)
     # [i,b,c] = mul[a, b+c] and a*b + a*c
-    return _first_bad(len(add), lambda rows: (mul[rows][:, add],
-                                              add[mul[rows][:, :, None], mul[rows][:, None, :]]))
+    return _first_bad(n, lambda rows: (mul[rows][:, add],
+                                       add[mul[rows][:, :, None], mul[rows][:, None, :]]), start)
 
 
 def comm_witness(op: np.ndarray):
@@ -223,8 +287,8 @@ def _single(w):
 
 
 class Axiom(NamedTuple):
-    # ``witness(add, mul, one, light)`` is None when the law holds, else a
-    # tuple; ``light`` is the scan's one ``Light`` of ``mul``;
+    # ``witness(add, mul, one, lights)`` is None when the law holds, else
+    # a tuple; ``lights`` are the scan's one ``Lights``;
     # ``message`` is formatted with its entries and ``one``, and its
     # ``shown`` entries are the least witness.  A ``stop`` row is one that
     # later rows index through, so its failure ends the scan.
@@ -241,33 +305,37 @@ KINDS = ("loop", "lnr", "ring")
 # Every axiom of a loop, loop near-ring and ring, in scan order.  A row
 # applies to its kind and to every later kind in KINDS.
 AXIOMS = (
-    Axiom(errors.EntriesOutOfRange, "loop", lambda add, mul, one, light: _outside(add),
+    Axiom(errors.EntriesOutOfRange, "loop", lambda add, mul, one, lights: _outside(add),
           "add entries outside 0..n-1", stop=True),
-    Axiom(errors.NotLatinSquare, "loop", lambda add, mul, one, light: latin_witness(add),
+    Axiom(errors.NotLatinSquare, "loop", lambda add, mul, one, lights: latin_witness(add),
           "duplicate {2} in add {0} {1}", shown=slice(1, None)),
     Axiom(errors.NoTwoSidedZero, "loop",
-          lambda add, mul, one, light: _single(identity_witness(add, 0)),
+          lambda add, mul, one, lights: _single(identity_witness(add, 0)),
           "0 is not a two-sided zero"),
-    Axiom(errors.EntriesOutOfRange, "lnr", lambda add, mul, one, light: _outside(mul),
+    Axiom(errors.EntriesOutOfRange, "lnr", lambda add, mul, one, lights: _outside(mul),
           "mul entries outside 0..n-1", stop=True),
     Axiom(errors.NotIdentity, "lnr",
-          lambda add, mul, one, light: None if 0 <= one < len(mul) else (one,),
+          lambda add, mul, one, lights: None if 0 <= one < len(mul) else (one,),
           "identity index {one} outside the carrier", stop=True),
     Axiom(errors.NotIdentity, "lnr",
-          lambda add, mul, one, light: _single(identity_witness(mul, one)),
+          lambda add, mul, one, lights: _single(identity_witness(mul, one)),
           "{one} is not a two-sided multiplicative identity"),
-    Axiom(errors.MulNotAssociative, "lnr", lambda add, mul, one, light: assoc_witness(mul, light),
+    Axiom(errors.MulNotAssociative, "lnr",
+          lambda add, mul, one, lights: assoc_witness(mul, lights.mul),
           "multiplication is not associative"),
     Axiom(errors.RightDistributivityFails, "lnr",
-          lambda add, mul, one, light: right_dist_witness(add, mul, light), "(a+b)*c != a*c + b*c"),
-    Axiom(errors.ZeroNotLeftAbsorbing, "lnr", lambda add, mul, one, light: _first(mul[0] != 0),
+          lambda add, mul, one, lights: right_dist_witness(add, mul, lights),
+          "(a+b)*c != a*c + b*c"),
+    Axiom(errors.ZeroNotLeftAbsorbing, "lnr", lambda add, mul, one, lights: _first(mul[0] != 0),
           "0*n != 0"),
-    Axiom(errors.AdditionNotAbelianGroup, "ring", lambda add, mul, one, light: comm_witness(add),
+    Axiom(errors.AdditionNotAbelianGroup, "ring", lambda add, mul, one, lights: comm_witness(add),
           "addition is not commutative"),
-    Axiom(errors.AdditionNotAbelianGroup, "ring", lambda add, mul, one, light: assoc_witness(add),
+    Axiom(errors.AdditionNotAbelianGroup, "ring",
+          lambda add, mul, one, lights: assoc_witness(add, lights.add),
           "addition is not associative"),
     Axiom(errors.LeftDistributivityFails, "ring",
-          lambda add, mul, one, light: left_dist_witness(add, mul, light), "c*(a+b) != c*a + c*b"),
+          lambda add, mul, one, lights: left_dist_witness(add, mul, lights),
+          "c*(a+b) != c*a + c*b"),
 )
 
 
@@ -276,13 +344,14 @@ def violations(add, mul=None, one=None, start: str = "loop", kind: str = "ring")
 
     Scans the rows of kinds ``start`` through ``kind``, in order, on
     tables from ``as_table``; a witness is None or a tuple.  The scan
-    makes one ``Light(mul)`` for every row that needs Light's verdict on
-    ``*``, so that test runs at most once per scan.
+    makes one ``Light(mul)`` and, if it reaches the ring rows, one
+    ``Light(add)``, for every row that needs Light's verdict on that
+    table, so each test runs at most once per scan.
     """
     kinds = KINDS[KINDS.index(start):KINDS.index(kind) + 1]
-    light = Light(mul)
+    lights = Lights(Light(mul), Light(add) if "ring" in kinds else None)
     for row in AXIOMS:
-        found = row.witness(add, mul, one, light) if row.kind in kinds else None
+        found = row.witness(add, mul, one, lights) if row.kind in kinds else None
         if found is not None:
             yield row.error, row.message.format(*found, one=one), tuple(found[row.shown]) or None
             if row.stop:

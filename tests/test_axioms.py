@@ -219,6 +219,7 @@ class TestGeneratorRoute:
     @pytest.mark.parametrize("argv", [
         ("check", "cyclic:256"), ("analyze", "cyclic:256"),
         ("check", "m0:nonassoc5"), ("analyze", "m0:nonassoc5"),
+        ("check", "matrix:cyclic:4,2"),
     ])
     def test_valid_structures_never_block_scan(self, argv, monkeypatch, capsys):
         # every law holds, so each cubic row is decided at generators alone
@@ -277,10 +278,11 @@ class TestLightOnce:
         assert mul_scans.count(sub.mul.tolist()) == 1 and mul_scans.count(sub.add.tolist()) == 1
 
     def test_one_per_near_ring_validation(self, mul_scans):
+        # the near-ring rows need no verdict on +, so none is grown
         n, add, mul, one = base("m0:cyclic:3")
         mul_scans.clear()
         validate_lnr(add, mul, one)
-        assert mul_scans.count(mul) == 1
+        assert mul_scans.count(mul) == 1 and mul_scans.count(add) == 0
 
     def test_one_per_check_with_every_failing_row(self, mul_scans):
         # * is not associative: all three rows that need Light's verdict on
@@ -292,7 +294,7 @@ class TestLightOnce:
         got = [v["axiom"] for v in check_report("ring", n, add, mul, one, "x")["violations"]]
         assert got == [a for a, _ in brute("ring", n, add, mul, one)]
         assert {"mul-associative", "right-distributivity", "left-distributivity"} <= set(got)
-        assert mul_scans.count(mul) == 1
+        assert mul_scans.count(mul) == 1 and mul_scans.count(add) == 1
 
 
 def least_assoc_witness(op):
@@ -329,3 +331,59 @@ class TestFirstBad:
         op = rng.integers(0, max(1, n // 3), (n, n)).astype(np.int16)
         assert tables._first_bad(n, lambda r: (op[op[r]], op[r][:, op])) == least_assoc_witness(
             op.tolist())
+
+
+def least_left_dist_witness(add, mul):
+    n = len(add)
+    return next(((a, b, c) for a, b, c in product(range(n), repeat=3)
+                 if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]), None)
+
+
+@st.composite
+def one_entry_off(draw):
+    """A ring table, or m0:cyclic:3 (not left distributive), with one
+    entry of ``add`` or ``mul`` changed."""
+    spec = draw(st.sampled_from([f"cyclic:{k}" for k in range(3, 17)]
+                                + ["ut2:cyclic:3", "matrix:cyclic:2,2", "m0:cyclic:3"]))
+    n, add, mul, _ = base(spec)
+    which = draw(st.sampled_from(("add", "mul")))
+    t = [row[:] for row in (add if which == "add" else mul)]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    t[i][j] = (t[i][j] + draw(st.integers(1, n - 1))) % n
+    return (t, mul) if which == "add" else (add, t)
+
+
+class TestLeftDistributivity:
+    @settings(max_examples=200)
+    @given(one_entry_off())
+    def test_least_witness_matches_the_triple_loop(self, pair):
+        add, mul = (tables.as_table(t) for t in pair)
+        rows = []
+        scan = tables._first_bad
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tables, "_first_bad", lambda n, block, start=0: scan(
+                n, lambda r: rows.append(r) or block(r), start))
+            got = tables.left_dist_witness(add, mul)
+        assert got == least_left_dist_witness(*pair)
+        if got is None:
+            assert rows == []
+        elif tables.Light(add).generators is not None:
+            # + is associative: only the least bad row is scanned
+            assert [(r.start, r.stop) for r in rows] == [(got[0], got[0] + 1)]
+        else:
+            # + is not: the block scan runs from row 0
+            assert rows[0].start == 0 and rows[-1].start <= got[0] < rows[-1].stop
+
+    def test_nonassociative_addition_takes_the_block_scan(self, monkeypatch):
+        # (1 + 1) + 1 = 0 but 1 + (1 + 1) = 1 in this add; mul is Z/3's
+        n, add, mul, one = base("cyclic:3")
+        add = [row[:] for row in add]
+        add[1][1], add[1][2] = 0, 1
+        assert tables.Light(tables.as_table(add)).generators is None
+        rows = []
+        scan = tables._first_bad
+        monkeypatch.setattr(tables, "_first_bad", lambda n, block, start=0: scan(
+            n, lambda r: rows.append(r.start) or block(r), start))
+        got = tables.left_dist_witness(tables.as_table(add), tables.as_table(mul))
+        assert got == least_left_dist_witness(add, mul) is not None
+        assert rows[0] == 0

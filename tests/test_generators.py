@@ -34,6 +34,7 @@ from loopnr import (
 )
 
 import corpus
+from loopnr import generators
 from loopnr.cli import main
 
 NONASSOC5_TABLE = [
@@ -62,6 +63,12 @@ class TestBasicGenerators:
         for q in (1, 6, 10, 12):
             with pytest.raises(ValueError):
                 galois_field(q)
+
+    @pytest.mark.parametrize("q", [8, 9, 243, 1024])
+    def test_log_tables_match_the_polynomial_product(self, q):
+        mul = galois_field(q).mul
+        assert mul.dtype == np.int16
+        assert mul.tobytes() == polynomial_mul_table(q).astype(np.int16).tobytes()
 
     def test_prime_field_matches_cyclic(self):
         f = galois_field(5)
@@ -93,6 +100,25 @@ class TestBasicGenerators:
             map_near_ring(corpus.cyclic_loop(9), zero_fixing=True)
 
 
+def polynomial_mul_table(q):
+    """F_q's multiplication table by the product of coefficient vectors
+    (index c0 + c1*p + ...) reduced by the least monic irreducible."""
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    k = round(math.log(q, p))
+    coeffs = np.arange(q)[:, None] // p ** np.arange(k) % p      # [x, e]: coefficient of t^e
+    modulus = np.array(generators._find_irreducible(p, k))       # little-endian, monic
+    out = np.empty((q, q), dtype=np.int64)
+    for r in range(0, q, 64):
+        a = coeffs[r:r + 64]
+        prod = np.zeros((len(a), q, 2 * k - 1), dtype=np.int64)
+        for i in range(k):
+            prod[:, :, i:i + k] += a[:, None, i:i + 1] * coeffs[None]
+        for d in range(2 * k - 2, k - 1, -1):
+            prod[:, :, d - k:d + 1] -= prod[:, :, d:d + 1] % p * modulus
+        out[r:r + 64] = prod[:, :, :k] % p @ p ** np.arange(k)
+    return out
+
+
 class TestLoopGenerators:
     def test_all_loops_counts(self):
         assert [len(all_loops(n)) for n in range(1, 6)] == [1, 1, 1, 4, 56]
@@ -109,6 +135,21 @@ class TestLoopGenerators:
     def test_order_five_has_both(self):
         flags = [is_associative(l).ok for l in all_loops(5)]
         assert any(flags) and not all(flags)
+
+    def test_smallloop_validates_only_the_loop_it_returns(self, monkeypatch):
+        want = [all_loops(5)[i].add.tolist() for i in (0, 17, 55)]
+        seen = []
+        validate = generators.validate_loop
+        monkeypatch.setattr(generators, "validate_loop", lambda g: seen.append(g) or validate(g))
+        got = [parse_spec(f"smallloop:5,{i}").add.tolist() for i in (0, 17, 55)]
+        assert got == want and len(seen) == 3
+
+    @pytest.mark.parametrize("spec, count", [("smallloop:5,56", 56), ("smallloop:4,-1", 4)])
+    def test_smallloop_index_out_of_range(self, spec, count):
+        n, i = spec.split(":")[1].split(",")
+        with pytest.raises(ParseError, match=rf"^smallloop index {i} out of range, order {n} "
+                                             rf"has {count}$"):
+            parse_spec(spec)
 
     def test_smallest_nonassociative_is_frozen_table(self):
         loop = smallest_nonassociative_loop()
