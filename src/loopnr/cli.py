@@ -34,12 +34,12 @@ from .homs import validate_lnr_hom
 from .io import (
     StructureFile,
     canonical_json,
-    dump_structure,
     dump_structure_text,
     kind_of,
     load_structure,
     parse_structure,
     read_text,
+    write_structure,
 )
 from .nearrings import LoopNearRing
 from .reports import (
@@ -170,7 +170,7 @@ def cmd_generate(args) -> int:
     if args.text:
         sys.stdout.write(dump_structure_text(structure))
     else:
-        sys.stdout.write(dump_structure(structure, meta={"name": args.spec}))
+        write_structure(structure, sys.stdout, meta={"name": args.spec})
     return 0
 
 

@@ -22,13 +22,29 @@ plain-text form is accepted on input only, for hand-written tables:
     one=1
 
 A loop file is the kind line plus the addition rows.
+
+The compact JSON form, as ``generate`` writes it, is also the fast form:
+a top-level ``"add"`` or ``"mul"`` value written as ``[[r,r,...],[...]]``
+decodes straight into an int64 array, with no Python list in between.
+A value takes that route only under a certificate: deleting its digits
+and ``-`` leaves exactly the ``[[,...],...]`` skeleton of a rows x width
+matrix; no entry is empty; one ``np.fromstring`` call reads exactly
+rows * width values, each below 10**17 in absolute value; the ``-``
+signs number the negative values; and the digits and signs together are
+as many characters as the values' ``str`` forms.  Then every entry is
+exactly ``str(v)`` of its value, so the array equals what ``json.loads``
+gives.  Everything else (whitespace between members, floats, bools,
+longer integers, malformed text) goes through ``json.loads`` as before,
+with the same tables, messages and witnesses.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 from dataclasses import dataclass, field
+from io import StringIO
 
 import numpy as np
 
@@ -52,38 +68,63 @@ class StructureFile:
 
     kind: str
     n: int
-    add: list
-    mul: list | None = None
+    add: list | np.ndarray
+    mul: list | np.ndarray | None = None
     one: int | None = None
     meta: dict = field(default_factory=dict)
 
 
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def canonical_json(payload) -> str:
     """Deterministic serialization: sorted keys, compact, one newline."""
-    return (
-        json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-        + "\n"
-    )
+    return _dumps(payload) + "\n"
+
+
+def _fields(structure) -> dict:
+    """The algebraic content of a structure, its tables as arrays."""
+    kind = kind_of(structure)
+    fields = {"kind": kind, "n": structure.n, "add": structure.add}
+    if kind != "loop":
+        fields.update(mul=structure.mul, one=structure.one)
+    return fields
+
+
+def _canonical_chunks(fields: dict):
+    """``canonical_json(fields)`` in pieces, each table one row at a time,
+    so that writing or hashing it needs O(n) memory beyond the tables."""
+    decimal = np.array([str(v) for v in range(fields["n"])], dtype=object)
+    for i, key in enumerate(sorted(fields)):
+        value = fields[key]
+        yield f'{"," if i else "{"}"{key}":'
+        if isinstance(value, np.ndarray):
+            for r, row in enumerate(value):
+                yield f'{",[" if r else "[["}{",".join(decimal[row].tolist())}]'
+            yield "]"
+        else:
+            yield _dumps(value)
+    yield "}\n"
 
 
 def structure_to_dict(structure, meta: dict | None = None) -> dict:
-    kind = kind_of(structure)
-    if kind == "loop":
-        out = {"kind": kind, "n": structure.n, "add": structure.add.tolist()}
-    else:
-        out = {
-            "kind": kind,
-            "n": structure.n,
-            "add": structure.add.tolist(),
-            "mul": structure.mul.tolist(),
-            "one": structure.one,
-        }
+    out = {k: v.tolist() if isinstance(v, np.ndarray) else v
+           for k, v in _fields(structure).items()}
     out["meta"] = dict(meta) if meta else {}
     return out
 
 
+def write_structure(structure, out, meta: dict | None = None) -> None:
+    """Write ``dump_structure(structure, meta)`` to ``out`` row by row."""
+    for chunk in _canonical_chunks({**_fields(structure), "meta": dict(meta or {})}):
+        out.write(chunk)
+
+
 def dump_structure(structure, meta: dict | None = None) -> str:
-    return canonical_json(structure_to_dict(structure, meta))
+    out = StringIO()
+    write_structure(structure, out, meta)
+    return out.getvalue()
 
 
 def dump_structure_text(structure) -> str:
@@ -102,29 +143,90 @@ def structure_sha256(structure) -> str:
     """Identity hash over the algebraic content only (meta excluded).
 
     The bytes hashed are ``canonical_json`` of ``structure_to_dict``
-    without its meta; each table goes to ``hashlib`` one row at a time,
-    so the hash needs O(n) memory beyond the tables.
+    without its meta, streamed to ``hashlib`` one table row at a time.
     """
-    kind = kind_of(structure)
-    fields = {"add": structure.add, "kind": kind, "n": structure.n}
-    if kind != "loop":
-        fields.update(mul=structure.mul, one=structure.one)
-    decimal = np.array([str(v) for v in range(structure.n)], dtype=object)
     h = hashlib.sha256()
-    for i, key in enumerate(sorted(fields)):
-        value = fields[key]
-        h.update(f'{"," if i else "{"}"{key}":'.encode())
-        if isinstance(value, np.ndarray):
-            for r, row in enumerate(value):
-                h.update(f'{",[" if r else "[["}{",".join(decimal[row].tolist())}]'.encode())
-            h.update(b"]")
-        else:
-            h.update(json.dumps(value).encode())
-    h.update(b"}\n")
+    for chunk in _canonical_chunks(_fields(structure)):
+        h.update(chunk.encode())
     return h.hexdigest()
 
 
-def _as_int_table(rows, what: str) -> list:
+_DECODER = json.JSONDecoder()
+_LIMIT = 10**17
+
+
+def _int_matrix(text: str, start: int):
+    """(int64 array, end) if the JSON value at ``start`` is a certified
+    compact integer matrix (see the module docstring), else None."""
+    if not text.startswith("[[", start):
+        return None
+    end = text.find("]]", start) + 2
+    span = text[start:end]
+    if end < 2 or not span.isascii():
+        return None
+    span = span.encode()
+    skeleton = span.translate(None, b"-0123456789")
+    width = skeleton.find(b"]") - 1
+    rows = skeleton.count(b"[") - 1
+    if len(skeleton) != rows * (width + 2) + 1 or skeleton != (
+            b"[" + b",".join([b"[" + b"," * (width - 1) + b"]"] * rows) + b"]"):
+        return None
+    signed_digits = len(span) - len(skeleton)
+    body = span[2:-2].replace(b"],[", b",")
+    del span  # one copy of the table text at a time beside the array
+    if not body or body.startswith(b",") or body.endswith(b",") or b",," in body:
+        return None
+    # a lone "-" reads as 0 and 2**63 clamps; NumPy < 2 warns on a short read
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            values = np.fromstring(body, dtype=np.int64, sep=",")
+        except ValueError:
+            return None
+    if values.size != rows * width:
+        return None
+    low, high = int(values.min()), int(values.max())
+    if low <= -_LIMIT or high >= _LIMIT:
+        return None
+    negatives = np.count_nonzero(values < 0)
+    if body.count(b"-") != negatives:
+        return None
+    magnitude, top = np.abs(values) if negatives else values, max(-low, high)
+    # str(v) has one digit more for each power of ten up to |v|, plus its sign
+    chars = values.size + negatives + sum(
+        np.count_nonzero(magnitude >= 10**k) for k in range(1, 19) if 10**k <= top)
+    if signed_digits != chars:
+        return None
+    return values.reshape(rows, width), end
+
+
+def _compact_object(text: str) -> dict | None:
+    """The top-level object of ``text`` if no whitespace separates its
+    members, with each certified ``add``/``mul`` value as an array; None
+    at anything else, so that ``json.loads`` decides."""
+    if not text.startswith('{"'):
+        return None
+    data, pos = {}, 1
+    try:
+        while True:
+            key, pos = json.decoder.scanstring(text, pos + 1)
+            if not text.startswith(":", pos):
+                return None
+            matrix = _int_matrix(text, pos + 1) if key in ("add", "mul") else None
+            data[key], pos = matrix or _DECODER.raw_decode(text, pos + 1)
+            if text.startswith("}", pos):
+                break
+            if not text.startswith(',"', pos):
+                return None
+            pos += 1
+    except (ValueError, RecursionError):  # json.loads raises it again, in its words
+        return None
+    return data if not text[pos + 1 :].strip(" \t\n\r") else None
+
+
+def _as_int_table(rows, what: str) -> list | np.ndarray:
+    if isinstance(rows, np.ndarray):  # certified by _int_matrix
+        return rows
     if not isinstance(rows, list) or not rows:
         raise ParseError(f"{what} table must be a nonempty list of rows")
     width = None
@@ -142,10 +244,12 @@ def _as_int_table(rows, what: str) -> list:
 
 
 def _parse_json(text: str) -> StructureFile:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
+    data = _compact_object(text)
+    if data is None:
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ParseError("top level must be an object")
     kind = data.get("kind")
@@ -249,7 +353,7 @@ def read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 

@@ -15,6 +15,7 @@ from loopnr import (
     all_loops,
     canonical_json,
     cyclic_ring,
+    dump_structure,
     galois_field,
     is_associative,
     is_division_ring,
@@ -351,6 +352,12 @@ class TestParseSpec:
             del d["meta"]
             want = hashlib.sha256(canonical_json(d).encode()).hexdigest()
             assert structure_sha256(s) == want, spec
+
+    def test_streamed_file_is_the_canonical_json(self):
+        for spec, _, _ in CATALOG:
+            s = build(spec)
+            want = canonical_json(structure_to_dict(s, {"name": spec, "µ": [1]}))
+            assert dump_structure(s, meta={"name": spec, "µ": [1]}) == want, spec
 
     def test_catalog_hashes_are_pinned(self):
         assert list(CATALOG_SHA256) == [spec for spec, _, _ in CATALOG]

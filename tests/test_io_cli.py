@@ -1,12 +1,19 @@
+import contextlib
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loopnr
+from loopnr import io as loopnr_io
 from loopnr import (
     BoundExceeded,
     ParseError,
@@ -157,6 +164,152 @@ class TestStructureFiles:
         sf = parse_structure(dump_structure_text(corpus.z(6)))
         with pytest.raises(BoundExceeded):
             realize(sf, replace(DEFAULT_BOUNDS, max_n=4))
+
+
+def json_route():
+    """Every JSON file through ``json.loads``, as before the array route."""
+    return mock.patch.object(loopnr_io, "_compact_object", return_value=None)
+
+
+def parse_outcome(text):
+    """What ``parse_structure`` makes of ``text``, tables as int lists."""
+    try:
+        sf = parse_structure(text)
+    except Exception as exc:  # the two routes must fail alike, whatever the error
+        return type(exc).__name__, str(exc)
+    tables = [None if t is None else np.asarray(t).tolist() for t in (sf.add, sf.mul)]
+    return sf.kind, sf.n, tables, sf.one, sf.meta
+
+
+COMPACT_DOCS = [
+    dump_structure(corpus.z(3), meta={"name": "cyclic:3"}),
+    '{"kind":"loop","n":2,"add":[[0,-1],[12,-30]],"meta":{"a":[1,2]}}\n',
+    '{"add":[[10,2],[1,100]],"add":[[5]],"kind":"loop","n":1}',
+]
+MUTATIONS = ["-", "-0", "01", ",", ",,", "[", "]", "[]", " ", "1e3", "true", '"']
+
+
+@st.composite
+def mutated_documents(draw):
+    text = draw(st.sampled_from(COMPACT_DOCS))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        token = draw(st.sampled_from(MUTATIONS))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit == "insert":
+            text = text[:i] + token + text[i:]
+        elif edit == "delete":
+            text = text[:i] + text[i + draw(st.integers(1, 3)):]
+        else:
+            text = text[:i] + token + text[i + len(token):]
+    return text
+
+
+def lenient_fromstring(body, dtype, sep):
+    """``np.fromstring(body, np.int64, sep=",")`` as NumPy 1.x reads it:
+    each entry is its longest ``-?digits`` prefix, a lone ``-`` or an
+    empty entry reads as 0, values clamp to int64, and unread text ends
+    the array with a DeprecationWarning instead of an error."""
+    values = []
+    for token in body.split(b","):
+        prefix = re.match(rb"-?[0-9]*", token).group()
+        value = int(prefix) if prefix.strip(b"-") else 0
+        values.append(min(max(value, -(2**63)), 2**63 - 1))
+        if len(prefix) != len(token):
+            warnings.warn("string could not be read to its end", DeprecationWarning)
+            break
+    return np.array(values, dtype=dtype)
+
+
+@contextlib.contextmanager
+def number_reader(reader):
+    """The installed NumPy's reader, or the NumPy 1.x one; no warning may
+    escape the decoder either way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if reader == "numpy":
+            yield
+        else:
+            with mock.patch.object(np, "fromstring", lenient_fromstring):
+                yield
+
+
+class TestArrayRoute:
+    """Compact tables decode straight to arrays, exactly as json.loads reads them."""
+
+    @pytest.mark.parametrize("reader", ["numpy", "numpy1"])
+    @settings(max_examples=400)
+    @given(text=mutated_documents())
+    def test_mutated_documents_decode_as_json_does(self, reader, text):
+        with json_route():
+            want = parse_outcome(text)
+        with number_reader(reader):
+            assert parse_outcome(text) == want
+
+    @pytest.mark.parametrize("reader", ["numpy", "numpy1"])
+    @pytest.mark.parametrize("table", [
+        "[[-,7]]", "[[,1]]", "[[,01]]", "[[-3],-[7]]", "[[1,-]]", "[[-0]]", "[[01]]",
+        "[[9999999999999999999]]", "[[-9223372036854775808]]", "[[100000000000000000]]",
+        "[[]]", "[[1]01,[2]]", "[[1],[2]3]", "[[1,2-3]]", "[[12-,3]]", "[[1,2],[3],[4,5,6]]",
+    ])
+    def test_uncertified_tables_take_the_json_route(self, reader, table):
+        text = '{"kind":"loop","n":1,"add":%s}' % table
+        with number_reader(reader):
+            assert loopnr_io._int_matrix(text, text.index("[[")) is None
+        with json_route():
+            want = parse_outcome(text)
+        with number_reader(reader):
+            assert parse_outcome(text) == want
+
+    def test_certified_table_is_the_int64_array(self):
+        text = "[[0,-12],[3,4]],"
+        array, end = loopnr_io._int_matrix(text, 0)
+        assert array.dtype == np.int64 and array.tolist() == [[0, -12], [3, 4]]
+        assert text[end:] == ","
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_compact_files_skip_the_list_loop(self, capsys, monkeypatch, tmp_path, corrupt):
+        ring = corpus.z(6)
+        payload = json.loads(dump_structure(ring))
+        if corrupt:
+            payload["mul"][2][3] = (payload["mul"][2][3] + 1) % 6
+        layouts = {
+            "compact": (json.dumps(payload, separators=(",", ":")), np.ndarray),
+            "default": (json.dumps(payload), list),
+            "indent": (json.dumps(payload, indent=1), list),
+        }
+        seen = []
+        kernel = loopnr_io._as_int_table
+        monkeypatch.setattr(loopnr_io, "_as_int_table",
+                            lambda rows, what: seen.append(type(rows)) or kernel(rows, what))
+        p = tmp_path / "z6.json"
+        reports = set()
+        for text, route in layouts.values():
+            p.write_text(text)
+            seen.clear()
+            reports.add((run_cli(capsys, "check", str(p)), run_cli(capsys, "analyze", str(p))))
+            assert seen == [route] * 4
+        assert len(reports) == 1
+        (check_code, _), (analyze_code, _) = reports.pop()
+        assert (check_code, analyze_code) == ((1, 1) if corrupt else (0, 0))
+
+
+class TestUnreadableBytes:
+    def test_non_utf8_structure_file_is_a_parse_error(self, capsys, tmp_path):
+        p = tmp_path / "z3.json"
+        p.write_bytes(dump_structure(corpus.z(3), meta={"name": "X"}).encode()
+                      .replace(b"X", b"\xff"))
+        for command in ("check", "analyze"):
+            code, out = run_cli(capsys, command, str(p))
+            assert code == 2
+            assert out.startswith(f"parse error: cannot read {p}: 'utf-8' codec")
+
+    def test_non_utf8_map_file_is_a_parse_error(self, capsys, tmp_path):
+        p = tmp_path / "map.txt"
+        p.write_bytes(b"0 1 \xff 1\n")
+        code, out = run_cli(capsys, "hom", "cyclic:4", "cyclic:2", str(p))
+        assert code == 2
+        assert out.startswith(f"parse error: cannot read {p}: 'utf-8' codec")
 
 
 def run_cli(capsys, *argv):
