@@ -37,7 +37,7 @@ from .io import (
     dump_structure_text,
     kind_of,
     load_structure,
-    parse_structure,
+    read_structure,
     read_text,
     write_structure,
 )
@@ -85,7 +85,7 @@ def cmd_check(args) -> int:
     """A file is checked row by row; a spec was validated as it was built."""
     bounds = _bounds_from_args(args)
     if os.path.exists(args.input):
-        sf = parse_structure(read_text(args.input))
+        sf = read_structure(args.input)
         bounds.check("max_n", sf.n, "structure file")
     else:
         structure = parse_spec(args.input, bounds)
@@ -136,6 +136,8 @@ def _load_map(path: str) -> list:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON map file: {exc}") from None
+        except (ValueError, RecursionError) as exc:  # as in io.read_structure
+            raise ParseError(f"cannot read {path}: {exc}") from None
         if not isinstance(data, list):
             raise ParseError("map file must be a JSON array")
     else:

@@ -28,10 +28,13 @@ Indexing conventions (documented here so golden files are portable):
   * random_loop:n,s   seeded random Latin square completion, rows and
                       columns through 0 fixed to the identity.
 
-Every table comes from one builder, ``_table``, which writes int16
-row i as op(digits[i], every digit vector) encoded in the mixed radix
-above (for cyclic:n, one digit of radix n).  The one exception is the
-multiplication of gf:q, gathered from Zech logarithm tables.
+A table computed digit by digit (the additions of gf, matrix, ut2 and
+m/m0, both operations of product) is one Kronecker-style sum over the
+digits' own tables, ``_componentwise``.  Every other table comes from
+one builder, ``_table``, which writes int16 row i as op(digits[i],
+every digit vector) encoded in the mixed radix above (for cyclic:n,
+one digit of radix n).  The one exception is the multiplication of
+gf:q, gathered from Zech logarithm tables.
 """
 
 from __future__ import annotations
@@ -73,14 +76,21 @@ def _table(digits, radices, op) -> np.ndarray:
     return out
 
 
-def _componentwise(op_tables):
-    """x op y computed in each digit with that digit's own table."""
-    def op(x, ys):
-        out = np.empty_like(ys)
-        for j, t in enumerate(op_tables):
-            out[:, j] = t[x[j], ys[:, j]]
-        return out
-    return op
+def _componentwise(op_tables) -> np.ndarray:
+    """The int16 Cayley table of x op y computed in each digit with that
+    digit's own table, digits in the mixed radix of the tables' orders.
+
+    It is a Kronecker-style sum built from the least significant digit
+    up: with T the table of the later digits (order m) and t the next
+    digit's table, the new table at ((a, x), (b, y)) is t[a, b] * m + T[x, y].
+    """
+    out = np.zeros((1, 1), dtype=tables.DTYPE)
+    for t in reversed(op_tables):
+        r, m = len(t), len(out)
+        high = np.asarray(t, dtype=tables.DTYPE) * m
+        out = np.add(high[:, None, :, None], out[None, :, None, :],
+                     out=np.empty((r, m, r, m), dtype=tables.DTYPE)).reshape(r * m, r * m)
+    return out
 
 
 def _index(digits, radices) -> int:
@@ -170,7 +180,7 @@ def galois_field(q: int) -> FiniteRing:
     mul = np.zeros((q, q), dtype=tables.DTYPE)    # row and column 0 stay 0
     for x in range(1, q):
         mul[x, 1:] = exp[log[x] + log[1:]]
-    add = _table(digits, radices, _componentwise([cyclic_ring(p).add] * k))
+    add = _componentwise([cyclic_ring(p).add] * k)
     return validate_ring_tables(add, mul, 1)
 
 
@@ -193,7 +203,7 @@ def matrix_ring(base: FiniteRing, k: int, bounds: Bounds = DEFAULT_BOUNDS) -> Fi
             acc = badd[acc, bmul[a[None, :, t, None], m[:, None, t, :]]]
         return acc.reshape(size, k * k)
 
-    add = _table(digits, radices, _componentwise([badd] * (k * k)))
+    add = _componentwise([badd] * (k * k))
     one = _index(np.eye(k, dtype=np.int64).ravel() * base.one, radices)
     return validate_ring_tables(add, _table(digits, radices, mul), one)
 
@@ -214,7 +224,7 @@ def upper_triangular_ring(base: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> 
                          badd[bmul[a, ys[:, 1]], bmul[b, ys[:, 2]]],
                          bmul[d, ys[:, 2]]], axis=1)
 
-    add = _table(digits, radices, _componentwise([badd] * 3))
+    add = _componentwise([badd] * 3)
     one = _index([base.one, 0, base.one], radices)
     return validate_ring_tables(add, _table(digits, radices, mul), one)
 
@@ -233,7 +243,7 @@ def map_near_ring(loop: CayleyLoop, zero_fixing: bool, bounds: Bounds = DEFAULT_
     radices = [n] * (n - lo)
     maps = tables.decode_all(size, radices)            # values at lo..n-1
     pad = np.zeros(lo, dtype=tables.DTYPE)
-    add = _table(maps, radices, _componentwise([loop.add] * (n - lo)))   # f(x) + g(x)
+    add = _componentwise([loop.add] * (n - lo))   # f(x) + g(x)
     mul = _table(maps, radices, lambda f, gs: np.concatenate((pad, f))[gs])   # f(g(x))
     return validate_lnr(add, mul, _index(range(lo, n), radices))
 
@@ -341,12 +351,11 @@ def product(structures, bounds: Bounds = DEFAULT_BOUNDS):
         size *= s.n
     bounds.check("max_n", size, "product")
     radices = [s.n for s in structures]
-    digits = tables.decode_all(size, radices)
     loops = [s if isinstance(s, CayleyLoop) else s.additive for s in structures]
-    add = _table(digits, radices, _componentwise([l.add for l in loops]))
+    add = _componentwise([l.add for l in loops])
     if kinds == {"loop"}:
         return validate_loop(add)
-    mul = _table(digits, radices, _componentwise([s.mul for s in structures]))
+    mul = _componentwise([s.mul for s in structures])
     cls = FiniteRing if kinds == {"ring"} else LoopNearRing
     return _validated(cls, add, mul, _index([s.one for s in structures], radices))
 

@@ -26,23 +26,31 @@ A loop file is the kind line plus the addition rows.
 The compact JSON form, as ``generate`` writes it, is also the fast form:
 a top-level ``"add"`` or ``"mul"`` value written as ``[[r,r,...],[...]]``
 decodes straight into an int64 array, with no Python list in between.
-A value takes that route only under a certificate: deleting its digits
-and ``-`` leaves exactly the ``[[,...],...]`` skeleton of a rows x width
-matrix; no entry is empty; one ``np.fromstring`` call reads exactly
-rows * width values, each below 10**17 in absolute value; the ``-``
-signs number the negative values; and the digits and signs together are
-as many characters as the values' ``str`` forms.  Then every entry is
-exactly ``str(v)`` of its value, so the array equals what ``json.loads``
-gives.  Everything else (whitespace between members, floats, bools,
-longer integers, malformed text) goes through ``json.loads`` as before,
-with the same tables, messages and witnesses.
+The text is read as bytes in blocks of whole rows.  One pass finds the
+skeleton: every character that is not a digit or ``-``.  A block is
+certified when that skeleton is exactly ``[`` ``,``...``]`` per row, one
+``,`` between rows and the closing ``]`` after the last, with nothing
+else between brackets and separators; and when every entry is exactly
+``str(v)`` of its value: at least one digit, at most 17 (so |v| <
+10**17), a ``-`` only in front, no leading zero and no ``-0``.  The
+values are then read from the bytes eight digits at a time.  Such an
+array equals what ``json.loads`` gives.  Everything else (whitespace
+between members, floats, bools, longer integers, malformed text) goes
+through ``json.loads`` as before, with the same tables, messages and
+witnesses.
+
+Output takes the reverse route.  A table is rendered in blocks of rows
+by gathering, for each entry v, a precomputed field ``str(v)`` plus its
+separator, padded with NUL to one machine word; one ``bytes.translate``
+drops the padding.  ``structure_sha256``, ``write_structure``,
+``dump_structure`` and ``dump_structure_text`` share that renderer, and
+its memory beyond the tables is one block.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, field
 from io import StringIO
 
@@ -92,20 +100,52 @@ def _fields(structure) -> dict:
     return fields
 
 
+_BLOCK_CELLS = 1 << 14   # table entries rendered per block
+
+
+def _render_rows(table: np.ndarray, sep: str, close: str, gap: str):
+    """The rows of ``table`` as ASCII bytes, in blocks of rows: each row's
+    entries joined by ``sep`` and ended by ``close``, rows joined by ``gap``.
+
+    Entry v of a row is gathered from a table of the fields ``str(v) + sep``
+    (``str(v) + close`` in the last column), each padded on the left with
+    NUL to one machine word; one ``bytes.translate`` then drops the NULs.
+    """
+    rows, n = table.shape
+    size = max(len(str(n - 1)) + max(len(sep), len(close)), len(gap))
+    word = np.dtype(f"<u{1 << (size - 1).bit_length()}")
+
+    def fields(texts):
+        return np.array([t.encode().rjust(word.itemsize, b"\0") for t in texts],
+                        dtype=f"S{word.itemsize}").view(word)
+
+    cell, last = fields(f"{v}{sep}" for v in range(n)), fields(f"{v}{close}" for v in range(n))
+    between = fields([gap])[0]
+    step = max(1, _BLOCK_CELLS // n)
+    for r in range(0, rows, step):
+        block = table[r:r + step]
+        out = np.empty((len(block), n + 1), dtype=word)
+        out[:, :-2] = cell.take(block[:, :-1])
+        out[:, -2] = last.take(block[:, -1])
+        out[:, -1] = between
+        text = out.tobytes().translate(None, b"\0")
+        yield text if r + step < rows else text[:len(text) - len(gap)]
+
+
 def _canonical_chunks(fields: dict):
-    """``canonical_json(fields)`` in pieces, each table one row at a time,
-    so that writing or hashing it needs O(n) memory beyond the tables."""
-    decimal = np.array([str(v) for v in range(fields["n"])], dtype=object)
+    """``canonical_json(fields)`` as UTF-8 bytes, in pieces: each table
+    in blocks of rows, so that writing or hashing it needs O(block)
+    memory beyond the tables."""
     for i, key in enumerate(sorted(fields)):
         value = fields[key]
-        yield f'{"," if i else "{"}"{key}":'
+        yield f'{"," if i else "{"}"{key}":'.encode()
         if isinstance(value, np.ndarray):
-            for r, row in enumerate(value):
-                yield f'{",[" if r else "[["}{",".join(decimal[row].tolist())}]'
-            yield "]"
+            yield b"[["
+            yield from _render_rows(value, ",", "]", ",[")
+            yield b"]"
         else:
-            yield _dumps(value)
-    yield "}\n"
+            yield _dumps(value).encode()
+    yield b"}\n"
 
 
 def structure_to_dict(structure, meta: dict | None = None) -> dict:
@@ -116,9 +156,9 @@ def structure_to_dict(structure, meta: dict | None = None) -> dict:
 
 
 def write_structure(structure, out, meta: dict | None = None) -> None:
-    """Write ``dump_structure(structure, meta)`` to ``out`` row by row."""
+    """Write ``dump_structure(structure, meta)`` to ``out`` in blocks of rows."""
     for chunk in _canonical_chunks({**_fields(structure), "meta": dict(meta or {})}):
-        out.write(chunk)
+        out.write(chunk.decode())
 
 
 def dump_structure(structure, meta: dict | None = None) -> str:
@@ -130,29 +170,101 @@ def dump_structure(structure, meta: dict | None = None) -> str:
 def dump_structure_text(structure) -> str:
     """Serialize to the line-oriented text format the parser accepts."""
     kind = kind_of(structure)
-    add = structure.add.tolist()
-    lines = [f"{kind} {structure.n}"]
-    lines += [" ".join(str(v) for v in row) for row in add]
-    if kind != "loop":
-        lines += [" ".join(str(v) for v in row) for row in structure.mul.tolist()]
-        lines.append(f"one={structure.one}")
-    return "\n".join(lines) + "\n"
+    tables = [structure.add] if kind == "loop" else [structure.add, structure.mul]
+    rows = [b"".join(_render_rows(t, " ", "\n", "")).decode() for t in tables]
+    one = "" if kind == "loop" else f"one={structure.one}\n"
+    return f"{kind} {structure.n}\n" + "".join(rows) + one
 
 
 def structure_sha256(structure) -> str:
     """Identity hash over the algebraic content only (meta excluded).
 
     The bytes hashed are ``canonical_json`` of ``structure_to_dict``
-    without its meta, streamed to ``hashlib`` one table row at a time.
+    without its meta, streamed to ``hashlib`` in blocks of table rows.
     """
     h = hashlib.sha256()
     for chunk in _canonical_chunks(_fields(structure)):
-        h.update(chunk.encode())
+        h.update(chunk)
     return h.hexdigest()
 
 
 _DECODER = json.JSONDecoder()
-_LIMIT = 10**17
+_BLOCK_BYTES = 1 << 15   # table text decoded per block, beyond its last row
+_MAX_DIGITS = 17         # |v| < 10**17
+_PAD = 24                # NULs before a block's text: room for three words
+
+
+def _nibble_mask(digits: int) -> int:
+    """The digit nibbles of the last ``digits`` of 8 characters loaded as
+    a little-endian word (its first character is the low byte)."""
+    return ((1 << 64) - (1 << (64 - 8 * digits))) & 0x0F0F0F0F0F0F0F0F if digits else 0
+
+
+# _NIBBLES[w, d]: the mask of word w (w = 0 holds the last 8 characters,
+# w = 1 the 8 before them, ...) of an entry of d digits.  Both tables are
+# built by np.fromiter: NumPy's first array from nested lists costs a
+# process about 150 KiB of resident memory.
+_NIBBLES = np.fromiter((_nibble_mask(min(max(d - 8 * w, 0), 8))
+                        for w in range(3) for d in range(_MAX_DIGITS + 1)), np.uint64).reshape(3, -1)
+# _LEAST[d]: the least value written with d digits, "0" alone below 10
+_LEAST = np.fromiter((10 ** (d - 1) if d > 1 else 0 for d in range(_MAX_DIGITS + 1)), np.int64)
+
+
+def _eight_digits(nibbles: np.ndarray) -> np.ndarray:
+    """The values of words of eight decimal digits, one per byte, first
+    digit in the low byte: three multiply-shift steps that each merge
+    neighbouring digit groups (Lemire's eight-digit parser)."""
+    nibbles = (nibbles * 2561 >> 8) & 0x00FF00FF00FF00FF
+    nibbles = (nibbles * 6553601 >> 16) & 0x0000FFFF0000FFFF
+    return (nibbles * 42949672960001 >> 32).astype(np.int64)
+
+
+def _decode_rows(padded: bytes, width: int):
+    """Decode the rows ``[v,...,v]`` that ``padded[_PAD:]`` starts with.
+
+    Each row is followed by ``,``, or the last by the ``]`` closing the
+    matrix; what follows that ``]`` is not read.  Returns (values, used,
+    closed): the (rows, width) int64 array, the characters read and
+    whether the matrix closed; None unless every entry is exactly
+    ``str(v)`` of a value with |v| < 10**17.
+    """
+    chars = np.frombuffer(padded, np.uint8, offset=_PAD)
+    # every character other than a digit or "-" is skeleton
+    cut = np.flatnonzero((chars - 48 > 9) & (chars != 45))
+    marks = chars.take(cut).tobytes()
+    close = marks.find(b"]]")
+    if close >= 0:
+        cut, marks = cut[:close + 2], marks[:close + 2]
+        chars = chars[:cut[-1] + 1]
+    rows = len(cut) // (width + 2)
+    skeleton = (b"[" + b"," * (width - 1) + b"],") * rows
+    if close >= 0:
+        skeleton = skeleton[:-1] + b"]"
+    if not rows or marks != skeleton:
+        return None
+    cut = cut.reshape(rows, width + 2)
+    ends = cut[:, 1:-1]
+    digits = ends - cut[:, :-2] - 1
+    # the skeleton starts and ends the block, and every other character is in an entry
+    if cut[0, 0] or cut[-1, -1] != len(chars) - 1 or digits.sum() != len(chars) - cut.size:
+        return None
+    minus = np.count_nonzero(chars == 45)
+    if minus:
+        signs = chars.take(cut[:, :-2] + 1) == 45
+        if np.count_nonzero(signs) != minus:
+            return None   # a "-" that does not lead its entry
+        digits -= signs
+    if digits.min() < 1 or digits.max() > _MAX_DIGITS:
+        return None
+    # words[i] holds the 8 characters before chars[i - 16]
+    words = np.ndarray(len(padded) - 7, dtype="<u8", buffer=padded, strides=(1,))
+    values = sum(_eight_digits(words.take(ends + (16 - 8 * w)) & _NIBBLES[w].take(digits)) * 10**(8 * w)
+                 for w in range(-(-int(digits.max()) // 8)))
+    # str(v) has no leading zero, and "-0" is not str(0)
+    least = np.maximum(_LEAST.take(digits), signs) if minus else _LEAST.take(digits)
+    if (values < least).any():
+        return None
+    return (np.where(signs, -values, values) if minus else values), len(chars), close >= 0
 
 
 def _int_matrix(text: str, start: int):
@@ -160,44 +272,21 @@ def _int_matrix(text: str, start: int):
     compact integer matrix (see the module docstring), else None."""
     if not text.startswith("[[", start):
         return None
-    end = text.find("]]", start) + 2
-    span = text[start:end]
-    if end < 2 or not span.isascii():
-        return None
-    span = span.encode()
-    skeleton = span.translate(None, b"-0123456789")
-    width = skeleton.find(b"]") - 1
-    rows = skeleton.count(b"[") - 1
-    if len(skeleton) != rows * (width + 2) + 1 or skeleton != (
-            b"[" + b",".join([b"[" + b"," * (width - 1) + b"]"] * rows) + b"]"):
-        return None
-    signed_digits = len(span) - len(skeleton)
-    body = span[2:-2].replace(b"],[", b",")
-    del span  # one copy of the table text at a time beside the array
-    if not body or body.startswith(b",") or body.endswith(b",") or b",," in body:
-        return None
-    # a lone "-" reads as 0 and 2**63 clamps; NumPy < 2 warns on a short read
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            values = np.fromstring(body, dtype=np.int64, sep=",")
-        except ValueError:
+    blocks, width, pos, closed = [], None, start + 1, False
+    while not closed:
+        # a block runs to the "," after the first row to end past its budget
+        stop = text.find("]", pos + _BLOCK_BYTES) + 2
+        span = text[pos:stop if stop >= 2 else len(text)]
+        if width is None:
+            width = span.count(",", 0, span.find("]")) + 1
+        # any non-ASCII character encodes to bytes that are skeleton
+        decoded = _decode_rows(bytes(_PAD) + span.encode("utf-8", "surrogatepass"), width)
+        if decoded is None:
             return None
-    if values.size != rows * width:
-        return None
-    low, high = int(values.min()), int(values.max())
-    if low <= -_LIMIT or high >= _LIMIT:
-        return None
-    negatives = np.count_nonzero(values < 0)
-    if body.count(b"-") != negatives:
-        return None
-    magnitude, top = np.abs(values) if negatives else values, max(-low, high)
-    # str(v) has one digit more for each power of ten up to |v|, plus its sign
-    chars = values.size + negatives + sum(
-        np.count_nonzero(magnitude >= 10**k) for k in range(1, 19) if 10**k <= top)
-    if signed_digits != chars:
-        return None
-    return values.reshape(rows, width), end
+        rows, used, closed = decoded
+        blocks.append(rows)
+        pos += used
+    return (blocks[0] if len(blocks) == 1 else np.concatenate(blocks)), pos
 
 
 def _compact_object(text: str) -> dict | None:
@@ -357,10 +446,20 @@ def read_text(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
+def read_structure(path: str) -> StructureFile:
+    """Read and parse a structure file."""
+    text = read_text(path)
+    try:
+        return parse_structure(text)
+    except (ValueError, RecursionError) as exc:  # json: an integer literal past
+        # sys.get_int_max_str_digits(), or arrays nested past the recursion limit
+        raise ParseError(f"cannot read {path}: {exc}") from None
+
+
 def load_structure(path: str, bounds: Bounds = DEFAULT_BOUNDS):
     """Read, parse and validate a structure file.
 
     Returns (structure, meta).
     """
-    sf = parse_structure(read_text(path))
+    sf = read_structure(path)
     return realize(sf, bounds), sf.meta

@@ -1,4 +1,6 @@
 import contextlib
+import hashlib
+import io
 import json
 import os
 import re
@@ -13,9 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loopnr
+from loopnr import generators
 from loopnr import io as loopnr_io
 from loopnr import (
     BoundExceeded,
+    CayleyLoop,
+    FiniteRing,
+    LoopNearRing,
     ParseError,
     canonical_json,
     dump_structure,
@@ -25,6 +31,8 @@ from loopnr import (
     parse_structure,
     realize,
     structure_sha256,
+    structure_to_dict,
+    write_structure,
 )
 from loopnr.cli import main
 
@@ -185,6 +193,9 @@ COMPACT_DOCS = [
     dump_structure(corpus.z(3), meta={"name": "cyclic:3"}),
     '{"kind":"loop","n":2,"add":[[0,-1],[12,-30]],"meta":{"a":[1,2]}}\n',
     '{"add":[[10,2],[1,100]],"add":[[5]],"kind":"loop","n":1}',
+    '{"add":[[9,10,99],[100,999,1000],[65536,65537,123456]],"kind":"loop","n":3}',
+    '{"add":[[0,-9,10],[-99,100,-999],[1000,-65536,-123456]],"kind":"lnr",'
+    '"mul":[[-1,0,65539],[7,-10,99999],[-100000,8,9]],"n":3,"one":2}',
 ]
 MUTATIONS = ["-", "-0", "01", ",", ",,", "[", "]", "[]", " ", "1e3", "true", '"']
 
@@ -223,8 +234,9 @@ def lenient_fromstring(body, dtype, sep):
 
 @contextlib.contextmanager
 def number_reader(reader):
-    """The installed NumPy's reader, or the NumPy 1.x one; no warning may
-    escape the decoder either way."""
+    """The installed NumPy's ``fromstring``, or the NumPy 1.x one.  The
+    decoder reads its digits from the bytes itself, so it must decide
+    alike under either, and no warning may escape it."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if reader == "numpy":
@@ -261,6 +273,19 @@ class TestArrayRoute:
         with number_reader(reader):
             assert parse_outcome(text) == want
 
+    @pytest.mark.parametrize("text", COMPACT_DOCS)
+    def test_compact_documents_take_the_array_route(self, text):
+        with json_route():
+            want = parse_outcome(text)
+        assert parse_outcome(text) == want
+        assert isinstance(parse_structure(text).add, np.ndarray)
+
+    def test_every_digit_count_decodes_exactly(self):
+        rows = [[10**k - 1, 10**k, -(10**k) - 7] for k in range(1, 17)]
+        text = json.dumps(rows, separators=(",", ":"))
+        array, end = loopnr_io._int_matrix(text, 0)
+        assert array.tolist() == rows and end == len(text)
+
     def test_certified_table_is_the_int64_array(self):
         text = "[[0,-12],[3,4]],"
         array, end = loopnr_io._int_matrix(text, 0)
@@ -293,6 +318,75 @@ class TestArrayRoute:
         (check_code, _), (analyze_code, _) = reports.pop()
         assert (check_code, analyze_code) == ((1, 1) if corrupt else (0, 0))
 
+    @settings(max_examples=300)
+    @given(text=mutated_documents(), block=st.integers(0, 40))
+    def test_blocks_split_anywhere(self, text, block):
+        with json_route():
+            want = parse_outcome(text)
+        with mock.patch.object(loopnr_io, "_BLOCK_BYTES", block):
+            assert parse_outcome(text) == want
+
+    def test_every_generated_catalog_file_takes_the_array_route(self):
+        for spec, _, _ in generators.CATALOG:
+            sf = parse_structure(dump_structure(parse_spec(spec), meta={"name": spec}))
+            tables = [sf.add] if sf.kind == "loop" else [sf.add, sf.mul]
+            assert all(isinstance(t, np.ndarray) for t in tables), spec
+
+
+@st.composite
+def field_sets(draw):
+    """Unvalidated loop, lnr or ring field sets of order 1..1100, whose
+    entries span 1 to 4 digits, and a block size that splits the rows.
+    The tables keep only their first rows (at most 24) to stay small."""
+    n = draw(st.one_of(st.sampled_from([1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 1100]),
+                       st.integers(1, 1100)))
+    shape = (draw(st.integers(1, min(n, 24))), n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    add = rng.integers(0, n, shape, dtype=np.int16)
+    add[-1, -1] = n - 1
+    loop = CayleyLoop(n=n, add=add, ldiff=None, rdiff=None)
+    kind = draw(st.sampled_from([CayleyLoop, LoopNearRing, FiniteRing]))
+    if kind is CayleyLoop:
+        structure = loop
+    else:
+        mul = rng.integers(0, n, shape, dtype=np.int16)
+        structure = kind(additive=loop, mul=mul, one=int(rng.integers(0, n)), zero_symmetric=False)
+    return structure, draw(st.integers(1, 3 * n))
+
+
+class TestBlockRenderer:
+    """Tables render in blocks of rows exactly as ``json.dumps`` of their lists."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=field_sets(), meta=st.sampled_from([None, {"name": "x"}, {"µ": [1, "é"]}]))
+    def test_renderings_equal_the_canonical_json(self, case, meta):
+        structure, cells = case
+        want = canonical_json(structure_to_dict(structure, meta))
+        hashed = structure_to_dict(structure)
+        del hashed["meta"]
+        kind = kind_of(structure)
+        tables = [structure.add] if kind == "loop" else [structure.add, structure.mul]
+        rows = "".join(" ".join(map(str, row)) + "\n" for t in tables for row in t.tolist())
+        one = "" if kind == "loop" else f"one={structure.one}\n"
+        out = io.StringIO()
+        with mock.patch.object(loopnr_io, "_BLOCK_CELLS", cells):
+            assert dump_structure(structure, meta) == want
+            write_structure(structure, out, meta)
+            sha = structure_sha256(structure)
+            text = dump_structure_text(structure)
+        assert out.getvalue() == want
+        assert sha == hashlib.sha256(canonical_json(hashed).encode()).hexdigest()
+        assert text == f"{kind} {structure.n}\n{rows}{one}"
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+# JSON that json.loads cannot decode although its syntax is valid
+UNDECODABLE_JSON = [
+    pytest.param("1" * (DIGIT_LIMIT + 1), "Exceeds the limit", id="overlong-integer",
+                 marks=pytest.mark.skipif(not DIGIT_LIMIT, reason="no integer digit limit")),
+    pytest.param("[" * 100_000 + "]" * 100_000, "maximum recursion depth", id="deep-nesting"),
+]
+
 
 class TestUnreadableBytes:
     def test_non_utf8_structure_file_is_a_parse_error(self, capsys, tmp_path):
@@ -303,6 +397,23 @@ class TestUnreadableBytes:
             code, out = run_cli(capsys, command, str(p))
             assert code == 2
             assert out.startswith(f"parse error: cannot read {p}: 'utf-8' codec")
+
+    @pytest.mark.parametrize("value, message", UNDECODABLE_JSON)
+    def test_undecodable_json_structure_file_is_a_parse_error(self, capsys, tmp_path, value, message):
+        p = tmp_path / "bad.json"
+        p.write_text('{"kind":"loop","n":1,"add":[[%s]]}' % value)
+        for command in ("check", "analyze"):
+            code, out = run_cli(capsys, command, str(p))
+            assert code == 2
+            assert out.startswith(f"parse error: cannot read {p}: {message}")
+
+    @pytest.mark.parametrize("value, message", UNDECODABLE_JSON)
+    def test_undecodable_json_map_file_is_a_parse_error(self, capsys, tmp_path, value, message):
+        p = tmp_path / "map.json"
+        p.write_text("[0,%s]" % value)
+        code, out = run_cli(capsys, "hom", "cyclic:2", "cyclic:2", str(p))
+        assert code == 2
+        assert out.startswith(f"parse error: cannot read {p}: {message}")
 
     def test_non_utf8_map_file_is_a_parse_error(self, capsys, tmp_path):
         p = tmp_path / "map.txt"
