@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import cache
 
 from .config import DEFAULT_BOUNDS, Bounds, bounds_from_env
 from .errors import (
@@ -189,7 +190,10 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no
+    state in it, and each ``main`` call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="loopnr",
         description="Analyze finite loops, loop near-rings and rings: "

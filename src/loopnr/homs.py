@@ -126,7 +126,9 @@ def image_subring(hom: LnrHom) -> ImageRing:
     The image of a near-ring homomorphism into a ring is closed under
     +, * and negation (the negative of f(n) is the image of the
     right complement of n), so re-indexing the value set and gathering
-    the target tables yields a ring; the validator certifies it.
+    the target tables yields a subring of the target.  It inherits the
+    target's ring laws; ``induced`` checks its closure, zero and
+    identity.
     """
     if not isinstance(hom.target, FiniteRing):
         raise TargetNotARing("image_subring needs a ring codomain")

@@ -82,17 +82,17 @@ class LoopNearRing:
         return f"{type(self).__name__}(n={self.n})"
 
 
-def _validated(cls, add_table, mul_table, one: int):
+def _validated(cls, add_table, mul_table, one: int, laws: bool = True):
     """Certify tables as a ``cls``: the loop rows unless ``add_table`` is
     already a CayleyLoop, then one ``tables.AXIOMS`` scan of the rows of
-    kinds "lnr" through ``cls.kind``."""
+    kinds "lnr" through ``cls.kind``, the law rows only if ``laws``."""
     additive = add_table if isinstance(add_table, CayleyLoop) else validate_loop(add_table)
     n = additive.n
     mul = tables.as_table(mul_table)
     if mul.shape[0] != n:
         raise ValidationError(f"mul table is {mul.shape[0]}x{mul.shape[0]}, additive has n={n}")
     one = int(one)
-    tables.require(additive.add, mul, one, start="lnr", kind=cls.kind)
+    tables.require(additive.add, mul, one, start="lnr", kind=cls.kind, laws=laws)
     zero_symmetric = bool((mul[:, additive.zero] == additive.zero).all())
     if cls.kind == "ring" and not zero_symmetric:
         # left distributivity forces n*0 = 0, so this cannot happen
@@ -116,11 +116,15 @@ def induced(nr: LoopNearRing, reps, label, one: int) -> LoopNearRing:
     parent element ``one``, through the lookup array ``label`` (parent
     element -> new index).  Corner rings, images and sub-near-rings use
     the positions of an ascending carrier; quotients use the coset
-    projection.  One validator scan certifies the result in full, up to
-    ``nr.kind``, so a ring's corner, quotient or image is a FiniteRing.
+    projection of a certified ideal, which is a homomorphism.  So the
+    result inherits ``nr``'s law rows of ``tables.AXIOMS`` and only the
+    others are scanned, up to ``nr.kind``: a ring's corner, quotient or
+    image is a FiniteRing.  A carrier not closed under + and * leaves a
+    -1 label in a table and is refused with EntriesOutOfRange.
     """
     grid = np.ix_(reps, reps)
-    return _validated(type(nr), label[nr.add[grid]], label[nr.mul[grid]], label[one])
+    return _validated(type(nr), label[nr.add[grid]], label[nr.mul[grid]], label[one],
+                      laws=False)
 
 
 @dataclass(frozen=True, eq=False)

@@ -80,7 +80,7 @@ class FiniteRing(LoopNearRing):
 
     @cached_property
     def _quotient(self) -> Quotient:
-        # A/J, built and validated once
+        # A/J, built and certified once
         return quotient_ring(self, self._radical)
 
 
@@ -187,7 +187,9 @@ class Quotient:
 def quotient_ring(ring: FiniteRing, ideal) -> Quotient:
     """A / I with canonical least-element coset representatives.
 
-    A / {0} is A itself: its tables would be A's byte for byte.
+    A / {0} is A itself: its tables would be A's byte for byte.  The
+    ideal is certified first, so the coset projection is a homomorphism
+    and the quotient inherits A's ring laws through ``induced``.
     """
     ideal = validate_ideal(ring, ideal.members if isinstance(ideal, TwoSidedIdeal) else ideal)
     if len(ideal) == 1:

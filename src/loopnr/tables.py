@@ -14,6 +14,12 @@ and finds the lexicographically least violating tuple; a failing left
 distributive law with ``+`` associative first finds its least bad row
 in O(|S+| n^2) and scans that row alone.  Witnesses and error messages
 therefore do not depend on S.
+
+Six rows of ``AXIOMS`` are laws, identities in ``+`` and ``*``.  A law
+holds in every substructure and homomorphic image of a structure that
+satisfies it (Birkhoff), so a structure derived from a certified one
+is certified by the other rows alone: entries in range (closure), the
+Latin square, the two-sided zero and the identity, all O(n^2).
 """
 
 from __future__ import annotations
@@ -291,13 +297,15 @@ class Axiom(NamedTuple):
     # a tuple; ``lights`` are the scan's one ``Lights``;
     # ``message`` is formatted with its entries and ``one``, and its
     # ``shown`` entries are the least witness.  A ``stop`` row is one that
-    # later rows index through, so its failure ends the scan.
+    # later rows index through, so its failure ends the scan.  A ``law``
+    # row is an identity in + and *, inherited by derived structures.
     error: type
     kind: str
     witness: Callable
     message: str
     stop: bool = False
     shown: slice = slice(None)
+    law: bool = False
 
 
 KINDS = ("loop", "lnr", "ring")
@@ -322,45 +330,50 @@ AXIOMS = (
           "{one} is not a two-sided multiplicative identity"),
     Axiom(errors.MulNotAssociative, "lnr",
           lambda add, mul, one, lights: assoc_witness(mul, lights.mul),
-          "multiplication is not associative"),
+          "multiplication is not associative", law=True),
     Axiom(errors.RightDistributivityFails, "lnr",
           lambda add, mul, one, lights: right_dist_witness(add, mul, lights),
-          "(a+b)*c != a*c + b*c"),
+          "(a+b)*c != a*c + b*c", law=True),
     Axiom(errors.ZeroNotLeftAbsorbing, "lnr", lambda add, mul, one, lights: _first(mul[0] != 0),
-          "0*n != 0"),
+          "0*n != 0", law=True),
     Axiom(errors.AdditionNotAbelianGroup, "ring", lambda add, mul, one, lights: comm_witness(add),
-          "addition is not commutative"),
+          "addition is not commutative", law=True),
     Axiom(errors.AdditionNotAbelianGroup, "ring",
           lambda add, mul, one, lights: assoc_witness(add, lights.add),
-          "addition is not associative"),
+          "addition is not associative", law=True),
     Axiom(errors.LeftDistributivityFails, "ring",
           lambda add, mul, one, lights: left_dist_witness(add, mul, lights),
-          "c*(a+b) != c*a + c*b"),
+          "c*(a+b) != c*a + c*b", law=True),
 )
 
 
-def violations(add, mul=None, one=None, start: str = "loop", kind: str = "ring"):
+def violations(add, mul=None, one=None, start: str = "loop", kind: str = "ring",
+               laws: bool = True):
     """Yield (error class, message, witness) for each failing row of AXIOMS.
 
     Scans the rows of kinds ``start`` through ``kind``, in order, on
     tables from ``as_table``; a witness is None or a tuple.  The scan
     makes one ``Light(mul)`` and, if it reaches the ring rows, one
     ``Light(add)``, for every row that needs Light's verdict on that
-    table, so each test runs at most once per scan.
+    table, so each test runs at most once per scan.  With ``laws``
+    False the law rows are skipped: the tables are derived from a
+    structure that already satisfies them.
     """
     kinds = KINDS[KINDS.index(start):KINDS.index(kind) + 1]
     lights = Lights(Light(mul), Light(add) if "ring" in kinds else None)
     for row in AXIOMS:
-        found = row.witness(add, mul, one, lights) if row.kind in kinds else None
+        scanned = row.kind in kinds and (laws or not row.law)
+        found = row.witness(add, mul, one, lights) if scanned else None
         if found is not None:
             yield row.error, row.message.format(*found, one=one), tuple(found[row.shown]) or None
             if row.stop:
                 return
 
 
-def require(add, mul=None, one=None, start: str = "loop", kind: str = "ring") -> None:
+def require(add, mul=None, one=None, start: str = "loop", kind: str = "ring",
+            laws: bool = True) -> None:
     """Raise the first failing row of ``violations`` as its error class."""
-    for error, message, witness in violations(add, mul, one, start, kind):
+    for error, message, witness in violations(add, mul, one, start, kind, laws):
         raise error(message, witness=witness)
 
 

@@ -3,7 +3,6 @@ import hashlib
 import io
 import json
 import os
-import re
 import subprocess
 import sys
 import warnings
@@ -216,61 +215,37 @@ def mutated_documents(draw):
     return text
 
 
-def lenient_fromstring(body, dtype, sep):
-    """``np.fromstring(body, np.int64, sep=",")`` as NumPy 1.x reads it:
-    each entry is its longest ``-?digits`` prefix, a lone ``-`` or an
-    empty entry reads as 0, values clamp to int64, and unread text ends
-    the array with a DeprecationWarning instead of an error."""
-    values = []
-    for token in body.split(b","):
-        prefix = re.match(rb"-?[0-9]*", token).group()
-        value = int(prefix) if prefix.strip(b"-") else 0
-        values.append(min(max(value, -(2**63)), 2**63 - 1))
-        if len(prefix) != len(token):
-            warnings.warn("string could not be read to its end", DeprecationWarning)
-            break
-    return np.array(values, dtype=dtype)
-
-
 @contextlib.contextmanager
-def number_reader(reader):
-    """The installed NumPy's ``fromstring``, or the NumPy 1.x one.  The
-    decoder reads its digits from the bytes itself, so it must decide
-    alike under either, and no warning may escape it."""
+def no_warnings():
+    """Turn every warning into an error: none may escape the decoder."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if reader == "numpy":
-            yield
-        else:
-            with mock.patch.object(np, "fromstring", lenient_fromstring):
-                yield
+        yield
 
 
 class TestArrayRoute:
     """Compact tables decode straight to arrays, exactly as json.loads reads them."""
 
-    @pytest.mark.parametrize("reader", ["numpy", "numpy1"])
     @settings(max_examples=400)
     @given(text=mutated_documents())
-    def test_mutated_documents_decode_as_json_does(self, reader, text):
+    def test_mutated_documents_decode_as_json_does(self, text):
         with json_route():
             want = parse_outcome(text)
-        with number_reader(reader):
+        with no_warnings():
             assert parse_outcome(text) == want
 
-    @pytest.mark.parametrize("reader", ["numpy", "numpy1"])
     @pytest.mark.parametrize("table", [
         "[[-,7]]", "[[,1]]", "[[,01]]", "[[-3],-[7]]", "[[1,-]]", "[[-0]]", "[[01]]",
         "[[9999999999999999999]]", "[[-9223372036854775808]]", "[[100000000000000000]]",
         "[[]]", "[[1]01,[2]]", "[[1],[2]3]", "[[1,2-3]]", "[[12-,3]]", "[[1,2],[3],[4,5,6]]",
     ])
-    def test_uncertified_tables_take_the_json_route(self, reader, table):
+    def test_uncertified_tables_take_the_json_route(self, table):
         text = '{"kind":"loop","n":1,"add":%s}' % table
-        with number_reader(reader):
+        with no_warnings():
             assert loopnr_io._int_matrix(text, text.index("[[")) is None
         with json_route():
             want = parse_outcome(text)
-        with number_reader(reader):
+        with no_warnings():
             assert parse_outcome(text) == want
 
     @pytest.mark.parametrize("text", COMPACT_DOCS)
