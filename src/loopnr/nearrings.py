@@ -115,16 +115,32 @@ def induced(nr: LoopNearRing, reps, label, one: int) -> LoopNearRing:
     Gathers add and mul on reps x reps and sends every entry, and the
     parent element ``one``, through the lookup array ``label`` (parent
     element -> new index).  Corner rings, images and sub-near-rings use
-    the positions of an ascending carrier; quotients use the coset
-    projection of a certified ideal, which is a homomorphism.  So the
-    result inherits ``nr``'s law rows of ``tables.AXIOMS`` and only the
-    others are scanned, up to ``nr.kind``: a ring's corner, quotient or
-    image is a FiniteRing.  A carrier not closed under + and * leaves a
-    -1 label in a table and is refused with EntriesOutOfRange.
+    the positions of an ascending carrier (``tables.positions``): the
+    result is then ``nr``'s own tables on a subset, so it inherits
+    ``nr``'s law rows of ``tables.AXIOMS`` and only the others are
+    scanned, up to ``nr.kind``: a ring's corner or image is a
+    FiniteRing.  A carrier not closed under + and * leaves a -1 label in
+    a table and is refused with EntriesOutOfRange.  Any other ``label``
+    gets the full scan.
     """
+    reps = np.asarray(reps, dtype=np.int64)
+    label = np.asarray(label, dtype=np.int64)
+    return _induced(nr, reps, label, one, inherits=_is_position_map(reps, label))
+
+
+def _is_position_map(reps, label) -> bool:
+    """Whether ``label`` sends reps[i] to i and every other element to -1."""
+    return (np.array_equal(label[reps], np.arange(len(reps)))
+            and np.count_nonzero(label >= 0) == len(reps))
+
+
+def _induced(nr: LoopNearRing, reps, label, one: int, inherits: bool) -> LoopNearRing:
+    """``induced``, scanning the law rows unless ``inherits``: the caller
+    knows ``label`` maps a substructure of ``nr`` onto the result, as the
+    coset projection of a certified ideal does (Birkhoff)."""
     grid = np.ix_(reps, reps)
     return _validated(type(nr), label[nr.add[grid]], label[nr.mul[grid]], label[one],
-                      laws=False)
+                      laws=not inherits)
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,11 +33,11 @@ from .errors import (
 from .loops import ElementSubset
 from .nearrings import (
     LoopNearRing,
+    _induced,
     _require_idempotent,
     _validated,
     enumerate_N_subloops,
     idempotents,
-    induced,
     is_local_lnr,
     units,
 )
@@ -189,7 +189,8 @@ def quotient_ring(ring: FiniteRing, ideal) -> Quotient:
 
     A / {0} is A itself: its tables would be A's byte for byte.  The
     ideal is certified first, so the coset projection is a homomorphism
-    and the quotient inherits A's ring laws through ``induced``.
+    and the quotient inherits A's ring laws: only the rows that are not
+    laws are scanned.
     """
     ideal = validate_ideal(ring, ideal.members if isinstance(ideal, TwoSidedIdeal) else ideal)
     if len(ideal) == 1:
@@ -199,7 +200,7 @@ def quotient_ring(ring: FiniteRing, ideal) -> Quotient:
     leader_of = ring.add[:, ii].min(axis=1)
     leaders = tables.distinct(leader_of, ring.n)
     proj = np.searchsorted(leaders, leader_of)
-    q = induced(ring, leaders, proj, ring.one)
+    q = _induced(ring, leaders, proj, ring.one, inherits=True)
     return Quotient(
         ring=q,
         leaders=tuple(int(x) for x in leaders),

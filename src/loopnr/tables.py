@@ -17,9 +17,10 @@ therefore do not depend on S.
 
 Six rows of ``AXIOMS`` are laws, identities in ``+`` and ``*``.  A law
 holds in every substructure and homomorphic image of a structure that
-satisfies it (Birkhoff), so a structure derived from a certified one
-is certified by the other rows alone: entries in range (closure), the
-Latin square, the two-sided zero and the identity, all O(n^2).
+satisfies it (Birkhoff), so a subset of a certified structure under
+its own tables, or its quotient by a certified ideal, is certified by
+the other rows alone: entries in range (closure), the Latin square,
+the two-sided zero and the identity, all O(n^2).
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from loopnr import (
     EntriesOutOfRange,
     FiniteRing,
     NotIdentity,
+    RightDistributivityFails,
     StructureFile,
     ValidationError,
     check_report,
@@ -39,6 +40,7 @@ from loopnr import (
 )
 from loopnr.cli import main
 from loopnr.lattice import ClosureSystem
+from loopnr.nearrings import _is_position_map
 from loopnr.tables import AXIOMS, KINDS, positions
 
 import corpus
@@ -350,6 +352,34 @@ class TestInheritedLaws:
         with pytest.raises(NotIdentity):
             induced(ring, [0, 3], label, 1)
         assert induced(ring, [0, 3], label, 3).mul.tolist() == [[0, 0], [0, 1]]
+
+    def test_label_not_a_homomorphism_gets_the_full_scan(self):
+        # Z/16 -> "Z/3" by a label that is not a homomorphism: the tables
+        # are closed with identity 1, but (1 + 1) * 2 = 0 != 1 * 2 + 1 * 2
+        ring = parse_spec("cyclic:16")
+        label = np.full(16, -1)
+        label[[0, 1, 3, 2, 4, 6, 9]] = [0, 1, 2, 2, 0, 1, 0]
+        with pytest.raises(RightDistributivityFails):
+            induced(ring, [0, 1, 3], label, 1)
+
+    def test_only_a_position_map_inherits(self, monkeypatch):
+        # the coset projection Z/6 -> Z/3 is a homomorphism, but induced
+        # does not take its word for it: the law rows are scanned
+        ring = parse_spec("cyclic:6")
+        scans = []
+        require = tables.require
+
+        def recording(*args, **kw):
+            if kw.get("start") == "lnr":
+                scans.append(kw.get("laws", True))
+            return require(*args, **kw)
+
+        monkeypatch.setattr(tables, "require", recording)
+        quotient = induced(ring, [0, 1, 2], np.arange(6) % 3, 1)
+        assert quotient.mul.tolist() == corpus.z(3).mul.tolist()
+        assert induced(ring, [0, 3], positions([0, 3], 6), 3).n == 2
+        assert scans == [True, False]
+        assert not _is_position_map(np.array([3, 0]), positions([0, 3], 6))
 
 
 def least_assoc_witness(op):
