@@ -25,19 +25,14 @@ A loop file is the kind line plus the addition rows.
 
 The compact JSON form, as ``generate`` writes it, is also the fast form:
 a top-level ``"add"`` or ``"mul"`` value written as ``[[r,r,...],[...]]``
-decodes straight into an int64 array, with no Python list in between.
-The text is read as bytes in blocks of whole rows.  One pass finds the
-skeleton: every character that is not a digit or ``-``.  A block is
-certified when that skeleton is exactly ``[`` ``,``...``]`` per row, one
-``,`` between rows and the closing ``]`` after the last, with nothing
-else between brackets and separators; and when every entry is exactly
-``str(v)`` of its value: at least one digit, at most 17 (so |v| <
-10**17), a ``-`` only in front, no leading zero and no ``-0``.  The
-values are then read from the bytes eight digits at a time.  Such an
-array equals what ``json.loads`` gives.  Everything else (whitespace
-between members, floats, bools, longer integers, malformed text) goes
-through ``json.loads`` as before, with the same tables, messages and
-witnesses.
+decodes from its bytes, in blocks of whole rows, straight into an int32
+array.  A block is certified when its skeleton (every byte other than a
+digit or ``-``) is exactly ``[`` ``,``...``]`` per row, ``,`` between rows
+and ``]`` after the last, and ``json.loads`` reads each entry as an
+integer other than ``-0``.  An entry of at most D = len(str(n - 1))
+digits is read from its last D bytes; a longer or signed one lies outside
+0..n-1 and decodes to -1, as ``tables.as_table`` maps it.  Anything else
+goes through ``json.loads``, with the same verdicts, messages and witnesses.
 
 Output takes the reverse route.  A table is rendered in blocks of rows
 by gathering, for each entry v, a precomputed field ``str(v)`` plus its
@@ -51,6 +46,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from io import StringIO
 
@@ -190,45 +186,20 @@ def structure_sha256(structure) -> str:
 
 _DECODER = json.JSONDecoder()
 _BLOCK_BYTES = 1 << 15   # table text decoded per block, beyond its last row
-_MAX_DIGITS = 17         # |v| < 10**17
-_PAD = 24                # NULs before a block's text: room for three words
 
 
-def _nibble_mask(digits: int) -> int:
-    """The digit nibbles of the last ``digits`` of 8 characters loaded as
-    a little-endian word (its first character is the low byte)."""
-    return ((1 << 64) - (1 << (64 - 8 * digits))) & 0x0F0F0F0F0F0F0F0F if digits else 0
-
-
-# _NIBBLES[w, d]: the mask of word w (w = 0 holds the last 8 characters,
-# w = 1 the 8 before them, ...) of an entry of d digits.  Both tables are
-# built by np.fromiter: NumPy's first array from nested lists costs a
-# process about 150 KiB of resident memory.
-_NIBBLES = np.fromiter((_nibble_mask(min(max(d - 8 * w, 0), 8))
-                        for w in range(3) for d in range(_MAX_DIGITS + 1)), np.uint64).reshape(3, -1)
-# _LEAST[d]: the least value written with d digits, "0" alone below 10
-_LEAST = np.fromiter((10 ** (d - 1) if d > 1 else 0 for d in range(_MAX_DIGITS + 1)), np.int64)
-
-
-def _eight_digits(nibbles: np.ndarray) -> np.ndarray:
-    """The values of words of eight decimal digits, one per byte, first
-    digit in the low byte: three multiply-shift steps that each merge
-    neighbouring digit groups (Lemire's eight-digit parser)."""
-    nibbles = (nibbles * 2561 >> 8) & 0x00FF00FF00FF00FF
-    nibbles = (nibbles * 6553601 >> 16) & 0x0000FFFF0000FFFF
-    return (nibbles * 42949672960001 >> 32).astype(np.int64)
-
-
-def _decode_rows(padded: bytes, width: int):
-    """Decode the rows ``[v,...,v]`` that ``padded[_PAD:]`` starts with.
+def _decode_rows(text: bytes, width: int):
+    """Decode the rows ``[v,...,v]`` that ``text`` starts with.
 
     Each row is followed by ``,``, or the last by the ``]`` closing the
     matrix; what follows that ``]`` is not read.  Returns (values, used,
-    closed): the (rows, width) int64 array, the characters read and
-    whether the matrix closed; None unless every entry is exactly
-    ``str(v)`` of a value with |v| < 10**17.
+    closed): the (rows, width) int32 array, the characters read and
+    whether the matrix closed; None unless every entry is an integer that
+    json.loads reads, other than -0.  An entry of more than D digits, or a
+    signed one, is not in 0..width-1 and decodes to -1.
     """
-    chars = np.frombuffer(padded, np.uint8, offset=_PAD)
+    read = len(str(width - 1))   # D: below 10, so int32, for any table that fits in memory
+    chars = np.frombuffer(text, np.uint8)
     # every character other than a digit or "-" is skeleton
     cut = np.flatnonzero((chars - 48 > 9) & (chars != 45))
     marks = chars.take(cut).tobytes()
@@ -243,32 +214,34 @@ def _decode_rows(padded: bytes, width: int):
     if not rows or marks != skeleton:
         return None
     cut = cut.reshape(rows, width + 2)
-    ends = cut[:, 1:-1]
-    digits = ends - cut[:, :-2] - 1
+    starts, ends = cut[:, :-2] + 1, cut[:, 1:-1]
+    length = ends - starts
     # the skeleton starts and ends the block, and every other character is in an entry
-    if cut[0, 0] or cut[-1, -1] != len(chars) - 1 or digits.sum() != len(chars) - cut.size:
+    if cut[0, 0] or cut[-1, -1] != len(chars) - 1 or length.sum() != len(chars) - cut.size:
         return None
+    lead = chars.take(starts)
+    signs = lead == 45
     minus = np.count_nonzero(chars == 45)
-    if minus:
-        signs = chars.take(cut[:, :-2] + 1) == 45
-        if np.count_nonzero(signs) != minus:
-            return None   # a "-" that does not lead its entry
-        digits -= signs
-    if digits.min() < 1 or digits.max() > _MAX_DIGITS:
+    if np.count_nonzero(signs) != minus:
+        return None   # a "-" that does not lead its entry
+    digits = length - signs
+    first = chars.take(starts + signs) if minus else lead
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # empty, lone "-", zero-led, "-0" or past json's digit limit: json.loads decides
+    if (digits.min() < 1 or limit and digits.max() > limit
+            or ((first == 48) & ((digits > 1) | signs)).any()):
         return None
-    # words[i] holds the 8 characters before chars[i - 16]
-    words = np.ndarray(len(padded) - 7, dtype="<u8", buffer=padded, strides=(1,))
-    values = sum(_eight_digits(words.take(ends + (16 - 8 * w)) & _NIBBLES[w].take(digits)) * 10**(8 * w)
-                 for w in range(-(-int(digits.max()) // 8)))
-    # str(v) has no leading zero, and "-0" is not str(0)
-    least = np.maximum(_LEAST.take(digits), signs) if minus else _LEAST.take(digits)
-    if (values < least).any():
-        return None
-    return (np.where(signs, -values, values) if minus else values), len(chars), close >= 0
+    at = ends - 1   # the last digit of each entry, then the one before it, ...
+    values = (chars.take(at) - 48).astype(np.int32)
+    for k in range(1, read):
+        at -= 1
+        values += np.multiply((chars.take(at) - 48) * (digits > k), 10**k, dtype=np.int32)
+    values[signs | (digits > read)] = -1
+    return values, len(chars), close >= 0
 
 
 def _int_matrix(text: str, start: int):
-    """(int64 array, end) if the JSON value at ``start`` is a certified
+    """(int32 array, end) if the JSON value at ``start`` is a certified
     compact integer matrix (see the module docstring), else None."""
     if not text.startswith("[[", start):
         return None
@@ -280,7 +253,7 @@ def _int_matrix(text: str, start: int):
         if width is None:
             width = span.count(",", 0, span.find("]")) + 1
         # any non-ASCII character encodes to bytes that are skeleton
-        decoded = _decode_rows(bytes(_PAD) + span.encode("utf-8", "surrogatepass"), width)
+        decoded = _decode_rows(span.encode("utf-8", "surrogatepass"), width)
         if decoded is None:
             return None
         rows, used, closed = decoded

@@ -309,11 +309,8 @@ def idempotents_isomorphic(ring: FiniteRing, e: int, f: int) -> bool:
 
 def idempotents_conjugate(ring: FiniteRing, e: int, f: int) -> bool:
     """Whether f = u^-1 * e * u for some unit u."""
-    mul = ring.mul
     e, f = _require_idempotent(ring, e), _require_idempotent(ring, f)
-    u = units(ring)
-    for v in u.members:
-        vinv = u.inverse[v]
-        if int(mul[mul[vinv, e], v]) == f:
-            return True
-    return False
+    inverse = units(ring).inverse
+    u = np.fromiter(inverse, np.intp, len(inverse))
+    uinv = np.fromiter(inverse.values(), np.intp, len(inverse))
+    return bool((ring.mul[ring.mul[uinv, e], u] == f).any())

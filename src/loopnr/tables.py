@@ -61,7 +61,10 @@ def as_table(obj) -> np.ndarray:
         raise ValueError("expected a square n x n table, got ragged rows") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise ValueError(f"expected a square n x n table with n >= 1, got shape {arr.shape}")
-    # entries beyond int64 arrive as an object array of Python ints
+    # entries beyond int64 arrive as an object array of Python ints, or as
+    # floats when they fit uint64 and smaller ones sit beside them
+    if arr.dtype.kind == "f":
+        arr = np.asarray(obj, dtype=object)
     if not (np.issubdtype(arr.dtype, np.integer)
             or arr.dtype == object and all_integers(arr.flat)):
         raise ValueError("table entries must be integers")

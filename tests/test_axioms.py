@@ -183,6 +183,15 @@ class TestWraparound:
         report = check_report("loop", 2, [[0, 1], [1, -2 ** 70]], None, None, "w")
         assert report["violations"][0]["axiom"] == "entries-in-range"
 
+    @pytest.mark.parametrize("big", [2 ** 63, 2 ** 64 - 1])
+    def test_entries_past_int64_that_fit_uint64(self, big):
+        # beside small ints, NumPy reads these lists as float64
+        with pytest.raises(EntriesOutOfRange):
+            validate_loop([[0, 1], [1, big]])
+        assert tables.as_table([[0, big], [1, 0]]).tolist() == [[0, -1], [1, 0]]
+        with pytest.raises(ValueError, match="entries must be integers"):
+            tables.as_table([[0, 1.0], [1, 0]])
+
     def test_as_table_marks_out_of_range(self):
         t = tables.as_table(np.array([[0, 1], [1, 65536]], dtype=np.int64))
         assert t.dtype == tables.DTYPE and t.tolist() == [[0, 1], [1, -1]]

@@ -179,12 +179,16 @@ def json_route():
 
 
 def parse_outcome(text):
-    """What ``parse_structure`` makes of ``text``, tables as int lists."""
+    """What ``parse_structure`` makes of ``text``, tables as int lists whose
+    entries outside 0..n-1 are -1, as ``tables.as_table`` reads them."""
     try:
         sf = parse_structure(text)
     except Exception as exc:  # the two routes must fail alike, whatever the error
         return type(exc).__name__, str(exc)
-    tables = [None if t is None else np.asarray(t).tolist() for t in (sf.add, sf.mul)]
+    tables = [None if t is None else
+              [[v if 0 <= v < sf.n else -1 for v in row]
+               for row in (t.tolist() if isinstance(t, np.ndarray) else t)]
+              for t in (sf.add, sf.mul)]
     return sf.kind, sf.n, tables, sf.one, sf.meta
 
 
@@ -223,8 +227,12 @@ def no_warnings():
         yield
 
 
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 class TestArrayRoute:
-    """Compact tables decode straight to arrays, exactly as json.loads reads them."""
+    """Compact tables decode straight to arrays that ``tables.as_table``
+    reads as it reads the lists of json.loads."""
 
     @settings(max_examples=400)
     @given(text=mutated_documents())
@@ -236,8 +244,10 @@ class TestArrayRoute:
 
     @pytest.mark.parametrize("table", [
         "[[-,7]]", "[[,1]]", "[[,01]]", "[[-3],-[7]]", "[[1,-]]", "[[-0]]", "[[01]]",
-        "[[9999999999999999999]]", "[[-9223372036854775808]]", "[[100000000000000000]]",
+        "[[-01]]", "[[00]]", "[[0123456789012]]", "[[--1]]",
         "[[]]", "[[1]01,[2]]", "[[1],[2]3]", "[[1,2-3]]", "[[12-,3]]", "[[1,2],[3],[4,5,6]]",
+        *(["[[%s]]" % ("1" * (DIGIT_LIMIT + 1)), "[[-%s]]" % ("1" * (DIGIT_LIMIT + 1))]
+          if DIGIT_LIMIT else []),
     ])
     def test_uncertified_tables_take_the_json_route(self, table):
         text = '{"kind":"loop","n":1,"add":%s}' % table
@@ -255,16 +265,40 @@ class TestArrayRoute:
         assert parse_outcome(text) == want
         assert isinstance(parse_structure(text).add, np.ndarray)
 
-    def test_every_digit_count_decodes_exactly(self):
-        rows = [[10**k - 1, 10**k, -(10**k) - 7] for k in range(1, 17)]
-        text = json.dumps(rows, separators=(",", ":"))
-        array, end = loopnr_io._int_matrix(text, 0)
-        assert array.tolist() == rows and end == len(text)
+    @pytest.mark.parametrize("table", [
+        "[[9999999999999999999]]", "[[-9223372036854775808]]", "[[100000000000000000]]",
+        "[[-1]]", "[[-7]]", "[[10]]", "[[%s]]" % ("9" * (DIGIT_LIMIT or 5000)),
+    ])
+    def test_entries_outside_the_carrier_decode_to_minus_one(self, table):
+        text = '{"kind":"loop","n":1,"add":%s}' % table
+        with no_warnings():
+            array, _ = loopnr_io._int_matrix(text, text.index("[["))
+        assert array.tolist() == [[-1]]
+        with json_route():
+            want = parse_outcome(text)
+        assert parse_outcome(text) == want
 
-    def test_certified_table_is_the_int64_array(self):
-        text = "[[0,-12],[3,4]],"
+    @pytest.mark.parametrize("width", [1, 2, 10, 11, 100, 101, 1000, 1001, 9999])
+    def test_every_digit_count_decodes_exactly(self, width):
+        read = len(str(width - 1))   # D, the digits of the largest entry in range
+        inside = sorted({0, width - 1} | {10**k - 1 for k in range(1, read)}
+                        | {10**k for k in range(read) if 10**k < width})
+        shorter = [10**read - 1] if 10**read - 1 >= width else []   # D digits, not in range
+        longer = [10**k for k in range(read, 21)] + [10**k - 1 for k in range(read + 1, 21)]
+        signed = [-v for v in inside if v] + [-v - 7 for v in longer]
+        entries = inside + shorter + longer + signed
+        entries += [0] * (-len(entries) % width)
+        rows = [entries[i:i + width] for i in range(0, len(entries), width)]
+        text = json.dumps(rows, separators=(",", ":"))
+        with no_warnings():
+            array, end = loopnr_io._int_matrix(text, 0)
+        assert end == len(text)
+        assert array.tolist() == [[v if 0 <= v < 10**read else -1 for v in row] for row in rows]
+
+    def test_certified_table_is_the_int32_array(self):
+        text = "[[0,-12],[3,40]],"
         array, end = loopnr_io._int_matrix(text, 0)
-        assert array.dtype == np.int64 and array.tolist() == [[0, -12], [3, 4]]
+        assert array.dtype == np.int32 and array.tolist() == [[0, -1], [3, -1]]
         assert text[end:] == ","
 
     @pytest.mark.parametrize("corrupt", [False, True])
@@ -292,6 +326,20 @@ class TestArrayRoute:
         assert len(reports) == 1
         (check_code, _), (analyze_code, _) = reports.pop()
         assert (check_code, analyze_code) == ((1, 1) if corrupt else (0, 0))
+
+    @pytest.mark.parametrize("entry", [-1, -6, 60, 10**17, 2**63, 2**64, -(10**30)])
+    def test_entries_outside_the_carrier_report_as_on_the_json_route(self, capsys, tmp_path, entry):
+        payload = json.loads(dump_structure(corpus.z(6)))
+        payload["add"][1][4] = payload["mul"][5][2] = entry
+        p = tmp_path / "z6.json"
+        p.write_text(json.dumps(payload, separators=(",", ":")))
+        assert isinstance(parse_structure(p.read_text()).mul, np.ndarray)
+        reports = []
+        for route in (contextlib.nullcontext(), json_route()):
+            with route:
+                reports.append([run_cli(capsys, command, str(p)) for command in ("check", "analyze")])
+        assert reports[0] == reports[1]
+        assert [code for code, _ in reports[0]] == [1, 1]
 
     @settings(max_examples=300)
     @given(text=mutated_documents(), block=st.integers(0, 40))
@@ -354,7 +402,6 @@ class TestBlockRenderer:
         assert text == f"{kind} {structure.n}\n{rows}{one}"
 
 
-DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 # JSON that json.loads cannot decode although its syntax is valid
 UNDECODABLE_JSON = [
     pytest.param("1" * (DIGIT_LIMIT + 1), "Exceeds the limit", id="overlong-integer",

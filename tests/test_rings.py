@@ -283,6 +283,14 @@ class TestIdempotentRelations:
         with pytest.raises(NotIdempotent, match=f"^{message}$"):
             relation(corpus.z(6), *args)
 
+    def test_conjugacy_matches_the_loop_over_units(self):
+        for ring in (corpus.z(12), corpus.m2(2), corpus.ut2(2), corpus.zz(4, 2)):
+            u, mul = units(ring), ring.mul
+            idem = sorted(idempotents(ring))
+            for e in idem:
+                orbit = {int(mul[mul[u.inverse[v], e], v]) for v in u}
+                assert [idempotents_conjugate(ring, e, f) for f in idem] == [f in orbit for f in idem]
+
     def test_units_act_by_conjugation(self):
         ring = corpus.m2(2)
         u = units(ring)
