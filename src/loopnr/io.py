@@ -216,8 +216,8 @@ def _decode_rows(text: bytes, width: int):
     cut = cut.reshape(rows, width + 2)
     starts, ends = cut[:, :-2] + 1, cut[:, 1:-1]
     length = ends - starts
-    # the skeleton starts and ends the block, and every other character is in an entry
-    if cut[0, 0] or cut[-1, -1] != len(chars) - 1 or length.sum() != len(chars) - cut.size:
+    # every character outside the skeleton is in an entry
+    if length.sum() != len(chars) - cut.size:
         return None
     lead = chars.take(starts)
     signs = lead == 45

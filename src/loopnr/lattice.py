@@ -12,12 +12,15 @@ into itself injectively, hence onto.  N-subloops add mul as the
 absorbing table (N*S <= S); sub-near-rings use mul as a further binary
 table.
 
-Enumeration does two things less than joining every single-element
-closure with every set found.  With the units of the absorbing table
-given, one single-element closure is computed per left unit orbit,
-since cl(u*x) = cl(x).  And the joins use only the join-irreducible
-single-element closures, those that the ones strictly below them do
-not generate: in a finite lattice these generate every element.
+Enumeration rests on the principal table P, whose row x is the
+closure of the seed and x.  A caller that can read P off its tables
+passes it in (the N-subloop N*x is column x of mul); otherwise each
+row is one saturation.  Every closed set is a join of rows of P, and
+the joins use only the join-irreducible rows, those that the rows
+strictly below them do not generate: in a finite lattice these
+generate every element.  A saturation stops as soon as it reaches an
+element y whose row covers the set so far, since that row is then the
+closure.
 
 Subsets grow as boolean masks.  Closed sets are de-duplicated and
 compared as Python-int bitsets (bit i set when i is a member).
@@ -42,6 +45,9 @@ class ClosureSystem:
         self.n = n
         self.binary = tuple(binary)
         self.absorbing = absorbing
+        # the principal table of the last closed_sets, which join uses on
+        # the closed sets holding its seed
+        self.principal = None
 
     def _images(self, frontier: np.ndarray, members: np.ndarray) -> Iterator[np.ndarray]:
         """Every table entry with at least one argument in the frontier."""
@@ -51,13 +57,19 @@ class ClosureSystem:
             yield t[frontier[:, None], members]
             yield t[members[:, None], frontier]
 
-    def _saturate(self, mask: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+    def _saturate(
+        self, mask: np.ndarray, frontier: np.ndarray, principal: np.ndarray | None = None
+    ) -> np.ndarray:
         """Close ``mask``, given that every entry with no argument in
         ``frontier`` already lies inside it.
 
         Each round gathers the entries touching the frontier and
         scatters them into the next mask; the new elements are the
         next frontier.  Stops as soon as the mask covers the carrier.
+        Given a principal table P, whose row y is the closure of a seed
+        that the mask holds and y, it also stops as soon as a new
+        element y has P[y] covering the mask: P[y] is closed and holds
+        the mask, and y lies in the closure, so the closure is P[y].
         """
         while frontier.size:
             members = np.flatnonzero(mask)
@@ -68,6 +80,10 @@ class ClosureSystem:
                     return grown
             frontier = np.flatnonzero(grown & ~mask)
             mask = grown
+            if principal is not None and frontier.size:
+                covering = (principal[frontier] >= mask).all(axis=1)
+                if covering.any():
+                    return principal[frontier[covering.argmax()]]
         return mask
 
     def close(self, seed: Iterable[int]) -> np.ndarray:
@@ -107,51 +123,51 @@ class ClosureSystem:
         """The closure of a | b for closed masks a and b.
 
         Entries within a or within b stay inside, so only pairs that
-        touch the smaller of the two differences are new.
+        touch the smaller of the two differences are new.  After
+        closed_sets the saturation ends at a covering principal.
         """
         only_b = np.flatnonzero(b & ~a)
         only_a = np.flatnonzero(a & ~b)
         frontier = only_b if only_b.size <= only_a.size else only_a
-        return self._saturate(a | b, frontier)
+        return self._saturate(a | b, frontier, self.principal)
 
     def closed_sets(
-        self, seed: Iterable[int] = (), units: np.ndarray | None = None
+        self, seed: Iterable[int] = (), principal: np.ndarray | None = None
     ) -> Iterator[np.ndarray]:
         """Yield every closed set containing ``seed`` once, as found.
 
         The first is the closure of the seed; then the principal
-        closures cl(seed + x).  ``units`` masks the units of the
-        absorbing table, read as an associative monoid: a unit u spans
-        the carrier (N*u = N), and cl(u*x) = cl(x), since u*x lies in
-        N*cl(x) and x = u^-1*(u*x).  So one principal closure is
-        computed per left unit orbit.
+        closures, the rows of the (n, n) boolean table ``principal``
+        whose row x is the closure of seed + {x}.  Without the table,
+        each row outside the bottom is one saturation.
 
         Every closed set is the join of the principal closures of its
         elements, and a principal that is the closure of the union of
         the principals strictly below it is their join (Birkhoff: the
         join-irreducibles generate a finite lattice).  Joining each set
         found with each join-irreducible principal therefore reaches all
-        of them.  Unions already tried are skipped.
+        of them.  Unions already tried are skipped, and each saturation
+        ends at the first principal that covers it.
         """
         n = self.n
         bottom = self.close(seed)
         found = {bits_of(bottom): bottom}
         yield bottom
-        full = np.ones(n, dtype=bool)
-        lift = None if units is None else np.flatnonzero(units)
-        seen = bottom.copy()
+        if principal is None:
+            principal = np.empty((n, n), dtype=bool)
+            principal[bottom] = bottom
+            for x in np.flatnonzero(~bottom):
+                principal[x] = self._extend(bottom, x)
+        self.principal = principal
         principals = {}
         for x in np.flatnonzero(~bottom):
-            if seen[x]:
-                continue
-            p = full if lift is not None and units[x] else self._extend(bottom, x)
-            if lift is not None:
-                seen[self.absorbing[lift, x]] = True
+            p = principal[x]
             pb = bits_of(p)
-            principals.setdefault(pb, p)
-            if pb not in found:
-                found[pb] = p
-                yield p
+            if pb not in principals:
+                principals[pb] = p
+                if pb not in found:
+                    found[pb] = p
+                    yield p
         irreducible = []
         for pb, p in principals.items():
             below = [q for qb, q in principals.items() if qb != pb and qb & ~pb == 0]
@@ -159,7 +175,10 @@ class ClosureSystem:
             ub = bits_of(union)
             # cl(union) lies in p, and p is their join when it fills p; a
             # union already found is closed
-            if ub != pb and (ub in found or not self.close(np.flatnonzero(union))[p].all()):
+            if ub != pb and (
+                ub in found
+                or not self._saturate(union, np.flatnonzero(union), principal)[p].all()
+            ):
                 irreducible.append((pb, p))
         queue = list(found.items())
         tried = set(found)

@@ -201,11 +201,9 @@ def is_normal_subloop(loop: CayleyLoop, subset) -> bool:
     add = loop.add
     k = np.fromiter(sorted(members), dtype=np.int64)
     n = loop.n
-    for a in range(n):
-        left = np.sort(add[a, k])
-        right = np.sort(add[k, a])
-        if not np.array_equal(left, right):
-            return False
+    # row a: the sets a + K and K + a
+    if not np.array_equal(np.sort(add[:, k], axis=1), np.sort(add[k].T, axis=1)):
+        return False
     for a in range(n):
         # rows indexed by b: ((a+b)+K) vs (a+(b+K)) as sets
         lhs = add[np.ix_(add[a], k)]         # [b, i] = (a+b) + k_i

@@ -213,17 +213,35 @@ def is_N_subloop(nr: LoopNearRing, subset) -> bool:
     return bool(subset.mask()[nr.mul[:, list(subset.members)]].all())
 
 
+def _principal_n_subloops(nr: LoopNearRing) -> np.ndarray:
+    """The (n, n) boolean table whose row x is N*x, column x of mul."""
+    principal = np.zeros((nr.n, nr.n), dtype=bool)
+    principal[np.arange(nr.n), nr.mul] = True
+    return principal
+
+
 def _n_subloop_lattice(nr: LoopNearRing) -> tuple:
+    """Every N-subloop, from the principal table read off mul.
+
+    The least N-subloop holding x is N*x = {r*x}, so no principal
+    closure needs a saturation:
+
+      * N*x is closed under +, since r*x + s*x = (r+s)*x;
+      * it is closed under N*, since s*(r*x) = (s*r)*x;
+      * it holds x = 1*x and 0 = 0*x, and in a finite loop a subset
+        holding 0 and closed under + is a subloop;
+      * it holds the bottom N*0, since r*0 = r*(0*x) = (r*0)*x.
+    """
     system = ClosureSystem(nr.n, nr.additive._closure.binary, absorbing=nr.mul)
-    return _sorted_subsets(system.closed_sets((nr.zero,), units(nr).members.mask()))
+    return _sorted_subsets(system.closed_sets((nr.zero,), _principal_n_subloops(nr)))
 
 
 def enumerate_N_subloops(nr: LoopNearRing, bounds: Bounds = DEFAULT_BOUNDS) -> list:
     """The full lattice of N-subloops, sorted by (size, members).
 
-    The engine closes the single-element closures under join; the
-    lattice is built once per near-ring.  For a ring this is exactly
-    the lattice of left ideals.
+    The engine reads the single-element closures off mul's columns
+    and closes them under join; the lattice is built once per
+    near-ring.  For a ring this is exactly the lattice of left ideals.
     """
     bounds.check("max_enum_n", nr.n, "near-ring for N-subloop enumeration")
     return list(nr._n_subloops)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import corpus
 import latin_oracle
 from loopnr import (
+    CATALOG,
     Bounds,
     BoundExceeded,
     corner_ring,
@@ -38,7 +39,8 @@ from loopnr.tables import positions
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
-# zero-symmetric structures of order <= 12
+# structures of order <= 12, all zero-symmetric except M(Z2), whose
+# bottom N*0 = {0, 1} is not {0}
 SMALL = {
     **{f"cyclic:{n}": (lambda n=n: corpus.z(n)) for n in range(1, 13)},
     "gf:4": lambda: corpus.gf(4),
@@ -53,6 +55,7 @@ SMALL = {
     "ut2(z2)": lambda: corpus.ut2(2),
     "m0(z2)": lambda: map_near_ring(corpus.cyclic_loop(2), zero_fixing=True),
     "m0(z3)": lambda: corpus.m0("small:3,0"),
+    "m:cyclic:2": lambda: parse_spec("m:cyclic:2"),
 }
 
 
@@ -122,11 +125,18 @@ def sparse_rule_table(seed):
 
 
 class TestClosedSetsWork:
-    """The engine saturates once per left unit orbit and joins only with
-    join-irreducible principals."""
+    """The engine reads principal N-subloops off mul's columns and joins
+    only with join-irreducible principals."""
 
-    @staticmethod
-    def principal_saturations(monkeypatch, nr) -> int:
+    @pytest.mark.parametrize("spec", [
+        "cyclic:256",
+        "product:cyclic:4+cyclic:4+cyclic:4",
+        "matrix:cyclic:2,2",
+        "m0:cyclic:4",
+        "m:cyclic:2",
+    ])
+    def test_no_principal_saturations(self, monkeypatch, spec):
+        nr = parse_spec(spec)
         calls = []
         extend = ClosureSystem._extend
 
@@ -135,23 +145,8 @@ class TestClosedSetsWork:
             return extend(self, closed, x)
 
         monkeypatch.setattr(ClosureSystem, "_extend", counting)
-        nearrings._n_subloop_lattice(nr)
-        assert len(calls) == len(set(calls))
-        return len(calls)
-
-    @pytest.mark.parametrize("spec, orbits", [
-        ("cyclic:256", 7),
-        ("product:cyclic:4+cyclic:4+cyclic:4", 25),
-        ("matrix:cyclic:2,2", 3),  # one per kernel line of F2^2
-        ("m0:cyclic:4", 13),
-    ])
-    def test_one_saturation_per_left_unit_orbit(self, monkeypatch, spec, orbits):
-        nr = parse_spec(spec)
-        u = sorted(units(nr))
-        nonunits = [x for x in range(nr.n) if x != nr.zero and x not in units(nr)]
-        left_orbits = {frozenset(nr.mul[u, x].tolist()) for x in nonunits}
-        assert len(left_orbits) == orbits
-        assert self.principal_saturations(monkeypatch, nr) == orbits
+        assert nearrings._n_subloop_lattice(nr)
+        assert calls == []
 
     def test_joins_use_only_the_atoms_of_a_boolean_lattice(self, monkeypatch):
         nr = parse_spec("product:cyclic:2+cyclic:2+cyclic:2+cyclic:2+cyclic:2")
@@ -189,6 +184,23 @@ class TestClosedSetsWork:
 
 
 class TestClosureSystem:
+    @staticmethod
+    def assert_principals_are_closures(nr):
+        system = ClosureSystem(nr.n, nr.additive._closure.binary, absorbing=nr.mul)
+        principal = nearrings._principal_n_subloops(nr)
+        assert principal.shape == (nr.n, nr.n)
+        for x in range(nr.n):
+            assert np.array_equal(principal[x], system.close((nr.zero, x))), x
+
+    @pytest.mark.parametrize("name", sorted(SMALL))
+    def test_principal_table_of_small_near_rings(self, name):
+        self.assert_principals_are_closures(SMALL[name]())
+
+    @pytest.mark.parametrize(
+        "spec", [spec for spec, kind, n in CATALOG if kind != "loop" and n <= 64])
+    def test_principal_table_of_catalog_near_rings(self, spec):
+        self.assert_principals_are_closures(parse_spec(spec))
+
     @given(small_near_rings())
     def test_join_is_closure_of_union(self, nr):
         loop = nr.additive
