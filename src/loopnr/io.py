@@ -245,21 +245,32 @@ def _int_matrix(text: str, start: int):
     compact integer matrix (see the module docstring), else None."""
     if not text.startswith("[[", start):
         return None
-    blocks, width, pos, closed = [], None, start + 1, False
+    table, blocks, width, filled, pos, closed = None, [], None, 0, start + 1, False
     while not closed:
         # a block runs to the "," after the first row to end past its budget
         stop = text.find("]", pos + _BLOCK_BYTES) + 2
         span = text[pos:stop if stop >= 2 else len(text)]
         if width is None:
             width = span.count(",", 0, span.find("]")) + 1
+            # the text has room for width rows: fill one square table block
+            # by block, so that the matrix is never held twice
+            if 2 * width * width <= len(text) - pos:
+                table = np.empty((width, width), dtype=np.int32)
         # any non-ASCII character encodes to bytes that are skeleton
         decoded = _decode_rows(span.encode("utf-8", "surrogatepass"), width)
         if decoded is None:
             return None
         rows, used, closed = decoded
-        blocks.append(rows)
+        if table is not None and filled + len(rows) <= width:
+            table[filled:filled + len(rows)] = rows
+        else:
+            # the rows do not fit a square table: keep the blocks and join them
+            if table is not None:
+                blocks, table = [table[:filled]], None
+            blocks.append(rows)
+        filled += len(rows)
         pos += used
-    return (blocks[0] if len(blocks) == 1 else np.concatenate(blocks)), pos
+    return (table[:filled] if table is not None else np.concatenate(blocks)), pos
 
 
 def _compact_object(text: str) -> dict | None:

@@ -18,9 +18,13 @@ passes it in (the N-subloop N*x is column x of mul); otherwise each
 row is one saturation.  Every closed set is a join of rows of P, and
 the joins use only the join-irreducible rows, those that the rows
 strictly below them do not generate: in a finite lattice these
-generate every element.  A saturation stops as soon as it reaches an
-element y whose row covers the set so far, since that row is then the
-closure.
+generate every element.  Most joins need no saturation at all: for a
+closed set s and a principal p = P[x], each one-step entry y = t[e, x]
+or t[x, e] with e in s lies in the closure of s | p, and so does P[y];
+a row P[y] holding s | p is therefore that closure.  Only the joins
+that no such y certifies are saturated, and a saturation stops as soon
+as it reaches an element y whose row covers the set so far, since that
+row is then the closure.
 
 Subsets grow as boolean masks.  Closed sets are de-duplicated and
 compared as Python-int bitsets (bit i set when i is a member).
@@ -125,6 +129,8 @@ class ClosureSystem:
         Entries within a or within b stay inside, so only pairs that
         touch the smaller of the two differences are new.  After
         closed_sets the saturation ends at a covering principal.
+        closed_sets calls this only for the joins that no one-step
+        principal witness settles (see _Witness).
         """
         only_b = np.flatnonzero(b & ~a)
         only_a = np.flatnonzero(a & ~b)
@@ -146,8 +152,12 @@ class ClosureSystem:
         the principals strictly below it is their join (Birkhoff: the
         join-irreducibles generate a finite lattice).  Joining each set
         found with each join-irreducible principal therefore reaches all
-        of them.  Unions already tried are skipped, and each saturation
-        ends at the first principal that covers it.
+        of them.  Unions already tried are skipped.  A join with a
+        principal p = P[x] is first settled by a one-step witness, a row
+        P[y] holding both sides (see _Witness), and saturated only when
+        none is found, ending at the first principal that covers it.
+        The witness tables are built at the first untried union, so a
+        chain of principals pays nothing for them.
         """
         n = self.n
         bottom = self.close(seed)
@@ -164,13 +174,13 @@ class ClosureSystem:
             p = principal[x]
             pb = bits_of(p)
             if pb not in principals:
-                principals[pb] = p
+                principals[pb] = (p, int(x))
                 if pb not in found:
                     found[pb] = p
                     yield p
         irreducible = []
-        for pb, p in principals.items():
-            below = [q for qb, q in principals.items() if qb != pb and qb & ~pb == 0]
+        for pb, (p, x) in principals.items():
+            below = [q for qb, (q, _) in principals.items() if qb != pb and qb & ~pb == 0]
             union = np.logical_or.reduce([bottom, *below])
             ub = bits_of(union)
             # cl(union) lies in p, and p is their join when it fills p; a
@@ -179,19 +189,59 @@ class ClosureSystem:
                 ub in found
                 or not self._saturate(union, np.flatnonzero(union), principal)[p].all()
             ):
-                irreducible.append((pb, p))
+                irreducible.append((pb, p, x))
         queue = list(found.items())
         tried = set(found)
+        witness = None
         for sb, s in queue:
-            for pb, p in irreducible:
+            members = None
+            for pb, p, x in irreducible:
                 u = sb | pb
                 if u in tried:
                     continue
                 tried.add(u)
-                j = self.join(s, p)
-                jb = bits_of(j)
-                if jb not in found:
-                    found[jb] = j
-                    tried.add(jb)
-                    queue.append((jb, j))
-                    yield j
+                if witness is None:
+                    witness = _Witness(self.binary, principal, [x for _, _, x in irreducible])
+                if members is None:
+                    members = np.flatnonzero(s)
+                # a witnessed join is a principal, and every principal is found
+                if witness.find(s, members, p, x, u) is None:
+                    j = self.join(s, p)
+                    jb = bits_of(j)
+                    if jb not in found:
+                        found[jb] = j
+                        tried.add(jb)
+                        queue.append((jb, j))
+                        yield j
+
+
+class _Witness:
+    """One-step certificates for joins with a principal closure.
+
+    Let P be a principal table (row y is the closure of the seed and y),
+    s a closed set holding the seed, and p = P[x].  An entry y = t[e, x]
+    or t[x, e], for e in s and a binary table t, lies in cl(s | p), and
+    so does P[y], since the seed lies in s.  If P[y] holds s | p, it is
+    a closed set holding s | p, so cl(s | p) = P[y] exactly.  Only y
+    outside s | p are tried: a y in s has P[y] inside s, which holds
+    s | p only when p lies in s, and then the union s was found already;
+    likewise for a y in p.
+    """
+
+    def __init__(self, binary, principal: np.ndarray, generators):
+        # row bitsets of P, and for each generator x its entries t[:, x]
+        # and t[x, :], one row per table and side
+        self.rowbits = [int.from_bytes(row.tobytes(), "little")
+                        for row in np.packbits(principal, axis=1, bitorder="little")]
+        self.columns = {x: np.stack([t[:, x] for t in binary] + [t[x] for t in binary])
+                        for x in generators}
+
+    def find(self, s: np.ndarray, members: np.ndarray, p: np.ndarray, x: int, u: int):
+        """Some y with P[y] = cl(s | p), or None.  ``members`` lists s,
+        ``p`` is P[x] and ``u`` is the bitset of s | p."""
+        step = np.zeros(len(s), dtype=bool)
+        step[self.columns[x][:, members]] = True
+        for y in np.flatnonzero(step & ~(s | p)).tolist():
+            if self.rowbits[y] & u == u:
+                return y
+        return None

@@ -301,6 +301,20 @@ class TestArrayRoute:
         assert array.dtype == np.int32 and array.tolist() == [[0, -1], [3, -1]]
         assert text[end:] == ","
 
+    def test_blocks_fill_one_square_table(self):
+        square = np.arange(30 * 30).reshape(30, 30) % 30
+        text = json.dumps(square.tolist(), separators=(",", ":"))
+        with mock.patch.object(loopnr_io, "_BLOCK_BYTES", 16), \
+                mock.patch.object(np, "concatenate", side_effect=AssertionError):
+            array, end = loopnr_io._int_matrix(text, 0)
+        assert end == len(text) and np.array_equal(array, square)
+        # a row count other than the width falls back to joining the blocks
+        for rows in (square[:29], np.vstack([square, square[:1]]), square[:, :29]):
+            text = json.dumps(rows.tolist(), separators=(",", ":"))
+            with mock.patch.object(loopnr_io, "_BLOCK_BYTES", 16):
+                array, end = loopnr_io._int_matrix(text, 0)
+            assert end == len(text) and np.array_equal(array, rows)
+
     @pytest.mark.parametrize("corrupt", [False, True])
     def test_compact_files_skip_the_list_loop(self, capsys, monkeypatch, tmp_path, corrupt):
         ring = corpus.z(6)

@@ -1,4 +1,7 @@
 import importlib.util
+import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -32,7 +35,7 @@ from loopnr import (
     validate_lnr,
     verify_retract_matching,
 )
-from loopnr import nearrings, reports, rings
+from loopnr import lattice, nearrings, reports, rings
 from loopnr.cli import main
 from loopnr.lattice import ClosureSystem, bits_of
 from loopnr.tables import positions
@@ -148,21 +151,85 @@ class TestClosedSetsWork:
         assert nearrings._n_subloop_lattice(nr)
         assert calls == []
 
-    def test_joins_use_only_the_atoms_of_a_boolean_lattice(self, monkeypatch):
-        nr = parse_spec("product:cyclic:2+cyclic:2+cyclic:2+cyclic:2+cyclic:2")
-        joined = set()
-        join = ClosureSystem.join
+    @staticmethod
+    def record_joins(monkeypatch):
+        """Patch ClosureSystem.join and _Witness.find to record their
+        calls: the bitset of each set joined, and each witness tried."""
+        joined, tried = [], []
+        join, find = ClosureSystem.join, lattice._Witness.find
 
-        def recording(self, a, b):
-            joined.add(bits_of(b))
+        def recording_join(self, a, b):
+            joined.append(bits_of(b))
             return join(self, a, b)
 
-        monkeypatch.setattr(ClosureSystem, "join", recording)
-        lattice = nearrings._n_subloop_lattice(nr)
-        assert len(lattice) == 32
-        atoms = {bits_of(s.mask()) for s in lattice if len(s) == 2}
+        def recording_find(self, s, members, p, x, u):
+            y = find(self, s, members, p, x, u)
+            tried.append((s.copy(), p.copy(), y))
+            return y
+
+        monkeypatch.setattr(ClosureSystem, "join", recording_join)
+        monkeypatch.setattr(lattice._Witness, "find", recording_find)
+        return joined, tried
+
+    def test_joins_use_only_the_atoms_of_a_boolean_lattice(self, monkeypatch):
+        nr = parse_spec("product:cyclic:2+cyclic:2+cyclic:2+cyclic:2+cyclic:2")
+        joined, tried = self.record_joins(monkeypatch)
+        subloops = nearrings._n_subloop_lattice(nr)
+        assert len(subloops) == 32
+        atoms = {bits_of(s.mask()) for s in subloops if len(s) == 2}
         assert len(atoms) == 5
-        assert joined == atoms
+        assert {bits_of(p) for _, p, _ in tried} == atoms
+        # every set of a Boolean lattice is principal, so a one-step
+        # witness settles each join and none saturates
+        assert joined == []
+
+    @pytest.mark.parametrize("spec, most", [
+        ("product:cyclic:4+cyclic:4+cyclic:4", 0),
+        ("product:cyclic:2+cyclic:2+cyclic:2+cyclic:2+cyclic:2", 0),
+        ("matrix:cyclic:4,2", 0),
+        ("m0:cyclic:4", 0),
+        ("m0:nonassoc5", 12),
+    ])
+    def test_saturating_joins(self, monkeypatch, spec, most):
+        joined, tried = self.record_joins(monkeypatch)
+        assert nearrings._n_subloop_lattice(parse_spec(spec))
+        assert tried
+        assert len(joined) <= most
+
+    @staticmethod
+    def assert_witnesses_are_closures(monkeypatch, system, *args):
+        joined, tried = TestClosedSetsWork.record_joins(monkeypatch)
+        list(system.closed_sets(*args))
+        for s, p, y in tried:
+            if y is not None:
+                assert np.array_equal(system.principal[y], system.close(np.flatnonzero(s | p)))
+        return sum(y is not None for _, _, y in tried)
+
+    @given(small_near_rings())
+    def test_witnessed_n_subloop_joins_are_closures(self, nr):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            system = ClosureSystem(nr.n, nr.additive._closure.binary, absorbing=nr.mul)
+            self.assert_witnesses_are_closures(
+                monkeypatch, system, (nr.zero,), nearrings._principal_n_subloops(nr))
+
+    @given(small_near_rings())
+    def test_witnessed_sub_near_ring_joins_are_closures(self, nr):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            system = ClosureSystem(nr.n, (nr.add, nr.mul))
+            self.assert_witnesses_are_closures(monkeypatch, system, (nr.zero, nr.one))
+
+    @given(st.integers(0, 10_000))
+    def test_witnessed_sparse_table_joins_are_closures(self, seed):
+        t = sparse_rule_table(seed)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.assert_witnesses_are_closures(monkeypatch, ClosureSystem(len(t), (t,)), (0,))
+
+    def test_witnesses_settle_sparse_table_joins(self, monkeypatch):
+        # the oracles above see witnessed joins, not only saturated ones
+        witnessed = sum(
+            self.assert_witnesses_are_closures(monkeypatch, ClosureSystem(len(t), (t,)), (0,))
+            for t in map(sparse_rule_table, range(50)))
+        assert witnessed > 0
 
     @given(small_near_rings())
     def test_sub_near_rings_equal_subset_scan(self, nr):
@@ -396,3 +463,24 @@ def test_search_script_runs_at_default_args(capsys, name, argv, last, line):
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == last
     assert line in lines
+
+
+def test_bench_script_reads_each_child_peak_rss_and_exit_code(tmp_path):
+    # a child that touches 64 MiB, then one that touches little: the second
+    # reads its own peak, not the running maximum over the children so far.
+    # The script runs in a fresh interpreter, since a child's peak also
+    # covers the address space it was forked with.
+    out = tmp_path / "stdout"
+    script = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(SCRIPTS)!r})\n"
+        "import bench\n"
+        "runs = [bench.run([sys.executable, '-c', code], {}, sys.argv[1]) for code in\n"
+        "        ('b = bytearray(64 << 20); print(len(b))', 'raise SystemExit(3)')]\n"
+        "print(json.dumps(runs))\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(out)], capture_output=True,
+                          text=True, timeout=60, check=True)
+    big, small = json.loads(proc.stdout)
+    assert big["exit_code"] == 0 and big["peak_rss_mib"] >= 64
+    assert small["exit_code"] == 3 and small["peak_rss_mib"] < 64
+    assert out.read_text() == ""
