@@ -90,6 +90,11 @@ class ClosureSystem:
                     return principal[frontier[covering.argmax()]]
         return mask
 
+    def _is_closed(self, mask: np.ndarray) -> bool:
+        """Whether every table entry on members of ``mask`` lies in it."""
+        members = np.flatnonzero(mask)
+        return all(mask[block].all() for block in self._images(members, members))
+
     def close(self, seed: Iterable[int]) -> np.ndarray:
         """The smallest closed set containing ``seed``, as a mask."""
         mask = np.zeros(self.n, dtype=bool)
@@ -150,14 +155,19 @@ class ClosureSystem:
         Every closed set is the join of the principal closures of its
         elements, and a principal that is the closure of the union of
         the principals strictly below it is their join (Birkhoff: the
-        join-irreducibles generate a finite lattice).  Joining each set
-        found with each join-irreducible principal therefore reaches all
-        of them.  Unions already tried are skipped.  A join with a
-        principal p = P[x] is first settled by a one-step witness, a row
-        P[y] holding both sides (see _Witness), and saturated only when
-        none is found, ending at the first principal that covers it.
-        The witness tables are built at the first untried union, so a
-        chain of principals pays nothing for them.
+        join-irreducibles generate a finite lattice).  The union of the
+        bottom and the principals strictly below p is the set of the
+        elements of p whose row is not p, so one pass over the table
+        entries on it decides whether it is closed, that is, whether p
+        is join-irreducible.  Joining each set found with each
+        join-irreducible principal reaches every closed set.  Unions
+        already tried are skipped.  A join with a principal p = P[x] is
+        first settled by a one-step witness, a row P[y] holding both
+        sides (see _Witness), and saturated only when none is found,
+        ending at the first principal that covers it.  The witness's
+        generator columns and member lists are built at the first
+        untried union, so a chain of principals pays nothing for them;
+        its row bitsets are the ones the principals are grouped by.
         """
         n = self.n
         bottom = self.close(seed)
@@ -169,27 +179,26 @@ class ClosureSystem:
             for x in np.flatnonzero(~bottom):
                 principal[x] = self._extend(bottom, x)
         self.principal = principal
-        principals = {}
-        for x in np.flatnonzero(~bottom):
-            p = principal[x]
-            pb = bits_of(p)
-            if pb not in principals:
-                principals[pb] = (p, int(x))
-                if pb not in found:
-                    found[pb] = p
-                    yield p
+        rowbits = [int.from_bytes(row.tobytes(), "little")
+                   for row in np.packbits(principal, axis=1, bitorder="little")]
+        # each principal closure by bitset, with the elements whose row it is
+        generators = {}
+        for x in np.flatnonzero(~bottom).tolist():
+            generators.setdefault(rowbits[x], []).append(x)
+        for pb, xs in generators.items():
+            if pb not in found:
+                found[pb] = principal[xs[0]]
+                yield found[pb]
         irreducible = []
-        for pb, (p, x) in principals.items():
-            below = [q for qb, (q, _) in principals.items() if qb != pb and qb & ~pb == 0]
-            union = np.logical_or.reduce([bottom, *below])
-            ub = bits_of(union)
-            # cl(union) lies in p, and p is their join when it fills p; a
-            # union already found is closed
-            if ub != pb and (
-                ub in found
-                or not self._saturate(union, np.flatnonzero(union), principal)[p].all()
-            ):
-                irreducible.append((pb, p, x))
+        for pb, xs in generators.items():
+            # the bottom and the principals strictly below p make up exactly
+            # the elements of p that do not generate it; any entry outside
+            # them generates p, so p is their join unless they are closed,
+            # as a set already found is
+            below = principal[xs[0]].copy()
+            below[xs] = False
+            if bits_of(below) in found or self._is_closed(below):
+                irreducible.append((pb, principal[xs[0]], xs[0]))
         queue = list(found.items())
         tried = set(found)
         witness = None
@@ -201,11 +210,11 @@ class ClosureSystem:
                     continue
                 tried.add(u)
                 if witness is None:
-                    witness = _Witness(self.binary, principal, [x for _, _, x in irreducible])
+                    witness = _Witness(self.binary, rowbits, [x for _, _, x in irreducible])
                 if members is None:
                     members = np.flatnonzero(s)
                 # a witnessed join is a principal, and every principal is found
-                if witness.find(s, members, p, x, u) is None:
+                if witness.find(members, x, u) is None:
                     j = self.join(s, p)
                     jb = bits_of(j)
                     if jb not in found:
@@ -222,26 +231,20 @@ class _Witness:
     s a closed set holding the seed, and p = P[x].  An entry y = t[e, x]
     or t[x, e], for e in s and a binary table t, lies in cl(s | p), and
     so does P[y], since the seed lies in s.  If P[y] holds s | p, it is
-    a closed set holding s | p, so cl(s | p) = P[y] exactly.  Only y
-    outside s | p are tried: a y in s has P[y] inside s, which holds
-    s | p only when p lies in s, and then the union s was found already;
-    likewise for a y in p.
+    a closed set holding s | p, so cl(s | p) = P[y] exactly.
     """
 
-    def __init__(self, binary, principal: np.ndarray, generators):
-        # row bitsets of P, and for each generator x its entries t[:, x]
-        # and t[x, :], one row per table and side
-        self.rowbits = [int.from_bytes(row.tobytes(), "little")
-                        for row in np.packbits(principal, axis=1, bitorder="little")]
+    def __init__(self, binary, rowbits: list, generators):
+        # the row bitsets of P, and for each generator x its entries
+        # t[:, x] and t[x, :], one row per table and side
+        self.rowbits = rowbits
         self.columns = {x: np.stack([t[:, x] for t in binary] + [t[x] for t in binary])
                         for x in generators}
 
-    def find(self, s: np.ndarray, members: np.ndarray, p: np.ndarray, x: int, u: int):
-        """Some y with P[y] = cl(s | p), or None.  ``members`` lists s,
-        ``p`` is P[x] and ``u`` is the bitset of s | p."""
-        step = np.zeros(len(s), dtype=bool)
-        step[self.columns[x][:, members]] = True
-        for y in np.flatnonzero(step & ~(s | p)).tolist():
+    def find(self, members: np.ndarray, x: int, u: int):
+        """Some y with P[y] = cl(s | P[x]), or None, where ``members``
+        lists s and ``u`` is the bitset of s | P[x]."""
+        for y in self.columns[x][:, members].ravel().tolist():
             if self.rowbits[y] & u == u:
                 return y
         return None

@@ -154,7 +154,8 @@ class TestClosedSetsWork:
     @staticmethod
     def record_joins(monkeypatch):
         """Patch ClosureSystem.join and _Witness.find to record their
-        calls: the bitset of each set joined, and each witness tried."""
+        calls: the bitset of each set joined, and the generator x, the
+        bitset u of the union and the witness y of each witness search."""
         joined, tried = [], []
         join, find = ClosureSystem.join, lattice._Witness.find
 
@@ -162,9 +163,9 @@ class TestClosedSetsWork:
             joined.append(bits_of(b))
             return join(self, a, b)
 
-        def recording_find(self, s, members, p, x, u):
-            y = find(self, s, members, p, x, u)
-            tried.append((s.copy(), p.copy(), y))
+        def recording_find(self, members, x, u):
+            y = find(self, members, x, u)
+            tried.append((x, u, y))
             return y
 
         monkeypatch.setattr(ClosureSystem, "join", recording_join)
@@ -178,7 +179,8 @@ class TestClosedSetsWork:
         assert len(subloops) == 32
         atoms = {bits_of(s.mask()) for s in subloops if len(s) == 2}
         assert len(atoms) == 5
-        assert {bits_of(p) for _, p, _ in tried} == atoms
+        principal = nearrings._principal_n_subloops(nr)
+        assert {bits_of(principal[x]) for x, _, _ in tried} == atoms
         # every set of a Boolean lattice is principal, so a one-step
         # witness settles each join and none saturates
         assert joined == []
@@ -200,9 +202,10 @@ class TestClosedSetsWork:
     def assert_witnesses_are_closures(monkeypatch, system, *args):
         joined, tried = TestClosedSetsWork.record_joins(monkeypatch)
         list(system.closed_sets(*args))
-        for s, p, y in tried:
+        for _, u, y in tried:
             if y is not None:
-                assert np.array_equal(system.principal[y], system.close(np.flatnonzero(s | p)))
+                union = [i for i in range(system.n) if u >> i & 1]
+                assert np.array_equal(system.principal[y], system.close(union))
         return sum(y is not None for _, _, y in tried)
 
     @given(small_near_rings())
