@@ -3,7 +3,7 @@
 
 Run from the root of a checkout:
 
-    python3 scripts/bench.py --out BENCH_18.json
+    python3 scripts/bench.py --out BENCH_<n>.json
 
 Every workload is its own child: ``python -m loopnr`` with ``src/`` on
 the path, or ``perfbench/run.py`` unchanged at its default seed.  Peak
