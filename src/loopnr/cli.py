@@ -61,10 +61,6 @@ def _emit(payload: dict, as_text: bool) -> None:
 
 
 def _bounds_from_args(args) -> Bounds:
-    try:
-        bounds = bounds_from_env(DEFAULT_BOUNDS, os.environ)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
     overrides = {}
     if args.max_n is not None:
         overrides["max_n"] = args.max_n
@@ -72,7 +68,11 @@ def _bounds_from_args(args) -> Bounds:
         overrides["max_subloop_n"] = args.max_subloops
     if args.max_families is not None:
         overrides["max_families"] = args.max_families
-    return replace(bounds, **overrides) if overrides else bounds
+    try:
+        bounds = bounds_from_env(DEFAULT_BOUNDS, os.environ)
+        return replace(bounds, **overrides) if overrides else bounds
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _load_input(arg: str, bounds: Bounds):

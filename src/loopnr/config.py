@@ -11,6 +11,7 @@ import os
 from dataclasses import dataclass, replace
 
 from .errors import BoundExceeded
+from .tables import MAX_ORDER
 
 
 @dataclass(frozen=True)
@@ -20,6 +21,11 @@ class Bounds:
     max_enum_n: int = 4096       # carrier cap for N-subloop / left-ideal lattices
     max_family_n: int = 64       # ring size cap for primitive-family enumeration
     max_families: int = 4096     # enumerated-family cap before LimitReached
+
+    def __post_init__(self):
+        if self.max_n > MAX_ORDER:
+            raise ValueError(f"max_n {self.max_n} is past {MAX_ORDER}, "
+                             "the most elements an int16 table can index")
 
     def check(self, cap: str, size: int, what: str) -> None:
         """Refuse ``what`` of ``size`` elements when it exceeds the field ``cap``.

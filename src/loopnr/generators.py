@@ -30,11 +30,10 @@ Indexing conventions (documented here so golden files are portable):
 
 A table computed digit by digit (the additions of gf, matrix, ut2 and
 m/m0, both operations of product) is one Kronecker-style sum over the
-digits' own tables, ``_componentwise``.  Every other table comes from
-one builder, ``_table``, which writes int16 row i as op(digits[i],
-every digit vector) encoded in the mixed radix above (for cyclic:n,
-one digit of radix n).  The one exception is the multiplication of
-gf:q, gathered from Zech logarithm tables.
+digits' own tables, ``_componentwise``.  Every other table is encoded
+by ``_encode`` from whole (size, size) digit tables, each one broadcast
+gather over the base tables (for cyclic:n, one digit of radix n); the
+multiplication of gf:q is one gather from Zech logarithm tables.
 """
 
 from __future__ import annotations
@@ -57,22 +56,19 @@ def cyclic_ring(n: int) -> FiniteRing:
     """Z/n.  The degenerate n = 1 zero ring is allowed."""
     if n < 1:
         raise ValueError("cyclic ring needs n >= 1")
-    digits = np.arange(n, dtype=np.int64)[:, None]
-    add = _table(digits, [n], lambda x, ys: (x + ys) % n)
-    return validate_ring_tables(add, _table(digits, [n], lambda x, ys: x * ys % n), 1 % n)
+    x = np.arange(n, dtype=np.int32)         # n <= 32768, so x * y stays exact
+    add = _encode(n, [np.add.outer(x, x) % n], [n])
+    return validate_ring_tables(add, _encode(n, [np.multiply.outer(x, x) % n], [n]), 1 % n)
 
 
-def _table(digits, radices, op) -> np.ndarray:
-    """The int16 Cayley table whose row i is op(digits[i], digits).
-
-    ``digits`` holds one digit vector per element, and ``op(x, ys)``
-    returns the digit vectors of x op y for every row y of ``ys``; each
-    is encoded in the mixed radix ``radices``.
-    """
-    w = tables.mixed_radix_weights(radices)
-    out = np.empty((len(digits), len(digits)), dtype=tables.DTYPE)
-    for i, x in enumerate(digits):
-        out[i] = op(x, digits) @ w
+def _encode(size, digit_tables, radices) -> np.ndarray:
+    """The int16 table whose entry (x, y) has, as its i-th digit in the
+    mixed radix ``radices``, entry (x, y) of the i-th (size, size) table
+    of ``digit_tables``; an iterator keeps one digit table live at a time."""
+    out = np.zeros((size, size), dtype=tables.DTYPE)
+    for d, r in zip(digit_tables, radices):
+        out *= r
+        out += d
     return out
 
 
@@ -175,11 +171,10 @@ def galois_field(q: int) -> FiniteRing:
         if len(exp) == q - 1:
             break
     exp = np.array(exp * 2, dtype=tables.DTYPE)   # twice over: no reduction mod q-1
-    log = np.zeros(q, dtype=np.int64)
+    log = np.zeros(q, dtype=np.int32)             # log x + log y may pass int16
     log[exp[:q - 1]] = np.arange(q - 1)
     mul = np.zeros((q, q), dtype=tables.DTYPE)    # row and column 0 stay 0
-    for x in range(1, q):
-        mul[x, 1:] = exp[log[x] + log[1:]]
+    mul[1:, 1:] = exp[log[1:, None] + log[1:]]
     add = _componentwise([cyclic_ring(p).add] * k)
     return validate_ring_tables(add, mul, 1)
 
@@ -193,40 +188,36 @@ def matrix_ring(base: FiniteRing, k: int, bounds: Bounds = DEFAULT_BOUNDS) -> Fi
     size = b ** (k * k)
     bounds.check("max_n", size, "matrix ring")
     radices = [b] * (k * k)
-    digits = tables.decode_all(size, radices)          # (size, k*k)
+    x = tables.decode_all(size, radices).T.reshape(k, k, size)   # x[r, c]: every element's (r, c)
     badd, bmul = base.add, base.mul
 
-    def mul(x, ys):
-        a, m = x.reshape(k, k), ys.reshape(size, k, k)
-        acc = np.zeros_like(m)
-        for t in range(k):               # [s, r, c] += a[r, t] * m[s, t, c]
-            acc = badd[acc, bmul[a[None, :, t, None], m[:, None, t, :]]]
-        return acc.reshape(size, k * k)
+    def entry(r, c):
+        """Entry (r, c) of every product u*v, folded over t with badd."""
+        acc = bmul[x[r, 0][:, None], x[0, c]]
+        for t in range(1, k):
+            acc = badd[acc, bmul[x[r, t][:, None], x[t, c]]]
+        return acc
 
     add = _componentwise([badd] * (k * k))
+    mul = _encode(size, (entry(r, c) for r in range(k) for c in range(k)), radices)
     one = _index(np.eye(k, dtype=np.int64).ravel() * base.one, radices)
-    return validate_ring_tables(add, _table(digits, radices, mul), one)
+    return validate_ring_tables(add, mul, one)
 
 
 def upper_triangular_ring(base: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> FiniteRing:
     """Upper triangular 2x2 matrices (a, b, d) over the base ring."""
-    b = base.n
-    size = b ** 3
+    size = base.n ** 3
     bounds.check("max_n", size, "triangular ring")
-    radices = [b] * 3
-    digits = tables.decode_all(size, radices)          # columns: a, b, d
+    radices = [base.n] * 3
+    a, b, d = tables.decode_all(size, radices).T       # the entries of every element
     badd, bmul = base.add, base.mul
-
-    def mul(x, ys):
-        # (a,b,d)*(a',b',d') = (a a', a b' + b d', d d')
-        a, b, d = x
-        return np.stack([bmul[a, ys[:, 0]],
-                         badd[bmul[a, ys[:, 1]], bmul[b, ys[:, 2]]],
-                         bmul[d, ys[:, 2]]], axis=1)
-
+    # (a,b,d)*(a',b',d') = (a a', a b' + b d', d d')
+    mul = _encode(size, [bmul[a[:, None], a],
+                         badd[bmul[a[:, None], b], bmul[b[:, None], d]],
+                         bmul[d[:, None], d]], radices)
     add = _componentwise([badd] * 3)
     one = _index([base.one, 0, base.one], radices)
-    return validate_ring_tables(add, _table(digits, radices, mul), one)
+    return validate_ring_tables(add, mul, one)
 
 
 def map_near_ring(loop: CayleyLoop, zero_fixing: bool, bounds: Bounds = DEFAULT_BOUNDS) -> LoopNearRing:
@@ -241,10 +232,10 @@ def map_near_ring(loop: CayleyLoop, zero_fixing: bool, bounds: Bounds = DEFAULT_
     bounds.check("max_n", size, "map near-ring")
     lo = 1 if zero_fixing else 0                       # m0 omits the f(0) = 0 digit
     radices = [n] * (n - lo)
-    maps = tables.decode_all(size, radices)            # values at lo..n-1
-    pad = np.zeros(lo, dtype=tables.DTYPE)
+    maps = np.zeros((size, n), dtype=tables.DTYPE)     # f(0), f(1), ..., f(n-1)
+    maps[:, lo:] = tables.decode_all(size, radices)
     add = _componentwise([loop.add] * (n - lo))   # f(x) + g(x)
-    mul = _table(maps, radices, lambda f, gs: np.concatenate((pad, f))[gs])   # f(g(x))
+    mul = _encode(size, (maps[:, maps[:, x]] for x in range(lo, n)), radices)   # f(g(x))
     return validate_lnr(add, mul, _index(range(lo, n), radices))
 
 

@@ -41,6 +41,14 @@ def finalize_report(payload: dict) -> dict:
     return payload
 
 
+def _timed(timing: dict, key: str, fn):
+    """``fn()``, its wall time in seconds recorded as ``timing[key]``."""
+    t0 = time.perf_counter()
+    out = fn()
+    timing[key] = round(time.perf_counter() - t0, 6)
+    return out
+
+
 def _subset_section(subset) -> dict:
     members = list(subset.sorted_members)
     return {"count": len(members), "members": members}
@@ -93,19 +101,12 @@ def analysis_report(
         "valid": True,
     }
     timing = {}
-
-    def timed(key, fn):
-        t0 = time.perf_counter()
-        out = fn()
-        timing[key] = round(time.perf_counter() - t0, 6)
-        return out
-
     if kind == "loop":
         if structure.n <= _LAW_SCAN_CAP:
             payload["associative"] = bool(is_associative(structure))
             payload["commutative"] = bool(is_commutative(structure))
         if with_subloops:
-            subs = timed("subloops", lambda: enumerate_subloops(structure, bounds))
+            subs = _timed(timing, "subloops", lambda: enumerate_subloops(structure, bounds))
             payload["subloops"] = {
                 "count": len(subs),
                 "sizes": sorted(len(s.members) for s in subs),
@@ -113,28 +114,28 @@ def analysis_report(
     else:
         payload["one"] = structure.one
         payload["zero_symmetric"] = structure.zero_symmetric
-        payload["units"] = timed(
-            "units", lambda: _subset_section(units(structure).members)
+        payload["units"] = _timed(
+            timing, "units", lambda: _subset_section(units(structure).members)
         )
         if with_idempotents:
-            payload["idempotents"] = timed(
-                "idempotents", lambda: _subset_section(idempotents(structure))
+            payload["idempotents"] = _timed(
+                timing, "idempotents", lambda: _subset_section(idempotents(structure))
             )
         if with_subloops:
-            subs = timed(
-                "n_subloops", lambda: enumerate_N_subloops(structure, bounds)
+            subs = _timed(
+                timing, "n_subloops", lambda: enumerate_N_subloops(structure, bounds)
             )
             payload["n_subloops"] = {
                 "count": len(subs),
                 "sizes": sorted(len(s.members) for s in subs),
             }
         if with_local:
-            payload["local"] = timed(
-                "local", lambda: _locality_section(structure, bounds)
+            payload["local"] = _timed(
+                timing, "local", lambda: _locality_section(structure, bounds)
             )
         if with_radical and isinstance(structure, FiniteRing):
-            payload["radical"] = timed(
-                "radical", lambda: _radical_section(structure, bounds)
+            payload["radical"] = _timed(
+                timing, "radical", lambda: _radical_section(structure, bounds)
             )
     if with_timing:
         payload["timing"] = timing
@@ -153,9 +154,7 @@ def decompose_report(
     if not isinstance(ring, FiniteRing):
         raise PreconditionFailed("decompose needs a ring input")
     timing = {}
-    t0 = time.perf_counter()
-    family = decompose_regular(ring, bounds)
-    timing["decompose"] = round(time.perf_counter() - t0, 6)
+    family = _timed(timing, "decompose", lambda: decompose_regular(ring, bounds))
     payload = {
         "command": "decompose",
         "input": name,
@@ -169,9 +168,7 @@ def decompose_report(
         ],
     }
     if verify_uniqueness:
-        t0 = time.perf_counter()
-        ks = verify_ks_uniqueness(ring, limit, bounds)
-        timing["uniqueness"] = round(time.perf_counter() - t0, 6)
+        ks = _timed(timing, "uniqueness", lambda: verify_ks_uniqueness(ring, limit, bounds))
         payload["uniqueness"] = {
             "family_count": ks.family_count,
             "common_length": ks.common_length,

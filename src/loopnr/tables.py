@@ -34,6 +34,7 @@ from . import errors
 from .lattice import ClosureSystem
 
 DTYPE = np.int16
+MAX_ORDER = int(np.iinfo(DTYPE).max) + 1   # the most elements a DTYPE table can index
 
 # Block budget: at most ~4M table entries live per intermediate array.
 _BLOCK_ELEMS = 1 << 22

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -593,3 +594,13 @@ def test_constructor_matches_its_definition(spec):
         return
     assert s.mul.tolist() == [[mul(u, v) for v in range(n)] for u in range(n)]
     assert s.one == one
+
+
+def test_three_by_three_matrix_ring_matches_its_definition_on_sampled_rows():
+    """k = 3 folds three terms per entry; 32 seeded rows of 512 keep it quick."""
+    s = parse_spec("matrix:cyclic:2,3")
+    n, add, mul, one = matrix_ops(zn_ops(2), 3)
+    assert s.n == n == 512 and s.one == one
+    for u in random.Random(0).sample(range(n), 32):
+        assert s.add[u].tolist() == [add(u, v) for v in range(n)]
+        assert s.mul[u].tolist() == [mul(u, v) for v in range(n)]

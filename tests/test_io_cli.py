@@ -551,6 +551,21 @@ class TestCliCheck:
         assert code == 2
         assert out == "parse error: LOOPNR_MAX_N must be an integer, got 'abc'\n"
 
+    def test_env_past_the_int16_carrier_is_refused(self):
+        from loopnr.config import bounds_from_env
+
+        assert bounds_from_env(env={"LOOPNR_MAX_N": "32768"}).max_n == 32768
+        with pytest.raises(ValueError, match="32769 is past 32768.*int16"):
+            bounds_from_env(env={"LOOPNR_MAX_N": "32769"})
+
+    @pytest.mark.parametrize("env, flag", [({}, "40000"), ({"LOOPNR_MAX_N": "32769"}, None)])
+    def test_max_n_past_the_int16_carrier_is_a_parse_error(self, capsys, monkeypatch, env, flag):
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        code, out = run_cli(capsys, "check", "cyclic:6", *(["--max-n", flag] if flag else []))
+        assert code == 2
+        assert out.startswith("parse error:") and "int16" in out
+
     def test_spec_is_not_rescanned(self, capsys, monkeypatch):
         from loopnr import tables
 
@@ -566,12 +581,12 @@ class TestCliCheck:
     def test_file_is_checked_once_as_int16(self, capsys, monkeypatch, tmp_path):
         from loopnr import tables
 
+        p = tmp_path / "z4.json"
+        p.write_text(dump_structure(corpus.z(4)))   # before the patch: z(4) is built once, lazily
         seen = []
         kernel = tables.assoc_witness
         monkeypatch.setattr(
             tables, "assoc_witness", lambda t, *light: seen.append(t.dtype) or kernel(t, *light))
-        p = tmp_path / "z4.json"
-        p.write_text(dump_structure(corpus.z(4)))
         code, payload = run_json(capsys, "check", str(p))
         assert code == 0 and payload["valid"] is True
         assert seen == [np.dtype(np.int16)] * 2
