@@ -57,8 +57,14 @@ def cyclic_ring(n: int) -> FiniteRing:
     if n < 1:
         raise ValueError("cyclic ring needs n >= 1")
     x = np.arange(n, dtype=np.int32)         # n <= 32768, so x * y stays exact
-    add = _encode(n, [np.add.outer(x, x) % n], [n])
-    return validate_ring_tables(add, _encode(n, [np.multiply.outer(x, x) % n], [n]), 1 % n)
+    add = _residues(np.add.outer(x, x), n)
+    return validate_ring_tables(add, _residues(np.multiply.outer(x, x), n), 1 % n)
+
+
+def _residues(table: np.ndarray, n: int) -> np.ndarray:
+    """The int16 table of ``table`` mod n, reduced in place."""
+    table %= n
+    return _encode(n, [table], [n])
 
 
 def _encode(size, digit_tables, radices) -> np.ndarray:
@@ -66,9 +72,10 @@ def _encode(size, digit_tables, radices) -> np.ndarray:
     mixed radix ``radices``, entry (x, y) of the i-th (size, size) table
     of ``digit_tables``; an iterator keeps one digit table live at a time."""
     out = np.zeros((size, size), dtype=tables.DTYPE)
-    for d, r in zip(digit_tables, radices):
+    digit_tables = iter(digit_tables)
+    for r in radices:
         out *= r
-        out += d
+        out += next(digit_tables)   # freed before the next is built, which zip would not do
     return out
 
 
@@ -211,10 +218,18 @@ def upper_triangular_ring(base: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> 
     radices = [base.n] * 3
     a, b, d = tables.decode_all(size, radices).T       # the entries of every element
     badd, bmul = base.add, base.mul
-    # (a,b,d)*(a',b',d') = (a a', a b' + b d', d d')
-    mul = _encode(size, [bmul[a[:, None], a],
-                         badd[bmul[a[:, None], b], bmul[b[:, None], d]],
-                         bmul[d[:, None], d]], radices)
+
+    def entries():
+        """The entries of every product: (a,b,d)*(a',b',d') = (a a', a b' + b d', d d')."""
+        yield bmul[a[:, None], a]
+        # a b' + b d' is one gather from the flat badd at (a b') * B + b d' < B^2
+        pair = bmul[a[:, None], b]
+        pair *= base.n
+        pair += bmul[b[:, None], d]
+        yield badd.ravel()[pair]
+        yield bmul[d[:, None], d]
+
+    mul = _encode(size, entries(), radices)
     add = _componentwise([badd] * 3)
     one = _index([base.one, 0, base.one], radices)
     return validate_ring_tables(add, mul, one)

@@ -101,26 +101,31 @@ class ClosureSystem:
         mask[list(seed)] = True
         return self._saturate(mask, np.flatnonzero(mask))
 
-    def generating_set(self) -> list:
-        """A set S whose closure is the whole carrier, grown greedily.
+    def generating_set(self, ranked: bool = True) -> Iterator[int]:
+        """Yield a set S whose closure is the whole carrier, grown greedily.
 
         Candidates go by descending rank, the number of distinct entries
         in the element's row of the first binary table, least index
         first on ties; each candidate outside the closure of S so far
         joins S.  High-rank elements, such as units, reach most of the
-        carrier at once, which keeps S small.
+        carrier at once, which keeps S small.  A caller that knows every
+        row is a permutation passes ``ranked`` False: every rank is n,
+        so the order is the index order, taken without sorting.  Each
+        member is yielded before its closure is taken, so a caller that
+        stops early pays for no more than it drew.
         """
-        rows = np.sort(self.binary[0], axis=1)
-        rank = (rows[:, 1:] != rows[:, :-1]).sum(axis=1)
+        order = range(self.n)
+        if ranked:
+            rows = np.sort(self.binary[0], axis=1)
+            order = np.argsort(-(rows[:, 1:] != rows[:, :-1]).sum(axis=1), kind="stable")
+            del rows   # the suspended generator would hold the sorted copy
         mask = np.zeros(self.n, dtype=bool)
-        out = []
-        for x in np.argsort(-rank, kind="stable"):
+        for x in order:
             if mask.all():
-                break
+                return
             if not mask[x]:
-                out.append(int(x))
+                yield int(x)
                 mask = self._extend(mask, x)
-        return out
 
     def _extend(self, closed: np.ndarray, x: int) -> np.ndarray:
         """The closure of closed + {x}, for a closed mask."""

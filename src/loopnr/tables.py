@@ -7,13 +7,19 @@ set S of the multiplicative or additive magma, from
 ``lattice.ClosureSystem.generating_set``, in O(|S| n^2): the elements
 where such a law holds are closed under the operation (Light's test
 for associativity).  A distributive law is decided at S+ if ``+`` is
-associative or at S* if ``*`` is, whichever is smaller.  Only a law
-that fails is scanned again, in blocks of 1, 2, 4, ... rows, so the
-O(n^3) search stays vectorized without materializing an (n, n, n) cube
-and finds the lexicographically least violating tuple; a failing left
-distributive law with ``+`` associative first finds its least bad row
-in O(|S+| n^2) and scans that row alone.  Witnesses and error messages
-therefore do not depend on S.
+associative or at S* if ``*`` is, whichever is smaller.  No pass runs
+at the operation's two-sided identity, 0 for ``+`` or ``one`` for
+``*`` (a distributive pass keeps 0 unless the loop rows held).  Light's
+test runs at each member as it is grown, so a failing table grows
+little of its set.  A ring scan with |S+| <= |S*| first tries
+route P, which decides every near-ring and ring row from S+ alone
+(``_additive_route``).  Only a law that fails is scanned again, in
+blocks of 1, 2, 4, ... rows, so the O(n^3) search stays vectorized
+without materializing an (n, n, n) cube and finds the lexicographically
+least violating tuple; a failing left distributive law with ``+``
+associative first finds its least bad row in O(|S+| n^2) and scans that
+row alone.  Witnesses and error messages therefore do not depend on S
+or on the route.
 
 Six rows of ``AXIOMS`` are laws, identities in ``+`` and ``*``.  A law
 holds in every substructure and homomorphic image of a structure that
@@ -26,6 +32,7 @@ the two-sided zero and the identity, all O(n^2).
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import islice
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -142,23 +149,62 @@ class Light:
 
     The s with x(sy) = (xs)y for all x, y are closed under the
     operation, so associativity at each member of a generating set is
-    associativity everywhere.  ``violations`` hands one ``Light`` of each
-    table to every row that needs its verdict, so one scan grows at most
-    one generating set of ``*`` and one of ``+``.
+    associativity everywhere.  At a two-sided identity of the table the
+    law holds identically, so it is skipped (``moving``).  ``violations``
+    hands one ``Light`` of each table to every row that needs its
+    verdict, so one scan grows at most one generating set of ``*`` and
+    one of ``+``, greedily and only as far as asked.  ``loop`` says the
+    table is a loop's (its loop rows held): every row is a permutation,
+    so every rank is n and the set is grown in index order, unranked.
     """
 
-    def __init__(self, op: np.ndarray):
+    def __init__(self, op: np.ndarray, loop: bool = False):
         self.op = op
+        self.loop = loop
+        self._members = []
+        self._growth = None
+        # the two-sided identity, once it is known to be a member: a
+        # loop's zero 0 is taken first
+        self._identity = 0 if loop else None
+
+    def _grow(self, most: int | None) -> bool:
+        """Draw members until there are ``most``, or all; whether any was drawn."""
+        if self._growth is None:
+            self._growth = ClosureSystem(len(self.op), (self.op,)).generating_set(
+                ranked=not self.loop)
+        before = len(self._members)
+        for s in islice(self._growth, None if most is None else max(most - before, 0)):
+            self._members.append(s)
+            if self._identity is None and identity_witness(self.op, s) is None:
+                self._identity = s
+        return len(self._members) > before
+
+    def members(self, most: int | None = None) -> list:
+        """The first ``most`` members of the generating set, or all of them."""
+        self._grow(most)
+        return self._members[:most]
+
+    def moving(self):
+        """Yield the members other than the table's two-sided identity,
+        each grown only when it is reached."""
+        k = 0
+        while k < len(self._members) or self._grow(k + 1):
+            if self._members[k] != self._identity:
+                yield self._members[k]
+            k += 1
 
     @cached_property
     def generators(self):
-        """A generating set of the magma if it is associative, else None."""
+        """A generating set of the magma if it is associative, else None.
+
+        Each member is tested as it is grown, so a failure at the first
+        grows no more of the set.
+        """
         op = self.op
-        gens = tuple(ClosureSystem(len(op), (op,)).generating_set())
         # [x, y] = op[x, op[s, y]] and op[op[x, s], y]
         ok = all(_agree(len(op), lambda rows, s=s: (op[rows][:, op[s]], op[op[rows, s]]))
-                 for s in gens)
-        return gens if ok else None
+                 for s in self.moving())
+        return tuple(self.members()) if ok else None
 
 
 class Lights(NamedTuple):
@@ -178,16 +224,20 @@ def _distributes(n: int, lights: Lights, at_add, at_mul) -> bool:
 
     ``at_add(a)`` is the ``_agree`` pair checking that every row map of
     the law is additive at a in S+; with ``+`` associative the x where a
-    map is additive are closed under ``+``.  ``at_mul(s)`` is the pair
-    checking that the map of s in S* is additive; with ``*`` associative
-    the s with an additive map are closed under ``*``.  False when
-    neither set is certified.  Ties go to S*.
+    map is additive are closed under ``+``.  In a finite loop a nonempty
+    subset closed under ``+`` holds 0 (translation by a member maps it
+    into itself injectively, hence onto), so with the loop rows held 0
+    is skipped.  ``at_mul(s)`` is the pair checking that the map of s in
+    S* is additive; with ``*`` associative the s with an additive map
+    are closed under ``*``, and the identity map of ``one`` is additive,
+    so ``one`` is skipped.  False when neither set is certified.  Ties
+    go to S*.
     """
     plus, star = lights.additive_generators(), lights.mul.generators
     if plus is not None and (star is None or len(plus) < len(star)):
-        gens, pair = plus, at_add
+        gens, pair = lights.add.moving() if lights.add.loop else plus, at_add
     elif star is not None:
-        gens, pair = star, at_mul
+        gens, pair = lights.mul.moving(), at_mul
     else:
         return False
     return all(_agree(n, pair(g)) for g in gens)
@@ -227,15 +277,18 @@ def assoc_witness(op: np.ndarray, light: Light | None = None):
     return _first_bad(len(op), lambda rows: (op[op[rows]], op[rows][:, op]))
 
 
+def _right_at(add: np.ndarray, mul: np.ndarray, a: int):
+    """The ``_agree`` pair of (a+b)*c and a*c + b*c, rows b."""
+    return lambda rows: (mul[add[a, rows]], add[mul[a], mul[rows]])
+
+
 def right_dist_witness(add: np.ndarray, mul: np.ndarray, lights: Lights | None = None):
     """First (a, b, c) with (a+b)*c != a*c + b*c, else None.
 
     ``lights`` are the scan's shared ``Lights``; alone, both are built.
     """
     lights = lights or Lights(Light(mul), Light(add))
-    # x -> x*c at a in S+, rows b: [b, c] = (a+b)*c and a*c + b*c
-    if _distributes(len(add), lights,
-                    lambda a: lambda rows: (mul[add[a, rows]], add[mul[a], mul[rows]]),
+    if _distributes(len(add), lights, lambda a: _right_at(add, mul, a),
                     lambda s: _endomorphism(add, mul[:, s])):
         return None
     # [i,b,c] = mul[a+b, c] and (a*c) + (b*c)
@@ -282,6 +335,56 @@ def identity_witness(op: np.ndarray, e: int):
     if bad.any():
         return int(np.argmax(bad))
     return None
+
+
+def _additive_route(add, mul, one, lights: Lights) -> bool:
+    """Route P: whether every near-ring and ring row holds, decided at
+    S+ alone, for a ``+`` that is a loop with zero 0 (``lights.add.loop``).
+    False sends the scan on to the ordered rows, which find every
+    failing row and its least witness with the same ``lights``.
+
+    The route is taken only when |S+| <= |S*|; S* is grown just far
+    enough to compare (once ``mul`` is known to be in range) and is not
+    tested.  With ``one`` a two-sided identity and 0*n = 0, and ``+``
+    commutative (checked after the first pass), it decides the four
+    cubic laws by closure arguments, skipping 0 in each, since every set
+    below is nonempty and closed under ``+`` (see ``_distributes``):
+
+    * right distributivity at a in S+: the a with (a+b)*c = a*c + b*c
+      for all b, c are closed under an associative ``+``.  Its first
+      pass reads every entry of ``mul``, so a corrupted table fails
+      here, before Light's test of ``+`` certifies that ``+`` is
+      associative;
+    * left distributivity at a, b in S+: for a fixed a the b with
+      a*(b+c) = a*b + a*c for all c are closed under ``+``, so x -> a*x
+      is additive; given right distributivity and a commutative ``+``,
+      (a+a')*(b+c) = (a*b + a'*b) + (a*c + a'*c), so the a with an
+      additive map are closed under ``+`` too.  O(|S+|^2 n);
+    * associativity of ``*`` on S+^3: given both distributive laws the
+      associator (xy)z - x(yz) is additive in each argument, so the x
+      where it vanishes for given y, z are closed under ``+``, then the
+      y for every x, then the z.
+
+    No Light's test of ``*`` runs.
+    """
+    n = len(add)
+    if (mul < 0).any() or not 0 <= one < n:
+        return False
+    plus = lights.add.members()
+    if (len(lights.mul.members(len(plus))) < len(plus) or identity_witness(mul, one) is not None
+            or mul[0].any()):
+        return False
+    s = np.fromiter(lights.add.moving(), dtype=np.intp)
+    if (not all(_agree(n, _right_at(add, mul, a)) for a in s) or comm_witness(add) is not None
+            or lights.add.generators is None):
+        return False
+    m = mul[s]
+    # [a, b, c] = a*(b+c) and a*b + a*c, for a, b in S+
+    if not np.array_equal(m[:, add[s]], add[m[:, s, None], m[:, None, :]]):
+        return False
+    # [x, y, z] = (xy)z and x(yz), for x, y, z in S+
+    xy = m[:, s]
+    return np.array_equal(mul[xy[:, :, None], s], mul[s[:, None, None], xy])
 
 
 def _outside(table: np.ndarray):
@@ -357,19 +460,29 @@ def violations(add, mul=None, one=None, start: str = "loop", kind: str = "ring",
     """Yield (error class, message, witness) for each failing row of AXIOMS.
 
     Scans the rows of kinds ``start`` through ``kind``, in order, on
-    tables from ``as_table``; a witness is None or a tuple.  The scan
-    makes one ``Light(mul)`` and, if it reaches the ring rows, one
-    ``Light(add)``, for every row that needs Light's verdict on that
-    table, so each test runs at most once per scan.  With ``laws``
-    False the law rows are skipped: the tables are derived from a
-    structure that already satisfies them.
+    tables from ``as_table``; a witness is None or a tuple.  The rows
+    after the loop rows share one ``Lights``: one ``Light(mul)`` and, if
+    the scan reaches the ring rows, one ``Light(add)``, so each test runs
+    and each generating set grows at most once per scan.  When the scan
+    reaches the ring rows with ``laws`` and the loop rows held (as they
+    have when ``start`` is "lnr"), route P (``_additive_route``) may
+    certify every later row at once; otherwise, or if it fails, the rows
+    are scanned in order.  With ``laws`` False the law rows are skipped:
+    the tables are derived from a structure that already satisfies them.
     """
     kinds = KINDS[KINDS.index(start):KINDS.index(kind) + 1]
-    lights = Lights(Light(mul), Light(add) if "ring" in kinds else None)
+    failed, lights = False, None
     for row in AXIOMS:
-        scanned = row.kind in kinds and (laws or not row.law)
-        found = row.witness(add, mul, one, lights) if scanned else None
+        if row.kind not in kinds or row.law and not laws:
+            continue
+        if lights is None and row.kind != "loop":
+            lights = Lights(Light(mul), Light(add, not failed) if "ring" in kinds else None)
+            if laws and lights.add is not None and lights.add.loop and _additive_route(
+                    add, mul, one, lights):
+                return
+        found = row.witness(add, mul, one, lights)
         if found is not None:
+            failed = True
             yield row.error, row.message.format(*found, one=one), tuple(found[row.shown]) or None
             if row.stop:
                 return

@@ -7,7 +7,7 @@ pure-Python triple loop, on tables near the corpus and on tables with
 entries outside the carrier, including values that int16 would wrap.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -47,15 +47,18 @@ import corpus
 
 WRAP = 1 << 16
 
-# valid structures with n <= 16, with the kind each is built as; those of
+# valid structures with n <= 27, with the kind each is built as; those of
 # order 6 and up have multiplicative generating sets of 2 or more elements,
-# so the cubic rows are decided at several generators before any fallback
+# so the cubic rows are decided at several generators before any fallback.
+# The rings from cyclic:12 on have |S+| <= |S*|, so a ring scan of their
+# tables takes route P first (see TestAdditiveRoute)
 SPECS = (
     "cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "gf:4",
     "product:cyclic:2+cyclic:2", "m:cyclic:2", "m0:cyclic:2",
     "nonassoc5", "smallloop:4,1", "smallloop:5,3", "random_loop:5,2",
     "ut2:cyclic:2", "m0:cyclic:3", "gf:8", "product:cyclic:2+cyclic:4",
-    "matrix:cyclic:2,2", "cyclic:12",
+    "matrix:cyclic:2,2", "cyclic:12", "ut2:cyclic:3", "product:cyclic:2+cyclic:2+cyclic:2",
+    "cyclic:16",
 )
 
 
@@ -230,7 +233,7 @@ class TestGeneratorRoute:
         s = parse_spec(spec)
         op = getattr(s, "mul", s.add)
         if s.n >= 6:
-            assert len(ClosureSystem(s.n, (op,)).generating_set()) >= 2
+            assert len(list(ClosureSystem(s.n, (op,)).generating_set())) >= 2
 
     @pytest.mark.parametrize("argv", [
         ("check", "cyclic:256"), ("analyze", "cyclic:256"),
@@ -261,16 +264,42 @@ class TestLightOnce:
         """The first table of every generating set grown, as a list."""
         seen = []
         grow = ClosureSystem.generating_set
-        monkeypatch.setattr(ClosureSystem, "generating_set",
-                            lambda self: seen.append(self.binary[0].tolist()) or grow(self))
+        monkeypatch.setattr(ClosureSystem, "generating_set", lambda self, **kw: seen.append(
+            self.binary[0].tolist()) or grow(self, **kw))
         return seen
 
     @pytest.mark.parametrize("spec", ["cyclic:12", "gf:8", "matrix:cyclic:2,2", "ut2:cyclic:3"])
-    def test_one_generating_set_of_mul_per_ring_validation(self, spec, mul_scans):
+    def test_one_generating_set_of_mul_per_ring_validation(self, spec, mul_scans, monkeypatch):
         n, add, mul, one = base(spec)
+        drawn = []   # the members drawn from each generating set grown
+
+        def counted(self, grow=ClosureSystem.generating_set, **kw):
+            drawn.append(0)
+            for x in grow(self, **kw):
+                drawn[-1] += 1
+                yield x
+
+        monkeypatch.setattr(ClosureSystem, "generating_set", counted)
+        plus, star = (len(list(ClosureSystem(n, (np.array(t),)).generating_set()))
+                      for t in (add, mul))
         mul_scans.clear()  # base builds the structure on its first call
+        drawn.clear()
         validate_ring_tables(add, mul, one)
         assert mul_scans.count(mul) == 1 and mul_scans.count(add) == 1
+        # the set of * is grown only as far as the size rule needs, |S+|
+        # members, or to its end when it is the smaller
+        assert sorted(drawn) == sorted((plus, min(plus, star)))
+
+    def test_failing_light_grows_no_further(self):
+        # Light's test runs at each member as it is grown: here the set
+        # starts with one = 10, skipped, and the test fails at the next
+        n, add, mul, one = base("ut2:cyclic:3")
+        op = np.array(mul)
+        op[1, 2] = (op[1, 2] + 1) % n
+        light = tables.Light(op)
+        assert light.generators is None
+        assert light._members == [one, 11]
+        assert len(list(ClosureSystem(n, (op,)).generating_set())) == 6
 
     @pytest.mark.parametrize("derive", ["corner_ring", "quotient_ring", "image_subring"])
     def test_derived_ring_grows_no_generating_set(self, derive, mul_scans):
@@ -311,6 +340,93 @@ class TestLightOnce:
         assert got == [a for a, _ in brute("ring", n, add, mul, one)]
         assert {"mul-associative", "right-distributivity", "left-distributivity"} <= set(got)
         assert mul_scans.count(mul) == 1 and mul_scans.count(add) == 1
+
+
+def f2_cubed_algebra(seed=2):
+    """A unital bilinear product on F2^3 (+ is XOR): basis e0 = 1, e1 = 2,
+    e2 = 4, with e0 the identity and the products e_i e_j (i, j >= 1)
+    drawn from ``seed``.  Every axiom holds but associativity of *."""
+    rng = np.random.default_rng(seed)
+    c = np.zeros((3, 3), dtype=np.int64)
+    c[0] = c[:, 0] = [1, 2, 4]
+    c[1:, 1:] = rng.integers(0, 8, (2, 2))
+    x = np.arange(8)
+    bit = (x[:, None] >> np.arange(3)) & 1   # bit[x, i]: coordinate i of x
+    mul = np.zeros((8, 8), dtype=np.int64)
+    for i, j in product(range(3), repeat=2):
+        mul ^= np.where(bit[:, i, None] & bit[None, :, j], c[i, j], 0)
+    return (x[:, None] ^ x).tolist(), mul.tolist()
+
+
+class TestAdditiveRoute:
+    """Route P certifies a ring scan from S+ alone when |S+| <= |S*|; a
+    failure there hands the scan to the ordered rows, so ``check`` and
+    the validators report exactly what the brute loops find."""
+
+    @pytest.fixture
+    def light_tests(self, monkeypatch):
+        """The table of every Light's test run, as a list."""
+        tested = []
+        test = tables.Light.generators.func
+        prop = cached_property(lambda self: tested.append(self.op.tolist()) or test(self))
+        prop.__set_name__(tables.Light, "generators")
+        monkeypatch.setattr(tables.Light, "generators", prop)
+        return tested
+
+    @pytest.mark.parametrize("spec, route_p", [
+        ("cyclic:12", True), ("ut2:cyclic:3", True), ("cyclic:256", True),
+        ("gf:8", False), ("matrix:cyclic:2,2", False),
+    ])
+    def test_which_rings_take_route_p(self, spec, route_p, light_tests):
+        n, add, mul, one = base(spec)
+        light_tests.clear()
+        validate_ring_tables(add, mul, one)
+        # route P runs Light's test of + and none of *
+        assert light_tests.count(add) == 1
+        assert light_tests.count(mul) == (0 if route_p else 1)
+
+    @staticmethod
+    def assert_check_is_brute(add, mul, one, want):
+        n = len(add)
+        got = [(v["axiom"], v["witness"])
+               for v in check_report("ring", n, add, mul, one, "x")["violations"]]
+        assert got == brute("ring", n, add, mul, one)
+        assert [a for a, _ in got] == want
+
+    def test_only_associativity_fails(self):
+        add, mul = f2_cubed_algebra()
+        # |S+| = |S*| = 4: route P runs and fails at its associativity check
+        sizes = [len(list(ClosureSystem(8, (np.array(t),)).generating_set())) for t in (add, mul)]
+        assert sizes == [4, 4]
+        self.assert_check_is_brute(add, mul, 1, ["mul-associative"])
+
+    def test_only_left_distributivity_fails(self):
+        # M0(Z/3) is a near-ring, not a ring; |S+| = 3 <= |S*| = 4
+        n, add, mul, one = base("m0:cyclic:3")
+        self.assert_check_is_brute(add, mul, one, ["left-distributivity"])
+
+    def test_not_latin_takes_the_ordered_scan(self, monkeypatch):
+        # Z/4 with add[1][1] = 3: the loop rows fail, so route P must not
+        # run, and every later failing row is still listed
+        n, add, mul, one = base("cyclic:4")
+        add = [row[:] for row in add]
+        add[1][1] = 3
+        routes = []
+        monkeypatch.setattr(tables, "_additive_route", lambda *a: routes.append(a))
+        want = ["latin-square", "right-distributivity", "abelian-addition",
+                "left-distributivity"]
+        self.assert_check_is_brute(add, mul, one, want)
+        assert routes == []
+
+    def test_zero_is_kept_when_add_is_not_a_loop(self):
+        # a + b = a for a, b != 0 is associative with zero 0 but not a loop:
+        # no sum of the other elements is 0, so a distributive law decided
+        # at S+ must still be tested at 0
+        add = [[0, 1, 2], [1, 1, 1], [2, 2, 2]]
+        mul = [[0, 0, 0], [0, 1, 2], [2, 2, 1]]
+        want = ["latin-square", "mul-identity", "mul-associative", "right-distributivity",
+                "abelian-addition", "left-distributivity"]
+        self.assert_check_is_brute(add, mul, 0, want)
 
 
 def derived_images():

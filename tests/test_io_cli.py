@@ -570,12 +570,12 @@ class TestCliCheck:
         from loopnr import tables
 
         calls = []
-        kernel = tables.assoc_witness
-        monkeypatch.setattr(tables, "assoc_witness",
-                            lambda t, *light: calls.append(1) or kernel(t, *light))
+        light = tables.Light
+        monkeypatch.setattr(tables, "Light", lambda t, *loop: calls.append(1) or light(t, *loop))
         code, payload = run_json(capsys, "check", "cyclic:4")
         assert code == 0 and payload["valid"] is True
-        # parse_spec scans * and + once each; the report scans nothing
+        # parse_spec's one ring scan makes a Light of * and of +; the report
+        # makes none
         assert len(calls) == 2
 
     def test_file_is_checked_once_as_int16(self, capsys, monkeypatch, tmp_path):
@@ -584,9 +584,9 @@ class TestCliCheck:
         p = tmp_path / "z4.json"
         p.write_text(dump_structure(corpus.z(4)))   # before the patch: z(4) is built once, lazily
         seen = []
-        kernel = tables.assoc_witness
-        monkeypatch.setattr(
-            tables, "assoc_witness", lambda t, *light: seen.append(t.dtype) or kernel(t, *light))
+        light = tables.Light
+        monkeypatch.setattr(tables, "Light",
+                            lambda t, *loop: seen.append(t.dtype) or light(t, *loop))
         code, payload = run_json(capsys, "check", str(p))
         assert code == 0 and payload["valid"] is True
         assert seen == [np.dtype(np.int16)] * 2

@@ -296,7 +296,7 @@ class TestClosureSystem:
         nr = parse_spec(spec)
         for op in (nr.add, nr.mul):
             system = ClosureSystem(nr.n, (op,))
-            got = system.generating_set()
+            got = list(system.generating_set())
             assert system.close(got).all()
             # reference: candidates by descending distinct-entry count per
             # row, least index first; each one outside the closure so far joins
@@ -309,6 +309,9 @@ class TestClosureSystem:
                 if not reached[x]:
                     want.append(x)
             assert got == want
+        # every row of a Latin square has rank n: the index order, unranked
+        assert list(ClosureSystem(nr.n, (nr.add,)).generating_set(ranked=False)) == list(
+            ClosureSystem(nr.n, (nr.add,)).generating_set())
 
     def test_positions(self):
         label = positions([0, 3, 5], 6)
