@@ -344,8 +344,11 @@ def _additive_route(add, mul, one, lights: Lights) -> bool:
     failing row and its least witness with the same ``lights``.
 
     The route is taken only when |S+| <= |S*|; S* is grown just far
-    enough to compare (once ``mul`` is known to be in range) and is not
-    tested.  With ``one`` a two-sided identity and 0*n = 0, and ``+``
+    enough to compare (once ``mul`` is known to be in range), not at all
+    when |S+| <= 2, and is not tested.  A ring of order n >= 2 is not
+    the closure of one element under ``*`` (the powers of a unit are
+    units, never 0), so then |S*| >= 2; on a table that is not a ring
+    the choice of route costs only time.  With ``one`` a two-sided identity and 0*n = 0, and ``+``
     commutative (checked after the first pass), it decides the four
     cubic laws by closure arguments, skipping 0 in each, since every set
     below is nonempty and closed under ``+`` (see ``_distributes``):
@@ -371,7 +374,8 @@ def _additive_route(add, mul, one, lights: Lights) -> bool:
     if (mul < 0).any() or not 0 <= one < n:
         return False
     plus = lights.add.members()
-    if (len(lights.mul.members(len(plus))) < len(plus) or identity_witness(mul, one) is not None
+    if (len(plus) > 2 and len(lights.mul.members(len(plus))) < len(plus)
+            or identity_witness(mul, one) is not None
             or mul[0].any()):
         return False
     s = np.fromiter(lights.add.moving(), dtype=np.intp)

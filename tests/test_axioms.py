@@ -285,10 +285,11 @@ class TestLightOnce:
         mul_scans.clear()  # base builds the structure on its first call
         drawn.clear()
         validate_ring_tables(add, mul, one)
-        assert mul_scans.count(mul) == 1 and mul_scans.count(add) == 1
-        # the set of * is grown only as far as the size rule needs, |S+|
-        # members, or to its end when it is the smaller
-        assert sorted(drawn) == sorted((plus, min(plus, star)))
+        # the set of * is grown only as far as the size rule needs: not at
+        # all when |S+| <= 2, else |S+| members, or to its end when it is
+        # the smaller
+        assert mul_scans.count(add) == 1 and mul_scans.count(mul) == (plus > 2)
+        assert sorted(drawn) == sorted([plus] + [min(plus, star)] * (plus > 2))
 
     def test_failing_light_grows_no_further(self):
         # Light's test runs at each member as it is grown: here the set
