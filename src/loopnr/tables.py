@@ -11,9 +11,9 @@ associative or at S* if ``*`` is, whichever is smaller.  No pass runs
 at the operation's two-sided identity, 0 for ``+`` or ``one`` for
 ``*`` (a distributive pass keeps 0 unless the loop rows held).  Light's
 test runs at each member as it is grown, so a failing table grows
-little of its set.  A ring scan with |S+| <= |S*| first tries
-route P, which decides every near-ring and ring row from S+ alone
-(``_additive_route``).  Only a law that fails is scanned again, in
+little of its set.  In a ring scan with |S+| <= |S*|, route P decides
+associativity of ``*``, both distributive laws and commutativity of
+``+`` from S+ alone (``Lights.additive_route``).  Only a law that fails is scanned again, in
 blocks of 1, 2, 4, ... rows, so the O(n^3) search stays vectorized
 without materializing an (n, n, n) cube and finds the lexicographically
 least violating tuple; a failing left distributive law with ``+``
@@ -57,7 +57,8 @@ def all_integers(values) -> bool:
 
 
 def as_table(obj) -> np.ndarray:
-    """Coerce to a read-only square int16 array.
+    """Coerce to a read-only square int16 array in C order (``_sum``
+    gathers from its flat view).
 
     The range check runs on the raw entries, before narrowing: an entry
     outside 0..n-1 becomes -1, so no value can wrap into the carrier,
@@ -79,7 +80,7 @@ def as_table(obj) -> np.ndarray:
     outside = (arr < 0) | (arr >= arr.shape[0])
     if arr.dtype == object:
         arr = np.where(outside, -1, arr)
-    out = arr.astype(DTYPE)
+    out = arr.astype(DTYPE, order="C")
     out[outside] = -1
     out.setflags(write=False)
     return out
@@ -207,15 +208,76 @@ class Light:
         return tuple(self.members()) if ok else None
 
 
-class Lights(NamedTuple):
+class Lights:
     """One scan's ``Light`` of ``*`` and, if the scan reaches the ring
-    rows, of ``+`` (else None)."""
-    mul: Light
-    add: Light | None
+    rows, of ``+`` (else None), and route P's verdict on them."""
+
+    def __init__(self, mul: Light, add: Light | None = None):
+        self.mul, self.add = mul, add
 
     def additive_generators(self):
         """S+ if ``+`` is certified associative, else None."""
         return None if self.add is None else self.add.generators
+
+    @cached_property
+    def additive_route(self) -> bool:
+        """Route P: whether ``+`` is commutative, ``*`` associative and
+        both distributive laws hold, decided at S+ alone.  Asked only by
+        those four rows, which follow the range rows; False leaves each
+        row to its own scan.
+
+        Taken only for a ``+`` that is a loop's (``add.loop``), and when
+        |S+| <= |S*|; S* is grown just far enough
+        to compare, not at all when |S+| <= 2, and is not tested.  A ring
+        of order n >= 2 is not the closure of one element under ``*``
+        (the powers of a unit are units, never 0), so then |S*| >= 2; on
+        a table that is not a ring the choice costs only time.  Every set
+        below is nonempty and closed under ``+``, so 0 is skipped (see
+        ``_distributes``):
+
+        * right distributivity at a in S+: the a with (a+b)*c = a*c + b*c
+          for all b, c are closed under an associative ``+``.  S+ grown
+          unranked starts 0, 1, and the pass at 1 reads every entry of
+          ``mul``, so it runs first: a corrupted table fails there,
+          before any set is grown;
+        * ``+`` commutative, and Light's test of ``+`` at S+, which the
+          next two arguments need;
+        * left distributivity at a, b in S+: for a fixed a the b with
+          a*(b+c) = a*b + a*c for all c are closed under ``+``, so x -> a*x
+          is additive; given right distributivity and a commutative ``+``,
+          (a+a')*(b+c) = (a*b + a'*b) + (a*c + a'*c), so the a with an
+          additive map are closed under ``+`` too.  O(|S+|^2 n);
+        * associativity of ``*`` on S+^3: given both distributive laws the
+          associator (xy)z - x(yz) is additive in each argument, so the x
+          where it vanishes for given y, z are closed under ``+``, then the
+          y for every x, then the z.
+
+        No Light's test of ``*`` runs.
+        """
+        if self.add is None or not self.add.loop:
+            return False
+        add, mul = self.add.op, self.mul.op
+        n = len(add)
+
+        def right(a):
+            return _agree(n, _right_at(add, mul, a))
+
+        if n > 1 and not right(1):
+            return False
+        plus = self.add.members()
+        if (len(plus) > 2 and len(self.mul.members(len(plus))) < len(plus)
+                or comm_witness(add) is not None or self.add.generators is None):
+            return False
+        s = np.asarray(plus[1:], dtype=np.intp)
+        if not all(right(a) for a in s[1:]):
+            return False
+        m = mul[s]
+        # [a, b, c] = a*(b+c) and a*b + a*c, for a, b in S+
+        if not np.array_equal(m[:, add[s]], add[m[:, s, None], m[:, None, :]]):
+            return False
+        # [x, y, z] = (xy)z and x(yz), for x, y, z in S+
+        xy = m[:, s]
+        return np.array_equal(mul[xy[:, :, None], s], mul[s[:, None, None], xy])
 
 
 def _distributes(n: int, lights: Lights, at_add, at_mul) -> bool:
@@ -243,9 +305,15 @@ def _distributes(n: int, lights: Lights, at_add, at_mul) -> bool:
     return all(_agree(n, pair(g)) for g in gens)
 
 
+def _sum(add: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """add[x, y] for broadcasting index arrays, through one flat index:
+    numpy gathers that about twice as fast as with two index arrays."""
+    return add.reshape(-1).take(np.multiply(x, len(add), dtype=np.intp) + y)
+
+
 def _endomorphism(add: np.ndarray, v: np.ndarray):
     """The ``_agree`` pair of v(a + b) and v(a) + v(b), rows a."""
-    return lambda rows: (v[add[rows]], add[v[rows, None], v])
+    return lambda rows: (v[add[rows]], _sum(add, v[rows, None], v))
 
 
 def _first_nonadditive_row(mul: np.ndarray, add: np.ndarray, plus) -> int:
@@ -279,7 +347,7 @@ def assoc_witness(op: np.ndarray, light: Light | None = None):
 
 def _right_at(add: np.ndarray, mul: np.ndarray, a: int):
     """The ``_agree`` pair of (a+b)*c and a*c + b*c, rows b."""
-    return lambda rows: (mul[add[a, rows]], add[mul[a], mul[rows]])
+    return lambda rows: (mul[add[a, rows]], _sum(add, mul[a], mul[rows]))
 
 
 def right_dist_witness(add: np.ndarray, mul: np.ndarray, lights: Lights | None = None):
@@ -308,7 +376,7 @@ def left_dist_witness(add: np.ndarray, mul: np.ndarray, lights: Lights | None = 
     # x -> a*x at s in S+, rows a: [a, c] = a*(s+c) and a*s + a*c
     if _distributes(n, lights,
                     lambda s: lambda rows: (mul[rows][:, add[s]],
-                                            add[mul[rows, s][:, None], mul[rows]]),
+                                            _sum(add, mul[rows, s][:, None], mul[rows])),
                     lambda s: _endomorphism(add, mul[s])):
         return None
     plus = lights.additive_generators()
@@ -335,60 +403,6 @@ def identity_witness(op: np.ndarray, e: int):
     if bad.any():
         return int(np.argmax(bad))
     return None
-
-
-def _additive_route(add, mul, one, lights: Lights) -> bool:
-    """Route P: whether every near-ring and ring row holds, decided at
-    S+ alone, for a ``+`` that is a loop with zero 0 (``lights.add.loop``).
-    False sends the scan on to the ordered rows, which find every
-    failing row and its least witness with the same ``lights``.
-
-    The route is taken only when |S+| <= |S*|; S* is grown just far
-    enough to compare (once ``mul`` is known to be in range), not at all
-    when |S+| <= 2, and is not tested.  A ring of order n >= 2 is not
-    the closure of one element under ``*`` (the powers of a unit are
-    units, never 0), so then |S*| >= 2; on a table that is not a ring
-    the choice of route costs only time.  With ``one`` a two-sided identity and 0*n = 0, and ``+``
-    commutative (checked after the first pass), it decides the four
-    cubic laws by closure arguments, skipping 0 in each, since every set
-    below is nonempty and closed under ``+`` (see ``_distributes``):
-
-    * right distributivity at a in S+: the a with (a+b)*c = a*c + b*c
-      for all b, c are closed under an associative ``+``.  Its first
-      pass reads every entry of ``mul``, so a corrupted table fails
-      here, before Light's test of ``+`` certifies that ``+`` is
-      associative;
-    * left distributivity at a, b in S+: for a fixed a the b with
-      a*(b+c) = a*b + a*c for all c are closed under ``+``, so x -> a*x
-      is additive; given right distributivity and a commutative ``+``,
-      (a+a')*(b+c) = (a*b + a'*b) + (a*c + a'*c), so the a with an
-      additive map are closed under ``+`` too.  O(|S+|^2 n);
-    * associativity of ``*`` on S+^3: given both distributive laws the
-      associator (xy)z - x(yz) is additive in each argument, so the x
-      where it vanishes for given y, z are closed under ``+``, then the
-      y for every x, then the z.
-
-    No Light's test of ``*`` runs.
-    """
-    n = len(add)
-    if (mul < 0).any() or not 0 <= one < n:
-        return False
-    plus = lights.add.members()
-    if (len(plus) > 2 and len(lights.mul.members(len(plus))) < len(plus)
-            or identity_witness(mul, one) is not None
-            or mul[0].any()):
-        return False
-    s = np.fromiter(lights.add.moving(), dtype=np.intp)
-    if (not all(_agree(n, _right_at(add, mul, a)) for a in s) or comm_witness(add) is not None
-            or lights.add.generators is None):
-        return False
-    m = mul[s]
-    # [a, b, c] = a*(b+c) and a*b + a*c, for a, b in S+
-    if not np.array_equal(m[:, add[s]], add[m[:, s, None], m[:, None, :]]):
-        return False
-    # [x, y, z] = (xy)z and x(yz), for x, y, z in S+
-    xy = m[:, s]
-    return np.array_equal(mul[xy[:, :, None], s], mul[s[:, None, None], xy])
 
 
 def _outside(table: np.ndarray):
@@ -441,20 +455,24 @@ AXIOMS = (
           lambda add, mul, one, lights: _single(identity_witness(mul, one)),
           "{one} is not a two-sided multiplicative identity"),
     Axiom(errors.MulNotAssociative, "lnr",
-          lambda add, mul, one, lights: assoc_witness(mul, lights.mul),
+          lambda add, mul, one, lights:
+              None if lights.additive_route else assoc_witness(mul, lights.mul),
           "multiplication is not associative", law=True),
     Axiom(errors.RightDistributivityFails, "lnr",
-          lambda add, mul, one, lights: right_dist_witness(add, mul, lights),
+          lambda add, mul, one, lights:
+              None if lights.additive_route else right_dist_witness(add, mul, lights),
           "(a+b)*c != a*c + b*c", law=True),
     Axiom(errors.ZeroNotLeftAbsorbing, "lnr", lambda add, mul, one, lights: _first(mul[0] != 0),
           "0*n != 0", law=True),
-    Axiom(errors.AdditionNotAbelianGroup, "ring", lambda add, mul, one, lights: comm_witness(add),
+    Axiom(errors.AdditionNotAbelianGroup, "ring",
+          lambda add, mul, one, lights: None if lights.additive_route else comm_witness(add),
           "addition is not commutative", law=True),
     Axiom(errors.AdditionNotAbelianGroup, "ring",
           lambda add, mul, one, lights: assoc_witness(add, lights.add),
           "addition is not associative", law=True),
     Axiom(errors.LeftDistributivityFails, "ring",
-          lambda add, mul, one, lights: left_dist_witness(add, mul, lights),
+          lambda add, mul, one, lights:
+              None if lights.additive_route else left_dist_witness(add, mul, lights),
           "c*(a+b) != c*a + c*b", law=True),
 )
 
@@ -467,26 +485,24 @@ def violations(add, mul=None, one=None, start: str = "loop", kind: str = "ring",
     tables from ``as_table``; a witness is None or a tuple.  The rows
     after the loop rows share one ``Lights``: one ``Light(mul)`` and, if
     the scan reaches the ring rows, one ``Light(add)``, so each test runs
-    and each generating set grows at most once per scan.  When the scan
-    reaches the ring rows with ``laws`` and the loop rows held (as they
-    have when ``start`` is "lnr"), route P (``_additive_route``) may
-    certify every later row at once; otherwise, or if it fails, the rows
-    are scanned in order.  With ``laws`` False the law rows are skipped:
-    the tables are derived from a structure that already satisfies them.
+    and each generating set grows at most once per scan.  In a ring scan
+    whose loop rows held (as they have when ``start`` is "lnr"), the
+    rows of the three cubic laws of ``*`` and of ``+`` commutative first
+    ask route P (``Lights.additive_route``), which may certify all four
+    at once.  With ``laws`` False the law
+    rows are skipped: the tables are derived from a structure that
+    already satisfies them.
     """
     kinds = KINDS[KINDS.index(start):KINDS.index(kind) + 1]
-    failed, lights = False, None
+    held, lights = True, None
     for row in AXIOMS:
         if row.kind not in kinds or row.law and not laws:
             continue
         if lights is None and row.kind != "loop":
-            lights = Lights(Light(mul), Light(add, not failed) if "ring" in kinds else None)
-            if laws and lights.add is not None and lights.add.loop and _additive_route(
-                    add, mul, one, lights):
-                return
+            lights = Lights(Light(mul), Light(add, held) if "ring" in kinds else None)
         found = row.witness(add, mul, one, lights)
         if found is not None:
-            failed = True
+            held = False
             yield row.error, row.message.format(*found, one=one), tuple(found[row.shown]) or None
             if row.stop:
                 return

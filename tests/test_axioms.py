@@ -200,6 +200,12 @@ class TestWraparound:
         assert t.dtype == tables.DTYPE and t.tolist() == [[0, 1], [1, -1]]
         assert not t.flags.writeable
 
+    def test_as_table_is_in_c_order(self):
+        # the flat gathers of the distributive passes read the table's
+        # flat view; a column-major input must not reach them as one
+        t = tables.as_table(np.asfortranarray([[0, 1, 2], [1, 2, 0], [2, 0, 1]]))
+        assert t.flags.c_contiguous and t.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+
 
 class TestAxiomTable:
     def test_every_kind_has_rows_and_range_rows_stop(self):
@@ -301,6 +307,19 @@ class TestLightOnce:
         assert light.generators is None
         assert light._members == [one, 11]
         assert len(list(ClosureSystem(n, (op,)).generating_set())) == 6
+
+    def test_corrupted_mul_fails_route_p_before_any_growth(self, mul_scans):
+        # route P's first pass, right distributivity at 1, reads every entry
+        # of mul: one changed entry fails it before a set of + or * is
+        # grown, so a validation stopping at the first failing row grows
+        # only the set of * that its Light's test needs
+        n, add, mul, one = base("cyclic:12")
+        mul = [row[:] for row in mul]
+        mul[5][7] = (mul[5][7] + 1) % n
+        mul_scans.clear()
+        with pytest.raises(ValidationError, match="not associative"):
+            validate_ring_tables(add, mul, one)
+        assert mul_scans == [mul]
 
     @pytest.mark.parametrize("derive", ["corner_ring", "quotient_ring", "image_subring"])
     def test_derived_ring_grows_no_generating_set(self, derive, mul_scans):
@@ -412,12 +431,15 @@ class TestAdditiveRoute:
         n, add, mul, one = base("cyclic:4")
         add = [row[:] for row in add]
         add[1][1] = 3
-        routes = []
-        monkeypatch.setattr(tables, "_additive_route", lambda *a: routes.append(a))
+        loops = []   # whether + was taken for a loop's, at each verdict asked
+        verdict = tables.Lights.additive_route.func
+        prop = cached_property(lambda self: loops.append(self.add.loop) or verdict(self))
+        prop.__set_name__(tables.Lights, "additive_route")
+        monkeypatch.setattr(tables.Lights, "additive_route", prop)
         want = ["latin-square", "right-distributivity", "abelian-addition",
                 "left-distributivity"]
         self.assert_check_is_brute(add, mul, one, want)
-        assert routes == []
+        assert loops == [False]
 
     def test_zero_is_kept_when_add_is_not_a_loop(self):
         # a + b = a for a, b != 0 is associative with zero 0 but not a loop:
