@@ -45,6 +45,9 @@ MAX_ORDER = int(np.iinfo(DTYPE).max) + 1   # the most elements a DTYPE table can
 
 # Block budget: at most ~4M table entries live per intermediate array.
 _BLOCK_ELEMS = 1 << 22
+# Entries per chunk of a flat gather (``_sum``): its 64 KiB intp index
+# stays below glibc's 128 KiB mmap threshold, so the chunks reuse heap
+_FLAT_ENTRIES = 1 << 13
 
 
 def all_integers(values) -> bool:
@@ -306,9 +309,23 @@ def _distributes(n: int, lights: Lights, at_add, at_mul) -> bool:
 
 
 def _sum(add: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """add[x, y] for broadcasting index arrays, through one flat index:
-    numpy gathers that about twice as fast as with two index arrays."""
-    return add.reshape(-1).take(np.multiply(x, len(add), dtype=np.intp) + y)
+    """add[x, y] for index arrays that broadcast to (rows, n), through one
+    flat index, which numpy takes two to three times as fast as two index
+    arrays.  Past ``_FLAT_ENTRIES`` table entries the intp index is built
+    a few rows at a time, so it stays small beside the int16 result.
+    Entries lie in 0..n-1 (the range rows stop a scan before any pass),
+    so no index is clipped.
+    """
+    n, flat = len(add), add.reshape(-1)
+    if n * n <= _FLAT_ENTRIES:
+        return flat.take(np.multiply(x, n, dtype=np.intp) + y)
+    x, y = np.broadcast_arrays(x, y)
+    out = np.empty(x.shape, dtype=add.dtype)
+    step = max(1, _FLAT_ENTRIES // n)
+    for r in range(0, len(out), step):
+        index = np.multiply(x[r:r + step], n, dtype=np.intp) + y[r:r + step]
+        flat.take(index, out=out[r:r + step], mode="clip")
+    return out
 
 
 def _endomorphism(add: np.ndarray, v: np.ndarray):

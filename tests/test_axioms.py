@@ -200,6 +200,16 @@ class TestWraparound:
         assert t.dtype == tables.DTYPE and t.tolist() == [[0, 1], [1, -1]]
         assert not t.flags.writeable
 
+    def test_flat_gather_matches_two_index_arrays(self):
+        # each broadcast form the distributive passes use; past
+        # _FLAT_ENTRIES table entries the index is built a few rows at a time
+        rng = np.random.default_rng(0)
+        for n in (7, 200):
+            add = tables.as_table(rng.integers(0, n, (n, n)))
+            x, y = rng.integers(0, n, (2, 50, n)).astype(tables.DTYPE)
+            for a, b in ((x[0], y), (x[:, :1], y), (x[:, :1], y[0])):
+                assert np.array_equal(tables._sum(add, a, b), add[a, b])
+
     def test_as_table_is_in_c_order(self):
         # the flat gathers of the distributive passes read the table's
         # flat view; a column-major input must not reach them as one
