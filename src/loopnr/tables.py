@@ -13,13 +13,14 @@ at the operation's two-sided identity, 0 for ``+`` or ``one`` for
 test runs at each member as it is grown, so a failing table grows
 little of its set.  In a ring scan with |S+| <= |S*|, route P decides
 associativity of ``*``, both distributive laws and commutativity of
-``+`` from S+ alone (``Lights.additive_route``).  Only a law that fails is scanned again, in
-blocks of 1, 2, 4, ... rows, so the O(n^3) search stays vectorized
-without materializing an (n, n, n) cube and finds the lexicographically
-least violating tuple; a failing left distributive law with ``+``
-associative first finds its least bad row in O(|S+| n^2) and scans that
-row alone.  Witnesses and error messages therefore do not depend on S
-or on the route.
+``+`` from S+ alone (``Lights.additive_route``).  Distributive passes
+gather ``add`` through one flat index (``_sum``).  Only a law that
+fails is scanned again, in blocks of 1, 2, 4, ... rows, so the O(n^3)
+search stays vectorized without materializing an (n, n, n) cube and
+finds the lexicographically least violating tuple; a failing left
+distributive law with ``+`` associative first finds its least bad row
+in O(|S+| n^2) and scans that row alone.  Witnesses and error messages
+therefore do not depend on S or on the route.
 
 Six rows of ``AXIOMS`` are laws, identities in ``+`` and ``*``.  A law
 holds in every substructure and homomorphic image of a structure that
