@@ -43,6 +43,7 @@ CLI = [
     (["analyze", "cyclic:2048", "--subloops"], {}),
     (["analyze", "cyclic:4096", "--subloops"], {}),
     (["analyze", "m0:nonassoc5", "--local"], {}),
+    (["analyze", "ut2:cyclic:16", "--subloops", "--local", "--radical"], {}),
     (["analyze", "product:" + "+".join(["cyclic:2"] * 8), "--subloops"], {}),
     (["decompose", "ut2:cyclic:16", "--verify-uniqueness"], {"LOOPNR_MAX_FAMILY_N": "4096"}),
     (["generate", "cyclic:4096"], {}),

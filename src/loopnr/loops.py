@@ -91,22 +91,39 @@ class ElementSubset:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class CayleyLoop:
-    """A finite loop with precomputed difference tables.
+    """A finite loop with difference tables built on first use.
 
     ``ldiff[a][b]`` is the unique x with a + x = b, and ``rdiff[b][a]``
-    is the unique y with y + a = b.
+    is the unique y with y + a = b.  Every row and column of a Latin
+    square is a permutation, so each table is one scatter.
     """
 
     kind = "loop"  # the ``tables.AXIOMS`` kind ``validate_loop`` scans
 
     n: int
     add: np.ndarray
-    ldiff: np.ndarray
-    rdiff: np.ndarray
     zero: int = 0
 
     def __repr__(self):
         return f"CayleyLoop(n={self.n})"
+
+    @cached_property
+    def ldiff(self) -> np.ndarray:
+        # ldiff[a, a+b] = b
+        idx = np.arange(self.n, dtype=tables.DTYPE)
+        ldiff = np.empty_like(self.add)
+        ldiff[idx[:, None], self.add] = idx
+        ldiff.setflags(write=False)
+        return ldiff
+
+    @cached_property
+    def rdiff(self) -> np.ndarray:
+        # rdiff[a+b, b] = a
+        idx = np.arange(self.n, dtype=tables.DTYPE)
+        rdiff = np.empty_like(self.add)
+        rdiff[self.add, idx] = idx[:, None]
+        rdiff.setflags(write=False)
+        return rdiff
 
     @cached_property
     def _closure(self) -> ClosureSystem:
@@ -124,17 +141,7 @@ def validate_loop(table) -> CayleyLoop:
     """
     add = tables.as_table(table)
     tables.require(add, kind="loop")
-    n = add.shape[0]
-    # every row and column of a Latin square is a permutation, so each
-    # difference table is one scatter: ldiff[a, a+b] = b, rdiff[a+b, b] = a
-    idx = np.arange(n, dtype=tables.DTYPE)
-    ldiff = np.empty_like(add)
-    ldiff[idx[:, None], add] = idx
-    rdiff = np.empty_like(add)
-    rdiff[add, idx] = idx[:, None]
-    ldiff.setflags(write=False)
-    rdiff.setflags(write=False)
-    return CayleyLoop(n=n, add=add, ldiff=ldiff, rdiff=rdiff, zero=0)
+    return CayleyLoop(n=add.shape[0], add=add, zero=0)
 
 
 def is_associative(loop: CayleyLoop) -> Verdict:
@@ -162,18 +169,15 @@ def subloop_closure(loop: CayleyLoop, seed) -> ElementSubset:
 
 
 def is_subloop(loop: CayleyLoop, subset) -> bool:
-    """One-step closedness test: zero inside, closed under +, ldiff, rdiff."""
+    """One-step closedness test: zero inside and closed under +, which in
+    a finite loop closes it under ldiff and rdiff too (see lattice)."""
     members = _as_member_set(loop, subset)
     if loop.zero not in members:
         return False
     idx = np.fromiter(sorted(members), dtype=np.int64)
     m = np.zeros(loop.n, dtype=bool)
     m[idx] = True
-    grid = np.ix_(idx, idx)
-    for t in (loop.add, loop.ldiff, loop.rdiff):
-        if not m[t[grid]].all():
-            return False
-    return True
+    return bool(m[loop.add[idx[:, None], idx]].all())
 
 
 def _sorted_subsets(masks) -> tuple:

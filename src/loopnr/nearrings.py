@@ -232,8 +232,14 @@ def _n_subloop_lattice(nr: LoopNearRing) -> tuple:
         holding 0 and closed under + is a subloop;
       * it holds the bottom N*0, since r*0 = r*(0*x) = (r*0)*x.
     """
-    system = ClosureSystem(nr.n, nr.additive._closure.binary, absorbing=nr.mul)
-    return _sorted_subsets(system.closed_sets((nr.zero,), _principal_n_subloops(nr)))
+    return _sorted_subsets(_n_subloop_system(nr).closed_sets((nr.zero,), _principal_n_subloops(nr)))
+
+
+def _n_subloop_system(nr: LoopNearRing) -> ClosureSystem:
+    """The closure system of N-subloops.  A certified ring's are its left
+    ideals, and two left ideals join as their sumset (see lattice)."""
+    return ClosureSystem(nr.n, nr.additive._closure.binary, absorbing=nr.mul,
+                         sumsets=nr.kind == "ring")
 
 
 def enumerate_N_subloops(nr: LoopNearRing, bounds: Bounds = DEFAULT_BOUNDS) -> list:

@@ -51,8 +51,8 @@ class FiniteRing(LoopNearRing):
 
     @cached_property
     def neg(self) -> np.ndarray:
-        # -a solves a + x = 0
-        return self.additive.ldiff[:, self.additive.zero]
+        # -a solves a + x = 0, the one zero entry in row a
+        return (np.flatnonzero(self.add == self.zero) % self.n).astype(tables.DTYPE)
 
     def sub(self, a, b):
         """a - b, elementwise over arrays or ints."""

@@ -381,7 +381,7 @@ def field_sets(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     add = rng.integers(0, n, shape, dtype=np.int16)
     add[-1, -1] = n - 1
-    loop = CayleyLoop(n=n, add=add, ldiff=None, rdiff=None)
+    loop = CayleyLoop(n=n, add=add)
     kind = draw(st.sampled_from([CayleyLoop, LoopNearRing, FiniteRing]))
     if kind is CayleyLoop:
         structure = loop

@@ -38,6 +38,7 @@ from loopnr import (
 from loopnr import lattice, nearrings, reports, rings
 from loopnr.cli import main
 from loopnr.lattice import ClosureSystem, bits_of
+from loopnr.loops import ElementSubset
 from loopnr.tables import positions
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -82,11 +83,59 @@ def brute_n_subloops(nr) -> set:
     return found
 
 
+def extension_n_subloops(nr) -> set:
+    """Every N-subloop, by a search that shares no code with the engine:
+    from the bottom N*0, add one element at a time and close by a plain
+    fixpoint under + and N*.  Each N-subloop T is reached, since adding
+    its elements one by one passes only through N-subloops inside T;
+    each set found is confirmed with is_N_subloop, as brute_n_subloops
+    confirms its subsets.  It scales to n = 64, where the subset scan
+    cannot."""
+
+    def close(mask):
+        while True:
+            members = np.flatnonzero(mask)
+            grown = mask.copy()
+            grown[nr.add[members[:, None], members]] = True
+            grown[nr.mul[:, members]] = True
+            if (grown == mask).all():
+                return frozenset(members.tolist())
+            mask = grown
+
+    def extended(subset, x):
+        mask = np.zeros(nr.n, dtype=bool)
+        mask[list(subset | {x})] = True
+        return close(mask)
+
+    bottom = extended(frozenset(), nr.zero)
+    found, queue = {bottom}, [bottom]
+    for subset in queue:
+        for x in sorted(set(range(nr.n)) - subset):
+            t = extended(subset, x)
+            if t not in found:
+                found.add(t)
+                queue.append(t)
+    assert all(is_N_subloop(nr, t) for t in found)
+    return found
+
+
 @st.composite
 def small_near_rings(draw):
     nr = SMALL[draw(st.sampled_from(sorted(SMALL)))]()
     perm = [0] + draw(st.permutations(range(1, nr.n)))
     return relabelled(nr, perm)
+
+
+SMALL_RINGS = sorted(name for name in SMALL if not name.startswith("m"))
+
+
+@st.composite
+def small_rings(draw):
+    """A small ring relabelled along a permutation that fixes 0 and
+    certified again as a ring, so its lattice joins by sumset."""
+    nr = SMALL[draw(st.sampled_from(SMALL_RINGS))]()
+    perm = [0] + draw(st.permutations(range(1, nr.n)))
+    return rings.validate_ring(relabelled(nr, perm))
 
 
 class TestEngineMatchesBruteScan:
@@ -95,6 +144,10 @@ class TestEngineMatchesBruteScan:
         got = [s.members for s in enumerate_N_subloops(nr)]
         assert len(got) == len(set(got))
         assert set(got) == brute_n_subloops(nr)
+
+    @given(small_near_rings())
+    def test_extension_search_equals_subset_scan(self, nr):
+        assert extension_n_subloops(nr) == brute_n_subloops(nr)
 
     @given(st.integers(1, 8), st.integers(0, 10_000))
     def test_subloops_equal_subset_scan(self, n, seed):
@@ -153,15 +206,27 @@ class TestClosedSetsWork:
 
     @staticmethod
     def record_joins(monkeypatch):
-        """Patch ClosureSystem.join and _Witness.find to record their
-        calls: the bitset of each set joined, and the generator x, the
-        bitset u of the union and the witness y of each witness search."""
-        joined, tried = [], []
-        join, find = ClosureSystem.join, lattice._Witness.find
+        """Patch ClosureSystem.join, ClosureSystem._saturate and
+        _Witness.find to record their calls: the bitset of each set
+        joined, the bitset of each set joined by a saturation, and the
+        generator x, the bitset u of the union and the witness y of each
+        witness search."""
+        joined, saturating, tried = [], [], []
+        join, saturate, find = ClosureSystem.join, ClosureSystem._saturate, lattice._Witness.find
+        joining = []
 
         def recording_join(self, a, b):
             joined.append(bits_of(b))
-            return join(self, a, b)
+            joining.append(joined[-1])
+            try:
+                return join(self, a, b)
+            finally:
+                joining.pop()
+
+        def recording_saturate(self, *args):
+            if joining:
+                saturating.append(joining[-1])
+            return saturate(self, *args)
 
         def recording_find(self, members, x, u):
             y = find(self, members, x, u)
@@ -169,12 +234,13 @@ class TestClosedSetsWork:
             return y
 
         monkeypatch.setattr(ClosureSystem, "join", recording_join)
+        monkeypatch.setattr(ClosureSystem, "_saturate", recording_saturate)
         monkeypatch.setattr(lattice._Witness, "find", recording_find)
-        return joined, tried
+        return joined, saturating, tried
 
     def test_joins_use_only_the_atoms_of_a_boolean_lattice(self, monkeypatch):
         nr = parse_spec("product:cyclic:2+cyclic:2+cyclic:2+cyclic:2+cyclic:2")
-        joined, tried = self.record_joins(monkeypatch)
+        joined, _, tried = self.record_joins(monkeypatch)
         subloops = nearrings._n_subloop_lattice(nr)
         assert len(subloops) == 32
         atoms = {bits_of(s.mask()) for s in subloops if len(s) == 2}
@@ -185,22 +251,25 @@ class TestClosedSetsWork:
         # witness settles each join and none saturates
         assert joined == []
 
-    @pytest.mark.parametrize("spec, most", [
-        ("product:cyclic:4+cyclic:4+cyclic:4", 0),
-        ("product:cyclic:2+cyclic:2+cyclic:2+cyclic:2+cyclic:2", 0),
-        ("matrix:cyclic:4,2", 0),
-        ("m0:cyclic:4", 0),
-        ("m0:nonassoc5", 12),
+    @pytest.mark.parametrize("spec, most, saturated", [
+        ("product:cyclic:4+cyclic:4+cyclic:4", 0, 0),
+        ("product:cyclic:2+cyclic:2+cyclic:2+cyclic:2+cyclic:2", 0, 0),
+        ("matrix:cyclic:4,2", 0, 0),
+        ("m0:cyclic:4", 0, 0),
+        ("m0:nonassoc5", 12, 12),
+        # a ring's joins that no witness settles are sumsets
+        ("ut2:cyclic:4", 78, 0),
     ])
-    def test_saturating_joins(self, monkeypatch, spec, most):
-        joined, tried = self.record_joins(monkeypatch)
+    def test_saturating_joins(self, monkeypatch, spec, most, saturated):
+        joined, saturating, tried = self.record_joins(monkeypatch)
         assert nearrings._n_subloop_lattice(parse_spec(spec))
         assert tried
         assert len(joined) <= most
+        assert len(saturating) <= saturated
 
     @staticmethod
     def assert_witnesses_are_closures(monkeypatch, system, *args):
-        joined, tried = TestClosedSetsWork.record_joins(monkeypatch)
+        _, _, tried = TestClosedSetsWork.record_joins(monkeypatch)
         list(system.closed_sets(*args))
         for _, u, y in tried:
             if y is not None:
@@ -251,6 +320,64 @@ class TestClosedSetsWork:
                    for m in ClosureSystem(len(t), (t,)).closed_sets((0,))]
             assert len(got) == len(set(got)), seed
             assert set(got) == brute_closed_sets(len(t), (t,), (0,)), seed
+
+
+class TestSumsetJoin:
+    """A ring's left ideals join as their sumset; a near-ring's N-subloops
+    keep the saturating join."""
+
+    @staticmethod
+    def assert_sumsets_are_closures(ring):
+        system = nearrings._n_subloop_system(ring)
+        assert system.sumsets
+        closed = [s.mask() for s in enumerate_N_subloops(ring)]
+        for a in closed:
+            for b in closed:
+                assert np.array_equal(system.join(a, b), system.close(np.flatnonzero(a | b)))
+
+    @pytest.mark.parametrize("spec", [spec for spec, kind, n in CATALOG
+                                      if kind == "ring" and n <= 64]
+                             + ["ut2:cyclic:4", "product:ut2:cyclic:2+ut2:cyclic:2"])
+    def test_sumset_join_of_catalog_rings(self, spec):
+        self.assert_sumsets_are_closures(parse_spec(spec))
+
+    @given(small_rings())
+    def test_sumset_join_of_relabelled_rings(self, ring):
+        self.assert_sumsets_are_closures(ring)
+
+    @pytest.mark.parametrize("spec", ["ut2:cyclic:4", "product:ut2:cyclic:2+ut2:cyclic:2"])
+    def test_ring_lattices_equal_extension_search(self, monkeypatch, spec):
+        ring = parse_spec(spec)
+        joined, saturating, _ = TestClosedSetsWork.record_joins(monkeypatch)
+        got = [s.members for s in nearrings._n_subloop_lattice(ring)]
+        assert len(got) == len(set(got))
+        assert set(got) == extension_n_subloops(ring)
+        # joins run, and none of them saturates
+        assert joined and saturating == []
+
+    def test_quotients_and_corners_join_by_sumset(self):
+        ring = parse_spec("ut2:cyclic:4")
+        e = next(x for x in idempotents(ring) if x not in (ring.zero, ring.one))
+        for r in (ring, ring._quotient.ring, corner_ring(ring, e).ring):
+            assert nearrings._n_subloop_system(r).sumsets
+
+    def test_near_ring_keeps_the_saturating_join(self):
+        # + of M0(Z4) is an abelian group, yet two N-subloops have a
+        # sumset that is not closed: r(i + j) need not be ri + rj
+        nr = parse_spec("m0:cyclic:4")
+        assert nr.kind == "lnr"
+        system = nearrings._n_subloop_system(nr)
+        assert not system.sumsets
+        i, j = (ElementSubset.of(nr.n, s).mask() for s in ([0, 5, 10, 15], [0, 17, 34, 51]))
+        assert is_N_subloop(nr, np.flatnonzero(i)) and is_N_subloop(nr, np.flatnonzero(j))
+        sumset = ClosureSystem(nr.n, system.binary, absorbing=nr.mul, sumsets=True).join(i, j)
+        assert np.count_nonzero(sumset) == 16
+        assert not is_N_subloop(nr, np.flatnonzero(sumset))
+        join = system.join(i, j)
+        assert np.count_nonzero(join) == 64
+        assert np.array_equal(join, system.close(np.flatnonzero(i | j)))
+        got = {s.members for s in enumerate_N_subloops(nr)}
+        assert got == extension_n_subloops(nr)
 
 
 class TestClosureSystem:
