@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Wall time and peak RSS of fixed loopnr workloads, one child process each.
+"""Wall time and peak RSS of fixed loopnr workloads, one child process per run.
 
 Run from the root of a checkout:
 
     python3 scripts/bench.py --out BENCH_<n>.json
 
-Every workload is its own child: ``python -m loopnr`` with ``src/`` on
-the path, or ``perfbench/run.py`` unchanged at its default seed.  Peak
+Every run is its own child: ``python -m loopnr`` with ``src/`` on the
+path, run ``REPEATS`` times in a row, or ``perfbench/run.py`` unchanged
+at its default seed, run once (it repeats its own jobs).  Peak
 RSS is the child's own, from the rusage that ``os.wait4`` returns for
 it, which also covers the descendants it waited for (perfbench's
 workers); ``RUSAGE_CHILDREN`` would be a running maximum over every
@@ -16,7 +17,9 @@ nothing heavy (not even NumPy) and stays smaller than any child.  BLAS
 pools are held to one thread.  The file records,
 per workload, ``wall_s``, ``peak_rss_mib`` and ``exit_code`` (and
 perfbench's own result line), and the environment: Python, NumPy, CPU
-count and git commit.
+count and git commit.  For a CLI workload ``wall_s`` is the median of
+its runs, all listed in ``wall_s_runs``; ``peak_rss_mib`` is the
+largest, and ``exit_code`` the first that is not 0, if any.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import threading
 import time
 
 LIMIT_S = 600
+REPEATS = 3   # runs of each CLI workload; one run spreads wider than the changes read off it
 C4096 = "c4096.json"   # written by the generate workload, read by the two after it
 CLI = [
     (["check", "ut2:cyclic:16"], {}),
@@ -68,6 +72,16 @@ def run(cmd: list, env: dict, out_path: str) -> dict:
             "exit_code": proc.returncode}
 
 
+def repeated(cmd: list, env: dict, out_path: str) -> dict:
+    """``run`` ``REPEATS`` times: the median wall time, every run's, the
+    largest peak RSS and the first exit code that is not 0."""
+    runs = [run(cmd, env, out_path) for _ in range(REPEATS)]
+    walls = [r["wall_s"] for r in runs]
+    return {"wall_s": sorted(walls)[len(walls) // 2], "wall_s_runs": walls,
+            "peak_rss_mib": max(r["peak_rss_mib"] for r in runs),
+            "exit_code": next((r["exit_code"] for r in runs if r["exit_code"]), 0)}
+
+
 def git(*args) -> str:
     return subprocess.run(["git", *args], capture_output=True, text=True).stdout.strip()
 
@@ -84,7 +98,7 @@ def main(argv=None) -> int:
         for argv_, extra in CLI:
             argv_ = [os.path.join(tmp, a) if a == C4096 else a for a in argv_]
             out = os.path.join(tmp, C4096 if argv_[0] == "generate" else "stdout")
-            row = run([sys.executable, "-m", "loopnr", *argv_], {**env, **extra}, out)
+            row = repeated([sys.executable, "-m", "loopnr", *argv_], {**env, **extra}, out)
             rows.append({"command": " ".join(argv_).replace(tmp + os.sep, ""), "env": extra, **row})
             print(rows[-1], flush=True)
         for workload in PERFBENCH:

@@ -6,14 +6,15 @@ copies of the operation tables.  The four cubic laws (associativity of
 set S of the multiplicative or additive magma, from
 ``lattice.ClosureSystem.generating_set``, in O(|S| n^2): the elements
 where such a law holds are closed under the operation (Light's test
-for associativity).  A distributive law is decided at S+ if ``+`` is
-associative or at S* if ``*`` is, whichever is smaller.  No pass runs
-at the operation's two-sided identity, 0 for ``+`` or ``one`` for
-``*`` (a distributive pass keeps 0 unless the loop rows held).  Light's
-test runs at each member as it is grown, so a failing table grows
-little of its set.  In a ring scan with |S+| <= |S*|, route P decides
-associativity of ``*``, both distributive laws and commutativity of
-``+`` from S+ alone (``Lights.additive_route``).  Distributive passes
+for associativity).  In a ring scan whose loop rows held, route P
+decides associativity of ``*``, both distributive laws and
+commutativity of ``+`` from S+ alone (``Lights.additive_route``).  A
+table that fails it, and every near-ring scan, decides each law in
+its own row: a distributive law at S+ if ``+`` is associative, else at
+S* if ``*`` is.  No pass runs at the operation's two-sided identity, 0
+for ``+`` or ``one`` for ``*`` (a distributive pass keeps 0 unless the
+loop rows held).  Light's test runs at each member as it is grown, so
+a failing table grows little of its set.  Distributive passes
 gather ``add`` through one flat index (``_sum``).  Only a law that
 fails is scanned again, in blocks of 1, 2, 4, ... rows, so the O(n^3)
 search stays vectorized without materializing an (n, n, n) cube and
@@ -184,10 +185,10 @@ class Light:
                 self._identity = s
         return len(self._members) > before
 
-    def members(self, most: int | None = None) -> list:
-        """The first ``most`` members of the generating set, or all of them."""
-        self._grow(most)
-        return self._members[:most]
+    def members(self) -> list:
+        """Every member of the generating set."""
+        self._grow(None)
+        return self._members
 
     def moving(self):
         """Yield the members other than the table's two-sided identity,
@@ -230,14 +231,9 @@ class Lights:
         those four rows, which follow the range rows; False leaves each
         row to its own scan.
 
-        Taken only for a ``+`` that is a loop's (``add.loop``), and when
-        |S+| <= |S*|; S* is grown just far enough
-        to compare, not at all when |S+| <= 2, and is not tested.  A ring
-        of order n >= 2 is not the closure of one element under ``*``
-        (the powers of a unit are units, never 0), so then |S*| >= 2; on
-        a table that is not a ring the choice costs only time.  Every set
-        below is nonempty and closed under ``+``, so 0 is skipped (see
-        ``_distributes``):
+        Taken only for a ``+`` that is a loop's (``add.loop``).  Every
+        set below is nonempty and closed under ``+``, so 0 is skipped
+        (see ``_distributes``):
 
         * right distributivity at a in S+: the a with (a+b)*c = a*c + b*c
           for all b, c are closed under an associative ``+``.  S+ grown
@@ -256,7 +252,7 @@ class Lights:
           where it vanishes for given y, z are closed under ``+``, then the
           y for every x, then the z.
 
-        No Light's test of ``*`` runs.
+        No Light's test of ``*`` runs, and no set of ``*`` is grown.
         """
         if self.add is None or not self.add.loop:
             return False
@@ -268,11 +264,9 @@ class Lights:
 
         if n > 1 and not right(1):
             return False
-        plus = self.add.members()
-        if (len(plus) > 2 and len(self.mul.members(len(plus))) < len(plus)
-                or comm_witness(add) is not None or self.add.generators is None):
+        if comm_witness(add) is not None or self.add.generators is None:
             return False
-        s = np.asarray(plus[1:], dtype=np.intp)
+        s = np.asarray(self.add.generators[1:], dtype=np.intp)
         if not all(right(a) for a in s[1:]):
             return False
         m = mul[s]
@@ -285,8 +279,8 @@ class Lights:
 
 
 def _distributes(n: int, lights: Lights, at_add, at_mul) -> bool:
-    """Whether a distributive law holds, decided at the smaller certified
-    generating set: S+ if ``+`` is associative, S* if ``*`` is.
+    """Whether a distributive law holds, decided at S+ if ``+`` is
+    associative, else at S* if ``*`` is, else False.
 
     ``at_add(a)`` is the ``_agree`` pair checking that every row map of
     the law is additive at a in S+; with ``+`` associative the x where a
@@ -296,13 +290,12 @@ def _distributes(n: int, lights: Lights, at_add, at_mul) -> bool:
     is skipped.  ``at_mul(s)`` is the pair checking that the map of s in
     S* is additive; with ``*`` associative the s with an additive map
     are closed under ``*``, and the identity map of ``one`` is additive,
-    so ``one`` is skipped.  False when neither set is certified.  Ties
-    go to S*.
+    so ``one`` is skipped.
     """
-    plus, star = lights.additive_generators(), lights.mul.generators
-    if plus is not None and (star is None or len(plus) < len(star)):
+    plus = lights.additive_generators()
+    if plus is not None:
         gens, pair = lights.add.moving() if lights.add.loop else plus, at_add
-    elif star is not None:
+    elif lights.mul.generators is not None:
         gens, pair = lights.mul.moving(), at_mul
     else:
         return False

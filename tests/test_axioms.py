@@ -50,8 +50,8 @@ WRAP = 1 << 16
 # valid structures with n <= 27, with the kind each is built as; those of
 # order 6 and up have multiplicative generating sets of 2 or more elements,
 # so the cubic rows are decided at several generators before any fallback.
-# The rings from cyclic:12 on have |S+| <= |S*|, so a ring scan of their
-# tables takes route P first (see TestAdditiveRoute)
+# A ring scan of any of their tables takes route P first (see
+# TestAdditiveRoute)
 SPECS = (
     "cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "gf:4",
     "product:cyclic:2+cyclic:2", "m:cyclic:2", "m0:cyclic:2",
@@ -285,7 +285,7 @@ class TestLightOnce:
         return seen
 
     @pytest.mark.parametrize("spec", ["cyclic:12", "gf:8", "matrix:cyclic:2,2", "ut2:cyclic:3"])
-    def test_one_generating_set_of_mul_per_ring_validation(self, spec, mul_scans, monkeypatch):
+    def test_one_generating_set_per_ring_validation(self, spec, mul_scans, monkeypatch):
         n, add, mul, one = base(spec)
         drawn = []   # the members drawn from each generating set grown
 
@@ -296,16 +296,12 @@ class TestLightOnce:
                 yield x
 
         monkeypatch.setattr(ClosureSystem, "generating_set", counted)
-        plus, star = (len(list(ClosureSystem(n, (np.array(t),)).generating_set()))
-                      for t in (add, mul))
+        plus = len(list(ClosureSystem(n, (np.array(add),)).generating_set()))
         mul_scans.clear()  # base builds the structure on its first call
         drawn.clear()
         validate_ring_tables(add, mul, one)
-        # the set of * is grown only as far as the size rule needs: not at
-        # all when |S+| <= 2, else |S+| members, or to its end when it is
-        # the smaller
-        assert mul_scans.count(add) == 1 and mul_scans.count(mul) == (plus > 2)
-        assert sorted(drawn) == sorted([plus] + [min(plus, star)] * (plus > 2))
+        # route P grows the set of + to its end and none of *
+        assert mul_scans == [add] and drawn == [plus]
 
     def test_failing_light_grows_no_further(self):
         # Light's test runs at each member as it is grown: here the set
@@ -389,9 +385,10 @@ def f2_cubed_algebra(seed=2):
 
 
 class TestAdditiveRoute:
-    """Route P certifies a ring scan from S+ alone when |S+| <= |S*|; a
-    failure there hands the scan to the ordered rows, so ``check`` and
-    the validators report exactly what the brute loops find."""
+    """Route P certifies every ring scan whose loop rows held from S+
+    alone; a failure there hands the scan to the ordered rows, so
+    ``check`` and the validators report exactly what the brute loops
+    find."""
 
     @pytest.fixture
     def light_tests(self, monkeypatch):
@@ -403,17 +400,26 @@ class TestAdditiveRoute:
         monkeypatch.setattr(tables.Light, "generators", prop)
         return tested
 
-    @pytest.mark.parametrize("spec, route_p", [
-        ("cyclic:12", True), ("ut2:cyclic:3", True), ("cyclic:256", True),
-        ("gf:8", False), ("matrix:cyclic:2,2", False),
-    ])
-    def test_which_rings_take_route_p(self, spec, route_p, light_tests):
-        n, add, mul, one = base(spec)
-        light_tests.clear()
-        validate_ring_tables(add, mul, one)
-        # route P runs Light's test of + and none of *
-        assert light_tests.count(add) == 1
-        assert light_tests.count(mul) == (0 if route_p else 1)
+    @pytest.mark.parametrize("spec", dict.fromkeys(
+        [spec for spec, kind, n in CATALOG if kind == "ring"]
+        + ["gf:8", "gf:256", "matrix:cyclic:4,2", "product:matrix:cyclic:2,2+matrix:cyclic:2,2"]))
+    def test_every_ring_takes_route_p(self, spec, light_tests, monkeypatch):
+        ring = parse_spec(spec)
+        light_tests.clear()   # parse_spec validates what it builds
+        verdicts, grown = [], []
+        verdict = tables.Lights.additive_route.func
+        prop = cached_property(lambda self: verdicts.append(verdict(self)) or verdicts[-1])
+        prop.__set_name__(tables.Lights, "additive_route")
+        monkeypatch.setattr(tables.Lights, "additive_route", prop)
+        grow = ClosureSystem.generating_set
+        monkeypatch.setattr(ClosureSystem, "generating_set", lambda self, **kw: grown.append(
+            self.binary[0]) or grow(self, **kw))
+        validate_ring_tables(ring.add, ring.mul, ring.one)
+        # route P runs Light's test of + and none of *, and grows the set
+        # of + alone (cyclic:1 has add == mul, so count, not compare)
+        assert verdicts == [True]
+        assert [np.array_equal(t, ring.add) for t in light_tests] == [True]
+        assert [np.array_equal(t, ring.add) for t in grown] == [True]
 
     @staticmethod
     def assert_check_is_brute(add, mul, one, want):

@@ -76,6 +76,21 @@ class TestIdeals:
         with pytest.raises(NotAnIdeal):
             validate_ideal(corpus.m2(2), {0, 2, 8, 10})
 
+    @pytest.mark.parametrize("spec", ["cyclic:6", "ut2:cyclic:2", "product:cyclic:4+cyclic:2"])
+    def test_every_accepted_subset_is_closed_under_negation(self, spec):
+        # validate_ideal checks no negation: 0 and closure under + imply it
+        ring = parse_spec(spec)
+        accepted = 0
+        for bits in range(1 << ring.n):
+            subset = [x for x in range(ring.n) if bits >> x & 1]
+            try:
+                validate_ideal(ring, subset)
+            except NotAnIdeal:
+                continue
+            accepted += 1
+            assert set(ring.neg[subset].tolist()) <= set(subset)
+        assert accepted >= 2
+
     def test_left_ideal_counts(self):
         assert len(left_ideals(corpus.m2(2))) == 5
         assert len(left_ideals(corpus.m2(4))) == 15
