@@ -33,7 +33,6 @@ from .errors import (
 from .generators import CATALOG, parse_spec
 from .homs import validate_lnr_hom
 from .io import (
-    StructureFile,
     canonical_json,
     dump_structure_text,
     kind_of,
@@ -88,10 +87,10 @@ def cmd_check(args) -> int:
     if os.path.exists(args.input):
         sf = read_structure(args.input)
         bounds.check("max_n", sf.n, "structure file")
+        payload = check_report(sf.kind, sf.n, sf.add, sf.mul, sf.one, args.input)
     else:
-        structure = parse_spec(args.input, bounds)
-        sf = StructureFile(kind_of(structure), structure.n, structure)
-    payload = check_report(sf.kind, sf.n, sf.add, sf.mul, sf.one, args.input)
+        spec = parse_spec(args.input, bounds)
+        payload = check_report(kind_of(spec), spec.n, spec, None, None, args.input)
     _emit(payload, args.text)
     return 0 if payload["valid"] else 1
 

@@ -197,27 +197,32 @@ def enumerate_subloops(loop: CayleyLoop, bounds: Bounds = DEFAULT_BOUNDS) -> lis
 def is_normal_subloop(loop: CayleyLoop, subset) -> bool:
     """Check a + K = K + a, (a+b) + K = a + (b+K), (K+a) + b = K + (a+b).
 
-    Raises NotASubloop if the subset is not a subloop at all.
+    Raises NotASubloop if the subset is not a subloop at all.  Each side
+    is gathered over a block of elements a, all b and all of K, and
+    sorted along K; a block holds at most ``tables._BLOCK_ELEMS``
+    entries, or n |K| (no more than the table) when one a needs more.
     """
     members = _as_member_set(loop, subset)
     if not is_subloop(loop, members):
         raise NotASubloop(f"{sorted(members)} is not a subloop")
-    add = loop.add
-    k = np.fromiter(sorted(members), dtype=np.int64)
-    n = loop.n
-    # row a: the sets a + K and K + a
-    if not np.array_equal(np.sort(add[:, k], axis=1), np.sort(add[k].T, axis=1)):
-        return False
-    for a in range(n):
-        # rows indexed by b: ((a+b)+K) vs (a+(b+K)) as sets
-        lhs = add[np.ix_(add[a], k)]         # [b, i] = (a+b) + k_i
-        rhs = add[a][add[:, k]]              # [b, i] = a + (b + k_i)
-        if not np.array_equal(np.sort(lhs, axis=1), np.sort(rhs, axis=1)):
-            return False
-        # rows indexed by b: ((K+a)+b) vs (K+(a+b)) as sets
-        lhs2 = add[add[k, a]]                # [i, b] = (k_i + a) + b
-        rhs2 = add[np.ix_(k, add[a])]        # [i, b] = k_i + (a + b)
-        if not np.array_equal(np.sort(lhs2, axis=0), np.sort(rhs2, axis=0)):
+    add, n = loop.add, loop.n
+    k = np.fromiter(sorted(members), dtype=np.intp)
+    # [b, i] = b + k_i and k_i + b
+    bk, kb = add[:, k], np.ascontiguousarray(add[k].T)
+
+    def same(lhs, rhs):
+        """Whether lhs and rhs hold the same set along their last axis."""
+        return np.array_equal(np.sort(lhs, axis=-1), np.sort(rhs, axis=-1))
+
+    step = max(1, tables._BLOCK_ELEMS // (n * k.size))
+    for r in range(0, n, step):
+        rows = add[r:r + step]
+        # a + K and K + a; then [a, b, i] = (a+b) + k_i and a + (b+k_i);
+        # then (k_i+a) + b and k_i + (a+b)
+        if not (same(bk[r:r + step], kb[r:r + step])
+                and same(bk.take(rows, axis=0), rows.take(bk, axis=1))
+                and same(add.take(kb[r:r + step], axis=0).transpose(0, 2, 1),
+                         kb.take(rows, axis=0))):
             return False
     return True
 

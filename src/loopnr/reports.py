@@ -147,7 +147,6 @@ def decompose_report(
     name: str,
     *,
     verify_uniqueness: bool = False,
-    limit: int | None = None,
     with_timing: bool = False,
     bounds: Bounds = DEFAULT_BOUNDS,
 ) -> dict:
@@ -168,7 +167,7 @@ def decompose_report(
         ],
     }
     if verify_uniqueness:
-        ks = _timed(timing, "uniqueness", lambda: verify_ks_uniqueness(ring, limit, bounds))
+        ks = _timed(timing, "uniqueness", lambda: verify_ks_uniqueness(ring, bounds=bounds))
         payload["uniqueness"] = {
             "family_count": ks.family_count,
             "common_length": ks.common_length,

@@ -11,17 +11,19 @@ decides associativity of ``*``, both distributive laws and
 commutativity of ``+`` from S+ alone (``Lights.additive_route``).  A
 table that fails it, and every near-ring scan, decides each law in
 its own row: a distributive law at S+ if ``+`` is associative, else at
-S* if ``*`` is.  No pass runs at the operation's two-sided identity, 0
-for ``+`` or ``one`` for ``*`` (a distributive pass keeps 0 unless the
-loop rows held).  Light's test runs at each member as it is grown, so
-a failing table grows little of its set.  Distributive passes
-gather ``add`` through one flat index (``_sum``).  Only a law that
-fails is scanned again, in blocks of 1, 2, 4, ... rows, so the O(n^3)
-search stays vectorized without materializing an (n, n, n) cube and
-finds the lexicographically least violating tuple; a failing left
-distributive law with ``+`` associative first finds its least bad row
-in O(|S+| n^2) and scans that row alone.  Witnesses and error messages
-therefore do not depend on S or on the route.
+S* if ``*`` is.  Left distributivity at S+ is one pass that finds the
+least row whose map x -> a*x is not additive
+(``_first_nonadditive_row``): none means the law holds, else that row
+alone is scanned for the least witness.  No pass runs at the
+operation's two-sided identity, 0 for ``+`` or ``one`` for ``*`` (a
+distributive pass keeps 0 unless the loop rows held).  Light's test
+runs at each member as it is grown, so a failing table grows little
+of its set.  Per-member passes gather ``add`` through one flat index
+(``_sum``).  Only a law that fails is scanned again, in blocks of 1,
+2, 4, ... rows, so the O(n^3) search stays vectorized without
+materializing an (n, n, n) cube and finds the lexicographically least
+violating tuple.  Witnesses and error messages therefore do not
+depend on S or on the route.
 
 Six rows of ``AXIOMS`` are laws, identities in ``+`` and ``*``.  A law
 holds in every substructure and homomorphic image of a structure that
@@ -34,7 +36,6 @@ the two-sided zero and the identity, all O(n^2).
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import islice
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -159,45 +160,22 @@ class Light:
     law holds identically, so it is skipped (``moving``).  ``violations``
     hands one ``Light`` of each table to every row that needs its
     verdict, so one scan grows at most one generating set of ``*`` and
-    one of ``+``, greedily and only as far as asked.  ``loop`` says the
-    table is a loop's (its loop rows held): every row is a permutation,
-    so every rank is n and the set is grown in index order, unranked.
+    one of ``+``, greedily, up to the first member that fails.  ``loop``
+    says the table is a loop's (its loop rows held): every row is a
+    permutation, so every rank is n and the set is grown in index
+    order, unranked.
     """
 
     def __init__(self, op: np.ndarray, loop: bool = False):
         self.op = op
         self.loop = loop
         self._members = []
-        self._growth = None
-        # the two-sided identity, once it is known to be a member: a
-        # loop's zero 0 is taken first
-        self._identity = 0 if loop else None
+        self._identity = None   # the two-sided identity, once grown
 
-    def _grow(self, most: int | None) -> bool:
-        """Draw members until there are ``most``, or all; whether any was drawn."""
-        if self._growth is None:
-            self._growth = ClosureSystem(len(self.op), (self.op,)).generating_set(
-                ranked=not self.loop)
-        before = len(self._members)
-        for s in islice(self._growth, None if most is None else max(most - before, 0)):
-            self._members.append(s)
-            if self._identity is None and identity_witness(self.op, s) is None:
-                self._identity = s
-        return len(self._members) > before
-
-    def members(self) -> list:
-        """Every member of the generating set."""
-        self._grow(None)
-        return self._members
-
-    def moving(self):
-        """Yield the members other than the table's two-sided identity,
-        each grown only when it is reached."""
-        k = 0
-        while k < len(self._members) or self._grow(k + 1):
-            if self._members[k] != self._identity:
-                yield self._members[k]
-            k += 1
+    def moving(self) -> list:
+        """The members other than the table's two-sided identity, once
+        ``generators`` has grown them."""
+        return [s for s in self._members if s != self._identity]
 
     @cached_property
     def generators(self):
@@ -207,10 +185,14 @@ class Light:
         grows no more of the set.
         """
         op = self.op
-        # [x, y] = op[x, op[s, y]] and op[op[x, s], y]
-        ok = all(_agree(len(op), lambda rows, s=s: (op[rows][:, op[s]], op[op[rows, s]]))
-                 for s in self.moving())
-        return tuple(self.members()) if ok else None
+        for s in ClosureSystem(len(op), (op,)).generating_set(ranked=not self.loop):
+            self._members.append(s)
+            if self._identity is None and identity_witness(op, s) is None:
+                self._identity = s
+            # [x, y] = op[x, op[s, y]] and op[op[x, s], y]
+            elif not _agree(len(op), lambda rows: (op[rows][:, op[s]], op[op[rows, s]])):
+                return None
+        return tuple(self._members)
 
 
 class Lights:
@@ -220,9 +202,15 @@ class Lights:
     def __init__(self, mul: Light, add: Light | None = None):
         self.mul, self.add = mul, add
 
-    def additive_generators(self):
-        """S+ if ``+`` is certified associative, else None."""
-        return None if self.add is None else self.add.generators
+    def additive_passes(self):
+        """The members of S+ that a distributive pass runs at if ``+`` is
+        certified associative, else None.  With the loop rows held 0 is
+        left out: in a finite loop a nonempty subset closed under ``+``
+        holds 0 (translation by a member maps it into itself
+        injectively, hence onto)."""
+        if self.add is None or self.add.generators is None:
+            return None
+        return self.add.moving() if self.add.loop else self.add.generators
 
     @cached_property
     def additive_route(self) -> bool:
@@ -233,7 +221,7 @@ class Lights:
 
         Taken only for a ``+`` that is a loop's (``add.loop``).  Every
         set below is nonempty and closed under ``+``, so 0 is skipped
-        (see ``_distributes``):
+        (see ``additive_passes``):
 
         * right distributivity at a in S+: the a with (a+b)*c = a*c + b*c
           for all b, c are closed under an associative ``+``.  S+ grown
@@ -258,48 +246,18 @@ class Lights:
             return False
         add, mul = self.add.op, self.mul.op
         n = len(add)
-
-        def right(a):
-            return _agree(n, _right_at(add, mul, a))
-
-        if n > 1 and not right(1):
+        if n > 1 and not _agree(n, _right_at(add, mul, 1)):
             return False
         if comm_witness(add) is not None or self.add.generators is None:
             return False
-        s = np.asarray(self.add.generators[1:], dtype=np.intp)
-        if not all(right(a) for a in s[1:]):
+        s = np.asarray(self.additive_passes(), dtype=np.intp)
+        if not all(_agree(n, _right_at(add, mul, a)) for a in s[1:]):
             return False
-        m = mul[s]
-        # [a, b, c] = a*(b+c) and a*b + a*c, for a, b in S+
-        if not np.array_equal(m[:, add[s]], add[m[:, s, None], m[:, None, :]]):
+        if _first_nonadditive_row(mul[s], add, s) is not None:
             return False
         # [x, y, z] = (xy)z and x(yz), for x, y, z in S+
-        xy = m[:, s]
+        xy = mul[s[:, None], s]
         return np.array_equal(mul[xy[:, :, None], s], mul[s[:, None, None], xy])
-
-
-def _distributes(n: int, lights: Lights, at_add, at_mul) -> bool:
-    """Whether a distributive law holds, decided at S+ if ``+`` is
-    associative, else at S* if ``*`` is, else False.
-
-    ``at_add(a)`` is the ``_agree`` pair checking that every row map of
-    the law is additive at a in S+; with ``+`` associative the x where a
-    map is additive are closed under ``+``.  In a finite loop a nonempty
-    subset closed under ``+`` holds 0 (translation by a member maps it
-    into itself injectively, hence onto), so with the loop rows held 0
-    is skipped.  ``at_mul(s)`` is the pair checking that the map of s in
-    S* is additive; with ``*`` associative the s with an additive map
-    are closed under ``*``, and the identity map of ``one`` is additive,
-    so ``one`` is skipped.
-    """
-    plus = lights.additive_generators()
-    if plus is not None:
-        gens, pair = lights.add.moving() if lights.add.loop else plus, at_add
-    elif lights.mul.generators is not None:
-        gens, pair = lights.mul.moving(), at_mul
-    else:
-        return False
-    return all(_agree(n, pair(g)) for g in gens)
 
 
 def _sum(add: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -327,22 +285,25 @@ def _endomorphism(add: np.ndarray, v: np.ndarray):
     return lambda rows: (v[add[rows]], _sum(add, v[rows, None], v))
 
 
-def _first_nonadditive_row(mul: np.ndarray, add: np.ndarray, plus) -> int:
-    """Least a whose row map x -> a*x is not additive at some s in S+.
+def _first_nonadditive_row(mul: np.ndarray, add: np.ndarray, plus):
+    """Least a whose row map x -> a*x is not additive at some s in
+    ``plus``, else None (given the rows ``mul[s]``, a indexes s).
 
-    With ``+`` associative that is the least a with a*(b+c) != a*b + a*c
-    for some b, c; the caller knows one exists.  One pass over row
-    blocks, all of S+ at once: O(|S+| n^2).
+    With ``+`` associative the x where a map is additive are closed
+    under ``+``, so at ``Lights.additive_passes`` None decides left
+    distributivity, else the least a with a*(b+c) != a*b + a*c for
+    some b, c is returned.  One pass over row blocks, all of ``plus``
+    at once: O(|plus| n^2).
     """
-    n, s = len(add), np.asarray(plus)
-    step = _blocks(len(s) * n)
-    for r in range(0, n, step):
+    s = np.asarray(plus, dtype=np.intp)
+    step = _blocks(len(s) * len(add))
+    for r in range(0, len(mul), step):
         m = mul[r:r + step]
         # [a, i, c] = a*(s_i + c) and a*s_i + a*c
         bad = (m[:, add[s]] != add[m[:, s, None], m[:, None, :]]).any(axis=(1, 2))
         if bad.any():
             return r + int(np.argmax(bad))
-    raise RuntimeError("a failed verdict has a non-additive row")  # unreachable
+    return None
 
 
 def assoc_witness(op: np.ndarray, light: Light | None = None):
@@ -365,33 +326,47 @@ def right_dist_witness(add: np.ndarray, mul: np.ndarray, lights: Lights | None =
     """First (a, b, c) with (a+b)*c != a*c + b*c, else None.
 
     ``lights`` are the scan's shared ``Lights``; alone, both are built.
+    The law is decided at S+ if ``+`` is associative: the a with
+    (a+b)*c = a*c + b*c for all b, c are closed under ``+``.  Else it is
+    decided at S* if ``*`` is: the s whose map x -> x*s is additive are
+    closed under ``*``, and the identity map of ``one`` is additive, so
+    ``one`` is skipped.  Only a law that fails is scanned again.
     """
     lights = lights or Lights(Light(mul), Light(add))
-    if _distributes(len(add), lights, lambda a: _right_at(add, mul, a),
-                    lambda s: _endomorphism(add, mul[:, s])):
+    n, plus = len(add), lights.additive_passes()
+    if plus is not None:
+        holds = all(_agree(n, _right_at(add, mul, a)) for a in plus)
+    else:
+        holds = lights.mul.generators is not None and all(
+            _agree(n, _endomorphism(add, mul[:, s])) for s in lights.mul.moving())
+    if holds:
         return None
     # [i,b,c] = mul[a+b, c] and (a*c) + (b*c)
-    return _first_bad(len(add), lambda rows: (mul[add[rows]],
-                                              add[mul[rows][:, None, :], mul[None, :, :]]))
+    return _first_bad(n, lambda rows: (mul[add[rows]],
+                                       add[mul[rows][:, None, :], mul[None, :, :]]))
 
 
 def left_dist_witness(add: np.ndarray, mul: np.ndarray, lights: Lights | None = None):
     """First (a, b, c) with a*(b+c) != a*b + a*c, else None.
 
-    When the law fails and ``+`` is associative, the least witness lies
-    in the least row whose map is not additive at S+, so only that row
-    is scanned; otherwise rows are scanned in growing blocks.
+    With ``+`` associative one pass, ``_first_nonadditive_row`` at S+,
+    both decides the law and finds the least row whose map is not
+    additive, which holds the least witness, so only that row is
+    scanned.  Else the law is decided at S* if ``*`` is associative (the
+    s whose map x -> s*x is additive are closed under ``*``, and ``one``
+    is skipped), and a failing law is scanned in growing row blocks.
     """
     lights = lights or Lights(Light(mul), Light(add))
-    n = len(add)
-    # x -> a*x at s in S+, rows a: [a, c] = a*(s+c) and a*s + a*c
-    if _distributes(n, lights,
-                    lambda s: lambda rows: (mul[rows][:, add[s]],
-                                            _sum(add, mul[rows, s][:, None], mul[rows])),
-                    lambda s: _endomorphism(add, mul[s])):
+    n, plus = len(add), lights.additive_passes()
+    if plus is not None:
+        start = _first_nonadditive_row(mul, add, plus)
+        if start is None:
+            return None
+    elif lights.mul.generators is not None and all(
+            _agree(n, _endomorphism(add, mul[s])) for s in lights.mul.moving()):
         return None
-    plus = lights.additive_generators()
-    start = 0 if plus is None else _first_nonadditive_row(mul, add, plus)
+    else:
+        start = 0
     # [i,b,c] = mul[a, b+c] and a*b + a*c
     return _first_bad(n, lambda rows: (mul[rows][:, add],
                                        add[mul[rows][:, :, None], mul[rows][:, None, :]]), start)

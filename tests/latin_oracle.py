@@ -72,3 +72,24 @@ def brute_subloops(add) -> set:
             assert all(inside[rpos[b][a]] for a in bits for b in bits)
             found.add(frozenset(bits))
     return found
+
+
+def brute_is_normal(add, members) -> bool:
+    """a + K = K + a, (a+b) + K = a + (b+K) and (K+a) + b = K + (a+b)
+    for every a, b, compared as Python sets.
+
+    ``add`` is a plain list-of-lists Cayley table; ``members`` is K.
+    """
+    n = len(add)
+
+    def plus(x, s):   # x + S
+        return {add[x][y] for y in s}
+
+    def sulp(s, x):   # S + x
+        return {add[y][x] for y in s}
+
+    k = set(members)
+    return all(plus(a, k) == sulp(k, a)
+               and plus(add[a][b], k) == plus(a, plus(b, k))
+               and sulp(sulp(k, a), b) == sulp(k, add[a][b])
+               for a in range(n) for b in range(n))

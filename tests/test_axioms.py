@@ -636,3 +636,62 @@ class TestLeftDistributivity:
         got = tables.left_dist_witness(tables.as_table(add), tables.as_table(mul))
         assert got == least_left_dist_witness(add, mul) is not None
         assert rows[0] == 0
+
+
+def corrupted_relabelled(spec, seed):
+    """The tables of ``spec`` relabelled along a random permutation that
+    fixes 0, with one entry of ``mul`` changed, as int16 arrays."""
+    n, add, mul, _ = base(spec)
+    rng = np.random.default_rng(seed)
+    new = np.concatenate([[0], 1 + rng.permutation(n - 1)])   # x is relabelled new[x]
+    old = np.argsort(new)
+    add, mul = (new[np.asarray(t)[old[:, None], old]] for t in (add, mul))
+    i, j = rng.integers(0, n, 2)
+    mul[i, j] = (mul[i, j] + rng.integers(1, n)) % n
+    return tables.as_table(add), tables.as_table(mul)
+
+
+class TestNonadditiveRow:
+    """One pass at S+, ``_first_nonadditive_row``, decides left
+    distributivity and finds the row of its least witness."""
+
+    @staticmethod
+    def passes(add, mul):
+        """S+ less 0, as a ring scan whose loop rows held passes it."""
+        return tables.Lights(tables.Light(mul), tables.Light(add, loop=True)).additive_passes()
+
+    @pytest.mark.parametrize("spec", [spec for spec, kind, n in CATALOG if kind == "ring"])
+    def test_none_on_every_catalog_ring(self, spec):
+        ring = parse_spec(spec)
+        plus = self.passes(ring.add, ring.mul)
+        assert tables._first_nonadditive_row(ring.mul, ring.add, plus) is None
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("spec", ["cyclic:16", "gf:8", "ut2:cyclic:3", "matrix:cyclic:2,2"])
+    def test_least_row_of_a_corrupted_relabelled_table(self, spec, seed):
+        add, mul = corrupted_relabelled(spec, seed)
+        want = least_left_dist_witness(add.tolist(), mul.tolist())
+        plus = self.passes(add, mul)
+        # with 0 left out of S+ or kept, the least row is the brute loop's
+        for s in (plus, [0, *plus]):
+            assert tables._first_nonadditive_row(mul, add, s) == (want and want[0])
+
+    @pytest.mark.parametrize("spec, seed", [("cyclic:16", 0), ("ut2:cyclic:3", 1),
+                                            ("matrix:cyclic:2,2", 2), ("m0:cyclic:3", None)])
+    def test_a_failing_law_makes_no_other_pass_at_s_plus(self, spec, seed, monkeypatch):
+        if seed is None:
+            n, add, mul, _ = base(spec)   # a near-ring: left distributivity fails
+            add, mul = tables.as_table(add), tables.as_table(mul)
+        else:
+            add, mul = corrupted_relabelled(spec, seed)
+        lights = tables.Lights(tables.Light(mul), tables.Light(add, loop=True))
+        assert lights.additive_passes() is not None   # Light's test of + ran
+        rows, agreed = [], []
+        first, agree = tables._first_nonadditive_row, tables._agree
+        monkeypatch.setattr(tables, "_first_nonadditive_row",
+                            lambda *a, **kw: rows.append(first(*a, **kw)) or rows[-1])
+        monkeypatch.setattr(tables, "_agree", lambda n, pair: agreed.append(n) or agree(n, pair))
+        got = tables.left_dist_witness(add, mul, lights)
+        assert got == least_left_dist_witness(add.tolist(), mul.tolist()) is not None
+        # one pass at S+ found the row; no pass per member, none of S*
+        assert rows == [got[0]] and agreed == [] and lights.mul._members == []

@@ -218,6 +218,25 @@ class TestNormality:
         for s in enumerate_subloops(loop):
             assert is_normal_subloop(loop, s)
 
+    def test_matches_brute_oracle_through_order_5(self):
+        verdicts = set()
+        for order in range(1, 6):
+            for loop in all_loops(order):
+                for s in enumerate_subloops(loop):
+                    want = latin_oracle.brute_is_normal(loop.add.tolist(), s)
+                    assert is_normal_subloop(loop, s) == want
+                    verdicts.add(want)
+        # non-associative loops of order 5 have subloops of both kinds
+        assert verdicts == {True, False}
+
+    # in random_loop:6,9, a + K = K + a for K = {0, 4}, yet K is not normal
+    @pytest.mark.parametrize("spec", ["random_loop:6,0", "random_loop:8,1", "random_loop:6,9"])
+    def test_matches_brute_oracle_on_random_loops(self, spec):
+        loop = parse_spec(spec)
+        for s in enumerate_subloops(loop):
+            assert is_normal_subloop(loop, s) == latin_oracle.brute_is_normal(
+                loop.add.tolist(), s)
+
 
 class TestLoopHoms:
     def test_reduction_mod_2(self):
