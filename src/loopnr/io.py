@@ -25,21 +25,30 @@ A loop file is the kind line plus the addition rows.
 
 The compact JSON form, as ``generate`` writes it, is also the fast form:
 a top-level ``"add"`` or ``"mul"`` value written as ``[[r,r,...],[...]]``
-decodes from its bytes, in blocks of whole rows, straight into an int32
-array.  A block is certified when its skeleton (every byte other than a
-digit or ``-``) is exactly ``[`` ``,``...``]`` per row, ``,`` between rows
-and ``]`` after the last, and ``json.loads`` reads each entry as an
-integer other than ``-0``.  An entry of at most D = len(str(n - 1))
-digits is read from its last D bytes; a longer or signed one lies outside
-0..n-1 and decodes to -1, as ``tables.as_table`` maps it.  Anything else
-goes through ``json.loads``, with the same verdicts, messages and witnesses.
+decodes from its bytes, in blocks of whole rows, straight into a
+read-only int16 array that ``tables.as_table`` takes without a copy.  A
+block is certified when its skeleton (every byte other than a digit or
+``-``) is exactly ``[`` ``,``...``]`` per row, ``,`` between rows and ``]``
+after the last, and ``json.loads`` reads each entry as an integer other
+than ``-0``.  An entry of at most D = len(str(n - 1)) digits is read from
+its last D bytes; an entry of n or more, a longer one or a signed one
+lies outside 0..n-1 and decodes to -1, as ``tables.as_table`` maps it.
+Anything else goes through ``json.loads``, with the same verdicts,
+messages and witnesses.
+
+Once such a file's tables have been validated, every entry of them is
+literally ``str(v)`` for its value v, so each table's text already is
+its canonical JSON: ``load_structure`` hashes those bytes as they were
+read and keeps the digest on the structure for ``structure_sha256``.
+A file that fails validation is never hashed, and ``check`` hashes none.
 
 Output takes the reverse route.  A table is rendered in blocks of rows
 by gathering, for each entry v, a precomputed field ``str(v)`` plus its
 separator, padded with NUL to one machine word; one ``bytes.translate``
-drops the padding.  ``structure_sha256``, ``write_structure``,
-``dump_structure`` and ``dump_structure_text`` share that renderer, and
-its memory beyond the tables is one block.
+drops the padding.  ``structure_sha256`` (of a structure not read from
+such a file), ``write_structure``, ``dump_structure`` and
+``dump_structure_text`` share that renderer, and its memory beyond the
+tables is one block.
 """
 
 from __future__ import annotations
@@ -49,6 +58,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from io import StringIO
+from types import GeneratorType
 
 import numpy as np
 
@@ -57,7 +67,7 @@ from .errors import ParseError
 from .loops import CayleyLoop, validate_loop
 from .nearrings import LoopNearRing, validate_lnr
 from .rings import validate_ring_tables
-from .tables import KINDS
+from .tables import DTYPE, KINDS, MAX_ORDER
 
 
 def kind_of(structure) -> str:
@@ -76,6 +86,8 @@ class StructureFile:
     mul: list | np.ndarray | None = None
     one: int | None = None
     meta: dict = field(default_factory=dict)
+    # where each table's certified text lies in the file, if every table's does
+    spans: dict = field(default_factory=dict)
 
 
 def _dumps(value) -> str:
@@ -131,7 +143,8 @@ def _render_rows(table: np.ndarray, sep: str, close: str, gap: str):
 def _canonical_chunks(fields: dict):
     """``canonical_json(fields)`` as UTF-8 bytes, in pieces: each table
     in blocks of rows, so that writing or hashing it needs O(block)
-    memory beyond the tables."""
+    memory beyond the tables.  A table may also be given as a generator
+    of its canonical bytes (``_text_chunks``)."""
     for i, key in enumerate(sorted(fields)):
         value = fields[key]
         yield f'{"," if i else "{"}"{key}":'.encode()
@@ -139,6 +152,8 @@ def _canonical_chunks(fields: dict):
             yield b"[["
             yield from _render_rows(value, ",", "]", ",[")
             yield b"]"
+        elif isinstance(value, GeneratorType):
+            yield from value
         else:
             yield _dumps(value).encode()
     yield b"}\n"
@@ -172,16 +187,22 @@ def dump_structure_text(structure) -> str:
     return f"{kind} {structure.n}\n" + "".join(rows) + one
 
 
+def _sha256(fields: dict) -> str:
+    h = hashlib.sha256()
+    for chunk in _canonical_chunks(fields):
+        h.update(chunk)
+    return h.hexdigest()
+
+
 def structure_sha256(structure) -> str:
     """Identity hash over the algebraic content only (meta excluded).
 
     The bytes hashed are ``canonical_json`` of ``structure_to_dict``
-    without its meta, streamed to ``hashlib`` in blocks of table rows.
+    without its meta, streamed to ``hashlib`` in blocks of table rows;
+    for a structure that ``load_structure`` read from a compact file,
+    the digest it took of the same bytes in the file.
     """
-    h = hashlib.sha256()
-    for chunk in _canonical_chunks(_fields(structure)):
-        h.update(chunk)
-    return h.hexdigest()
+    return getattr(structure, "_file_sha256", None) or _sha256(_fields(structure))
 
 
 _DECODER = json.JSONDecoder()
@@ -195,8 +216,8 @@ def _decode_rows(text: bytes, width: int):
     matrix; what follows that ``]`` is not read.  Returns (values, used,
     closed): the (rows, width) int32 array, the characters read and
     whether the matrix closed; None unless every entry is an integer that
-    json.loads reads, other than -0.  An entry of more than D digits, or a
-    signed one, is not in 0..width-1 and decodes to -1.
+    json.loads reads, other than -0.  An entry of width or more (of more
+    than D digits, say), or a signed one, decodes to -1.
     """
     read = len(str(width - 1))   # D: below 10, so int32, for any table that fits in memory
     chars = np.frombuffer(text, np.uint8)
@@ -236,13 +257,14 @@ def _decode_rows(text: bytes, width: int):
     for k in range(1, read):
         at -= 1
         values += np.multiply((chars.take(at) - 48) * (digits > k), 10**k, dtype=np.int32)
-    values[signs | (digits > read)] = -1
+    values[signs | (digits > read) | (values >= width)] = -1
     return values, len(chars), close >= 0
 
 
 def _int_matrix(text: str, start: int):
-    """(int32 array, end) if the JSON value at ``start`` is a certified
-    compact integer matrix (see the module docstring), else None."""
+    """(array, end) if the JSON value at ``start`` is a certified compact
+    integer matrix (see the module docstring), else None.  The array is
+    read-only, int16 unless a row is wider than any int16 table."""
     if not text.startswith("[[", start):
         return None
     table, blocks, width, filled, pos, closed = None, [], None, 0, start + 1, False
@@ -252,10 +274,11 @@ def _int_matrix(text: str, start: int):
         span = text[pos:stop if stop >= 2 else len(text)]
         if width is None:
             width = span.count(",", 0, span.find("]")) + 1
+            dtype = DTYPE if width <= MAX_ORDER else np.int32
             # the text has room for width rows: fill one square table block
             # by block, so that the matrix is never held twice
             if 2 * width * width <= len(text) - pos:
-                table = np.empty((width, width), dtype=np.int32)
+                table = np.empty((width, width), dtype=dtype)
         # any non-ASCII character encodes to bytes that are skeleton
         decoded = _decode_rows(span.encode("utf-8", "surrogatepass"), width)
         if decoded is None:
@@ -270,22 +293,29 @@ def _int_matrix(text: str, start: int):
             blocks.append(rows)
         filled += len(rows)
         pos += used
-    return (table[:filled] if table is not None else np.concatenate(blocks)), pos
+    out = table[:filled] if table is not None else np.concatenate(blocks, dtype=dtype)
+    out.setflags(write=False)
+    return out, pos
 
 
-def _compact_object(text: str) -> dict | None:
-    """The top-level object of ``text`` if no whitespace separates its
-    members, with each certified ``add``/``mul`` value as an array; None
-    at anything else, so that ``json.loads`` decides."""
+def _compact_object(text: str):
+    """(object, spans) for the top-level object of ``text`` if no
+    whitespace separates its members, each certified ``add``/``mul`` value
+    an array and its text ``text[spans[key]]``; None at anything else, so
+    that ``json.loads`` decides."""
     if not text.startswith('{"'):
         return None
-    data, pos = {}, 1
+    data, spans, pos = {}, {}, 1
     try:
         while True:
             key, pos = json.decoder.scanstring(text, pos + 1)
             if not text.startswith(":", pos):
                 return None
             matrix = _int_matrix(text, pos + 1) if key in ("add", "mul") else None
+            if matrix:
+                spans[key] = slice(pos + 1, matrix[1])
+            else:   # a repeated key replaces the value read before it
+                spans.pop(key, None)
             data[key], pos = matrix or _DECODER.raw_decode(text, pos + 1)
             if text.startswith("}", pos):
                 break
@@ -294,7 +324,7 @@ def _compact_object(text: str) -> dict | None:
             pos += 1
     except (ValueError, RecursionError):  # json.loads raises it again, in its words
         return None
-    return data if not text[pos + 1 :].strip(" \t\n\r") else None
+    return (data, spans) if not text[pos + 1 :].strip(" \t\n\r") else None
 
 
 def _as_int_table(rows, what: str) -> list | np.ndarray:
@@ -317,7 +347,7 @@ def _as_int_table(rows, what: str) -> list | np.ndarray:
 
 
 def _parse_json(text: str) -> StructureFile:
-    data = _compact_object(text)
+    data, spans = _compact_object(text) or (None, {})
     if data is None:
         try:
             data = json.loads(text)
@@ -352,7 +382,9 @@ def _parse_json(text: str) -> StructureFile:
     meta = data.get("meta", {})
     if not isinstance(meta, dict):
         raise ParseError("meta must be an object")
-    return StructureFile(kind=kind, n=n, add=add, mul=mul, one=one, meta=meta)
+    if spans.keys() != ({"add"} if kind == "loop" else {"add", "mul"}):
+        spans = {}
+    return StructureFile(kind=kind, n=n, add=add, mul=mul, one=one, meta=meta, spans=spans)
 
 
 def _parse_text(text: str) -> StructureFile:
@@ -430,9 +462,7 @@ def read_text(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
-def read_structure(path: str) -> StructureFile:
-    """Read and parse a structure file."""
-    text = read_text(path)
+def _parse_file(path: str, text: str) -> StructureFile:
     try:
         return parse_structure(text)
     except (ValueError, RecursionError) as exc:  # json: an integer literal past
@@ -440,10 +470,33 @@ def read_structure(path: str) -> StructureFile:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
+def read_structure(path: str) -> StructureFile:
+    """Read and parse a structure file."""
+    return _parse_file(path, read_text(path))
+
+
+_HASH_CHARS = 1 << 20   # file text encoded and hashed per piece
+
+
+def _text_chunks(text: str, span: slice):
+    """``text[span]`` as ASCII bytes, in pieces of at most ``_HASH_CHARS``."""
+    for i in range(span.start, span.stop, _HASH_CHARS):
+        yield text[i:min(i + _HASH_CHARS, span.stop)].encode()
+
+
 def load_structure(path: str, bounds: Bounds = DEFAULT_BOUNDS):
     """Read, parse and validate a structure file.
 
-    Returns (structure, meta).
+    Returns (structure, meta).  If every table was certified from the
+    file's text, validation has put each entry in 0..n-1, so that text is
+    each table's canonical JSON and the structure hash is taken from it.
     """
-    sf = read_structure(path)
-    return realize(sf, bounds), sf.meta
+    text = read_text(path)
+    sf = _parse_file(path, text)
+    structure = realize(sf, bounds)
+    if sf.spans:
+        fields = _fields(structure)
+        fields.update((key, _text_chunks(text, span)) for key, span in sf.spans.items())
+        # on the frozen structure, as a cached_property would store it
+        object.__setattr__(structure, "_file_sha256", _sha256(fields))
+    return structure, sf.meta

@@ -69,7 +69,13 @@ def as_table(obj) -> np.ndarray:
     The range check runs on the raw entries, before narrowing: an entry
     outside 0..n-1 becomes -1, so no value can wrap into the carrier,
     and the entries-in-range rows of ``AXIOMS`` still reject the table.
+    A table that already is such an array, its entries in -1..n-1 (as
+    ``io`` decodes a file's tables), is returned as it is.
     """
+    if (isinstance(obj, np.ndarray) and obj.dtype == DTYPE and not obj.flags.writeable
+            and obj.flags.c_contiguous and obj.ndim == 2 and obj.shape[0] == obj.shape[1] > 0
+            and obj.min() >= -1 and obj.max() < len(obj)):
+        return obj
     try:
         arr = np.asarray(obj)
     except ValueError:
@@ -280,9 +286,21 @@ def _sum(add: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _take(v: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """v[index] by ``take``, ``_FLAT_ENTRIES`` entries at a time, so that
+    numpy's intp copy of the int16 index stays small.  Entries lie in
+    0..n-1, so none is clipped."""
+    out = np.empty(index.shape, dtype=v.dtype)
+    flat, dest = index.reshape(-1), out.reshape(-1)
+    for r in range(0, len(flat), _FLAT_ENTRIES):
+        v.take(flat[r:r + _FLAT_ENTRIES], out=dest[r:r + _FLAT_ENTRIES], mode="clip")
+    return out
+
+
 def _endomorphism(add: np.ndarray, v: np.ndarray):
     """The ``_agree`` pair of v(a + b) and v(a) + v(b), rows a."""
-    return lambda rows: (v[add[rows]], _sum(add, v[rows, None], v))
+    v = np.ascontiguousarray(v)
+    return lambda rows: (_take(v, add[rows]), add[v[rows]][:, v])
 
 
 def _first_nonadditive_row(mul: np.ndarray, add: np.ndarray, plus):
@@ -372,12 +390,26 @@ def left_dist_witness(add: np.ndarray, mul: np.ndarray, lights: Lights | None = 
                                        add[mul[rows][:, :, None], mul[rows][:, None, :]]), start)
 
 
+_TILE = 256   # side of the square blocks ``comm_witness`` compares
+
+
 def comm_witness(op: np.ndarray):
-    """First (a, b) with a op b != b op a, else None."""
-    bad = op != op.T
-    if bad.any():
-        a, b = np.argwhere(bad)[0]
-        return (int(a), int(b))
+    """First (a, b) with a op b != b op a, else None.
+
+    Compares each ``_TILE``-square block on and above the diagonal with
+    its transposed partner, both read in cache, band by band of rows.
+    The mismatches are symmetric, so the least one, (a, b), has a < b and
+    its band is the first that holds one in these blocks; only that band
+    is compared whole.
+    """
+    n = len(op)
+    for lo in range(0, n, _TILE):
+        rows = slice(lo, lo + _TILE)
+        if all(np.array_equal(op[rows, c:c + _TILE], op[c:c + _TILE, rows].T)
+               for c in range(lo, n, _TILE)):
+            continue
+        a, b = np.argwhere(op[rows, lo:] != op[lo:, rows].T)[0]
+        return (lo + int(a), lo + int(b))
     return None
 
 

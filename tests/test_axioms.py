@@ -695,3 +695,84 @@ class TestNonadditiveRow:
         assert got == least_left_dist_witness(add.tolist(), mul.tolist()) is not None
         # one pass at S+ found the row; no pass per member, none of S*
         assert rows == [got[0]] and agreed == [] and lights.mul._members == []
+
+
+def least_right_dist_witness(add, mul):
+    n = len(add)
+    return next(((a, b, c) for a, b, c in product(range(n), repeat=3)
+                 if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]), None)
+
+
+class TestEndomorphismPass:
+    """The S* distributive pass compares v(a + b) with v(a) + v(b) for a
+    map v of ``*``; near-ring scans, whose ``+`` gets no Light's test,
+    take it for both distributive laws."""
+
+    @pytest.mark.parametrize("spec", ["m0:cyclic:3", "m0:cyclic:4", "m0:nonassoc5"])
+    def test_pair_is_the_plain_gathers(self, spec):
+        # m0:nonassoc5 gathers 625^2 entries, many chunks of _FLAT_ENTRIES
+        nr = parse_spec(spec)
+        add, n = nr.add, nr.n
+        rng = np.random.default_rng(n)
+        for v in (nr.mul[:, n // 2], nr.mul[n // 3], rng.integers(0, n, n).astype(np.int16)):
+            for rows in (slice(0, n), slice(n // 2, n // 2 + 3)):
+                lhs, rhs = tables._endomorphism(add, v)(rows)
+                assert np.array_equal(lhs, v[add[rows]])
+                assert np.array_equal(rhs, add[v[rows][:, None], v[None, :]])
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("spec", ["m0:cyclic:3", "m0:cyclic:4", "ut2:cyclic:2"])
+    def test_corrupted_addition_fails_the_pass(self, spec, seed):
+        # one add entry changed keeps * associative, so the laws are
+        # decided at S*; no Light's test of + runs
+        n, add, mul, _ = base(spec)
+        rng = np.random.default_rng(seed)
+        add = [row[:] for row in add]
+        i, j = rng.integers(1, n, 2)
+        add[i][j] = (add[i][j] + int(rng.integers(1, n))) % n
+        a, m = tables.as_table(add), tables.as_table(mul)
+        lights = tables.Lights(tables.Light(m))
+        assert lights.mul.generators is not None and lights.additive_passes() is None
+        want = least_right_dist_witness(add, mul)
+        assert want is not None
+        assert tables.right_dist_witness(a, m, lights) == want
+        assert tables.left_dist_witness(a, m, lights) == least_left_dist_witness(add, mul)
+
+    def test_corrupted_nonassoc5_near_ring_is_refused(self):
+        nr = parse_spec("m0:nonassoc5")
+        swap = np.arange(nr.n)
+        swap[[3, 4]] = [4, 3]
+        add = swap[nr.add[swap[:, None], swap]]   # + relabelled by 3 <-> 4: a loop, mul kept
+        with pytest.raises(RightDistributivityFails):
+            validate_lnr(add, nr.mul, nr.one)
+
+
+class TestCommutativity:
+    """``comm_witness`` compares square blocks; its witness is the one
+    pass's least (a, b) with a op b != b op a."""
+
+    @staticmethod
+    def one_pass(op):
+        bad = op != op.T
+        return tuple(int(x) for x in np.argwhere(bad)[0]) if bad.any() else None
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("n", [16, 256, 300, 512])
+    def test_witness_of_a_corrupted_relabelled_table(self, n, seed):
+        rng = np.random.default_rng(seed)
+        new = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+        old = np.argsort(new)
+        op = new[(np.add.outer(old, old) % n)]   # cyclic:n relabelled along new
+        assert tables.comm_witness(tables.as_table(op)) is None
+        for _ in range(1 + seed % 3):
+            i, j = rng.integers(0, n, 2)
+            op[i, j] = (op[i, j] + rng.integers(1, n)) % n
+        table = tables.as_table(op)
+        assert tables.comm_witness(table) == self.one_pass(op)
+
+    @pytest.mark.parametrize("cell", [(0, 1), (255, 256), (256, 257), (0, 511), (510, 511),
+                                      (300, 20), (511, 0)])
+    def test_witness_at_block_edges(self, cell):
+        op = np.add.outer(np.arange(512), np.arange(512)) % 512
+        op[cell] = (op[cell] + 1) % 512
+        assert tables.comm_witness(tables.as_table(op)) == self.one_pass(op) == tuple(sorted(cell))

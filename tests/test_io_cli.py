@@ -292,13 +292,14 @@ class TestArrayRoute:
         text = json.dumps(rows, separators=(",", ":"))
         with no_warnings():
             array, end = loopnr_io._int_matrix(text, 0)
-        assert end == len(text)
-        assert array.tolist() == [[v if 0 <= v < 10**read else -1 for v in row] for row in rows]
+        assert end == len(text) and array.dtype == np.int16
+        assert array.tolist() == [[v if 0 <= v < width else -1 for v in row] for row in rows]
 
-    def test_certified_table_is_the_int32_array(self):
-        text = "[[0,-12],[3,40]],"
+    def test_certified_table_is_the_int16_array(self):
+        text = "[[0,-12],[3,1]],"
         array, end = loopnr_io._int_matrix(text, 0)
-        assert array.dtype == np.int32 and array.tolist() == [[0, -1], [3, -1]]
+        assert array.dtype == np.int16 and array.tolist() == [[0, -1], [-1, 1]]
+        assert not array.flags.writeable
         assert text[end:] == ","
 
     def test_blocks_fill_one_square_table(self):
@@ -368,6 +369,98 @@ class TestArrayRoute:
             sf = parse_structure(dump_structure(parse_spec(spec), meta={"name": spec}))
             tables = [sf.add] if sf.kind == "loop" else [sf.add, sf.mul]
             assert all(isinstance(t, np.ndarray) for t in tables), spec
+
+
+def relabelled(structure, seed=0):
+    """The field dict of ``structure`` relabelled along a random
+    permutation that fixes 0, keys in the order (kind, n, add, meta, mul,
+    one)."""
+    fields = structure_to_dict(structure, {"name": "x"})
+    n = fields["n"]
+    rng = np.random.default_rng(seed)
+    new = np.concatenate([[0], 1 + rng.permutation(n - 1)]) if n > 1 else np.zeros(1, int)
+    old = np.argsort(new)
+    out = {"kind": fields["kind"], "n": n}
+    for key in ("add", "meta", "mul", "one"):
+        if key not in fields:
+            continue
+        value = fields[key]
+        if key in ("add", "mul"):
+            value = new[np.asarray(value)[old[:, None], old]].tolist()
+        elif key == "one":
+            value = int(new[value])
+        out[key] = value
+    return out
+
+
+class TestFileHash:
+    """A compact file's structure hash is taken from its certified bytes
+    once validation has passed, and equals the rendering route's."""
+
+    @staticmethod
+    def loaded(path):
+        """(hash, whether it was stored by load_structure, rendered hash)."""
+        structure, _ = loopnr.load_structure(str(path))
+        stored = getattr(structure, "_file_sha256", None)
+        rendered = loopnr_io._sha256(loopnr_io._fields(structure))
+        return structure_sha256(structure), stored is not None, rendered
+
+    @pytest.mark.parametrize("spec", [spec for spec, _, _ in generators.CATALOG])
+    def test_every_layout_hashes_as_rendered(self, spec, tmp_path):
+        structure = parse_spec(spec)
+        want = structure_sha256(structure)
+        moved = relabelled(structure)
+        layouts = {   # file text, whether its hash is read off the file
+            "generated": (dump_structure(structure, meta={"name": spec}), True),
+            "relabelled": (json.dumps(moved, separators=(",", ":")), True),
+            "indent": (json.dumps(moved, indent=1), False),
+            "text": (dump_structure_text(structure), False),
+        }
+        p = tmp_path / "s.json"
+        hashes = {}
+        for name, (text, stored) in layouts.items():
+            p.write_text(text)
+            sha, got_stored, rendered = self.loaded(p)
+            assert (sha, got_stored) == (rendered, stored), name
+            hashes[name] = sha
+        assert hashes["generated"] == hashes["text"] == want
+        assert hashes["relabelled"] == hashes["indent"]
+
+    @pytest.mark.parametrize("entry, error", [
+        ("6", loopnr.ValidationError), ("-1", loopnr.ValidationError),
+        ("01", ParseError), ("00", ParseError), ("-0", None)])
+    def test_no_digest_off_a_table_that_is_not_canonical(self, entry, error, tmp_path):
+        text = dump_structure(corpus.z(6))
+        at = text.index('"mul":[[') + len('"mul":[[')
+        p = tmp_path / "z6.json"
+        p.write_text(text[:at] + entry + text[at + 1:])   # mul[0][0], 0 in Z/6
+        with mock.patch.object(loopnr_io, "_sha256", side_effect=AssertionError):
+            if error is not None:
+                with pytest.raises(error):
+                    loopnr.load_structure(str(p))
+                return
+            structure, _ = loopnr.load_structure(str(p))
+        # json.loads reads -0 as 0: the file is valid, its hash rendered
+        assert getattr(structure, "_file_sha256", None) is None
+        assert structure_sha256(structure) == structure_sha256(corpus.z(6))
+
+    def test_check_hashes_nothing(self, capsys, tmp_path):
+        p = tmp_path / "z6.json"
+        p.write_text(dump_structure(corpus.z(6)))
+        with mock.patch.object(loopnr_io, "_sha256", side_effect=AssertionError), \
+                mock.patch.object(loopnr_io, "structure_sha256", side_effect=AssertionError):
+            assert run_cli(capsys, "check", str(p))[0] == 0
+        assert loopnr.load_structure(str(p))[0]._file_sha256 == structure_sha256(corpus.z(6))
+
+    def test_a_repeated_table_key_hashes_its_last_value(self, tmp_path):
+        z6 = dump_structure(corpus.z(6))
+        add = z6[z6.index('"add":') + 6:z6.index(',"kind"')]
+        p = tmp_path / "z6.json"
+        # the last "add" value is certified, then one that json reads
+        for last, stored in ((add, True), (json.dumps(json.loads(add), indent=1), False)):
+            p.write_text('{"add":[[0]],"add":%s,' % last + z6[z6.index('"kind"'):])
+            sha, got_stored, rendered = self.loaded(p)
+            assert (sha, got_stored) == (structure_sha256(corpus.z(6)), stored)
 
 
 @st.composite
