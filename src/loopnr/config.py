@@ -23,6 +23,9 @@ class Bounds:
     max_families: int = 4096     # enumerated-family cap before LimitReached
 
     def __post_init__(self):
+        for cap, value in vars(self).items():
+            if value < 0:
+                raise ValueError(f"{cap} {value} is negative: a cap is at least 0")
         if self.max_n > MAX_ORDER:
             raise ValueError(f"max_n {self.max_n} is past {MAX_ORDER}, "
                              "the most elements an int16 table can index")

@@ -23,18 +23,19 @@ plain-text form is accepted on input only, for hand-written tables:
 
 A loop file is the kind line plus the addition rows.
 
-The compact JSON form, as ``generate`` writes it, is also the fast form:
-a top-level ``"add"`` or ``"mul"`` value written as ``[[r,r,...],[...]]``
-decodes from its bytes, in blocks of whole rows, straight into a
-read-only int16 array that ``tables.as_table`` takes without a copy.  A
-block is certified when its skeleton (every byte other than a digit or
-``-``) is exactly ``[`` ``,``...``]`` per row, ``,`` between rows and ``]``
-after the last, and ``json.loads`` reads each entry as an integer other
-than ``-0``.  An entry of at most D = len(str(n - 1)) digits is read from
-its last D bytes; an entry of n or more, a longer one or a signed one
-lies outside 0..n-1 and decodes to -1, as ``tables.as_table`` maps it.
-Anything else goes through ``json.loads``, with the same verdicts,
-messages and witnesses.
+The compact JSON form, as ``generate`` writes it, is also the fast form,
+taken by a file as a whole: if every top-level ``"add"`` and ``"mul"``
+value is a certified square matrix ``[[r,r,...],[...]]`` of at most
+32,768 rows, each decodes from its bytes, in blocks of whole rows,
+straight into one read-only int16 table that ``tables.as_table`` takes
+without a copy.  A block is certified when its skeleton (every byte
+other than a digit or ``-``) is exactly ``[`` ``,``...``]`` per row, ``,``
+between rows and ``]`` after the last, and ``json.loads`` reads each
+entry as an integer other than ``-0``.  An entry of at most
+D = len(str(n - 1)) digits is read from its last D bytes; an entry of n
+or more, a longer one or a signed one lies outside 0..n-1 and decodes to
+-1, as ``tables.as_table`` maps it.  ``json.loads`` reads any other file
+whole, with the same verdicts, messages and witnesses.
 
 Once such a file's tables have been validated, every entry of them is
 literally ``str(v)`` for its value v, so each table's text already is
@@ -86,7 +87,7 @@ class StructureFile:
     mul: list | np.ndarray | None = None
     one: int | None = None
     meta: dict = field(default_factory=dict)
-    # where each table's certified text lies in the file, if every table's does
+    # where each table's certified text lies in the file; empty if json.loads read it
     spans: dict = field(default_factory=dict)
 
 
@@ -219,7 +220,7 @@ def _decode_rows(text: bytes, width: int):
     json.loads reads, other than -0.  An entry of width or more (of more
     than D digits, say), or a signed one, decodes to -1.
     """
-    read = len(str(width - 1))   # D: below 10, so int32, for any table that fits in memory
+    read = len(str(width - 1))   # D: at most 5 for a width up to MAX_ORDER, so int32
     chars = np.frombuffer(text, np.uint8)
     # every character other than a digit or "-" is skeleton
     cut = np.flatnonzero((chars - 48 > 9) & (chars != 45))
@@ -262,47 +263,39 @@ def _decode_rows(text: bytes, width: int):
 
 
 def _int_matrix(text: str, start: int):
-    """(array, end) if the JSON value at ``start`` is a certified compact
-    integer matrix (see the module docstring), else None.  The array is
-    read-only, int16 unless a row is wider than any int16 table."""
+    """(table, end) if the JSON value at ``start`` is a certified compact
+    square integer matrix (see the module docstring) of at most
+    ``MAX_ORDER`` rows, else None.  The table is a read-only int16 array."""
     if not text.startswith("[[", start):
         return None
-    table, blocks, width, filled, pos, closed = None, [], None, 0, start + 1, False
+    pos = start + 1
+    width = text.count(",", pos, text.find("]", pos)) + 1
+    # width rows of width entries take at least 2 * width**2 characters
+    if width > MAX_ORDER or 2 * width * width > len(text) - pos:
+        return None
+    # filled block by block, so that the matrix is never held twice
+    table, filled, closed = np.empty((width, width), dtype=DTYPE), 0, False
     while not closed:
         # a block runs to the "," after the first row to end past its budget
         stop = text.find("]", pos + _BLOCK_BYTES) + 2
         span = text[pos:stop if stop >= 2 else len(text)]
-        if width is None:
-            width = span.count(",", 0, span.find("]")) + 1
-            dtype = DTYPE if width <= MAX_ORDER else np.int32
-            # the text has room for width rows: fill one square table block
-            # by block, so that the matrix is never held twice
-            if 2 * width * width <= len(text) - pos:
-                table = np.empty((width, width), dtype=dtype)
         # any non-ASCII character encodes to bytes that are skeleton
         decoded = _decode_rows(span.encode("utf-8", "surrogatepass"), width)
-        if decoded is None:
+        if decoded is None or filled + len(decoded[0]) > width:
             return None
         rows, used, closed = decoded
-        if table is not None and filled + len(rows) <= width:
-            table[filled:filled + len(rows)] = rows
-        else:
-            # the rows do not fit a square table: keep the blocks and join them
-            if table is not None:
-                blocks, table = [table[:filled]], None
-            blocks.append(rows)
+        table[filled:filled + len(rows)] = rows
         filled += len(rows)
         pos += used
-    out = table[:filled] if table is not None else np.concatenate(blocks, dtype=dtype)
-    out.setflags(write=False)
-    return out, pos
+    table.setflags(write=False)
+    return (table, pos) if filled == width else None
 
 
 def _compact_object(text: str):
     """(object, spans) for the top-level object of ``text`` if no
-    whitespace separates its members, each certified ``add``/``mul`` value
-    an array and its text ``text[spans[key]]``; None at anything else, so
-    that ``json.loads`` decides."""
+    whitespace separates its members and every ``add``/``mul`` value is
+    certified, each such value an array and its text ``text[spans[key]]``;
+    None at anything else, so that ``json.loads`` reads the whole file."""
     if not text.startswith('{"'):
         return None
     data, spans, pos = {}, {}, 1
@@ -311,12 +304,13 @@ def _compact_object(text: str):
             key, pos = json.decoder.scanstring(text, pos + 1)
             if not text.startswith(":", pos):
                 return None
-            matrix = _int_matrix(text, pos + 1) if key in ("add", "mul") else None
-            if matrix:
+            if key not in ("add", "mul"):
+                data[key], pos = _DECODER.raw_decode(text, pos + 1)
+            elif (matrix := _int_matrix(text, pos + 1)) is None:
+                return None
+            else:   # a repeated key replaces the value and span read before it
                 spans[key] = slice(pos + 1, matrix[1])
-            else:   # a repeated key replaces the value read before it
-                spans.pop(key, None)
-            data[key], pos = matrix or _DECODER.raw_decode(text, pos + 1)
+                data[key], pos = matrix
             if text.startswith("}", pos):
                 break
             if not text.startswith(',"', pos):
@@ -327,22 +321,24 @@ def _compact_object(text: str):
     return (data, spans) if not text[pos + 1 :].strip(" \t\n\r") else None
 
 
-def _as_int_table(rows, what: str) -> list | np.ndarray:
-    if isinstance(rows, np.ndarray):  # certified by _int_matrix
-        return rows
-    if not isinstance(rows, list) or not rows:
-        raise ParseError(f"{what} table must be a nonempty list of rows")
-    width = None
-    for row in rows:
-        if not isinstance(row, list):
-            raise ParseError(f"{what} table rows must be lists")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError(f"{what} table is not rectangular")
-        # one type-set test per row; bools (type bool) are refused too
-        if not set(map(type, row)) <= {int}:
-            raise ParseError(f"{what} table entries must be integers")
+def _as_int_table(rows, what: str, n: int) -> list | np.ndarray:
+    """``rows`` if they make an n x n table of integers, else a ParseError."""
+    if not isinstance(rows, np.ndarray):  # an array is certified by _int_matrix
+        if not isinstance(rows, list) or not rows:
+            raise ParseError(f"{what} table must be a nonempty list of rows")
+        width = None
+        for row in rows:
+            if not isinstance(row, list):
+                raise ParseError(f"{what} table rows must be lists")
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise ParseError(f"{what} table is not rectangular")
+            # one type-set test per row; bools (type bool) are refused too
+            if not set(map(type, row)) <= {int}:
+                raise ParseError(f"{what} table entries must be integers")
+    if len(rows) != n or len(rows[0]) != n:
+        raise ParseError(f"{what} table is not {n}x{n}")
     return rows
 
 
@@ -363,9 +359,7 @@ def _parse_json(text: str) -> StructureFile:
         raise ParseError("n must be a positive integer")
     if "add" not in data:
         raise ParseError("missing add table")
-    add = _as_int_table(data["add"], "add")
-    if len(add) != n or len(add[0]) != n:
-        raise ParseError(f"add table is not {n}x{n}")
+    add = _as_int_table(data["add"], "add", n)
     mul = one = None
     if kind == "loop":
         if "mul" in data or "one" in data:
@@ -373,17 +367,13 @@ def _parse_json(text: str) -> StructureFile:
     else:
         if "mul" not in data or "one" not in data:
             raise ParseError(f"{kind} files need mul and one")
-        mul = _as_int_table(data["mul"], "mul")
-        if len(mul) != n or len(mul[0]) != n:
-            raise ParseError(f"mul table is not {n}x{n}")
+        mul = _as_int_table(data["mul"], "mul", n)
         one = data["one"]
         if not isinstance(one, int) or isinstance(one, bool):
             raise ParseError("one must be an integer")
     meta = data.get("meta", {})
     if not isinstance(meta, dict):
         raise ParseError("meta must be an object")
-    if spans.keys() != ({"add"} if kind == "loop" else {"add", "mul"}):
-        spans = {}
     return StructureFile(kind=kind, n=n, add=add, mul=mul, one=one, meta=meta, spans=spans)
 
 
@@ -457,9 +447,12 @@ def realize(sf: StructureFile, bounds: Bounds = DEFAULT_BOUNDS):
 def read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    if text.startswith("\ufeff"):
+        raise ParseError(f"cannot read {path}: it starts with a UTF-8 byte-order mark")
+    return text
 
 
 def _parse_file(path: str, text: str) -> StructureFile:

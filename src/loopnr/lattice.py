@@ -67,9 +67,6 @@ class ClosureSystem:
         self.absorbing = absorbing
         # whether the join of closed sets is their sumset under binary[0]
         self.sumsets = sumsets
-        # the principal table of the last closed_sets, which join uses on
-        # the closed sets holding its seed
-        self.principal = None
 
     def _images(self, frontier: np.ndarray, members: np.ndarray) -> Iterator[np.ndarray]:
         """Every table entry with at least one argument in the frontier."""
@@ -154,16 +151,18 @@ class ClosureSystem:
         mask[x] = True
         return self._saturate(mask, np.array([x]))
 
-    def join(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def join(self, a: np.ndarray, b: np.ndarray,
+             principal: np.ndarray | None = None) -> np.ndarray:
         """The closure of a | b for closed masks a and b.
 
         With ``sumsets`` it is the sumset a + b, one gather of the table
         over a x b in blocks of rows, stopped once the carrier is
         covered.  Otherwise it is saturated: entries within a or within
         b stay inside, so only pairs that touch the smaller of the two
-        differences are new, and after closed_sets the saturation ends
-        at a covering principal.  closed_sets calls this only for the
-        joins that no one-step principal witness settles (see _Witness).
+        differences are new, and given the principal table of a seed
+        that a and b hold, the saturation ends at a covering principal.
+        closed_sets calls this, with its table, only for the joins that
+        no one-step principal witness settles (see _Witness).
         """
         if self.sumsets:
             mi, mj = np.flatnonzero(a), np.flatnonzero(b)
@@ -177,7 +176,7 @@ class ClosureSystem:
         only_b = np.flatnonzero(b & ~a)
         only_a = np.flatnonzero(a & ~b)
         frontier = only_b if only_b.size <= only_a.size else only_a
-        return self._saturate(a | b, frontier, self.principal)
+        return self._saturate(a | b, frontier, principal)
 
     def closed_sets(
         self, seed: Iterable[int] = (), principal: np.ndarray | None = None
@@ -215,7 +214,6 @@ class ClosureSystem:
             principal[bottom] = bottom
             for x in np.flatnonzero(~bottom):
                 principal[x] = self._extend(bottom, x)
-        self.principal = principal
         rowbits = [int.from_bytes(row.tobytes(), "little")
                    for row in np.packbits(principal, axis=1, bitorder="little")]
         # each principal closure by bitset, with the elements whose row it is
@@ -252,7 +250,7 @@ class ClosureSystem:
                     members = np.flatnonzero(s)
                 # a witnessed join is a principal, and every principal is found
                 if witness.find(members, x, u) is None:
-                    j = self.join(s, p)
+                    j = self.join(s, p, principal)
                     jb = bits_of(j)
                     if jb not in found:
                         found[jb] = j

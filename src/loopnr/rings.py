@@ -80,8 +80,8 @@ class FiniteRing(LoopNearRing):
 
     @cached_property
     def _quotient(self) -> Quotient:
-        # A/J, built and certified once
-        return quotient_ring(self, self._radical)
+        # A/J, built and certified once, by the radical certified once
+        return _quotient_by(self, self._radical)
 
 
 def validate_ring(nr: LoopNearRing) -> FiniteRing:
@@ -191,7 +191,12 @@ def quotient_ring(ring: FiniteRing, ideal) -> Quotient:
     and the quotient inherits A's ring laws: only the rows that are not
     laws are scanned.
     """
-    ideal = validate_ideal(ring, ideal.members if isinstance(ideal, TwoSidedIdeal) else ideal)
+    return _quotient_by(
+        ring, validate_ideal(ring, ideal.members if isinstance(ideal, TwoSidedIdeal) else ideal))
+
+
+def _quotient_by(ring: FiniteRing, ideal: TwoSidedIdeal) -> Quotient:
+    """A / I for an ideal that ``validate_ideal`` has certified."""
     if len(ideal) == 1:
         return Quotient(ring=ring, leaders=tuple(range(ring.n)), projection=tuple(range(ring.n)))
     ii = np.fromiter(ideal.members.sorted_members, dtype=np.int64)

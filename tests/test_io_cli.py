@@ -278,8 +278,11 @@ class TestArrayRoute:
             want = parse_outcome(text)
         assert parse_outcome(text) == want
 
-    @pytest.mark.parametrize("width", [1, 2, 10, 11, 100, 101, 1000, 1001, 9999])
-    def test_every_digit_count_decodes_exactly(self, width):
+    @staticmethod
+    def digit_rows(width, count=None):
+        """Rows of ``width`` entries holding entries of every digit count,
+        in 0..width-1 and outside it, signed and not, padded with 0 to
+        ``count`` rows (the fewest that hold them by default)."""
         read = len(str(width - 1))   # D, the digits of the largest entry in range
         inside = sorted({0, width - 1} | {10**k - 1 for k in range(1, read)}
                         | {10**k for k in range(read) if 10**k < width})
@@ -287,13 +290,26 @@ class TestArrayRoute:
         longer = [10**k for k in range(read, 21)] + [10**k - 1 for k in range(read + 1, 21)]
         signed = [-v for v in inside if v] + [-v - 7 for v in longer]
         entries = inside + shorter + longer + signed
-        entries += [0] * (-len(entries) % width)
-        rows = [entries[i:i + width] for i in range(0, len(entries), width)]
+        count = count or -(-len(entries) // width)
+        entries += [0] * (count * width - len(entries))
+        return [entries[i:i + width] for i in range(0, len(entries), width)]
+
+    @pytest.mark.parametrize("width", [1, 2, 10, 11, 100, 101, 1000, 1001, 9999])
+    def test_every_digit_count_decodes_exactly(self, width):
+        rows = self.digit_rows(width)
+        text = json.dumps(rows, separators=(",", ":"))
+        with no_warnings():
+            values, used, closed = loopnr_io._decode_rows(text[1:].encode(), width)
+        assert used == len(text) - 1 and closed
+        assert values.tolist() == [[v if 0 <= v < width else -1 for v in row] for row in rows]
+
+    def test_a_square_matrix_of_every_digit_count_is_one_int16_table(self):
+        rows = self.digit_rows(101, 101)
         text = json.dumps(rows, separators=(",", ":"))
         with no_warnings():
             array, end = loopnr_io._int_matrix(text, 0)
-        assert end == len(text) and array.dtype == np.int16
-        assert array.tolist() == [[v if 0 <= v < width else -1 for v in row] for row in rows]
+        assert end == len(text) and array.dtype == np.int16 and not array.flags.writeable
+        assert array.tolist() == [[v if 0 <= v < 101 else -1 for v in row] for row in rows]
 
     def test_certified_table_is_the_int16_array(self):
         text = "[[0,-12],[3,1]],"
@@ -305,16 +321,89 @@ class TestArrayRoute:
     def test_blocks_fill_one_square_table(self):
         square = np.arange(30 * 30).reshape(30, 30) % 30
         text = json.dumps(square.tolist(), separators=(",", ":"))
-        with mock.patch.object(loopnr_io, "_BLOCK_BYTES", 16), \
-                mock.patch.object(np, "concatenate", side_effect=AssertionError):
+        with mock.patch.object(loopnr_io, "_BLOCK_BYTES", 16):
             array, end = loopnr_io._int_matrix(text, 0)
         assert end == len(text) and np.array_equal(array, square)
-        # a row count other than the width falls back to joining the blocks
+        # a row count other than the width sends the file to json.loads
         for rows in (square[:29], np.vstack([square, square[:1]]), square[:, :29]):
-            text = json.dumps(rows.tolist(), separators=(",", ":"))
+            table = json.dumps(rows.tolist(), separators=(",", ":"))
+            text = '{"add":%s,"kind":"loop","n":30}' % table
             with mock.patch.object(loopnr_io, "_BLOCK_BYTES", 16):
-                array, end = loopnr_io._int_matrix(text, 0)
-            assert end == len(text) and np.array_equal(array, rows)
+                assert loopnr_io._int_matrix(table, 0) is None
+                got = parse_outcome(text)
+            with json_route():
+                assert got == parse_outcome(text)
+            assert got[0] == "ParseError"
+
+    @staticmethod
+    def mixed_document(mixed):
+        """The compact ``cyclic:6`` file with one table that is not certified:
+        a ``-0`` entry in mul, or add indented."""
+        z6 = dump_structure(corpus.z(6), meta={"name": "cyclic:6"})
+        if mixed == "minus-zero-mul":
+            at = z6.index('"mul":[[') + len('"mul":[[')
+            return z6[:at] + "-0" + z6[at + 1:]   # mul[0][0], 0 in Z/6
+        add = z6[z6.index('"add":') + 6:z6.index(',"kind"')]
+        return z6.replace(add, json.dumps(json.loads(add), indent=1), 1)
+
+    @pytest.mark.parametrize("mixed", ["minus-zero-mul", "indented-add"])
+    def test_one_uncertified_table_sends_the_whole_file_to_json(self, capsys, tmp_path, mixed):
+        text = self.mixed_document(mixed)
+        sf = parse_structure(text)
+        assert type(sf.add) is type(sf.mul) is list and sf.spans == {}
+        p = tmp_path / "z6.json"
+        p.write_text(text)
+        outcomes = []
+        for route in (contextlib.nullcontext(), json_route()):
+            with route:
+                structure, _ = loopnr.load_structure(str(p))
+                outcomes.append([run_cli(capsys, c, str(p)) for c in ("check", "analyze")]
+                                + [structure_sha256(structure)])
+        assert outcomes[0] == outcomes[1]
+        assert [code for code, _ in outcomes[0][:2]] == [0, 0]
+        assert getattr(structure, "_file_sha256", None) is None
+        assert outcomes[0][2] == structure_sha256(corpus.z(6))
+
+    @staticmethod
+    def assert_one_route(sf):
+        """Both tables are read-only square int16 arrays with a span each,
+        or both are lists with none."""
+        tables = {"add": sf.add} if sf.kind == "loop" else {"add": sf.add, "mul": sf.mul}
+        if isinstance(sf.add, np.ndarray):
+            assert sf.spans.keys() == tables.keys()
+            for table in tables.values():
+                assert isinstance(table, np.ndarray) and table.dtype == np.int16
+                assert table.shape == (sf.n, sf.n) and not table.flags.writeable
+        else:
+            assert sf.spans == {} and all(type(t) is list for t in tables.values())
+
+    @pytest.mark.parametrize("spec", [spec for spec, _, _ in generators.CATALOG])
+    def test_a_file_takes_one_route_whole(self, spec):
+        structure = parse_spec(spec)
+        moved = relabelled(structure)
+        compact = [dump_structure(structure, meta={"name": spec}),
+                   json.dumps(moved, separators=(",", ":"))]
+        texts = compact + [json.dumps(moved, indent=1)]
+        key = '"add":[[' if structure.kind == "loop" else '"mul":[['
+        for text in compact:
+            at = text.index(key) + len(key)
+            # the first entry of the last table replaced or split into two
+            # rows, a space after it, the last row dropped
+            texts += [text[:at] + entry + text[at + 1:]
+                      for entry in ("-0", "01", "-1", str(structure.n), "1e3", "0],[0")]
+            texts.append(text[:at + 1] + " " + text[at + 1:])
+            if structure.n > 1:
+                close = text.index("]]", at)
+                texts.append(text[:text.rindex("],[", 0, close) + 1] + text[close + 1:])
+        routes = set()
+        for text in texts:
+            try:
+                sf = parse_structure(text)
+            except ParseError:
+                continue
+            self.assert_one_route(sf)
+            routes.add(type(sf.add))
+        assert routes == {np.ndarray, list}
 
     @pytest.mark.parametrize("corrupt", [False, True])
     def test_compact_files_skip_the_list_loop(self, capsys, monkeypatch, tmp_path, corrupt):
@@ -330,7 +419,7 @@ class TestArrayRoute:
         seen = []
         kernel = loopnr_io._as_int_table
         monkeypatch.setattr(loopnr_io, "_as_int_table",
-                            lambda rows, what: seen.append(type(rows)) or kernel(rows, what))
+                            lambda rows, what, n: seen.append(type(rows)) or kernel(rows, what, n))
         p = tmp_path / "z6.json"
         reports = set()
         for text, route in layouts.values():
@@ -551,6 +640,23 @@ class TestUnreadableBytes:
         assert code == 2
         assert out.startswith(f"parse error: cannot read {p}: 'utf-8' codec")
 
+    def test_byte_order_mark_structure_file_is_a_parse_error(self, capsys, tmp_path):
+        # not a text file whose first line is "\ufeff{...}"
+        p = tmp_path / "z3.json"
+        p.write_text("\ufeff" + dump_structure(corpus.z(3), meta={"name": "cyclic:3"}))
+        for command in ("check", "analyze"):
+            code, out = run_cli(capsys, command, str(p))
+            assert (code, out) == (2, f"parse error: cannot read {p}: "
+                                      "it starts with a UTF-8 byte-order mark\n")
+
+    def test_byte_order_mark_map_file_is_a_parse_error(self, capsys, tmp_path):
+        # not a whitespace map file whose first entry is "\ufeff[0,1]"
+        p = tmp_path / "map.json"
+        p.write_text("\ufeff[0,1]")
+        code, out = run_cli(capsys, "hom", "cyclic:2", "cyclic:2", str(p))
+        assert (code, out) == (2, f"parse error: cannot read {p}: "
+                                  "it starts with a UTF-8 byte-order mark\n")
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -658,6 +764,33 @@ class TestCliCheck:
         code, out = run_cli(capsys, "check", "cyclic:6", *(["--max-n", flag] if flag else []))
         assert code == 2
         assert out.startswith("parse error:") and "int16" in out
+
+    @pytest.mark.parametrize("argv, env, cap, value", [
+        (["check", "cyclic:6", "--max-n", "-1"], {}, "max_n", -1),
+        (["analyze", "nonassoc5", "--subloops"], {"LOOPNR_MAX_SUBLOOPS": "-2"},
+         "max_subloop_n", -2),
+        (["analyze", "nonassoc5", "--subloops", "--max-subloops", "-1"], {}, "max_subloop_n", -1),
+        (["decompose", "cyclic:6", "--verify-uniqueness"], {"LOOPNR_MAX_FAMILIES": "-1"},
+         "max_families", -1),
+        (["decompose", "cyclic:6", "--verify-uniqueness", "--max-families", "-3"], {},
+         "max_families", -3),
+        (["decompose", "cyclic:6", "--verify-uniqueness"], {"LOOPNR_MAX_FAMILY_N": "-1"},
+         "max_family_n", -1),
+        (["analyze", "cyclic:6", "--local"], {"LOOPNR_MAX_ENUM_N": "-5"}, "max_enum_n", -5),
+    ])
+    def test_negative_cap_is_a_parse_error(self, capsys, monkeypatch, argv, env, cap, value):
+        # refused as a setting, not as every input being past it
+        for var, setting in env.items():
+            monkeypatch.setenv(var, setting)
+        code, out = run_cli(capsys, *argv)
+        assert (code, out) == (2, f"parse error: {cap} {value} is negative: a cap is at least 0\n")
+
+    def test_cap_of_zero_is_valid(self, capsys):
+        from loopnr.config import Bounds
+
+        assert Bounds(max_n=0, max_subloop_n=0, max_enum_n=0, max_family_n=0, max_families=0)
+        code, out = run_cli(capsys, "check", "cyclic:6", "--max-n", "0")
+        assert code == 3 and "cap is 0 (max_n)" in out
 
     def test_spec_is_not_rescanned(self, capsys, monkeypatch):
         from loopnr import tables

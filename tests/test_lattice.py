@@ -215,11 +215,11 @@ class TestClosedSetsWork:
         join, saturate, find = ClosureSystem.join, ClosureSystem._saturate, lattice._Witness.find
         joining = []
 
-        def recording_join(self, a, b):
+        def recording_join(self, a, b, principal=None):
             joined.append(bits_of(b))
             joining.append(joined[-1])
             try:
-                return join(self, a, b)
+                return join(self, a, b, principal)
             finally:
                 joining.pop()
 
@@ -268,13 +268,15 @@ class TestClosedSetsWork:
         assert len(saturating) <= saturated
 
     @staticmethod
-    def assert_witnesses_are_closures(monkeypatch, system, *args):
+    def assert_witnesses_are_closures(monkeypatch, system, seed, principal=None):
         _, _, tried = TestClosedSetsWork.record_joins(monkeypatch)
-        list(system.closed_sets(*args))
+        list(system.closed_sets(seed, principal))
+        if principal is None:   # row y is the closure of the seed and y
+            principal = np.array([system.close([*seed, y]) for y in range(system.n)])
         for _, u, y in tried:
             if y is not None:
                 union = [i for i in range(system.n) if u >> i & 1]
-                assert np.array_equal(system.principal[y], system.close(union))
+                assert np.array_equal(principal[y], system.close(union))
         return sum(y is not None for _, _, y in tried)
 
     @given(small_near_rings())
@@ -481,7 +483,7 @@ class TestLatticeCache:
     def test_full_analyze_certifies_each_radical_once(self, monkeypatch, capsys):
         certified, quotients = [], []
         radical = rings.radical_by_quasiregularity
-        quotient = rings.quotient_ring
+        quotient = rings._quotient_by
 
         def counting_radical(ring):
             certified.append(ring)
@@ -492,7 +494,7 @@ class TestLatticeCache:
             return quotient(ring, ideal)
 
         monkeypatch.setattr(rings, "radical_by_quasiregularity", counting_radical)
-        monkeypatch.setattr(rings, "quotient_ring", counting_quotient)
+        monkeypatch.setattr(rings, "_quotient_by", counting_quotient)
         argv = ["analyze", "matrix:cyclic:4,2",
                 "--local", "--subloops", "--radical", "--idempotents"]
         assert main(argv) == 0

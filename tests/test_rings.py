@@ -4,10 +4,12 @@ import pytest
 from loopnr import (
     CATALOG,
     AdditionNotAbelianGroup,
+    ElementSubset,
     LeftDistributivityFails,
     NotAnIdeal,
     NotApproximatelyIdempotent,
     NotIdempotent,
+    TwoSidedIdeal,
     corner_ring,
     coset_idempotents,
     idempotents,
@@ -151,6 +153,24 @@ class TestQuotient:
         q = quotient_ring(ring, {0, 3})
         f = validate_lnr_hom(q.projection, ring, q.ring)
         assert not f.unit_reflecting
+
+    def test_the_certified_radical_is_validated_once(self, monkeypatch):
+        from loopnr import rings
+
+        validated = []
+        validate = rings.validate_ideal
+        monkeypatch.setattr(rings, "validate_ideal",
+                            lambda ring, subset: validated.append(ring) or validate(ring, subset))
+        ring = parse_spec("ut2:cyclic:3")
+        assert len(jacobson_radical(ring)) == 3
+        assert is_semiperfect(ring)
+        # A/J is built from the radical as certified, not certified again
+        assert [r for r in validated if r is ring] == [ring]
+
+    def test_quotient_ring_validates_a_hand_built_ideal(self):
+        ring = corpus.z(6)
+        with pytest.raises(NotAnIdeal):
+            quotient_ring(ring, TwoSidedIdeal(ring=ring, members=ElementSubset.of(6, {0, 2})))
 
 
 SMALL_CATALOG_RINGS = [spec for spec, kind, n in CATALOG if kind == "ring" and n <= 64]
