@@ -7,7 +7,9 @@ Run from the root of a checkout:
 
 Every run is its own child: ``python -m loopnr`` with ``src/`` on the
 path, run ``REPEATS`` times in a row, or ``perfbench/run.py`` unchanged
-at its default seed, run once (it repeats its own jobs).  Peak
+at its default seed, run once (it repeats its own jobs).  The one
+input file that no workload writes, gf:4096 relabelled along a fixed
+permutation fixing 0, is written first by a child of its own.  Peak
 RSS is the child's own, from the rusage that ``os.wait4`` returns for
 it, which also covers the descendants it waited for (perfbench's
 workers); ``RUSAGE_CHILDREN`` would be a running maximum over every
@@ -37,10 +39,19 @@ import time
 LIMIT_S = 600
 REPEATS = 3   # runs of each CLI workload; one run spreads wider than the changes read off it
 C4096 = "c4096.json"   # written by the generate workload, read by the two after it
+# gf:4096 relabelled along a fixed permutation fixing 0, written before the
+# first workload, so that its basis comes from the search, not a layout
+GF4096R = "gf4096r.json"
+RELABEL = ("import sys, numpy as np; from loopnr import parse_spec, validate_ring_tables; "
+           "from loopnr.io import write_structure; r = parse_spec('gf:4096'); "
+           "new = np.concatenate([[0], 1 + np.random.default_rng(0).permutation(r.n - 1)]).astype(np.int16); "
+           "old = np.argsort(new); write_structure(validate_ring_tables(*(new[t[old[:, None], old]] "
+           "for t in (r.add, r.mul)), int(new[r.one])), open(sys.argv[1], 'w'))")
 CLI = [
     (["check", "ut2:cyclic:16"], {}),
     (["analyze", "cyclic:4096"], {}),
     (["check", "gf:4096"], {}),
+    (["check", GF4096R], {}),
     (["check", "matrix:gf:8,2"], {}),
     (["check", "product:matrix:cyclic:2,2+matrix:cyclic:2,2+cyclic:2+cyclic:2+cyclic:2+cyclic:2"], {}),
     (["check", "product:gf:64+gf:64"], {}),
@@ -95,8 +106,9 @@ def main(argv=None) -> int:
                MKL_NUM_THREADS="1", NUMEXPR_NUM_THREADS="1")
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
+        subprocess.run([sys.executable, "-c", RELABEL, os.path.join(tmp, GF4096R)], env=env, check=True)
         for argv_, extra in CLI:
-            argv_ = [os.path.join(tmp, a) if a == C4096 else a for a in argv_]
+            argv_ = [os.path.join(tmp, a) if a in (C4096, GF4096R) else a for a in argv_]
             out = os.path.join(tmp, C4096 if argv_[0] == "generate" else "stdout")
             row = repeated([sys.executable, "-m", "loopnr", *argv_], {**env, **extra}, out)
             rows.append({"command": " ".join(argv_).replace(tmp + os.sep, ""), "env": extra, **row})

@@ -116,27 +116,23 @@ class ClosureSystem:
         mask[list(seed)] = True
         return self._saturate(mask, np.flatnonzero(mask))
 
-    def generating_set(self, ranked: bool = True) -> Iterator[int]:
+    def generating_set(self) -> Iterator[int]:
         """Yield a set S whose closure is the whole carrier, grown greedily.
 
         Candidates go by descending rank, the number of distinct entries
         in the element's row of the first binary table, least index
         first on ties; each candidate outside the closure of S so far
         joins S.  High-rank elements, such as units, reach most of the
-        carrier at once, which keeps S small.  A caller that knows every
-        row is a permutation passes ``ranked`` False: every rank is n,
-        so the order is the index order, taken without sorting.  Each
-        member is yielded before its closure is taken, so a caller that
-        stops early pays for no more than it drew.
+        carrier at once, which keeps S small.  Each member is yielded
+        before its closure is taken, so a caller that stops early pays
+        for no more than it drew.
         """
-        order = range(self.n)
-        if ranked:
-            table, step = self.binary[0], max(1, _BLOCK_ENTRIES // self.n)
-            # one less than each row's distinct count, a block of rows at a time
-            rank = np.concatenate([
-                np.count_nonzero(np.diff(np.sort(table[i:i + step], axis=1), axis=1), axis=1)
-                for i in range(0, self.n, step)])
-            order = np.argsort(-rank, kind="stable")
+        table, step = self.binary[0], max(1, _BLOCK_ENTRIES // self.n)
+        # one less than each row's distinct count, a block of rows at a time
+        rank = np.concatenate([
+            np.count_nonzero(np.diff(np.sort(table[i:i + step], axis=1), axis=1), axis=1)
+            for i in range(0, self.n, step)])
+        order = np.argsort(-rank, kind="stable")
         mask = np.zeros(self.n, dtype=bool)
         for x in order:
             if mask.all():

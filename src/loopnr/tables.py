@@ -1,29 +1,18 @@
 """Low-level Cayley-table kernels and ``AXIOMS``, the one axiom table.
 
 All structure axioms reduce to pointwise identities between gathered
-copies of the operation tables.  The four cubic laws (associativity of
-``*`` and of ``+``, both distributive laws) are decided on a generating
-set S of the multiplicative or additive magma, from
-``lattice.ClosureSystem.generating_set``, in O(|S| n^2): the elements
-where such a law holds are closed under the operation (Light's test
-for associativity).  In a ring scan whose loop rows held, route P
-decides associativity of ``*``, both distributive laws and
-commutativity of ``+`` from S+ alone (``Lights.additive_route``).  A
-table that fails it, and every near-ring scan, decides each law in
-its own row: a distributive law at S+ if ``+`` is associative, else at
-S* if ``*`` is.  Left distributivity at S+ is one pass that finds the
-least row whose map x -> a*x is not additive
-(``_first_nonadditive_row``): none means the law holds, else that row
-alone is scanned for the least witness.  No pass runs at the
-operation's two-sided identity, 0 for ``+`` or ``one`` for ``*`` (a
-distributive pass keeps 0 unless the loop rows held).  Light's test
-runs at each member as it is grown, so a failing table grows little
-of its set.  Per-member passes gather ``add`` through one flat index
-(``_sum``).  Only a law that fails is scanned again, in blocks of 1,
-2, 4, ... rows, so the O(n^3) search stays vectorized without
-materializing an (n, n, n) cube and finds the lexicographically least
-violating tuple.  Witnesses and error messages therefore do not
-depend on S or on the route.
+copies of the operation tables.  A ring scan first asks its coordinate
+certificate (``Lights``): ``+`` is Z_m1 x ... x Z_mk along a basis that
+a greedy search finds, ``*`` passes one spanning-tree pass, and two
+closure arguments run at the basis, all in O(n^2).  Otherwise each law
+is decided in its own row, at a generating set S* of ``*`` from
+``lattice.ClosureSystem.generating_set`` if Light's test finds ``*``
+associative (the elements where a law holds are closed under ``*``);
+with ``+`` certified, one pass at the basis finds the least row whose
+map x -> a*x is not additive (``_first_nonadditive_row``).  Only a law
+that fails is scanned again, in blocks of 1, 2, 4, ... rows, so the
+O(n^3) search stays vectorized without materializing an (n, n, n) cube
+and finds the lexicographically least violating tuple, on any route.
 
 Six rows of ``AXIOMS`` are laws, identities in ``+`` and ``*``.  A law
 holds in every substructure and homomorphic image of a structure that
@@ -48,7 +37,7 @@ MAX_ORDER = int(np.iinfo(DTYPE).max) + 1   # the most elements a DTYPE table can
 
 # Block budget: at most ~4M table entries live per intermediate array.
 _BLOCK_ELEMS = 1 << 22
-# Entries per chunk of a flat gather (``_sum``): its 64 KiB intp index
+# Entries per chunk of a flat gather (``_take``): its 64 KiB intp index
 # stays below glibc's 128 KiB mmap threshold, so the chunks reuse heap
 _FLAT_ENTRIES = 1 << 13
 
@@ -63,7 +52,7 @@ def all_integers(values) -> bool:
 
 
 def as_table(obj) -> np.ndarray:
-    """Coerce to a read-only square int16 array in C order (``_sum``
+    """Coerce to a read-only square int16 array in C order (``Lights.right``
     gathers from its flat view).
 
     The range check runs on the raw entries, before narrowing: an entry
@@ -164,17 +153,12 @@ class Light:
     operation, so associativity at each member of a generating set is
     associativity everywhere.  At a two-sided identity of the table the
     law holds identically, so it is skipped (``moving``).  ``violations``
-    hands one ``Light`` of each table to every row that needs its
-    verdict, so one scan grows at most one generating set of ``*`` and
-    one of ``+``, greedily, up to the first member that fails.  ``loop``
-    says the table is a loop's (its loop rows held): every row is a
-    permutation, so every rank is n and the set is grown in index
-    order, unranked.
+    hands one ``Light`` of each table to every row that needs it, so one
+    scan grows each generating set at most once, up to its first failure.
     """
 
-    def __init__(self, op: np.ndarray, loop: bool = False):
+    def __init__(self, op: np.ndarray):
         self.op = op
-        self.loop = loop
         self._members = []
         self._identity = None   # the two-sided identity, once grown
 
@@ -191,7 +175,7 @@ class Light:
         grows no more of the set.
         """
         op = self.op
-        for s in ClosureSystem(len(op), (op,)).generating_set(ranked=not self.loop):
+        for s in ClosureSystem(len(op), (op,)).generating_set():
             self._members.append(s)
             if self._identity is None and identity_witness(op, s) is None:
                 self._identity = s
@@ -201,89 +185,134 @@ class Light:
         return tuple(self._members)
 
 
+class Basis(NamedTuple):
+    """``+`` in coordinates: phi[t] = d_1 g_1 + ... + d_k g_k, summed left
+    to right, for the digits d_i = t // s_i % m_i of t, where s_i = m_1
+    ... m_(i-1), the g_i are ``generators`` and the m_i ``orders``."""
+    generators: tuple
+    orders: tuple
+    phi: np.ndarray
+
+
+def _times(add: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
+    """m x for each x in ``v`` (m >= 1), by doubling."""
+    out = v if m & 1 else None
+    while m := m >> 1:
+        v = add[v, v]
+        if m & 1:
+            out = v if out is None else add[out, v]
+    return out
+
+
+def _search(add: np.ndarray) -> Basis | None:
+    """A basis of ``+``, found as if ``+`` were an abelian group G, or None.
+
+    With H the span so far, take the first x of greatest order m modulo
+    H, and move it within x + H to a g with m g = 0: H has a complement
+    in G, x's part there is one, and any such g has order m, so H + <g>
+    is direct.  The p-part of x's order modulo H is the least p^a with
+    p^a (q / p^e) x in H, for p^e exactly dividing q = |G/H|.
+    """
+    n = len(add)
+    phi, found = np.zeros(1, dtype=add.dtype), []   # H in digit order, and (g_i, m_i)
+    while len(phi) < n:
+        inside = np.bincount(phi, minlength=n) > 0
+        q, p, order = n // len(phi), 2, np.ones(n, dtype=np.int64)
+        while q > 1:
+            p, e = next(d for d in range(p, q + 1) if q % d == 0), 0   # q's least prime factor
+            while q % p == 0:
+                q, e = q // p, e + 1
+            y = _times(add, np.arange(n, dtype=add.dtype), n // len(phi) // p ** e)
+            for _ in range(e):
+                order[~inside[y]] *= p
+                y = _times(add, y, p)
+        m = int(order.max())
+        coset = add[np.argmax(order), phi]   # x + H, x the first of order m modulo H
+        g = coset[_times(add, coset, m) == 0][:1] if m > 1 else coset[:0]
+        if not g.size:
+            return None
+        multiples = np.zeros(1, dtype=add.dtype)   # 0, g, 2g, ...: each doubling adds L g to all L
+        while len(multiples) < m:
+            multiples = np.concatenate([multiples, add[multiples, add[multiples[-1], g]]])
+        phi = add[phi, multiples[:m, None]].reshape(-1)   # phi[j s + t] = phi[t] + j g
+        found.append((int(g[0]), m))
+    return Basis(tuple(g for g, _ in found), tuple(m for _, m in found), phi)
+
+
+def _along_tree(basis: Basis, pair) -> bool:
+    """Whether ``pair(rows, parents, g)`` agree, in blocks of 1M entries, on
+    rows phi[t], parents phi[t - s_i] and g_i for t = 1 .. n-1 with last
+    nonzero digit i, and for t = m_i s_i (row 0), closing g_i's cycle."""
+    s, step, phi = 1, _blocks(4 * len(basis.phi)), basis.phi
+    for g, m in zip(basis.generators, basis.orders):
+        for t in range(s, m * s + 1, step):
+            t = np.arange(t, min(t + step, m * s + 1))
+            if not np.array_equal(*pair(phi[t % (m * s)], phi[t - s], g)):
+                return False
+        s *= m
+    return True
+
+
 class Lights:
-    """One scan's ``Light`` of ``*`` and, if the scan reaches the ring
-    rows, of ``+`` (else None), and route P's verdict on them."""
+    """One scan's ``Light`` of ``*`` and, in a ring scan whose loop rows
+    held, of ``+`` (else None), and the ring's coordinate certificate,
+    asked search, ``right``, ``basis``, so that a corrupted ``mul`` fails
+    before the pass over ``add``."""
 
     def __init__(self, mul: Light, add: Light | None = None):
         self.mul, self.add = mul, add
 
-    def additive_passes(self):
-        """The members of S+ that a distributive pass runs at if ``+`` is
-        certified associative, else None.  With the loop rows held 0 is
-        left out: in a finite loop a nonempty subset closed under ``+``
-        holds 0 (translation by a member maps it into itself
-        injectively, hence onto)."""
-        if self.add is None or self.add.generators is None:
-            return None
-        return self.add.moving() if self.add.loop else self.add.generators
+    @cached_property
+    def found(self) -> Basis | None:
+        return None if self.add is None else _search(self.add.op)
 
     @cached_property
-    def additive_route(self) -> bool:
-        """Route P: whether ``+`` is commutative, ``*`` associative and
-        both distributive laws hold, decided at S+ alone.  Asked only by
-        those four rows, which follow the range rows; False leaves each
-        row to its own scan.
+    def basis(self) -> Basis | None:
+        """``found`` if ``+`` is Z_m1 x ... x Z_mk along it, else None.
 
-        Taken only for a ``+`` that is a loop's (``add.loop``).  Every
-        set below is nonempty and closed under ``+``, so 0 is skipped
-        (see ``additive_passes``):
+        Let A[t, u] = psi(phi(t) + phi(u)), psi the inverse of phi, C that
+        group's table and T_i its unit step in digit i.  Row 0 of ``add``
+        is the identity, so A[0] = C[0] and g_i = phi(s_i); row phi(t) is
+        row phi(t - s_i) followed by phi T_i psi, so A[t] = T_i A[t - s_i]
+        as in C, and A = C, by one pass."""
+        basis, t = self.found, np.arange(len(self.mul.op))
+        if basis is None or not np.array_equal(np.sort(basis.phi), t):   # phi is one to one
+            return None
+        add, phi, psi, s, steps = self.add.op, basis.phi, np.argsort(basis.phi), 1, {}
+        for g, m in zip(basis.generators, basis.orders):
+            steps[g] = phi[(t + s - m * s * (t // s % m == m - 1))[psi]]   # phi T_i psi
+            s *= m
+        return basis if np.array_equal(add[0], t) and _along_tree(basis, lambda rows, parents, g: (
+            add[rows], _take(steps[g], add[parents]))) else None
 
-        * right distributivity at a in S+: the a with (a+b)*c = a*c + b*c
-          for all b, c are closed under an associative ``+``.  S+ grown
-          unranked starts 0, 1, and the pass at 1 reads every entry of
-          ``mul``, so it runs first: a corrupted table fails there,
-          before any set is grown;
-        * ``+`` commutative, and Light's test of ``+`` at S+, which the
-          next two arguments need;
-        * left distributivity at a, b in S+: for a fixed a the b with
-          a*(b+c) = a*b + a*c for all c are closed under ``+``, so x -> a*x
-          is additive; given right distributivity and a commutative ``+``,
-          (a+a')*(b+c) = (a*b + a'*b) + (a*c + a'*c), so the a with an
-          additive map are closed under ``+`` too.  O(|S+|^2 n);
-        * associativity of ``*`` on S+^3: given both distributive laws the
-          associator (xy)z - x(yz) is additive in each argument, so the x
-          where it vanishes for given y, z are closed under ``+``, then the
-          y for every x, then the z.
-
-        No Light's test of ``*`` runs, and no set of ``*`` is grown.
-        """
-        if self.add is None or not self.add.loop:
-            return False
+    @cached_property
+    def right(self) -> bool:
+        """Right distributivity once ``basis`` is certified: each row phi(t)
+        of ``mul`` is the sum of rows phi(t - s_i) and g_i, so row 0 is 0
+        (t = s_1), m_i (g_i c) = 0 (closing edges) and x -> x*c is d ->
+        sum d_i (g_i c) read through psi, additive.  Each is necessary."""
         add, mul = self.add.op, self.mul.op
-        n = len(add)
-        if n > 1 and not _agree(n, _right_at(add, mul, 1)):
-            return False
-        if comm_witness(add) is not None or self.add.generators is None:
-            return False
-        s = np.asarray(self.additive_passes(), dtype=np.intp)
-        if not all(_agree(n, _right_at(add, mul, a)) for a in s[1:]):
-            return False
-        if _first_nonadditive_row(mul[s], add, s) is not None:
-            return False
-        # [x, y, z] = (xy)z and x(yz), for x, y, z in S+
-        xy = mul[s[:, None], s]
-        return np.array_equal(mul[xy[:, :, None], s], mul[s[:, None, None], xy])
+        return _along_tree(self.found, lambda rows, parents, g: (mul[rows], add.reshape(-1)[
+            np.multiply(mul[parents], len(add), dtype=np.intp) + mul[g]]))
 
+    @cached_property
+    def ring(self) -> bool:
+        """Whether ``*`` is associative and both distributive laws hold:
+        ``right``, then two closure arguments at the basis B of ``+``.
 
-def _sum(add: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """add[x, y] for index arrays that broadcast to (rows, n), through one
-    flat index, which numpy takes two to three times as fast as two index
-    arrays.  Past ``_FLAT_ENTRIES`` table entries the intp index is built
-    a few rows at a time, so it stays small beside the int16 result.
-    Entries lie in 0..n-1 (the range rows stop a scan before any pass),
-    so no index is clipped.
-    """
-    n, flat = len(add), add.reshape(-1)
-    if n * n <= _FLAT_ENTRIES:
-        return flat.take(np.multiply(x, n, dtype=np.intp) + y)
-    x, y = np.broadcast_arrays(x, y)
-    out = np.empty(x.shape, dtype=add.dtype)
-    step = max(1, _FLAT_ENTRIES // n)
-    for r in range(0, len(out), step):
-        index = np.multiply(x[r:r + step], n, dtype=np.intp) + y[r:r + step]
-        flat.take(index, out=out[r:r + step], mode="clip")
-    return out
+        * Left distributivity on B^2: the b with a*(b+c) = a*b + a*c for
+          all c are closed under ``+``, and so are the a whose x -> a*x is
+          additive, as (a+a')*(b+c) = (a*b + a'*b) + (a*c + a'*c).
+        * Associativity on B^3: the associator (xy)z - x(yz) is additive
+          in each argument, so the x where it vanishes for given y, z are
+          closed under ``+``, then the y for every x, then the z.
+        """
+        if self.found is None or not self.right or self.basis is None:
+            return False
+        add, mul, g = self.add.op, self.mul.op, np.asarray(self.basis.generators, dtype=np.intp)
+        xy = mul[g[:, None], g]   # [x, y, z] = (xy)z and x(yz)
+        return (_first_nonadditive_row(mul[g], add, g) is None
+                and np.array_equal(mul[xy[:, :, None], g], mul[g[:, None, None], xy]))
 
 
 def _take(v: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -308,7 +337,7 @@ def _first_nonadditive_row(mul: np.ndarray, add: np.ndarray, plus):
     ``plus``, else None (given the rows ``mul[s]``, a indexes s).
 
     With ``+`` associative the x where a map is additive are closed
-    under ``+``, so at ``Lights.additive_passes`` None decides left
+    under ``+``, so at a certified basis of ``+`` None decides left
     distributivity, else the least a with a*(b+c) != a*b + a*c for
     some b, c is returned.  One pass over row blocks, all of ``plus``
     at once: O(|plus| n^2).
@@ -324,10 +353,11 @@ def _first_nonadditive_row(mul: np.ndarray, add: np.ndarray, plus):
     return None
 
 
-def assoc_witness(op: np.ndarray, light: Light | None = None):
+def assoc_witness(op: np.ndarray, light: Light | Basis | None = None):
     """First (a, b, c) with (a op b) op c != a op (b op c), else None.
 
-    ``light`` is a ``Light(op)`` shared with other rows, if any.
+    ``light`` is a ``Light(op)`` shared with other rows, or a certified
+    ``Basis`` of ``op``, whose generators stand in for Light's, if any.
     """
     if (light or Light(op)).generators is not None:
         return None
@@ -335,25 +365,19 @@ def assoc_witness(op: np.ndarray, light: Light | None = None):
     return _first_bad(len(op), lambda rows: (op[op[rows]], op[rows][:, op]))
 
 
-def _right_at(add: np.ndarray, mul: np.ndarray, a: int):
-    """The ``_agree`` pair of (a+b)*c and a*c + b*c, rows b."""
-    return lambda rows: (mul[add[a, rows]], _sum(add, mul[a], mul[rows]))
-
-
 def right_dist_witness(add: np.ndarray, mul: np.ndarray, lights: Lights | None = None):
     """First (a, b, c) with (a+b)*c != a*c + b*c, else None.
 
-    ``lights`` are the scan's shared ``Lights``; alone, both are built.
-    The law is decided at S+ if ``+`` is associative: the a with
-    (a+b)*c = a*c + b*c for all b, c are closed under ``+``.  Else it is
-    decided at S* if ``*`` is: the s whose map x -> x*s is additive are
-    closed under ``*``, and the identity map of ``one`` is additive, so
-    ``one`` is skipped.  Only a law that fails is scanned again.
+    ``lights`` are the scan's shared ``Lights``; alone, they are built.
+    The law is decided by ``Lights.right`` if ``+`` is certified, else at
+    S* if ``*`` is associative: the s whose map x -> x*s is additive are
+    closed under ``*``, and ``one``'s is, so it is skipped.  Only a law
+    that fails is scanned again.
     """
     lights = lights or Lights(Light(mul), Light(add))
-    n, plus = len(add), lights.additive_passes()
-    if plus is not None:
-        holds = all(_agree(n, _right_at(add, mul, a)) for a in plus)
+    n = len(add)
+    if lights.basis is not None:
+        holds = lights.right
     else:
         holds = lights.mul.generators is not None and all(
             _agree(n, _endomorphism(add, mul[:, s])) for s in lights.mul.moving())
@@ -367,17 +391,17 @@ def right_dist_witness(add: np.ndarray, mul: np.ndarray, lights: Lights | None =
 def left_dist_witness(add: np.ndarray, mul: np.ndarray, lights: Lights | None = None):
     """First (a, b, c) with a*(b+c) != a*b + a*c, else None.
 
-    With ``+`` associative one pass, ``_first_nonadditive_row`` at S+,
-    both decides the law and finds the least row whose map is not
-    additive, which holds the least witness, so only that row is
-    scanned.  Else the law is decided at S* if ``*`` is associative (the
-    s whose map x -> s*x is additive are closed under ``*``, and ``one``
-    is skipped), and a failing law is scanned in growing row blocks.
+    With ``+`` certified one pass at its basis, ``_first_nonadditive_row``,
+    decides the law and finds the least row whose map is not additive,
+    which holds the least witness, so only that row is scanned.  Else the
+    law is decided at S* if ``*`` is associative (the s whose map
+    x -> s*x is additive are closed under ``*``; ``one`` is skipped), and
+    a failing law is scanned in growing row blocks.
     """
     lights = lights or Lights(Light(mul), Light(add))
-    n, plus = len(add), lights.additive_passes()
-    if plus is not None:
-        start = _first_nonadditive_row(mul, add, plus)
+    n = len(add)
+    if lights.basis is not None:
+        start = _first_nonadditive_row(mul, add, lights.basis.generators)
         if start is None:
             return None
     elif lights.mul.generators is not None and all(
@@ -390,27 +414,10 @@ def left_dist_witness(add: np.ndarray, mul: np.ndarray, lights: Lights | None = 
                                        add[mul[rows][:, :, None], mul[rows][:, None, :]]), start)
 
 
-_TILE = 256   # side of the square blocks ``comm_witness`` compares
-
-
 def comm_witness(op: np.ndarray):
-    """First (a, b) with a op b != b op a, else None.
-
-    Compares each ``_TILE``-square block on and above the diagonal with
-    its transposed partner, both read in cache, band by band of rows.
-    The mismatches are symmetric, so the least one, (a, b), has a < b and
-    its band is the first that holds one in these blocks; only that band
-    is compared whole.
-    """
-    n = len(op)
-    for lo in range(0, n, _TILE):
-        rows = slice(lo, lo + _TILE)
-        if all(np.array_equal(op[rows, c:c + _TILE], op[c:c + _TILE, rows].T)
-               for c in range(lo, n, _TILE)):
-            continue
-        a, b = np.argwhere(op[rows, lo:] != op[lo:, rows].T)[0]
-        return (lo + int(a), lo + int(b))
-    return None
+    """First (a, b) with a op b != b op a, else None."""
+    bad = op != op.T
+    return tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape)) if bad.any() else None
 
 
 def identity_witness(op: np.ndarray, e: int):
@@ -474,23 +481,23 @@ AXIOMS = (
           "{one} is not a two-sided multiplicative identity"),
     Axiom(errors.MulNotAssociative, "lnr",
           lambda add, mul, one, lights:
-              None if lights.additive_route else assoc_witness(mul, lights.mul),
+              None if lights.ring else assoc_witness(mul, lights.mul),
           "multiplication is not associative", law=True),
     Axiom(errors.RightDistributivityFails, "lnr",
           lambda add, mul, one, lights:
-              None if lights.additive_route else right_dist_witness(add, mul, lights),
+              None if lights.ring else right_dist_witness(add, mul, lights),
           "(a+b)*c != a*c + b*c", law=True),
     Axiom(errors.ZeroNotLeftAbsorbing, "lnr", lambda add, mul, one, lights: _first(mul[0] != 0),
           "0*n != 0", law=True),
     Axiom(errors.AdditionNotAbelianGroup, "ring",
-          lambda add, mul, one, lights: None if lights.additive_route else comm_witness(add),
+          lambda add, mul, one, lights: None if lights.basis else comm_witness(add),
           "addition is not commutative", law=True),
     Axiom(errors.AdditionNotAbelianGroup, "ring",
-          lambda add, mul, one, lights: assoc_witness(add, lights.add),
+          lambda add, mul, one, lights: assoc_witness(add, lights.basis or lights.add),
           "addition is not associative", law=True),
     Axiom(errors.LeftDistributivityFails, "ring",
           lambda add, mul, one, lights:
-              None if lights.additive_route else left_dist_witness(add, mul, lights),
+              None if lights.ring else left_dist_witness(add, mul, lights),
           "c*(a+b) != c*a + c*b", law=True),
 )
 
@@ -501,15 +508,12 @@ def violations(add, mul=None, one=None, start: str = "loop", kind: str = "ring",
 
     Scans the rows of kinds ``start`` through ``kind``, in order, on
     tables from ``as_table``; a witness is None or a tuple.  The rows
-    after the loop rows share one ``Lights``: one ``Light(mul)`` and, if
-    the scan reaches the ring rows, one ``Light(add)``, so each test runs
-    and each generating set grows at most once per scan.  In a ring scan
-    whose loop rows held (as they have when ``start`` is "lnr"), the
-    rows of the three cubic laws of ``*`` and of ``+`` commutative first
-    ask route P (``Lights.additive_route``), which may certify all four
-    at once.  With ``laws`` False the law
-    rows are skipped: the tables are derived from a structure that
-    already satisfies them.
+    after the loop rows share one ``Lights``, so each test runs and each
+    generating set grows at most once per scan.  In a ring scan whose
+    loop rows held, the rows of the three cubic laws of ``*`` ask its
+    coordinate certificate, and the two rows of ``+`` its basis.
+    With ``laws`` False the law rows are skipped: the tables are derived
+    from a structure that already satisfies them.
     """
     kinds = KINDS[KINDS.index(start):KINDS.index(kind) + 1]
     held, lights = True, None
@@ -517,7 +521,7 @@ def violations(add, mul=None, one=None, start: str = "loop", kind: str = "ring",
         if row.kind not in kinds or row.law and not laws:
             continue
         if lights is None and row.kind != "loop":
-            lights = Lights(Light(mul), Light(add, held) if "ring" in kinds else None)
+            lights = Lights(Light(mul), Light(add) if "ring" in kinds and held else None)
         found = row.witness(add, mul, one, lights)
         if found is not None:
             held = False

@@ -7,7 +7,8 @@ pure-Python triple loop, on tables near the corpus and on tables with
 entries outside the carrier, including values that int16 would wrap.
 """
 
-from functools import cached_property, lru_cache
+import json
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -50,8 +51,8 @@ WRAP = 1 << 16
 # valid structures with n <= 27, with the kind each is built as; those of
 # order 6 and up have multiplicative generating sets of 2 or more elements,
 # so the cubic rows are decided at several generators before any fallback.
-# A ring scan of any of their tables takes route P first (see
-# TestAdditiveRoute)
+# A ring scan of any of their tables asks the coordinate certificate first
+# (see TestCertificate)
 SPECS = (
     "cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "gf:4",
     "product:cyclic:2+cyclic:2", "m:cyclic:2", "m0:cyclic:2",
@@ -115,10 +116,29 @@ def brute(kind, n, add, mul, one):
     return out
 
 
+def cyclic_product(orders):
+    """The tables of Z_m1 x ... x Z_mk, an element being its digits in
+    mixed radix, first digit most significant, as nested lists."""
+    digits = tables.decode_all(int(np.prod(orders)), orders).astype(np.int64)
+    w, m = tables.mixed_radix_weights(orders), np.asarray(orders)
+    add, mul = ((op(digits[:, None], digits[None, :]) % m) @ w for op in (np.add, np.multiply))
+    return len(digits), add.tolist(), mul.tolist(), int(1 % m @ w)
+
+
 @st.composite
 def near_valid(draw):
-    spec = draw(st.sampled_from(SPECS))
-    n, add, mul, one = base(spec)
+    if draw(st.booleans()):
+        spec = draw(st.sampled_from(SPECS))
+        n, add, mul, one = base(spec)
+    else:
+        # a product of 1-3 cyclic tables, relabelled along a permutation fixing 0
+        orders = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3).filter(
+            lambda m: np.prod(m) <= 16))
+        n, add, mul, one = cyclic_product(orders)
+        new = [0] + draw(st.permutations(range(1, n)))
+        old = np.argsort(new)
+        add, mul = (np.asarray(new)[np.asarray(t)[old[:, None], old]].tolist() for t in (add, mul))
+        one = new[one]
     add = [row[:] for row in add]
     mul = None if mul is None else [row[:] for row in mul]
     # a near-ring table may be declared as any kind, a loop table only as a loop
@@ -200,19 +220,9 @@ class TestWraparound:
         assert t.dtype == tables.DTYPE and t.tolist() == [[0, 1], [1, -1]]
         assert not t.flags.writeable
 
-    def test_flat_gather_matches_two_index_arrays(self):
-        # each broadcast form the distributive passes use; past
-        # _FLAT_ENTRIES table entries the index is built a few rows at a time
-        rng = np.random.default_rng(0)
-        for n in (7, 200):
-            add = tables.as_table(rng.integers(0, n, (n, n)))
-            x, y = rng.integers(0, n, (2, 50, n)).astype(tables.DTYPE)
-            for a, b in ((x[0], y), (x[:, :1], y), (x[:, :1], y[0])):
-                assert np.array_equal(tables._sum(add, a, b), add[a, b])
-
     def test_as_table_is_in_c_order(self):
-        # the flat gathers of the distributive passes read the table's
-        # flat view; a column-major input must not reach them as one
+        # the right-distributive tree pass reads the table's flat view; a
+        # column-major input must not reach it as one
         t = tables.as_table(np.asfortranarray([[0, 1, 2], [1, 2, 0], [2, 0, 1]]))
         assert t.flags.c_contiguous and t.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 
@@ -280,28 +290,27 @@ class TestLightOnce:
         """The first table of every generating set grown, as a list."""
         seen = []
         grow = ClosureSystem.generating_set
-        monkeypatch.setattr(ClosureSystem, "generating_set", lambda self, **kw: seen.append(
-            self.binary[0].tolist()) or grow(self, **kw))
+        monkeypatch.setattr(ClosureSystem, "generating_set", lambda self: seen.append(
+            self.binary[0].tolist()) or grow(self))
         return seen
 
     @pytest.mark.parametrize("spec", ["cyclic:12", "gf:8", "matrix:cyclic:2,2", "ut2:cyclic:3"])
-    def test_one_generating_set_per_ring_validation(self, spec, mul_scans, monkeypatch):
+    def test_no_generating_set_per_ring_validation(self, spec, mul_scans, monkeypatch):
         n, add, mul, one = base(spec)
         drawn = []   # the members drawn from each generating set grown
 
-        def counted(self, grow=ClosureSystem.generating_set, **kw):
+        def counted(self, grow=ClosureSystem.generating_set):
             drawn.append(0)
-            for x in grow(self, **kw):
+            for x in grow(self):
                 drawn[-1] += 1
                 yield x
 
         monkeypatch.setattr(ClosureSystem, "generating_set", counted)
-        plus = len(list(ClosureSystem(n, (np.array(add),)).generating_set()))
         mul_scans.clear()  # base builds the structure on its first call
         drawn.clear()
         validate_ring_tables(add, mul, one)
-        # route P grows the set of + to its end and none of *
-        assert mul_scans == [add] and drawn == [plus]
+        # the coordinate certificate grows no set of + or of *
+        assert mul_scans == [] and drawn == []
 
     def test_failing_light_grows_no_further(self):
         # Light's test runs at each member as it is grown: here the set
@@ -314,11 +323,11 @@ class TestLightOnce:
         assert light._members == [one, 11]
         assert len(list(ClosureSystem(n, (op,)).generating_set())) == 6
 
-    def test_corrupted_mul_fails_route_p_before_any_growth(self, mul_scans):
-        # route P's first pass, right distributivity at 1, reads every entry
-        # of mul: one changed entry fails it before a set of + or * is
-        # grown, so a validation stopping at the first failing row grows
-        # only the set of * that its Light's test needs
+    def test_corrupted_mul_fails_the_certificate_before_any_growth(self, mul_scans):
+        # the certificate's spanning-tree pass reads every entry of mul: one
+        # changed entry fails it before a set of + or * is grown, so a
+        # validation stopping at the first failing row grows only the set
+        # of * that its Light's test needs
         n, add, mul, one = base("cyclic:12")
         mul = [row[:] for row in mul]
         mul[5][7] = (mul[5][7] + 1) % n
@@ -357,7 +366,8 @@ class TestLightOnce:
 
     def test_one_per_check_with_every_failing_row(self, mul_scans):
         # * is not associative: all three rows that need Light's verdict on
-        # * fail and are listed, from one generating set
+        # * fail and are listed, from one generating set; + is certified,
+        # so no set of + is grown
         n, add, mul, one = base("gf:8")
         mul_scans.clear()
         mul = [row[:] for row in mul]
@@ -365,7 +375,7 @@ class TestLightOnce:
         got = [v["axiom"] for v in check_report("ring", n, add, mul, one, "x")["violations"]]
         assert got == [a for a, _ in brute("ring", n, add, mul, one)]
         assert {"mul-associative", "right-distributivity", "left-distributivity"} <= set(got)
-        assert mul_scans.count(mul) == 1 and mul_scans.count(add) == 1
+        assert mul_scans.count(mul) == 1 and mul_scans.count(add) == 0
 
 
 def f2_cubed_algebra(seed=2):
@@ -384,42 +394,39 @@ def f2_cubed_algebra(seed=2):
     return (x[:, None] ^ x).tolist(), mul.tolist()
 
 
-class TestAdditiveRoute:
-    """Route P certifies every ring scan whose loop rows held from S+
-    alone; a failure there hands the scan to the ordered rows, so
-    ``check`` and the validators report exactly what the brute loops
-    find."""
+def relabelled(add, mul, rng):
+    """Copies of the tables relabelled along a permutation that fixes 0,
+    drawn from ``rng``, as int64 arrays, and the permutation (x is named
+    new[x])."""
+    n = len(add)
+    new = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+    old = np.argsort(new)
+    return (*(new[np.asarray(t)[old[:, None], old]] for t in (add, mul)), new)
 
-    @pytest.fixture
-    def light_tests(self, monkeypatch):
-        """The table of every Light's test run, as a list."""
-        tested = []
-        test = tables.Light.generators.func
-        prop = cached_property(lambda self: tested.append(self.op.tolist()) or test(self))
-        prop.__set_name__(tables.Light, "generators")
-        monkeypatch.setattr(tables.Light, "generators", prop)
-        return tested
+
+class TestCertificate:
+    """A ring scan asks the coordinate certificate first: ``+`` as
+    Z_m1 x ... x Z_mk along a basis, then the laws of ``*`` read off that
+    basis.  A failure there hands the scan to the ordered rows, so
+    ``check`` and the validators report exactly what the brute loops
+    find.  Each refusal case below is the only one its check decides."""
 
     @pytest.mark.parametrize("spec", dict.fromkeys(
         [spec for spec, kind, n in CATALOG if kind == "ring"]
-        + ["gf:8", "gf:256", "matrix:cyclic:4,2", "product:matrix:cyclic:2,2+matrix:cyclic:2,2"]))
-    def test_every_ring_takes_route_p(self, spec, light_tests, monkeypatch):
+        + ["gf:8", "gf:256", "product:matrix:cyclic:2,2+matrix:cyclic:2,2"]))
+    def test_every_ring_and_a_relabelled_copy_is_certified(self, spec, monkeypatch):
         ring = parse_spec(spec)
-        light_tests.clear()   # parse_spec validates what it builds
-        verdicts, grown = [], []
-        verdict = tables.Lights.additive_route.func
-        prop = cached_property(lambda self: verdicts.append(verdict(self)) or verdicts[-1])
-        prop.__set_name__(tables.Lights, "additive_route")
-        monkeypatch.setattr(tables.Lights, "additive_route", prop)
+        grown = []
         grow = ClosureSystem.generating_set
-        monkeypatch.setattr(ClosureSystem, "generating_set", lambda self, **kw: grown.append(
-            self.binary[0]) or grow(self, **kw))
+        monkeypatch.setattr(ClosureSystem, "generating_set", lambda self: grown.append(
+            self.binary[0]) or grow(self))
+        for add, mul in ((ring.add, ring.mul), relabelled(ring.add, ring.mul, np.random.default_rng(ring.n))[:2]):
+            lights = tables.Lights(tables.Light(tables.as_table(mul)), tables.Light(tables.as_table(add)))
+            assert lights.ring and int(np.prod(lights.basis.orders)) == ring.n
+            assert sorted(lights.basis.phi.tolist()) == list(range(ring.n))
+        # no Light's test runs, and no generating set is grown
         validate_ring_tables(ring.add, ring.mul, ring.one)
-        # route P runs Light's test of + and none of *, and grows the set
-        # of + alone (cyclic:1 has add == mul, so count, not compare)
-        assert verdicts == [True]
-        assert [np.array_equal(t, ring.add) for t in light_tests] == [True]
-        assert [np.array_equal(t, ring.add) for t in grown] == [True]
+        assert grown == []
 
     @staticmethod
     def assert_check_is_brute(add, mul, one, want):
@@ -429,38 +436,99 @@ class TestAdditiveRoute:
         assert got == brute("ring", n, add, mul, one)
         assert [a for a, _ in got] == want
 
-    def test_only_associativity_fails(self):
+    @pytest.mark.parametrize("spec", ["S3", "nonassoc5"])
+    def test_plus_check_refuses_a_group_or_loop_that_is_not_abelian(self, spec):
+        if spec == "S3":
+            # S3 in the order 1, r, r^2, s, sr, sr^2: a group
+            perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)]
+            index = {p: i for i, p in enumerate(perms)}
+            add = [[index[tuple(p[q[i]] for i in range(3))] for q in perms] for p in perms]
+        else:
+            # relabelled by 1 <-> 2, so that the search's first pick, 1,
+            # has distinct multiples 0, 1, 4, 2, 3 (in nonassoc5, 1 + 1 = 0)
+            swap = np.array([0, 2, 1, 3, 4])
+            add = swap[parse_spec(spec).add[swap[:, None], swap]].tolist()
+        n, _, mul, one = base(f"cyclic:{len(add)}")
+        # the search finds a one-to-one phi; the + check refuses it
+        assert tables._search(tables.as_table(add)) is not None
+        lights = tables.Lights(tables.Light(tables.as_table(mul)), tables.Light(tables.as_table(add)))
+        assert lights.basis is None and not lights.ring
+        want = ["right-distributivity", "abelian-addition", "left-distributivity"]
+        if spec == "nonassoc5":
+            want[2:2] = ["abelian-addition"]
+        self.assert_check_is_brute(add, mul, one, want)
+
+    def test_row_zero_check_refuses_a_shifted_table(self):
+        # x + rho(y) in Z6: every row phi(t) is its parent row followed by
+        # the unit step of its digit, but row 0 is rho, not the identity
+        rho = [0, 3, 2, 5, 4, 1]
+        add = [[(x + r) % 6 for r in rho] for x in range(6)]
+        n, _, mul, one = base("cyclic:6")
+        assert tables._search(tables.as_table(add)) is not None
+        lights = tables.Lights(tables.Light(tables.as_table(mul)), tables.Light(tables.as_table(add)))
+        assert lights.basis is None
+        self.assert_check_is_brute(add, mul, one, [
+            "two-sided-zero", "right-distributivity", "abelian-addition", "abelian-addition",
+            "left-distributivity"])
+
+    def test_basis_order_check_refuses_a_map_that_is_not_well_defined(self):
+        # + is Z4 x Z2 along the basis g1, g2 found; x*c = d1 (g1 c) + d2 (g2 c)
+        # for x = phi(d) passes the spanning-tree pass, with g1 the identity,
+        # but g2 * g2 = g1 has order 4 > 2, so (g2 + g2) * g2 = 0 != g1 + g1
+        n, add, _, _ = cyclic_product([4, 2])
+        basis = tables._search(tables.as_table(add))
+        assert basis.orders == (4, 2)
+        g1, g2 = basis.generators
+        v = np.zeros(n, dtype=np.int64)
+        v[[g1, g2]] = g2, g1   # row g2 of mul
+        digits = tables.decode_all(n, (2, 4))   # phi[t] has digits t // 4, t % 4
+        mul = np.zeros((n, n), dtype=np.int64)
+        for t, (d2, d1) in enumerate(digits):
+            row = 0 * v
+            for _ in range(d1):
+                row = np.asarray(add)[row, np.arange(n)]
+            for _ in range(d2):
+                row = np.asarray(add)[row, v]
+            mul[basis.phi[t]] = row
+        lights = tables.Lights(tables.Light(tables.as_table(mul)), tables.Light(tables.as_table(add)))
+        assert lights.basis is not None and not lights.right
+        self.assert_check_is_brute(add, mul.tolist(), g1, [
+            "mul-associative", "right-distributivity", "left-distributivity"])
+
+    def test_left_distributivity_at_the_basis_refuses_a_near_ring_file(self, tmp_path, capsys):
+        # M0(Z/3) written as a ring: + is Z3 and * associative and right
+        # distributive, so only left distributivity at the basis rows fails
+        n, add, mul, one = base("m0:cyclic:3")
+        p = tmp_path / "m0c3.json"
+        p.write_text(json.dumps({"kind": "ring", "n": n, "add": add, "mul": mul, "one": one}))
+        assert main(["check", str(p)]) == 1
+        got = [(v["axiom"], v["witness"]) for v in json.loads(capsys.readouterr().out)["violations"]]
+        assert got == brute("ring", n, add, mul, one) == [("left-distributivity", got[0][1])]
+        lights = tables.Lights(tables.Light(tables.as_table(mul)), tables.Light(tables.as_table(add)))
+        assert lights.basis is not None and lights.right and not lights.ring
+
+    def test_basis_cubed_refuses_a_non_associative_algebra(self):
+        # a unital bilinear product on Z2^3: both distributive laws hold
         add, mul = f2_cubed_algebra()
-        # |S+| = |S*| = 4: route P runs and fails at its associativity check
-        sizes = [len(list(ClosureSystem(8, (np.array(t),)).generating_set())) for t in (add, mul)]
-        assert sizes == [4, 4]
+        lights = tables.Lights(tables.Light(tables.as_table(mul)), tables.Light(tables.as_table(add)))
+        assert lights.basis is not None and lights.right and not lights.ring
         self.assert_check_is_brute(add, mul, 1, ["mul-associative"])
 
-    def test_only_left_distributivity_fails(self):
-        # M0(Z/3) is a near-ring, not a ring; |S+| = 3 <= |S*| = 4
-        n, add, mul, one = base("m0:cyclic:3")
-        self.assert_check_is_brute(add, mul, one, ["left-distributivity"])
-
-    def test_not_latin_takes_the_ordered_scan(self, monkeypatch):
-        # Z/4 with add[1][1] = 3: the loop rows fail, so route P must not
-        # run, and every later failing row is still listed
+    def test_not_latin_takes_the_ordered_scan(self):
+        # Z/4 with add[1][1] = 3: the loop rows fail, so no basis is
+        # certified, and every later failing row is still listed
         n, add, mul, one = base("cyclic:4")
         add = [row[:] for row in add]
         add[1][1] = 3
-        loops = []   # whether + was taken for a loop's, at each verdict asked
-        verdict = tables.Lights.additive_route.func
-        prop = cached_property(lambda self: loops.append(self.add.loop) or verdict(self))
-        prop.__set_name__(tables.Lights, "additive_route")
-        monkeypatch.setattr(tables.Lights, "additive_route", prop)
+        assert tables._search(tables.as_table(add)) is None or not tables._is_basis(
+            tables.as_table(add), tables._search(tables.as_table(add)))
         want = ["latin-square", "right-distributivity", "abelian-addition",
                 "left-distributivity"]
         self.assert_check_is_brute(add, mul, one, want)
-        assert loops == [False]
 
     def test_zero_is_kept_when_add_is_not_a_loop(self):
         # a + b = a for a, b != 0 is associative with zero 0 but not a loop:
-        # no sum of the other elements is 0, so a distributive law decided
-        # at S+ must still be tested at 0
+        # no sum of the other elements is 0
         add = [[0, 1, 2], [1, 1, 1], [2, 2, 2]]
         mul = [[0, 0, 0], [0, 1, 2], [2, 2, 1]]
         want = ["latin-square", "mul-identity", "mul-associative", "right-distributivity",
@@ -616,8 +684,8 @@ class TestLeftDistributivity:
         assert got == least_left_dist_witness(*pair)
         if got is None:
             assert rows == []
-        elif tables.Light(add).generators is not None:
-            # + is associative: only the least bad row is scanned
+        elif tables.Lights(tables.Light(mul), tables.Light(add)).basis is not None:
+            # + is certified: only the least bad row is scanned
             assert [(r.start, r.stop) for r in rows] == [(got[0], got[0] + 1)]
         else:
             # + is not: the block scan runs from row 0
@@ -643,22 +711,20 @@ def corrupted_relabelled(spec, seed):
     fixes 0, with one entry of ``mul`` changed, as int16 arrays."""
     n, add, mul, _ = base(spec)
     rng = np.random.default_rng(seed)
-    new = np.concatenate([[0], 1 + rng.permutation(n - 1)])   # x is relabelled new[x]
-    old = np.argsort(new)
-    add, mul = (new[np.asarray(t)[old[:, None], old]] for t in (add, mul))
+    add, mul, _ = relabelled(add, mul, rng)
     i, j = rng.integers(0, n, 2)
     mul[i, j] = (mul[i, j] + rng.integers(1, n)) % n
     return tables.as_table(add), tables.as_table(mul)
 
 
 class TestNonadditiveRow:
-    """One pass at S+, ``_first_nonadditive_row``, decides left
-    distributivity and finds the row of its least witness."""
+    """One pass at the certified basis of ``+``, ``_first_nonadditive_row``,
+    decides left distributivity and finds the row of its least witness."""
 
     @staticmethod
     def passes(add, mul):
-        """S+ less 0, as a ring scan whose loop rows held passes it."""
-        return tables.Lights(tables.Light(mul), tables.Light(add, loop=True)).additive_passes()
+        """The basis that a ring scan certifies."""
+        return tables.Lights(tables.Light(mul), tables.Light(add)).basis.generators
 
     @pytest.mark.parametrize("spec", [spec for spec, kind, n in CATALOG if kind == "ring"])
     def test_none_on_every_catalog_ring(self, spec):
@@ -672,20 +738,20 @@ class TestNonadditiveRow:
         add, mul = corrupted_relabelled(spec, seed)
         want = least_left_dist_witness(add.tolist(), mul.tolist())
         plus = self.passes(add, mul)
-        # with 0 left out of S+ or kept, the least row is the brute loop's
+        # with 0 left out of the basis or kept, the least row is the brute loop's
         for s in (plus, [0, *plus]):
             assert tables._first_nonadditive_row(mul, add, s) == (want and want[0])
 
     @pytest.mark.parametrize("spec, seed", [("cyclic:16", 0), ("ut2:cyclic:3", 1),
                                             ("matrix:cyclic:2,2", 2), ("m0:cyclic:3", None)])
-    def test_a_failing_law_makes_no_other_pass_at_s_plus(self, spec, seed, monkeypatch):
+    def test_a_failing_law_makes_no_other_pass_at_the_basis(self, spec, seed, monkeypatch):
         if seed is None:
             n, add, mul, _ = base(spec)   # a near-ring: left distributivity fails
             add, mul = tables.as_table(add), tables.as_table(mul)
         else:
             add, mul = corrupted_relabelled(spec, seed)
-        lights = tables.Lights(tables.Light(mul), tables.Light(add, loop=True))
-        assert lights.additive_passes() is not None   # Light's test of + ran
+        lights = tables.Lights(tables.Light(mul), tables.Light(add))
+        assert lights.basis is not None   # + is certified
         rows, agreed = [], []
         first, agree = tables._first_nonadditive_row, tables._agree
         monkeypatch.setattr(tables, "_first_nonadditive_row",
@@ -693,7 +759,7 @@ class TestNonadditiveRow:
         monkeypatch.setattr(tables, "_agree", lambda n, pair: agreed.append(n) or agree(n, pair))
         got = tables.left_dist_witness(add, mul, lights)
         assert got == least_left_dist_witness(add.tolist(), mul.tolist()) is not None
-        # one pass at S+ found the row; no pass per member, none of S*
+        # one pass at the basis found the row; no pass per member, none of S*
         assert rows == [got[0]] and agreed == [] and lights.mul._members == []
 
 
@@ -705,8 +771,8 @@ def least_right_dist_witness(add, mul):
 
 class TestEndomorphismPass:
     """The S* distributive pass compares v(a + b) with v(a) + v(b) for a
-    map v of ``*``; near-ring scans, whose ``+`` gets no Light's test,
-    take it for both distributive laws."""
+    map v of ``*``; near-ring scans, and ring scans whose ``+`` is not
+    certified, take it for both distributive laws."""
 
     @pytest.mark.parametrize("spec", ["m0:cyclic:3", "m0:cyclic:4", "m0:nonassoc5"])
     def test_pair_is_the_plain_gathers(self, spec):
@@ -724,15 +790,15 @@ class TestEndomorphismPass:
     @pytest.mark.parametrize("spec", ["m0:cyclic:3", "m0:cyclic:4", "ut2:cyclic:2"])
     def test_corrupted_addition_fails_the_pass(self, spec, seed):
         # one add entry changed keeps * associative, so the laws are
-        # decided at S*; no Light's test of + runs
+        # decided at S*; + is not certified
         n, add, mul, _ = base(spec)
         rng = np.random.default_rng(seed)
         add = [row[:] for row in add]
         i, j = rng.integers(1, n, 2)
         add[i][j] = (add[i][j] + int(rng.integers(1, n))) % n
         a, m = tables.as_table(add), tables.as_table(mul)
-        lights = tables.Lights(tables.Light(m))
-        assert lights.mul.generators is not None and lights.additive_passes() is None
+        lights = tables.Lights(tables.Light(m), tables.Light(a))
+        assert lights.mul.generators is not None and lights.basis is None
         want = least_right_dist_witness(add, mul)
         assert want is not None
         assert tables.right_dist_witness(a, m, lights) == want
@@ -748,8 +814,8 @@ class TestEndomorphismPass:
 
 
 class TestCommutativity:
-    """``comm_witness`` compares square blocks; its witness is the one
-    pass's least (a, b) with a op b != b op a."""
+    """``comm_witness``'s witness is the least (a, b) with a op b != b op a,
+    read off the first mismatch without listing the others."""
 
     @staticmethod
     def one_pass(op):

@@ -797,7 +797,7 @@ class TestCliCheck:
 
         calls = []
         light = tables.Light
-        monkeypatch.setattr(tables, "Light", lambda t, *loop: calls.append(1) or light(t, *loop))
+        monkeypatch.setattr(tables, "Light", lambda t, *rest: calls.append(1) or light(t, *rest))
         code, payload = run_json(capsys, "check", "cyclic:4")
         assert code == 0 and payload["valid"] is True
         # parse_spec's one ring scan makes a Light of * and of +; the report
@@ -812,7 +812,7 @@ class TestCliCheck:
         seen = []
         light = tables.Light
         monkeypatch.setattr(tables, "Light",
-                            lambda t, *loop: seen.append(t.dtype) or light(t, *loop))
+                            lambda t, *rest: seen.append(t.dtype) or light(t, *rest))
         code, payload = run_json(capsys, "check", str(p))
         assert code == 0 and payload["valid"] is True
         assert seen == [np.dtype(np.int16)] * 2
