@@ -61,6 +61,11 @@ CLI = [
     (["analyze", "ut2:cyclic:16", "--subloops", "--local", "--radical"], {}),
     (["analyze", "product:" + "+".join(["cyclic:2"] * 8), "--subloops"], {}),
     (["decompose", "ut2:cyclic:16", "--verify-uniqueness"], {"LOOPNR_MAX_FAMILY_N": "4096"}),
+    # 64 idempotents, 12 primitives, 9 families
+    (["decompose", "product:matrix:cyclic:2,2+matrix:cyclic:2,2", "--verify-uniqueness"],
+     {"LOOPNR_MAX_FAMILY_N": "256"}),
+    # 4,096 idempotents, of which the splitter passes read only those asked for
+    (["decompose", "product:" + "+".join(["cyclic:2"] * 12)], {}),
     (["generate", "cyclic:4096"], {}),
     (["check", C4096], {}),
     (["analyze", C4096], {}),

@@ -8,15 +8,21 @@ Krull-Schmidt statement certified here says: once the canonical family
 is strongly indecomposable (all corners local), every complete family
 of primitive idempotents has the same length and members pairwise
 isomorphic to the canonical ones.
+
+Each relation among a ring's idempotents is read once per ring (the
+least splitters, the canonical family; orthogonality once per
+enumeration), and each corner ring and its signature once per corner.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import tables
 from .config import DEFAULT_BOUNDS, Bounds
 from .errors import (
     HypothesisFailed,
@@ -26,6 +32,7 @@ from .errors import (
     TheoremViolation,
     ZeroIdempotent,
 )
+from .lattice import bits_of
 from .nearrings import _require_idempotent, idempotents, induced, units
 from .rings import FiniteRing, idempotents_isomorphic, is_local_ring
 from .tables import all_integers, distinct, positions
@@ -92,6 +99,14 @@ class CornerRing:
     carrier: tuple
     ring: FiniteRing
 
+    @cached_property
+    def signature(self) -> tuple:
+        """The corner's ``corner_signature``, computed once."""
+        corner = self.ring
+        rows = sorted(map(tuple, corner.mul.tolist()))
+        digest = hashlib.sha256(repr((corner.n, rows)).encode()).hexdigest()[:16]
+        return (corner.n, len(units(corner).members), len(idempotents(corner).members), digest)
+
 
 def corner_ring(ring: FiniteRing, e: int) -> CornerRing:
     """The corner ring at an idempotent, built once per (ring, e)."""
@@ -110,15 +125,18 @@ def corner_ring(ring: FiniteRing, e: int) -> CornerRing:
 def is_primitive(ring: FiniteRing, e: int) -> bool:
     """e generates an indecomposable summand: corner idempotents trivial.
 
-    A ``_splitter`` of e, read off the parent's tables, decides "not
-    primitive" without building the corner.  Otherwise the corner is
-    built and its own idempotents confirm the verdict.
+    A splitter of e (``_splitters``), read off the parent's tables,
+    decides "not primitive" without building the corner.  Otherwise the
+    corner is built and its own idempotents confirm the verdict.
     """
     if e == ring.zero:
         raise ZeroIdempotent("primitivity is about nonzero idempotents")
     e = _require_idempotent(ring, e)
-    if _splitter(ring, e) is not None:
-        return False
+    return _splitters(ring, [e])[0] is None and _corner_confirms(ring, e)
+
+
+def _corner_confirms(ring: FiniteRing, e: int) -> bool:
+    """True once e's corner, e having no splitter, counts 2 idempotents."""
     count = len(idempotents(corner_ring(ring, e).ring).members)
     if count != 2:
         raise TheoremViolation(
@@ -129,12 +147,11 @@ def is_primitive(ring: FiniteRing, e: int) -> bool:
 
 
 def _primitives(ring: FiniteRing) -> list:
-    """The nonzero primitive idempotents, ascending."""
-    return [
-        int(e)
-        for e in idempotents(ring).sorted_members
-        if e != ring.zero and is_primitive(ring, e)
-    ]
+    """The nonzero primitive idempotents, ascending: one splitter pass
+    over all of them, then the corner route at each without a splitter."""
+    nonzero = ring._nonzero_idempotents.tolist()
+    return [e for e, g in zip(nonzero, _splitters(ring, nonzero))
+            if g is None and _corner_confirms(ring, e)]
 
 
 def is_strongly_indecomposable_corner(
@@ -153,35 +170,50 @@ def _require_local_corners(ring: FiniteRing, members, bounds: Bounds, what: str)
             raise HypothesisFailed(f"{what} without a local corner", witness=e)
 
 
-def _splitter(ring: FiniteRing, e: int) -> int | None:
-    """The least idempotent g of A with e*g = g*e = g outside {0, e}, or
-    None.  Such g are the idempotents of e*A*e other than its 0 and 1,
-    so e is primitive exactly when it has no splitter."""
-    idem = np.asarray(idempotents(ring).sorted_members)
-    inside = (ring.mul[e, idem] == idem) & (ring.mul[idem, e] == idem)
-    g = idem[inside & (idem != ring.zero) & (idem != e)]
-    return int(g[0]) if g.size else None
+def _splitters(ring: FiniteRing, es: list) -> list:
+    """The least splitter of each idempotent e in ``es``, or None: the
+    least idempotent g of A with e*g = g*e = g outside {0, e}.  Such g
+    are the idempotents of e*A*e other than its 0 and 1, so e is
+    primitive exactly when it has none.  Answers are kept on the ring;
+    the rest come from one pass over its nonzero idempotents in blocks
+    of ``tables._BLOCK_ELEMS`` pairs (not a full table: 16M at Z2^12)."""
+    memo, idem = ring._splitters, ring._nonzero_idempotents
+    todo = [e for e in es if e not in memo]
+    step = tables._blocks(len(idem))
+    for r in range(0, len(todo), step):
+        e = np.asarray(todo[r:r + step])[:, None]
+        inside = (ring.mul[e, idem] == idem) & (ring.mul[idem, e] == idem) & (idem != e)
+        least = np.where(inside.any(axis=1), idem[inside.argmax(axis=1)], -1)
+        memo.update((x, None if g < 0 else g) for x, g in zip(todo[r:r + step], least.tolist()))
+    return [memo[e] for e in es]
 
 
 def decompose_regular(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> IdempotentFamily:
-    """The canonical complete family of primitive idempotents.
+    """The canonical complete family of primitive idempotents, split
+    once per ring (``_split``)."""
+    bounds.check("max_n", ring.n, "ring to decompose")
+    return ring._canonical
 
-    Recursive splitting: the current corner's ``_splitter`` g and its
+
+def _split(ring: FiniteRing) -> IdempotentFamily:
+    """Recursive splitting from 1: each corner's least splitter g and its
     complement e - g within the corner are split in turn, and a corner
     without a splitter is a primitive member.  The least-index choice
-    makes the result canonical.
-    """
-    bounds.check("max_n", ring.n, "ring to decompose")
-    if ring.one == ring.zero:
-        return validate_idempotent_family(ring, ())
+    makes the result canonical.  The corners of one depth ask for their
+    splitters in one pass."""
+    parts = []
+    todo = [] if ring.one == ring.zero else [ring.one]   # the zero ring's family is empty
+    while todo:
+        found = list(zip(todo, _splitters(ring, todo)))
+        parts += [e for e, g in found if g is None]
+        todo = [x for e, g in found if g is not None for x in (g, int(ring.sub(e, g)))]
+    return validate_idempotent_family(ring, parts)
 
-    def split(e: int) -> list:
-        g = _splitter(ring, e)
-        if g is None:
-            return [e]
-        return split(g) + split(int(ring.sub(e, g)))
 
-    return validate_idempotent_family(ring, split(ring.one))
+def _orthogonality(ring: FiniteRing, members: list) -> np.ndarray:
+    """[i, j]: members i and j multiply to zero both ways."""
+    kills = ring.mul[np.ix_(members, members)] == ring.zero
+    return kills & kills.T
 
 
 def enumerate_complete_primitive_families(
@@ -191,41 +223,36 @@ def enumerate_complete_primitive_families(
 
     Families are emitted with ascending members, in lexicographic
     order.  If more than ``limit`` families exist, LimitReached is
-    raised carrying the ones found so far in ``partial``.
+    raised carrying the ones found so far in ``partial``.  Orthogonality
+    is read off one ``_orthogonality`` table of the primitives, its rows
+    as bitsets; ``validate_idempotent_family`` still certifies each family.
     """
     bounds.check("max_family_n", ring.n, "ring for family enumeration")
     if limit is None:
         limit = bounds.max_families
-    if ring.one == ring.zero:
-        return [validate_idempotent_family(ring, ())]
     prim = _primitives(ring)
-    mul = ring.mul
-    add = ring.add
-    zero, one = ring.zero, ring.one
+    add, one = ring.add, ring.one
+    orth = [bits_of(row) for row in _orthogonality(ring, prim)]
     found: list = []
 
-    def extend(chosen: list, total: int, start: int):
+    def extend(chosen: list, total: int, allowed: int):
+        # allowed: the primitives after the last chosen, orthogonal to all chosen
         if total == one:
             if len(found) >= limit:
-                raise LimitReached(
-                    f"more than {limit} complete families",
-                    partial=tuple(found),
-                )
+                raise LimitReached(f"more than {limit} complete families", partial=tuple(found))
             found.append(validate_idempotent_family(ring, chosen))
             return
-        for k in range(start, len(prim)):
-            p = prim[k]
-            if all(
-                int(mul[p, q]) == zero and int(mul[q, p]) == zero for q in chosen
-            ):
-                extend(chosen + [p], int(add[total, p]), k + 1)
+        while allowed:
+            k = (allowed & -allowed).bit_length() - 1
+            allowed &= allowed - 1
+            extend(chosen + [prim[k]], int(add[total, prim[k]]), allowed & orth[k])
 
-    extend([], zero, 0)
+    extend([], ring.zero, (1 << len(prim)) - 1)
     return found
 
 
 def corner_signature(ring: FiniteRing, e: int) -> tuple:
-    """A cheap fingerprint of the corner ring at e.
+    """A cheap fingerprint of the corner ring at e, computed once per corner.
 
     Components: corner size, unit count, idempotent count, and a hash
     of the lexicographically sorted multiplication table.  The first
@@ -233,15 +260,7 @@ def corner_signature(ring: FiniteRing, e: int) -> tuple:
     labeling, so only the numeric components may be used to rule out
     isomorphism.
     """
-    corner = corner_ring(ring, e).ring
-    rows = sorted(tuple(int(v) for v in row) for row in corner.mul)
-    digest = hashlib.sha256(repr((corner.n, rows)).encode()).hexdigest()[:16]
-    return (
-        corner.n,
-        len(units(corner).members),
-        len(idempotents(corner).members),
-        digest,
-    )
+    return corner_ring(ring, e).signature
 
 
 def _iso_class_labels(ring: FiniteRing, members) -> dict:

@@ -106,9 +106,12 @@ class ClosureSystem:
         return mask
 
     def _is_closed(self, mask: np.ndarray) -> bool:
-        """Whether every table entry on members of ``mask`` lies in it."""
+        """Whether every binary-table entry on members of ``mask`` lies in it.
+        Its one caller, ``closed_sets``, asks this of a union of closed
+        sets (the bottom and the principals below some p), which the
+        absorbing table maps into itself, so the binary tables decide."""
         members = np.flatnonzero(mask)
-        return all(mask[block].all() for block in self._images(members, members))
+        return all(mask[t[members[:, None], members]].all() for t in self.binary)
 
     def close(self, seed: Iterable[int]) -> np.ndarray:
         """The smallest closed set containing ``seed``, as a mask."""

@@ -193,13 +193,13 @@ def idempotents(nr: LoopNearRing) -> ElementSubset:
 
 def _require_idempotent(nr: LoopNearRing, e) -> int:
     """``e`` as an int, or NotIdempotent if it is not an integer
-    (``tables.all_integers``), is outside the carrier or has e * e != e."""
-    if not tables.all_integers([e]):
+    (as ``tables.all_integers`` reads one), is outside the carrier or has e * e != e."""
+    if isinstance(e, bool) or not isinstance(e, (int, np.integer)):
         raise NotIdempotent(f"{e!r} is not an integer")
     e = int(e)
     if not 0 <= e < nr.n:
         raise NotIdempotent(f"{e} outside the carrier")
-    if int(nr.mul[e, e]) != e:
+    if nr.mul[e, e] != e:
         raise NotIdempotent(f"{e} is not idempotent")
     return e
 

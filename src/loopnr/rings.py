@@ -64,6 +64,22 @@ class FiniteRing(LoopNearRing):
         return {}
 
     @cached_property
+    def _nonzero_idempotents(self) -> np.ndarray:
+        # ascending, as one array for decomp's splitter passes
+        idem = np.fromiter(self._idempotents, np.int64)
+        return idem[idem != self.zero]
+
+    @cached_property
+    def _splitters(self) -> dict:
+        # each idempotent's least splitter or None, filled by decomp._splitters
+        return {}
+
+    @cached_property
+    def _canonical(self):
+        from .decomp import _split   # the canonical family, split once
+        return _split(self)
+
+    @cached_property
     def _radical(self) -> TwoSidedIdeal:
         # the radical both ways, asserted equal and two-sided, once per ring
         a = radical_by_quasiregularity(self)
@@ -296,19 +312,17 @@ def idempotents_isomorphic(ring: FiniteRing, e: int, f: int) -> bool:
     """Whether eA and fA are isomorphic as right modules.
 
     Criterion: there are a in eAf and b in fAe with a*b = e and
-    b*a = f.  Decided by exhaustive search over both corner sets.
+    b*a = f.  Decided by exhaustive search over eAf x fAe, in blocks of
+    rows a of ``tables._BLOCK_ELEMS`` pairs, up to the first block that
+    holds such a pair.
     """
     mul = ring.mul
     e, f = _require_idempotent(ring, e), _require_idempotent(ring, f)
-    eaf = tables.distinct(mul[e, mul[:, f]], ring.n)
+    eaf = tables.distinct(mul[e, mul[:, f]], ring.n)[:, None]
     fae = tables.distinct(mul[f, mul[:, e]], ring.n)
-    for a in eaf:
-        ab = mul[a, fae]
-        hits = np.flatnonzero(ab == e)
-        for i in hits:
-            if int(mul[fae[i], a]) == f:
-                return True
-    return False
+    step = tables._blocks(len(fae))
+    return any(((mul[a, fae] == e) & (mul[fae, a] == f)).any()
+               for a in (eaf[r:r + step] for r in range(0, len(eaf), step)))
 
 
 def idempotents_conjugate(ring: FiniteRing, e: int, f: int) -> bool:

@@ -274,7 +274,10 @@ class Lights:
         group's table and T_i its unit step in digit i.  Row 0 of ``add``
         is the identity, so A[0] = C[0] and g_i = phi(s_i); row phi(t) is
         row phi(t - s_i) followed by phi T_i psi, so A[t] = T_i A[t - s_i]
-        as in C, and A = C, by one pass."""
+        as in C, and A = C, by one pass.  phi must be one to one; for the
+        phi of ``_search``, with phi(0) = 0, the pass implies it (g_1's
+        closing edge equates row 0, all of 0..n-1, with values of phi),
+        but the check stays for a phi that starts elsewhere."""
         basis, t = self.found, np.arange(len(self.mul.op))
         if basis is None or not np.array_equal(np.sort(basis.phi), t):   # phi is one to one
             return None

@@ -471,6 +471,16 @@ class TestCertificate:
             "two-sided-zero", "right-distributivity", "abelian-addition", "abelian-addition",
             "left-distributivity"])
 
+    def test_one_to_one_check_refuses_a_phi_with_a_repeated_entry(self, monkeypatch):
+        # phi = (1, 1) along g = 1 of order 2, on a table whose row 0 is the
+        # identity and whose row 1 is all 1s: the tree pass reads only row 1,
+        # where every entry is a value of phi, so only the sort check refuses
+        # it.  No search gives such a phi: it starts at phi(0) = 0.
+        add = tables.as_table([[0, 1], [1, 1]])
+        monkeypatch.setattr(tables, "_search", lambda op: tables.Basis(
+            (1,), (2,), np.array([1, 1], dtype=op.dtype)))
+        assert tables.Lights(tables.Light(add), tables.Light(add)).basis is None
+
     def test_basis_order_check_refuses_a_map_that_is_not_well_defined(self):
         # + is Z4 x Z2 along the basis g1, g2 found; x*c = d1 (g1 c) + d2 (g2 c)
         # for x = phi(d) passes the spanning-tree pass, with g1 the identity,

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -23,9 +24,11 @@ from loopnr import (
     is_strongly_indecomposable_corner,
     parse_spec,
     validate_idempotent_family,
+    validate_ring_tables,
     verify_ks_uniqueness,
     verify_retract_matching,
 )
+from loopnr import decomp, tables
 
 import corpus
 
@@ -187,6 +190,62 @@ class TestPrimitivity:
                 assert is_primitive(ring, e) == is_strongly_indecomposable_corner(
                     ring, e
                 ), (name, e)
+
+
+class TestIdempotentRelations:
+    """The splitter pass, the orthogonality table and the isomorphism
+    test, each equal to plain loops over the parent's tables, in one
+    block and in blocks of one row."""
+
+    @staticmethod
+    def fresh_rings():
+        # a new ring object per corpus entry, so that no answer is memoized
+        for name, ring in corpus.small_ring_corpus():
+            yield name, validate_ring_tables(ring.add, ring.mul, ring.one), ring.mul.tolist()
+
+    @pytest.mark.parametrize("block", [tables._BLOCK_ELEMS, 1])
+    def test_least_splitter_of_every_idempotent_is_brute(self, block, monkeypatch):
+        monkeypatch.setattr(tables, "_BLOCK_ELEMS", block)
+        for name, ring, mul in self.fresh_rings():
+            idem = [x for x in range(ring.n) if mul[x][x] == x]
+            nonzero = [e for e in idem if e != ring.zero]
+            brute = [next((g for g in idem if g not in (ring.zero, e)
+                           and mul[e][g] == g and mul[g][e] == g), None) for e in nonzero]
+            assert decomp._splitters(ring, nonzero) == brute, name
+            # asked again, one at a time, from the answers kept on the ring
+            assert [decomp._splitters(ring, [e])[0] for e in nonzero] == brute, name
+
+    def test_orthogonality_table_of_the_primitives_is_brute(self):
+        for name, ring, mul in self.fresh_rings():
+            prim = decomp._primitives(ring)
+            brute = [[mul[p][q] == ring.zero and mul[q][p] == ring.zero for q in prim]
+                     for p in prim]
+            assert decomp._orthogonality(ring, prim).tolist() == brute, name
+
+    @pytest.mark.parametrize("block", [tables._BLOCK_ELEMS, 1])
+    def test_isomorphism_of_every_pair_is_brute(self, block, monkeypatch):
+        monkeypatch.setattr(tables, "_BLOCK_ELEMS", block)
+        for name, ring, mul in self.fresh_rings():
+            idem = [x for x in range(ring.n) if mul[x][x] == x]
+            for e, f in product(idem, idem):
+                eaf = {mul[mul[e][x]][f] for x in range(ring.n)}
+                fae = {mul[mul[f][x]][e] for x in range(ring.n)}
+                brute = any(mul[a][b] == e and mul[b][a] == f for a in eaf for b in fae)
+                assert idempotents_isomorphic(ring, e, f) == brute, (name, e, f)
+
+    def test_one_decompose_report_splits_the_ring_once(self, monkeypatch):
+        split = decomp._split
+        calls = []
+        monkeypatch.setattr(decomp, "_split", lambda ring: calls.append(ring) or split(ring))
+        spec = "product:matrix:cyclic:2,2+matrix:cyclic:2,2"
+        ring = parse_spec(spec)
+        report = decompose_report(ring, spec, verify_uniqueness=True,
+                                  bounds=replace(DEFAULT_BOUNDS, max_family_n=256))
+        assert calls == [ring]
+        assert report["uniqueness"]["family_count"] == 9
+        assert decompose_regular(ring) is decompose_regular(ring)
+        e = report["family"][0]
+        assert corner_signature(ring, e) is corner_signature(ring, e)
 
 
 class TestDecomposeRegular:

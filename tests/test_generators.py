@@ -8,6 +8,7 @@ import pytest
 
 from loopnr import (
     CATALOG,
+    DEFAULT_BOUNDS,
     BoundExceeded,
     CayleyLoop,
     FiniteRing,
@@ -336,6 +337,37 @@ ANALYZE_SHA256 = {
     "random_loop:8,1": "5d68f98bb05e1bd67f43fc8a33ce9986e077dc29753a7f9bd7b5c8f1fe2dcd34",
 }
 
+# sha256 of the stdout of ``decompose SPEC --verify-uniqueness`` for
+# every ring entry that the default family cap (64) admits: any change
+# to a canonical family, corner signature, family list or class label
+# moves one of them.
+DECOMPOSE_SHA256 = {
+    "cyclic:1": "3ad8cad6e9655ca06ad279f34366ae409b202b5246f9f7d0fe4222d252df961b",
+    "cyclic:2": "09dda18b9889e8ee5dc3ac10f1069270afbfa9728a1079e7c844d9f2bffd6da5",
+    "cyclic:3": "c1fba53f376f91f3884213fcb1e7ddc2f2878e91433eed8d19a61b07b5ea3f5d",
+    "cyclic:4": "46bee78c88c6de50eb650760f05b6ef42a060961061b52da49d65d8ea019d6c8",
+    "cyclic:5": "f7e932f3f87061601784e3c74ca670f05307c7786af6fea2a21eb0acbc3c4ce2",
+    "cyclic:6": "9eb1d889b674a01820c8ed10b66e8a739df199f40b2113eb84b2f47a9bf2fdc1",
+    "cyclic:7": "4171322d5794496b2b67ce06b1eadbf20b4b26fd5e919e2a5873caa5ca8a033f",
+    "cyclic:8": "368daa0cf901c0eb84d626d24943536d79ea94e904bfe414dccb42332fececed",
+    "cyclic:9": "fdaa65e1ff01a7ac4f50a7339a9ccc7b02391e9673f8b0b201d9211d1d010d27",
+    "cyclic:10": "32429e31091a319553673ed13ec6b764c8cbfba1b3817f24917833cafb82f7b1",
+    "cyclic:11": "4553c8bba4781e0e6926630c85b3ba0cf6a4185f50f4c2875b28d1ccd9662b81",
+    "cyclic:12": "d5c33342257e23d0f35d5b9425c5d165fe88fa5bfb1d9a2bb69cb4062cc16051",
+    "cyclic:13": "cf3fc2949daae4d47e634d27871691c13032ab0b5d21e26303c2748a2ffca4e8",
+    "cyclic:14": "a7ad98feb2f1af7f3b4419783c6e28fbd2d541a9475a503084458c72aade9a2b",
+    "cyclic:15": "85573ea4ed3dbcd7dbd550e4f4228f1bd3152b06385253610bffaf9fa571f993",
+    "cyclic:16": "6ea51d90db9ba42e00263945142d8bbf030a457a25ec41fe27f70d6e71dcb9c6",
+    "gf:4": "1dc58758f95085cf0d1703fffc1e2c39e0422ad1c880062aff4798109bcfccca",
+    "product:cyclic:2+cyclic:2": "bd4d03b4bb6a7c9515da3dc3ebb40641778536e8792fe9beb8a60bf662da6ec2",
+    "product:cyclic:2+cyclic:3": "4cb81a270870177680d989a149ad3d5d3847caa6912f885f4e64d71036bdb233",
+    "product:cyclic:4+cyclic:2": "febd169e3cd7792c6600dfffd794b7d99ce38609636f68b6c745a0d44e19912e",
+    "matrix:cyclic:2,2": "4e92fa96372a67c5ae18319d84343a0a91372cbc1b85aa36716bb65eb4f7fe2d",
+    "ut2:cyclic:2": "55b95e1addef97f936c6b1e1704804bc9fcac31ebee17a2a6a09e4f38c6e8055",
+    "ut2:cyclic:3": "3607f745245c2d8631c7b114794d0a9350254632dac5ce9610f11dadd2fea942",
+    "opposite:matrix:cyclic:2,2": "bf428789f91dc2461849183ca43e891b99b64c2f4d3c9fb292e91d04dc910e03",
+}
+
 build = functools.cache(parse_spec)
 
 
@@ -373,6 +405,14 @@ class TestParseSpec:
             assert main(["analyze", spec, *flags]) == 0, spec
             out = capsys.readouterr().out
             assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_SHA256[spec], spec
+
+    def test_decompose_reports_are_pinned(self, capsys):
+        assert list(DECOMPOSE_SHA256) == [
+            spec for spec, kind, n in CATALOG if kind == "ring" and n <= DEFAULT_BOUNDS.max_family_n]
+        for spec, want in DECOMPOSE_SHA256.items():
+            assert main(["decompose", spec, "--verify-uniqueness"]) == 0, spec
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == want, spec
 
     def test_catalog_specs_unique(self):
         specs = [spec for spec, _, _ in CATALOG]
