@@ -60,10 +60,13 @@ CLI = [
     (["analyze", "m0:nonassoc5", "--local"], {}),
     (["analyze", "ut2:cyclic:16", "--subloops", "--local", "--radical"], {}),
     (["analyze", "product:" + "+".join(["cyclic:2"] * 8), "--subloops"], {}),
-    (["decompose", "ut2:cyclic:16", "--verify-uniqueness"], {"LOOPNR_MAX_FAMILY_N": "4096"}),
+    # the largest N-subloop lattice max_enum_n admits: 4,096 ideals of Z2^12
+    (["analyze", "product:" + "+".join(["cyclic:2"] * 12), "--subloops", "--local", "--radical"], {}),
+    (["decompose", "ut2:cyclic:16", "--verify-uniqueness"], {}),
     # 64 idempotents, 12 primitives, 9 families
-    (["decompose", "product:matrix:cyclic:2,2+matrix:cyclic:2,2", "--verify-uniqueness"],
-     {"LOOPNR_MAX_FAMILY_N": "256"}),
+    (["decompose", "product:matrix:cyclic:2,2+matrix:cyclic:2,2", "--verify-uniqueness"], {}),
+    # a local ring of the largest order: its corner at 1 is the whole ring
+    (["decompose", "gf:4096", "--verify-uniqueness"], {}),
     # 4,096 idempotents, of which the splitter passes read only those asked for
     (["decompose", "product:" + "+".join(["cyclic:2"] * 12)], {}),
     (["generate", "cyclic:4096"], {}),

@@ -77,8 +77,8 @@ def _bounds_from_args(args) -> Bounds:
 def _load_input(arg: str, bounds: Bounds):
     """File if the argument names one, generator spec otherwise."""
     if os.path.exists(arg):
-        return load_structure(arg, bounds)
-    return parse_spec(arg, bounds), {"name": arg}
+        return load_structure(arg, bounds)[0]
+    return parse_spec(arg, bounds)
 
 
 def cmd_check(args) -> int:
@@ -97,7 +97,7 @@ def cmd_check(args) -> int:
 
 def cmd_analyze(args) -> int:
     bounds = _bounds_from_args(args)
-    structure, _meta = _load_input(args.input, bounds)
+    structure = _load_input(args.input, bounds)
     payload = analysis_report(
         structure,
         args.input,
@@ -114,7 +114,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_decompose(args) -> int:
     bounds = _bounds_from_args(args)
-    structure, _meta = _load_input(args.input, bounds)
+    structure = _load_input(args.input, bounds)
     payload = decompose_report(
         structure,
         args.input,
@@ -153,8 +153,8 @@ def _load_map(path: str) -> list:
 
 def cmd_hom(args) -> int:
     bounds = _bounds_from_args(args)
-    source, _ = _load_input(args.source, bounds)
-    target, _ = _load_input(args.target, bounds)
+    source = _load_input(args.source, bounds)
+    target = _load_input(args.target, bounds)
     if not isinstance(source, LoopNearRing) or not isinstance(target, LoopNearRing):
         raise PreconditionFailed("hom checking needs near-ring or ring structures")
     fmap = _load_map(args.map)

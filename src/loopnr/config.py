@@ -18,8 +18,7 @@ from .tables import MAX_ORDER
 class Bounds:
     max_n: int = 4096            # largest carrier any constructor or file will build
     max_subloop_n: int = 24      # loop size cap for full subloop enumeration
-    max_enum_n: int = 4096       # carrier cap for N-subloop / left-ideal lattices
-    max_family_n: int = 64       # ring size cap for primitive-family enumeration
+    max_enum_n: int = 4096       # carrier cap for lattices, locality, radicals, families
     max_families: int = 4096     # enumerated-family cap before LimitReached
 
     def __post_init__(self):
@@ -44,13 +43,12 @@ class Bounds:
             raise BoundExceeded(f"{what} has {count} elements, cap is {limit} ({cap})")
 
 
-# Environment knobs.  The three names used by the CLI flags come first;
-# the rest exist so scripted runs can loosen an individual cap.
+# Environment knobs: the three names used by the CLI flags, then the
+# enumeration cap.  No other LOOPNR_* variable is read.
 _ENV_FIELDS = {
     "LOOPNR_MAX_N": "max_n",
     "LOOPNR_MAX_SUBLOOPS": "max_subloop_n",
     "LOOPNR_MAX_FAMILIES": "max_families",
-    "LOOPNR_MAX_FAMILY_N": "max_family_n",
     "LOOPNR_MAX_ENUM_N": "max_enum_n",
 }
 

@@ -37,6 +37,8 @@ from .nearrings import _require_idempotent, idempotents, induced, units
 from .rings import FiniteRing, idempotents_isomorphic, is_local_ring
 from .tables import all_integers, distinct, positions
 
+_DIGEST_ELEMS = 1 << 16   # table entries per block of the corner digest's text
+
 
 @dataclass(frozen=True, eq=False)
 class IdempotentFamily:
@@ -100,12 +102,24 @@ class CornerRing:
     ring: FiniteRing
 
     @cached_property
+    def invariants(self) -> tuple:
+        """Size, unit count and idempotent count: isomorphism invariants."""
+        return (self.ring.n, len(units(self.ring).members), len(idempotents(self.ring).members))
+
+    @cached_property
     def signature(self) -> tuple:
-        """The corner's ``corner_signature``, computed once."""
-        corner = self.ring
-        rows = sorted(map(tuple, corner.mul.tolist()))
-        digest = hashlib.sha256(repr((corner.n, rows)).encode()).hexdigest()[:16]
-        return (corner.n, len(units(corner).members), len(idempotents(corner).members), digest)
+        """The invariants and a digest: SHA-256 of
+        ``repr((n, sorted(map(tuple, mul.tolist()))))``, fed the text of
+        about ``_DIGEST_ELEMS`` entries of ``np.lexsort``-ed rows at a time."""
+        mul = self.ring.mul
+        rows = mul[np.lexsort(mul.T[::-1])]
+        step = max(1, _DIGEST_ELEMS // len(rows))
+        h = hashlib.sha256(f"({len(rows)}, [".encode())
+        for r in range(0, len(rows), step):
+            text = repr(list(map(tuple, rows[r:r + step].tolist())))[1:-1]
+            h.update((", " + text if r else text).encode())
+        h.update(b"])")
+        return (*self.invariants, h.hexdigest()[:16])
 
 
 def corner_ring(ring: FiniteRing, e: int) -> CornerRing:
@@ -227,7 +241,7 @@ def enumerate_complete_primitive_families(
     is read off one ``_orthogonality`` table of the primitives, its rows
     as bitsets; ``validate_idempotent_family`` still certifies each family.
     """
-    bounds.check("max_family_n", ring.n, "ring for family enumeration")
+    bounds.check("max_enum_n", ring.n, "ring for family enumeration")
     if limit is None:
         limit = bounds.max_families
     prim = _primitives(ring)
@@ -267,11 +281,11 @@ def _iso_class_labels(ring: FiniteRing, members) -> dict:
     """Partition idempotents into isomorphism classes, labeled 0,1,...
 
     Labels are assigned in ascending order of each class's least
-    member.  The invariant part of the corner signature prunes pairs
+    member.  The corner invariants (``CornerRing.invariants``) prune pairs
     that cannot match; idempotents_isomorphic decides the rest.
     """
     ms = sorted(set(int(e) for e in members))
-    invariant = {e: corner_signature(ring, e)[:3] for e in ms}
+    invariant = {e: corner_ring(ring, e).invariants for e in ms}
     labels: dict = {}
     reps: list = []
     for e in ms:
@@ -372,7 +386,7 @@ def verify_retract_matching(
     the least canonical member in f's isomorphism class; the canonical
     members are primitive, so one labelling of the primitives covers both.
     """
-    bounds.check("max_family_n", ring.n, "ring for family enumeration")
+    bounds.check("max_enum_n", ring.n, "ring for family enumeration")
     canonical = decompose_regular(ring, bounds)
     _require_local_corners(ring, canonical.members, bounds, "canonical member")
     prim = _primitives(ring)

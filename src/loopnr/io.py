@@ -1,4 +1,4 @@
-"""Structure files: canonical JSON on output, JSON or plain text on input.
+"""Structure files: canonical JSON or plain text, on input and output.
 
 The JSON form is the interchange format:
 
@@ -7,7 +7,8 @@ The JSON form is the interchange format:
 
 Loops carry no "mul"/"one".  Serialization is canonical: sorted keys,
 compact separators, a single trailing newline, UTF-8 untouched.  The
-plain-text form is accepted on input only, for hand-written tables:
+plain-text form, for hand-written tables, is read by the same loader
+and written by ``dump_structure_text`` (``generate --text``):
 
     ring 4
     0 1 2 3

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from itertools import product
 
@@ -31,8 +32,6 @@ from loopnr import (
 from loopnr import decomp, tables
 
 import corpus
-
-WIDE = replace(DEFAULT_BOUNDS, max_family_n=81)
 
 
 def families_members(fams):
@@ -173,8 +172,7 @@ class TestPrimitivity:
     ])
     def test_decompose_builds_corners_of_primitives_only(self, spec, primitives):
         ring = parse_spec(spec)
-        decompose_report(ring, spec, verify_uniqueness=True,
-                         bounds=replace(DEFAULT_BOUNDS, max_family_n=256))
+        decompose_report(ring, spec, verify_uniqueness=True)
         assert len(ring._corners) == primitives
         assert all(is_primitive(ring, e) for e in ring._corners)
 
@@ -239,8 +237,7 @@ class TestIdempotentRelations:
         monkeypatch.setattr(decomp, "_split", lambda ring: calls.append(ring) or split(ring))
         spec = "product:matrix:cyclic:2,2+matrix:cyclic:2,2"
         ring = parse_spec(spec)
-        report = decompose_report(ring, spec, verify_uniqueness=True,
-                                  bounds=replace(DEFAULT_BOUNDS, max_family_n=256))
+        report = decompose_report(ring, spec, verify_uniqueness=True)
         assert calls == [ring]
         assert report["uniqueness"]["family_count"] == 9
         assert decompose_regular(ring) is decompose_regular(ring)
@@ -296,11 +293,13 @@ class TestEnumerateFamilies:
         assert families_members(list(partial)) == [(1, 8), (3, 10)]
 
     def test_bound_on_ring_order(self):
-        with pytest.raises(BoundExceeded):
-            enumerate_complete_primitive_families(corpus.m2(3))
+        # the next size up from the cap is refused, naming max_enum_n
+        with pytest.raises(BoundExceeded, match=r"has 81 elements, cap is 80 \(max_enum_n\)"):
+            enumerate_complete_primitive_families(
+                corpus.m2(3), bounds=replace(DEFAULT_BOUNDS, max_enum_n=80))
 
-    def test_wide_bounds_admit_m2z3(self):
-        fams = enumerate_complete_primitive_families(corpus.m2(3), bounds=WIDE)
+    def test_default_bounds_admit_m2z3(self):
+        fams = enumerate_complete_primitive_families(corpus.m2(3))
         assert len(fams) == 6
         assert all(len(f.members) == 2 for f in fams)
 
@@ -319,6 +318,22 @@ class TestCornerSignature:
         sig = corner_signature(corpus.z(6), 3)
         assert sig[0] == 2 and len(sig) == 4
         assert isinstance(sig[3], str) and len(sig[3]) == 16
+        assert sig[:3] == corner_ring(corpus.z(6), 3).invariants
+
+    @pytest.mark.parametrize("block", [decomp._DIGEST_ELEMS, 1])
+    def test_digest_is_the_hash_of_the_sorted_rows(self, block, monkeypatch):
+        # every corner of the corpus, the 1-element corner at 0 included,
+        # on a fresh ring so that no signature is memoized
+        monkeypatch.setattr(decomp, "_DIGEST_ELEMS", block)
+        for name, ring in corpus.small_ring_corpus():
+            ring = validate_ring_tables(ring.add, ring.mul, ring.one)
+            for e in range(ring.n):
+                if int(ring.mul[e, e]) != e:
+                    continue
+                corner = corner_ring(ring, e).ring
+                rows = sorted(map(tuple, corner.mul.tolist()))
+                want = hashlib.sha256(repr((corner.n, rows)).encode()).hexdigest()[:16]
+                assert corner_signature(ring, e)[3] == want, (name, e)
 
 
 class TestKSUniqueness:
@@ -349,8 +364,8 @@ class TestKSUniqueness:
         assert rep.family_count == 2
         assert rep.class_labels == ((0, 1), (0, 1))
 
-    def test_m2z3_with_wide_bounds(self):
-        rep = verify_ks_uniqueness(corpus.m2(3), bounds=WIDE)
+    def test_m2z3_at_default_bounds(self):
+        rep = verify_ks_uniqueness(corpus.m2(3))
         assert rep.matched
         assert rep.family_count == 6
         assert set(rep.class_labels) == {(0, 0)}

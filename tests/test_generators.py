@@ -8,7 +8,6 @@ import pytest
 
 from loopnr import (
     CATALOG,
-    DEFAULT_BOUNDS,
     BoundExceeded,
     CayleyLoop,
     FiniteRing,
@@ -338,9 +337,8 @@ ANALYZE_SHA256 = {
 }
 
 # sha256 of the stdout of ``decompose SPEC --verify-uniqueness`` for
-# every ring entry that the default family cap (64) admits: any change
-# to a canonical family, corner signature, family list or class label
-# moves one of them.
+# every ring entry: any change to a canonical family, corner signature,
+# family list or class label moves one of them.
 DECOMPOSE_SHA256 = {
     "cyclic:1": "3ad8cad6e9655ca06ad279f34366ae409b202b5246f9f7d0fe4222d252df961b",
     "cyclic:2": "09dda18b9889e8ee5dc3ac10f1069270afbfa9728a1079e7c844d9f2bffd6da5",
@@ -363,6 +361,8 @@ DECOMPOSE_SHA256 = {
     "product:cyclic:2+cyclic:3": "4cb81a270870177680d989a149ad3d5d3847caa6912f885f4e64d71036bdb233",
     "product:cyclic:4+cyclic:2": "febd169e3cd7792c6600dfffd794b7d99ce38609636f68b6c745a0d44e19912e",
     "matrix:cyclic:2,2": "4e92fa96372a67c5ae18319d84343a0a91372cbc1b85aa36716bb65eb4f7fe2d",
+    "matrix:cyclic:3,2": "510c937fa25f7db0c3d437cd08aa1a8a5e11106862849bec691adff4576570b2",
+    "matrix:cyclic:4,2": "8abfb111397fb6037082ec6bf570f8d1e29a0653f1716d371853fa7f43284db1",
     "ut2:cyclic:2": "55b95e1addef97f936c6b1e1704804bc9fcac31ebee17a2a6a09e4f38c6e8055",
     "ut2:cyclic:3": "3607f745245c2d8631c7b114794d0a9350254632dac5ce9610f11dadd2fea942",
     "opposite:matrix:cyclic:2,2": "bf428789f91dc2461849183ca43e891b99b64c2f4d3c9fb292e91d04dc910e03",
@@ -407,8 +407,7 @@ class TestParseSpec:
             assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_SHA256[spec], spec
 
     def test_decompose_reports_are_pinned(self, capsys):
-        assert list(DECOMPOSE_SHA256) == [
-            spec for spec, kind, n in CATALOG if kind == "ring" and n <= DEFAULT_BOUNDS.max_family_n]
+        assert list(DECOMPOSE_SHA256) == [spec for spec, kind, _ in CATALOG if kind == "ring"]
         for spec, want in DECOMPOSE_SHA256.items():
             assert main(["decompose", spec, "--verify-uniqueness"]) == 0, spec
             out = capsys.readouterr().out

@@ -729,7 +729,7 @@ class TestCliCheck:
         pytest.param(["analyze", "cyclic:16", "--local"],
                      {"LOOPNR_MAX_ENUM_N": "8"}, 8, "max_enum_n", id="max_enum_n"),
         pytest.param(["decompose", "cyclic:16", "--verify-uniqueness"],
-                     {"LOOPNR_MAX_FAMILY_N": "8"}, 8, "max_family_n", id="max_family_n"),
+                     {"LOOPNR_MAX_ENUM_N": "8"}, 8, "max_enum_n", id="max_enum_n_families"),
     ])
     def test_flag_bounds_map_and_matrix_specs(self, capsys, monkeypatch, argv, env, limit, cap):
         # every refusal names the cap that refused it
@@ -774,8 +774,6 @@ class TestCliCheck:
          "max_families", -1),
         (["decompose", "cyclic:6", "--verify-uniqueness", "--max-families", "-3"], {},
          "max_families", -3),
-        (["decompose", "cyclic:6", "--verify-uniqueness"], {"LOOPNR_MAX_FAMILY_N": "-1"},
-         "max_family_n", -1),
         (["analyze", "cyclic:6", "--local"], {"LOOPNR_MAX_ENUM_N": "-5"}, "max_enum_n", -5),
     ])
     def test_negative_cap_is_a_parse_error(self, capsys, monkeypatch, argv, env, cap, value):
@@ -785,10 +783,20 @@ class TestCliCheck:
         code, out = run_cli(capsys, *argv)
         assert (code, out) == (2, f"parse error: {cap} {value} is negative: a cap is at least 0\n")
 
+    @pytest.mark.parametrize("value", ["8", "-1"])
+    def test_retired_family_cap_is_not_read(self, capsys, monkeypatch, value):
+        # LOOPNR_MAX_FAMILY_N no longer exists: neither a tight nor a
+        # negative setting changes any output
+        argv = ["decompose", "cyclic:16", "--verify-uniqueness"]
+        want = run_cli(capsys, *argv)
+        monkeypatch.setenv("LOOPNR_MAX_FAMILY_N", value)
+        assert run_cli(capsys, *argv) == want
+        assert want[0] == 0
+
     def test_cap_of_zero_is_valid(self, capsys):
         from loopnr.config import Bounds
 
-        assert Bounds(max_n=0, max_subloop_n=0, max_enum_n=0, max_family_n=0, max_families=0)
+        assert Bounds(max_n=0, max_subloop_n=0, max_enum_n=0, max_families=0)
         code, out = run_cli(capsys, "check", "cyclic:6", "--max-n", "0")
         assert code == 3 and "cap is 0 (max_n)" in out
 
@@ -973,7 +981,7 @@ class TestCliDecompose:
         # np.unique imports numpy.ma on its first call; the library dedupes
         # over 0..n-1 with tables.distinct instead
         src = os.path.dirname(os.path.dirname(os.path.abspath(loopnr.__file__)))
-        env = dict(os.environ, PYTHONPATH=src, LOOPNR_MAX_FAMILY_N="256")
+        env = dict(os.environ, PYTHONPATH=src)
         script = (
             "import contextlib, io, sys\n"
             "from loopnr.cli import main\n"
