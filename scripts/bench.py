@@ -8,8 +8,9 @@ Run from the root of a checkout:
 Every run is its own child: ``python -m loopnr`` with ``src/`` on the
 path, run ``REPEATS`` times in a row, or ``perfbench/run.py`` unchanged
 at its default seed, run once (it repeats its own jobs).  The one
-input file that no workload writes, gf:4096 relabelled along a fixed
-permutation fixing 0, is written first by a child of its own.  Peak
+two input files that no workload writes, gf:4096 relabelled along a
+fixed permutation fixing 0 and the triangular ring [[F2, F2^10], [0, F2]],
+are written first, each by a child of its own.  Peak
 RSS is the child's own, from the rusage that ``os.wait4`` returns for
 it, which also covers the descendants it waited for (perfbench's
 workers); ``RUSAGE_CHILDREN`` would be a running maximum over every
@@ -47,6 +48,14 @@ RELABEL = ("import sys, numpy as np; from loopnr import parse_spec, validate_rin
            "new = np.concatenate([[0], 1 + np.random.default_rng(0).permutation(r.n - 1)]).astype(np.int16); "
            "old = np.argsort(new); write_structure(validate_ring_tables(*(new[t[old[:, None], old]] "
            "for t in (r.add, r.mul)), int(new[r.one])), open(sys.argv[1], 'w'))")
+# [[F2, F2^10], [0, F2]], element a + 2b + 4v for [[a, v], [0, b]]: 2,048
+# primitives [[1, v], [0, 0]] and [[0, v], [0, 1]] in 1,024 families
+TRI4096 = "tri4096.json"
+TRIANGULAR = ("import sys, numpy as np; from loopnr import validate_ring_tables; "
+              "from loopnr.io import write_structure; x = np.arange(4096); a, b, v = x & 1, x >> 1 & 1, x >> 2; "
+              "mul = (a[:, None] & a) | (b[:, None] & b) << 1 | ((a[:, None] * v) ^ (v[:, None] * b)) << 2; "
+              "write_structure(validate_ring_tables((x[:, None] ^ x).astype(np.int16), mul.astype(np.int16), 3), "
+              "open(sys.argv[1], 'w'))")
 CLI = [
     (["check", "ut2:cyclic:16"], {}),
     (["analyze", "cyclic:4096"], {}),
@@ -60,13 +69,17 @@ CLI = [
     (["analyze", "m0:nonassoc5", "--local"], {}),
     (["analyze", "ut2:cyclic:16", "--subloops", "--local", "--radical"], {}),
     (["analyze", "product:" + "+".join(["cyclic:2"] * 8), "--subloops"], {}),
-    # the largest N-subloop lattice max_enum_n admits: 4,096 ideals of Z2^12
+    # 4,096 ideals of Z2^12; not the largest lattice max_enum_n admits
+    # (F2 x| F2^11 has billions), the slowest constructor input measured
     (["analyze", "product:" + "+".join(["cyclic:2"] * 12), "--subloops", "--local", "--radical"], {}),
     (["decompose", "ut2:cyclic:16", "--verify-uniqueness"], {}),
     # 64 idempotents, 12 primitives, 9 families
     (["decompose", "product:matrix:cyclic:2,2+matrix:cyclic:2,2", "--verify-uniqueness"], {}),
     # a local ring of the largest order: its corner at 1 is the whole ring
     (["decompose", "gf:4096", "--verify-uniqueness"], {}),
+    # M2(Z/8): 96 rank-1 primitives in 48 families
+    (["decompose", "matrix:cyclic:8,2", "--verify-uniqueness"], {}),
+    (["decompose", TRI4096, "--verify-uniqueness"], {}),
     # 4,096 idempotents, of which the splitter passes read only those asked for
     (["decompose", "product:" + "+".join(["cyclic:2"] * 12)], {}),
     (["generate", "cyclic:4096"], {}),
@@ -114,9 +127,10 @@ def main(argv=None) -> int:
                MKL_NUM_THREADS="1", NUMEXPR_NUM_THREADS="1")
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
-        subprocess.run([sys.executable, "-c", RELABEL, os.path.join(tmp, GF4096R)], env=env, check=True)
+        for script, name in ((RELABEL, GF4096R), (TRIANGULAR, TRI4096)):
+            subprocess.run([sys.executable, "-c", script, os.path.join(tmp, name)], env=env, check=True)
         for argv_, extra in CLI:
-            argv_ = [os.path.join(tmp, a) if a in (C4096, GF4096R) else a for a in argv_]
+            argv_ = [os.path.join(tmp, a) if a in (C4096, GF4096R, TRI4096) else a for a in argv_]
             out = os.path.join(tmp, C4096 if argv_[0] == "generate" else "stdout")
             row = repeated([sys.executable, "-m", "loopnr", *argv_], {**env, **extra}, out)
             rows.append({"command": " ".join(argv_).replace(tmp + os.sep, ""), "env": extra, **row})

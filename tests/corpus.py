@@ -6,6 +6,8 @@ map near-ring in particular) are constructed once per test session.
 
 from functools import cache
 
+import numpy as np
+
 from loopnr import (
     CayleyLoop,
     FiniteRing,
@@ -21,6 +23,7 @@ from loopnr import (
     smallest_nonassociative_loop,
     upper_triangular_ring,
     validate_lnr_hom,
+    validate_ring_tables,
 )
 
 
@@ -42,6 +45,15 @@ def m2(base: int) -> FiniteRing:
 @cache
 def ut2(base: int) -> FiniteRing:
     return upper_triangular_ring(z(base))
+
+
+@cache
+def tri_f2(k: int) -> FiniteRing:
+    """[[F2, F2^k], [0, F2]]: element a + 2b + 4v is [[a, v], [0, b]]."""
+    x = np.arange(4 << k)
+    a, b, v = x & 1, x >> 1 & 1, x >> 2
+    mul = (a[:, None] & a) | (b[:, None] & b) << 1 | ((a[:, None] * v) ^ (v[:, None] * b)) << 2
+    return validate_ring_tables((x[:, None] ^ x).astype(np.int16), mul.astype(np.int16), 3)
 
 
 @cache

@@ -364,6 +364,21 @@ class TestKSUniqueness:
         assert rep.family_count == 2
         assert rep.class_labels == ((0, 1), (0, 1))
 
+    def test_triangular_bimodule_pairs_every_primitive(self):
+        # [[F2, F2^4], [0, F2]]: 32 primitives [[1, v], [0, 0]] and
+        # [[0, v], [0, 1]], each orthogonal to one of the other kind
+        ring = corpus.tri_f2(4)
+        rep = verify_ks_uniqueness(ring)
+        assert rep.matched
+        assert rep.family_count == 16
+        assert rep.common_length == 2
+        assert set(rep.class_labels) == {(0, 1)}
+        matching = verify_retract_matching(ring)
+        assert matching.canonical == (1, 2)
+        assert len(matching.matches) == 32
+        # [[1, v], [0, 0]] has a = 1, b = 0: it matches 1; the rest match 2
+        assert all(partner == (1 if f & 3 == 1 else 2) for f, partner in matching.matches)
+
     def test_m2z3_at_default_bounds(self):
         rep = verify_ks_uniqueness(corpus.m2(3))
         assert rep.matched
