@@ -77,6 +77,9 @@ CLI = [
     (["decompose", "product:matrix:cyclic:2,2+matrix:cyclic:2,2", "--verify-uniqueness"], {}),
     # a local ring of the largest order: its corner at 1 is the whole ring
     (["decompose", "gf:4096", "--verify-uniqueness"], {}),
+    # a local ring of the largest order without family enumeration: its
+    # corner's digest hashes the text of all 4,096 sorted rows
+    (["decompose", "cyclic:4096"], {}),
     # M2(Z/8): 96 rank-1 primitives in 48 families
     (["decompose", "matrix:cyclic:8,2", "--verify-uniqueness"], {}),
     (["decompose", TRI4096, "--verify-uniqueness"], {}),

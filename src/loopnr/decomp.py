@@ -9,9 +9,18 @@ is strongly indecomposable (all corners local), every complete family
 of primitive idempotents has the same length and members pairwise
 isomorphic to the canonical ones.
 
+Corner locality is decided once per isomorphism class: the three
+locality routes run at the class's least member r, and each other
+member f takes r's verdict along x -> b*x*a, for the a in rAf, b in fAr
+with a*b = r and b*a = f that put f in r's class.  That map is a ring
+isomorphism rAr -> fAf (x = r*x*r, so b*x*a*b*y*a = b*x*y*a, and
+b*r*a = f), with inverse y -> a*y*b; it is certified pointwise before
+the verdict is carried.
+
 Each relation among a ring's idempotents is read once per ring (the
 least splitters, the canonical family; orthogonality once per
-enumeration), and each corner ring and its signature once per corner.
+enumeration), and each corner ring and its signature once per corner;
+the corner at 1 is the ring itself.
 """
 
 from __future__ import annotations
@@ -27,14 +36,17 @@ from .config import DEFAULT_BOUNDS, Bounds
 from .errors import (
     HypothesisFailed,
     LimitReached,
+    NotAHomomorphism,
     NotIdempotent,
     PreconditionFailed,
     TheoremViolation,
     ZeroIdempotent,
 )
+from .homs import validate_lnr_hom
+from .io import _render_rows
 from .lattice import bits_of
 from .nearrings import _require_idempotent, idempotents, induced, units
-from .rings import FiniteRing, idempotents_isomorphic, is_local_ring
+from .rings import FiniteRing, _iso_witness, is_local_ring
 from .tables import all_integers, distinct, positions
 
 _DIGEST_ELEMS = 1 << 16   # table entries per block of the corner digest's text
@@ -109,26 +121,29 @@ class CornerRing:
     @cached_property
     def signature(self) -> tuple:
         """The invariants and a digest: SHA-256 of
-        ``repr((n, sorted(map(tuple, mul.tolist()))))``, fed the text of
-        about ``_DIGEST_ELEMS`` entries of ``np.lexsort``-ed rows at a time."""
+        ``repr((n, sorted(map(tuple, mul.tolist()))))``, fed that text as
+        ``io._render_rows`` renders the ``np.lexsort``-ed rows, about
+        ``_DIGEST_ELEMS`` entries at a time."""
         mul = self.ring.mul
         rows = mul[np.lexsort(mul.T[::-1])]
-        step = max(1, _DIGEST_ELEMS // len(rows))
-        h = hashlib.sha256(f"({len(rows)}, [".encode())
-        for r in range(0, len(rows), step):
-            text = repr(list(map(tuple, rows[r:r + step].tolist())))[1:-1]
-            h.update((", " + text if r else text).encode())
+        h = hashlib.sha256(f"({len(rows)}, [(".encode())
+        for text in _render_rows(rows, ", ", ")" if len(rows) > 1 else ",)", ", (", _DIGEST_ELEMS):
+            h.update(text)
         h.update(b"])")
         return (*self.invariants, h.hexdigest()[:16])
 
 
 def corner_ring(ring: FiniteRing, e: int) -> CornerRing:
-    """The corner ring at an idempotent, built once per (ring, e)."""
+    """The corner ring at an idempotent, built once per (ring, e); the
+    corner at 1 is the ring itself."""
     e = _require_idempotent(ring, e)
     corner = ring._corners.get(e)
     if corner is None:
-        carrier = distinct(ring.mul[e, ring.mul[:, e]], ring.n)
-        sub = induced(ring, carrier, positions(carrier, ring.n), e)
+        if e == ring.one:
+            carrier, sub = range(ring.n), ring
+        else:
+            carrier = distinct(ring.mul[e, ring.mul[:, e]], ring.n)
+            sub = induced(ring, carrier, positions(carrier, ring.n), e)
         corner = CornerRing(
             parent=ring, e=e, carrier=tuple(int(v) for v in carrier), ring=sub
         )
@@ -177,11 +192,36 @@ def is_strongly_indecomposable_corner(
     return is_local_ring(corner_ring(ring, e).ring, bounds)
 
 
-def _require_local_corners(ring: FiniteRing, members, bounds: Bounds, what: str) -> None:
-    """Raise HypothesisFailed at the first member whose corner is not local."""
-    for e in members:
-        if not is_strongly_indecomposable_corner(ring, e, bounds):
-            raise HypothesisFailed(f"{what} without a local corner", witness=e)
+def _require_local_corners(
+    ring: FiniteRing, members, witnesses: dict, bounds: Bounds, what: str
+) -> None:
+    """Raise HypothesisFailed at the least of the ascending ``members``
+    whose corner is not local.
+
+    The three routes (``is_local_ring``) run at each member without a
+    witness (r, a, b) from ``_iso_class_labels`` to an earlier local
+    member r.  Each other f takes r's verdict along phi: rAr -> fAf,
+    x -> b*x*a, a ring isomorphism for a true witness (x = r*x*r, a*b = r
+    and b*a = f make it multiplicative and unital; y -> a*y*b inverts
+    it), once ``validate_lnr_hom`` and a count of distinct values certify
+    it; otherwise TheoremViolation names r, f and the failing law.
+    """
+    local: set = set()
+    for f in members:
+        if f in witnesses and witnesses[f][0] in local:
+            r, a, b = witnesses[f]
+            src, tgt = corner_ring(ring, r), corner_ring(ring, f)
+            phi = positions(tgt.carrier, ring.n)[ring.mul[ring.mul[b, list(src.carrier)], a]]
+            law = f"corner locality carried from {r} to {f} along x -> {b}*x*{a}"
+            try:
+                validate_lnr_hom(phi, src.ring, tgt.ring)
+            except NotAHomomorphism as exc:
+                raise TheoremViolation(f"{law}: {exc}") from exc
+            if not len(distinct(phi, tgt.ring.n)) == src.ring.n == tgt.ring.n:
+                raise TheoremViolation(f"{law}: it is not a bijection")
+        elif not is_strongly_indecomposable_corner(ring, f, bounds):
+            raise HypothesisFailed(f"{what} without a local corner", witness=f)
+        local.add(f)
 
 
 def _splitters(ring: FiniteRing, es: list) -> list:
@@ -277,26 +317,29 @@ def corner_signature(ring: FiniteRing, e: int) -> tuple:
     return corner_ring(ring, e).signature
 
 
-def _iso_class_labels(ring: FiniteRing, members) -> dict:
+def _iso_class_labels(ring: FiniteRing, members) -> tuple:
     """Partition idempotents into isomorphism classes, labeled 0,1,...
 
     Labels are assigned in ascending order of each class's least
     member.  The corner invariants (``CornerRing.invariants``) prune pairs
-    that cannot match; idempotents_isomorphic decides the rest.
+    that cannot match; ``_iso_witness`` decides the rest.  Returns the
+    labels and, for each member f that is not least in its class, the
+    (r, a, b) that put f in the class of its least member r.
     """
     ms = sorted(set(int(e) for e in members))
     invariant = {e: corner_ring(ring, e).invariants for e in ms}
     labels: dict = {}
+    witnesses: dict = {}
     reps: list = []
     for e in ms:
         for label, r in enumerate(reps):
-            if invariant[e] == invariant[r] and idempotents_isomorphic(ring, r, e):
-                labels[e] = label
+            if invariant[e] == invariant[r] and (pair := _iso_witness(ring, r, e)):
+                labels[e], witnesses[e] = label, (r, *pair)
                 break
         else:
             labels[e] = len(reps)
             reps.append(e)
-    return labels
+    return labels, witnesses
 
 
 @dataclass(frozen=True)
@@ -337,8 +380,8 @@ def verify_ks_uniqueness(
             f"canonical family {canonical.members} missing from enumeration"
         )
     seen = sorted(set(e for f in families for e in f.members))
-    _require_local_corners(ring, seen, bounds, "family member")
-    labels = _iso_class_labels(ring, seen)
+    labels, witnesses = _iso_class_labels(ring, seen)
+    _require_local_corners(ring, seen, witnesses, bounds, "family member")
     canon_multiset = sorted(labels[e] for e in canonical.members)
     for fam in families:
         if len(fam) != len(canonical):
@@ -388,9 +431,9 @@ def verify_retract_matching(
     """
     bounds.check("max_enum_n", ring.n, "ring for family enumeration")
     canonical = decompose_regular(ring, bounds)
-    _require_local_corners(ring, canonical.members, bounds, "canonical member")
     prim = _primitives(ring)
-    labels = _iso_class_labels(ring, prim)
+    labels, witnesses = _iso_class_labels(ring, prim)
+    _require_local_corners(ring, canonical.members, witnesses, bounds, "canonical member")
     least = {}
     for e in canonical.members:
         least.setdefault(labels[e], e)

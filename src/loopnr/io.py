@@ -113,9 +113,11 @@ def _fields(structure) -> dict:
 _BLOCK_CELLS = 1 << 14   # table entries rendered per block
 
 
-def _render_rows(table: np.ndarray, sep: str, close: str, gap: str):
-    """The rows of ``table`` as ASCII bytes, in blocks of rows: each row's
-    entries joined by ``sep`` and ended by ``close``, rows joined by ``gap``.
+def _render_rows(table: np.ndarray, sep: str, close: str, gap: str, cells: int | None = None):
+    """The rows of ``table`` as ASCII bytes, in blocks of about ``cells``
+    entries (``_BLOCK_CELLS`` as it reads at the call when None): each
+    row's entries joined by ``sep`` and ended by ``close``, rows joined
+    by ``gap``.
 
     Entry v of a row is gathered from a table of the fields ``str(v) + sep``
     (``str(v) + close`` in the last column), each padded on the left with
@@ -131,7 +133,7 @@ def _render_rows(table: np.ndarray, sep: str, close: str, gap: str):
 
     cell, last = fields(f"{v}{sep}" for v in range(n)), fields(f"{v}{close}" for v in range(n))
     between = fields([gap])[0]
-    step = max(1, _BLOCK_CELLS // n)
+    step = max(1, (_BLOCK_CELLS if cells is None else cells) // n)
     for r in range(0, rows, step):
         block = table[r:r + step]
         out = np.empty((len(block), n + 1), dtype=word)

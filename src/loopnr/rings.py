@@ -309,10 +309,15 @@ def lift_idempotent(
 
 
 def idempotents_isomorphic(ring: FiniteRing, e: int, f: int) -> bool:
-    """Whether eA and fA are isomorphic as right modules.
+    """Whether eA and fA are isomorphic as right modules (``_iso_witness``)."""
+    return _iso_witness(ring, e, f) is not None
 
-    Criterion: there are a in eAf and b in fAe with a*b = e and
-    b*a = f.  Decided by exhaustive search over eAf x fAe, in blocks of
+
+def _iso_witness(ring: FiniteRing, e: int, f: int):
+    """A pair (a, b) with a in eAf, b in fAe, a*b = e and b*a = f, or None.
+
+    Such a pair exists exactly when eA and fA are isomorphic as right
+    modules.  Found by exhaustive search over eAf x fAe, in blocks of
     rows a of ``tables._BLOCK_ELEMS`` pairs, up to the first block that
     holds such a pair.
     """
@@ -321,8 +326,12 @@ def idempotents_isomorphic(ring: FiniteRing, e: int, f: int) -> bool:
     eaf = tables.distinct(mul[e, mul[:, f]], ring.n)[:, None]
     fae = tables.distinct(mul[f, mul[:, e]], ring.n)
     step = tables._blocks(len(fae))
-    return any(((mul[a, fae] == e) & (mul[fae, a] == f)).any()
-               for a in (eaf[r:r + step] for r in range(0, len(eaf), step)))
+    for a in (eaf[r:r + step] for r in range(0, len(eaf), step)):
+        hit = (mul[a, fae] == e) & (mul[fae, a] == f)
+        if hit.any():
+            i, j = divmod(int(hit.argmax()), len(fae))
+            return int(a[i, 0]), int(fae[j])
+    return None
 
 
 def idempotents_conjugate(ring: FiniteRing, e: int, f: int) -> bool:

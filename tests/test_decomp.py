@@ -8,6 +8,7 @@ from loopnr import (
     DEFAULT_BOUNDS,
     BoundExceeded,
     ElementSubset,
+    HypothesisFailed,
     LimitReached,
     NotIdempotent,
     PreconditionFailed,
@@ -158,10 +159,9 @@ class TestPrimitivity:
         from loopnr import decomp
 
         ring = parse_spec("cyclic:4")
-        real = decomp.idempotents
-        # the corner at 1 claims a third idempotent; the parent has none
-        monkeypatch.setattr(decomp, "idempotents", lambda nr: real(nr) if nr is ring
-                            else ElementSubset.of(nr.n, (0, 1, 2)))
+        # the corner at 1 (the ring itself) claims a third idempotent where
+        # _corner_confirms counts them; the parent's splitter pass finds none
+        monkeypatch.setattr(decomp, "idempotents", lambda nr: ElementSubset.of(nr.n, (0, 1, 2)))
         with pytest.raises(TheoremViolation, match="parent.*corner") as exc:
             is_primitive(ring, 1)
         assert "primitivity of 1" in str(exc.value)
@@ -390,6 +390,76 @@ class TestKSUniqueness:
         assert rep.matched
         assert rep.family_count == 1
         assert rep.common_length == 0
+
+
+class TestLocalityCarry:
+    """Corner locality decided once per isomorphism class and carried to
+    the other members along x -> b*x*a, against the routes at each corner."""
+
+    def test_witnesses_and_carried_verdicts_are_brute(self):
+        from loopnr.rings import _iso_witness
+
+        for name, ring in corpus.small_ring_corpus():
+            ring = validate_ring_tables(ring.add, ring.mul, ring.one)
+            mul = ring.mul.tolist()
+            idem = [x for x in range(ring.n) if mul[x][x] == x]
+            for e, f in product(idem, idem):
+                pair = _iso_witness(ring, e, f)
+                if pair is not None:
+                    a, b = pair
+                    # a in eAf, b in fAe, ab = e, ba = f
+                    assert mul[mul[e][a]][f] == a and mul[mul[f][b]][e] == b, (name, e, f)
+                    assert mul[a][b] == e and mul[b][a] == f, (name, e, f)
+            # every nonzero idempotent, so that non-local verdicts are carried too
+            nonzero = [e for e in idem if e != ring.zero]
+            prim = decomp._primitives(ring)
+            fresh = validate_ring_tables(ring.add, ring.mul, ring.one)
+            for members in (prim, nonzero):
+                labels, witnesses = decomp._iso_class_labels(ring, members)
+                assert all(r < f and labels[r] == labels[f] and _iso_witness(ring, r, f) == (a, b)
+                           for f, (r, a, b) in witnesses.items()), name
+                # one class at a time: the routes run at its least member and
+                # every other member is carried, or the least member is refused
+                for label in set(labels.values()):
+                    cls = [e for e in members if labels[e] == label]
+                    brute = [is_strongly_indecomposable_corner(fresh, e) for e in cls]
+                    if all(brute):
+                        decomp._require_local_corners(ring, cls, witnesses, DEFAULT_BOUNDS, "m")
+                    else:
+                        assert not any(brute), name
+                        with pytest.raises(HypothesisFailed) as exc:
+                            decomp._require_local_corners(ring, cls, witnesses, DEFAULT_BOUNDS, "m")
+                        assert exc.value.witness == cls[0], name
+
+    @pytest.mark.parametrize("spec, primitives, classes", [
+        ("matrix:cyclic:3,2", 12, 1),
+        ("ut2:cyclic:5", 10, 2),
+    ])
+    def test_locality_routes_run_once_per_class(self, spec, primitives, classes, monkeypatch):
+        real, calls = decomp.is_local_ring, []
+        monkeypatch.setattr(decomp, "is_local_ring",
+                            lambda nr, bounds: calls.append(nr) or real(nr, bounds))
+        rep = verify_ks_uniqueness(parse_spec(spec))
+        assert len({e for fam in rep.families for e in fam}) == primitives
+        assert len({c for labels in rep.class_labels for c in labels}) == classes
+        assert len(calls) == classes
+
+    def test_a_wrong_witness_is_a_theorem_violation(self, monkeypatch):
+        real = decomp._iso_witness
+        # b = 0 sends the corner at 1 to 0, not to the other corner's identity
+        monkeypatch.setattr(decomp, "_iso_witness",
+                            lambda ring, e, f: (real(ring, e, f)[0], ring.zero))
+        with pytest.raises(TheoremViolation, match=r"carried from 1 to 3 .*f\(one\) = 0"):
+            verify_ks_uniqueness(corpus.m2(2))
+
+    def test_a_carry_that_is_not_one_to_one_is_a_theorem_violation(self, monkeypatch):
+        real = decomp._iso_witness
+        # with the hom check waved through, phi = 0 is refused by the count
+        monkeypatch.setattr(decomp, "validate_lnr_hom", lambda phi, src, tgt: None)
+        monkeypatch.setattr(decomp, "_iso_witness",
+                            lambda ring, e, f: (real(ring, e, f)[0], ring.zero))
+        with pytest.raises(TheoremViolation, match=r"carried from 1 to 3 .*not a bijection"):
+            verify_ks_uniqueness(corpus.m2(2))
 
 
 class TestRetractMatching:
