@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import cache
 
 from .config import DEFAULT_BOUNDS, Bounds, bounds_from_env
@@ -60,16 +60,11 @@ def _emit(payload: dict, as_text: bool) -> None:
 
 
 def _bounds_from_args(args) -> Bounds:
-    overrides = {}
-    if args.max_n is not None:
-        overrides["max_n"] = args.max_n
-    if args.max_subloops is not None:
-        overrides["max_subloop_n"] = args.max_subloops
-    if args.max_families is not None:
-        overrides["max_families"] = args.max_families
+    """The environment's bounds, overlaid with each flag given: a bound
+    flag's ``dest`` is its ``Bounds`` field."""
+    flags = {f.name: v for f in fields(Bounds) if (v := getattr(args, f.name, None)) is not None}
     try:
-        bounds = bounds_from_env(DEFAULT_BOUNDS, os.environ)
-        return replace(bounds, **overrides) if overrides else bounds
+        return replace(bounds_from_env(DEFAULT_BOUNDS, os.environ), **flags)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
@@ -199,11 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
         "locality, radicals, idempotent decompositions.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-n", type=int, default=None,
+    common.add_argument("--max-n", dest="max_n", type=int, default=None,
                         help="largest structure order accepted")
-    common.add_argument("--max-subloops", type=int, default=None,
+    common.add_argument("--max-subloops", dest="max_subloop_n", type=int, default=None,
                         help="largest loop order for subloop enumeration")
-    common.add_argument("--max-families", type=int, default=None,
+    common.add_argument("--max-families", dest="max_families", type=int, default=None,
                         help="cap on enumerated idempotent families")
     common.add_argument("--text", action="store_true",
                         help="human-readable output instead of canonical JSON")

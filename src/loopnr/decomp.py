@@ -49,8 +49,6 @@ from .nearrings import _require_idempotent, idempotents, induced, units
 from .rings import FiniteRing, _iso_witness, is_local_ring
 from .tables import all_integers, distinct, positions
 
-_DIGEST_ELEMS = 1 << 16   # table entries per block of the corner digest's text
-
 
 @dataclass(frozen=True, eq=False)
 class IdempotentFamily:
@@ -122,12 +120,12 @@ class CornerRing:
     def signature(self) -> tuple:
         """The invariants and a digest: SHA-256 of
         ``repr((n, sorted(map(tuple, mul.tolist()))))``, fed that text as
-        ``io._render_rows`` renders the ``np.lexsort``-ed rows, about
-        ``_DIGEST_ELEMS`` entries at a time."""
+        ``io._render_rows`` renders the ``np.lexsort``-ed rows, block by
+        block; the bytes do not depend on the block size."""
         mul = self.ring.mul
         rows = mul[np.lexsort(mul.T[::-1])]
         h = hashlib.sha256(f"({len(rows)}, [(".encode())
-        for text in _render_rows(rows, ", ", ")" if len(rows) > 1 else ",)", ", (", _DIGEST_ELEMS):
+        for text in _render_rows(rows, ", ", ")" if len(rows) > 1 else ",)", ", ("):
             h.update(text)
         h.update(b"])")
         return (*self.invariants, h.hexdigest()[:16])
@@ -270,20 +268,18 @@ def _orthogonality(ring: FiniteRing, members: list) -> np.ndarray:
     return kills & kills.T
 
 
-def enumerate_complete_primitive_families(
-    ring: FiniteRing, limit: int | None = None, bounds: Bounds = DEFAULT_BOUNDS
-) -> list:
+def enumerate_complete_primitive_families(ring: FiniteRing,
+                                          bounds: Bounds = DEFAULT_BOUNDS) -> list:
     """All complete orthogonal families of primitive idempotents.
 
     Families are emitted with ascending members, in lexicographic
-    order.  If more than ``limit`` families exist, LimitReached is
-    raised carrying the ones found so far in ``partial``.  Orthogonality
-    is read off one ``_orthogonality`` table of the primitives, its rows
-    as bitsets; ``validate_idempotent_family`` still certifies each family.
+    order.  Past ``bounds.max_families`` families, LimitReached names
+    that cap and carries the ones found so far in ``partial``.
+    Orthogonality is read off one ``_orthogonality`` table of the
+    primitives, its rows as bitsets; ``validate_idempotent_family``
+    still certifies each family.
     """
     bounds.check("max_enum_n", ring.n, "ring for family enumeration")
-    if limit is None:
-        limit = bounds.max_families
     prim = _primitives(ring)
     add, one = ring.add, ring.one
     orth = [bits_of(row) for row in _orthogonality(ring, prim)]
@@ -292,8 +288,9 @@ def enumerate_complete_primitive_families(
     def extend(chosen: list, total: int, allowed: int):
         # allowed: the primitives after the last chosen, orthogonal to all chosen
         if total == one:
-            if len(found) >= limit:
-                raise LimitReached(f"more than {limit} complete families", partial=tuple(found))
+            if len(found) >= bounds.max_families:
+                raise LimitReached(f"more than {bounds.max_families} complete families "
+                                   "(max_families)", partial=tuple(found))
             found.append(validate_idempotent_family(ring, chosen))
             return
         while allowed:
@@ -362,19 +359,18 @@ class KSReport:
     matched: bool
 
 
-def verify_ks_uniqueness(
-    ring: FiniteRing, limit: int | None = None, bounds: Bounds = DEFAULT_BOUNDS
-) -> KSReport:
+def verify_ks_uniqueness(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> KSReport:
     """Certify unique decomposition on one ring by exhaustion.
 
-    Enumerates every complete primitive family, checks the strong
+    Enumerates every complete primitive family (at most
+    ``bounds.max_families`` of them, else LimitReached), checks the strong
     indecomposability hypothesis on all members (HypothesisFailed
     otherwise), and verifies that all families have equal length with
     isomorphism-matched members.  A mismatch would falsify the
     uniqueness theorem for finite rings, so it raises TheoremViolation.
     """
     canonical = decompose_regular(ring, bounds)
-    families = enumerate_complete_primitive_families(ring, limit, bounds)
+    families = enumerate_complete_primitive_families(ring, bounds)
     if canonical.members not in [f.members for f in families]:
         raise TheoremViolation(
             f"canonical family {canonical.members} missing from enumeration"

@@ -59,6 +59,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from io import StringIO
 from types import GeneratorType
 
@@ -113,27 +114,36 @@ def _fields(structure) -> dict:
 _BLOCK_CELLS = 1 << 14   # table entries rendered per block
 
 
-def _render_rows(table: np.ndarray, sep: str, close: str, gap: str, cells: int | None = None):
-    """The rows of ``table`` as ASCII bytes, in blocks of about ``cells``
-    entries (``_BLOCK_CELLS`` as it reads at the call when None): each
-    row's entries joined by ``sep`` and ended by ``close``, rows joined
-    by ``gap``.
-
-    Entry v of a row is gathered from a table of the fields ``str(v) + sep``
-    (``str(v) + close`` in the last column), each padded on the left with
-    NUL to one machine word; one ``bytes.translate`` then drops the NULs.
-    """
-    rows, n = table.shape
+@lru_cache(maxsize=8)
+def _fields_for(n: int, sep: str, close: str, gap: str) -> tuple:
+    """The word dtype and the ``cell``, ``last`` and ``between`` fields of
+    ``_render_rows`` for entries 0..n-1, built once per shape."""
     size = max(len(str(n - 1)) + max(len(sep), len(close)), len(gap))
     word = np.dtype(f"<u{1 << (size - 1).bit_length()}")
 
     def fields(texts):
-        return np.array([t.encode().rjust(word.itemsize, b"\0") for t in texts],
-                        dtype=f"S{word.itemsize}").view(word)
+        out = np.array([t.encode().rjust(word.itemsize, b"\0") for t in texts],
+                       dtype=f"S{word.itemsize}").view(word)
+        out.setflags(write=False)
+        return out
 
     cell, last = fields(f"{v}{sep}" for v in range(n)), fields(f"{v}{close}" for v in range(n))
-    between = fields([gap])[0]
-    step = max(1, (_BLOCK_CELLS if cells is None else cells) // n)
+    return word, cell, last, fields([gap])[0]
+
+
+def _render_rows(table: np.ndarray, sep: str, close: str, gap: str):
+    """The rows of ``table`` as ASCII bytes, in blocks of about
+    ``_BLOCK_CELLS`` entries (as it reads at the call): each row's entries
+    joined by ``sep`` and ended by ``close``, rows joined by ``gap``.
+
+    Entry v of a row is gathered from a table of the fields ``str(v) + sep``
+    (``str(v) + close`` in the last column), each padded on the left with
+    NUL to one machine word (``_fields_for``, kept per shape); one
+    ``bytes.translate`` then drops the NULs.
+    """
+    rows, n = table.shape
+    word, cell, last, between = _fields_for(n, sep, close, gap)
+    step = max(1, _BLOCK_CELLS // n)
     for r in range(0, rows, step):
         block = table[r:r + step]
         out = np.empty((len(block), n + 1), dtype=word)

@@ -6,7 +6,8 @@ table is a Latin square whose row and column through a distinguished
 element are the identity permutation.  The carrier is always
 ``0 .. n-1`` and the zero element is required to sit at index 0; a
 table whose zero lives elsewhere is rejected rather than silently
-reindexed, so that file hashes stay meaningful.
+reindexed, so that file hashes stay meaningful.  ``CayleyLoop.zero`` is
+therefore the class constant 0, not a field a constructor could set.
 """
 
 from __future__ import annotations
@@ -53,7 +54,19 @@ class ElementSubset:
 
     @classmethod
     def of(cls, ambient_n: int, items: Iterable[int]) -> "ElementSubset":
-        return cls(ambient_n, frozenset(int(x) for x in items))
+        """The subset holding ``items``, the one gate for element sets: each
+        item is read once and must be an integer as ``tables.all_integers``
+        reads one (no float or bool is truncated) inside the carrier (no
+        negative index wraps round); an ElementSubset must share ``ambient_n``."""
+        if isinstance(items, ElementSubset):
+            if items.ambient_n != ambient_n:
+                raise ValueError(f"subset of a carrier of {items.ambient_n} elements "
+                                 f"given for one of {ambient_n}")
+            return items
+        items = list(items)
+        if not tables.all_integers(items):
+            raise ValueError("elements must be integers")
+        return cls(ambient_n, frozenset(map(int, items)))
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "ElementSubset":
@@ -99,10 +112,10 @@ class CayleyLoop:
     """
 
     kind = "loop"  # the ``tables.AXIOMS`` kind ``validate_loop`` scans
+    zero = 0       # the loop rows of ``tables.AXIOMS`` put the zero at index 0
 
     n: int
     add: np.ndarray
-    zero: int = 0
 
     def __repr__(self):
         return f"CayleyLoop(n={self.n})"
@@ -141,7 +154,7 @@ def validate_loop(table) -> CayleyLoop:
     """
     add = tables.as_table(table)
     tables.require(add, kind="loop")
-    return CayleyLoop(n=add.shape[0], add=add, zero=0)
+    return CayleyLoop(n=add.shape[0], add=add)
 
 
 def is_associative(loop: CayleyLoop) -> Verdict:
@@ -154,30 +167,20 @@ def is_commutative(loop: CayleyLoop) -> Verdict:
     return Verdict(w is None, w)
 
 
-def _as_member_set(loop: CayleyLoop, subset) -> frozenset:
-    if isinstance(subset, ElementSubset):
-        if subset.ambient_n != loop.n:
-            raise ValueError("subset ambient size does not match the loop")
-        return subset.members
-    return frozenset(int(x) for x in subset)
-
-
 def subloop_closure(loop: CayleyLoop, seed) -> ElementSubset:
     """Smallest subset containing seed and zero, closed under +, ldiff, rdiff."""
-    members = _as_member_set(loop, seed) | {loop.zero}
+    members = ElementSubset.of(loop.n, seed).members | {loop.zero}
     return ElementSubset.from_mask(loop._closure.close(members))
 
 
 def is_subloop(loop: CayleyLoop, subset) -> bool:
     """One-step closedness test: zero inside and closed under +, which in
     a finite loop closes it under ldiff and rdiff too (see lattice)."""
-    members = _as_member_set(loop, subset)
-    if loop.zero not in members:
+    sub = ElementSubset.of(loop.n, subset)
+    if loop.zero not in sub:
         return False
-    idx = np.fromiter(sorted(members), dtype=np.int64)
-    m = np.zeros(loop.n, dtype=bool)
-    m[idx] = True
-    return bool(m[loop.add[idx[:, None], idx]].all())
+    idx = np.fromiter(sub, dtype=np.int64, count=len(sub))
+    return bool(sub.mask()[loop.add[idx[:, None], idx]].all())
 
 
 def _sorted_subsets(masks) -> tuple:
@@ -202,11 +205,11 @@ def is_normal_subloop(loop: CayleyLoop, subset) -> bool:
     sorted along K; a block holds at most ``tables._BLOCK_ELEMS``
     entries, or n |K| (no more than the table) when one a needs more.
     """
-    members = _as_member_set(loop, subset)
-    if not is_subloop(loop, members):
-        raise NotASubloop(f"{sorted(members)} is not a subloop")
+    sub = ElementSubset.of(loop.n, subset)
+    if not is_subloop(loop, sub):
+        raise NotASubloop(f"{list(sub)} is not a subloop")
     add, n = loop.add, loop.n
-    k = np.fromiter(sorted(members), dtype=np.intp)
+    k = np.fromiter(sub, dtype=np.intp, count=len(sub))
     # [b, i] = b + k_i and k_i + b
     bk, kb = add[:, k], np.ascontiguousarray(add[k].T)
 

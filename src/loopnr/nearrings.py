@@ -75,8 +75,14 @@ class LoopNearRing:
 
     @cached_property
     def _maximal_n_subloops(self) -> tuple:
-        proper = [s for s in self._n_subloops if len(s) < self.n]
-        return tuple(s for s in proper if not any(s.members < t.members for t in proper))
+        # by decreasing size, a proper set is maximal exactly when no
+        # maximal set found so far holds it: every larger proper set came
+        # first, and lies in one of them; O(L * coatoms), not O(L^2)
+        maximal: list = []
+        for s in reversed(self._n_subloops):
+            if len(s) < self.n and not any(s.members < m.members for m in maximal):
+                maximal.append(s)
+        return tuple(reversed(maximal))
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n})"
@@ -206,8 +212,7 @@ def _require_idempotent(nr: LoopNearRing, e) -> int:
 
 def is_N_subloop(nr: LoopNearRing, subset) -> bool:
     """Subloop of (N, +) absorbing multiplication from the left: N*I <= I."""
-    if not isinstance(subset, ElementSubset):
-        subset = ElementSubset.of(nr.n, subset)
+    subset = ElementSubset.of(nr.n, subset)
     if not is_subloop(nr.additive, subset):
         return False
     return bool(subset.mask()[nr.mul[:, list(subset.members)]].all())

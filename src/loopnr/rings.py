@@ -130,7 +130,7 @@ class TwoSidedIdeal:
 def validate_ideal(ring: FiniteRing, subset) -> TwoSidedIdeal:
     """Additive subgroup absorbing multiplication on both sides; holding 0 and
     closed under ``+`` makes a finite subset one (-x = (k - 1)x, k the order of x)."""
-    sub = subset if isinstance(subset, ElementSubset) else ElementSubset.of(ring.n, subset)
+    sub = ElementSubset.of(ring.n, subset)
     if ring.zero not in sub.members:
         raise NotAnIdeal("ideal must contain 0")
     idx = np.fromiter(sub.sorted_members, dtype=np.int64)
@@ -269,25 +269,26 @@ def is_semiperfect(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> bool:
 
 
 def coset_idempotents(ring: FiniteRing, ideal: TwoSidedIdeal, x: int) -> tuple:
-    """All idempotents in the coset x + I, ascending.  Brute force."""
+    """All idempotents in the coset x + I, ascending.  Brute force.  ``x``
+    passes the element gate of ``ElementSubset.of``."""
+    (x,) = ElementSubset.of(ring.n, [x])
     ii = np.fromiter(ideal.members.sorted_members, dtype=np.int64)
-    coset = np.sort(ring.add[int(x), ii])
+    coset = np.sort(ring.add[x, ii])
     diag = ring.mul[coset, coset]
     return tuple(int(e) for e in coset[diag == coset])
 
 
-def lift_idempotent(
-    ring: FiniteRing, ideal: TwoSidedIdeal, x: int, verify: bool = True
-) -> int:
+def lift_idempotent(ring: FiniteRing, ideal: TwoSidedIdeal, x: int) -> int:
     """Idempotent e with e = x mod I, for x*x - x in I = J(A).
 
     Iterates x <- 3x^2 - 2x^3; each step squares the defect t = x*x - x
     (t' = t^2 * (4t - 3)), and J is nilpotent in a finite ring, so the
-    iteration reaches a true idempotent.  With ``verify`` the result is
-    checked against the exhaustive coset search.
+    iteration reaches a true idempotent.  The result is always checked
+    against the exhaustive coset search (``coset_idempotents``).  ``x``
+    passes the element gate of ``ElementSubset.of``.
     """
     mul, add = ring.mul, ring.add
-    x = int(x)
+    (x,) = ElementSubset.of(ring.n, [x])
     t = ring.sub(mul[x, x], x)
     if int(t) not in ideal.members.members:
         raise NotApproximatelyIdempotent(f"x*x - x = {int(t)} is not in the ideal")
@@ -301,10 +302,8 @@ def lift_idempotent(
     e = int(cur)
     if int(mul[e, e]) != e or int(ring.sub(e, x)) not in ideal.members.members:
         raise TheoremViolation("idempotent lifting iteration failed to converge")
-    if verify:
-        found = coset_idempotents(ring, ideal, x)
-        if e not in found:
-            raise TheoremViolation("iterated lift disagrees with coset search")
+    if e not in coset_idempotents(ring, ideal, x):
+        raise TheoremViolation("iterated lift disagrees with coset search")
     return e
 
 

@@ -57,6 +57,16 @@ def tri_f2(k: int) -> FiniteRing:
 
 
 @cache
+def trivial_extension_f2(k: int) -> FiniteRing:
+    """R_k = F2 x| F2^k, (a, v)(b, w) = (ab, aw + bv): element a + 2v.
+    Local with J = V, and every additive subgroup of V is a left ideal."""
+    x = np.arange(2 << k)
+    a, v = x & 1, x >> 1
+    mul = (a[:, None] & a) | ((a[:, None] * v) ^ (v[:, None] * a)) << 1
+    return validate_ring_tables((x[:, None] ^ x).astype(np.int16), mul.astype(np.int16), 1)
+
+
+@cache
 def zz(a: int, b: int) -> FiniteRing:
     return product([z(a), z(b)])
 

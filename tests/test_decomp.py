@@ -31,6 +31,7 @@ from loopnr import (
     verify_retract_matching,
 )
 from loopnr import decomp, tables
+from loopnr import io as loopnr_io
 
 import corpus
 
@@ -287,8 +288,9 @@ class TestEnumerateFamilies:
         assert fams == [(1, 8), (3, 10), (5, 12)]
 
     def test_limit_reached_carries_partial(self):
-        with pytest.raises(LimitReached) as exc:
-            enumerate_complete_primitive_families(corpus.m2(2), limit=2)
+        cap = replace(DEFAULT_BOUNDS, max_families=2)
+        with pytest.raises(LimitReached, match=r"^more than 2 complete families \(max_families\)$") as exc:
+            enumerate_complete_primitive_families(corpus.m2(2), bounds=cap)
         partial = exc.value.partial
         assert families_members(list(partial)) == [(1, 8), (3, 10)]
 
@@ -320,11 +322,11 @@ class TestCornerSignature:
         assert isinstance(sig[3], str) and len(sig[3]) == 16
         assert sig[:3] == corner_ring(corpus.z(6), 3).invariants
 
-    @pytest.mark.parametrize("block", [decomp._DIGEST_ELEMS, 1])
+    @pytest.mark.parametrize("block", [loopnr_io._BLOCK_CELLS, 1])
     def test_digest_is_the_hash_of_the_sorted_rows(self, block, monkeypatch):
         # every corner of the corpus, the 1-element corner at 0 included,
         # on a fresh ring so that no signature is memoized
-        monkeypatch.setattr(decomp, "_DIGEST_ELEMS", block)
+        monkeypatch.setattr(loopnr_io, "_BLOCK_CELLS", block)
         for name, ring in corpus.small_ring_corpus():
             ring = validate_ring_tables(ring.add, ring.mul, ring.one)
             for e in range(ring.n):

@@ -739,6 +739,16 @@ class TestCliCheck:
         assert code == 3
         assert out.startswith("bound exceeded:") and f"cap is {limit} ({cap})" in out
 
+    @pytest.mark.parametrize("env, flag", [({}, ["--max-families", "2"]),
+                                           ({"LOOPNR_MAX_FAMILIES": "2"}, [])])
+    def test_family_cap_refusal_names_its_cap(self, capsys, monkeypatch, env, flag):
+        # M2(Z/2) has three complete families
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        argv = ["decompose", "matrix:cyclic:2,2", "--verify-uniqueness", *flag]
+        assert run_cli(capsys, *argv) == (
+            3, "bound exceeded: more than 2 complete families (max_families)\n")
+
     def test_env_bound(self, capsys, monkeypatch):
         monkeypatch.setenv("LOOPNR_MAX_N", "10")
         code, _ = run_cli(capsys, "check", "cyclic:50")

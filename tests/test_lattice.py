@@ -382,6 +382,37 @@ class TestSumsetJoin:
         assert got == extension_n_subloops(nr)
 
 
+class TestCoatomPass:
+    """The coatoms, found in one pass by decreasing size, are the sets the
+    quadratic filter keeps, in its order."""
+
+    CASES = {
+        **{f"R_{k}": (lambda k=k: corpus.trivial_extension_f2(k)) for k in range(2, 6)},
+        **{spec: (lambda spec=spec: parse_spec(spec))
+           for spec, kind, n in CATALOG if spec.startswith("m0:")},
+    }
+
+    @staticmethod
+    def assert_matches_quadratic_filter(nr):
+        proper = [s for s in enumerate_N_subloops(nr) if len(s) < nr.n]
+        want = [s for s in proper if not any(s.members < t.members for t in proper)]
+        assert maximal_N_subloops(nr) == want
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_trivial_extensions_and_m0_catalog(self, name):
+        self.assert_matches_quadratic_filter(self.CASES[name]())
+
+    def test_small_ring_corpus(self):
+        for _, ring in corpus.small_ring_corpus():
+            self.assert_matches_quadratic_filter(ring)
+
+    def test_trivial_extension_is_local_with_radical_v(self):
+        # R_4: the 67 subspaces of V = F2^4 (the even elements), and R_4
+        ring = corpus.trivial_extension_f2(4)
+        assert len(enumerate_N_subloops(ring)) == 67 + 1
+        assert [s.members for s in maximal_N_subloops(ring)] == [frozenset(range(0, 32, 2))]
+
+
 class TestClosureSystem:
     @staticmethod
     def assert_principals_are_closures(nr):

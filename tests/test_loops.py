@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from loopnr import (
     CATALOG,
     BoundExceeded,
+    CayleyLoop,
     ElementSubset,
     EntriesOutOfRange,
     NoTwoSidedZero,
@@ -47,6 +50,13 @@ class TestValidateLoop:
     def test_accepts_trivial(self):
         loop = validate_loop([[0]])
         assert loop.n == 1
+
+    def test_zero_is_a_class_constant(self):
+        # the validator puts the zero at index 0, so no loop may claim another
+        loop = validate_loop(cyclic_table(3))
+        assert [f.name for f in dataclasses.fields(loop)] == ["n", "add"]
+        with pytest.raises(TypeError):
+            CayleyLoop(n=3, add=loop.add, zero=1)
 
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValueError):
@@ -288,6 +298,26 @@ class TestElementSubset:
     def test_rejects_out_of_carrier(self):
         with pytest.raises(ValueError):
             ElementSubset.of(3, [0, 3])
+
+    @pytest.mark.parametrize("items, message", [
+        ([0, -1], "member -1 outside carrier"),
+        ([0, 6], "member 6 outside carrier"),
+        ([0, 5.0], "must be integers"),
+        ([0, True], "must be integers"),
+        (["1"], "must be integers"),
+        (ElementSubset.of(7, [0]), "carrier of 7 elements given for one of 6"),
+    ])
+    @pytest.mark.parametrize("check", [is_subloop, subloop_closure, is_normal_subloop])
+    def test_subset_arguments_pass_one_gate(self, check, items, message):
+        # no negative index wraps round, no float or bool is truncated,
+        # no index past the carrier reaches a gather
+        with pytest.raises(ValueError, match=message):
+            check(random_loop(6, 0), items)
+
+    def test_gate_passes_a_subset_of_the_same_carrier_and_iterators(self):
+        s = ElementSubset.of(6, [0, 3])
+        assert ElementSubset.of(6, s) is s
+        assert ElementSubset.of(6, iter([np.int64(3), 0])) == s
 
     def test_sorted_members_and_mask(self):
         s = ElementSubset.of(5, [4, 0, 2])

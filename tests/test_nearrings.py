@@ -165,6 +165,13 @@ class TestNSubloops:
         with pytest.raises(BoundExceeded):
             enumerate_N_subloops(corpus.z(25), tight)
 
+    def test_members_pass_the_element_gate(self):
+        # 4.0 is not read as 4, -1 not as 7
+        nr = corpus.z(8)
+        for subset in ([0, 4.0], [0, -1]):
+            with pytest.raises(ValueError):
+                is_N_subloop(nr, subset)
+
 
 class TestAnnihilator:
     def test_cyclic6(self):

@@ -73,6 +73,11 @@ class TestIdeals:
         with pytest.raises(NotAnIdeal):
             validate_ideal(corpus.z(6), {3})
 
+    def test_members_pass_the_element_gate(self):
+        # 4.0 is not read as 4
+        with pytest.raises(ValueError, match="must be integers"):
+            validate_ideal(corpus.z(8), [0, 4.0, 2, 6])
+
     def test_rejects_left_only_ideal(self):
         # a column space of a matrix ring absorbs only one side
         with pytest.raises(NotAnIdeal):
@@ -266,6 +271,15 @@ class TestIdempotentLifting:
         j = jacobson_radical(ring)
         with pytest.raises(NotApproximatelyIdempotent):
             lift_idempotent(ring, j, 2)
+
+    @pytest.mark.parametrize("x", [-1, 8, 1.0, True, np.float64(3)])
+    def test_element_passes_the_gate(self, x):
+        # -1 is not read as 7, nor 1.0 and True as 1
+        ring = corpus.z(8)
+        j = jacobson_radical(ring)
+        for find in (lift_idempotent, coset_idempotents):
+            with pytest.raises(ValueError):
+                find(ring, j, x)
 
     def test_all_approximate_idempotents_lift(self):
         for ring in (corpus.z(8), corpus.z(12), corpus.ut2(2), corpus.m2(2)):
