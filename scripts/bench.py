@@ -7,11 +7,11 @@ Run from the root of a checkout:
 
 Every run is its own child: ``python -m loopnr`` with ``src/`` on the
 path, run ``REPEATS`` times in a row, or ``perfbench/run.py`` unchanged
-at its default seed, run once (it repeats its own jobs).  The three
+at its default seed, run once (it repeats its own jobs).  The four
 input files that no workload writes, gf:4096 relabelled along a fixed
 permutation fixing 0, the triangular ring [[F2, F2^10], [0, F2]] and the
-trivial extension R_7 = F2 x| F2^7, are written first, each by a child
-of its own.  Peak
+trivial extensions R_7 = F2 x| F2^7 and R_11 = F2 x| F2^11, are written
+first, each by a child of its own.  Peak
 RSS is the child's own, from the rusage that ``os.wait4`` returns for
 it, which also covers the descendants it waited for (perfbench's
 workers); ``RUSAGE_CHILDREN`` would be a running maximum over every
@@ -57,11 +57,13 @@ TRIANGULAR = ("import sys, numpy as np; from loopnr import validate_ring_tables;
               "mul = (a[:, None] & a) | (b[:, None] & b) << 1 | ((a[:, None] * v) ^ (v[:, None] * b)) << 2; "
               "write_structure(validate_ring_tables((x[:, None] ^ x).astype(np.int16), mul.astype(np.int16), 3), "
               "open(sys.argv[1], 'w'))")
-# R_7 = F2 x| F2^7, (a, v)(b, w) = (ab, aw + bv), element a + 2v: local, of
-# order 256, and every one of the 29,212 subspaces of V is a left ideal
-R7 = "R7.json"
+# R_k = F2 x| F2^k, (a, v)(b, w) = (ab, aw + bv), element a + 2v, of order
+# 2^(k+1) given as the script's second argument: local, and every subspace
+# of V is a left ideal (29,212 of them in R_7, about 8.9e9 in R_11)
+R7, R11 = "R7.json", "R11.json"
 TRIVIAL_EXTENSION = ("import sys, numpy as np; from loopnr import validate_ring_tables; "
-                     "from loopnr.io import write_structure; x = np.arange(256); a, v = x & 1, x >> 1; "
+                     "from loopnr.io import write_structure; x = np.arange(int(sys.argv[2])); "
+                     "a, v = x & 1, x >> 1; "
                      "mul = (a[:, None] & a) | ((a[:, None] * v) ^ (v[:, None] * a)) << 1; "
                      "write_structure(validate_ring_tables((x[:, None] ^ x).astype(np.int16), "
                      "mul.astype(np.int16), 1), open(sys.argv[1], 'w'))")
@@ -78,8 +80,11 @@ CLI = [
     (["analyze", "m0:nonassoc5", "--local"], {}),
     (["analyze", "ut2:cyclic:16", "--subloops", "--local", "--radical"], {}),
     (["analyze", "product:" + "+".join(["cyclic:2"] * 8), "--subloops"], {}),
-    # its coatoms come from one pass over the 29,213-member lattice
+    # local, so its one coatom is closed from its non-units, without the
+    # 29,213-member lattice; so are R_11's
     (["analyze", R7, "--local"], {}),
+    (["analyze", R11, "--local", "--radical"], {}),
+    (["decompose", R11, "--verify-uniqueness"], {}),
     # 4,096 ideals of Z2^12; not the largest lattice max_enum_n admits
     # (F2 x| F2^11 has billions), the slowest constructor input measured
     (["analyze", "product:" + "+".join(["cyclic:2"] * 12), "--subloops", "--local", "--radical"], {}),
@@ -141,10 +146,13 @@ def main(argv=None) -> int:
                MKL_NUM_THREADS="1", NUMEXPR_NUM_THREADS="1")
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
-        for script, name in ((RELABEL, GF4096R), (TRIANGULAR, TRI4096), (TRIVIAL_EXTENSION, R7)):
-            subprocess.run([sys.executable, "-c", script, os.path.join(tmp, name)], env=env, check=True)
+        for script, name, *size in ((RELABEL, GF4096R), (TRIANGULAR, TRI4096),
+                                    (TRIVIAL_EXTENSION, R7, "256"), (TRIVIAL_EXTENSION, R11, "4096")):
+            subprocess.run([sys.executable, "-c", script, os.path.join(tmp, name), *size], env=env,
+                           check=True)
         for argv_, extra in CLI:
-            argv_ = [os.path.join(tmp, a) if a in (C4096, GF4096R, TRI4096, R7) else a for a in argv_]
+            argv_ = [os.path.join(tmp, a) if a in (C4096, GF4096R, TRI4096, R7, R11) else a
+                     for a in argv_]
             out = os.path.join(tmp, C4096 if argv_[0] == "generate" else "stdout")
             row = repeated([sys.executable, "-m", "loopnr", *argv_], {**env, **extra}, out)
             rows.append({"command": " ".join(argv_).replace(tmp + os.sep, ""), "env": extra, **row})

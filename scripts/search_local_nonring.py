@@ -27,7 +27,6 @@ from loopnr import (
 )
 from loopnr.errors import ValidationError
 from loopnr.lattice import ClosureSystem
-from loopnr.tables import positions
 
 
 @dataclass
@@ -57,8 +56,7 @@ def enumerate_subnearrings(nr, cap: int) -> tuple[list, bool]:
 
 def restrict(nr, carrier: frozenset):
     """The sub-near-ring on the given carrier, re-indexed to 0..k-1."""
-    idx = sorted(carrier)
-    return induced(nr, idx, positions(idx, nr.n), nr.one)
+    return induced(nr, carrier, nr.one)
 
 
 def is_a_ring(nr) -> bool:

@@ -45,9 +45,10 @@ from .errors import (
 from .homs import validate_lnr_hom
 from .io import _render_rows
 from .lattice import bits_of
+from .loops import _elements
 from .nearrings import _require_idempotent, idempotents, induced, units
 from .rings import FiniteRing, _iso_witness, is_local_ring
-from .tables import all_integers, distinct, positions
+from .tables import distinct, positions
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,15 +74,12 @@ class IdempotentFamily:
 
 
 def validate_idempotent_family(ring: FiniteRing, members) -> IdempotentFamily:
-    """Check idempotence, orthogonality and completeness, then wrap."""
-    members = list(members)
-    if not all_integers(members):
-        raise PreconditionFailed("family members must be integers")
-    ms = tuple(sorted(int(e) for e in members))
+    """Check idempotence, orthogonality and completeness, then wrap.  The
+    members pass ``loops._elements`` and stay a sorted list, not a set,
+    so a repeated member is refused as not orthogonal."""
+    ms = tuple(sorted(_elements(ring.n, members)))
     mul = ring.mul
     for e in ms:
-        if not 0 <= e < ring.n:
-            raise PreconditionFailed(f"family member {e} outside the carrier")
         if e == ring.zero:
             raise ZeroIdempotent("family members must be nonzero")
         if int(mul[e, e]) != e:
@@ -141,7 +139,7 @@ def corner_ring(ring: FiniteRing, e: int) -> CornerRing:
             carrier, sub = range(ring.n), ring
         else:
             carrier = distinct(ring.mul[e, ring.mul[:, e]], ring.n)
-            sub = induced(ring, carrier, positions(carrier, ring.n), e)
+            sub = induced(ring, carrier, e)
         corner = CornerRing(
             parent=ring, e=e, carrier=tuple(int(v) for v in carrier), ring=sub
         )
@@ -156,9 +154,9 @@ def is_primitive(ring: FiniteRing, e: int) -> bool:
     decides "not primitive" without building the corner.  Otherwise the
     corner is built and its own idempotents confirm the verdict.
     """
+    e = _require_idempotent(ring, e)
     if e == ring.zero:
         raise ZeroIdempotent("primitivity is about nonzero idempotents")
-    e = _require_idempotent(ring, e)
     return _splitters(ring, [e])[0] is None and _corner_confirms(ring, e)
 
 
@@ -185,6 +183,7 @@ def is_strongly_indecomposable_corner(
     ring: FiniteRing, e: int, bounds: Bounds = DEFAULT_BOUNDS
 ) -> bool:
     """The corner ring e*A*e is local."""
+    e = _require_idempotent(ring, e)
     if e == ring.zero:
         raise ZeroIdempotent("strong indecomposability is about nonzero idempotents")
     return is_local_ring(corner_ring(ring, e).ring, bounds)

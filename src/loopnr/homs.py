@@ -133,9 +133,8 @@ def image_subring(hom: LnrHom) -> ImageRing:
     if not isinstance(hom.target, FiniteRing):
         raise TargetNotARing("image_subring needs a ring codomain")
     carrier = hom.image.sorted_members
-    label = positions(carrier, hom.target.n)
-    ring = induced(hom.target, carrier, label, hom._arr[hom.source.one])
-    surj = validate_lnr_hom(label[hom._arr], hom.source, ring)
+    ring = induced(hom.target, hom.image, hom._arr[hom.source.one])
+    surj = validate_lnr_hom(positions(carrier, hom.target.n)[hom._arr], hom.source, ring)
     return ImageRing(ring=ring, carrier=carrier, surjection=surj)
 
 

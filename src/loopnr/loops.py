@@ -35,9 +35,24 @@ class Verdict:
         return self.ok
 
 
+def _elements(n: int, values) -> list:
+    """``values`` as ints, each read once: the one gate for element
+    arguments.  ValueError names the first that is not an integer as
+    ``tables.all_integers`` reads one, or lies outside 0..n-1."""
+    out = []
+    for v in values:
+        if not tables._is_integer(v):
+            raise ValueError(f"{v!r} is not an integer")
+        if not 0 <= v < n:
+            raise ValueError(f"{v} outside the carrier")
+        out.append(int(v))
+    return out
+
+
 @dataclass(frozen=True)
 class ElementSubset:
-    """An immutable subset of the carrier 0 .. ambient_n - 1.
+    """An immutable subset of the carrier 0 .. ambient_n - 1, its members
+    passed through ``_elements`` (``from_mask`` builds the library's own).
 
     Iteration order is always ascending, and ``sort_key`` orders
     subsets by (size, sorted members), the ordering every enumeration
@@ -48,29 +63,24 @@ class ElementSubset:
     members: frozenset
 
     def __post_init__(self):
-        for x in self.members:
-            if not 0 <= x < self.ambient_n:
-                raise ValueError(f"member {x} outside carrier 0..{self.ambient_n - 1}")
+        object.__setattr__(self, "members", frozenset(_elements(self.ambient_n, self.members)))
 
     @classmethod
     def of(cls, ambient_n: int, items: Iterable[int]) -> "ElementSubset":
-        """The subset holding ``items``, the one gate for element sets: each
-        item is read once and must be an integer as ``tables.all_integers``
-        reads one (no float or bool is truncated) inside the carrier (no
-        negative index wraps round); an ElementSubset must share ``ambient_n``."""
+        """The subset holding ``items``, or ``items`` itself if it is an
+        ElementSubset, which must share ``ambient_n``."""
         if isinstance(items, ElementSubset):
             if items.ambient_n != ambient_n:
                 raise ValueError(f"subset of a carrier of {items.ambient_n} elements "
                                  f"given for one of {ambient_n}")
             return items
-        items = list(items)
-        if not tables.all_integers(items):
-            raise ValueError("elements must be integers")
-        return cls(ambient_n, frozenset(map(int, items)))
+        return cls(ambient_n, items)
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "ElementSubset":
-        return cls(mask.size, frozenset(np.flatnonzero(mask).tolist()))
+        sub = object.__new__(cls)   # a mask's members need no check
+        sub.__dict__.update(ambient_n=mask.size, members=frozenset(np.flatnonzero(mask).tolist()))
+        return sub
 
     @cached_property
     def sorted_members(self) -> tuple:
@@ -240,10 +250,7 @@ class StructureHom:
 
     @cached_property
     def kernel(self) -> ElementSubset:
-        z = self.target.zero
-        return ElementSubset.of(
-            self.source.n, (i for i, v in enumerate(self.map) if v == z)
-        )
+        return ElementSubset.from_mask(np.asarray(self.map) == self.target.zero)
 
     @cached_property
     def image(self) -> ElementSubset:

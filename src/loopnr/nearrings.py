@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .lattice import ClosureSystem
-from .loops import CayleyLoop, ElementSubset, _sorted_subsets, is_subloop, validate_loop
+from .loops import CayleyLoop, ElementSubset, _elements, _sorted_subsets, is_subloop, validate_loop
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -67,7 +67,7 @@ class LoopNearRing:
     @cached_property
     def _idempotents(self) -> ElementSubset:
         diag = self.mul[np.arange(self.n), np.arange(self.n)]
-        return ElementSubset.of(self.n, np.flatnonzero(diag == np.arange(self.n)).tolist())
+        return ElementSubset.from_mask(diag == np.arange(self.n))
 
     @cached_property
     def _n_subloops(self) -> tuple:
@@ -75,9 +75,23 @@ class LoopNearRing:
 
     @cached_property
     def _maximal_n_subloops(self) -> tuple:
-        # by decreasing size, a proper set is maximal exactly when no
-        # maximal set found so far holds it: every larger proper set came
-        # first, and lies in one of them; O(L * coatoms), not O(L^2)
+        """The coatoms.  Unless the lattice is already kept, a local N
+        gets its one coatom without it, from U' = {u : no r has r*u = 1}:
+
+          1. an N-subloop holding u with r*u = 1 holds 1, and so N*1 = N;
+          2. so every proper N-subloop lies in U', hence in cl({0} | U');
+          3. so cl({0} | U'), when proper, is the unique coatom.
+
+        Otherwise the lattice is filtered by decreasing size: a proper set
+        is maximal exactly when no maximal set found so far holds it, since
+        every larger proper set came first and lies in one of them.
+        """
+        if "_n_subloops" not in self.__dict__:
+            seed = ~(self.mul == self.one).any(axis=0)
+            seed[self.zero] = True
+            closed = _n_subloop_system(self).close(np.flatnonzero(seed))
+            if not closed.all():
+                return (ElementSubset.from_mask(closed),)
         maximal: list = []
         for s in reversed(self._n_subloops):
             if len(s) < self.n and not any(s.members < m.members for m in maximal):
@@ -115,38 +129,29 @@ def validate_lnr(add_table, mul_table, one: int) -> LoopNearRing:
     return _validated(LoopNearRing, add_table, mul_table, one)
 
 
-def induced(nr: LoopNearRing, reps, label, one: int) -> LoopNearRing:
-    """The structure of ``nr``'s own type induced on the elements ``reps``.
+def induced(nr: LoopNearRing, carrier, one: int) -> LoopNearRing:
+    """The structure of ``nr``'s own type on the set of elements
+    ``carrier``, re-indexed 0..k-1 in ascending order, with identity ``one``.
 
-    Gathers add and mul on reps x reps and sends every entry, and the
-    parent element ``one``, through the lookup array ``label`` (parent
-    element -> new index).  Corner rings, images and sub-near-rings use
-    the positions of an ascending carrier (``tables.positions``): the
-    result is then ``nr``'s own tables on a subset, so it inherits
+    Both pass the element gate (``ElementSubset.of``, ``_elements``).
+    The result is ``nr``'s own tables on a subset, so it inherits
     ``nr``'s law rows of ``tables.AXIOMS`` and only the others are
     scanned, up to ``nr.kind``: a ring's corner or image is a
-    FiniteRing.  A carrier not closed under + and * leaves a -1 label in
-    a table and is refused with EntriesOutOfRange.  Any other ``label``
-    gets the full scan.
+    FiniteRing.  A carrier not closed under + and * leaves a -1 in a
+    table and is refused with EntriesOutOfRange.
     """
-    reps = np.asarray(reps, dtype=np.int64)
-    label = np.asarray(label, dtype=np.int64)
-    return _induced(nr, reps, label, one, inherits=_is_position_map(reps, label))
+    reps = np.fromiter(ElementSubset.of(nr.n, carrier), np.int64)
+    (one,) = _elements(nr.n, (one,))
+    return _image(nr, reps, tables.positions(reps, nr.n), one)
 
 
-def _is_position_map(reps, label) -> bool:
-    """Whether ``label`` sends reps[i] to i and every other element to -1."""
-    return (np.array_equal(label[reps], np.arange(len(reps)))
-            and np.count_nonzero(label >= 0) == len(reps))
-
-
-def _induced(nr: LoopNearRing, reps, label, one: int, inherits: bool) -> LoopNearRing:
-    """``induced``, scanning the law rows unless ``inherits``: the caller
-    knows ``label`` maps a substructure of ``nr`` onto the result, as the
-    coset projection of a certified ideal does (Birkhoff)."""
+def _image(nr: LoopNearRing, reps, label, one: int) -> LoopNearRing:
+    """``nr``'s tables on reps x reps, each entry and ``one`` sent through
+    the lookup array ``label``: the positions of reps (``induced``) or the
+    coset projection of a certified ideal (``rings._quotient_by``), a
+    homomorphism (Birkhoff).  Either way the law rows are inherited."""
     grid = np.ix_(reps, reps)
-    return _validated(type(nr), label[nr.add[grid]], label[nr.mul[grid]], label[one],
-                      laws=not inherits)
+    return _validated(type(nr), label[nr.add[grid]], label[nr.mul[grid]], label[one], laws=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +192,7 @@ def _unit_group(nr: LoopNearRing) -> UnitGroup:
     if members.size and not member_mask[prod].all():
         raise TheoremViolation("units are not closed under multiplication")
     return UnitGroup(
-        members=ElementSubset.of(nr.n, members.tolist()),
+        members=ElementSubset.from_mask(member_mask),
         inverse=MappingProxyType(inverse),
     )
 
@@ -198,13 +203,9 @@ def idempotents(nr: LoopNearRing) -> ElementSubset:
 
 
 def _require_idempotent(nr: LoopNearRing, e) -> int:
-    """``e`` as an int, or NotIdempotent if it is not an integer
-    (as ``tables.all_integers`` reads one), is outside the carrier or has e * e != e."""
-    if isinstance(e, bool) or not isinstance(e, (int, np.integer)):
-        raise NotIdempotent(f"{e!r} is not an integer")
-    e = int(e)
-    if not 0 <= e < nr.n:
-        raise NotIdempotent(f"{e} outside the carrier")
+    """``e`` as an int once it passes the element gate (``loops._elements``),
+    or NotIdempotent if e * e != e."""
+    (e,) = _elements(nr.n, (e,))
     if nr.mul[e, e] != e:
         raise NotIdempotent(f"{e} is not idempotent")
     return e
@@ -274,12 +275,11 @@ def annihilator(nr: LoopNearRing, e: int) -> ElementSubset:
     n = nr.n
     e = _require_idempotent(nr, e)
     col = nr.mul[:, e]
-    ann = np.flatnonzero(col == nr.zero)
     # n = y + n*e with y = rdiff[n][n*e]; the theory says y * e = 0
     y = nr.additive.rdiff[np.arange(n), col]
     if (nr.mul[y, e] != nr.zero).any():
         raise TheoremViolation("N != Ann(e) + N*e decomposition failed")
-    out = ElementSubset.of(n, ann.tolist())
+    out = ElementSubset.from_mask(col == nr.zero)
     if nr.zero_symmetric and not is_N_subloop(nr, out):
         raise TheoremViolation("Ann(e) is not an N-subloop in a zero-symmetric near-ring")
     return out
@@ -311,7 +311,7 @@ def is_local_lnr(nr: LoopNearRing, bounds: Bounds = DEFAULT_BOUNDS) -> LocalityR
     """
     if not nr.zero_symmetric:
         raise PreconditionFailed("locality analysis requires a zero-symmetric near-ring")
-    nonunits = ElementSubset.of(nr.n, set(range(nr.n)) - units(nr).members.members)
+    nonunits = ElementSubset.from_mask(~units(nr).members.mask())
     via_units = is_N_subloop(nr, nonunits)
     maximal = tuple(maximal_N_subloops(nr, bounds))
     via_maximal = len(maximal) == 1

@@ -30,10 +30,10 @@ from .errors import (
     NotApproximatelyIdempotent,
     TheoremViolation,
 )
-from .loops import ElementSubset
+from .loops import ElementSubset, _elements
 from .nearrings import (
     LoopNearRing,
-    _induced,
+    _image,
     _require_idempotent,
     _validated,
     enumerate_N_subloops,
@@ -151,13 +151,12 @@ def left_ideals(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> list:
 
 def radical_by_quasiregularity(ring: FiniteRing) -> ElementSubset:
     """J = { a : 1 - x*a has a left inverse for every x }."""
-    n = ring.n
     mul = ring.mul
     has_left_inv = (mul == ring.one).any(axis=0)
     # [x, a] = 1 - x*a
     one_minus = ring.add[ring.one, ring.neg[mul]]
     member = has_left_inv[one_minus].all(axis=0)
-    return ElementSubset.of(n, np.flatnonzero(member).tolist())
+    return ElementSubset.from_mask(member)
 
 
 def radical_by_maximal_left_ideals(
@@ -220,7 +219,7 @@ def _quotient_by(ring: FiniteRing, ideal: TwoSidedIdeal) -> Quotient:
     leader_of = ring.add[:, ii].min(axis=1)
     leaders = tables.distinct(leader_of, ring.n)
     proj = np.searchsorted(leaders, leader_of)
-    q = _induced(ring, leaders, proj, ring.one, inherits=True)
+    q = _image(ring, leaders, proj, ring.one)
     return Quotient(
         ring=q,
         leaders=tuple(int(x) for x in leaders),
@@ -270,8 +269,8 @@ def is_semiperfect(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> bool:
 
 def coset_idempotents(ring: FiniteRing, ideal: TwoSidedIdeal, x: int) -> tuple:
     """All idempotents in the coset x + I, ascending.  Brute force.  ``x``
-    passes the element gate of ``ElementSubset.of``."""
-    (x,) = ElementSubset.of(ring.n, [x])
+    passes the element gate ``loops._elements``."""
+    (x,) = _elements(ring.n, (x,))
     ii = np.fromiter(ideal.members.sorted_members, dtype=np.int64)
     coset = np.sort(ring.add[x, ii])
     diag = ring.mul[coset, coset]
@@ -285,10 +284,10 @@ def lift_idempotent(ring: FiniteRing, ideal: TwoSidedIdeal, x: int) -> int:
     (t' = t^2 * (4t - 3)), and J is nilpotent in a finite ring, so the
     iteration reaches a true idempotent.  The result is always checked
     against the exhaustive coset search (``coset_idempotents``).  ``x``
-    passes the element gate of ``ElementSubset.of``.
+    passes the element gate ``loops._elements``.
     """
     mul, add = ring.mul, ring.add
-    (x,) = ElementSubset.of(ring.n, [x])
+    (x,) = _elements(ring.n, (x,))
     t = ring.sub(mul[x, x], x)
     if int(t) not in ideal.members.members:
         raise NotApproximatelyIdempotent(f"x*x - x = {int(t)} is not in the ideal")

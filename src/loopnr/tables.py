@@ -42,13 +42,16 @@ _BLOCK_ELEMS = 1 << 22
 _FLAT_ENTRIES = 1 << 13
 
 
-def all_integers(values) -> bool:
-    """Whether every value is an int or a numpy integer.
+def _is_integer(v) -> bool:
+    """Whether ``v`` is an int or a numpy integer: a bool, float or string
+    is refused rather than truncated or read as 0/1."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
-    A bool, float or string is refused rather than truncated or read
-    as 0/1; ``as_table`` and the map and family validators share it.
-    """
-    return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values)
+
+def all_integers(values) -> bool:
+    """Whether every value is an integer (``_is_integer``); ``as_table``
+    and the map validator share it, and ``loops._elements`` its test."""
+    return all(map(_is_integer, values))
 
 
 def as_table(obj) -> np.ndarray:

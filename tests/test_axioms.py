@@ -34,6 +34,7 @@ from loopnr import (
     quotient_ring,
     realize,
     tables,
+    validate_ideal,
     validate_lnr,
     validate_lnr_hom,
     validate_loop,
@@ -41,8 +42,7 @@ from loopnr import (
 )
 from loopnr.cli import main
 from loopnr.lattice import ClosureSystem
-from loopnr.nearrings import _is_position_map
-from loopnr.tables import AXIOMS, KINDS, positions
+from loopnr.tables import AXIOMS, KINDS
 
 import corpus
 
@@ -586,27 +586,36 @@ class TestInheritedLaws:
     def test_carrier_not_closed_is_out_of_range(self):
         ring = parse_spec("cyclic:6")
         with pytest.raises(EntriesOutOfRange):
-            induced(ring, [0, 1], positions([0, 1], ring.n), 1)  # 1 + 1 = 2
+            induced(ring, [0, 1], 1)  # 1 + 1 = 2
 
     def test_identity_outside_the_carrier(self):
         ring = parse_spec("cyclic:6")
-        label = positions([0, 3], ring.n)
         with pytest.raises(NotIdentity):
-            induced(ring, [0, 3], label, 1)
-        assert induced(ring, [0, 3], label, 3).mul.tolist() == [[0, 0], [0, 1]]
+            induced(ring, [0, 3], 1)
+        assert induced(ring, [0, 3], 3).mul.tolist() == [[0, 0], [0, 1]]
 
-    def test_label_not_a_homomorphism_gets_the_full_scan(self):
-        # Z/16 -> "Z/3" by a label that is not a homomorphism: the tables
-        # are closed with identity 1, but (1 + 1) * 2 = 0 != 1 * 2 + 1 * 2
-        ring = parse_spec("cyclic:16")
-        label = np.full(16, -1)
-        label[[0, 1, 3, 2, 4, 6, 9]] = [0, 1, 2, 2, 0, 1, 0]
-        with pytest.raises(RightDistributivityFails):
-            induced(ring, [0, 1, 3], label, 1)
+    @pytest.mark.parametrize("spec, one, message", [
+        ("cyclic:2", -1, "^-1 outside the carrier$"),
+        ("cyclic:4", 1.0, "^1.0 is not an integer$"),
+        ("cyclic:4", True, "^True is not an integer$"),
+    ])
+    def test_identity_passes_the_element_gate(self, spec, one, message):
+        # -1 is not read as the last element, nor 1.0 and True as 1
+        ring = parse_spec(spec)
+        with pytest.raises(ValueError, match=message):
+            induced(ring, range(ring.n), one)
 
-    def test_only_a_position_map_inherits(self, monkeypatch):
-        # the coset projection Z/6 -> Z/3 is a homomorphism, but induced
-        # does not take its word for it: the law rows are scanned
+    def test_carrier_is_sorted_and_deduplicated(self):
+        ring = parse_spec("cyclic:6")
+        a, b = induced(ring, [3, 0, 3], 3), induced(ring, [0, 3], 3)
+        assert (a.n, a.one, a.add.tolist(), a.mul.tolist()) == (b.n, b.one, b.add.tolist(),
+                                                                 b.mul.tolist())
+        with pytest.raises(ValueError, match="^6 outside the carrier$"):
+            induced(ring, [0, 6], 0)
+
+    def test_induced_scans_no_law_row(self, monkeypatch):
+        # a corner, a subring and A/J: each takes its parent's law rows
+        # on trust, and only the closure and identity rows are scanned
         ring = parse_spec("cyclic:6")
         scans = []
         require = tables.require
@@ -617,11 +626,11 @@ class TestInheritedLaws:
             return require(*args, **kw)
 
         monkeypatch.setattr(tables, "require", recording)
-        quotient = induced(ring, [0, 1, 2], np.arange(6) % 3, 1)
-        assert quotient.mul.tolist() == corpus.z(3).mul.tolist()
-        assert induced(ring, [0, 3], positions([0, 3], 6), 3).n == 2
-        assert scans == [True, False]
-        assert not _is_position_map(np.array([3, 0]), positions([0, 3], 6))
+        assert induced(ring, [0, 3], 3).n == 2
+        assert induced(ring, [0, 2, 4], 4).n == 3
+        quotient = quotient_ring(ring, validate_ideal(ring, [0, 3]))
+        assert quotient.ring.mul.tolist() == corpus.z(3).mul.tolist()
+        assert scans == [False, False, False]
 
 
 def least_assoc_witness(op):

@@ -44,14 +44,17 @@ def families_members(fams):
     annihilator,
     corner_ring,
     is_primitive,
+    is_strongly_indecomposable_corner,
     lambda ring, e: idempotents_isomorphic(ring, e, 3),
     lambda ring, e: idempotents_isomorphic(ring, 3, e),
-], ids=["annihilator", "corner_ring", "is_primitive", "isomorphic_e_first",
-        "isomorphic_e_second"])
-@pytest.mark.parametrize("e", [3.9, 4.5, True, "3"], ids=["3.9", "4.5", "True", "str_3"])
+], ids=["annihilator", "corner_ring", "is_primitive", "strongly_indecomposable",
+        "isomorphic_e_first", "isomorphic_e_second"])
+@pytest.mark.parametrize("e", [3.9, 4.5, True, "3", 0.0, False],
+                         ids=["3.9", "4.5", "True", "str_3", "0.0", "False"])
 def test_non_integer_idempotent_is_refused(check, e):
-    # int(e) would read each of these as an idempotent of Z6
-    with pytest.raises(NotIdempotent, match=f"^{e!r} is not an integer$"):
+    # int(e) would read each of these as an idempotent of Z6; the gate
+    # runs before the zero test, so 0.0 and False are not read as 0
+    with pytest.raises(ValueError, match=f"^{e!r} is not an integer$"):
         check(corpus.z(6), e)
 
 
@@ -82,9 +85,16 @@ class TestValidateFamily:
         with pytest.raises(PreconditionFailed, match="sums to"):
             validate_idempotent_family(corpus.z(6), (3,))
 
-    @pytest.mark.parametrize("members", [(3.9, 4.2), (3.0, 4.0), ("3", "4"), (True,)])
-    def test_rejects_non_integer_members(self, members):
-        with pytest.raises(PreconditionFailed, match="must be integers"):
+    @pytest.mark.parametrize("members, message", [
+        ((3.9, 4.2), "^3.9 is not an integer$"),
+        ((3.0, 4.0), "^3.0 is not an integer$"),
+        (("3", "4"), "^'3' is not an integer$"),
+        ((True,), "^True is not an integer$"),
+        ((3, 4, 6), "^6 outside the carrier$"),
+        ((3, 4, -1), "^-1 outside the carrier$"),
+    ])
+    def test_members_pass_the_element_gate(self, members, message):
+        with pytest.raises(ValueError, match=message):
             validate_idempotent_family(corpus.z(6), members)
 
     def test_rejects_repeated_member(self):
@@ -131,9 +141,9 @@ class TestPrimitivity:
         with pytest.raises(ZeroIdempotent):
             is_primitive(corpus.z(6), 0)
 
-    @pytest.mark.parametrize("e", [2, 6, -1])
-    def test_rejects_non_idempotent_and_outside(self, e):
-        with pytest.raises(NotIdempotent):
+    @pytest.mark.parametrize("e, error", [(2, NotIdempotent), (6, ValueError), (-1, ValueError)])
+    def test_rejects_non_idempotent_and_outside(self, e, error):
+        with pytest.raises(error):
             is_primitive(corpus.z(6), e)
 
     def test_matches_brute_corner_idempotents_on_corpus(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import subprocess
@@ -383,23 +384,29 @@ class TestSumsetJoin:
 
 
 class TestCoatomPass:
-    """The coatoms, found in one pass by decreasing size, are the sets the
-    quadratic filter keeps, in its order."""
+    """The coatoms are the sets the quadratic filter keeps, in its order,
+    whether they are read off a kept lattice or, for a local N with no
+    lattice kept, found as cl({0} | U') without one."""
 
     CASES = {
-        **{f"R_{k}": (lambda k=k: corpus.trivial_extension_f2(k)) for k in range(2, 6)},
+        **{f"R_{k}": (lambda k=k: corpus.trivial_extension_f2(k)) for k in range(2, 7)},
         **{spec: (lambda spec=spec: parse_spec(spec))
-           for spec, kind, n in CATALOG if spec.startswith("m0:")},
+           for spec, kind, n in CATALOG if kind != "loop"},
     }
 
     @staticmethod
     def assert_matches_quadratic_filter(nr):
+        fresh = dataclasses.replace(nr)   # the same tables, nothing kept
+        first = maximal_N_subloops(fresh)
         proper = [s for s in enumerate_N_subloops(nr) if len(s) < nr.n]
         want = [s for s in proper if not any(s.members < t.members for t in proper)]
         assert maximal_N_subloops(nr) == want
+        assert first == want
+        # only a local N skips the lattice; the zero ring has no coatom
+        assert ("_n_subloops" in fresh.__dict__) == (len(want) != 1)
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_trivial_extensions_and_m0_catalog(self, name):
+    def test_trivial_extensions_and_catalog(self, name):
         self.assert_matches_quadratic_filter(self.CASES[name]())
 
     def test_small_ring_corpus(self):

@@ -300,11 +300,11 @@ class TestElementSubset:
             ElementSubset.of(3, [0, 3])
 
     @pytest.mark.parametrize("items, message", [
-        ([0, -1], "member -1 outside carrier"),
-        ([0, 6], "member 6 outside carrier"),
-        ([0, 5.0], "must be integers"),
-        ([0, True], "must be integers"),
-        (["1"], "must be integers"),
+        ([0, -1], "^-1 outside the carrier$"),
+        ([0, 6], "^6 outside the carrier$"),
+        ([0, 5.0], "^5.0 is not an integer$"),
+        ([0, True], "^True is not an integer$"),
+        (["1"], "^'1' is not an integer$"),
         (ElementSubset.of(7, [0]), "carrier of 7 elements given for one of 6"),
     ])
     @pytest.mark.parametrize("check", [is_subloop, subloop_closure, is_normal_subloop])
@@ -313,6 +313,22 @@ class TestElementSubset:
         # no index past the carrier reaches a gather
         with pytest.raises(ValueError, match=message):
             check(random_loop(6, 0), items)
+
+    @pytest.mark.parametrize("n, members, message", [
+        (2, frozenset({0, True}), "^True is not an integer$"),
+        (8, frozenset({0, 4.0}), "^4.0 is not an integer$"),
+        (6, frozenset({0, -1}), "^-1 outside the carrier$"),
+    ])
+    def test_constructor_is_the_gate(self, n, members, message):
+        # True is not read as 1 by is_subloop, nor 4.0 sent to a gather
+        with pytest.raises(ValueError, match=message):
+            ElementSubset(n, members)
+
+    def test_members_are_stored_as_ints(self):
+        s = ElementSubset(6, frozenset({np.int64(3), 0}))
+        assert s == ElementSubset.of(6, [0, 3])
+        assert all(type(x) is int for x in s.members)
+        assert all(type(x) is int for x in ElementSubset.from_mask(s.mask()).members)
 
     def test_gate_passes_a_subset_of_the_same_carrier_and_iterators(self):
         s = ElementSubset.of(6, [0, 3])

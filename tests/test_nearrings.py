@@ -181,13 +181,13 @@ class TestAnnihilator:
         assert annihilator(nr, 1).members == frozenset({0})
         assert annihilator(nr, 0).members == frozenset(range(6))
 
-    @pytest.mark.parametrize("e, message", [
-        (2, "2 is not idempotent"),
-        (6, "6 outside the carrier"),
-        (-1, "-1 outside the carrier"),
+    @pytest.mark.parametrize("e, error, message", [
+        (2, NotIdempotent, "2 is not idempotent"),
+        (6, ValueError, "6 outside the carrier"),
+        (-1, ValueError, "-1 outside the carrier"),
     ], ids=["square_differs", "past_the_end", "negative"])
-    def test_rejects_non_idempotent(self, e, message):
-        with pytest.raises(NotIdempotent, match=f"^{message}$"):
+    def test_rejects_non_idempotent(self, e, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
             annihilator(corpus.z(6), e)
 
     def test_complement_sizes_multiply(self):

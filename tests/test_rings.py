@@ -75,7 +75,7 @@ class TestIdeals:
 
     def test_members_pass_the_element_gate(self):
         # 4.0 is not read as 4
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match="^4.0 is not an integer$"):
             validate_ideal(corpus.z(8), [0, 4.0, 2, 6])
 
     def test_rejects_left_only_ideal(self):
@@ -321,15 +321,15 @@ class TestIdempotentRelations:
                         assert idempotents_isomorphic(ring, e, f)
 
     @pytest.mark.parametrize("relation", [idempotents_isomorphic, idempotents_conjugate])
-    @pytest.mark.parametrize("e, message", [
-        (2, "2 is not idempotent"),
-        (6, "6 outside the carrier"),
-        (-1, "-1 outside the carrier"),
+    @pytest.mark.parametrize("e, error, message", [
+        (2, NotIdempotent, "2 is not idempotent"),
+        (6, ValueError, "6 outside the carrier"),
+        (-1, ValueError, "-1 outside the carrier"),
     ], ids=["square_differs", "past_the_end", "negative"])
     @pytest.mark.parametrize("first", [True, False], ids=["e_first", "e_second"])
-    def test_rejects_non_idempotent(self, relation, e, message, first):
+    def test_rejects_non_idempotent(self, relation, e, error, message, first):
         args = (e, 3) if first else (3, e)
-        with pytest.raises(NotIdempotent, match=f"^{message}$"):
+        with pytest.raises(error, match=f"^{message}$"):
             relation(corpus.z(6), *args)
 
     def test_conjugacy_matches_the_loop_over_units(self):
