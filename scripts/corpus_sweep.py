@@ -57,9 +57,7 @@ def sweep_row(spec: str, kind: str, cfg: SweepConfig) -> str:
         if isinstance(structure, FiniteRing):
             j = jacobson_radical(structure)
             family = decompose_regular(structure)
-            corners = tuple(
-                len(corner_ring(structure, e).carrier) for e in family.members
-            )
+            corners = tuple(len(corner_ring(structure, e).carrier) for e in family)
             body += f" |J|={len(j):<4} corners={corners}"
     took = f"  [{time.perf_counter() - t0:.2f}s]" if cfg.show_timing else ""
     return f"{spec:<28} {kind:<5} n={structure.n:<5} {body}{took}"

@@ -126,15 +126,13 @@ def _load_map(path: str) -> list:
     stripped = text.lstrip()
     if not stripped:
         raise ParseError("empty map file")
-    if stripped[0] == "[":
+    if stripped[0] == "[":   # so the JSON route reads a list
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON map file: {exc}") from None
         except (ValueError, RecursionError) as exc:  # as in io.read_structure
             raise ParseError(f"cannot read {path}: {exc}") from None
-        if not isinstance(data, list):
-            raise ParseError("map file must be a JSON array")
     else:
         try:
             data = [int(tok) for tok in text.split()]

@@ -51,32 +51,12 @@ from .rings import FiniteRing, _iso_witness, is_local_ring
 from .tables import distinct, positions
 
 
-@dataclass(frozen=True, eq=False)
-class IdempotentFamily:
-    """A complete orthogonal family of nonzero idempotents.
-
-    Members are stored in ascending order.  Only the zero ring admits
-    the empty family.  Build instances through validate_idempotent_family
-    so the invariants actually hold.
-    """
-
-    ring: FiniteRing
-    members: tuple
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __repr__(self):
-        return f"IdempotentFamily{self.members}"
-
-
-def validate_idempotent_family(ring: FiniteRing, members) -> IdempotentFamily:
-    """Check idempotence, orthogonality and completeness, then wrap.  The
-    members pass ``loops._elements`` and stay a sorted list, not a set,
-    so a repeated member is refused as not orthogonal."""
+def validate_idempotent_family(ring: FiniteRing, members) -> tuple:
+    """A complete orthogonal family of nonzero idempotents, as the
+    ascending tuple of its members, once idempotence, orthogonality and
+    completeness are checked.  Only the zero ring admits the empty
+    family.  The members pass ``loops._elements`` and stay a sorted
+    list, not a set, so a repeated member is refused as not orthogonal."""
     ms = tuple(sorted(_elements(ring.n, members)))
     mul = ring.mul
     for e in ms:
@@ -93,7 +73,7 @@ def validate_idempotent_family(ring: FiniteRing, members) -> IdempotentFamily:
         acc = int(ring.add[acc, e])
     if acc != ring.one:
         raise PreconditionFailed(f"family sums to {acc}, not to one")
-    return IdempotentFamily(ring=ring, members=ms)
+    return ms
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,14 +219,14 @@ def _splitters(ring: FiniteRing, es: list) -> list:
     return [memo[e] for e in es]
 
 
-def decompose_regular(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> IdempotentFamily:
-    """The canonical complete family of primitive idempotents, split
-    once per ring (``_split``)."""
+def decompose_regular(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> tuple:
+    """The canonical complete family of primitive idempotents, as the
+    ascending tuple of its members, split once per ring (``_split``)."""
     bounds.check("max_n", ring.n, "ring to decompose")
     return ring._canonical
 
 
-def _split(ring: FiniteRing) -> IdempotentFamily:
+def _split(ring: FiniteRing) -> tuple:
     """Recursive splitting from 1: each corner's least splitter g and its
     complement e - g within the corner are split in turn, and a corner
     without a splitter is a primitive member.  The least-index choice
@@ -271,9 +251,10 @@ def enumerate_complete_primitive_families(ring: FiniteRing,
                                           bounds: Bounds = DEFAULT_BOUNDS) -> list:
     """All complete orthogonal families of primitive idempotents.
 
-    Families are emitted with ascending members, in lexicographic
-    order.  Past ``bounds.max_families`` families, LimitReached names
-    that cap and carries the ones found so far in ``partial``.
+    Families are emitted as ascending tuples of members, in
+    lexicographic order.  Past ``bounds.max_families`` families,
+    LimitReached names that cap and carries the ones found so far in
+    ``partial``.
     Orthogonality is read off one ``_orthogonality`` table of the
     primitives, its rows as bitsets; ``validate_idempotent_family``
     still certifies each family.
@@ -370,35 +351,25 @@ def verify_ks_uniqueness(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> K
     """
     canonical = decompose_regular(ring, bounds)
     families = enumerate_complete_primitive_families(ring, bounds)
-    if canonical.members not in [f.members for f in families]:
-        raise TheoremViolation(
-            f"canonical family {canonical.members} missing from enumeration"
-        )
-    seen = sorted(set(e for f in families for e in f.members))
+    if canonical not in families:
+        raise TheoremViolation(f"canonical family {canonical} missing from enumeration")
+    seen = sorted(set(e for f in families for e in f))
     labels, witnesses = _iso_class_labels(ring, seen)
     _require_local_corners(ring, seen, witnesses, bounds, "family member")
-    canon_multiset = sorted(labels[e] for e in canonical.members)
+    canon_multiset = sorted(labels[e] for e in canonical)
     for fam in families:
         if len(fam) != len(canonical):
-            raise TheoremViolation(
-                f"families of different lengths: {fam.members} vs {canonical.members}"
-            )
-        if sorted(labels[e] for e in fam.members) != canon_multiset:
-            raise TheoremViolation(
-                f"family {fam.members} not isomorphism-matched to {canonical.members}"
-            )
+            raise TheoremViolation(f"families of different lengths: {fam} vs {canonical}")
+        if sorted(labels[e] for e in fam) != canon_multiset:
+            raise TheoremViolation(f"family {fam} not isomorphism-matched to {canonical}")
     return KSReport(
         n=ring.n,
-        canonical=canonical.members,
-        families=tuple(f.members for f in families),
+        canonical=canonical,
+        families=tuple(families),
         family_count=len(families),
         common_length=len(canonical),
-        class_labels=tuple(
-            tuple(labels[e] for e in f.members) for f in families
-        ),
-        signature_multiset=tuple(
-            sorted(corner_signature(ring, e) for e in canonical.members)
-        ),
+        class_labels=tuple(tuple(labels[e] for e in f) for f in families),
+        signature_multiset=tuple(sorted(corner_signature(ring, e) for e in canonical)),
         matched=True,
     )
 
@@ -428,9 +399,9 @@ def verify_retract_matching(
     canonical = decompose_regular(ring, bounds)
     prim = _primitives(ring)
     labels, witnesses = _iso_class_labels(ring, prim)
-    _require_local_corners(ring, canonical.members, witnesses, bounds, "canonical member")
+    _require_local_corners(ring, canonical, witnesses, bounds, "canonical member")
     least = {}
-    for e in canonical.members:
+    for e in canonical:
         least.setdefault(labels[e], e)
     matches = []
     for f in prim:
@@ -440,4 +411,4 @@ def verify_retract_matching(
                 f"primitive idempotent {f} matches no canonical family member"
             )
         matches.append((f, partner))
-    return RetractReport(n=ring.n, canonical=canonical.members, matches=tuple(matches))
+    return RetractReport(n=ring.n, canonical=canonical, matches=tuple(matches))

@@ -117,8 +117,6 @@ def _factor_prime_power(q: int):
 
 def _find_irreducible(p: int, k: int):
     """Least monic irreducible of degree k over F_p, little-endian coeffs."""
-    if k == 1:
-        return [0, 1]
     lower = []
     for deg in range(1, k // 2 + 1):
         for c in range(p ** deg):
@@ -357,8 +355,7 @@ def product(structures, bounds: Bounds = DEFAULT_BOUNDS):
         size *= s.n
     bounds.check("max_n", size, "product")
     radices = [s.n for s in structures]
-    loops = [s if isinstance(s, CayleyLoop) else s.additive for s in structures]
-    add = _componentwise([l.add for l in loops])
+    add = _componentwise([s.add for s in structures])
     if kinds == {"loop"}:
         return validate_loop(add)
     mul = _componentwise([s.mul for s in structures])
@@ -373,7 +370,7 @@ def opposite(nr: LoopNearRing):
     near-ring in the convention used here; when it does not, the
     validator raises RightDistributivityFails with a witness.
     """
-    return _validated(type(nr), nr.additive, np.ascontiguousarray(nr.mul.T), nr.one)
+    return _validated(type(nr), nr, np.ascontiguousarray(nr.mul.T), nr.one)
 
 
 def parse_spec(spec: str, bounds: Bounds = DEFAULT_BOUNDS):
@@ -431,9 +428,7 @@ def parse_spec(spec: str, bounds: Bounds = DEFAULT_BOUNDS):
     if head == "ut2":
         return upper_triangular_ring(as_ring(rest), bounds)
     if head in ("m", "m0"):
-        inner = parse_spec(rest, bounds)
-        loop = inner if isinstance(inner, CayleyLoop) else inner.additive
-        return map_near_ring(loop, zero_fixing=(head == "m0"), bounds=bounds)
+        return map_near_ring(parse_spec(rest, bounds), zero_fixing=(head == "m0"), bounds=bounds)
     if head == "product":
         parts = rest.split("+")
         if len(parts) < 2:

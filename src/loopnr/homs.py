@@ -44,10 +44,6 @@ class LnrHom(StructureHom):
     """A validated homomorphism of loop near-rings, as a total index map."""
 
     @cached_property
-    def _arr(self) -> np.ndarray:
-        return np.asarray(self.map, dtype=np.int64)
-
-    @cached_property
     def nontrivial(self) -> bool:
         # image collapses to {0} only when the target identifies 1 with 0
         return self.image.members != frozenset({self.target.zero})
@@ -72,14 +68,14 @@ def validate_lnr_hom(
         )
     _require_law(fm, source.add, target.add, "+")
     _require_law(fm, source.mul, target.mul, "*")
-    return LnrHom(source=source, target=target, map=tuple(fm.tolist()))
+    return LnrHom(source=source, target=target, map=fm)
 
 
 def is_unit_reflecting(hom: LnrHom) -> Verdict:
     """Every element mapping onto a unit of the target must be a unit."""
     src_units = units(hom.source).members.mask()
     tgt_units = units(hom.target).members.mask()
-    pulled = tgt_units[hom._arr]
+    pulled = tgt_units[hom.map]
     bad = pulled & ~src_units
     if bad.any():
         return Verdict(False, (int(np.argmax(bad)),))
@@ -95,7 +91,7 @@ def is_idempotent_lifting(hom: LnrHom) -> Verdict:
     scan is kept because the property is a hypothesis elsewhere and a
     hand-built LnrHom need not be a homomorphism.
     """
-    fm = hom._arr
+    fm = hom.map
     idem_value = hom.target.mul[fm, fm] == fm
     lifted = np.zeros(hom.target.n, dtype=bool)
     lifted[[fm[e] for e in idempotents(hom.source)]] = True
@@ -133,8 +129,8 @@ def image_subring(hom: LnrHom) -> ImageRing:
     if not isinstance(hom.target, FiniteRing):
         raise TargetNotARing("image_subring needs a ring codomain")
     carrier = hom.image.sorted_members
-    ring = induced(hom.target, hom.image, hom._arr[hom.source.one])
-    surj = validate_lnr_hom(positions(carrier, hom.target.n)[hom._arr], hom.source, ring)
+    ring = induced(hom.target, hom.image, hom.map[hom.source.one])
+    surj = validate_lnr_hom(positions(carrier, hom.target.n)[hom.map], hom.source, ring)
     return ImageRing(ring=ring, carrier=carrier, surjection=surj)
 
 

@@ -68,13 +68,13 @@ import numpy as np
 from .config import DEFAULT_BOUNDS, Bounds
 from .errors import ParseError
 from .loops import CayleyLoop, validate_loop
-from .nearrings import LoopNearRing, validate_lnr
+from .nearrings import validate_lnr
 from .rings import validate_ring_tables
 from .tables import DTYPE, KINDS, MAX_ORDER
 
 
 def kind_of(structure) -> str:
-    if not isinstance(structure, (CayleyLoop, LoopNearRing)):
+    if not isinstance(structure, CayleyLoop):
         raise TypeError(f"not a structure: {structure!r}")
     return structure.kind
 
@@ -356,14 +356,13 @@ def _as_int_table(rows, what: str, n: int) -> list | np.ndarray:
 
 
 def _parse_json(text: str) -> StructureFile:
+    # parse_structure sends text that starts with "{", so data is an object
     data, spans = _compact_object(text) or (None, {})
     if data is None:
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ParseError("top level must be an object")
     kind = data.get("kind")
     if kind not in KINDS:
         raise ParseError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -392,9 +391,7 @@ def _parse_json(text: str) -> StructureFile:
 
 def _parse_text(text: str) -> StructureFile:
     lines = [ln.strip() for ln in text.splitlines()]
-    rows = [ln for ln in lines if ln]
-    if not rows:
-        raise ParseError("empty file")
+    rows = [ln for ln in lines if ln]   # not empty: parse_structure refuses blank text
     head = rows[0].split()
     if len(head) != 2 or head[0] not in KINDS:
         raise ParseError('first line must be "<kind> <n>"')

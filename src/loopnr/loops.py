@@ -128,7 +128,7 @@ class CayleyLoop:
     add: np.ndarray
 
     def __repr__(self):
-        return f"CayleyLoop(n={self.n})"
+        return f"{type(self).__name__}(n={self.n})"
 
     @cached_property
     def ldiff(self) -> np.ndarray:
@@ -242,19 +242,20 @@ def is_normal_subloop(loop: CayleyLoop, subset) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class StructureHom:
-    """A validated homomorphism of loops, given as a total index map."""
+    """A validated homomorphism of loops: ``map`` is the read-only int64
+    array of ``_checked_map``, the image of each source element."""
 
     source: CayleyLoop
     target: CayleyLoop
-    map: tuple
+    map: np.ndarray
 
     @cached_property
     def kernel(self) -> ElementSubset:
-        return ElementSubset.from_mask(np.asarray(self.map) == self.target.zero)
+        return ElementSubset.from_mask(self.map == self.target.zero)
 
     @cached_property
     def image(self) -> ElementSubset:
-        return ElementSubset.of(self.target.n, set(self.map))
+        return ElementSubset.from_mask(np.bincount(self.map, minlength=self.target.n) > 0)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.source!r} -> {self.target!r})"
@@ -268,11 +269,12 @@ def validate_loop_hom(f, source: CayleyLoop, target: CayleyLoop) -> StructureHom
     """
     fm = _checked_map(f, source.n, target.n)
     _require_law(fm, source.add, target.add, "+")
-    return StructureHom(source=source, target=target, map=tuple(fm.tolist()))
+    return StructureHom(source=source, target=target, map=fm)
 
 
 def _checked_map(f, source_n: int, target_n: int) -> np.ndarray:
-    """The map as an int64 array, once its length and entries are in range.
+    """The map as a read-only int64 array, once its length and entries
+    are in range: the array a StructureHom keeps as its ``map``.
 
     Entries must be integers (``tables.all_integers``) and are
     range-checked before the int64 conversion, so one past int64 is
@@ -285,7 +287,9 @@ def _checked_map(f, source_n: int, target_n: int) -> np.ndarray:
         raise NotAHomomorphism("map entries must be integers")
     if not all(0 <= v < target_n for v in entries):
         raise NotAHomomorphism("map entries outside the target carrier")
-    return np.asarray(entries, dtype=np.int64)
+    fm = np.array(entries, dtype=np.int64)
+    fm.setflags(write=False)
+    return fm
 
 
 def _require_law(fm: np.ndarray, src: np.ndarray, tgt: np.ndarray, op: str) -> None:

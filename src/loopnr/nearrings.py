@@ -36,27 +36,15 @@ from .loops import CayleyLoop, ElementSubset, _elements, _sorted_subsets, is_sub
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class LoopNearRing:
-    """Validated loop near-ring over the carrier 0 .. n-1."""
+class LoopNearRing(CayleyLoop):
+    """Validated loop near-ring over the carrier 0 .. n-1: its additive
+    loop (N, +), as a CayleyLoop, with the multiplication ``mul``."""
 
     kind = "lnr"  # the last ``tables.AXIOMS`` kind the validator scans
 
-    additive: CayleyLoop
     mul: np.ndarray
     one: int
     zero_symmetric: bool
-
-    @property
-    def n(self) -> int:
-        return self.additive.n
-
-    @property
-    def add(self) -> np.ndarray:
-        return self.additive.add
-
-    @property
-    def zero(self) -> int:
-        return self.additive.zero
 
     # derived objects, each computed once per near-ring; the public
     # functions check their size bounds before reading them
@@ -98,33 +86,32 @@ class LoopNearRing:
                 maximal.append(s)
         return tuple(reversed(maximal))
 
-    def __repr__(self):
-        return f"{type(self).__name__}(n={self.n})"
-
 
 def _validated(cls, add_table, mul_table, one: int, laws: bool = True):
     """Certify tables as a ``cls``: the loop rows unless ``add_table`` is
-    already a CayleyLoop, then one ``tables.AXIOMS`` scan of the rows of
-    kinds "lnr" through ``cls.kind``, the law rows only if ``laws``."""
-    additive = add_table if isinstance(add_table, CayleyLoop) else validate_loop(add_table)
-    n = additive.n
+    already a CayleyLoop (any structure is its additive loop), then one
+    ``tables.AXIOMS`` scan of the rows of kinds "lnr" through
+    ``cls.kind``, the law rows only if ``laws``."""
+    loop = add_table if isinstance(add_table, CayleyLoop) else validate_loop(add_table)
+    n, zero = loop.n, loop.zero
     mul = tables.as_table(mul_table)
     if mul.shape[0] != n:
         raise ValidationError(f"mul table is {mul.shape[0]}x{mul.shape[0]}, additive has n={n}")
     one = int(one)
-    tables.require(additive.add, mul, one, start="lnr", kind=cls.kind, laws=laws)
-    zero_symmetric = bool((mul[:, additive.zero] == additive.zero).all())
+    tables.require(loop.add, mul, one, start="lnr", kind=cls.kind, laws=laws)
+    zero_symmetric = bool((mul[:, zero] == zero).all())
     if cls.kind == "ring" and not zero_symmetric:
         # left distributivity forces n*0 = 0, so this cannot happen
         raise TheoremViolation("ring axioms hold but n*0 != 0 somewhere")
-    return cls(additive=additive, mul=mul, one=one, zero_symmetric=zero_symmetric)
+    return cls(n=n, add=loop.add, mul=mul, one=one, zero_symmetric=zero_symmetric)
 
 
 def validate_lnr(add_table, mul_table, one: int) -> LoopNearRing:
     """Check every loop near-ring row of ``tables.AXIOMS`` on raw tables.
 
-    ``add_table`` may be a raw table or an already validated CayleyLoop,
-    whose loop rows are then not rescanned.
+    ``add_table`` may be a raw table or an already validated CayleyLoop
+    (or any structure, which is its own additive loop), whose loop rows
+    are then not rescanned.
     """
     return _validated(LoopNearRing, add_table, mul_table, one)
 
@@ -214,7 +201,7 @@ def _require_idempotent(nr: LoopNearRing, e) -> int:
 def is_N_subloop(nr: LoopNearRing, subset) -> bool:
     """Subloop of (N, +) absorbing multiplication from the left: N*I <= I."""
     subset = ElementSubset.of(nr.n, subset)
-    if not is_subloop(nr.additive, subset):
+    if not is_subloop(nr, subset):
         return False
     return bool(subset.mask()[nr.mul[:, list(subset.members)]].all())
 
@@ -244,7 +231,7 @@ def _n_subloop_lattice(nr: LoopNearRing) -> tuple:
 def _n_subloop_system(nr: LoopNearRing) -> ClosureSystem:
     """The closure system of N-subloops.  A certified ring's are its left
     ideals, and two left ideals join as their sumset (see lattice)."""
-    return ClosureSystem(nr.n, nr.additive._closure.binary, absorbing=nr.mul,
+    return ClosureSystem(nr.n, nr._closure.binary, absorbing=nr.mul,
                          sumsets=nr.kind == "ring")
 
 
@@ -276,7 +263,7 @@ def annihilator(nr: LoopNearRing, e: int) -> ElementSubset:
     e = _require_idempotent(nr, e)
     col = nr.mul[:, e]
     # n = y + n*e with y = rdiff[n][n*e]; the theory says y * e = 0
-    y = nr.additive.rdiff[np.arange(n), col]
+    y = nr.rdiff[np.arange(n), col]
     if (nr.mul[y, e] != nr.zero).any():
         raise TheoremViolation("N != Ann(e) + N*e decomposition failed")
     out = ElementSubset.from_mask(col == nr.zero)

@@ -19,7 +19,7 @@ from .errors import PreconditionFailed
 from .homs import idempotent_kill_check, verify_local_transfer
 from .io import canonical_json, kind_of, structure_sha256
 from .loops import CayleyLoop, enumerate_subloops, is_associative, is_commutative
-from .nearrings import LoopNearRing, enumerate_N_subloops, idempotents, is_local_lnr, units
+from .nearrings import enumerate_N_subloops, idempotents, is_local_lnr, units
 from .rings import FiniteRing, is_semiperfect, is_semisimple, jacobson_radical
 
 VOLATILE_KEYS = ("sha256", "timing")
@@ -160,10 +160,9 @@ def decompose_report(
         "kind": "ring",
         "n": ring.n,
         "structure_sha256": structure_sha256(ring),
-        "family": list(family.members),
+        "family": list(family),
         "corners": [
-            {"e": e, "signature": list(corner_signature(ring, e))}
-            for e in family.members
+            {"e": e, "signature": list(corner_signature(ring, e))} for e in family
         ],
     }
     if verify_uniqueness:
@@ -233,7 +232,7 @@ def check_report(kind: str, n: int, add, mul, one, name: str) -> dict:
     validators (as ``parse_spec`` returns), with ``mul`` and ``one``
     None: every axiom of its kind already holds, so nothing is rescanned.
     """
-    if isinstance(add, (CayleyLoop, LoopNearRing)):
+    if isinstance(add, CayleyLoop):
         found = ()
     else:
         add = tables.as_table(add)

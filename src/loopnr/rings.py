@@ -102,7 +102,7 @@ class FiniteRing(LoopNearRing):
 
 def validate_ring(nr: LoopNearRing) -> FiniteRing:
     """Re-validate a loop near-ring as a ring, or refuse."""
-    return validate_ring_tables(nr.additive, nr.mul, nr.one)
+    return validate_ring_tables(nr, nr.mul, nr.one)
 
 
 def validate_ring_tables(add_table, mul_table, one: int) -> FiniteRing:

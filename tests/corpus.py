@@ -23,6 +23,7 @@ from loopnr import (
     smallest_nonassociative_loop,
     upper_triangular_ring,
     validate_lnr_hom,
+    validate_loop,
     validate_ring_tables,
 )
 
@@ -88,7 +89,7 @@ def m_full(n: int) -> LoopNearRing:
 
 @cache
 def cyclic_loop(n: int) -> CayleyLoop:
-    return z(n).additive
+    return validate_loop(z(n).add)
 
 
 @cache

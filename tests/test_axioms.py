@@ -8,6 +8,7 @@ entries outside the carrier, including values that int16 would wrap.
 """
 
 import json
+import sys
 from functools import lru_cache
 from itertools import product
 
@@ -241,7 +242,7 @@ class TestAxiomTable:
         calls = []
         monkeypatch.setattr(tables, "latin_witness", lambda t: calls.append(t))
         nr = validate_lnr(loop, ring.mul, 1)
-        assert nr.additive is loop and calls == []
+        assert nr.add is loop.add and calls == []
 
     def test_validators_raise_check_message_and_witness(self):
         add = [[0, 1, 2], [1, 1, 0], [2, 0, 1]]
@@ -723,6 +724,24 @@ class TestLeftDistributivity:
         got = tables.left_dist_witness(tables.as_table(add), tables.as_table(mul))
         assert got == least_left_dist_witness(add, mul) is not None
         assert rows[0] == 0
+
+    def test_law_holding_at_s_star_makes_no_block_scan(self, monkeypatch):
+        # m0:nonassoc5's + is not associative, so it has no certified
+        # basis; its transposed * is a monoid, and left distributivity
+        # holds at that monoid's generating set S*
+        nr = parse_spec("m0:nonassoc5")
+        callers, left = [], []
+        scan, witness = tables._first_bad, tables.left_dist_witness
+        monkeypatch.setattr(tables, "_first_bad", lambda n, block, start=0: callers.append(
+            sys._getframe(1).f_code.co_name) or scan(n, block, start))
+        monkeypatch.setattr(tables, "left_dist_witness", lambda *args: left.append(
+            witness(*args)) or left[-1])
+        found = [(error.axiom, w) for error, _, w in
+                 tables.violations(nr.add, nr.mul.T.copy(), nr.one, kind="ring")]
+        assert found == [("right-distributivity", (1, 1, 250)),
+                         ("abelian-addition", (2, 3)), ("abelian-addition", (1, 1, 2))]
+        assert left == [None] and "left_dist_witness" not in callers
+        assert "right_dist_witness" in callers
 
 
 def corrupted_relabelled(spec, seed):

@@ -33,6 +33,9 @@ class TestValidateLnrHom:
     def test_reduction_mod_2(self):
         f = validate_lnr_hom([0, 1, 0, 1], corpus.z(4), corpus.z(2))
         assert f.kernel.members == frozenset({0, 2})
+        # the map is the checked array itself, read-only
+        assert f.map.dtype == np.int64 and not f.map.flags.writeable
+        assert f.map.tolist() == [0, 1, 0, 1]
 
     def test_rejects_non_multiplicative(self):
         # evaluating a zero-fixing self-map at a point respects + but not composition

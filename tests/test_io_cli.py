@@ -569,7 +569,7 @@ def field_sets(draw):
         structure = loop
     else:
         mul = rng.integers(0, n, shape, dtype=np.int16)
-        structure = kind(additive=loop, mul=mul, one=int(rng.integers(0, n)), zero_symmetric=False)
+        structure = kind(n=n, add=add, mul=mul, one=int(rng.integers(0, n)), zero_symmetric=False)
     return structure, draw(st.integers(1, 3 * n))
 
 
@@ -656,6 +656,40 @@ class TestUnreadableBytes:
         code, out = run_cli(capsys, "hom", "cyclic:2", "cyclic:2", str(p))
         assert (code, out) == (2, f"parse error: cannot read {p}: "
                                   "it starts with a UTF-8 byte-order mark\n")
+
+
+class TestRefusals:
+    """Files refused with exit 2, each with its own parse error."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("  \n", "empty map file"),
+        ("[0,", "invalid JSON map file: Expecting value: line 1 column 4 (char 3)"),
+        ("0 x\n", "map file entries must be integers"),
+        ("[0, 1.5]", "map file entries must be integers"),
+        ("[true, 0]", "map file entries must be integers"),
+        # only text that starts with "[" takes the JSON route
+        ('{"0": 1}', "map file entries must be integers"),
+    ])
+    def test_map_file(self, capsys, tmp_path, text, message):
+        p = tmp_path / "map"
+        p.write_text(text)
+        code, out = run_cli(capsys, "hom", "cyclic:2", "cyclic:2", str(p))
+        assert (code, out) == (2, f"parse error: {message}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"kind":"ring","n":1,"add":[[0]],"mul":[[0]],"one":0.0}', "one must be an integer"),
+        ('{"kind":"ring","n":1,"add":[[0]],"mul":[[0]],"one":true}', "one must be an integer"),
+        ("ring 0\none=0\n", "n must be positive"),
+        ("loop -3\n", "n must be positive"),
+        # only text that starts with "{" takes the JSON route
+        ('[{"kind":"loop","n":1,"add":[[0]]}]', 'first line must be "<kind> <n>"'),
+    ])
+    def test_structure_file(self, capsys, tmp_path, text, message):
+        p = tmp_path / "structure"
+        p.write_text(text)
+        for command in ("check", "analyze"):
+            code, out = run_cli(capsys, command, str(p))
+            assert (code, out) == (2, f"parse error: {message}\n")
 
 
 def run_cli(capsys, *argv):
@@ -946,11 +980,15 @@ class TestCliAnalyze:
         assert code == 0
         assert "radical" not in payload
 
-    def test_timing_does_not_change_sha(self, capsys):
-        _, plain = run_json(capsys, "analyze", "cyclic:6", "--local")
-        _, timed = run_json(capsys, "analyze", "cyclic:6", "--local", "--timing")
-        assert "timing" in timed and "timing" not in plain
-        assert plain["sha256"] == timed["sha256"]
+    @pytest.mark.parametrize("argv, keys", [
+        (("analyze", "cyclic:6", "--local"), ["local", "units"]),
+        (("decompose", "cyclic:6", "--verify-uniqueness"), ["decompose", "uniqueness"]),
+    ])
+    def test_timing_does_not_change_sha(self, capsys, argv, keys):
+        _, plain = run_json(capsys, *argv)
+        _, timed = run_json(capsys, *argv, "--timing")
+        assert "timing" not in plain and sorted(timed.pop("timing")) == keys
+        assert plain == timed
 
     def test_output_is_deterministic(self, capsys):
         _, a = run_cli(capsys, "analyze", "cyclic:12", "--local", "--radical")

@@ -283,7 +283,7 @@ class TestClosedSetsWork:
     @given(small_near_rings())
     def test_witnessed_n_subloop_joins_are_closures(self, nr):
         with pytest.MonkeyPatch.context() as monkeypatch:
-            system = ClosureSystem(nr.n, nr.additive._closure.binary, absorbing=nr.mul)
+            system = ClosureSystem(nr.n, nr._closure.binary, absorbing=nr.mul)
             self.assert_witnesses_are_closures(
                 monkeypatch, system, (nr.zero,), nearrings._principal_n_subloops(nr))
 
@@ -423,7 +423,7 @@ class TestCoatomPass:
 class TestClosureSystem:
     @staticmethod
     def assert_principals_are_closures(nr):
-        system = ClosureSystem(nr.n, nr.additive._closure.binary, absorbing=nr.mul)
+        system = ClosureSystem(nr.n, nr._closure.binary, absorbing=nr.mul)
         principal = nearrings._principal_n_subloops(nr)
         assert principal.shape == (nr.n, nr.n)
         for x in range(nr.n):
@@ -440,8 +440,7 @@ class TestClosureSystem:
 
     @given(small_near_rings())
     def test_join_is_closure_of_union(self, nr):
-        loop = nr.additive
-        system = ClosureSystem(nr.n, (loop.add, loop.ldiff, loop.rdiff), absorbing=nr.mul)
+        system = ClosureSystem(nr.n, (nr.add, nr.ldiff, nr.rdiff), absorbing=nr.mul)
         closed = [s.mask() for s in enumerate_N_subloops(nr)]
         for a in closed:
             for b in closed:
@@ -451,7 +450,7 @@ class TestClosureSystem:
     def test_each_closed_set_yielded_once(self):
         nr = corpus.ut2(2)
         system = ClosureSystem(
-            nr.n, (nr.add, nr.additive.ldiff, nr.additive.rdiff, nr.mul)
+            nr.n, (nr.add, nr.ldiff, nr.rdiff, nr.mul)
         )
         found = [bits_of(m) for m in system.closed_sets((nr.zero, nr.one))]
         assert len(found) == len(set(found))

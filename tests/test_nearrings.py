@@ -43,7 +43,7 @@ class TestValidateLnr:
     def test_holds_only_its_tables(self):
         # no validator state rides along: the class name is the kind
         names = tuple(f.name for f in dataclasses.fields(LoopNearRing))
-        assert names == ("additive", "mul", "one", "zero_symmetric")
+        assert names == ("n", "add", "mul", "one", "zero_symmetric")
         assert LoopNearRing.kind == "lnr"
 
     def test_accepts_cyclic(self):
