@@ -45,7 +45,7 @@ def sweep_row(spec: str, kind: str, cfg: SweepConfig) -> str:
             flags.append("comm")
         body = f"{' '.join(flags) or 'nonassoc':<24}"
     else:
-        u = len(units(structure).members)
+        u = len(units(structure))
         e = len(idempotents(structure))
         if structure.n > cfg.locality_cap:
             local = "skipped"

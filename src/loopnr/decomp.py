@@ -78,21 +78,20 @@ def validate_idempotent_family(ring: FiniteRing, members) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class CornerRing:
-    """The ring e*A*e with identity e, re-indexed to 0..k-1.
+    """The ring e*A*e with identity e, re-indexed to 0..k-1 and kept on
+    the parent ring per e (``corner_ring``).
 
     ``carrier[i]`` is the parent element the i-th corner element
     stands for; carrier is ascending, so corner index 0 is parent zero.
     """
 
-    parent: FiniteRing
-    e: int
     carrier: tuple
     ring: FiniteRing
 
     @cached_property
     def invariants(self) -> tuple:
         """Size, unit count and idempotent count: isomorphism invariants."""
-        return (self.ring.n, len(units(self.ring).members), len(idempotents(self.ring).members))
+        return (self.ring.n, len(units(self.ring)), len(idempotents(self.ring)))
 
     @cached_property
     def signature(self) -> tuple:
@@ -120,9 +119,7 @@ def corner_ring(ring: FiniteRing, e: int) -> CornerRing:
         else:
             carrier = distinct(ring.mul[e, ring.mul[:, e]], ring.n)
             sub = induced(ring, carrier, e)
-        corner = CornerRing(
-            parent=ring, e=e, carrier=tuple(int(v) for v in carrier), ring=sub
-        )
+        corner = CornerRing(carrier=tuple(int(v) for v in carrier), ring=sub)
         ring._corners[e] = corner
     return corner
 

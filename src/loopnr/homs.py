@@ -73,8 +73,8 @@ def validate_lnr_hom(
 
 def is_unit_reflecting(hom: LnrHom) -> Verdict:
     """Every element mapping onto a unit of the target must be a unit."""
-    src_units = units(hom.source).members.mask()
-    tgt_units = units(hom.target).members.mask()
+    src_units = units(hom.source).mask()
+    tgt_units = units(hom.target).mask()
     pulled = tgt_units[hom.map]
     bad = pulled & ~src_units
     if bad.any():
@@ -183,10 +183,8 @@ def verify_local_transfer(hom: LnrHom, bounds: Bounds = DEFAULT_BOUNDS) -> Trans
         raise TheoremViolation(
             f"locality transfer failed: source {source_local}, image {image_local}"
         )
-    tgt_units = units(hom.target).members.sorted_members
-    img_units = tuple(
-        img.carrier[u] for u in units(img.ring).members.sorted_members
-    )
+    tgt_units = units(hom.target).sorted_members
+    img_units = tuple(img.carrier[u] for u in units(img.ring))
     return TransferReport(
         source_local=source_local,
         image_local=image_local,

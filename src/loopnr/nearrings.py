@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 
 import numpy as np
 
@@ -46,11 +45,24 @@ class LoopNearRing(CayleyLoop):
     one: int
     zero_symmetric: bool
 
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        # inverse[u] = the two-sided inverse of unit u, -1 at a non-unit
+        hits = self.mul == self.one
+        two_sided = hits & hits.T
+        inverse = np.where(two_sided.any(axis=1), two_sided.argmax(axis=1), -1).astype(np.int64)
+        inverse.setflags(write=False)
+        return inverse
+
     # derived objects, each computed once per near-ring; the public
     # functions check their size bounds before reading them
     @cached_property
-    def _units(self) -> UnitGroup:
-        return _unit_group(self)
+    def _units(self) -> ElementSubset:
+        mask = self.inverse >= 0
+        members = np.flatnonzero(mask)
+        if members.size and not mask[self.mul[np.ix_(members, members)]].all():
+            raise TheoremViolation("units are not closed under multiplication")
+        return ElementSubset.from_mask(mask)
 
     @cached_property
     def _idempotents(self) -> ElementSubset:
@@ -141,47 +153,15 @@ def _image(nr: LoopNearRing, reps, label, one: int) -> LoopNearRing:
     return _validated(type(nr), label[nr.add[grid]], label[nr.mul[grid]], label[one], laws=False)
 
 
-@dataclass(frozen=True, eq=False)
-class UnitGroup:
-    """The two-sided units, with the (read-only) inverse of each unit."""
-
-    members: ElementSubset
-    inverse: MappingProxyType
-
-    def __contains__(self, x) -> bool:
-        return x in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-
-def units(nr: LoopNearRing) -> UnitGroup:
-    """Elements with a two-sided multiplicative inverse.
+def units(nr: LoopNearRing) -> ElementSubset:
+    """Elements with a two-sided multiplicative inverse, the units of
+    ``nr.inverse``, whose entry at each unit is its inverse.
 
     The result is asserted to be closed under multiplication; each
     inverse is a unit by construction, since it is picked two-sided.
     Computed once per near-ring.
     """
     return nr._units
-
-
-def _unit_group(nr: LoopNearRing) -> UnitGroup:
-    mul = nr.mul
-    hits = mul == nr.one
-    two_sided = hits & hits.T
-    member_mask = two_sided.any(axis=1)
-    members = np.flatnonzero(member_mask)
-    inverse = {int(u): int(np.argmax(two_sided[u])) for u in members}
-    prod = mul[np.ix_(members, members)]
-    if members.size and not member_mask[prod].all():
-        raise TheoremViolation("units are not closed under multiplication")
-    return UnitGroup(
-        members=ElementSubset.from_mask(member_mask),
-        inverse=MappingProxyType(inverse),
-    )
 
 
 def idempotents(nr: LoopNearRing) -> ElementSubset:
@@ -298,7 +278,7 @@ def is_local_lnr(nr: LoopNearRing, bounds: Bounds = DEFAULT_BOUNDS) -> LocalityR
     """
     if not nr.zero_symmetric:
         raise PreconditionFailed("locality analysis requires a zero-symmetric near-ring")
-    nonunits = ElementSubset.from_mask(~units(nr).members.mask())
+    nonunits = ElementSubset.from_mask(~units(nr).mask())
     via_units = is_N_subloop(nr, nonunits)
     maximal = tuple(maximal_N_subloops(nr, bounds))
     via_maximal = len(maximal) == 1

@@ -73,8 +73,8 @@ def _locality_section(structure, bounds: Bounds) -> dict:
 def _radical_section(ring: FiniteRing, bounds: Bounds) -> dict:
     ideal = jacobson_radical(ring, bounds)
     return {
-        "members": list(ideal.members.sorted_members),
-        "size": len(ideal.members.members),
+        "members": list(ideal.sorted_members),
+        "size": len(ideal),
         "semisimple": is_semisimple(ring, bounds),
         "semiperfect": is_semiperfect(ring, bounds),
     }
@@ -114,9 +114,7 @@ def analysis_report(
     else:
         payload["one"] = structure.one
         payload["zero_symmetric"] = structure.zero_symmetric
-        payload["units"] = _timed(
-            timing, "units", lambda: _subset_section(units(structure).members)
-        )
+        payload["units"] = _timed(timing, "units", lambda: _subset_section(units(structure)))
         if with_idempotents:
             payload["idempotents"] = _timed(
                 timing, "idempotents", lambda: _subset_section(idempotents(structure))

@@ -26,6 +26,7 @@ import numpy as np
 from . import tables
 from .config import DEFAULT_BOUNDS, Bounds
 from .errors import (
+    HypothesisFailed,
     NotAnIdeal,
     NotApproximatelyIdempotent,
     TheoremViolation,
@@ -80,7 +81,7 @@ class FiniteRing(LoopNearRing):
         return _split(self)
 
     @cached_property
-    def _radical(self) -> TwoSidedIdeal:
+    def _radical(self) -> ElementSubset:
         # the radical both ways, asserted equal and two-sided, once per ring
         a = radical_by_quasiregularity(self)
         b = _meet_of_maximal(self)
@@ -110,26 +111,11 @@ def validate_ring_tables(add_table, mul_table, one: int) -> FiniteRing:
     return _validated(FiniteRing, add_table, mul_table, one)
 
 
-@dataclass(frozen=True)
-class TwoSidedIdeal:
-    """A validated two-sided ideal of a finite ring."""
-
-    ring: FiniteRing
-    members: ElementSubset
-
-    def __len__(self):
-        return len(self.members)
-
-    def __contains__(self, x):
-        return x in self.members
-
-    def __iter__(self):
-        return iter(self.members)
-
-
-def validate_ideal(ring: FiniteRing, subset) -> TwoSidedIdeal:
-    """Additive subgroup absorbing multiplication on both sides; holding 0 and
-    closed under ``+`` makes a finite subset one (-x = (k - 1)x, k the order of x)."""
+def validate_ideal(ring: FiniteRing, subset) -> ElementSubset:
+    """The two-sided ideal ``subset`` as the ElementSubset it certifies, or
+    NotAnIdeal.  An ideal is an additive subgroup absorbing multiplication
+    on both sides; holding 0 and closed under ``+`` makes a finite subset
+    one (-x = (k - 1)x, k the order of x)."""
     sub = ElementSubset.of(ring.n, subset)
     if ring.zero not in sub.members:
         raise NotAnIdeal("ideal must contain 0")
@@ -141,7 +127,7 @@ def validate_ideal(ring: FiniteRing, subset) -> TwoSidedIdeal:
         raise NotAnIdeal("subset does not absorb left multiplication")
     if not m[ring.mul[idx, :]].all():
         raise NotAnIdeal("subset does not absorb right multiplication")
-    return TwoSidedIdeal(ring=ring, members=sub)
+    return sub
 
 
 def left_ideals(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> list:
@@ -172,10 +158,9 @@ def _meet_of_maximal(ring: FiniteRing) -> ElementSubset:
     return ElementSubset(ring.n, meet)
 
 
-def jacobson_radical(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> TwoSidedIdeal:
-    """The radical, computed both ways, asserted equal and two-sided.
-
-    The certified radical is computed once per ring.
+def jacobson_radical(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> ElementSubset:
+    """The radical, computed both ways, asserted equal and two-sided:
+    the ElementSubset ``validate_ideal`` certified, once per ring.
     """
     bounds.check("max_enum_n", ring.n, "ring for left-ideal enumeration")
     return ring._radical
@@ -183,16 +168,17 @@ def jacobson_radical(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> TwoSi
 
 @dataclass(frozen=True, eq=False)
 class Quotient:
-    """A quotient ring with its canonical projection.
+    """A quotient ring with its canonical projection, both maps read-only
+    int64 arrays.
 
     ``leaders[i]`` is the least element of the i-th coset; cosets are
     indexed in ascending leader order, so the zero coset is index 0.
-    ``projection`` maps each parent element to its coset index.
+    ``projection[x]`` is the coset index of parent element x.
     """
 
     ring: FiniteRing
-    leaders: tuple
-    projection: tuple
+    leaders: np.ndarray
+    projection: np.ndarray
 
     def __repr__(self):
         return f"Quotient(n={self.ring.n})"
@@ -206,25 +192,24 @@ def quotient_ring(ring: FiniteRing, ideal) -> Quotient:
     and the quotient inherits A's ring laws: only the rows that are not
     laws are scanned.
     """
-    return _quotient_by(
-        ring, validate_ideal(ring, ideal.members if isinstance(ideal, TwoSidedIdeal) else ideal))
+    return _quotient_by(ring, validate_ideal(ring, ideal))
 
 
-def _quotient_by(ring: FiniteRing, ideal: TwoSidedIdeal) -> Quotient:
+def _quotient_by(ring: FiniteRing, ideal: ElementSubset) -> Quotient:
     """A / I for an ideal that ``validate_ideal`` has certified."""
     if len(ideal) == 1:
-        return Quotient(ring=ring, leaders=tuple(range(ring.n)), projection=tuple(range(ring.n)))
-    ii = np.fromiter(ideal.members.sorted_members, dtype=np.int64)
-    # leader[x] = min(x + I); the coset index of x is the rank of its leader
-    leader_of = ring.add[:, ii].min(axis=1)
-    leaders = tables.distinct(leader_of, ring.n)
-    proj = np.searchsorted(leaders, leader_of)
-    q = _image(ring, leaders, proj, ring.one)
-    return Quotient(
-        ring=q,
-        leaders=tuple(int(x) for x in leaders),
-        projection=tuple(int(x) for x in proj),
-    )
+        leaders = proj = np.arange(ring.n, dtype=np.int64)
+        q = ring
+    else:
+        ii = np.fromiter(ideal, dtype=np.int64, count=len(ideal))
+        # leader[x] = min(x + I); the coset index of x is the rank of its leader
+        leader_of = ring.add[:, ii].min(axis=1)
+        leaders = tables.distinct(leader_of, ring.n).astype(np.int64)
+        proj = np.searchsorted(leaders, leader_of).astype(np.int64)
+        q = _image(ring, leaders, proj, ring.one)
+    leaders.setflags(write=False)
+    proj.setflags(write=False)
+    return Quotient(ring=q, leaders=leaders, projection=proj)
 
 
 def is_division_ring(ring: FiniteRing) -> bool:
@@ -262,34 +247,48 @@ def is_semiperfect(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> bool:
     q = ring._quotient
     if not is_semisimple(q.ring, bounds):
         return False
-    proj = np.fromiter(q.projection, dtype=np.int64, count=ring.n)
-    lifted = set(int(proj[e]) for e in idempotents(ring))
+    lifted = set(int(q.projection[e]) for e in idempotents(ring))
     return all(e in lifted for e in idempotents(q.ring))
 
 
-def coset_idempotents(ring: FiniteRing, ideal: TwoSidedIdeal, x: int) -> tuple:
-    """All idempotents in the coset x + I, ascending.  Brute force.  ``x``
-    passes the element gate ``loops._elements``."""
+def coset_idempotents(ring: FiniteRing, ideal, x: int) -> tuple:
+    """All idempotents in the coset x + I, ascending.  Brute force.  The
+    ideal I passes ``validate_ideal`` and ``x`` the element gate
+    ``loops._elements``."""
+    ideal = validate_ideal(ring, ideal)
     (x,) = _elements(ring.n, (x,))
-    ii = np.fromiter(ideal.members.sorted_members, dtype=np.int64)
+    ii = np.fromiter(ideal, dtype=np.int64, count=len(ideal))
     coset = np.sort(ring.add[x, ii])
     diag = ring.mul[coset, coset]
     return tuple(int(e) for e in coset[diag == coset])
 
 
-def lift_idempotent(ring: FiniteRing, ideal: TwoSidedIdeal, x: int) -> int:
-    """Idempotent e with e = x mod I, for x*x - x in I = J(A).
+def lift_idempotent(ring: FiniteRing, ideal, x: int) -> int:
+    """Idempotent e with e = x mod I, for x*x - x in a nil ideal I.
 
     Iterates x <- 3x^2 - 2x^3; each step squares the defect t = x*x - x
-    (t' = t^2 * (4t - 3)), and J is nilpotent in a finite ring, so the
-    iteration reaches a true idempotent.  The result is always checked
-    against the exhaustive coset search (``coset_idempotents``).  ``x``
-    passes the element gate ``loops._elements``.
+    (t' = t^2 * (4t - 3)), and a nil ideal of a finite ring is
+    nilpotent, so the iteration reaches a true idempotent.  The result
+    is always checked against the exhaustive coset search
+    (``coset_idempotents``).  The ideal passes ``validate_ideal`` and
+    ``x`` the element gate ``loops._elements``.
+
+    Lifting needs I inside J(A), which in a finite ring means every
+    member is nilpotent: its nonzero powers are distinct, so a^n = 0,
+    and a power 2^k > n is read by k squarings.  HypothesisFailed names
+    the least member whose power is not 0.
     """
     mul, add = ring.mul, ring.add
+    ideal = validate_ideal(ring, ideal)
     (x,) = _elements(ring.n, (x,))
+    members = power = np.fromiter(ideal, dtype=np.int64, count=len(ideal))
+    for _ in range(ring.n.bit_length()):
+        power = mul[power, power]
+    non_nil = members[power != ring.zero]
+    if non_nil.size:
+        raise HypothesisFailed("idempotent lifting needs a nil ideal", witness=int(non_nil[0]))
     t = ring.sub(mul[x, x], x)
-    if int(t) not in ideal.members.members:
+    if int(t) not in ideal:
         raise NotApproximatelyIdempotent(f"x*x - x = {int(t)} is not in the ideal")
     cur = x
     for _ in range(64):
@@ -299,7 +298,7 @@ def lift_idempotent(ring: FiniteRing, ideal: TwoSidedIdeal, x: int) -> int:
         cube = mul[sq, cur]
         cur = int(ring.sub(add[sq, add[sq, sq]], add[cube, cube]))
     e = int(cur)
-    if int(mul[e, e]) != e or int(ring.sub(e, x)) not in ideal.members.members:
+    if int(mul[e, e]) != e or int(ring.sub(e, x)) not in ideal:
         raise TheoremViolation("idempotent lifting iteration failed to converge")
     if e not in coset_idempotents(ring, ideal, x):
         raise TheoremViolation("iterated lift disagrees with coset search")
@@ -335,7 +334,5 @@ def _iso_witness(ring: FiniteRing, e: int, f: int):
 def idempotents_conjugate(ring: FiniteRing, e: int, f: int) -> bool:
     """Whether f = u^-1 * e * u for some unit u."""
     e, f = _require_idempotent(ring, e), _require_idempotent(ring, f)
-    inverse = units(ring).inverse
-    u = np.fromiter(inverse, np.intp, len(inverse))
-    uinv = np.fromiter(inverse.values(), np.intp, len(inverse))
-    return bool((ring.mul[ring.mul[uinv, e], u] == f).any())
+    u = np.flatnonzero(ring.inverse >= 0)
+    return bool((ring.mul[ring.mul[ring.inverse[u], e], u] == f).any())

@@ -1,11 +1,14 @@
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from loopnr import (
+    CATALOG,
     BoundExceeded,
+    ElementSubset,
     LoopNearRing,
     MulNotAssociative,
     NotIdempotent,
@@ -21,6 +24,7 @@ from loopnr import (
     map_near_ring,
     maximal_N_subloops,
     opposite,
+    parse_spec,
     random_loop,
     units,
     validate_lnr,
@@ -96,32 +100,50 @@ class TestUnitsAndIdempotents:
     def test_cyclic6(self):
         nr = corpus.z(6)
         u = units(nr)
-        assert u.members.members == frozenset({1, 5})
-        assert u.inverse == {1: 1, 5: 5}
+        assert u.members == frozenset({1, 5})
+        assert nr.inverse.tolist() == [-1, 1, -1, -1, -1, 5]
         assert idempotents(nr).members == frozenset({0, 1, 3, 4})
 
     def test_cyclic4(self):
         nr = corpus.z(4)
-        assert units(nr).members.members == frozenset({1, 3})
+        assert units(nr).members == frozenset({1, 3})
         assert idempotents(nr).members == frozenset({0, 1})
 
     def test_zero_ring(self):
         nr = corpus.z(1)
-        assert units(nr).members.members == frozenset({0})
+        assert units(nr).members == frozenset({0})
         assert idempotents(nr).members == frozenset({0})
 
     def test_map_near_ring_over_z2(self):
         nr = corpus.m_full(2)
         assert nr.n == 4
         assert not nr.zero_symmetric
-        assert units(nr).members.members == frozenset({1, 2})
+        assert units(nr).members == frozenset({1, 2})
 
     def test_zero_fixing_maps_over_z3(self):
         nr = corpus.m0("small:3,0")
         assert nr.n == 9
         assert nr.zero_symmetric
-        assert units(nr).members.members == frozenset({5, 7})
+        assert units(nr).members == frozenset({5, 7})
         assert idempotents(nr).members == frozenset({0, 2, 3, 4, 5, 8})
+
+
+INVERSE_CASES = [
+    *(pytest.param(spec, id=spec) for spec, kind, n in CATALOG if kind != "loop" and n <= 81),
+    *(pytest.param(ring, id=f"corpus-{name}") for name, ring in corpus.small_ring_corpus()),
+]
+
+
+@pytest.mark.parametrize("nr", INVERSE_CASES)
+def test_inverse_against_brute_force(nr):
+    nr = parse_spec(nr) if isinstance(nr, str) else nr
+    mul, one, inverse = nr.mul.tolist(), nr.one, nr.inverse
+    assert inverse.dtype == np.int64 and not inverse.flags.writeable
+    for u in range(nr.n):
+        # a two-sided inverse is unique, so a unit has exactly one
+        two_sided = [v for v in range(nr.n) if mul[u][v] == one and mul[v][u] == one]
+        assert two_sided == ([] if inverse[u] == -1 else [inverse[u]]), u
+    assert units(nr) == ElementSubset.from_mask(inverse >= 0)
 
 
 class TestNSubloops:

@@ -5,11 +5,11 @@ from loopnr import (
     CATALOG,
     AdditionNotAbelianGroup,
     ElementSubset,
+    HypothesisFailed,
     LeftDistributivityFails,
     NotAnIdeal,
     NotApproximatelyIdempotent,
     NotIdempotent,
-    TwoSidedIdeal,
     corner_ring,
     coset_idempotents,
     idempotents,
@@ -116,7 +116,7 @@ class TestRadical:
             a = radical_by_quasiregularity(ring)
             b = radical_by_maximal_left_ideals(ring)
             assert a.members == b.members == frozenset(want)
-            assert jacobson_radical(ring).members.members == frozenset(want)
+            assert jacobson_radical(ring).members == frozenset(want)
 
     def test_matrix_ring_over_z4(self):
         j = jacobson_radical(corpus.m2(4))
@@ -133,8 +133,8 @@ class TestQuotient:
     def test_z4_mod_radical(self):
         q = quotient_ring(corpus.z(4), {0, 2})
         assert q.ring.n == 2
-        assert q.leaders == (0, 1)
-        assert q.projection == (0, 1, 0, 1)
+        assert q.leaders.tolist() == [0, 1]
+        assert q.projection.tolist() == [0, 1, 0, 1]
 
     def test_z12_mod_radical(self):
         q = quotient_ring(corpus.z(12), jacobson_radical(corpus.z(12)))
@@ -175,7 +175,7 @@ class TestQuotient:
     def test_quotient_ring_validates_a_hand_built_ideal(self):
         ring = corpus.z(6)
         with pytest.raises(NotAnIdeal):
-            quotient_ring(ring, TwoSidedIdeal(ring=ring, members=ElementSubset.of(6, {0, 2})))
+            quotient_ring(ring, ElementSubset.of(6, {0, 2}))
 
 
 SMALL_CATALOG_RINGS = [spec for spec, kind, n in CATALOG if kind == "ring" and n <= 64]
@@ -281,10 +281,37 @@ class TestIdempotentLifting:
             with pytest.raises(ValueError):
                 find(ring, j, x)
 
+    @pytest.mark.parametrize("ideal", [[0, 2], {0, 2}, ElementSubset.of(4, {0, 2})],
+                             ids=["list", "set", "subset"])
+    @pytest.mark.parametrize("find, want", [(lift_idempotent, 1), (coset_idempotents, (1,))],
+                             ids=["lift", "coset"])
+    def test_the_ideal_passes_validate_ideal(self, ideal, find, want):
+        assert find(corpus.z(4), ideal, 3) == want
+
+    @pytest.mark.parametrize("ideal", [[0, 1], {0, 1}, ElementSubset.of(6, {0, 1})],
+                             ids=["list", "set", "subset"])
+    @pytest.mark.parametrize("find", [lift_idempotent, coset_idempotents], ids=["lift", "coset"])
+    def test_a_subset_that_is_not_an_ideal_is_refused(self, ideal, find):
+        with pytest.raises(NotAnIdeal):
+            find(parse_spec("cyclic:6"), ideal, 1)
+
+    @pytest.mark.parametrize("ideal, x, witness", [
+        ([0, 2, 4], 2, 2),
+        (range(6), 2, 1),
+        ([0, 3], 1, 3),
+    ], ids=["even", "whole_ring", "idempotent_generated"])
+    def test_lifting_needs_a_nil_ideal(self, ideal, x, witness):
+        # each ideal has a member no power of which is 0, so it lies
+        # outside J = {0}; the coset 1 + {0, 3} holds two idempotents, 1 and 4
+        ring = parse_spec("cyclic:6")
+        with pytest.raises(HypothesisFailed, match="^idempotent lifting needs a nil ideal$") as info:
+            lift_idempotent(ring, ideal, x)
+        assert info.value.witness == witness
+
     def test_all_approximate_idempotents_lift(self):
         for ring in (corpus.z(8), corpus.z(12), corpus.ut2(2), corpus.m2(2)):
             j = jacobson_radical(ring)
-            jm = j.members.members
+            jm = j.members
             for x in range(ring.n):
                 defect = ring.sub(ring.mul[x, x], x)
                 if int(defect) in jm:
@@ -337,7 +364,7 @@ class TestIdempotentRelations:
             u, mul = units(ring), ring.mul
             idem = sorted(idempotents(ring))
             for e in idem:
-                orbit = {int(mul[mul[u.inverse[v], e], v]) for v in u}
+                orbit = {int(mul[mul[ring.inverse[v], e], v]) for v in u}
                 assert [idempotents_conjugate(ring, e, f) for f in idem] == [f in orbit for f in idem]
 
     def test_units_act_by_conjugation(self):
@@ -345,5 +372,5 @@ class TestIdempotentRelations:
         u = units(ring)
         for e in idempotents(ring):
             for x in u:
-                y = int(ring.mul[ring.mul[u.inverse[x], e], x])
+                y = int(ring.mul[ring.mul[ring.inverse[x], e], x])
                 assert idempotents_conjugate(ring, e, y)
