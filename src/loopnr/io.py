@@ -24,25 +24,36 @@ and written by ``dump_structure_text`` (``generate --text``):
 
 A loop file is the kind line plus the addition rows.
 
-The compact JSON form, as ``generate`` writes it, is also the fast form,
-taken by a file as a whole: if every top-level ``"add"`` and ``"mul"``
-value is a certified square matrix ``[[r,r,...],[...]]`` of at most
-32,768 rows, each decodes from its bytes, in blocks of whole rows,
-straight into one read-only int16 table that ``tables.as_table`` takes
-without a copy.  A block is certified when its skeleton (every byte
-other than a digit or ``-``) is exactly ``[`` ``,``...``]`` per row, ``,``
-between rows and ``]`` after the last, and ``json.loads`` reads each
-entry as an integer other than ``-0``.  An entry of at most
-D = len(str(n - 1)) digits is read from its last D bytes; an entry of n
-or more, a longer one or a signed one lies outside 0..n-1 and decodes to
--1, as ``tables.as_table`` maps it.  ``json.loads`` reads any other file
-whole, with the same verdicts, messages and witnesses.
+Structure files are read as bytes, once.  The compact JSON form, as
+``generate`` writes it, is also the fast form, taken by a file as a
+whole: its members follow one another with no whitespace, each key an
+identifier written without escapes.  Each key and each small member
+(``kind``, ``n``, ``one``, ``meta``) is decoded as UTF-8 from its own
+byte range, a window that widens until the value ends inside it.  Every
+top-level ``"add"`` and ``"mul"`` value must be a certified square
+matrix ``[[r,r,...],[...]]`` of at most 32,768 rows; each decodes from
+the file's bytes, in blocks of whole rows of about 64 KiB, straight into
+one read-only int16 table that ``tables.as_table`` takes without a copy.
+A block is certified when its skeleton (every byte other than a digit
+or ``-``) is exactly ``[`` ``,``...``]`` per row, ``,`` between rows
+and ``]`` after the last, and ``json.loads`` reads each entry as an
+integer other than ``-0``.  An entry of at most D = len(str(n - 1))
+digits is read from its last D bytes; an entry of n or more, a longer
+one or a signed one lies outside 0..n-1 and decodes to -1, as
+``tables.as_table`` maps it.  A certified table is ASCII and every other
+byte was decoded, so such a file is all UTF-8.  Any other file (the text
+format, whitespace between members or in a table, an escaped key, a
+byte-order mark, a byte that is not UTF-8) is decoded whole as
+``open(path, encoding="utf-8")`` reads it, which names a bad byte and
+its position, and ``json.loads`` or the text parser reads it, with the
+same verdicts, messages and witnesses.
 
 Once such a file's tables have been validated, every entry of them is
-literally ``str(v)`` for its value v, so each table's text already is
-its canonical JSON: ``load_structure`` hashes those bytes as they were
-read and keeps the digest on the structure for ``structure_sha256``.
-A file that fails validation is never hashed, and ``check`` hashes none.
+literally ``str(v)`` for its value v, so each table's bytes already are
+its canonical JSON: ``load_structure`` hashes them as they were read
+and keeps the digest on the structure for ``structure_sha256``.  A file
+that fails validation is never hashed; ``check`` hashes none and drops
+the bytes once the tables are decoded.
 
 Output takes the reverse route.  A table is rendered in blocks of rows
 by gathering, for each entry v, a precomputed field ``str(v)`` plus its
@@ -55,13 +66,13 @@ tables is one block.
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from io import StringIO
-from types import GeneratorType
+from io import BytesIO, StringIO, TextIOWrapper
 
 import numpy as np
 
@@ -89,7 +100,7 @@ class StructureFile:
     mul: list | np.ndarray | None = None
     one: int | None = None
     meta: dict = field(default_factory=dict)
-    # where each table's certified text lies in the file; empty if json.loads read it
+    # where each table's certified bytes lie in the file; empty if json.loads read it
     spans: dict = field(default_factory=dict)
 
 
@@ -157,8 +168,8 @@ def _render_rows(table: np.ndarray, sep: str, close: str, gap: str):
 def _canonical_chunks(fields: dict):
     """``canonical_json(fields)`` as UTF-8 bytes, in pieces: each table
     in blocks of rows, so that writing or hashing it needs O(block)
-    memory beyond the tables.  A table may also be given as a generator
-    of its canonical bytes (``_text_chunks``)."""
+    memory beyond the tables.  A table may also be given as a memoryview
+    of its canonical bytes, as read from a file."""
     for i, key in enumerate(sorted(fields)):
         value = fields[key]
         yield f'{"," if i else "{"}"{key}":'.encode()
@@ -166,8 +177,8 @@ def _canonical_chunks(fields: dict):
             yield b"[["
             yield from _render_rows(value, ",", "]", ",[")
             yield b"]"
-        elif isinstance(value, GeneratorType):
-            yield from value
+        elif isinstance(value, memoryview):
+            yield value
         else:
             yield _dumps(value).encode()
     yield b"}\n"
@@ -220,26 +231,34 @@ def structure_sha256(structure) -> str:
 
 
 _DECODER = json.JSONDecoder()
-_BLOCK_BYTES = 1 << 15   # table text decoded per block, beyond its last row
+_BLOCK_BYTES = 1 << 16   # table bytes decoded per block, beyond its last row
+_WINDOW_BYTES = 1 << 8   # bytes first decoded for a small member; widened as needed
 
 
-def _decode_rows(text: bytes, width: int):
-    """Decode the rows ``[v,...,v]`` that ``text`` starts with.
+def _decode_rows(block, width: int):
+    """Decode the rows ``[v,...,v]`` that the bytes ``block`` start with.
 
     Each row is followed by ``,``, or the last by the ``]`` closing the
     matrix; what follows that ``]`` is not read.  Returns (values, used,
-    closed): the (rows, width) int32 array, the characters read and
-    whether the matrix closed; None unless every entry is an integer that
-    json.loads reads, other than -0.  An entry of width or more (of more
-    than D digits, say), or a signed one, decodes to -1.
+    closed): the (rows, width) int16 array (int32 past D = 4), the bytes
+    read and whether the matrix closed; None unless every entry is an
+    integer that json.loads reads, other than -0.  An entry of width or
+    more (of more than D digits, say), or a signed one, decodes to -1.
     """
-    read = len(str(width - 1))   # D: at most 5 for a width up to MAX_ORDER, so int32
-    chars = np.frombuffer(text, np.uint8)
-    # every character other than a digit or "-" is skeleton
-    cut = np.flatnonzero((chars - 48 > 9) & (chars != 45))
+    read = len(str(width - 1))   # D: at most 5 for a width up to MAX_ORDER
+    chars = np.frombuffer(block, np.uint8)
+    digit = chars - 48
+    # every byte other than a digit is skeleton, "-" too unless the block has one
+    cut = np.flatnonzero(digit > 9)
     marks = chars.take(cut).tobytes()
-    close = marks.find(b"]]")
+    signed = b"-" in marks
+    if signed:
+        cut, marks = cut[chars.take(cut) != 45], marks.replace(b"-", b"")
+    # a row ends in "]," or, the last, in "]]"; the skeleton test below
+    # refuses a "]]" anywhere else
+    close = marks[width + 1::width + 2].find(b"]")
     if close >= 0:
+        close = close * (width + 2) + width
         cut, marks = cut[:close + 2], marks[:close + 2]
         chars = chars[:cut[-1] + 1]
     rows = len(cut) // (width + 2)
@@ -249,51 +268,53 @@ def _decode_rows(text: bytes, width: int):
     if not rows or marks != skeleton:
         return None
     cut = cut.reshape(rows, width + 2)
-    starts, ends = cut[:, :-2] + 1, cut[:, 1:-1]
-    length = ends - starts
-    # every character outside the skeleton is in an entry
-    if length.sum() != len(chars) - cut.size:
+    ends = cut[:, 1:-1]
+    at = cut[:, :-2] + 1   # each entry's first byte; then its last, the one before it, ...
+    digits = ends - at
+    # every byte outside the skeleton is in an entry
+    if digits.sum() != len(chars) - cut.size:
         return None
-    lead = chars.take(starts)
-    signs = lead == 45
-    minus = np.count_nonzero(chars == 45)
-    if np.count_nonzero(signs) != minus:
-        return None   # a "-" that does not lead its entry
-    digits = length - signs
-    first = chars.take(starts + signs) if minus else lead
+    first = chars.take(at)
+    signs = False
+    if signed:
+        signs = first == 45
+        if np.count_nonzero(signs) != np.count_nonzero(chars == 45):
+            return None   # a "-" that does not lead its entry
+        digits -= signs
+        first = chars.take(at + signs)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     # empty, lone "-", zero-led, "-0" or past json's digit limit: json.loads decides
     if (digits.min() < 1 or limit and digits.max() > limit
             or ((first == 48) & ((digits > 1) | signs)).any()):
         return None
-    at = ends - 1   # the last digit of each entry, then the one before it, ...
-    values = (chars.take(at) - 48).astype(np.int32)
+    dtype = np.int16 if read <= 4 else np.int32
+    values = digit.take(np.subtract(ends, 1, out=at)).astype(dtype)
     for k in range(1, read):
         at -= 1
-        values += np.multiply((chars.take(at) - 48) * (digits > k), 10**k, dtype=np.int32)
+        values += np.multiply(digit.take(at) * (digits > k), 10**k, dtype=dtype)
     values[signs | (digits > read) | (values >= width)] = -1
     return values, len(chars), close >= 0
 
 
-def _int_matrix(text: str, start: int):
-    """(table, end) if the JSON value at ``start`` is a certified compact
-    square integer matrix (see the module docstring) of at most
-    ``MAX_ORDER`` rows, else None.  The table is a read-only int16 array."""
-    if not text.startswith("[[", start):
+def _int_matrix(data: bytes, start: int):
+    """(table, end) if the JSON value at byte ``start`` of ``data`` is a
+    certified compact square integer matrix (see the module docstring) of
+    at most ``MAX_ORDER`` rows, else None.  The table is a read-only int16
+    array."""
+    if not data.startswith(b"[[", start):
         return None
     pos = start + 1
-    width = text.count(",", pos, text.find("]", pos)) + 1
-    # width rows of width entries take at least 2 * width**2 characters
-    if width > MAX_ORDER or 2 * width * width > len(text) - pos:
+    width = data.count(b",", pos, data.find(b"]", pos)) + 1
+    # width rows of width entries take at least 2 * width**2 bytes
+    if width > MAX_ORDER or 2 * width * width > len(data) - pos:
         return None
     # filled block by block, so that the matrix is never held twice
     table, filled, closed = np.empty((width, width), dtype=DTYPE), 0, False
+    view = memoryview(data)
     while not closed:
         # a block runs to the "," after the first row to end past its budget
-        stop = text.find("]", pos + _BLOCK_BYTES) + 2
-        span = text[pos:stop if stop >= 2 else len(text)]
-        # any non-ASCII character encodes to bytes that are skeleton
-        decoded = _decode_rows(span.encode("utf-8", "surrogatepass"), width)
+        stop = data.find(b"]", pos + _BLOCK_BYTES) + 2
+        decoded = _decode_rows(view[pos:stop if stop >= 2 else len(data)], width)
         if decoded is None or filled + len(decoded[0]) > width:
             return None
         rows, used, closed = decoded
@@ -304,34 +325,57 @@ def _int_matrix(text: str, start: int):
     return (table, pos) if filled == width else None
 
 
-def _compact_object(text: str):
-    """(object, spans) for the top-level object of ``text`` if no
-    whitespace separates its members and every ``add``/``mul`` value is
-    certified, each such value an array and its text ``text[spans[key]]``;
-    None at anything else, so that ``json.loads`` reads the whole file."""
-    if not text.startswith('{"'):
+def _small_value(data: bytes, start: int):
+    """(value, end) for the JSON value at byte ``start`` of ``data``, read
+    by ``raw_decode`` from a window of the bytes decoded as UTF-8; the
+    window grows until the value ends inside it or it holds the rest of
+    ``data``.  A ValueError if the value does not start there, or if the
+    window holds a byte that is not UTF-8."""
+    size = _WINDOW_BYTES
+    while True:
+        whole = start + size >= len(data)
+        text = codecs.utf_8_decode(data[start:start + size], "strict", whole)[0]
+        try:
+            value, end = _DECODER.raw_decode(text)
+            if end < len(text) or whole:   # else it may be a number cut short
+                return value, start + len(text[:end].encode())
+        except ValueError:
+            if whole:
+                raise
+        size *= 8
+
+
+def _compact_object(data: bytes):
+    """(object, spans) for the top-level object of the file bytes ``data``
+    if no whitespace separates its members, every key is an identifier
+    written without escapes, every byte is UTF-8 and every ``add``/``mul``
+    value is certified, each such value an array and its bytes
+    ``data[spans[key]]``; None at anything else, so that the whole file
+    is decoded and read as text."""
+    if not data.startswith(b'{"'):
         return None
-    data, spans, pos = {}, {}, 1
+    obj, spans, pos = {}, {}, 1
     try:
         while True:
-            key, pos = json.decoder.scanstring(text, pos + 1)
-            if not text.startswith(":", pos):
+            end = data.find(b'"', pos + 1)
+            key = data[pos + 1:end].decode() if end >= 0 else ""
+            if not key.isidentifier() or not data.startswith(b":", end + 1):
                 return None
             if key not in ("add", "mul"):
-                data[key], pos = _DECODER.raw_decode(text, pos + 1)
-            elif (matrix := _int_matrix(text, pos + 1)) is None:
+                obj[key], pos = _small_value(data, end + 2)
+            elif (matrix := _int_matrix(data, end + 2)) is None:
                 return None
             else:   # a repeated key replaces the value and span read before it
-                spans[key] = slice(pos + 1, matrix[1])
-                data[key], pos = matrix
-            if text.startswith("}", pos):
+                spans[key] = slice(end + 2, matrix[1])
+                obj[key], pos = matrix
+            if data.startswith(b"}", pos):
                 break
-            if not text.startswith(',"', pos):
+            if not data.startswith(b',"', pos):
                 return None
             pos += 1
-    except (ValueError, RecursionError):  # json.loads raises it again, in its words
+    except (ValueError, RecursionError):  # the whole file's read raises it again, in its words
         return None
-    return (data, spans) if not text[pos + 1 :].strip(" \t\n\r") else None
+    return (obj, spans) if not data[pos + 1:].strip(b" \t\n\r") else None
 
 
 def _as_int_table(rows, what: str, n: int) -> list | np.ndarray:
@@ -355,14 +399,7 @@ def _as_int_table(rows, what: str, n: int) -> list | np.ndarray:
     return rows
 
 
-def _parse_json(text: str) -> StructureFile:
-    # parse_structure sends text that starts with "{", so data is an object
-    data, spans = _compact_object(text) or (None, {})
-    if data is None:
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from None
+def _structure_file(data: dict, spans: dict) -> StructureFile:
     kind = data.get("kind")
     if kind not in KINDS:
         raise ParseError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -434,14 +471,25 @@ def _parse_text(text: str) -> StructureFile:
     return StructureFile(kind=kind, n=n, add=add, mul=mul, one=one)
 
 
-def parse_structure(text: str) -> StructureFile:
-    """Parse JSON or plain-text structure file contents."""
+def parse_structure(contents: str | bytes) -> StructureFile:
+    """Parse JSON or plain-text structure file contents: the file's bytes,
+    or its text.  Bytes that ``_compact_object`` does not certify are
+    decoded whole, as ``open`` would; a ValueError if that fails."""
+    is_bytes = isinstance(contents, bytes)
+    found = _compact_object(contents if is_bytes else contents.encode("utf-8", "surrogatepass"))
+    if found:
+        return _structure_file(*found)
+    text = _text(contents) if is_bytes else contents
     stripped = text.lstrip()
     if not stripped:
         raise ParseError("empty file")
-    if stripped[0] == "{":
-        return _parse_json(text)
-    return _parse_text(text)
+    if stripped[0] != "{":
+        return _parse_text(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+    return _structure_file(data, {})   # text that starts with "{" decodes to an object
 
 
 def realize(sf: StructureFile, bounds: Bounds = DEFAULT_BOUNDS):
@@ -454,52 +502,58 @@ def realize(sf: StructureFile, bounds: Bounds = DEFAULT_BOUNDS):
     return validate_ring_tables(sf.add, sf.mul, sf.one)
 
 
-def read_text(path: str) -> str:
+def _read_bytes(path: str) -> bytes:
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+
+
+def _text(data: bytes) -> str:
+    """The file's text, as ``open(path, encoding="utf-8").read()`` gives
+    it; a ValueError at a byte that is not UTF-8 or a byte-order mark."""
+    text = TextIOWrapper(BytesIO(data), encoding="utf-8").read()
     if text.startswith("\ufeff"):
-        raise ParseError(f"cannot read {path}: it starts with a UTF-8 byte-order mark")
+        raise ValueError("it starts with a UTF-8 byte-order mark")
     return text
 
 
-def _parse_file(path: str, text: str) -> StructureFile:
+def read_text(path: str) -> str:
+    data = _read_bytes(path)
     try:
-        return parse_structure(text)
-    except (ValueError, RecursionError) as exc:  # json: an integer literal past
+        return _text(data)
+    except ValueError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+
+
+def _parse_file(path: str, data: bytes) -> StructureFile:
+    try:
+        return parse_structure(data)
+    except (ValueError, RecursionError) as exc:  # _text; json: an integer literal past
         # sys.get_int_max_str_digits(), or arrays nested past the recursion limit
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
 def read_structure(path: str) -> StructureFile:
-    """Read and parse a structure file."""
-    return _parse_file(path, read_text(path))
-
-
-_HASH_CHARS = 1 << 20   # file text encoded and hashed per piece
-
-
-def _text_chunks(text: str, span: slice):
-    """``text[span]`` as ASCII bytes, in pieces of at most ``_HASH_CHARS``."""
-    for i in range(span.start, span.stop, _HASH_CHARS):
-        yield text[i:min(i + _HASH_CHARS, span.stop)].encode()
+    """Read and parse a structure file; its bytes are dropped on return."""
+    return _parse_file(path, _read_bytes(path))
 
 
 def load_structure(path: str, bounds: Bounds = DEFAULT_BOUNDS):
     """Read, parse and validate a structure file.
 
     Returns (structure, meta).  If every table was certified from the
-    file's text, validation has put each entry in 0..n-1, so that text is
-    each table's canonical JSON and the structure hash is taken from it.
+    file's bytes, validation has put each entry in 0..n-1, so those bytes
+    are each table's canonical JSON and the structure hash is taken from
+    them.
     """
-    text = read_text(path)
-    sf = _parse_file(path, text)
+    data = _read_bytes(path)
+    sf = _parse_file(path, data)
     structure = realize(sf, bounds)
     if sf.spans:
         fields = _fields(structure)
-        fields.update((key, _text_chunks(text, span)) for key, span in sf.spans.items())
+        fields.update((key, memoryview(data)[span]) for key, span in sf.spans.items())
         # on the frozen structure, as a cached_property would store it
         object.__setattr__(structure, "_file_sha256", _sha256(fields))
     return structure, sf.meta

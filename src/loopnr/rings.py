@@ -257,6 +257,11 @@ def coset_idempotents(ring: FiniteRing, ideal, x: int) -> tuple:
     ``loops._elements``."""
     ideal = validate_ideal(ring, ideal)
     (x,) = _elements(ring.n, (x,))
+    return _coset_idempotents(ring, ideal, x)
+
+
+def _coset_idempotents(ring: FiniteRing, ideal: ElementSubset, x: int) -> tuple:
+    """``coset_idempotents`` of an ideal and an element already certified."""
     ii = np.fromiter(ideal, dtype=np.int64, count=len(ideal))
     coset = np.sort(ring.add[x, ii])
     diag = ring.mul[coset, coset]
@@ -300,7 +305,7 @@ def lift_idempotent(ring: FiniteRing, ideal, x: int) -> int:
     e = int(cur)
     if int(mul[e, e]) != e or int(ring.sub(e, x)) not in ideal:
         raise TheoremViolation("idempotent lifting iteration failed to converge")
-    if e not in coset_idempotents(ring, ideal, x):
+    if e not in _coset_idempotents(ring, ideal, x):
         raise TheoremViolation("iterated lift disagrees with coset search")
     return e
 

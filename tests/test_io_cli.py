@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -173,8 +174,9 @@ class TestStructureFiles:
             realize(sf, replace(DEFAULT_BOUNDS, max_n=4))
 
 
-def json_route():
-    """Every JSON file through ``json.loads``, as before the array route."""
+def whole_file_route():
+    """Every file decoded whole as UTF-8 and read by ``json.loads`` or as
+    the text format, as before the bytes route."""
     return mock.patch.object(loopnr_io, "_compact_object", return_value=None)
 
 
@@ -237,7 +239,7 @@ class TestArrayRoute:
     @settings(max_examples=400)
     @given(text=mutated_documents())
     def test_mutated_documents_decode_as_json_does(self, text):
-        with json_route():
+        with whole_file_route():
             want = parse_outcome(text)
         with no_warnings():
             assert parse_outcome(text) == want
@@ -252,15 +254,15 @@ class TestArrayRoute:
     def test_uncertified_tables_take_the_json_route(self, table):
         text = '{"kind":"loop","n":1,"add":%s}' % table
         with no_warnings():
-            assert loopnr_io._int_matrix(text, text.index("[[")) is None
-        with json_route():
+            assert loopnr_io._int_matrix(text.encode(), text.index("[[")) is None
+        with whole_file_route():
             want = parse_outcome(text)
         with no_warnings():
             assert parse_outcome(text) == want
 
     @pytest.mark.parametrize("text", COMPACT_DOCS)
     def test_compact_documents_take_the_array_route(self, text):
-        with json_route():
+        with whole_file_route():
             want = parse_outcome(text)
         assert parse_outcome(text) == want
         assert isinstance(parse_structure(text).add, np.ndarray)
@@ -272,9 +274,9 @@ class TestArrayRoute:
     def test_entries_outside_the_carrier_decode_to_minus_one(self, table):
         text = '{"kind":"loop","n":1,"add":%s}' % table
         with no_warnings():
-            array, _ = loopnr_io._int_matrix(text, text.index("[["))
+            array, _ = loopnr_io._int_matrix(text.encode(), text.index("[["))
         assert array.tolist() == [[-1]]
-        with json_route():
+        with whole_file_route():
             want = parse_outcome(text)
         assert parse_outcome(text) == want
 
@@ -307,13 +309,13 @@ class TestArrayRoute:
         rows = self.digit_rows(101, 101)
         text = json.dumps(rows, separators=(",", ":"))
         with no_warnings():
-            array, end = loopnr_io._int_matrix(text, 0)
+            array, end = loopnr_io._int_matrix(text.encode(), 0)
         assert end == len(text) and array.dtype == np.int16 and not array.flags.writeable
         assert array.tolist() == [[v if 0 <= v < 101 else -1 for v in row] for row in rows]
 
     def test_certified_table_is_the_int16_array(self):
         text = "[[0,-12],[3,1]],"
-        array, end = loopnr_io._int_matrix(text, 0)
+        array, end = loopnr_io._int_matrix(text.encode(), 0)
         assert array.dtype == np.int16 and array.tolist() == [[0, -1], [-1, 1]]
         assert not array.flags.writeable
         assert text[end:] == ","
@@ -322,16 +324,16 @@ class TestArrayRoute:
         square = np.arange(30 * 30).reshape(30, 30) % 30
         text = json.dumps(square.tolist(), separators=(",", ":"))
         with mock.patch.object(loopnr_io, "_BLOCK_BYTES", 16):
-            array, end = loopnr_io._int_matrix(text, 0)
+            array, end = loopnr_io._int_matrix(text.encode(), 0)
         assert end == len(text) and np.array_equal(array, square)
         # a row count other than the width sends the file to json.loads
         for rows in (square[:29], np.vstack([square, square[:1]]), square[:, :29]):
             table = json.dumps(rows.tolist(), separators=(",", ":"))
             text = '{"add":%s,"kind":"loop","n":30}' % table
             with mock.patch.object(loopnr_io, "_BLOCK_BYTES", 16):
-                assert loopnr_io._int_matrix(table, 0) is None
+                assert loopnr_io._int_matrix(table.encode(), 0) is None
                 got = parse_outcome(text)
-            with json_route():
+            with whole_file_route():
                 assert got == parse_outcome(text)
             assert got[0] == "ParseError"
 
@@ -354,7 +356,7 @@ class TestArrayRoute:
         p = tmp_path / "z6.json"
         p.write_text(text)
         outcomes = []
-        for route in (contextlib.nullcontext(), json_route()):
+        for route in (contextlib.nullcontext(), whole_file_route()):
             with route:
                 structure, _ = loopnr.load_structure(str(p))
                 outcomes.append([run_cli(capsys, c, str(p)) for c in ("check", "analyze")]
@@ -439,7 +441,7 @@ class TestArrayRoute:
         p.write_text(json.dumps(payload, separators=(",", ":")))
         assert isinstance(parse_structure(p.read_text()).mul, np.ndarray)
         reports = []
-        for route in (contextlib.nullcontext(), json_route()):
+        for route in (contextlib.nullcontext(), whole_file_route()):
             with route:
                 reports.append([run_cli(capsys, command, str(p)) for command in ("check", "analyze")])
         assert reports[0] == reports[1]
@@ -448,7 +450,7 @@ class TestArrayRoute:
     @settings(max_examples=300)
     @given(text=mutated_documents(), block=st.integers(0, 40))
     def test_blocks_split_anywhere(self, text, block):
-        with json_route():
+        with whole_file_route():
             want = parse_outcome(text)
         with mock.patch.object(loopnr_io, "_BLOCK_BYTES", block):
             assert parse_outcome(text) == want
@@ -458,6 +460,119 @@ class TestArrayRoute:
             sf = parse_structure(dump_structure(parse_spec(spec), meta={"name": spec}))
             tables = [sf.add] if sf.kind == "loop" else [sf.add, sf.mul]
             assert all(isinstance(t, np.ndarray) for t in tables), spec
+
+
+def edge_documents():
+    """Compact ``cyclic:6`` files (one ``cyclic:12``), as bytes, each with
+    one feature that the bytes route must read as the whole-file route
+    does, and whether the bytes route certifies it."""
+    z6 = dump_structure(corpus.z(6), meta={"name": "cyclic:6"}).encode()
+    add = z6[z6.index(b'"add":') + 6:z6.index(b',"kind"')]
+    mul = z6[z6.index(b'"mul":') + 6:z6.index(b',"n"')]
+    at = z6.index(b'"mul":[[') + 8   # mul[0][0], 0 in Z/6
+
+    def entry(new):
+        return z6[:at] + new + z6[at + 1:]
+
+    # cyclic:12 with mul last, longer than a small member's first window,
+    # so that only the test after the closing "}" reads a byte past it
+    z12 = dump_structure(corpus.z(12)).encode()
+    cut, rest = z12.index(b',"mul":'), z12.index(b',"n"')
+    mul_last = z12[:cut] + z12[rest:-2] + z12[cut:rest] + b"}"
+
+    return {
+        "non-ascii-meta": (z6.replace(b'"cyclic:6"', '"µ-ring ∑"'.encode()), True),
+        "bad-utf8-meta": (z6.replace(b'"cyclic:6"', b'"cyc\xfflic"'), False),
+        "cut-utf8-meta": (z6.replace(b'"cyclic:6"', b'"cyc\xe2\x88"'), False),
+        "bad-utf8-table": (entry(b"\xff"), False),
+        "bad-utf8-after": (z6 + b"\xff", False),
+        "bad-utf8-after-mul": (mul_last + b"\xff", False),
+        "byte-order-mark": (b"\xef\xbb\xbf" + z6, False),
+        "escaped-key": (z6.replace(b'"add"', b'"\\u0061dd"'), False),
+        "repeated-key": (b'{"add":[[0]],' + z6[1:], True),
+        "mul-before-add": (b'{"mul":%s,"add":%s' % (mul, add)
+                           + z6[z6.index(b',"kind"'):z6.index(b',"mul"')]
+                           + z6[z6.index(b',"n"'):], True),
+        "mul-in-meta": (z6.replace(b'"cyclic:6"', b'"\\"mul\\":[[0,1],[1,0]]"'), True),
+        "minus-zero": (entry(b"-0"), False),
+        "leading-zero": (entry(b"00"), False),
+        "signed": (entry(b"-1"), True),
+        "whitespace": (entry(b" 0"), False),
+        "crlf": (z6.replace(b"\n", b"\r\n"), True),
+        "long-meta": (z6.replace(b'"cyclic:6"', '"{}"'.format("é" * 3000).encode()), True),
+        "long-number": (z6.replace(b'"one":1', b'"one":1' + b"0" * 400), True),
+    }
+
+
+EDGES = edge_documents()
+
+
+def run_cli_apart(capsys, *argv):
+    """(exit code, stdout, stderr) of one CLI call."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestBytesRoute:
+    """Files are read as bytes; one that the bytes route does not certify
+    is decoded whole, so both routes give the same reports and errors."""
+
+    @pytest.mark.parametrize("name", list(EDGES))
+    def test_edge_files_report_alike_on_both_routes(self, capsys, tmp_path, name):
+        data, certified = EDGES[name]
+        p = tmp_path / "edge.json"
+        p.write_bytes(data)
+        assert bool(loopnr_io._compact_object(data)) is certified
+        reports = []
+        for route in (contextlib.nullcontext(), whole_file_route()):
+            with route:
+                reports.append([run_cli_apart(capsys, c, str(p)) for c in ("check", "analyze")])
+        assert reports[0] == reports[1]
+
+    def test_bad_bytes_are_named_as_the_utf8_codec_names_them(self, capsys, tmp_path):
+        p = tmp_path / "edge.json"
+        p.write_bytes(EDGES["bad-utf8-table"][0])
+        code, out, err = run_cli_apart(capsys, "check", str(p))
+        at = EDGES["bad-utf8-table"][0].index(b"\xff")
+        assert (code, out) == (2, "")
+        assert f"cannot read {p}: 'utf-8' codec can't decode byte 0xff in position {at}" in err
+
+    @pytest.mark.parametrize("data", [
+        *(data for data, _ in EDGES.values()),
+        b'{\r\n"kind":"ring",\r\n}', b'{"kind":"ring",\r"n":\r\r1,}', b"ring 1\r\n0\r0\rone=0\r\n",
+        b"ring 1\n0\n0\none=0\n\xc3", b"\xef\xbb\xbfring 1", b"",
+    ])
+    def test_the_whole_file_is_the_text_open_reads(self, tmp_path, data):
+        p = tmp_path / "s.json"
+        p.write_bytes(data)
+        try:
+            with open(p, encoding="utf-8") as fh:
+                want = fh.read()
+            if want.startswith("\ufeff"):
+                want = f"cannot read {p}: it starts with a UTF-8 byte-order mark"
+        except UnicodeDecodeError as exc:
+            want = f"cannot read {p}: {exc}"
+        try:
+            got = loopnr_io.read_text(str(p))
+        except ParseError as exc:
+            got = str(exc)
+        assert got == want
+
+    def test_a_compact_file_is_never_held_as_text(self, tmp_path):
+        p = tmp_path / "c1024.json"
+        p.write_text(dump_structure(parse_spec("cyclic:1024")))
+        size = p.stat().st_size
+        with mock.patch.object(loopnr_io, "_text", side_effect=AssertionError):
+            tracemalloc.start()
+            try:
+                sf = loopnr_io.read_structure(str(p))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the bytes, the tables and the blocks' work; a str of the file
+        # held with its bytes would add the file's size again
+        assert peak < size + sf.add.nbytes + sf.mul.nbytes + size // 4
 
 
 def relabelled(structure, seed=0):
