@@ -20,11 +20,13 @@ the joins use only the join-irreducible rows, those that the rows
 strictly below them do not generate: in a finite lattice these
 generate every element.  Most joins need no saturation at all: for a
 closed set s and a principal p = P[x], each one-step entry y = t[e, x]
-or t[x, e] with e in s lies in the closure of s | p, and so does P[y];
-a row P[y] holding s | p is therefore that closure.  Only the joins
-that no such y certifies are saturated, and a saturation stops as soon
-as it reaches an element y whose row covers the set so far, since that
-row is then the closure.
+or t[x, e] with e in s lies in the closure of s | p, and so does P[y].
+So the union of s | p with such rows lies in that closure, and once it
+is a set already found, it is closed, so it is the closure, which is
+then found already; a single row P[y] holding s | p is such a union.
+Only the joins that no such union settles are saturated, and a
+saturation stops as soon as it reaches an element y whose row covers
+the set so far, since that row is then the closure.
 
 A system built with ``sumsets`` (the left ideals of a ring) saturates
 no join at all.  Its one binary table is an abelian group's + and its
@@ -197,9 +199,9 @@ class ClosureSystem:
         is join-irreducible.  Joining each set found with each
         join-irreducible principal reaches every closed set.  Unions
         already tried are skipped.  A join with a principal p = P[x] is
-        first settled by a one-step witness, a row P[y] holding both
-        sides (see _Witness), and saturated only when none is found,
-        ending at the first principal that covers it.  The witness's
+        first settled by one-step witnesses, rows P[y] whose union with
+        both sides is a set already found (see _Witness), and computed
+        by ``join`` only when they settle nothing.  The witness's
         generator columns and member lists are built at the first
         untried union, so a chain of principals pays nothing for them;
         its row bitsets are the ones the principals are grouped by.
@@ -244,11 +246,12 @@ class ClosureSystem:
                     continue
                 tried.add(u)
                 if witness is None:
-                    witness = _Witness(self.binary, rowbits, [x for _, _, x in irreducible])
+                    witness = _Witness(self.binary, rowbits, [x for _, _, x in irreducible],
+                                       self.sumsets)
                 if members is None:
                     members = np.flatnonzero(s)
-                # a witnessed join is a principal, and every principal is found
-                if witness.find(members, x, u) is None:
+                # a witnessed join is a set already found
+                if witness.find(members, x, u, found) is None:
                     j = self.join(s, p, principal)
                     jb = bits_of(j)
                     if jb not in found:
@@ -264,21 +267,33 @@ class _Witness:
     Let P be a principal table (row y is the closure of the seed and y),
     s a closed set holding the seed, and p = P[x].  An entry y = t[e, x]
     or t[x, e], for e in s and a binary table t, lies in cl(s | p), and
-    so does P[y], since the seed lies in s.  If P[y] holds s | p, it is
-    a closed set holding s | p, so cl(s | p) = P[y] exactly.
+    so does P[y], since the seed lies in s.  So the union of s | p with
+    any of these rows P[y] lies in cl(s | p); if it is a set already
+    found, it is closed, so it is cl(s | p) exactly.  A single row P[y]
+    holding s | p is such a union, since every principal is found.
     """
 
-    def __init__(self, binary, rowbits: list, generators):
+    def __init__(self, binary, rowbits: list, generators, sumsets: bool):
         # the row bitsets of P, and for each generator x its entries
-        # t[:, x] and t[x, :], one row per table and side
+        # t[:, x] and t[x, :], one row per table and side; in a sumsets
+        # system the one table is abelian, so t[:, x] alone
         self.rowbits = rowbits
-        self.columns = {x: np.stack([t[:, x] for t in binary] + [t[x] for t in binary])
+        self.columns = {x: np.stack([t[:, x] for t in binary]
+                                    + ([] if sumsets else [t[x] for t in binary]))
                         for x in generators}
 
-    def find(self, members: np.ndarray, x: int, u: int):
-        """Some y with P[y] = cl(s | P[x]), or None, where ``members``
-        lists s and ``u`` is the bitset of s | P[x]."""
-        for y in self.columns[x][:, members].ravel().tolist():
+    def find(self, members: np.ndarray, x: int, u: int, found) -> int | None:
+        """The bitset of cl(s | P[x]) if one-step witnesses settle it, else
+        None, where ``members`` lists s and ``u``, not in ``found``, is the
+        bitset of s | P[x]: a row P[y] holding s | P[x] is the join, else
+        the union of s | P[x] with every row P[y] is, if it is in
+        ``found``.  A union of only some of the rows settles no more: once
+        one is closed, every larger one equals it."""
+        ys = self.columns[x][:, members].ravel().tolist()
+        for y in ys:
             if self.rowbits[y] & u == u:
-                return y
-        return None
+                return self.rowbits[y]
+        union = u
+        for y in set(ys):
+            union |= self.rowbits[y]
+        return union if union in found else None

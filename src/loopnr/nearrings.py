@@ -24,14 +24,9 @@ import numpy as np
 
 from . import tables
 from .config import DEFAULT_BOUNDS, Bounds
-from .errors import (
-    NotIdempotent,
-    PreconditionFailed,
-    TheoremViolation,
-    ValidationError,
-)
+from .errors import NotIdempotent, PreconditionFailed, TheoremViolation
 from .lattice import ClosureSystem
-from .loops import CayleyLoop, ElementSubset, _elements, _sorted_subsets, is_subloop, validate_loop
+from .loops import CayleyLoop, ElementSubset, _elements, _sorted_subsets, is_subloop
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -100,22 +95,22 @@ class LoopNearRing(CayleyLoop):
 
 
 def _validated(cls, add_table, mul_table, one: int, laws: bool = True):
-    """Certify tables as a ``cls``: the loop rows unless ``add_table`` is
-    already a CayleyLoop (any structure is its additive loop), then one
-    ``tables.AXIOMS`` scan of the rows of kinds "lnr" through
-    ``cls.kind``, the law rows only if ``laws``."""
-    loop = add_table if isinstance(add_table, CayleyLoop) else validate_loop(add_table)
-    n, zero = loop.n, loop.zero
-    mul = tables.as_table(mul_table)
-    if mul.shape[0] != n:
-        raise ValidationError(f"mul table is {mul.shape[0]}x{mul.shape[0]}, additive has n={n}")
+    """Certify tables as a ``cls`` by one ``tables.AXIOMS`` scan up to
+    ``cls.kind``, the law rows only if ``laws``: from the loop rows, or
+    from the "lnr" rows if ``add_table`` is already a CayleyLoop (any
+    structure is its additive loop).  The scan converts ``mul_table``
+    after the loop rows."""
+    if isinstance(add_table, CayleyLoop):
+        add, start = add_table.add, "lnr"
+    else:
+        add, start = tables.as_table(add_table), "loop"
     one = int(one)
-    tables.require(loop.add, mul, one, start="lnr", kind=cls.kind, laws=laws)
-    zero_symmetric = bool((mul[:, zero] == zero).all())
+    mul = tables.require(add, mul_table, one, start=start, kind=cls.kind, laws=laws)
+    zero_symmetric = bool((mul[:, cls.zero] == cls.zero).all())
     if cls.kind == "ring" and not zero_symmetric:
         # left distributivity forces n*0 = 0, so this cannot happen
         raise TheoremViolation("ring axioms hold but n*0 != 0 somewhere")
-    return cls(n=n, add=loop.add, mul=mul, one=one, zero_symmetric=zero_symmetric)
+    return cls(n=len(add), add=add, mul=mul, one=one, zero_symmetric=zero_symmetric)
 
 
 def validate_lnr(add_table, mul_table, one: int) -> LoopNearRing:

@@ -136,13 +136,16 @@ def left_ideals(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> list:
 
 
 def radical_by_quasiregularity(ring: FiniteRing) -> ElementSubset:
-    """J = { a : 1 - x*a has a left inverse for every x }."""
-    mul = ring.mul
-    has_left_inv = (mul == ring.one).any(axis=0)
-    # [x, a] = 1 - x*a
-    one_minus = ring.add[ring.one, ring.neg[mul]]
-    member = has_left_inv[one_minus].all(axis=0)
-    return ElementSubset.from_mask(member)
+    """J = { a : 1 - x*a has a left inverse for every x }.
+
+    Whether 1 - y has a left inverse is one vector over y, so a single
+    (n, n) gather of it through mul answers it for every 1 - x*a; the
+    table of 1 - x*a is never built.
+    """
+    has_left_inv = (ring.mul == ring.one).any(axis=0)
+    # [y]: whether 1 - y has a left inverse
+    one_minus_has = has_left_inv[ring.add[ring.one, ring.neg]]
+    return ElementSubset.from_mask(one_minus_has[ring.mul].all(axis=0))
 
 
 def radical_by_maximal_left_ideals(

@@ -4,8 +4,12 @@ All structure axioms reduce to pointwise identities between gathered
 copies of the operation tables.  A ring scan first asks its coordinate
 certificate (``Lights``): ``+`` is Z_m1 x ... x Z_mk along a basis that
 a greedy search finds, ``*`` passes one spanning-tree pass, and two
-closure arguments run at the basis, all in O(n^2).  Otherwise each law
-is decided in its own row, at a generating set S* of ``*`` from
+closure arguments run at the basis, all in O(n^2).  A ring scan from
+the loop rows asks for the basis at the Latin row, once the rows of
+``+`` are sorted: a group's table is a Latin square, so the basis
+stands in for the column sort (``latin_witness``), and the law rows
+reuse it.  Loops and near-rings sort both orientations.  Otherwise
+each law is decided in its own row, at a generating set S* of ``*`` from
 ``lattice.ClosureSystem.generating_set`` if Light's test finds ``*``
 associative (the elements where a law holds are closed under ``*``);
 with ``+`` certified, one pass at the basis finds the least row whose
@@ -103,19 +107,35 @@ def distinct(values, n: int) -> np.ndarray:
     return np.flatnonzero(np.bincount(np.ravel(values), minlength=n))
 
 
-def latin_witness(table: np.ndarray):
+def _first_repeat(lines: np.ndarray):
+    """(i, least value repeated in line i) for the first of ``lines`` that
+    is not a permutation of 0..n-1, by one sort of them all, else None."""
+    n = lines.shape[1]
+    bad = (np.sort(lines, axis=1) != np.arange(n)).any(axis=1)
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    return (i, int(np.argmax(np.bincount(lines[i], minlength=n) > 1)))
+
+
+def latin_witness(table: np.ndarray, lights: Lights | None = None):
     """First row, then column, that is not a permutation of 0..n-1.
 
     Entries must lie in 0..n-1.  Returns None, or ("row"|"col", index,
-    least value repeated in that line).
+    least value repeated in that line).  Once every row is a
+    permutation, the ``basis`` of ``lights`` (a ring scan's, whose ``+``
+    is ``table``) stands in for the column sort: it certifies ``table``
+    as a group's, whose columns are permutations.  The rows are sorted
+    first, as on a table that fails the certificate the failing row
+    sort is the cheaper of the two.
     """
-    n = table.shape[0]
-    for name, lines in (("row", table), ("col", table.T)):
-        bad = (np.sort(lines, axis=1) != np.arange(n)).any(axis=1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            return (name, i, int(np.argmax(np.bincount(lines[i], minlength=n) > 1)))
-    return None
+    found = _first_repeat(table)
+    if found is not None:
+        return ("row", *found)
+    if lights is not None and lights.basis is not None:
+        return None
+    found = _first_repeat(table.T)
+    return None if found is None else ("col", *found)
 
 
 def _blocks(row_elems: int) -> int:
@@ -227,7 +247,10 @@ def _search(add: np.ndarray) -> Basis | None:
                 q, e = q // p, e + 1
             y = _times(add, np.arange(n, dtype=add.dtype), n // len(phi) // p ** e)
             for _ in range(e):
-                order[~inside[y]] *= p
+                outside = ~inside[y]
+                if not outside.any():   # every p y then lies in H too
+                    break
+                order[outside] *= p
                 y = _times(add, y, p)
         m = int(order.max())
         coset = add[np.argmax(order), phi]   # x + H, x the first of order m modulo H
@@ -257,21 +280,18 @@ def _along_tree(basis: Basis, pair) -> bool:
 
 
 class Lights:
-    """One scan's ``Light`` of ``*`` and, in a ring scan whose loop rows
-    held, of ``+`` (else None), and the ring's coordinate certificate,
-    asked search, ``right``, ``basis``, so that a corrupted ``mul`` fails
-    before the pass over ``add``."""
+    """One scan's ``Light`` of ``*`` and, in a ring scan of the law rows
+    whose loop rows held, of ``+`` (else None), and the ring's
+    coordinate certificate: ``basis``, which a scan from the loop rows
+    asks for at the Latin row, then ``right`` and ``ring``."""
 
-    def __init__(self, mul: Light, add: Light | None = None):
+    def __init__(self, mul: Light | None, add: Light | None = None):
         self.mul, self.add = mul, add
 
     @cached_property
-    def found(self) -> Basis | None:
-        return None if self.add is None else _search(self.add.op)
-
-    @cached_property
     def basis(self) -> Basis | None:
-        """``found`` if ``+`` is Z_m1 x ... x Z_mk along it, else None.
+        """The basis ``_search`` finds, if ``+`` is Z_m1 x ... x Z_mk
+        along it, else None.
 
         Let A[t, u] = psi(phi(t) + phi(u)), psi the inverse of phi, C that
         group's table and T_i its unit step in digit i.  Row 0 of ``add``
@@ -281,10 +301,14 @@ class Lights:
         phi of ``_search``, with phi(0) = 0, the pass implies it (g_1's
         closing edge equates row 0, all of 0..n-1, with values of phi),
         but the check stays for a phi that starts elsewhere."""
-        basis, t = self.found, np.arange(len(self.mul.op))
-        if basis is None or not np.array_equal(np.sort(basis.phi), t):   # phi is one to one
+        basis = None if self.add is None else _search(self.add.op)
+        if basis is None:
             return None
-        add, phi, psi, s, steps = self.add.op, basis.phi, np.argsort(basis.phi), 1, {}
+        add, phi = self.add.op, basis.phi
+        t = np.arange(len(add))
+        if not np.array_equal(np.sort(phi), t):   # phi is one to one
+            return None
+        psi, s, steps = np.argsort(phi), 1, {}
         for g, m in zip(basis.generators, basis.orders):
             steps[g] = phi[(t + s - m * s * (t // s % m == m - 1))[psi]]   # phi T_i psi
             s *= m
@@ -298,13 +322,14 @@ class Lights:
         (t = s_1), m_i (g_i c) = 0 (closing edges) and x -> x*c is d ->
         sum d_i (g_i c) read through psi, additive.  Each is necessary."""
         add, mul = self.add.op, self.mul.op
-        return _along_tree(self.found, lambda rows, parents, g: (mul[rows], add.reshape(-1)[
+        return _along_tree(self.basis, lambda rows, parents, g: (mul[rows], add.reshape(-1)[
             np.multiply(mul[parents], len(add), dtype=np.intp) + mul[g]]))
 
     @cached_property
     def ring(self) -> bool:
         """Whether ``*`` is associative and both distributive laws hold:
-        ``right``, then two closure arguments at the basis B of ``+``.
+        ``basis``, ``right``, then two closure arguments at the basis B
+        of ``+``.
 
         * Left distributivity on B^2: the b with a*(b+c) = a*b + a*c for
           all c are closed under ``+``, and so are the a whose x -> a*x is
@@ -313,7 +338,7 @@ class Lights:
           in each argument, so the x where it vanishes for given y, z are
           closed under ``+``, then the y for every x, then the z.
         """
-        if self.found is None or not self.right or self.basis is None:
+        if self.basis is None or not self.right:
             return False
         add, mul, g = self.add.op, self.mul.op, np.asarray(self.basis.generators, dtype=np.intp)
         xy = mul[g[:, None], g]   # [x, y, z] = (xy)z and x(yz)
@@ -472,7 +497,7 @@ KINDS = ("loop", "lnr", "ring")
 AXIOMS = (
     Axiom(errors.EntriesOutOfRange, "loop", lambda add, mul, one, lights: _outside(add),
           "add entries outside 0..n-1", stop=True),
-    Axiom(errors.NotLatinSquare, "loop", lambda add, mul, one, lights: latin_witness(add),
+    Axiom(errors.NotLatinSquare, "loop", lambda add, mul, one, lights: latin_witness(add, lights),
           "duplicate {2} in add {0} {1}", shown=slice(1, None)),
     Axiom(errors.NoTwoSidedZero, "loop",
           lambda add, mul, one, lights: _single(identity_witness(add, 0)),
@@ -512,35 +537,50 @@ def violations(add, mul=None, one=None, start: str = "loop", kind: str = "ring",
                laws: bool = True):
     """Yield (error class, message, witness) for each failing row of AXIOMS.
 
-    Scans the rows of kinds ``start`` through ``kind``, in order, on
-    tables from ``as_table``; a witness is None or a tuple.  The rows
-    after the loop rows share one ``Lights``, so each test runs and each
-    generating set grows at most once per scan.  In a ring scan whose
-    loop rows held, the rows of the three cubic laws of ``*`` ask its
-    coordinate certificate, and the two rows of ``+`` its basis.
-    With ``laws`` False the law rows are skipped: the tables are derived
-    from a structure that already satisfies them.
+    Scans the rows of kinds ``start`` through ``kind``, in order; a
+    witness is None or a tuple.  ``add`` comes from ``as_table``, and
+    ``mul`` passes through it once the loop rows are scanned (a
+    ValidationError if its order is not ``add``'s); the generator
+    returns it.  The rows share one ``Lights``, so each test runs and
+    each generating set grows at most once per scan.  In a ring scan of
+    the law rows, the Latin row asks the basis of ``+`` in place of its
+    column sort, and if the loop rows held, the rows of the three cubic
+    laws of ``*`` ask the coordinate certificate and the two rows of
+    ``+`` the basis.  With ``laws`` False the law rows are skipped: the
+    tables are derived from a structure that already satisfies them.
     """
     kinds = KINDS[KINDS.index(start):KINDS.index(kind) + 1]
-    held, lights = True, None
+    held, lights = True, Lights(None, Light(add) if "ring" in kinds and laws else None)
     for row in AXIOMS:
         if row.kind not in kinds or row.law and not laws:
             continue
-        if lights is None and row.kind != "loop":
-            lights = Lights(Light(mul), Light(add) if "ring" in kinds and held else None)
+        if lights.mul is None and row.kind != "loop":
+            mul = as_table(mul)
+            if len(mul) != len(add):
+                raise errors.ValidationError(
+                    f"mul table is {len(mul)}x{len(mul)}, additive has n={len(add)}")
+            if not held:   # + failed a loop row: no certificate to ask
+                lights = Lights(None)
+            lights.mul = Light(mul)
         found = row.witness(add, mul, one, lights)
         if found is not None:
             held = False
             yield row.error, row.message.format(*found, one=one), tuple(found[row.shown]) or None
             if row.stop:
                 return
+    return mul
 
 
 def require(add, mul=None, one=None, start: str = "loop", kind: str = "ring",
-            laws: bool = True) -> None:
-    """Raise the first failing row of ``violations`` as its error class."""
-    for error, message, witness in violations(add, mul, one, start, kind, laws):
-        raise error(message, witness=witness)
+            laws: bool = True) -> np.ndarray | None:
+    """Raise the first failing row of ``violations`` as its error class,
+    else return the ``mul`` it scanned."""
+    scan = violations(add, mul, one, start, kind, laws)
+    try:
+        error, message, witness = next(scan)
+    except StopIteration as done:
+        return done.value
+    raise error(message, witness=witness)
 
 
 def mixed_radix_weights(radices) -> np.ndarray:

@@ -547,6 +547,72 @@ class TestCertificate:
         self.assert_check_is_brute(add, mul, 0, want)
 
 
+class TestLatinCertificate:
+    """In a ring scan of the law rows, once every row of ``+`` is a
+    permutation, the Latin row asks the basis of ``+`` in place of its
+    column sort; a ``+`` that fails the certificate has its columns
+    sorted, and ``check`` and the validators report the same witness."""
+
+    @staticmethod
+    def sorted_lines(monkeypatch):
+        """Patch tables._first_repeat to record which lines each call
+        sorts: "row" for a table, "col" for its transpose."""
+        seen = []
+        first_repeat = tables._first_repeat
+        monkeypatch.setattr(tables, "_first_repeat", lambda lines: seen.append(
+            "col" if lines.strides[0] < lines.strides[1] else "row") or first_repeat(lines))
+        return seen
+
+    @staticmethod
+    def write(path, n, add, mul, one):
+        path.write_text(json.dumps({"kind": "ring", "n": n, "add": np.asarray(add).tolist(),
+                                    "mul": np.asarray(mul).tolist(), "one": int(one)}))
+        return str(path)
+
+    @pytest.mark.parametrize("spec", ["cyclic:16", "gf:8", "ut2:cyclic:3",
+                                      "product:matrix:cyclic:2,2+cyclic:2"])
+    def test_a_clean_ring_file_runs_no_column_sort(self, spec, tmp_path, monkeypatch, capsys):
+        ring = parse_spec(spec)
+        add, mul, new = relabelled(ring.add, ring.mul, np.random.default_rng(ring.n))
+        path = self.write(tmp_path / "ring.json", ring.n, add, mul, new[ring.one])
+        seen = self.sorted_lines(monkeypatch)
+        assert main(["check", path]) == 0
+        assert json.loads(capsys.readouterr().out)["valid"]
+        assert seen == ["row"]
+        assert main(["analyze", path]) == 0
+        assert seen == ["row", "row"]
+
+    def test_a_loop_and_a_near_ring_still_sort_both_orientations(self, monkeypatch):
+        ring = parse_spec("cyclic:6")
+        seen = self.sorted_lines(monkeypatch)
+        validate_loop(ring.add)
+        validate_lnr(ring.add, ring.mul, ring.one)
+        assert seen == ["row", "col", "row", "col"]
+
+    def test_a_row_with_two_entries_swapped_takes_the_column_sort(
+            self, tmp_path, monkeypatch, capsys):
+        # Z16 with add[5][2] and add[5][9] swapped: every row is still a
+        # permutation, the certificate fails, and the column sort finds 14
+        # twice in column 2
+        n, add, mul, one = base("cyclic:16")
+        add = [row[:] for row in add]
+        add[5][2], add[5][9] = add[5][9], add[5][2]
+        lights = tables.Lights(tables.Light(tables.as_table(mul)), tables.Light(tables.as_table(add)))
+        assert lights.basis is None
+        path = self.write(tmp_path / "swapped.json", n, add, mul, one)
+        seen = self.sorted_lines(monkeypatch)
+        assert main(["check", path]) == 1
+        found = json.loads(capsys.readouterr().out)["violations"]
+        assert found[0]["message"] == "duplicate 14 in add col 2"
+        got = [(v["axiom"], v["witness"]) for v in found]
+        assert got[0] == ("latin-square", [2, 14])
+        assert got == brute("ring", n, add, mul, one)
+        assert seen == ["row", "col"]
+        with pytest.raises(ValidationError) as exc:
+            validate_ring_tables(add, mul, one)
+        assert (exc.value.axiom, str(exc.value)) == ("latin-square", "duplicate 14 in add col 2")
+
+
 def derived_images():
     """The homomorphic images the hom tests build, by name."""
     yield from corpus.unit_reflecting_hom_corpus()
@@ -622,8 +688,7 @@ class TestInheritedLaws:
         require = tables.require
 
         def recording(*args, **kw):
-            if kw.get("start") == "lnr":
-                scans.append(kw.get("laws", True))
+            scans.append(kw.get("laws", True))
             return require(*args, **kw)
 
         monkeypatch.setattr(tables, "require", recording)

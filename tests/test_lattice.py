@@ -210,8 +210,9 @@ class TestClosedSetsWork:
         """Patch ClosureSystem.join, ClosureSystem._saturate and
         _Witness.find to record their calls: the bitset of each set
         joined, the bitset of each set joined by a saturation, and the
-        generator x, the bitset u of the union and the witness y of each
-        witness search."""
+        generator x, the bitset u of the union and the bitset of the
+        join it settled (None if it settled none) of each witness
+        search."""
         joined, saturating, tried = [], [], []
         join, saturate, find = ClosureSystem.join, ClosureSystem._saturate, lattice._Witness.find
         joining = []
@@ -229,10 +230,10 @@ class TestClosedSetsWork:
                 saturating.append(joining[-1])
             return saturate(self, *args)
 
-        def recording_find(self, members, x, u):
-            y = find(self, members, x, u)
-            tried.append((x, u, y))
-            return y
+        def recording_find(self, members, x, u, found):
+            j = find(self, members, x, u, found)
+            tried.append((x, u, j))
+            return j
 
         monkeypatch.setattr(ClosureSystem, "join", recording_join)
         monkeypatch.setattr(ClosureSystem, "_saturate", recording_saturate)
@@ -259,7 +260,9 @@ class TestClosedSetsWork:
         ("m0:cyclic:4", 0, 0),
         ("m0:nonassoc5", 12, 12),
         # a ring's joins that no witness settles are sumsets
-        ("ut2:cyclic:4", 78, 0),
+        ("ut2:cyclic:4", 28, 0),
+        ("product:ut2:cyclic:2+ut2:cyclic:2", 13, 0),
+        ("ut2:cyclic:8", 430, 0),
     ])
     def test_saturating_joins(self, monkeypatch, spec, most, saturated):
         joined, saturating, tried = self.record_joins(monkeypatch)
@@ -270,15 +273,15 @@ class TestClosedSetsWork:
 
     @staticmethod
     def assert_witnesses_are_closures(monkeypatch, system, seed, principal=None):
+        """Every join a witness settles, whether a single row or a union
+        of rows found already settled it, is the closure of the union."""
         _, _, tried = TestClosedSetsWork.record_joins(monkeypatch)
         list(system.closed_sets(seed, principal))
-        if principal is None:   # row y is the closure of the seed and y
-            principal = np.array([system.close([*seed, y]) for y in range(system.n)])
-        for _, u, y in tried:
-            if y is not None:
+        for _, u, j in tried:
+            if j is not None:
                 union = [i for i in range(system.n) if u >> i & 1]
-                assert np.array_equal(principal[y], system.close(union))
-        return sum(y is not None for _, _, y in tried)
+                assert j == bits_of(system.close(union))
+        return sum(j is not None for _, _, j in tried)
 
     @given(small_near_rings())
     def test_witnessed_n_subloop_joins_are_closures(self, nr):
