@@ -49,8 +49,13 @@ class LnrHom(StructureHom):
         return self.image.members != frozenset({self.target.zero})
 
     @cached_property
+    def _unit_reflection(self) -> Verdict:
+        bad = units(self.target).mask()[self.map] & ~units(self.source).mask()
+        return Verdict(False, (int(np.argmax(bad)),)) if bad.any() else Verdict(True)
+
+    @property
     def unit_reflecting(self) -> bool:
-        return bool(is_unit_reflecting(self))
+        return bool(self._unit_reflection)
 
     @cached_property
     def idempotent_lifting(self) -> bool:
@@ -72,14 +77,9 @@ def validate_lnr_hom(
 
 
 def is_unit_reflecting(hom: LnrHom) -> Verdict:
-    """Every element mapping onto a unit of the target must be a unit."""
-    src_units = units(hom.source).mask()
-    tgt_units = units(hom.target).mask()
-    pulled = tgt_units[hom.map]
-    bad = pulled & ~src_units
-    if bad.any():
-        return Verdict(False, (int(np.argmax(bad)),))
-    return Verdict(True)
+    """Every element mapping onto a unit of the target must be a unit:
+    ``hom._unit_reflection``, read off each side's ``units`` once per hom."""
+    return hom._unit_reflection
 
 
 def is_idempotent_lifting(hom: LnrHom) -> Verdict:

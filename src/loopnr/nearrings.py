@@ -42,10 +42,15 @@ class LoopNearRing(CayleyLoop):
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        # inverse[u] = the two-sided inverse of unit u, -1 at a non-unit
+        """inverse[u], the inverse of unit u or -1, read off row u alone: in a
+        finite monoid u*v = 1 forces v*u = 1, for x -> v*x is one to one
+        (u*v*x = x), so v*w = 1 for some w, and w = u*v*w = u.  One gather
+        over the units checks the other side, raising TheoremViolation."""
         hits = self.mul == self.one
-        two_sided = hits & hits.T
-        inverse = np.where(two_sided.any(axis=1), two_sided.argmax(axis=1), -1).astype(np.int64)
+        inverse = np.where(hits.any(axis=1), hits.argmax(axis=1), -1).astype(np.int64)
+        u = np.flatnonzero(inverse >= 0)
+        if (wrong := u[self.mul[inverse[u], u] != self.one]).size:
+            raise TheoremViolation(f"{wrong[0]}*{inverse[wrong[0]]} = 1 but not the other way round")
         inverse.setflags(write=False)
         return inverse
 
@@ -71,9 +76,9 @@ class LoopNearRing(CayleyLoop):
     @cached_property
     def _maximal_n_subloops(self) -> tuple:
         """The coatoms.  Unless the lattice is already kept, a local N
-        gets its one coatom without it, from U' = {u : no r has r*u = 1}:
+        gets its one coatom without it, from U', its non-units (``inverse``):
 
-          1. an N-subloop holding u with r*u = 1 holds 1, and so N*1 = N;
+          1. an N-subloop holding a unit u holds 1 = u^-1 * u, so N*1 = N;
           2. so every proper N-subloop lies in U', hence in cl({0} | U');
           3. so cl({0} | U'), when proper, is the unique coatom.
 
@@ -82,7 +87,7 @@ class LoopNearRing(CayleyLoop):
         every larger proper set came first and lies in one of them.
         """
         if "_n_subloops" not in self.__dict__:
-            seed = ~(self.mul == self.one).any(axis=0)
+            seed = self.inverse < 0
             seed[self.zero] = True
             closed = _n_subloop_system(self).close(np.flatnonzero(seed))
             if not closed.all():
@@ -153,8 +158,8 @@ def units(nr: LoopNearRing) -> ElementSubset:
     ``nr.inverse``, whose entry at each unit is its inverse.
 
     The result is asserted to be closed under multiplication; each
-    inverse is a unit by construction, since it is picked two-sided.
-    Computed once per near-ring.
+    inverse is a unit by construction, since ``inverse`` certifies it
+    on both sides.  Computed once per near-ring.
     """
     return nr._units
 

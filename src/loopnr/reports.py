@@ -233,9 +233,7 @@ def check_report(kind: str, n: int, add, mul, one, name: str) -> dict:
     if isinstance(add, CayleyLoop):
         found = ()
     else:
-        add = tables.as_table(add)
-        mul = None if kind == "loop" else tables.as_table(mul)
-        found = tables.violations(add, mul, one, kind=kind)
+        found = tables.violations(tables.as_table(add), mul, one, kind=kind)
     violations = [
         {"axiom": error.axiom, "witness": witness and list(witness), "message": message}
         for error, message, witness in found

@@ -138,13 +138,12 @@ def left_ideals(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> list:
 def radical_by_quasiregularity(ring: FiniteRing) -> ElementSubset:
     """J = { a : 1 - x*a has a left inverse for every x }.
 
-    Whether 1 - y has a left inverse is one vector over y, so a single
-    (n, n) gather of it through mul answers it for every 1 - x*a; the
-    table of 1 - x*a is never built.
+    1 - y has one exactly when it is a unit (see ``inverse``): one vector
+    over y, so a single (n, n) gather of it through mul answers it for
+    every 1 - x*a; the table of 1 - x*a is never built.
     """
-    has_left_inv = (ring.mul == ring.one).any(axis=0)
     # [y]: whether 1 - y has a left inverse
-    one_minus_has = has_left_inv[ring.add[ring.one, ring.neg]]
+    one_minus_has = (ring.inverse >= 0)[ring.add[ring.one, ring.neg]]
     return ElementSubset.from_mask(one_minus_has[ring.mul].all(axis=0))
 
 

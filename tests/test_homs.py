@@ -6,6 +6,7 @@ from loopnr import (
     PreconditionFailed,
     StructureHom,
     TargetNotARing,
+    hom_report,
     idempotent_kill_check,
     idempotents,
     image_subring,
@@ -111,6 +112,20 @@ class TestUnitReflection:
     def test_whole_corpus_reflects(self):
         for name, f in corpus.unit_reflecting_hom_corpus():
             assert is_unit_reflecting(f).ok, name
+
+    def test_decided_once_per_hom(self, monkeypatch):
+        from loopnr import homs
+
+        f = validate_lnr_hom([x % 2 for x in range(4)], corpus.z(4), corpus.z(2))
+        read, units = [], homs.units
+        monkeypatch.setattr(homs, "units", lambda nr: read.append(nr) or units(nr))
+        payload = hom_report(f, "z4", "z2", with_transfer=True)
+        assert payload["unit_reflecting"] and payload["transfer"]["kill_check"]
+        # the report, the transfer and the kill check all read f's verdict;
+        # the source's units are read once for it and once for f's
+        # corestriction onto its image ring, itself another hom
+        assert sum(nr is f.source for nr in read) == 2
+        assert is_unit_reflecting(f) is is_unit_reflecting(f) is f._unit_reflection
 
 
 class TestIdempotentLifting:

@@ -15,6 +15,7 @@ from loopnr import (
     NotIdentity,
     PreconditionFailed,
     RightDistributivityFails,
+    TheoremViolation,
     ValidationError,
     annihilator,
     enumerate_N_subloops,
@@ -144,6 +145,21 @@ def test_inverse_against_brute_force(nr):
         two_sided = [v for v in range(nr.n) if mul[u][v] == one and mul[v][u] == one]
         assert two_sided == ([] if inverse[u] == -1 else [inverse[u]]), u
     assert units(nr) == ElementSubset.from_mask(inverse >= 0)
+    # a finite monoid's one-sided inverses are two-sided: an inverse on
+    # either side alone finds exactly the units
+    right = {u for u in range(nr.n) if one in mul[u]}
+    left = {u for u in range(nr.n) if any(mul[r][u] == one for r in range(nr.n))}
+    assert right == left == units(nr).members
+
+
+def test_inverse_certifies_the_other_side():
+    # hand-built past validation: 2*0 = 1 but 0*2 = 0, so mul is no monoid
+    add = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+    mul = np.array([[0, 0, 0], [0, 1, 2], [1, 2, 2]], dtype=np.int16)
+    nr = LoopNearRing(n=3, add=np.array(add, dtype=np.int16), mul=mul, one=1,
+                      zero_symmetric=False)
+    with pytest.raises(TheoremViolation, match=r"^2\*0 = 1 but not"):
+        nr.inverse
 
 
 class TestNSubloops:
