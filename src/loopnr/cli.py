@@ -18,7 +18,7 @@ import sys
 from dataclasses import fields, replace
 from functools import cache
 
-from .config import DEFAULT_BOUNDS, Bounds, bounds_from_env
+from .config import DEFAULT_BOUNDS, Bounds, bounds_from_env, int_token, int_tokens
 from .errors import (
     BoundExceeded,
     HypothesisFailed,
@@ -26,7 +26,6 @@ from .errors import (
     LoopNrError,
     ParseError,
     PreconditionFailed,
-    TargetNotARing,
     TheoremViolation,
     ValidationError,
 )
@@ -135,9 +134,9 @@ def _load_map(path: str) -> list:
             raise ParseError(f"cannot read {path}: {exc}") from None
     else:
         try:
-            data = [int(tok) for tok in text.split()]
-        except ValueError:
-            raise ParseError("map file entries must be integers") from None
+            data = int_tokens(text)
+        except ValueError as exc:
+            raise ParseError(f"map file entries must be integers, {exc}") from None
     for v in data:
         if not isinstance(v, int) or isinstance(v, bool):
             raise ParseError("map file entries must be integers")
@@ -182,6 +181,14 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+def _cap(tok: str) -> int:
+    """A cap flag's value, read by ``int_token``; argparse names the flag."""
+    try:
+        return int_token(tok)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {tok!r}") from None
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing keeps no
@@ -192,11 +199,11 @@ def build_parser() -> argparse.ArgumentParser:
         "locality, radicals, idempotent decompositions.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-n", dest="max_n", type=int, default=None,
+    common.add_argument("--max-n", dest="max_n", type=_cap, default=None,
                         help="largest structure order accepted")
-    common.add_argument("--max-subloops", dest="max_subloop_n", type=int, default=None,
+    common.add_argument("--max-subloops", dest="max_subloop_n", type=_cap, default=None,
                         help="largest loop order for subloop enumeration")
-    common.add_argument("--max-families", dest="max_families", type=int, default=None,
+    common.add_argument("--max-families", dest="max_families", type=_cap, default=None,
                         help="cap on enumerated idempotent families")
     common.add_argument("--text", action="store_true",
                         help="human-readable output instead of canonical JSON")
@@ -262,7 +269,7 @@ def main(argv=None) -> int:
     except (BoundExceeded, LimitReached) as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)
         return 3
-    except (PreconditionFailed, HypothesisFailed, TargetNotARing) as exc:
+    except (PreconditionFailed, HypothesisFailed) as exc:
         print(f"hypothesis not met: {exc}", file=sys.stderr)
         return 4
     except ValidationError as exc:

@@ -63,10 +63,31 @@ def bounds_from_env(base: Bounds | None = None, env=None) -> Bounds:
         if raw is None:
             continue
         try:
-            updates[field_name] = int(raw)
-        except ValueError:
-            raise ValueError(f"{var} must be an integer, got {raw!r}") from None
+            updates[field_name] = int_token(raw)
+        except ValueError as exc:
+            raise ValueError(f"{var} must be an integer, {exc}") from None
     return replace(out, **updates) if updates else out
+
+
+def int_token(tok: str) -> int:
+    """Each integer of a spec, text or map file, ``LOOPNR_*`` value or cap
+    flag: ASCII ``-?[0-9]+``, as in JSON (``int`` also takes ``1_0``, ``+2``,
+    spaces, non-ASCII digits).  Else ValueError ``got '<tok>'``."""
+    digits = tok[1:] if tok[:1] == "-" else tok
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"got {tok!r}")
+    return int(tok)
+
+
+def int_tokens(text: str) -> list:
+    """``int_token`` of each whitespace-separated token of ``text``; ``int``
+    takes just ``-?[0-9]+`` on ASCII text without "_" or "+", and is faster."""
+    if text.isascii() and "_" not in text and "+" not in text:
+        try:
+            return [int(tok) for tok in text.split()]
+        except ValueError:
+            pass
+    return [int_token(tok) for tok in text.split()]
 
 
 DEFAULT_BOUNDS = Bounds()

@@ -80,10 +80,6 @@ class NotApproximatelyIdempotent(LoopNrError):
     """x*x - x does not lie in the given ideal, so x cannot be lifted."""
 
 
-class TargetNotARing(LoopNrError):
-    """An operation requiring a ring codomain got a non-ring."""
-
-
 class BoundExceeded(LoopNrError):
     """A size cap from :class:`loopnr.config.Bounds` was exceeded."""
 

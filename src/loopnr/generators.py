@@ -45,7 +45,7 @@ import random
 import numpy as np
 
 from . import io, tables
-from .config import DEFAULT_BOUNDS, Bounds
+from .config import DEFAULT_BOUNDS, Bounds, int_token
 from .errors import BoundExceeded, ParseError
 from .loops import CayleyLoop, is_associative, validate_loop
 from .nearrings import LoopNearRing, _validated, validate_lnr
@@ -394,7 +394,7 @@ def parse_spec(spec: str, bounds: Bounds = DEFAULT_BOUNDS):
 
     def as_int(tok, what):
         try:
-            return int(tok)
+            return int_token(tok)
         except ValueError:
             raise ParseError(f"bad {what} {tok!r} in spec {spec!r}") from None
 

@@ -24,14 +24,13 @@ from .config import DEFAULT_BOUNDS, Bounds
 from .errors import (
     NotAHomomorphism,
     PreconditionFailed,
-    TargetNotARing,
     TheoremViolation,
 )
 from .loops import StructureHom, Verdict, _checked_map, _require_law
 from .nearrings import (
     LoopNearRing,
+    _image,
     idempotents,
-    induced,
     is_local_lnr,
     units,
 )
@@ -41,7 +40,9 @@ from .tables import positions
 
 @dataclass(frozen=True, eq=False, repr=False)
 class LnrHom(StructureHom):
-    """A validated homomorphism of loop near-rings, as a total index map."""
+    """A homomorphism of loop near-rings, as a total index map: validated
+    (``validate_lnr_hom``) or built as one (``rings.quotient_ring``,
+    ``image_subring``)."""
 
     @cached_property
     def nontrivial(self) -> bool:
@@ -101,37 +102,27 @@ def is_idempotent_lifting(hom: LnrHom) -> Verdict:
     return Verdict(True)
 
 
-@dataclass(frozen=True, eq=False)
-class ImageRing:
-    """The image of a near-ring homomorphism into a ring, re-indexed.
-
-    ``carrier[i]`` is the target element the i-th image element stands
-    for (ascending, so image index 0 is the target zero).
-    ``surjection`` is the corestriction of the original map onto the
-    image ring.
-    """
-
-    ring: FiniteRing
-    carrier: tuple
-    surjection: LnrHom
-
-
-def image_subring(hom: LnrHom) -> ImageRing:
-    """Collapse the image to a standalone ring on indices 0..k-1.
+def image_subring(hom: LnrHom) -> LnrHom:
+    """The corestriction of ``hom`` onto its image, a standalone ring on
+    indices 0..k-1: index i stands for the i-th least element of
+    ``hom.image``, so index 0 is the target zero.
 
     The image of a near-ring homomorphism into a ring is closed under
-    +, * and negation (the negative of f(n) is the image of the
-    right complement of n), so re-indexing the value set and gathering
-    the target tables yields a subring of the target.  It inherits the
-    target's ring laws; ``induced`` checks its closure, zero and
-    identity.
+    +, * and negation (the negative of f(n) is the image of the right
+    complement of n): a subring of the target, inheriting its ring laws.
+    ``_image`` builds its tables as the target's sent through ``label``,
+    the positions of the image; the corestriction is ``hom.map`` sent
+    through that same ``label``, so it is a homomorphism by construction.
+    A codomain that is not a ring is PreconditionFailed.
     """
     if not isinstance(hom.target, FiniteRing):
-        raise TargetNotARing("image_subring needs a ring codomain")
-    carrier = hom.image.sorted_members
-    ring = induced(hom.target, hom.image, hom.map[hom.source.one])
-    surj = validate_lnr_hom(positions(carrier, hom.target.n)[hom.map], hom.source, ring)
-    return ImageRing(ring=ring, carrier=carrier, surjection=surj)
+        raise PreconditionFailed("image subring needs a ring codomain")
+    reps = np.fromiter(hom.image, np.int64)
+    label = positions(reps, hom.target.n)
+    ring = _image(hom.target, reps, label, int(hom.map[hom.source.one]))
+    corestriction = label[hom.map]
+    corestriction.setflags(write=False)
+    return LnrHom(source=hom.source, target=ring, map=corestriction)
 
 
 @dataclass(frozen=True)
@@ -176,15 +167,15 @@ def verify_local_transfer(hom: LnrHom, bounds: Bounds = DEFAULT_BOUNDS) -> Trans
             f"transfer theorem needs a unit-reflecting homomorphism, witness {into_target.witness}"
         )
     img = image_subring(hom)
-    onto_image = is_unit_reflecting(img.surjection)
+    onto_image = is_unit_reflecting(img)
     source_local = is_local_lnr(hom.source, bounds).is_local
-    image_local = is_local_ring(img.ring, bounds)
+    image_local = is_local_ring(img.target, bounds)
     if source_local != image_local:
         raise TheoremViolation(
             f"locality transfer failed: source {source_local}, image {image_local}"
         )
     tgt_units = units(hom.target).sorted_members
-    img_units = tuple(img.carrier[u] for u in units(img.ring))
+    img_units = tuple(hom.image.sorted_members[u] for u in units(img.target))
     return TransferReport(
         source_local=source_local,
         image_local=image_local,
@@ -193,7 +184,7 @@ def verify_local_transfer(hom: LnrHom, bounds: Bounds = DEFAULT_BOUNDS) -> Trans
         unit_reflecting_onto_image=bool(onto_image),
         units_of_target=tgt_units,
         units_of_image=img_units,
-        image_size=img.ring.n,
+        image_size=img.target.n,
     )
 
 

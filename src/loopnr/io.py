@@ -76,7 +76,7 @@ from io import BytesIO, StringIO, TextIOWrapper
 
 import numpy as np
 
-from .config import DEFAULT_BOUNDS, Bounds
+from .config import DEFAULT_BOUNDS, Bounds, int_token, int_tokens
 from .errors import ParseError
 from .loops import CayleyLoop, validate_loop
 from .nearrings import validate_lnr
@@ -434,7 +434,7 @@ def _parse_text(text: str) -> StructureFile:
         raise ParseError('first line must be "<kind> <n>"')
     kind = head[0]
     try:
-        n = int(head[1])
+        n = int_token(head[1])
     except ValueError:
         raise ParseError(f"bad size {head[1]!r}") from None
     if n < 1:
@@ -446,9 +446,9 @@ def _parse_text(text: str) -> StructureFile:
         out = []
         for ln in chunk[:n]:
             try:
-                row = [int(tok) for tok in ln.split()]
-            except ValueError:
-                raise ParseError(f"non-integer entry in {what} row {ln!r}") from None
+                row = int_tokens(ln)
+            except ValueError as exc:
+                raise ParseError(f"non-integer entry in {what} row {ln!r}, {exc}") from None
             if len(row) != n:
                 raise ParseError(f"{what} row has {len(row)} entries, expected {n}")
             out.append(row)
@@ -465,7 +465,7 @@ def _parse_text(text: str) -> StructureFile:
     if len(rest) != 1 or not rest[0].startswith("one="):
         raise ParseError('expected a final "one=<k>" line')
     try:
-        one = int(rest[0][4:])
+        one = int_token(rest[0][4:])
     except ValueError:
         raise ParseError(f"bad identity index {rest[0]!r}") from None
     return StructureFile(kind=kind, n=n, add=add, mul=mul, one=one)

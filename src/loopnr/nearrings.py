@@ -146,9 +146,10 @@ def induced(nr: LoopNearRing, carrier, one: int) -> LoopNearRing:
 
 def _image(nr: LoopNearRing, reps, label, one: int) -> LoopNearRing:
     """``nr``'s tables on reps x reps, each entry and ``one`` sent through
-    the lookup array ``label``: the positions of reps (``induced``) or the
-    coset projection of a certified ideal (``rings._quotient_by``), a
-    homomorphism (Birkhoff).  Either way the law rows are inherited."""
+    the lookup array ``label``: the positions of reps (``induced``,
+    ``homs.image_subring``) or the coset projection of a certified ideal
+    (``rings._quotient_by``), a homomorphism (Birkhoff).  Either way the
+    law rows are inherited."""
     grid = np.ix_(reps, reps)
     return _validated(type(nr), label[nr.add[grid]], label[nr.mul[grid]], label[one], laws=False)
 

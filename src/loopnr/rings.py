@@ -13,7 +13,7 @@ are asserted to agree:
   * idempotent lifting via the polynomial iteration and via coset
     search.
 
-The certified radical and the quotient A/J are computed once per ring.
+The certified radical and the projection A -> A/J are computed once per ring.
 """
 
 from __future__ import annotations
@@ -96,8 +96,8 @@ class FiniteRing(LoopNearRing):
             raise TheoremViolation(f"Jacobson radical is not a two-sided ideal: {exc}") from exc
 
     @cached_property
-    def _quotient(self) -> Quotient:
-        # A/J, built and certified once, by the radical certified once
+    def _quotient(self):
+        # A -> A/J, built once, by the radical certified once
         return _quotient_by(self, self._radical)
 
 
@@ -168,50 +168,35 @@ def jacobson_radical(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> Eleme
     return ring._radical
 
 
-@dataclass(frozen=True, eq=False)
-class Quotient:
-    """A quotient ring with its canonical projection, both maps read-only
-    int64 arrays.
+def quotient_ring(ring: FiniteRing, ideal):
+    """The canonical projection A -> A / I as an ``LnrHom``: its ``target``
+    is A / I, its ``map`` the read-only coset index of each element, its
+    ``kernel`` I.  Cosets are indexed by ascending least element, so the
+    zero coset is 0; A / {0} is A itself, along the identity.
 
-    ``leaders[i]`` is the least element of the i-th coset; cosets are
-    indexed in ascending leader order, so the zero coset is index 0.
-    ``projection[x]`` is the coset index of parent element x.
-    """
-
-    ring: FiniteRing
-    leaders: np.ndarray
-    projection: np.ndarray
-
-    def __repr__(self):
-        return f"Quotient(n={self.ring.n})"
-
-
-def quotient_ring(ring: FiniteRing, ideal) -> Quotient:
-    """A / I with canonical least-element coset representatives.
-
-    A / {0} is A itself: its tables would be A's byte for byte.  The
-    ideal is certified first, so the coset projection is a homomorphism
-    and the quotient inherits A's ring laws: only the rows that are not
-    laws are scanned.
+    The ideal is certified first, so the cosets of a + b and a * b are
+    read off those of a and b.  ``_image`` builds A / I's tables as A's
+    sent through this same map, so it is a homomorphism by construction
+    and A / I inherits A's ring laws.
     """
     return _quotient_by(ring, validate_ideal(ring, ideal))
 
 
-def _quotient_by(ring: FiniteRing, ideal: ElementSubset) -> Quotient:
-    """A / I for an ideal that ``validate_ideal`` has certified."""
+def _quotient_by(ring: FiniteRing, ideal: ElementSubset):
+    """``quotient_ring`` for an ideal that ``validate_ideal`` has certified."""
+    from .homs import LnrHom   # homs imports rings
     if len(ideal) == 1:
-        leaders = proj = np.arange(ring.n, dtype=np.int64)
+        proj = np.arange(ring.n, dtype=np.int64)
         q = ring
     else:
         ii = np.fromiter(ideal, dtype=np.int64, count=len(ideal))
         # leader[x] = min(x + I); the coset index of x is the rank of its leader
         leader_of = ring.add[:, ii].min(axis=1)
-        leaders = tables.distinct(leader_of, ring.n).astype(np.int64)
+        leaders = tables.distinct(leader_of, ring.n)
         proj = np.searchsorted(leaders, leader_of).astype(np.int64)
         q = _image(ring, leaders, proj, ring.one)
-    leaders.setflags(write=False)
     proj.setflags(write=False)
-    return Quotient(ring=q, leaders=leaders, projection=proj)
+    return LnrHom(source=ring, target=q, map=proj)
 
 
 def is_division_ring(ring: FiniteRing) -> bool:
@@ -225,7 +210,7 @@ def is_local_ring(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> bool:
     """Both routes of ``is_local_lnr``, cross-checked against A/J division."""
     # is_local_lnr checks the size bound before A/J is read
     by_lnr = is_local_lnr(ring, bounds).is_local
-    by_quotient = is_division_ring(ring._quotient.ring)
+    by_quotient = is_division_ring(ring._quotient.target)
     if by_lnr != by_quotient:
         raise TheoremViolation(
             f"locality characterizations disagree on a ring: maximal and non-unit "
@@ -247,10 +232,10 @@ def is_semiperfect(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> bool:
     """
     bounds.check("max_enum_n", ring.n, "ring for left-ideal enumeration")
     q = ring._quotient
-    if not is_semisimple(q.ring, bounds):
+    if not is_semisimple(q.target, bounds):
         return False
-    lifted = set(int(q.projection[e]) for e in idempotents(ring))
-    return all(e in lifted for e in idempotents(q.ring))
+    lifted = set(int(q.map[e]) for e in idempotents(ring))
+    return all(e in lifted for e in idempotents(q.target))
 
 
 def coset_idempotents(ring: FiniteRing, ideal, x: int) -> tuple:

@@ -348,13 +348,13 @@ class TestLightOnce:
         elif derive == "quotient_ring":
             j = jacobson_radical(ring)
             mul_scans.clear()
-            sub = quotient_ring(ring, j).ring
+            sub = quotient_ring(ring, j).target
         else:
             # Z/4 onto {0, 5, 10, 15} in Z/4 x Z/4, whose identity is 5
             target = parse_spec("product:cyclic:4+cyclic:4")
             hom = validate_lnr_hom([5 * x for x in range(4)], parse_spec("cyclic:4"), target)
             mul_scans.clear()
-            sub = image_subring(hom).ring
+            sub = image_subring(hom).target
         assert type(sub) is FiniteRing
         assert mul_scans == []
 
@@ -643,12 +643,17 @@ class TestInheritedLaws:
         for e in idempotents(ring):
             if e != ring.zero:
                 self.assert_every_row_holds(corner_ring(ring, e).ring, f"{spec} corner {e}")
-        self.assert_every_row_holds(quotient_ring(ring, jacobson_radical(ring)).ring,
+        self.assert_every_row_holds(quotient_ring(ring, jacobson_radical(ring)).target,
                                     f"{spec} A/J")
 
     def test_images(self):
         for name, hom in derived_images():
-            self.assert_every_row_holds(image_subring(hom).ring, name)
+            img = image_subring(hom)
+            self.assert_every_row_holds(img.target, name)
+            # the corestriction is built without a scan; the full scan of
+            # + and * finds it a homomorphism onto all of the image ring
+            validate_lnr_hom(img.map, img.source, img.target)
+            assert img.image.members == frozenset(range(img.target.n)), name
 
     def test_carrier_not_closed_is_out_of_range(self):
         ring = parse_spec("cyclic:6")
@@ -695,7 +700,7 @@ class TestInheritedLaws:
         assert induced(ring, [0, 3], 3).n == 2
         assert induced(ring, [0, 2, 4], 4).n == 3
         quotient = quotient_ring(ring, validate_ideal(ring, [0, 3]))
-        assert quotient.ring.mul.tolist() == corpus.z(3).mul.tolist()
+        assert quotient.target.mul.tolist() == corpus.z(3).mul.tolist()
         assert scans == [False, False, False]
 
 

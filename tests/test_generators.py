@@ -445,6 +445,15 @@ class TestParseSpec:
             "smallloop:4,9",
             "random_loop:4",
             "opposite:nonassoc5",
+            # an integer is ASCII -?[0-9]+, as JSON writes one
+            "cyclic:1_0",
+            "cyclic:\u0666",
+            "cyclic:+6",
+            "cyclic: 6",
+            "gf:\uff14",
+            "matrix:cyclic:2,\uff12",
+            "smallloop:4,+1",
+            "random_loop:4, 0",
         ],
     )
     def test_rejects_malformed(self, bad):

@@ -5,7 +5,6 @@ from loopnr import (
     NotAHomomorphism,
     PreconditionFailed,
     StructureHom,
-    TargetNotARing,
     hom_report,
     idempotent_kill_check,
     idempotents,
@@ -143,7 +142,7 @@ class TestIdempotentLifting:
         for name, f in corpus.unit_reflecting_hom_corpus():
             img = image_subring(f)
             src_trivial = len(idempotents(f.source)) <= 2
-            img_trivial = len(idempotents(img.ring)) <= 2
+            img_trivial = len(idempotents(img.target)) <= 2
             assert src_trivial == img_trivial, name
 
 
@@ -151,27 +150,29 @@ class TestImageSubring:
     def test_identity_image_is_whole(self):
         f = validate_lnr_hom(range(4), corpus.z(4), corpus.z(4))
         img = image_subring(f)
-        assert img.carrier == (0, 1, 2, 3)
-        assert img.ring.n == 4
+        assert img.map.tolist() == [0, 1, 2, 3]
+        assert img.target.n == 4
 
     def test_diagonal_image(self):
         tgt = corpus.zz(4, 4)
         f = validate_lnr_hom([5 * x for x in range(4)], corpus.z(4), tgt)
         img = image_subring(f)
-        assert img.carrier == (0, 5, 10, 15)
-        assert img.ring.n == 4
-        assert img.surjection.image.members == frozenset(range(4))
+        # image index i stands for the i-th least of 0, 5, 10, 15
+        assert f.image.sorted_members == (0, 5, 10, 15)
+        assert img.source is f.source and img.target.n == 4
+        assert img.map.tolist() == [0, 1, 2, 3] and not img.map.flags.writeable
+        assert img.image.members == frozenset(range(4))
 
     def test_trivial_hom_gives_zero_ring(self):
         f = validate_lnr_hom([0, 0, 0, 0], corpus.z(4), corpus.z(1))
         assert not f.nontrivial
         img = image_subring(f)
-        assert img.ring.n == 1
+        assert img.target.n == 1
 
     def test_needs_ring_codomain(self):
         tgt = corpus.m0("small:3,0")
         f = validate_lnr_hom([mult_by_map(a) for a in range(9)], corpus.z(9), tgt)
-        with pytest.raises(TargetNotARing):
+        with pytest.raises(PreconditionFailed, match="^image subring needs a ring codomain$"):
             image_subring(f)
 
 

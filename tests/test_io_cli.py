@@ -779,15 +779,21 @@ class TestRefusals:
     @pytest.mark.parametrize("text, message", [
         ("  \n", "empty map file"),
         ("[0,", "invalid JSON map file: Expecting value: line 1 column 4 (char 3)"),
-        ("0 x\n", "map file entries must be integers"),
+        ("0 x\n", "map file entries must be integers, got 'x'"),
         ("[0, 1.5]", "map file entries must be integers"),
         ("[true, 0]", "map file entries must be integers"),
         # only text that starts with "[" takes the JSON route
-        ('{"0": 1}', "map file entries must be integers"),
+        ('{"0": 1}', "map file entries must be integers, got '{\"0\":'"),
+        # an entry is ASCII -?[0-9]+, as JSON writes one: no underscore,
+        # plus sign or non-ASCII digit, each of which int() would take
+        ("0 \u0661 \u0662 \u0663", "map file entries must be integers, got '\u0661'"),
+        ("0 1_0 2 3", "map file entries must be integers, got '1_0'"),
+        ("0 +1 2 3", "map file entries must be integers, got '+1'"),
+        ("0 \uff11 2 3", "map file entries must be integers, got '\uff11'"),
     ])
     def test_map_file(self, capsys, tmp_path, text, message):
         p = tmp_path / "map"
-        p.write_text(text)
+        p.write_text(text, encoding="utf-8")
         code, out = run_cli(capsys, "hom", "cyclic:2", "cyclic:2", str(p))
         assert (code, out) == (2, f"parse error: {message}\n")
 
@@ -798,13 +804,31 @@ class TestRefusals:
         ("loop -3\n", "n must be positive"),
         # only text that starts with "{" takes the JSON route
         ('[{"kind":"loop","n":1,"add":[[0]]}]', 'first line must be "<kind> <n>"'),
+        ('{"kind":"ring","n":1,"add":[],"mul":[[0]],"one":0}',
+         "add table must be a nonempty list of rows"),
+        ('{"kind":"loop","n":1,"add":5}', "add table must be a nonempty list of rows"),
+        # a text token is ASCII -?[0-9]+, as JSON writes one
+        ("ring 2\n0_0 1\n1 0\n0 0\n0 1\none=1\n",
+         "non-integer entry in add row '0_0 1', got '0_0'"),
+        ("ring 2\n0 +1\n1 0\n0 0\n0 1\none=1\n",
+         "non-integer entry in add row '0 +1', got '+1'"),
+        ("ring 2\n0 1\n\uff11 0\n0 0\n0 1\none=1\n",
+         "non-integer entry in add row '\uff11 0', got '\uff11'"),
+        ("ring 2\n0 1\n1 0\n0 0\n0 1\none=\uff11\n", "bad identity index 'one=\uff11'"),
+        ("ring 2\n0 1\n1 0\n0 0\n0 1\none= 1\n", "bad identity index 'one= 1'"),
+        ("ring \u0662\n0 1\n1 0\n0 0\n0 1\none=1\n", "bad size '\u0662'"),
     ])
     def test_structure_file(self, capsys, tmp_path, text, message):
         p = tmp_path / "structure"
-        p.write_text(text)
+        p.write_text(text, encoding="utf-8")
         for command in ("check", "analyze"):
             code, out = run_cli(capsys, command, str(p))
             assert (code, out) == (2, f"parse error: {message}\n")
+
+    def test_directory(self, capsys, tmp_path):
+        code, out = run_cli(capsys, "check", str(tmp_path))
+        assert (code, out) == (2, f"parse error: cannot read {tmp_path}: "
+                                  f"[Errno 21] Is a directory: '{tmp_path}'\n")
 
 
 def run_cli(capsys, *argv):
@@ -903,11 +927,21 @@ class TestCliCheck:
         code, _ = run_cli(capsys, "check", "cyclic:50")
         assert code == 3
 
-    def test_malformed_env_is_a_parse_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("LOOPNR_MAX_N", "abc")
+    @pytest.mark.parametrize("value", ["abc", "1_0", "+10", " 10", "\u0661\u0660", "\uff11\uff10"])
+    def test_malformed_env_is_a_parse_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("LOOPNR_MAX_N", value)
         code, out = run_cli(capsys, "analyze", "cyclic:4")
         assert code == 2
-        assert out == "parse error: LOOPNR_MAX_N must be an integer, got 'abc'\n"
+        assert out == f"parse error: LOOPNR_MAX_N must be an integer, got {value!r}\n"
+
+    @pytest.mark.parametrize("flag", ["--max-n", "--max-subloops", "--max-families"])
+    @pytest.mark.parametrize("value", ["abc", "1_0", "+10", " 10", "\u0661\u0660"])
+    def test_malformed_flag_is_refused(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "cyclic:4", flag, value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {flag}: invalid int value: {value!r}\n")
 
     def test_env_past_the_int16_carrier_is_refused(self):
         from loopnr.config import bounds_from_env
@@ -1104,6 +1138,15 @@ class TestCliAnalyze:
         _, timed = run_json(capsys, *argv, "--timing")
         assert "timing" not in plain and sorted(timed.pop("timing")) == keys
         assert plain == timed
+
+    def test_text_renders_false(self, capsys):
+        code, out = run_cli(capsys, "analyze", "cyclic:6", "--local", "--text")
+        assert code == 0
+        assert out.startswith(
+            "command: analyze\ninput: cyclic:6\nkind: ring\nlocal:\n  applicable: true\n"
+            "  is_local: false\n  j: null\n  maximal: [[0, 3], [0, 2, 4]]\n"
+            "  maximal_count: 2\n  nonunits_count: 4\n  via_maximal: false\n"
+            "  via_units: false\nn: 6\n")
 
     def test_output_is_deterministic(self, capsys):
         _, a = run_cli(capsys, "analyze", "cyclic:12", "--local", "--radical")

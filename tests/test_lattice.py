@@ -364,7 +364,7 @@ class TestSumsetJoin:
     def test_quotients_and_corners_join_by_sumset(self):
         ring = parse_spec("ut2:cyclic:4")
         e = next(x for x in idempotents(ring) if x not in (ring.zero, ring.one))
-        for r in (ring, ring._quotient.ring, corner_ring(ring, e).ring):
+        for r in (ring, ring._quotient.target, corner_ring(ring, e).ring):
             assert nearrings._n_subloop_system(r).sumsets
 
     def test_near_ring_keeps_the_saturating_join(self):

@@ -129,35 +129,66 @@ class TestRadical:
         assert len(jacobson_radical(corpus.z(1))) == 1
 
 
+# every ideal this file names, on its ring
+LISTED_IDEALS = [
+    ("cyclic:4", corpus.z(4), {0, 2}),
+    ("cyclic:6", corpus.z(6), {0}),
+    ("cyclic:6", corpus.z(6), {0, 3}),
+    ("cyclic:6", corpus.z(6), {0, 2, 4}),
+    ("cyclic:12", corpus.z(12), {0, 6}),
+    ("m2(z2)", corpus.m2(2), {0}),
+    ("ut2(z2)", corpus.ut2(2), {0, 2}),
+    ("ut2(z3)", corpus.ut2(3), {0, 3, 6}),
+]
+
+
+def assert_projection(q, ring, ideal):
+    """The projection, built without a scan, passes the full scan of + and
+    * onto all of A / I, with kernel I."""
+    validate_lnr_hom(q.map, q.source, q.target)
+    assert q.source is ring and not q.map.flags.writeable
+    assert q.image.members == frozenset(range(q.target.n))
+    assert q.kernel.members == ElementSubset.of(ring.n, ideal).members
+
+
 class TestQuotient:
     def test_z4_mod_radical(self):
         q = quotient_ring(corpus.z(4), {0, 2})
-        assert q.ring.n == 2
-        assert q.leaders.tolist() == [0, 1]
-        assert q.projection.tolist() == [0, 1, 0, 1]
+        assert q.target.n == 2
+        assert q.map.tolist() == [0, 1, 0, 1]
 
     def test_z12_mod_radical(self):
         q = quotient_ring(corpus.z(12), jacobson_radical(corpus.z(12)))
-        assert q.ring.n == 6
-        assert is_semisimple(q.ring)
+        assert q.target.n == 6
+        assert is_semisimple(q.target)
 
     def test_matrix_quotient_is_semisimple(self):
         ring = corpus.m2(4)
         q = quotient_ring(ring, jacobson_radical(ring))
-        assert q.ring.n == 16
-        assert is_semisimple(q.ring)
+        assert q.target.n == 16
+        assert is_semisimple(q.target)
+
+    @pytest.mark.parametrize("name, ring, ideal", LISTED_IDEALS,
+                             ids=[f"{name} {sorted(i)}" for name, _, i in LISTED_IDEALS])
+    def test_projection_is_a_homomorphism(self, name, ring, ideal):
+        assert_projection(quotient_ring(ring, ideal), ring, ideal)
+
+    @pytest.mark.parametrize("spec", [spec for spec, kind, _ in CATALOG if kind == "ring"])
+    def test_projection_onto_a_mod_j_is_a_homomorphism(self, spec):
+        ring = parse_spec(spec)
+        assert_projection(ring._quotient, ring, jacobson_radical(ring))
 
     def test_projection_is_a_valid_hom(self):
         ring = corpus.z(4)
         q = quotient_ring(ring, {0, 2})
-        f = validate_lnr_hom(q.projection, ring, q.ring)
-        assert f.unit_reflecting
+        f = validate_lnr_hom(q.map, ring, q.target)
+        assert f.unit_reflecting and q.unit_reflecting
 
     def test_projection_may_not_reflect_units(self):
         ring = corpus.z(6)
         q = quotient_ring(ring, {0, 3})
-        f = validate_lnr_hom(q.projection, ring, q.ring)
-        assert not f.unit_reflecting
+        f = validate_lnr_hom(q.map, ring, q.target)
+        assert not f.unit_reflecting and not q.unit_reflecting
 
     def test_the_certified_radical_is_validated_once(self, monkeypatch):
         from loopnr import rings
@@ -189,17 +220,18 @@ class TestInducedLabelling:
         ring = parse_spec(spec)
         j = jacobson_radical(ring)
         q = quotient_ring(ring, j)
-        proj = q.projection
+        proj = q.map
         for x in range(ring.n):
             for y in range(ring.n):
                 assert (proj[x] == proj[y]) == (int(ring.sub(x, y)) in j)
-        for i, leader in enumerate(q.leaders):
-            assert leader == min(x for x in range(ring.n) if proj[x] == i)
-        for i, a in enumerate(q.leaders):
-            for k, b in enumerate(q.leaders):
-                assert q.ring.add[i, k] == proj[ring.add[a, b]]
-                assert q.ring.mul[i, k] == proj[ring.mul[a, b]]
-        assert q.ring.one == proj[ring.one]
+        # cosets are indexed by ascending least element
+        leaders = [min(x for x in range(ring.n) if proj[x] == i) for i in range(q.target.n)]
+        assert leaders == sorted(leaders)
+        for i, a in enumerate(leaders):
+            for k, b in enumerate(leaders):
+                assert q.target.add[i, k] == proj[ring.add[a, b]]
+                assert q.target.mul[i, k] == proj[ring.mul[a, b]]
+        assert q.target.one == proj[ring.one]
 
     def test_corner_at_each_idempotent(self, spec):
         ring = parse_spec(spec)
