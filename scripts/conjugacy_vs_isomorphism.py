@@ -19,11 +19,12 @@ from loopnr import (
     idempotents_isomorphic,
     parse_spec,
 )
+from loopnr.config import int_flag
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-n", type=int, default=256,
+    parser.add_argument("--max-n", type=int_flag, default=256,
                         help="skip rings larger than this")
     args = parser.parse_args(argv)
 

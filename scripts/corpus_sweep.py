@@ -24,6 +24,7 @@ from loopnr import (
     parse_spec,
     units,
 )
+from loopnr.config import int_flag
 from loopnr.rings import FiniteRing
 
 
@@ -52,7 +53,7 @@ def sweep_row(spec: str, kind: str, cfg: SweepConfig) -> str:
         elif not structure.zero_symmetric:
             local = "n/a"
         else:
-            local = "local" if is_local_lnr(structure).is_local else "not-local"
+            local = "local" if is_local_lnr(structure) else "not-local"
         body = f"{local:<10} |U|={u:<5} |E|={e:<4}"
         if isinstance(structure, FiniteRing):
             j = jacobson_radical(structure)
@@ -65,9 +66,9 @@ def sweep_row(spec: str, kind: str, cfg: SweepConfig) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-n", type=int, default=4096,
+    parser.add_argument("--max-n", type=int_flag, default=4096,
                         help="skip catalog entries larger than this")
-    parser.add_argument("--locality-cap", type=int, default=4096,
+    parser.add_argument("--locality-cap", type=int_flag, default=4096,
                         help="skip the locality check above this order")
     parser.add_argument("--timing", action="store_true",
                         help="append per-row wall time")

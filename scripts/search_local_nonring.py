@@ -25,6 +25,7 @@ from loopnr import (
     smallest_nonassociative_loop,
     validate_ring,
 )
+from loopnr.config import int_flag
 from loopnr.errors import ValidationError
 from loopnr.lattice import ClosureSystem
 
@@ -74,7 +75,7 @@ def search_base(name: str, base_nr, cfg: SearchConfig) -> list:
     hits = []
     for carrier in carriers:
         sub = restrict(base_nr, carrier)
-        if not is_local_lnr(sub).is_local:
+        if not is_local_lnr(sub):
             continue
         ring = is_a_ring(sub)
         verdict = "ring" if ring else "NOT A RING"
@@ -87,12 +88,12 @@ def search_base(name: str, base_nr, cfg: SearchConfig) -> list:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-loop-order", type=int, default=4,
+    parser.add_argument("--max-loop-order", type=int_flag, default=4,
                         help="search M0(G) for all loops G up to this order")
     parser.add_argument("--include-nonassoc5", action="store_true",
                         help="also search M0 of the order-5 nonassociative loop "
                              "(625 elements; takes a few seconds)")
-    parser.add_argument("--max-subs-per-base", type=int, default=2000,
+    parser.add_argument("--max-subs-per-base", type=int_flag, default=2000,
                         help="cap on enumerated sub-near-rings per base")
     args = parser.parse_args(argv)
     cfg = SearchConfig(args.max_loop_order, args.include_nonassoc5,

@@ -18,7 +18,7 @@ import sys
 from dataclasses import fields, replace
 from functools import cache
 
-from .config import DEFAULT_BOUNDS, Bounds, bounds_from_env, int_token, int_tokens
+from .config import DEFAULT_BOUNDS, Bounds, bounds_from_env, int_flag, int_tokens
 from .errors import (
     BoundExceeded,
     HypothesisFailed,
@@ -181,14 +181,6 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def _cap(tok: str) -> int:
-    """A cap flag's value, read by ``int_token``; argparse names the flag."""
-    try:
-        return int_token(tok)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {tok!r}") from None
-
-
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing keeps no
@@ -199,11 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
         "locality, radicals, idempotent decompositions.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-n", dest="max_n", type=_cap, default=None,
+    common.add_argument("--max-n", dest="max_n", type=int_flag, default=None,
                         help="largest structure order accepted")
-    common.add_argument("--max-subloops", dest="max_subloop_n", type=_cap, default=None,
+    common.add_argument("--max-subloops", dest="max_subloop_n", type=int_flag, default=None,
                         help="largest loop order for subloop enumeration")
-    common.add_argument("--max-families", dest="max_families", type=_cap, default=None,
+    common.add_argument("--max-families", dest="max_families", type=int_flag, default=None,
                         help="cap on enumerated idempotent families")
     common.add_argument("--text", action="store_true",
                         help="human-readable output instead of canonical JSON")

@@ -7,6 +7,7 @@ environment variables, which win over the defaults.
 
 from __future__ import annotations
 
+import argparse
 import os
 from dataclasses import dataclass, replace
 
@@ -77,6 +78,15 @@ def int_token(tok: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"got {tok!r}")
     return int(tok)
+
+
+def int_flag(tok: str) -> int:
+    """An integer flag's value, read by ``int_token``: an argparse ``type``,
+    so argparse names the flag in its refusal."""
+    try:
+        return int_token(tok)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {tok!r}") from None
 
 
 def int_tokens(text: str) -> list:

@@ -316,28 +316,10 @@ def _iso_class_labels(ring: FiniteRing, members) -> tuple:
     return labels, witnesses
 
 
-@dataclass(frozen=True)
-class KSReport:
-    """Outcome of the uniqueness verification on one ring.
-
-    ``class_labels`` assigns every member of every family its
-    isomorphism class; ``signature_multiset`` is the sorted tuple of
-    corner signatures of the canonical family, shared by all families
-    up to isomorphism of corners.
-    """
-
-    n: int
-    canonical: tuple
-    families: tuple
-    family_count: int
-    common_length: int
-    class_labels: tuple
-    signature_multiset: tuple
-    matched: bool
-
-
-def verify_ks_uniqueness(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> KSReport:
-    """Certify unique decomposition on one ring by exhaustion.
+def verify_ks_uniqueness(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> tuple:
+    """Certify unique decomposition on one ring by exhaustion: each
+    complete primitive family, in enumeration order, paired with the
+    isomorphism class of each of its members.
 
     Enumerates every complete primitive family (at most
     ``bounds.max_families`` of them, else LimitReached), checks the strong
@@ -359,36 +341,18 @@ def verify_ks_uniqueness(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> K
             raise TheoremViolation(f"families of different lengths: {fam} vs {canonical}")
         if sorted(labels[e] for e in fam) != canon_multiset:
             raise TheoremViolation(f"family {fam} not isomorphism-matched to {canonical}")
-    return KSReport(
-        n=ring.n,
-        canonical=canonical,
-        families=tuple(families),
-        family_count=len(families),
-        common_length=len(canonical),
-        class_labels=tuple(tuple(labels[e] for e in f) for f in families),
-        signature_multiset=tuple(sorted(corner_signature(ring, e) for e in canonical)),
-        matched=True,
-    )
-
-
-@dataclass(frozen=True)
-class RetractReport:
-    """Every primitive idempotent matched to a canonical family member."""
-
-    n: int
-    canonical: tuple
-    matches: tuple
+    return tuple((fam, tuple(labels[e] for e in fam)) for fam in families)
 
 
 def verify_retract_matching(
     ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS
-) -> RetractReport:
+) -> tuple:
     """Certify: each primitive idempotent is isomorphic to a canonical one.
 
     This is the indecomposable-retract side of uniqueness: a primitive
     idempotent f carves the indecomposable summand f*A out of the
     regular module, and that summand must already occur in the
-    canonical decomposition.  ``matches`` pairs every primitive f with
+    canonical decomposition.  Returns every primitive f paired with
     the least canonical member in f's isomorphism class; the canonical
     members are primitive, so one labelling of the primitives covers both.
     """
@@ -408,4 +372,4 @@ def verify_retract_matching(
                 f"primitive idempotent {f} matches no canonical family member"
             )
         matches.append((f, partner))
-    return RetractReport(n=ring.n, canonical=canonical, matches=tuple(matches))
+    return tuple(matches)

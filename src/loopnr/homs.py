@@ -62,6 +62,17 @@ class LnrHom(StructureHom):
     def idempotent_lifting(self) -> bool:
         return bool(is_idempotent_lifting(self))
 
+    @cached_property
+    def _image_subring(self) -> LnrHom:
+        if not isinstance(self.target, FiniteRing):
+            raise PreconditionFailed("image subring needs a ring codomain")
+        reps = np.fromiter(self.image, np.int64)
+        label = positions(reps, self.target.n)
+        ring = _image(self.target, reps, label, int(self.map[self.source.one]))
+        corestriction = label[self.map]
+        corestriction.setflags(write=False)
+        return LnrHom(source=self.source, target=ring, map=corestriction)
+
 
 def validate_lnr_hom(
     f, source: LoopNearRing, target: LoopNearRing
@@ -113,41 +124,15 @@ def image_subring(hom: LnrHom) -> LnrHom:
     ``_image`` builds its tables as the target's sent through ``label``,
     the positions of the image; the corestriction is ``hom.map`` sent
     through that same ``label``, so it is a homomorphism by construction.
-    A codomain that is not a ring is PreconditionFailed.
+    A codomain that is not a ring is PreconditionFailed.  Built once per
+    hom (``LnrHom._image_subring``).
     """
-    if not isinstance(hom.target, FiniteRing):
-        raise PreconditionFailed("image subring needs a ring codomain")
-    reps = np.fromiter(hom.image, np.int64)
-    label = positions(reps, hom.target.n)
-    ring = _image(hom.target, reps, label, int(hom.map[hom.source.one]))
-    corestriction = label[hom.map]
-    corestriction.setflags(write=False)
-    return LnrHom(source=hom.source, target=ring, map=corestriction)
+    return hom._image_subring
 
 
-@dataclass(frozen=True)
-class TransferReport:
-    """Both sides of the locality transfer, with the unit bookkeeping.
-
-    ``unit_reflecting_into_target`` and ``unit_reflecting_onto_image``
-    are computed by separate scans: the former against the unit group
-    of the whole codomain, the latter against the unit group of the
-    image ring (the hypothesis the converse direction of the transfer
-    theorem actually uses).
-    """
-
-    source_local: bool
-    image_local: bool
-    agree: bool
-    unit_reflecting_into_target: bool
-    unit_reflecting_onto_image: bool
-    units_of_target: tuple
-    units_of_image: tuple
-    image_size: int
-
-
-def verify_local_transfer(hom: LnrHom, bounds: Bounds = DEFAULT_BOUNDS) -> TransferReport:
-    """Certify: source local iff image subring local.
+def verify_local_transfer(hom: LnrHom, bounds: Bounds = DEFAULT_BOUNDS) -> bool:
+    """Certify: source local iff image subring local, and return that
+    shared verdict.
 
     Hypotheses checked up front (PreconditionFailed names the one that
     fails): the codomain is a ring, the source is zero-symmetric, the
@@ -166,26 +151,13 @@ def verify_local_transfer(hom: LnrHom, bounds: Bounds = DEFAULT_BOUNDS) -> Trans
         raise PreconditionFailed(
             f"transfer theorem needs a unit-reflecting homomorphism, witness {into_target.witness}"
         )
-    img = image_subring(hom)
-    onto_image = is_unit_reflecting(img)
-    source_local = is_local_lnr(hom.source, bounds).is_local
-    image_local = is_local_ring(img.target, bounds)
+    source_local = is_local_lnr(hom.source, bounds)
+    image_local = is_local_ring(image_subring(hom).target, bounds)
     if source_local != image_local:
         raise TheoremViolation(
             f"locality transfer failed: source {source_local}, image {image_local}"
         )
-    tgt_units = units(hom.target).sorted_members
-    img_units = tuple(hom.image.sorted_members[u] for u in units(img.target))
-    return TransferReport(
-        source_local=source_local,
-        image_local=image_local,
-        agree=True,
-        unit_reflecting_into_target=bool(into_target),
-        unit_reflecting_onto_image=bool(onto_image),
-        units_of_target=tgt_units,
-        units_of_image=img_units,
-        image_size=img.target.n,
-    )
+    return source_local
 
 
 def idempotent_kill_check(hom: LnrHom) -> bool:

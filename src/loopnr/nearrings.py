@@ -98,6 +98,24 @@ class LoopNearRing(CayleyLoop):
                 maximal.append(s)
         return tuple(reversed(maximal))
 
+    @cached_property
+    def _local(self) -> bool:
+        """Locality along two routes that must agree: exactly one maximal
+        proper N-subloop, and the non-units form an N-subloop.  When
+        local, the one coatom is the non-unit set."""
+        nonunits = ElementSubset.from_mask(~self._units.mask())
+        via_units = is_N_subloop(self, nonunits)
+        maximal = self._maximal_n_subloops
+        via_maximal = len(maximal) == 1
+        if via_maximal != via_units:
+            raise TheoremViolation(
+                "locality characterizations disagree: "
+                f"maximal route says {via_maximal}, unit route says {via_units}"
+            )
+        if via_maximal and maximal[0].members != nonunits.members:
+            raise TheoremViolation("unique maximal N-subloop differs from the non-unit set")
+        return via_maximal
+
 
 def _validated(cls, add_table, mul_table, one: int, laws: bool = True):
     """Certify tables as a ``cls`` by one ``tables.AXIOMS`` scan up to
@@ -253,51 +271,15 @@ def annihilator(nr: LoopNearRing, e: int) -> ElementSubset:
     return out
 
 
-@dataclass(frozen=True)
-class LocalityReport:
-    """Locality decided along two independent routes that must agree.
-
-    via_maximal: exactly one maximal proper N-subloop exists.
-    via_units: the non-units form an N-subloop.
-    When local, ``j`` is the unique maximal N-subloop and equals the
-    non-unit set.
-    """
-
-    is_local: bool
-    via_maximal: bool
-    via_units: bool
-    maximal_subloops: tuple
-    nonunits: ElementSubset
-    j: ElementSubset | None
-
-
-def is_local_lnr(nr: LoopNearRing, bounds: Bounds = DEFAULT_BOUNDS) -> LocalityReport:
-    """Decide locality twice and certify that the answers agree.
+def is_local_lnr(nr: LoopNearRing, bounds: Bounds = DEFAULT_BOUNDS) -> bool:
+    """Locality, decided twice and certified to agree once per near-ring
+    (``LoopNearRing._local``).
 
     Requires a zero-symmetric near-ring; the equivalence being
-    exercised is only a theorem under that hypothesis.
+    exercised is only a theorem under that hypothesis.  The size bound
+    is checked on every call, before any work.
     """
     if not nr.zero_symmetric:
         raise PreconditionFailed("locality analysis requires a zero-symmetric near-ring")
-    nonunits = ElementSubset.from_mask(~units(nr).mask())
-    via_units = is_N_subloop(nr, nonunits)
-    maximal = tuple(maximal_N_subloops(nr, bounds))
-    via_maximal = len(maximal) == 1
-    if via_maximal != via_units:
-        raise TheoremViolation(
-            "locality characterizations disagree: "
-            f"maximal route says {via_maximal}, unit route says {via_units}"
-        )
-    j = None
-    if via_maximal:
-        j = maximal[0]
-        if j.members != nonunits.members:
-            raise TheoremViolation("unique maximal N-subloop differs from the non-unit set")
-    return LocalityReport(
-        is_local=via_maximal,
-        via_maximal=via_maximal,
-        via_units=via_units,
-        maximal_subloops=maximal,
-        nonunits=nonunits,
-        j=j,
-    )
+    bounds.check("max_enum_n", nr.n, "near-ring for N-subloop enumeration")
+    return nr._local

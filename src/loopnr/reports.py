@@ -16,10 +16,10 @@ from . import tables
 from .config import DEFAULT_BOUNDS, Bounds
 from .decomp import corner_signature, decompose_regular, verify_ks_uniqueness
 from .errors import PreconditionFailed
-from .homs import idempotent_kill_check, verify_local_transfer
+from .homs import idempotent_kill_check, image_subring, verify_local_transfer
 from .io import canonical_json, kind_of, structure_sha256
 from .loops import CayleyLoop, enumerate_subloops, is_associative, is_commutative
-from .nearrings import enumerate_N_subloops, idempotents, is_local_lnr, units
+from .nearrings import enumerate_N_subloops, idempotents, is_local_lnr, maximal_N_subloops, units
 from .rings import FiniteRing, is_semiperfect, is_semisimple, jacobson_radical
 
 VOLATILE_KEYS = ("sha256", "timing")
@@ -57,16 +57,19 @@ def _subset_section(subset) -> dict:
 def _locality_section(structure, bounds: Bounds) -> dict:
     if not structure.zero_symmetric:
         return {"applicable": False, "reason": "not zero-symmetric"}
-    rep = is_local_lnr(structure, bounds)
+    # both routes agree or is_local_lnr raises, and when local the one
+    # coatom is the non-unit set
+    local = is_local_lnr(structure, bounds)
+    maximal = maximal_N_subloops(structure, bounds)
     return {
         "applicable": True,
-        "is_local": rep.is_local,
-        "via_maximal": rep.via_maximal,
-        "via_units": rep.via_units,
-        "maximal_count": len(rep.maximal_subloops),
-        "maximal": [list(m.sorted_members) for m in rep.maximal_subloops],
-        "nonunits_count": len(rep.nonunits.members),
-        "j": None if rep.j is None else list(rep.j.sorted_members),
+        "is_local": local,
+        "via_maximal": local,
+        "via_units": local,
+        "maximal_count": len(maximal),
+        "maximal": [list(m.sorted_members) for m in maximal],
+        "nonunits_count": structure.n - len(units(structure)),
+        "j": list(maximal[0].sorted_members) if local else None,
     }
 
 
@@ -164,14 +167,15 @@ def decompose_report(
         ],
     }
     if verify_uniqueness:
-        ks = _timed(timing, "uniqueness", lambda: verify_ks_uniqueness(ring, bounds=bounds))
+        pairs = _timed(timing, "uniqueness", lambda: verify_ks_uniqueness(ring, bounds=bounds))
+        # every family matches the canonical one or verify_ks_uniqueness raises
         payload["uniqueness"] = {
-            "family_count": ks.family_count,
-            "common_length": ks.common_length,
-            "families": [list(f) for f in ks.families],
-            "class_labels": [list(l) for l in ks.class_labels],
-            "signature_multiset": [list(s) for s in ks.signature_multiset],
-            "matched": ks.matched,
+            "family_count": len(pairs),
+            "common_length": len(family),
+            "families": [list(f) for f, _ in pairs],
+            "class_labels": [list(labels) for _, labels in pairs],
+            "signature_multiset": sorted(c["signature"] for c in payload["corners"]),
+            "matched": True,
         }
     if with_timing:
         payload["timing"] = timing
@@ -208,16 +212,19 @@ def hom_report(
         "image_size": len(hom.image.members),
     }
     if with_transfer:
-        rep = verify_local_transfer(hom, bounds)
+        # the verdicts agree and hom reflects units into the target, or
+        # verify_local_transfer raises
+        local = verify_local_transfer(hom, bounds)
+        image = image_subring(hom)
         payload["transfer"] = {
-            "source_local": rep.source_local,
-            "image_local": rep.image_local,
-            "agree": rep.agree,
-            "unit_reflecting_into_target": rep.unit_reflecting_into_target,
-            "unit_reflecting_onto_image": rep.unit_reflecting_onto_image,
-            "units_of_target_count": len(rep.units_of_target),
-            "units_of_image_count": len(rep.units_of_image),
-            "image_size": rep.image_size,
+            "source_local": local,
+            "image_local": local,
+            "agree": True,
+            "unit_reflecting_into_target": True,
+            "unit_reflecting_onto_image": image.unit_reflecting,
+            "units_of_target_count": len(units(hom.target)),
+            "units_of_image_count": len(units(image.target)),
+            "image_size": image.target.n,
             "kill_check": idempotent_kill_check(hom),
         }
     return finalize_report(payload)

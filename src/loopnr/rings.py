@@ -209,7 +209,7 @@ def is_division_ring(ring: FiniteRing) -> bool:
 def is_local_ring(ring: FiniteRing, bounds: Bounds = DEFAULT_BOUNDS) -> bool:
     """Both routes of ``is_local_lnr``, cross-checked against A/J division."""
     # is_local_lnr checks the size bound before A/J is read
-    by_lnr = is_local_lnr(ring, bounds).is_local
+    by_lnr = is_local_lnr(ring, bounds)
     by_quotient = is_division_ring(ring._quotient.target)
     if by_lnr != by_quotient:
         raise TheoremViolation(

@@ -40,6 +40,12 @@ from loopnr import (
     jacobson_radical,
     lift_idempotent,
     coset_idempotents,
+    decompose_regular,
+    image_subring,
+    is_local_ring,
+    is_N_subloop,
+    maximal_N_subloops,
+    units,
     parse_spec,
     product,
     random_loop,
@@ -64,10 +70,12 @@ def locality_reports():
 def test_c1_locality_routes_agree_on_corpus():
     t0 = time.monotonic()
     reports = locality_reports()
-    for name, _s, rep in reports:
-        assert rep.via_maximal == rep.via_units, (
-            f"{name}: maximal-N-subloop route says {rep.via_maximal}, "
-            f"non-unit-closure route says {rep.via_units}"
+    for name, s, local in reports:
+        via_maximal = len(maximal_N_subloops(s)) == 1
+        via_units = is_N_subloop(s, frozenset(range(s.n)) - units(s).members)
+        assert via_maximal == local and via_units == local, (
+            f"{name}: is_local_lnr says {local}, maximal-N-subloop route says "
+            f"{via_maximal}, non-unit-closure route says {via_units}"
         )
     elapsed = time.monotonic() - t0
     assert len(reports) >= 80
@@ -77,8 +85,8 @@ def test_c1_locality_routes_agree_on_corpus():
 
 def test_c2_local_implies_trivial_idempotents():
     locals_seen = 0
-    for name, s, rep in locality_reports():
-        if not rep.is_local:
+    for name, s, local in locality_reports():
+        if not local:
             continue
         locals_seen += 1
         assert set(idempotents(s)) == {s.zero, s.one}, name
@@ -92,9 +100,11 @@ def test_c3_unit_reflecting_homs_transfer_locality():
     for name, f in homs:
         assert f.nontrivial, name
         assert f.unit_reflecting, name
-        rep = verify_local_transfer(f)
-        assert rep.agree, (
-            f"{name}: source local={rep.source_local}, image local={rep.image_local}"
+        local = verify_local_transfer(f)
+        source_local = is_local_lnr(f.source)
+        image_local = is_local_ring(image_subring(f).target)
+        assert local == source_local == image_local, (
+            f"{name}: transfer {local}, source local={source_local}, image local={image_local}"
         )
         assert idempotent_kill_check(f), name
     print(f"C3: locality transfers along all {len(homs)} unit-reflecting homs")
@@ -140,21 +150,24 @@ def test_c6_primitive_families_unique_up_to_isomorphism():
     by_name = {}
     for name, r in rings:
         assert r.n <= 64
-        dec = [e for e in verify_ks_uniqueness(r).canonical]
+        dec = decompose_regular(r)
         if not all(is_strongly_indecomposable_corner(r, e) for e in dec):
             continue
-        rep = verify_ks_uniqueness(r)
-        assert rep.matched, name
-        assert all(len(fam) == rep.common_length for fam in rep.families), name
-        by_name[name] = rep
+        pairs = verify_ks_uniqueness(r)
+        families = [fam for fam, _ in pairs]
+        assert dec in families, name
+        classes = sorted(pairs[families.index(dec)][1])
+        assert all(sorted(labels) == classes for _, labels in pairs), name
+        assert all(len(fam) == len(labels) == len(dec) for fam, labels in pairs), name
+        by_name[name] = pairs
         checked += 1
     elapsed = time.monotonic() - t0
     assert checked >= 20
-    assert by_name["cyclic:6"].family_count == 1
-    assert by_name["m2(z2)"].family_count > 1
+    assert len(by_name["cyclic:6"]) == 1
+    assert len(by_name["m2(z2)"]) > 1
     zz42 = by_name["z4xz2"]
-    assert zz42.family_count == 1
-    assert len(set(zz42.class_labels[0])) == 2  # two non-isomorphic corners
+    assert len(zz42) == 1
+    assert len(set(zz42[0][1])) == 2  # two non-isomorphic corners
     assert elapsed < 300.0, f"uniqueness sweep took {elapsed:.1f}s"
     print(f"C6: families matched on all {checked} qualifying rings ({elapsed:.1f}s)")
 
@@ -162,13 +175,13 @@ def test_c6_primitive_families_unique_up_to_isomorphism():
 def test_c7_every_primitive_idempotent_matches_a_retract():
     matched = 0
     for name, r in corpus.small_ring_corpus():
-        rep = verify_retract_matching(r)
+        matches = verify_retract_matching(r)
         primitives = {
             e for e in idempotents(r) if e != r.zero and is_primitive(r, e)
         }
-        assert {e for e, _partner in rep.matches} == primitives, name
-        assert all(partner in set(rep.canonical) for _e, partner in rep.matches), name
-        matched += len(rep.matches)
+        assert {e for e, _partner in matches} == primitives, name
+        assert all(partner in set(decompose_regular(r)) for _e, partner in matches), name
+        matched += len(matches)
     assert matched >= 30
     print(f"C7: {matched} primitive idempotents matched to canonical retracts")
 

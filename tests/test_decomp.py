@@ -339,60 +339,77 @@ class TestCornerSignature:
                 assert corner_signature(ring, e)[3] == want, (name, e)
 
 
+def _matched(pairs, canonical):
+    """The facts each returned (family, class_labels) pair certifies: the
+    canonical family is enumerated, and every family has its length and
+    its multiset of isomorphism classes."""
+    families = [fam for fam, _ in pairs]
+    assert canonical in families
+    classes = sorted(pairs[families.index(canonical)][1])
+    return all(len(fam) == len(labels) == len(canonical) and sorted(labels) == classes
+               for fam, labels in pairs)
+
+
 class TestKSUniqueness:
     def test_z6(self):
-        rep = verify_ks_uniqueness(corpus.z(6))
-        assert rep.matched
-        assert rep.family_count == 1
-        assert rep.common_length == 2
-        assert rep.canonical == (3, 4)
+        ring = corpus.z(6)
+        pairs = verify_ks_uniqueness(ring)
+        assert _matched(pairs, decompose_regular(ring))
+        assert len(pairs) == 1
+        assert decompose_regular(ring) == (3, 4)
+        assert pairs == (((3, 4), (0, 1)),)
 
     def test_m2z2_three_matched_families(self):
-        rep = verify_ks_uniqueness(corpus.m2(2))
-        assert rep.matched
-        assert rep.family_count == 3
-        assert rep.common_length == 2
+        ring = corpus.m2(2)
+        pairs = verify_ks_uniqueness(ring)
+        assert _matched(pairs, decompose_regular(ring))
+        assert len(pairs) == 3
+        assert len(decompose_regular(ring)) == 2
         # all corners isomorphic: every label pair is (0, 0)
-        assert set(rep.class_labels) == {(0, 0)}
+        assert {labels for _, labels in pairs} == {(0, 0)}
 
     def test_product_with_distinct_corners(self):
-        rep = verify_ks_uniqueness(corpus.zz(4, 2))
-        assert rep.matched
-        assert rep.family_count == 1
-        assert rep.class_labels == ((0, 1),)
+        ring = corpus.zz(4, 2)
+        pairs = verify_ks_uniqueness(ring)
+        assert _matched(pairs, decompose_regular(ring))
+        assert len(pairs) == 1
+        assert [labels for _, labels in pairs] == [(0, 1)]
 
     def test_upper_triangular(self):
-        rep = verify_ks_uniqueness(corpus.ut2(2))
-        assert rep.matched
-        assert rep.family_count == 2
-        assert rep.class_labels == ((0, 1), (0, 1))
+        ring = corpus.ut2(2)
+        pairs = verify_ks_uniqueness(ring)
+        assert _matched(pairs, decompose_regular(ring))
+        assert len(pairs) == 2
+        assert [labels for _, labels in pairs] == [(0, 1), (0, 1)]
 
     def test_triangular_bimodule_pairs_every_primitive(self):
         # [[F2, F2^4], [0, F2]]: 32 primitives [[1, v], [0, 0]] and
         # [[0, v], [0, 1]], each orthogonal to one of the other kind
         ring = corpus.tri_f2(4)
-        rep = verify_ks_uniqueness(ring)
-        assert rep.matched
-        assert rep.family_count == 16
-        assert rep.common_length == 2
-        assert set(rep.class_labels) == {(0, 1)}
+        pairs = verify_ks_uniqueness(ring)
+        assert _matched(pairs, decompose_regular(ring))
+        assert len(pairs) == 16
+        assert len(decompose_regular(ring)) == 2
+        assert {labels for _, labels in pairs} == {(0, 1)}
         matching = verify_retract_matching(ring)
-        assert matching.canonical == (1, 2)
-        assert len(matching.matches) == 32
+        assert decompose_regular(ring) == (1, 2)
+        assert len(matching) == 32
         # [[1, v], [0, 0]] has a = 1, b = 0: it matches 1; the rest match 2
-        assert all(partner == (1 if f & 3 == 1 else 2) for f, partner in matching.matches)
+        assert all(partner == (1 if f & 3 == 1 else 2) for f, partner in matching)
 
     def test_m2z3_at_default_bounds(self):
-        rep = verify_ks_uniqueness(corpus.m2(3))
-        assert rep.matched
-        assert rep.family_count == 6
-        assert set(rep.class_labels) == {(0, 0)}
+        ring = corpus.m2(3)
+        pairs = verify_ks_uniqueness(ring)
+        assert _matched(pairs, decompose_regular(ring))
+        assert len(pairs) == 6
+        assert {labels for _, labels in pairs} == {(0, 0)}
 
     def test_zero_ring(self):
-        rep = verify_ks_uniqueness(corpus.z(1))
-        assert rep.matched
-        assert rep.family_count == 1
-        assert rep.common_length == 0
+        ring = corpus.z(1)
+        pairs = verify_ks_uniqueness(ring)
+        assert _matched(pairs, decompose_regular(ring))
+        assert len(pairs) == 1
+        assert decompose_regular(ring) == ()
 
 
 class TestLocalityCarry:
@@ -442,9 +459,9 @@ class TestLocalityCarry:
         real, calls = decomp.is_local_ring, []
         monkeypatch.setattr(decomp, "is_local_ring",
                             lambda nr, bounds: calls.append(nr) or real(nr, bounds))
-        rep = verify_ks_uniqueness(parse_spec(spec))
-        assert len({e for fam in rep.families for e in fam}) == primitives
-        assert len({c for labels in rep.class_labels for c in labels}) == classes
+        pairs = verify_ks_uniqueness(parse_spec(spec))
+        assert len({e for fam, _ in pairs for e in fam}) == primitives
+        assert len({c for _, labels in pairs for c in labels}) == classes
         assert len(calls) == classes
 
     def test_a_wrong_witness_is_a_theorem_violation(self, monkeypatch):
@@ -467,21 +484,20 @@ class TestLocalityCarry:
 
 class TestRetractMatching:
     def test_m2z2_all_primitives_match_least_member(self):
-        rep = verify_retract_matching(corpus.m2(2))
-        assert rep.canonical == (1, 8)
-        assert len(rep.matches) == 6
-        assert all(partner == 1 for _, partner in rep.matches)
+        matches = verify_retract_matching(corpus.m2(2))
+        assert decompose_regular(corpus.m2(2)) == (1, 8)
+        assert len(matches) == 6
+        assert all(partner == 1 for _, partner in matches)
 
     def test_z6(self):
-        rep = verify_retract_matching(corpus.z(6))
-        assert rep.matches == ((3, 3), (4, 4))
+        assert verify_retract_matching(corpus.z(6)) == ((3, 3), (4, 4))
 
     def test_whole_small_corpus(self):
         # reference for the partner: the least canonical member that the
         # module isomorphism test pairs with f, found without class labels
         for name, ring in corpus.small_ring_corpus():
-            rep = verify_retract_matching(ring)
-            for f, partner in rep.matches:
-                assert partner in rep.canonical, name
-                expected = min(e for e in rep.canonical if idempotents_isomorphic(ring, f, e))
+            canonical = decompose_regular(ring)
+            for f, partner in verify_retract_matching(ring):
+                assert partner in canonical, name
+                expected = min(e for e in canonical if idempotents_isomorphic(ring, f, e))
                 assert partner == expected, (name, f)

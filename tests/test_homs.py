@@ -10,7 +10,10 @@ from loopnr import (
     idempotents,
     image_subring,
     is_idempotent_lifting,
+    is_local_lnr,
+    is_local_ring,
     is_unit_reflecting,
+    units,
     validate_lnr_hom,
     verify_local_transfer,
 )
@@ -163,6 +166,10 @@ class TestImageSubring:
         assert img.map.tolist() == [0, 1, 2, 3] and not img.map.flags.writeable
         assert img.image.members == frozenset(range(4))
 
+    def test_built_once_per_hom(self):
+        f = validate_lnr_hom(range(4), corpus.z(4), corpus.z(4))
+        assert image_subring(f) is image_subring(f)
+
     def test_trivial_hom_gives_zero_ring(self):
         f = validate_lnr_hom([0, 0, 0, 0], corpus.z(4), corpus.z(1))
         assert not f.nontrivial
@@ -180,23 +187,30 @@ class TestLocalTransfer:
     def test_local_source_local_image(self):
         tgt = corpus.zz(4, 4)
         f = validate_lnr_hom([5 * x for x in range(4)], corpus.z(4), tgt)
-        rep = verify_local_transfer(f)
-        assert rep.source_local and rep.image_local and rep.agree
-        assert rep.image_size == 4
-        assert rep.unit_reflecting_into_target
-        assert rep.unit_reflecting_onto_image
+        assert verify_local_transfer(f) is True
+        assert is_local_lnr(f.source) and is_local_ring(image_subring(f).target)
+        assert image_subring(f).target.n == 4
+        assert f.unit_reflecting
+        assert image_subring(f).unit_reflecting
 
     def test_nonlocal_source_nonlocal_image(self):
         f = validate_lnr_hom(range(6), corpus.z(6), corpus.z(6))
-        rep = verify_local_transfer(f)
-        assert not rep.source_local and not rep.image_local and rep.agree
+        assert verify_local_transfer(f) is False
+        assert not is_local_lnr(f.source) and not is_local_ring(image_subring(f).target)
 
     def test_units_listed_in_target_labels(self):
         tgt = corpus.zz(2, 2)
         f = validate_lnr_hom([3 * x for x in range(2)], corpus.z(2), tgt)
-        rep = verify_local_transfer(f)
-        assert rep.units_of_target == (3,)
-        assert rep.units_of_image == (3,)
+        verify_local_transfer(f)
+        assert units(tgt).sorted_members == (3,)
+        img = image_subring(f)
+        assert tuple(f.image.sorted_members[u] for u in units(img.target)) == (3,)
+        # over the corpus: the image ring's units, in target labels, are the
+        # target's units in the image, since in a finite subring u^-1 = u^(k-1)
+        for name, f in corpus.unit_reflecting_hom_corpus():
+            img = image_subring(f)
+            in_target = {f.image.sorted_members[u] for u in units(img.target)}
+            assert in_target == units(f.target).members & f.image.members, name
 
     def test_needs_ring_codomain(self):
         tgt = corpus.m0("small:3,0")
@@ -223,8 +237,8 @@ class TestLocalTransfer:
 
     def test_whole_corpus_transfers(self):
         for name, f in corpus.unit_reflecting_hom_corpus():
-            rep = verify_local_transfer(f)
-            assert rep.agree, name
+            local = verify_local_transfer(f)
+            assert local == is_local_lnr(f.source) == is_local_ring(image_subring(f).target), name
 
 
 class TestKillCheck:

@@ -628,13 +628,33 @@ def test_radical_timing_covers_semisimple_and_semiperfect(monkeypatch):
 ], ids=["search_local_nonring", "search_local_nonring_nonassoc5", "corpus_sweep",
         "conjugacy_vs_isomorphism"])
 def test_search_script_runs_at_default_args(capsys, name, argv, last, line):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    assert script.main(argv) == 0
+    assert _script(name).main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == last
     assert line in lines
+
+
+@pytest.mark.parametrize("name, flag, value", [
+    ("corpus_sweep", "--max-n", "1_0"),
+    ("corpus_sweep", "--locality-cap", "+64"),
+    ("conjugacy_vs_isomorphism", "--max-n", "\u0668"),
+    ("search_local_nonring", "--max-loop-order", " 4"),
+    ("search_local_nonring", "--max-subs-per-base", "2_000"),
+])
+def test_search_script_reads_integer_flags_as_the_cli_does(capsys, name, flag, value):
+    # ASCII -?[0-9]+ only, as int_token reads the cap flags: int would
+    # take each of these
+    with pytest.raises(SystemExit) as exc:
+        _script(name).main([flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid int value: {value!r}" in capsys.readouterr().err
+
+
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def test_bench_script_reads_each_child_peak_rss_and_exit_code(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from loopnr import (
     CATALOG,
     BoundExceeded,
+    Bounds,
     ElementSubset,
     LoopNearRing,
     MulNotAssociative,
@@ -30,6 +31,8 @@ from loopnr import (
     units,
     validate_lnr,
 )
+
+from loopnr import nearrings
 
 import corpus
 
@@ -240,41 +243,67 @@ class TestAnnihilator:
 
 class TestLocality:
     def test_cyclic4_is_local(self):
-        rep = is_local_lnr(corpus.z(4))
-        assert rep.is_local
-        assert rep.via_maximal and rep.via_units
-        assert rep.j.members == frozenset({0, 2})
-        assert rep.nonunits.members == frozenset({0, 2})
+        r = corpus.z(4)
+        assert is_local_lnr(r) is True
+        # the one coatom is the non-unit set
+        assert [m.members for m in maximal_N_subloops(r)] == [frozenset({0, 2})]
+        assert frozenset(range(4)) - units(r).members == frozenset({0, 2})
 
     def test_cyclic6_is_not_local(self):
-        rep = is_local_lnr(corpus.z(6))
-        assert not rep.is_local
-        assert not rep.via_maximal and not rep.via_units
-        assert rep.j is None
-        assert len(rep.maximal_subloops) == 2
+        r = corpus.z(6)
+        assert is_local_lnr(r) is False
+        assert len(maximal_N_subloops(r)) == 2
+        assert not is_N_subloop(r, frozenset(range(6)) - units(r).members)
 
     def test_prime_power_cyclics_are_local(self):
         for n in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
-            assert is_local_lnr(corpus.z(n)).is_local, n
+            assert is_local_lnr(corpus.z(n)), n
 
     def test_galois_fields_are_local(self):
         for q in (4, 8, 9):
-            rep = is_local_lnr(corpus.gf(q))
-            assert rep.is_local
-            assert rep.j.members == frozenset({0})
+            r = corpus.gf(q)
+            assert is_local_lnr(r)
+            assert [m.members for m in maximal_N_subloops(r)] == [frozenset({0})]
 
     def test_zero_ring_is_not_local(self):
         # no maximal proper N-subloop exists at all
-        rep = is_local_lnr(corpus.z(1))
-        assert not rep.is_local
+        assert is_local_lnr(corpus.z(1)) is False
 
     def test_requires_zero_symmetric(self):
         with pytest.raises(PreconditionFailed):
             is_local_lnr(corpus.m_full(2))
 
     def test_zero_fixing_maps_over_z3_is_not_local(self):
-        rep = is_local_lnr(corpus.m0("small:3,0"))
-        assert not rep.is_local
+        assert is_local_lnr(corpus.m0("small:3,0")) is False
+
+    @pytest.mark.parametrize("spec", ["cyclic:12", "cyclic:9", "m0:cyclic:3"])
+    def test_routes_run_once_per_near_ring(self, spec, monkeypatch):
+        real, calls = nearrings.is_N_subloop, []
+        monkeypatch.setattr(nearrings, "is_N_subloop",
+                            lambda nr, subset: calls.append(nr) or real(nr, subset))
+        nr = parse_spec(spec)
+        first = is_local_lnr(nr)
+        assert is_local_lnr(nr) is first
+        assert calls == [nr]
+
+    def test_routes_that_disagree_are_a_theorem_violation(self, monkeypatch):
+        monkeypatch.setattr(nearrings, "is_N_subloop", lambda nr, subset: True)
+        with pytest.raises(TheoremViolation, match="^locality characterizations disagree: "
+                           "maximal route says False, unit route says True$"):
+            is_local_lnr(parse_spec("cyclic:6"))
+
+    @pytest.mark.parametrize("spec", ["cyclic:12", "cyclic:9", "m0:cyclic:3"])
+    def test_bound_is_checked_on_every_call(self, spec):
+        tight = Bounds(max_enum_n=parse_spec(spec).n - 1)
+        cached = parse_spec(spec)
+        is_local_lnr(cached)
+        with pytest.raises(BoundExceeded, match=r"\(max_enum_n\)$"):
+            is_local_lnr(cached, tight)
+        # a fresh near-ring is refused before its units are read
+        fresh = parse_spec(spec)
+        with pytest.raises(BoundExceeded, match=r"\(max_enum_n\)$"):
+            is_local_lnr(fresh, tight)
+        assert not {"inverse", "_units", "_local"} & fresh.__dict__.keys()
 
 
 class TestMapNearRingProperties:
