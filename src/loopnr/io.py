@@ -40,13 +40,22 @@ and ``]`` after the last, and ``json.loads`` reads each entry as an
 integer other than ``-0``.  An entry of at most D = len(str(n - 1))
 digits is read from its last D bytes; an entry of n or more, a longer
 one or a signed one lies outside 0..n-1 and decodes to -1, as
-``tables.as_table`` maps it.  A certified table is ASCII and every other
-byte was decoded, so such a file is all UTF-8.  Any other file (the text
+``tables.as_table`` maps it.  The common block, with no ``-``, D <= 4
+and no entry of more than D digits, is certified and read byte by byte
+from the positions of its marks (``_decode_digits``); every other one
+entry by entry, which is the byte-level route's oracle.  Each table's
+blocks share one work array for their temporaries of the block's
+size.  A certified table is ASCII and every other byte was
+decoded, so such a file is all UTF-8.  Any other file (the text
 format, whitespace between members or in a table, an escaped key, a
 byte-order mark, a byte that is not UTF-8) is decoded whole as
 ``open(path, encoding="utf-8")`` reads it, which names a bad byte and
 its position, and ``json.loads`` or the text parser reads it, with the
-same verdicts, messages and witnesses.
+same verdicts, messages and witnesses.  A file read from its path is
+then parsed from its text alone, its bytes dropped.  The text parser
+reads each row into a read-only int16 table once the row count is
+right, an entry outside 0..n-1 as -1; past ``MAX_ORDER``, which
+``realize`` refuses, the rows stay lists.
 
 Once such a file's tables have been validated, every entry of them is
 literally ``str(v)`` for its value v, so each table's bytes already are
@@ -235,7 +244,7 @@ _BLOCK_BYTES = 1 << 16   # table bytes decoded per block, beyond its last row
 _WINDOW_BYTES = 1 << 8   # bytes first decoded for a small member; widened as needed
 
 
-def _decode_rows(block, width: int):
+def _decode_rows(block, width: int, work: np.ndarray | None = None):
     """Decode the rows ``[v,...,v]`` that the bytes ``block`` start with.
 
     Each row is followed by ``,``, or the last by the ``]`` closing the
@@ -244,12 +253,22 @@ def _decode_rows(block, width: int):
     read and whether the matrix closed; None unless every entry is an
     integer that json.loads reads, other than -0.  An entry of width or
     more (of more than D digits, say), or a signed one, decodes to -1.
+
+    ``work`` is a uint8 array of at least ``7 * len(block) + 8`` bytes
+    for the temporaries of the block's size (a shorter one is not used);
+    the values may be a view of it.  A block with no ``-``, D <= 4 and
+    no run of D + 1 digits is read byte by byte (``_decode_digits``),
+    every other one entry by entry.
     """
     read = len(str(width - 1))   # D: at most 5 for a width up to MAX_ORDER
     chars = np.frombuffer(block, np.uint8)
-    digit = chars - 48
+    size = len(chars)
+    if work is None or len(work) < 7 * size + 8:
+        work = np.empty(7 * size + 8, np.uint8)
+    digit = np.subtract(chars, 48, out=work[:size])
+    mark = np.greater(digit, 9, out=work[size:2 * size].view(bool))
     # every byte other than a digit is skeleton, "-" too unless the block has one
-    cut = np.flatnonzero(digit > 9)
+    cut = np.flatnonzero(mark)
     marks = chars.take(cut).tobytes()
     signed = b"-" in marks
     if signed:
@@ -268,6 +287,11 @@ def _decode_rows(block, width: int):
     if not rows or marks != skeleton:
         return None
     cut = cut.reshape(rows, width + 2)
+    closed = close >= 0
+    mark, work = mark[:len(chars)], work[2 * size:]
+    if not signed and read <= 4 and not _run_longer_than(read, mark, work):
+        values = _decode_digits(chars, digit, mark, cut, width, read, work)
+        return None if values is None else (values, len(chars), closed)
     ends = cut[:, 1:-1]
     at = cut[:, :-2] + 1   # each entry's first byte; then its last, the one before it, ...
     digits = ends - at
@@ -293,7 +317,75 @@ def _decode_rows(block, width: int):
         at -= 1
         values += np.multiply(digit.take(at) * (digits > k), 10**k, dtype=dtype)
     values[signs | (digits > read) | (values >= width)] = -1
-    return values, len(chars), close >= 0
+    return values, len(chars), closed
+
+
+def _run_longer_than(read: int, mark: np.ndarray, work: np.ndarray) -> bool:
+    """Whether some ``read + 1`` bytes in a row are all unmarked."""
+    size = max(len(mark) - read, 0)
+    covered = np.logical_or(mark[:size], mark[1:size + 1], out=work[:size].view(bool))
+    for k in range(2, read + 1):
+        covered |= mark[k:size + k]
+    return not covered.all()
+
+
+def _decode_digits(chars, digit, mark, cut, width: int, read: int, work: np.ndarray):
+    """The (rows, width) values of a block whose marks ``cut`` (every
+    byte other than a digit, ``mark`` as a mask) match the skeleton, read
+    byte by byte, or None unless every entry is an integer that
+    json.loads reads.  The block holds no ``-`` and no run of D + 1 <= 5
+    digits, so each entry is refused exactly where the entry-by-entry
+    route refuses it, and its value is at most 9999.
+
+    * No gap: the first mark is at byte 0, each ``]`` is followed at once
+      by its ``,`` or the closing ``]``, each ``,`` after a ``]`` at once
+      by ``[``, and the block ends at its last mark.  So every digit lies
+      between a row's ``[`` or ``,`` and its next ``,`` or ``]``, in an
+      entry.
+    * No empty entry: those row boundaries are 2 rows - 1 pairs of
+      adjacent marks, so any further pair is an entry with no digit.
+    * No zero-led entry: no ``0`` follows a mark and precedes a digit.
+      With no gap, a digit after a mark starts an entry.
+    * Values: the value of the digit run ending at each byte, by D - 1
+      shifted multiply-adds from the digit bytes, each masked to the
+      digits, so that a run starts afresh after every mark; an entry's
+      value is the one at its last byte, read for all of them by one
+      ``take`` at the marks.  One of width or more decodes to -1.
+
+    Each temporary of the block's size is a view of ``work``, which holds
+    at least 5 len(chars) + 5 bytes.
+    """
+    size, rows = len(chars), len(cut)
+    if (cut[0, 0] or cut[-1, -1] != size - 1 or (cut[:, -1] - cut[:, -2] != 1).any()
+            or (cut[1:, 0] - cut[:-1, -1] != 1).any()):
+        return None
+    flags = work[:size].view(bool)
+    if np.count_nonzero(np.logical_and(mark[:-1], mark[1:], out=flags[:size - 1])) != 2 * rows - 1:
+        return None
+    led = np.equal(chars[1:-1], 48, out=flags[:size - 2])
+    led &= mark[:-2]
+    if np.greater(led, mark[2:], out=led).any():   # a 0 after a mark and before no mark
+        return None
+    # two runs of values, each led by one spare slot: run[i + 1] is the
+    # value at byte i, so that run.take(cut) reads each mark's left
+    # neighbour, into the other run
+    start = size + (size & 1)
+    runs = work[start:start + 4 * (size + 1)].view(np.int16).reshape(2, size + 1)
+    is_digit = np.logical_not(mark, out=flags)
+    run = runs[0]
+    np.multiply(digit[:size], is_digit, out=run[1:])
+    for k in range(1, read):
+        step = runs[k % 2]
+        np.multiply(run[:-1], 10, out=step[1:])
+        step[1:] += digit[:size]
+        step[1:] *= is_digit
+        run = step
+    values = runs[read % 2][:cut.size].reshape(cut.shape)
+    run.take(cut, out=values, mode="clip")
+    values = values[:, 1:-1]
+    outside = np.greater_equal(values, width, out=flags[:values.size].reshape(values.shape))
+    np.copyto(values, -1, where=outside)
+    return values
 
 
 def _int_matrix(data: bytes, start: int):
@@ -311,10 +403,14 @@ def _int_matrix(data: bytes, start: int):
     # filled block by block, so that the matrix is never held twice
     table, filled, closed = np.empty((width, width), dtype=DTYPE), 0, False
     view = memoryview(data)
+    # one work array for every block: a block of rows of entries of at
+    # most D digits runs at most one row past its budget
+    row_bytes = (len(str(width - 1)) + 1) * width + 2
+    work = np.empty(7 * min(len(data) - pos, _BLOCK_BYTES + row_bytes) + 8, np.uint8)
     while not closed:
         # a block runs to the "," after the first row to end past its budget
         stop = data.find(b"]", pos + _BLOCK_BYTES) + 2
-        decoded = _decode_rows(view[pos:stop if stop >= 2 else len(data)], width)
+        decoded = _decode_rows(view[pos:stop if stop >= 2 else len(data)], width, work)
         if decoded is None or filled + len(decoded[0]) > width:
             return None
         rows, used, closed = decoded
@@ -426,9 +522,20 @@ def _structure_file(data: dict, spans: dict) -> StructureFile:
     return StructureFile(kind=kind, n=n, add=add, mul=mul, one=one, meta=meta, spans=spans)
 
 
+def _in_carrier(row: list, n: int) -> np.ndarray:
+    """The integers ``row`` as int64, each outside 0..n-1 (one past int64
+    too) as -1, as ``tables.as_table`` reads it."""
+    try:
+        values = np.array(row, dtype=np.int64)
+    except OverflowError:
+        values = np.array([v if 0 <= v < n else -1 for v in row], dtype=np.int64)
+    values[(values < 0) | (values >= n)] = -1
+    return values
+
+
 def _parse_text(text: str) -> StructureFile:
     lines = [ln.strip() for ln in text.splitlines()]
-    rows = [ln for ln in lines if ln]   # not empty: parse_structure refuses blank text
+    rows = [ln for ln in lines if ln]   # not empty: _parse_whole refuses blank text
     head = rows[0].split()
     if len(head) != 2 or head[0] not in KINDS:
         raise ParseError('first line must be "<kind> <n>"')
@@ -443,15 +550,21 @@ def _parse_text(text: str) -> StructureFile:
     def table(chunk, what):
         if len(chunk) < n:
             raise ParseError(f"{what} table needs {n} rows, found {len(chunk)}")
-        out = []
-        for ln in chunk[:n]:
+        # each row goes into the table as it is read, so that no table is
+        # held as Python ints; past MAX_ORDER, where realize refuses n,
+        # the rows stay lists
+        lists = n > MAX_ORDER
+        out = [None] * n if lists else np.empty((n, n), dtype=DTYPE)
+        for i, ln in enumerate(chunk[:n]):
             try:
                 row = int_tokens(ln)
             except ValueError as exc:
                 raise ParseError(f"non-integer entry in {what} row {ln!r}, {exc}") from None
             if len(row) != n:
                 raise ParseError(f"{what} row has {len(row)} entries, expected {n}")
-            out.append(row)
+            out[i] = row if lists else _in_carrier(row, n)
+        if not lists:
+            out.setflags(write=False)
         return out
 
     add = table(rows[1:], "add")
@@ -479,7 +592,11 @@ def parse_structure(contents: str | bytes) -> StructureFile:
     found = _compact_object(contents if is_bytes else contents.encode("utf-8", "surrogatepass"))
     if found:
         return _structure_file(*found)
-    text = _text(contents) if is_bytes else contents
+    return _parse_whole(_text(contents) if is_bytes else contents)
+
+
+def _parse_whole(text: str) -> StructureFile:
+    """A file's whole text, read by ``json.loads`` or the text parser."""
     stripped = text.lstrip()
     if not stripped:
         raise ParseError("empty file")
@@ -527,9 +644,19 @@ def read_text(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
-def _parse_file(path: str, data: bytes) -> StructureFile:
+def _parse_file(path: str) -> tuple:
+    """(file, bytes): the parsed file and, if ``_compact_object`` certified
+    its bytes, those bytes, else None.  Read as ``parse_structure`` reads
+    them, except that bytes it decodes whole are dropped once decoded, so
+    that ``json.loads`` or the text parser runs beside the text alone."""
+    data = _read_bytes(path)
     try:
-        return parse_structure(data)
+        found = _compact_object(data)
+        if found:
+            return _structure_file(*found), data
+        text = _text(data)
+        del data
+        return _parse_whole(text), None
     except (ValueError, RecursionError) as exc:  # _text; json: an integer literal past
         # sys.get_int_max_str_digits(), or arrays nested past the recursion limit
         raise ParseError(f"cannot read {path}: {exc}") from None
@@ -537,7 +664,7 @@ def _parse_file(path: str, data: bytes) -> StructureFile:
 
 def read_structure(path: str) -> StructureFile:
     """Read and parse a structure file; its bytes are dropped on return."""
-    return _parse_file(path, _read_bytes(path))
+    return _parse_file(path)[0]
 
 
 def load_structure(path: str, bounds: Bounds = DEFAULT_BOUNDS):
@@ -548,8 +675,7 @@ def load_structure(path: str, bounds: Bounds = DEFAULT_BOUNDS):
     are each table's canonical JSON and the structure hash is taken from
     them.
     """
-    data = _read_bytes(path)
-    sf = _parse_file(path, data)
+    sf, data = _parse_file(path)
     structure = realize(sf, bounds)
     if sf.spans:
         fields = _fields(structure)

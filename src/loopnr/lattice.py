@@ -50,7 +50,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 # Table entries per block of a sumset gather or of the rank sort: 1 MiB
-# of int16 entries, so no transient grows with the square of the carrier
+# of int16 entries, so no transient grows with the square of the carrier.
+# Budgets of 1 << 15 to 1 << 18 moved no ``scripts/bench.py`` command
+# beyond its spread, so it stays.
 _BLOCK_ENTRIES = 1 << 19
 
 

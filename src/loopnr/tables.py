@@ -39,8 +39,13 @@ from .lattice import ClosureSystem
 DTYPE = np.int16
 MAX_ORDER = int(np.iinfo(DTYPE).max) + 1   # the most elements a DTYPE table can index
 
-# Block budget: at most ~4M table entries live per intermediate array.
-_BLOCK_ELEMS = 1 << 22
+# Block budget: table entries per intermediate array of a blocked pass.
+# A pass over an order-625 table runs in blocks of 104 rows, whose
+# 128 KiB int16 gathers the heap hands back block after block; one block
+# of the whole table made 781 KiB gathers of fresh pages on every pass.
+# Of 1 << 15 to 1 << 18, 1 << 16 ran perfbench ``construct`` fastest and
+# slowed no ``scripts/bench.py`` command beyond its spread.
+_BLOCK_ELEMS = 1 << 16
 # Entries per chunk of a flat gather (``_take``): its 64 KiB intp index
 # stays below glibc's 128 KiB mmap threshold, so the chunks reuse heap
 _FLAT_ENTRIES = 1 << 13
@@ -266,7 +271,7 @@ def _search(add: np.ndarray) -> Basis | None:
 
 
 def _along_tree(basis: Basis, pair) -> bool:
-    """Whether ``pair(rows, parents, g)`` agree, in blocks of 1M entries, on
+    """Whether ``pair(rows, parents, g)`` agree, in blocks of 16K entries, on
     rows phi[t], parents phi[t - s_i] and g_i for t = 1 .. n-1 with last
     nonzero digit i, and for t = m_i s_i (row 0), closing g_i's cycle."""
     s, step, phi = 1, _blocks(4 * len(basis.phi)), basis.phi

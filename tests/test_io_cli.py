@@ -157,6 +157,62 @@ class TestStructureFiles:
         with pytest.raises(ParseError, match=f"add table {message}"):
             parse_structure(json.dumps(payload))
 
+    def test_text_tables_are_read_only_int16_arrays(self):
+        ring = corpus.z(6)
+        sf = parse_structure(dump_structure_text(ring))
+        for table, want in ((sf.add, ring.add), (sf.mul, ring.mul)):
+            assert table.dtype == np.int16 and not table.flags.writeable
+            assert np.array_equal(table, want)
+        assert realize(sf).add is sf.add
+
+    @staticmethod
+    def text_outcomes(capsys, path):
+        """check and analyze of the text file at ``path``, its tables read
+        into int16 arrays and, past a lowered MAX_ORDER, as lists."""
+        outcomes = []
+        for order in (loopnr_io.MAX_ORDER, 1):
+            with mock.patch.object(loopnr_io, "MAX_ORDER", order):
+                sf = loopnr_io.read_structure(str(path))
+                outcomes.append([run_cli(capsys, c, str(path)) for c in ("check", "analyze")])
+            assert isinstance(sf.add, list) == (order == 1)
+        return outcomes
+
+    @pytest.mark.parametrize("entry", [-1, -6, 6, 60, 2**15, 2**16 + 1, 2**63, -(2**63) - 1,
+                                       10**30])
+    def test_text_entries_outside_the_carrier_report_as_on_lists(self, capsys, tmp_path, entry):
+        lines = dump_structure_text(corpus.z(6)).splitlines()
+        row = lines[2].split()
+        row[4] = str(entry)
+        lines[2] = " ".join(row)
+        p = tmp_path / "z6.txt"
+        p.write_text("\n".join(lines) + "\n")
+        assert parse_structure(p.read_text()).add[1].tolist() == [1, 2, 3, 4, -1, 0]
+        arrays, lists = self.text_outcomes(capsys, p)
+        assert arrays == lists and [code for code, _ in arrays] == [1, 1]
+
+    @pytest.mark.parametrize("bad, message", [
+        ("loop 3\n0 1 2\n1 2 0\n2 0 x\n", "non-integer entry in add row '2 0 x'"),
+        ("loop 3\n0 1 2\n1 2 0 1\n2 0 x\n", "add row has 4 entries, expected 3"),
+        ("ring 2\n0 1\n1 0\n0 0\n0 1 1\none=1\n", "mul row has 3 entries, expected 2"),
+        ("ring 2\n0 1\n1 0\n0 0\n", "mul table needs 2 rows, found 1"),
+        ("loop 30000\n0 1\n", "add table needs 30000 rows, found 1"),
+    ])
+    def test_text_refusals_keep_their_order_and_words(self, bad, message):
+        for order in (loopnr_io.MAX_ORDER, 1):
+            with mock.patch.object(loopnr_io, "MAX_ORDER", order):
+                with pytest.raises(ParseError, match=message):
+                    parse_structure(bad)
+
+    def test_a_text_table_is_allocated_once_its_rows_are_counted(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="needs 30000 rows"):
+                parse_structure("loop 30000\n" + "0 " * 30000 + "\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30000 * 30000 // 100
+
     def test_realize_validates(self):
         from loopnr import NotLatinSquare
 
@@ -462,6 +518,89 @@ class TestArrayRoute:
             assert all(isinstance(t, np.ndarray) for t in tables), spec
 
 
+def entry_route():
+    """Every block decoded entry by entry, as before the byte-level route."""
+    return mock.patch.object(loopnr_io, "_run_longer_than", return_value=True)
+
+
+def same_decoding(got, want):
+    """Whether two ``_decode_rows`` results agree: both None, or the same
+    values, dtype, bytes read and closing."""
+    if got is None or want is None:
+        return got is want
+    return (got[1:] == want[1:] and got[0].dtype == want[0].dtype
+            and np.array_equal(got[0], want[0]))
+
+
+class TestByteLevelDecoder:
+    """A block with no ``-``, D <= 4 and no run of D + 1 digits is read
+    byte by byte; the entry-by-entry route, which reads every other
+    block, is its oracle."""
+
+    WIDTHS = (1, 2, 10, 11, 100, 128, 256, 512, 1000, 1001, 4096)
+    EDITS = b"0123456789,[]- x"
+
+    @classmethod
+    def blocks(cls, seed, width, budget, count):
+        """``count`` blocks of rows of ``width`` entries, each cut as
+        ``_int_matrix`` cuts one, at the first ``]`` past ``budget`` bytes
+        plus one byte, then kept clean or given one to three random byte
+        edits (a byte replaced, inserted or deleted).  Entries lie in
+        0..width-1, or some have D digits and lie past it, or one has D + 1."""
+        rng = np.random.default_rng(seed)
+        read = len(str(width - 1))
+        for trial in range(count):
+            rows = rng.integers(0, width, (budget // ((read + 1) * width) + 2, width))
+            if trial % 4 == 1 and width < 10**read:
+                rows.flat[rng.integers(0, rows.size, 5)] = rng.integers(width, 10**read, 5)
+            elif trial % 4 == 2:
+                rows.flat[rng.integers(0, rows.size)] = 10**read
+            text = json.dumps(rows.tolist(), separators=(",", ":")).encode()[1:] + b',"n":1}'
+            stop = text.find(b"]", budget) + 2
+            block = bytearray(text[:stop] if stop >= 2 else text)
+            for _ in range(trial % 4 and int(rng.integers(1, 4))):
+                at, byte = int(rng.integers(0, len(block))), cls.EDITS[rng.integers(0, 16)]
+                edit = rng.integers(0, 3)
+                block[at:at + (edit != 1)] = b"" if edit == 2 else bytes([byte])
+            yield bytes(block)
+
+    def test_every_block_decodes_as_entry_by_entry(self, monkeypatch):
+        kernel, decided = loopnr_io._decode_digits, []
+        monkeypatch.setattr(loopnr_io, "_decode_digits",
+                            lambda *args: decided.append(kernel(*args)) or decided[-1])
+        blocks = outcomes = 0
+        for seed, width in enumerate(self.WIDTHS):
+            for budget in (16, 64, loopnr_io._BLOCK_BYTES):
+                for block in self.blocks([seed, budget], width, budget, 16):
+                    with entry_route():
+                        want = loopnr_io._decode_rows(block, width)
+                    with no_warnings():
+                        got = loopnr_io._decode_rows(block, width)
+                    assert same_decoding(got, want), (width, budget, block[:200])
+                    blocks += 1
+                    outcomes += want is not None
+        assert blocks >= 500 and 0 < outcomes < blocks
+        # the byte-level route decided a third of the blocks, some of them refused
+        assert 0 < sum(d is None for d in decided) < len(decided) and len(decided) > blocks // 3
+
+    @pytest.mark.parametrize("block", [b"[1,,2]5,[0,1,2]]", b"[1,,2],5[0,1,2]]",
+                                       b"5[1,2,0]]", b"[1,2,0],5"])
+    def test_a_digit_outside_every_entry_is_refused(self, monkeypatch, block):
+        # a digit between "]" and "," or between "," and "[" takes away a
+        # pair of adjacent marks that an empty entry gives back, and one
+        # before the first mark or after the last takes none away: the count
+        # alone is 2 rows - 1
+        mark = np.frombuffer(block, np.uint8) - 48 > 9
+        assert np.count_nonzero(mark[:-1] & mark[1:]) == 2 * block.count(b"[") - 1
+        kernel, decided = loopnr_io._decode_digits, []
+        monkeypatch.setattr(loopnr_io, "_decode_digits",
+                            lambda *args: decided.append(kernel(*args)) or decided[-1])
+        assert loopnr_io._decode_rows(block, 3) is None and decided == [None]
+        with entry_route():
+            assert loopnr_io._decode_rows(block, 3) is None
+        assert len(decided) == 1
+
+
 def edge_documents():
     """Compact ``cyclic:6`` files (one ``cyclic:12``), as bytes, each with
     one feature that the bytes route must read as the whole-file route
@@ -558,6 +697,26 @@ class TestBytesRoute:
         except ParseError as exc:
             got = str(exc)
         assert got == want
+
+    @pytest.mark.parametrize("read", [loopnr_io.read_structure, loopnr.load_structure])
+    def test_a_file_read_whole_drops_its_bytes_once_decoded(self, tmp_path, read):
+        p = tmp_path / "c256.json"
+        p.write_text(json.dumps(json.loads(dump_structure(parse_spec("cyclic:256"))), indent=1))
+        size = p.stat().st_size
+        held, parse = [], loopnr_io._parse_whole
+
+        def spy(text):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return parse(text)
+
+        with mock.patch.object(loopnr_io, "_parse_whole", spy):
+            tracemalloc.start()
+            try:
+                read(str(p))
+            finally:
+                tracemalloc.stop()
+        # the text alone, where the text and the bytes would hold twice the file
+        assert len(held) == 1 and size < held[0] < 1.5 * size
 
     def test_a_compact_file_is_never_held_as_text(self, tmp_path):
         p = tmp_path / "c1024.json"

@@ -351,6 +351,17 @@ class TestSumsetJoin:
     def test_sumset_join_of_relabelled_rings(self, ring):
         self.assert_sumsets_are_closures(ring)
 
+    @pytest.mark.parametrize("spec", ["ut2:cyclic:4", "product:ut2:cyclic:2+ut2:cyclic:2",
+                                      "cyclic:64"])
+    def test_sumset_join_in_blocks_of_one_row_is_the_default(self, monkeypatch, spec):
+        ring = parse_spec(spec)
+        system = nearrings._n_subloop_system(ring)
+        closed = [s.mask() for s in enumerate_N_subloops(ring)]
+        pairs = [(a, b) for a in closed for b in closed]
+        want = [system.join(a, b) for a, b in pairs]
+        monkeypatch.setattr(lattice, "_BLOCK_ENTRIES", 1)
+        assert all(np.array_equal(system.join(a, b), j) for (a, b), j in zip(pairs, want))
+
     @pytest.mark.parametrize("spec", ["ut2:cyclic:4", "product:ut2:cyclic:2+ut2:cyclic:2"])
     def test_ring_lattices_equal_extension_search(self, monkeypatch, spec):
         ring = parse_spec(spec)
@@ -459,9 +470,11 @@ class TestClosureSystem:
         assert len(found) == len(set(found))
         assert bits_of(np.ones(nr.n, dtype=bool)) in found
 
+    @pytest.mark.parametrize("block", [lattice._BLOCK_ENTRIES, 1])
     @pytest.mark.parametrize("spec", ["cyclic:12", "gf:8", "ut2:cyclic:2", "m0:cyclic:3",
                                       "m0:smallloop:4,1", "product:cyclic:2+cyclic:4"])
-    def test_generating_set_is_greedy_in_rank_order(self, spec):
+    def test_generating_set_is_greedy_in_rank_order(self, spec, block, monkeypatch):
+        monkeypatch.setattr(lattice, "_BLOCK_ENTRIES", block)
         nr = parse_spec(spec)
         for op in (nr.add, nr.mul):
             system = ClosureSystem(nr.n, (op,))
