@@ -470,11 +470,9 @@ class TestClosureSystem:
         assert len(found) == len(set(found))
         assert bits_of(np.ones(nr.n, dtype=bool)) in found
 
-    @pytest.mark.parametrize("block", [lattice._BLOCK_ENTRIES, 1])
     @pytest.mark.parametrize("spec", ["cyclic:12", "gf:8", "ut2:cyclic:2", "m0:cyclic:3",
                                       "m0:smallloop:4,1", "product:cyclic:2+cyclic:4"])
-    def test_generating_set_is_greedy_in_rank_order(self, spec, block, monkeypatch):
-        monkeypatch.setattr(lattice, "_BLOCK_ENTRIES", block)
+    def test_generating_set_is_greedy_in_rank_order(self, spec):
         nr = parse_spec(spec)
         for op in (nr.add, nr.mul):
             system = ClosureSystem(nr.n, (op,))
@@ -491,6 +489,14 @@ class TestClosureSystem:
                 if not reached[x]:
                     want.append(x)
             assert got == want
+
+    @pytest.mark.parametrize("spec", ["cyclic:12", "m0:smallloop:4,1", "cyclic:256"])
+    def test_generating_set_in_blocks_of_one_row_is_the_default(self, spec, monkeypatch):
+        nr = parse_spec(spec)
+        want = [list(ClosureSystem(nr.n, (op,)).generating_set()) for op in (nr.add, nr.mul)]
+        monkeypatch.setattr(lattice, "_BLOCK_ENTRIES", 1)
+        assert [list(ClosureSystem(nr.n, (op,)).generating_set())
+                for op in (nr.add, nr.mul)] == want
 
     def test_positions(self):
         label = positions([0, 3, 5], 6)
