@@ -76,6 +76,7 @@ def _encode(size, digit_tables, radices) -> np.ndarray:
     for r in radices:
         out *= r
         out += next(digit_tables)   # freed before the next is built, which zip would not do
+    out.setflags(write=False)   # so that tables.as_table takes it without a copy
     return out
 
 
@@ -93,6 +94,7 @@ def _componentwise(op_tables) -> np.ndarray:
         high = np.asarray(t, dtype=tables.DTYPE) * m
         out = np.add(high[:, None, :, None], out[None, :, None, :],
                      out=np.empty((r, m, r, m), dtype=tables.DTYPE)).reshape(r * m, r * m)
+    out.setflags(write=False)
     return out
 
 
@@ -180,6 +182,7 @@ def galois_field(q: int) -> FiniteRing:
     log[exp[:q - 1]] = np.arange(q - 1)
     mul = np.zeros((q, q), dtype=tables.DTYPE)    # row and column 0 stay 0
     mul[1:, 1:] = exp[log[1:, None] + log[1:]]
+    mul.setflags(write=False)
     add = _componentwise([cyclic_ring(p).add] * k)
     return validate_ring_tables(add, mul, 1)
 

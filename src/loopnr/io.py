@@ -40,13 +40,12 @@ and ``]`` after the last, and ``json.loads`` reads each entry as an
 integer other than ``-0``.  An entry of at most D = len(str(n - 1))
 digits is read from its last D bytes; an entry of n or more, a longer
 one or a signed one lies outside 0..n-1 and decodes to -1, as
-``tables.as_table`` maps it.  The common block, with no ``-``, D <= 4
-and no entry of more than D digits, is certified and read byte by byte
-from the positions of its marks (``_decode_digits``); every other one
-entry by entry, which is the byte-level route's oracle.  Each table's
-blocks share one work array for their temporaries of the block's
-size.  A certified table is ASCII and every other byte was
-decoded, so such a file is all UTF-8.  Any other file (the text
+``tables.as_table`` maps it.  Every block, one with signed, over-long
+or five-digit entries too, is certified and read byte by byte from the
+positions of its marks (``_decode_rows``); a table's blocks share one
+work array for their temporaries of the block's size.  A certified
+table is ASCII and every other byte was decoded, so such a file is all
+UTF-8.  Any other file (the text
 format, whitespace between members or in a table, an escaped key, a
 byte-order mark, a byte that is not UTF-8) is decoded whole as
 ``open(path, encoding="utf-8")`` reads it, which names a bad byte and
@@ -244,6 +243,14 @@ _BLOCK_BYTES = 1 << 16   # table bytes decoded per block, beyond its last row
 _WINDOW_BYTES = 1 << 8   # bytes first decoded for a small member; widened as needed
 
 
+def _work_bytes(read: int, size: int) -> int:
+    """The bytes of ``_decode_rows``' work array for a block of ``size``
+    bytes whose entries in range have at most D = ``read`` digits: two
+    runs of values one slot longer than the block, int16 for D <= 4 and
+    int32 for D = 5, then the digits and two masks, a byte each."""
+    return (size + 1) * (4 if read <= 4 else 8) + 3 * size
+
+
 def _decode_rows(block, width: int, work: np.ndarray | None = None):
     """Decode the rows ``[v,...,v]`` that the bytes ``block`` start with.
 
@@ -254,138 +261,118 @@ def _decode_rows(block, width: int, work: np.ndarray | None = None):
     integer that json.loads reads, other than -0.  An entry of width or
     more (of more than D digits, say), or a signed one, decodes to -1.
 
-    ``work`` is a uint8 array of at least ``7 * len(block) + 8`` bytes
-    for the temporaries of the block's size (a shorter one is not used);
-    the values may be a view of it.  A block with no ``-``, D <= 4 and
-    no run of D + 1 digits is read byte by byte (``_decode_digits``),
-    every other one entry by entry.
+    The block is read byte by byte from the positions of its marks, the
+    bytes other than a digit.  A ``-`` is taken out of the marks that
+    must match the skeleton ``[``, ``,``...``]`` per row.
+
+    * No gap: the first mark is at byte 0, each ``]`` is followed at once
+      by its ``,`` or the closing ``]``, each ``,`` after a ``]`` at once
+      by ``[``, and the block ends at its last mark.  So every digit and
+      ``-`` lies between a row's ``[`` or ``,`` and its next ``,`` or
+      ``]``, in an entry.
+    * Signs: each ``-`` follows a ``[`` or ``,`` at once, so it leads its
+      entry, and precedes a digit from 1 to 9 at once.  So ``-0``, ``--``,
+      ``1-2`` and a lone ``-`` are refused.
+    * No empty entry: those row boundaries are 2 rows - 1 pairs of
+      adjacent marks and each ``-`` makes one more with the mark before
+      it, so any further pair is an entry with no digit.
+    * No zero-led entry: no ``0`` follows a mark and precedes a digit.
+      With no gap, a digit after a mark starts an entry or follows its
+      sign.
+    * Values: the value of the last D digits of the run ending at each
+      byte, by D - 1 shifted multiply-adds from the digit bytes, each
+      masked to the digits, so that a run starts afresh after every mark;
+      an entry's value is the one at its last byte, read for all of them
+      by one ``take`` at the marks.  One of width or more decodes to -1.
+    * Entry lengths: a value of at least 10**(D - 1) spans D digits, and
+      with no zero-led entry an entry of D digits or more has one at its
+      D-th digit, so an entry has more than D digits exactly where such
+      a value is followed by a digit.  Only a block with such an entry
+      or a sign has its entries' lengths read off the marks: one of more
+      than D digits, or a signed one, decodes to -1, and one past
+      Python's digit limit, which json.loads refuses, refuses the block.
+
+    ``work`` is a uint8 array of at least ``_work_bytes(D, len(block))``
+    bytes (a shorter one is not used): each temporary of the block's size, the
+    two runs of values among them, is a view of it, and so may be the
+    values.
     """
     read = len(str(width - 1))   # D: at most 5 for a width up to MAX_ORDER
+    run_type = np.dtype(np.int16 if read <= 4 else np.int32)
     chars = np.frombuffer(block, np.uint8)
     size = len(chars)
-    if work is None or len(work) < 7 * size + 8:
-        work = np.empty(7 * size + 8, np.uint8)
+    if work is None or len(work) < _work_bytes(read, size):
+        work = np.empty(_work_bytes(read, size), np.uint8)
+    # two runs of values, each led by one spare slot, lead the work
+    # array, where they are aligned: run[i + 1] is the value at byte i,
+    # so that run.take(cut) reads each mark's left neighbour
+    end = 2 * run_type.itemsize * (size + 1)
+    runs, work = work[:end].view(run_type).reshape(2, size + 1), work[end:]
     digit = np.subtract(chars, 48, out=work[:size])
     mark = np.greater(digit, 9, out=work[size:2 * size].view(bool))
-    # every byte other than a digit is skeleton, "-" too unless the block has one
     cut = np.flatnonzero(mark)
-    marks = chars.take(cut).tobytes()
-    signed = b"-" in marks
-    if signed:
-        cut, marks = cut[chars.take(cut) != 45], marks.replace(b"-", b"")
+    at_cut = chars.take(cut)
+    marks = at_cut.tobytes()
+    signs = ()
+    if b"-" in marks:
+        minus = at_cut == 45
+        signs, cut, marks = cut[minus], cut[~minus], marks.replace(b"-", b"")
     # a row ends in "]," or, the last, in "]]"; the skeleton test below
     # refuses a "]]" anywhere else
     close = marks[width + 1::width + 2].find(b"]")
     if close >= 0:
         close = close * (width + 2) + width
         cut, marks = cut[:close + 2], marks[:close + 2]
-        chars = chars[:cut[-1] + 1]
     rows = len(cut) // (width + 2)
     skeleton = (b"[" + b"," * (width - 1) + b"],") * rows
     if close >= 0:
         skeleton = skeleton[:-1] + b"]"
     if not rows or marks != skeleton:
         return None
+    used = int(cut[-1]) + 1 if close >= 0 else size
+    chars, digit, mark, runs = chars[:used], digit[:used], mark[:used], runs[:, :used + 1]
     cut = cut.reshape(rows, width + 2)
-    closed = close >= 0
-    mark, work = mark[:len(chars)], work[2 * size:]
-    if not signed and read <= 4 and not _run_longer_than(read, mark, work):
-        values = _decode_digits(chars, digit, mark, cut, width, read, work)
-        return None if values is None else (values, len(chars), closed)
-    ends = cut[:, 1:-1]
-    at = cut[:, :-2] + 1   # each entry's first byte; then its last, the one before it, ...
-    digits = ends - at
-    # every byte outside the skeleton is in an entry
-    if digits.sum() != len(chars) - cut.size:
-        return None
-    first = chars.take(at)
-    signs = False
-    if signed:
-        signs = first == 45
-        if np.count_nonzero(signs) != np.count_nonzero(chars == 45):
-            return None   # a "-" that does not lead its entry
-        digits -= signs
-        first = chars.take(at + signs)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    # empty, lone "-", zero-led, "-0" or past json's digit limit: json.loads decides
-    if (digits.min() < 1 or limit and digits.max() > limit
-            or ((first == 48) & ((digits > 1) | signs)).any()):
-        return None
-    dtype = np.int16 if read <= 4 else np.int32
-    values = digit.take(np.subtract(ends, 1, out=at)).astype(dtype)
-    for k in range(1, read):
-        at -= 1
-        values += np.multiply(digit.take(at) * (digits > k), 10**k, dtype=dtype)
-    values[signs | (digits > read) | (values >= width)] = -1
-    return values, len(chars), closed
-
-
-def _run_longer_than(read: int, mark: np.ndarray, work: np.ndarray) -> bool:
-    """Whether some ``read + 1`` bytes in a row are all unmarked."""
-    size = max(len(mark) - read, 0)
-    covered = np.logical_or(mark[:size], mark[1:size + 1], out=work[:size].view(bool))
-    for k in range(2, read + 1):
-        covered |= mark[k:size + k]
-    return not covered.all()
-
-
-def _decode_digits(chars, digit, mark, cut, width: int, read: int, work: np.ndarray):
-    """The (rows, width) values of a block whose marks ``cut`` (every
-    byte other than a digit, ``mark`` as a mask) match the skeleton, read
-    byte by byte, or None unless every entry is an integer that
-    json.loads reads.  The block holds no ``-`` and no run of D + 1 <= 5
-    digits, so each entry is refused exactly where the entry-by-entry
-    route refuses it, and its value is at most 9999.
-
-    * No gap: the first mark is at byte 0, each ``]`` is followed at once
-      by its ``,`` or the closing ``]``, each ``,`` after a ``]`` at once
-      by ``[``, and the block ends at its last mark.  So every digit lies
-      between a row's ``[`` or ``,`` and its next ``,`` or ``]``, in an
-      entry.
-    * No empty entry: those row boundaries are 2 rows - 1 pairs of
-      adjacent marks, so any further pair is an entry with no digit.
-    * No zero-led entry: no ``0`` follows a mark and precedes a digit.
-      With no gap, a digit after a mark starts an entry.
-    * Values: the value of the digit run ending at each byte, by D - 1
-      shifted multiply-adds from the digit bytes, each masked to the
-      digits, so that a run starts afresh after every mark; an entry's
-      value is the one at its last byte, read for all of them by one
-      ``take`` at the marks.  One of width or more decodes to -1.
-
-    Each temporary of the block's size is a view of ``work``, which holds
-    at least 5 len(chars) + 5 bytes.
-    """
-    size, rows = len(chars), len(cut)
-    if (cut[0, 0] or cut[-1, -1] != size - 1 or (cut[:, -1] - cut[:, -2] != 1).any()
+    if (cut[0, 0] or cut[-1, -1] != used - 1 or (cut[:, -1] - cut[:, -2] != 1).any()
             or (cut[1:, 0] - cut[:-1, -1] != 1).any()):
         return None
-    flags = work[:size].view(bool)
-    if np.count_nonzero(np.logical_and(mark[:-1], mark[1:], out=flags[:size - 1])) != 2 * rows - 1:
+    if len(signs):
+        signs = signs[signs < used]
+        before, after = chars.take(signs - 1), digit.take(signs + 1)
+        if not (((before == 91) | (before == 44)) & (after >= 1) & (after <= 9)).all():
+            return None
+    flags = work[2 * size:2 * size + used].view(bool)
+    pairs = np.logical_and(mark[:-1], mark[1:], out=flags[:used - 1])
+    if np.count_nonzero(pairs) != 2 * rows - 1 + len(signs):
         return None
-    led = np.equal(chars[1:-1], 48, out=flags[:size - 2])
+    led = np.equal(chars[1:-1], 48, out=flags[:used - 2])
     led &= mark[:-2]
     if np.greater(led, mark[2:], out=led).any():   # a 0 after a mark and before no mark
         return None
-    # two runs of values, each led by one spare slot: run[i + 1] is the
-    # value at byte i, so that run.take(cut) reads each mark's left
-    # neighbour, into the other run
-    start = size + (size & 1)
-    runs = work[start:start + 4 * (size + 1)].view(np.int16).reshape(2, size + 1)
     is_digit = np.logical_not(mark, out=flags)
     run = runs[0]
-    np.multiply(digit[:size], is_digit, out=run[1:])
+    np.multiply(digit, is_digit, out=run[1:])
     for k in range(1, read):
         step = runs[k % 2]
         np.multiply(run[:-1], 10, out=step[1:])
-        step[1:] += digit[:size]
+        step[1:] += digit
         step[1:] *= is_digit
         run = step
-    values = runs[read % 2][:cut.size].reshape(cut.shape)
+    longer = np.greater_equal(run[1:-1], 10 ** (read - 1), out=mark[:used - 1])
+    longer &= is_digit[1:]
+    values = runs[read % 2][:cut.size].reshape(cut.shape)   # the other run
     run.take(cut, out=values, mode="clip")
     values = values[:, 1:-1]
     outside = np.greater_equal(values, width, out=flags[:values.size].reshape(values.shape))
     np.copyto(values, -1, where=outside)
-    return values
+    if len(signs) or longer.any():
+        first = cut[:, :-2] + 1
+        signed = chars.take(first) == 45
+        digits = cut[:, 1:-1] - first - signed
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and digits.max() > limit:
+            return None
+        values[signed | (digits > read)] = -1
+    return values, used, close >= 0
 
 
 def _int_matrix(data: bytes, start: int):
@@ -405,8 +392,9 @@ def _int_matrix(data: bytes, start: int):
     view = memoryview(data)
     # one work array for every block: a block of rows of entries of at
     # most D digits runs at most one row past its budget
-    row_bytes = (len(str(width - 1)) + 1) * width + 2
-    work = np.empty(7 * min(len(data) - pos, _BLOCK_BYTES + row_bytes) + 8, np.uint8)
+    read = len(str(width - 1))
+    row_bytes = (read + 1) * width + 2
+    work = np.empty(_work_bytes(read, min(len(data) - pos, _BLOCK_BYTES + row_bytes)), np.uint8)
     while not closed:
         # a block runs to the "," after the first row to end past its budget
         stop = data.find(b"]", pos + _BLOCK_BYTES) + 2

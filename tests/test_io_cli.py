@@ -36,6 +36,7 @@ from loopnr import (
 )
 from loopnr.cli import main
 
+import block_oracle
 import corpus
 
 
@@ -352,7 +353,8 @@ class TestArrayRoute:
         entries += [0] * (count * width - len(entries))
         return [entries[i:i + width] for i in range(0, len(entries), width)]
 
-    @pytest.mark.parametrize("width", [1, 2, 10, 11, 100, 101, 1000, 1001, 9999])
+    @pytest.mark.parametrize("width", [1, 2, 10, 11, 100, 101, 1000, 1001, 9999,
+                                       10000, 10001, 32768])
     def test_every_digit_count_decodes_exactly(self, width):
         rows = self.digit_rows(width)
         text = json.dumps(rows, separators=(",", ":"))
@@ -518,11 +520,6 @@ class TestArrayRoute:
             assert all(isinstance(t, np.ndarray) for t in tables), spec
 
 
-def entry_route():
-    """Every block decoded entry by entry, as before the byte-level route."""
-    return mock.patch.object(loopnr_io, "_run_longer_than", return_value=True)
-
-
 def same_decoding(got, want):
     """Whether two ``_decode_rows`` results agree: both None, or the same
     values, dtype, bytes read and closing."""
@@ -533,72 +530,87 @@ def same_decoding(got, want):
 
 
 class TestByteLevelDecoder:
-    """A block with no ``-``, D <= 4 and no run of D + 1 digits is read
-    byte by byte; the entry-by-entry route, which reads every other
-    block, is its oracle."""
+    """Every block is read byte by byte from the positions of its marks;
+    ``block_oracle``, which reads the rows with ``json.loads``, is its
+    reference."""
 
-    WIDTHS = (1, 2, 10, 11, 100, 128, 256, 512, 1000, 1001, 4096)
+    WIDTHS = (1, 2, 10, 11, 100, 128, 256, 512, 1000, 1001, 4096, 10001, 32768)
     EDITS = b"0123456789,[]- x"
 
     @classmethod
     def blocks(cls, seed, width, budget, count):
         """``count`` blocks of rows of ``width`` entries, each cut as
         ``_int_matrix`` cuts one, at the first ``]`` past ``budget`` bytes
-        plus one byte, then kept clean or given one to three random byte
-        edits (a byte replaced, inserted or deleted).  Entries lie in
-        0..width-1, or some have D digits and lie past it, or one has D + 1."""
+        plus one byte.  Entries lie in 0..width-1, or, by turns, some have
+        D digits and lie past it, one is wrapped past int16 (x + 65,536),
+        some are signed, or some have D + 1 to 20 digits.  Every other
+        five blocks get one to three random byte edits (a byte replaced,
+        inserted or deleted)."""
         rng = np.random.default_rng(seed)
         read = len(str(width - 1))
         for trial in range(count):
             rows = rng.integers(0, width, (budget // ((read + 1) * width) + 2, width))
-            if trial % 4 == 1 and width < 10**read:
-                rows.flat[rng.integers(0, rows.size, 5)] = rng.integers(width, 10**read, 5)
-            elif trial % 4 == 2:
-                rows.flat[rng.integers(0, rows.size)] = 10**read
+            at = rng.integers(0, rows.size, 5)
+            kind = trial % 5
+            if kind == 1 and width < 10**read:
+                rows.flat[at] = rng.integers(width, 10**read, 5)
+            elif kind == 2:
+                rows.flat[at[0]] += 1 << 16
+            elif kind == 3:
+                rows = rows.astype(object)
+                rows.flat[at] = -rng.integers(1, 10**read, 5)
+            elif kind == 4:
+                rows = rows.astype(object)
+                rows.flat[at] = [int(rng.integers(1, 10)) * 10**int(rng.integers(read, 20))
+                                 + int(rng.integers(0, 10**read)) for _ in at]
             text = json.dumps(rows.tolist(), separators=(",", ":")).encode()[1:] + b',"n":1}'
             stop = text.find(b"]", budget) + 2
             block = bytearray(text[:stop] if stop >= 2 else text)
-            for _ in range(trial % 4 and int(rng.integers(1, 4))):
+            for _ in range(trial // 5 % 2 and int(rng.integers(1, 4))):
                 at, byte = int(rng.integers(0, len(block))), cls.EDITS[rng.integers(0, 16)]
                 edit = rng.integers(0, 3)
                 block[at:at + (edit != 1)] = b"" if edit == 2 else bytes([byte])
             yield bytes(block)
 
-    def test_every_block_decodes_as_entry_by_entry(self, monkeypatch):
-        kernel, decided = loopnr_io._decode_digits, []
-        monkeypatch.setattr(loopnr_io, "_decode_digits",
-                            lambda *args: decided.append(kernel(*args)) or decided[-1])
-        blocks = outcomes = 0
+    def test_every_block_decodes_as_the_reference(self):
+        blocks, outcomes = 0, set()
         for seed, width in enumerate(self.WIDTHS):
             for budget in (16, 64, loopnr_io._BLOCK_BYTES):
                 for block in self.blocks([seed, budget], width, budget, 16):
-                    with entry_route():
-                        want = loopnr_io._decode_rows(block, width)
+                    want = block_oracle.decode_rows(block, width)
                     with no_warnings():
                         got = loopnr_io._decode_rows(block, width)
                     assert same_decoding(got, want), (width, budget, block[:200])
                     blocks += 1
-                    outcomes += want is not None
-        assert blocks >= 500 and 0 < outcomes < blocks
-        # the byte-level route decided a third of the blocks, some of them refused
-        assert 0 < sum(d is None for d in decided) < len(decided) and len(decided) > blocks // 3
+                    outcomes.add(None if want is None else (want[0] < 0).any())
+        # refused blocks, and decoded ones with and without entries read as -1
+        assert blocks >= 500 and outcomes == {None, False, True}
+
+    def test_each_entry_decodes_as_the_reference(self):
+        entries = ["-0", "--1", "1-2", "-01", "+1", "-", "01", "00", "0", "-1", "-9", "-10",
+                   "10", "65537", "1e1", " 1", "1 ", "1" * (DIGIT_LIMIT or 4300),
+                   "-" + "1" * DIGIT_LIMIT, "1" * (DIGIT_LIMIT + 1), "-" + "1" * (DIGIT_LIMIT + 1)]
+        for entry in entries:
+            # the entry first, inside and last in a row of three, between two rows
+            for where in range(3):
+                row = ["1", "0", "2"]
+                row[where] = entry
+                block = ("[2,1,0],[%s],[0,2,1]]" % ",".join(row)).encode()
+                with no_warnings():
+                    got = loopnr_io._decode_rows(block, 3)
+                assert same_decoding(got, block_oracle.decode_rows(block, 3)), block[:40]
 
     @pytest.mark.parametrize("block", [b"[1,,2]5,[0,1,2]]", b"[1,,2],5[0,1,2]]",
                                        b"5[1,2,0]]", b"[1,2,0],5"])
-    def test_a_digit_outside_every_entry_is_refused(self, monkeypatch, block):
+    def test_a_digit_outside_every_entry_is_refused(self, block):
         # a digit between "]" and "," or between "," and "[" takes away a
         # pair of adjacent marks that an empty entry gives back, and one
         # before the first mark or after the last takes none away: the count
         # alone is 2 rows - 1
         mark = np.frombuffer(block, np.uint8) - 48 > 9
         assert np.count_nonzero(mark[:-1] & mark[1:]) == 2 * block.count(b"[") - 1
-        kernel, decided = loopnr_io._decode_digits, []
-        monkeypatch.setattr(loopnr_io, "_decode_digits",
-                            lambda *args: decided.append(kernel(*args)) or decided[-1])
-        assert loopnr_io._decode_rows(block, 3) is None and decided == [None]
-        with entry_route():
-            assert loopnr_io._decode_rows(block, 3) is None
-        assert len(decided) == 1
+        assert loopnr_io._decode_rows(block, 3) is None
+        assert block_oracle.decode_rows(block, 3) is None
 
 
 def edge_documents():
