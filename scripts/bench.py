@@ -89,6 +89,9 @@ CLI = [
     # (F2 x| F2^11 has billions), the slowest constructor input measured
     (["analyze", "product:" + "+".join(["cyclic:2"] * 12), "--subloops", "--local", "--radical"], {}),
     (["decompose", "ut2:cyclic:16", "--verify-uniqueness"], {}),
+    # order 216: 48 idempotents, 10 primitives in 6 families, each corner
+    # of 2 or 3 elements, built by nearrings._image
+    (["decompose", "ut2:cyclic:6", "--verify-uniqueness"], {}),
     # 64 idempotents, 12 primitives, 9 families
     (["decompose", "product:matrix:cyclic:2,2+matrix:cyclic:2,2", "--verify-uniqueness"], {}),
     # a local ring of the largest order: its corner at 1 is the whole ring

@@ -95,13 +95,13 @@ class ClosureSystem:
         the mask, and y lies in the closure, so the closure is P[y].
         """
         while frontier.size:
-            members = np.flatnonzero(mask)
+            members = mask.nonzero()[0]
             grown = mask.copy()
             for block in self._images(frontier, members):
                 grown[block] = True
                 if grown.all():
                     return grown
-            frontier = np.flatnonzero(grown & ~mask)
+            frontier = (grown & ~mask).nonzero()[0]
             mask = grown
             if principal is not None and frontier.size:
                 covering = (principal[frontier] >= mask).all(axis=1)
@@ -114,14 +114,14 @@ class ClosureSystem:
         Its one caller, ``closed_sets``, asks this of a union of closed
         sets (the bottom and the principals below some p), which the
         absorbing table maps into itself, so the binary tables decide."""
-        members = np.flatnonzero(mask)
+        members = mask.nonzero()[0]
         return all(mask[t[members[:, None], members]].all() for t in self.binary)
 
     def close(self, seed: Iterable[int]) -> np.ndarray:
         """The smallest closed set containing ``seed``, as a mask."""
         mask = np.zeros(self.n, dtype=bool)
         mask[list(seed)] = True
-        return self._saturate(mask, np.flatnonzero(mask))
+        return self._saturate(mask, mask.nonzero()[0])
 
     def generating_set(self) -> Iterator[int]:
         """Yield a set S whose closure is the whole carrier, grown greedily.
@@ -168,7 +168,7 @@ class ClosureSystem:
         no one-step principal witness settles (see _Witness).
         """
         if self.sumsets:
-            mi, mj = np.flatnonzero(a), np.flatnonzero(b)
+            mi, mj = a.nonzero()[0], b.nonzero()[0]
             out = np.zeros(self.n, dtype=bool)
             step = max(1, _BLOCK_ENTRIES // mj.size)
             for start in range(0, mi.size, step):
@@ -176,8 +176,8 @@ class ClosureSystem:
                 if out.all():
                     break
             return out
-        only_b = np.flatnonzero(b & ~a)
-        only_a = np.flatnonzero(a & ~b)
+        only_b = (b & ~a).nonzero()[0]
+        only_a = (a & ~b).nonzero()[0]
         frontier = only_b if only_b.size <= only_a.size else only_a
         return self._saturate(a | b, frontier, principal)
 
@@ -215,13 +215,13 @@ class ClosureSystem:
         if principal is None:
             principal = np.empty((n, n), dtype=bool)
             principal[bottom] = bottom
-            for x in np.flatnonzero(~bottom):
+            for x in (~bottom).nonzero()[0]:
                 principal[x] = self._extend(bottom, x)
         rowbits = [int.from_bytes(row.tobytes(), "little")
                    for row in np.packbits(principal, axis=1, bitorder="little")]
         # each principal closure by bitset, with the elements whose row it is
         generators = {}
-        for x in np.flatnonzero(~bottom).tolist():
+        for x in (~bottom).nonzero()[0].tolist():
             generators.setdefault(rowbits[x], []).append(x)
         for pb, xs in generators.items():
             if pb not in found:
@@ -251,7 +251,7 @@ class ClosureSystem:
                     witness = _Witness(self.binary, rowbits, [x for _, _, x in irreducible],
                                        self.sumsets)
                 if members is None:
-                    members = np.flatnonzero(s)
+                    members = s.nonzero()[0]
                 # a witnessed join is a set already found
                 if witness.find(members, x, u, found) is None:
                     j = self.join(s, p, principal)

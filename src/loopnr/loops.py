@@ -79,7 +79,7 @@ class ElementSubset:
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "ElementSubset":
         sub = object.__new__(cls)   # a mask's members need no check
-        members = tuple(np.flatnonzero(mask).tolist())
+        members = tuple(mask.nonzero()[0].tolist())
         # ascending already, so kept as the cached ``sorted_members``
         sub.__dict__.update(ambient_n=mask.size, members=frozenset(members), sorted_members=members)
         return sub

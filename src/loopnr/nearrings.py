@@ -48,7 +48,7 @@ class LoopNearRing(CayleyLoop):
         over the units checks the other side, raising TheoremViolation."""
         hits = self.mul == self.one
         inverse = np.where(hits.any(axis=1), hits.argmax(axis=1), -1).astype(np.int64)
-        u = np.flatnonzero(inverse >= 0)
+        u = (inverse >= 0).nonzero()[0]
         if (wrong := u[self.mul[inverse[u], u] != self.one]).size:
             raise TheoremViolation(f"{wrong[0]}*{inverse[wrong[0]]} = 1 but not the other way round")
         inverse.setflags(write=False)
@@ -59,7 +59,7 @@ class LoopNearRing(CayleyLoop):
     @cached_property
     def _units(self) -> ElementSubset:
         mask = self.inverse >= 0
-        members = np.flatnonzero(mask)
+        members = mask.nonzero()[0]
         if members.size and not mask[self.mul[np.ix_(members, members)]].all():
             raise TheoremViolation("units are not closed under multiplication")
         return ElementSubset.from_mask(mask)
@@ -89,7 +89,7 @@ class LoopNearRing(CayleyLoop):
         if "_n_subloops" not in self.__dict__:
             seed = self.inverse < 0
             seed[self.zero] = True
-            closed = _n_subloop_system(self).close(np.flatnonzero(seed))
+            closed = _n_subloop_system(self).close(seed.nonzero()[0])
             if not closed.all():
                 return (ElementSubset.from_mask(closed),)
         maximal: list = []
@@ -117,18 +117,22 @@ class LoopNearRing(CayleyLoop):
         return via_maximal
 
 
-def _validated(cls, add_table, mul_table, one: int, laws: bool = True):
+def _validated(cls, add_table, mul_table, one: int):
     """Certify tables as a ``cls`` by one ``tables.AXIOMS`` scan up to
-    ``cls.kind``, the law rows only if ``laws``: from the loop rows, or
-    from the "lnr" rows if ``add_table`` is already a CayleyLoop (any
-    structure is its additive loop).  The scan converts ``mul_table``
-    after the loop rows."""
+    ``cls.kind``: from the loop rows, or from the "lnr" rows if
+    ``add_table`` is already a CayleyLoop (any structure is its additive
+    loop).  The scan converts ``mul_table`` after the loop rows."""
     if isinstance(add_table, CayleyLoop):
         add, start = add_table.add, "lnr"
     else:
         add, start = tables.as_table(add_table), "loop"
     one = int(one)
-    mul = tables.require(add, mul_table, one, start=start, kind=cls.kind, laws=laws)
+    return _built(cls, add, tables.require(add, mul_table, one, start=start, kind=cls.kind), one)
+
+
+def _built(cls, add: np.ndarray, mul: np.ndarray, one: int):
+    """The ``cls`` on certified tables, its ``zero_symmetric`` flag read
+    off column 0 of ``mul``."""
     zero_symmetric = bool((mul[:, cls.zero] == cls.zero).all())
     if cls.kind == "ring" and not zero_symmetric:
         # left distributivity forces n*0 = 0, so this cannot happen
@@ -150,12 +154,10 @@ def induced(nr: LoopNearRing, carrier, one: int) -> LoopNearRing:
     """The structure of ``nr``'s own type on the set of elements
     ``carrier``, re-indexed 0..k-1 in ascending order, with identity ``one``.
 
-    Both pass the element gate (``ElementSubset.of``, ``_elements``).
-    The result is ``nr``'s own tables on a subset, so it inherits
-    ``nr``'s law rows of ``tables.AXIOMS`` and only the others are
-    scanned, up to ``nr.kind``: a ring's corner or image is a
-    FiniteRing.  A carrier not closed under + and * leaves a -1 in a
-    table and is refused with EntriesOutOfRange.
+    Both pass the element gate (``ElementSubset.of``, ``_elements``);
+    ``_image`` builds and certifies the result, a FiniteRing for a ring.
+    A carrier not closed under + and * leaves a -1 in a table and is
+    refused with EntriesOutOfRange.
     """
     reps = np.fromiter(ElementSubset.of(nr.n, carrier), np.int64)
     (one,) = _elements(nr.n, (one,))
@@ -165,11 +167,41 @@ def induced(nr: LoopNearRing, carrier, one: int) -> LoopNearRing:
 def _image(nr: LoopNearRing, reps, label, one: int) -> LoopNearRing:
     """``nr``'s tables on reps x reps, each entry and ``one`` sent through
     the lookup array ``label``: the positions of reps (``induced``,
-    ``homs.image_subring``) or the coset projection of a certified ideal
-    (``rings._quotient_by``), a homomorphism (Birkhoff).  Either way the
-    law rows are inherited."""
-    grid = np.ix_(reps, reps)
-    return _validated(type(nr), label[nr.add[grid]], label[nr.mul[grid]], label[one], laws=False)
+    ``decomp.corner_ring``, ``homs.image_subring``) or the coset
+    projection of a certified ideal (``rings._quotient_by``), a
+    homomorphism.  Each table is one gather of ``nr``'s and one ``take``
+    through ``label``; ``_derived`` certifies them."""
+    label = label.astype(tables.DTYPE)
+    rows = reps[:, None]
+    return _derived(type(nr), label.take(nr.add[rows, reps]), label.take(nr.mul[rows, reps]),
+                    int(label[one]))
+
+
+def _derived(cls, add: np.ndarray, mul: np.ndarray, one: int):
+    """The ``cls`` on k x k tables derived from a certified one, entries
+    in -1..k-1 (-1 outside the carrier, as ``tables.as_table`` marks
+    it), kept read-only.
+
+    Six rows of ``tables.AXIOMS`` are laws, identities in + and *, which
+    hold in every substructure and homomorphic image of a structure that
+    satisfies them (Birkhoff).  The other rows, all O(k^2), are read
+    directly; tables that fail them go to the plain scan, which raises
+    the failing row with its message and least witness.  That scan
+    reaches no law row: every other row precedes the first law row, and
+    ``tables.require`` stops at the first row that fails.
+    """
+    k = len(add)
+    # the entries of * in range, and each of these lines 0..k-1: the
+    # sorted rows of + (so its entries are in range) and its sorted
+    # columns, row and column 0 of +, and row and column ``one`` of *
+    held = 0 <= one < k and mul.min() >= 0 and (np.concatenate((
+        np.sort(add, axis=1), np.sort(add.T, axis=1), add[:1], add.T[:1],
+        mul[one:one + 1], mul.T[one:one + 1])) == np.arange(k, dtype=add.dtype)).all()
+    if not held:
+        return _validated(cls, add, mul, one)
+    add.setflags(write=False)
+    mul.setflags(write=False)
+    return _built(cls, add, mul, one)
 
 
 def units(nr: LoopNearRing) -> ElementSubset:

@@ -326,5 +326,5 @@ def _iso_witness(ring: FiniteRing, e: int, f: int):
 def idempotents_conjugate(ring: FiniteRing, e: int, f: int) -> bool:
     """Whether f = u^-1 * e * u for some unit u."""
     e, f = _require_idempotent(ring, e), _require_idempotent(ring, f)
-    u = np.flatnonzero(ring.inverse >= 0)
+    u = (ring.inverse >= 0).nonzero()[0]
     return bool((ring.mul[ring.mul[ring.inverse[u], e], u] == f).any())

@@ -17,13 +17,6 @@ map x -> a*x is not additive (``_first_nonadditive_row``).  Only a law
 that fails is scanned again, in blocks of 1, 2, 4, ... rows, so the
 O(n^3) search stays vectorized without materializing an (n, n, n) cube
 and finds the lexicographically least violating tuple, on any route.
-
-Six rows of ``AXIOMS`` are laws, identities in ``+`` and ``*``.  A law
-holds in every substructure and homomorphic image of a structure that
-satisfies it (Birkhoff), so a subset of a certified structure under
-its own tables, or its quotient by a certified ideal, is certified by
-the other rows alone: entries in range (closure), the Latin square,
-the two-sided zero and the identity, all O(n^2).
 """
 
 from __future__ import annotations
@@ -109,7 +102,7 @@ def positions(carrier, n: int) -> np.ndarray:
 
 def distinct(values, n: int) -> np.ndarray:
     """The distinct entries of ``values``, all in 0..n-1, ascending."""
-    return np.flatnonzero(np.bincount(np.ravel(values), minlength=n))
+    return np.bincount(np.ravel(values), minlength=n).nonzero()[0]
 
 
 def _first_repeat(lines: np.ndarray):
@@ -171,7 +164,7 @@ def _first_bad(n: int, block, start: int = 0):
 def _agree(n: int, pair) -> bool:
     """Whether the (B, n) gathers ``pair(rows)`` agree on every block of rows."""
     step = _blocks(n)
-    return all(np.array_equal(*pair(slice(r, r + step))) for r in range(0, n, step))
+    return all(np.equal(*pair(slice(r, r + step))).all() for r in range(0, n, step))
 
 
 class Light:
@@ -278,17 +271,17 @@ def _along_tree(basis: Basis, pair) -> bool:
     for g, m in zip(basis.generators, basis.orders):
         for t in range(s, m * s + 1, step):
             t = np.arange(t, min(t + step, m * s + 1))
-            if not np.array_equal(*pair(phi[t % (m * s)], phi[t - s], g)):
+            if not np.equal(*pair(phi[t % (m * s)], phi[t - s], g)).all():
                 return False
         s *= m
     return True
 
 
 class Lights:
-    """One scan's ``Light`` of ``*`` and, in a ring scan of the law rows
-    whose loop rows held, of ``+`` (else None), and the ring's
-    coordinate certificate: ``basis``, which a scan from the loop rows
-    asks for at the Latin row, then ``right`` and ``ring``."""
+    """One scan's ``Light`` of ``*`` and, in a ring scan whose loop rows
+    held, of ``+`` (else None), and the ring's coordinate certificate:
+    ``basis``, which a scan from the loop rows asks for at the Latin
+    row, then ``right`` and ``ring``."""
 
     def __init__(self, mul: Light | None, add: Light | None = None):
         self.mul, self.add = mul, add
@@ -484,21 +477,21 @@ class Axiom(NamedTuple):
     # a tuple; ``lights`` are the scan's one ``Lights``;
     # ``message`` is formatted with its entries and ``one``, and its
     # ``shown`` entries are the least witness.  A ``stop`` row is one that
-    # later rows index through, so its failure ends the scan.  A ``law``
-    # row is an identity in + and *, inherited by derived structures.
+    # later rows index through, so its failure ends the scan.
     error: type
     kind: str
     witness: Callable
     message: str
     stop: bool = False
     shown: slice = slice(None)
-    law: bool = False
 
 
 KINDS = ("loop", "lnr", "ring")
 
 # Every axiom of a loop, loop near-ring and ring, in scan order.  A row
-# applies to its kind and to every later kind in KINDS.
+# applies to its kind and to every later kind in KINDS.  The rows after
+# the identity's are the laws, identities in + and *, which derived
+# structures inherit (``nearrings._derived``); every other row precedes them.
 AXIOMS = (
     Axiom(errors.EntriesOutOfRange, "loop", lambda add, mul, one, lights: _outside(add),
           "add entries outside 0..n-1", stop=True),
@@ -518,28 +511,27 @@ AXIOMS = (
     Axiom(errors.MulNotAssociative, "lnr",
           lambda add, mul, one, lights:
               None if lights.ring else assoc_witness(mul, lights.mul),
-          "multiplication is not associative", law=True),
+          "multiplication is not associative"),
     Axiom(errors.RightDistributivityFails, "lnr",
           lambda add, mul, one, lights:
               None if lights.ring else right_dist_witness(add, mul, lights),
-          "(a+b)*c != a*c + b*c", law=True),
+          "(a+b)*c != a*c + b*c"),
     Axiom(errors.ZeroNotLeftAbsorbing, "lnr", lambda add, mul, one, lights: _first(mul[0] != 0),
-          "0*n != 0", law=True),
+          "0*n != 0"),
     Axiom(errors.AdditionNotAbelianGroup, "ring",
           lambda add, mul, one, lights: None if lights.basis else comm_witness(add),
-          "addition is not commutative", law=True),
+          "addition is not commutative"),
     Axiom(errors.AdditionNotAbelianGroup, "ring",
           lambda add, mul, one, lights: assoc_witness(add, lights.basis or lights.add),
-          "addition is not associative", law=True),
+          "addition is not associative"),
     Axiom(errors.LeftDistributivityFails, "ring",
           lambda add, mul, one, lights:
               None if lights.ring else left_dist_witness(add, mul, lights),
-          "c*(a+b) != c*a + c*b", law=True),
+          "c*(a+b) != c*a + c*b"),
 )
 
 
-def violations(add, mul=None, one=None, start: str = "loop", kind: str = "ring",
-               laws: bool = True):
+def violations(add, mul=None, one=None, start: str = "loop", kind: str = "ring"):
     """Yield (error class, message, witness) for each failing row of AXIOMS.
 
     Scans the rows of kinds ``start`` through ``kind``, in order; a
@@ -547,17 +539,16 @@ def violations(add, mul=None, one=None, start: str = "loop", kind: str = "ring",
     ``mul`` passes through it once the loop rows are scanned (a
     ValidationError if its order is not ``add``'s); the generator
     returns it.  The rows share one ``Lights``, so each test runs and
-    each generating set grows at most once per scan.  In a ring scan of
-    the law rows, the Latin row asks the basis of ``+`` in place of its
-    column sort, and if the loop rows held, the rows of the three cubic
+    each generating set grows at most once per scan.  In a ring scan,
+    the Latin row asks the basis of ``+`` in place of its column sort,
+    and if the loop rows held, the rows of the three cubic
     laws of ``*`` ask the coordinate certificate and the two rows of
-    ``+`` the basis.  With ``laws`` False the law rows are skipped: the
-    tables are derived from a structure that already satisfies them.
+    ``+`` the basis.
     """
     kinds = KINDS[KINDS.index(start):KINDS.index(kind) + 1]
-    held, lights = True, Lights(None, Light(add) if "ring" in kinds and laws else None)
+    held, lights = True, Lights(None, Light(add) if "ring" in kinds else None)
     for row in AXIOMS:
-        if row.kind not in kinds or row.law and not laws:
+        if row.kind not in kinds:
             continue
         if lights.mul is None and row.kind != "loop":
             mul = as_table(mul)
@@ -576,11 +567,10 @@ def violations(add, mul=None, one=None, start: str = "loop", kind: str = "ring",
     return mul
 
 
-def require(add, mul=None, one=None, start: str = "loop", kind: str = "ring",
-            laws: bool = True) -> np.ndarray | None:
+def require(add, mul=None, one=None, start: str = "loop", kind: str = "ring") -> np.ndarray | None:
     """Raise the first failing row of ``violations`` as its error class,
     else return the ``mul`` it scanned."""
-    scan = violations(add, mul, one, start, kind, laws)
+    scan = violations(add, mul, one, start, kind)
     try:
         error, message, witness = next(scan)
     except StopIteration as done:

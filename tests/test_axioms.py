@@ -21,7 +21,9 @@ from loopnr import (
     CATALOG,
     EntriesOutOfRange,
     FiniteRing,
+    NoTwoSidedZero,
     NotIdentity,
+    NotLatinSquare,
     RightDistributivityFails,
     StructureFile,
     ValidationError,
@@ -41,6 +43,7 @@ from loopnr import (
     validate_loop,
     validate_ring_tables,
 )
+from loopnr import nearrings
 from loopnr.cli import main
 from loopnr.lattice import ClosureSystem
 from loopnr.tables import AXIOMS, KINDS
@@ -686,22 +689,147 @@ class TestInheritedLaws:
             induced(ring, [0, 6], 0)
 
     def test_induced_scans_no_law_row(self, monkeypatch):
-        # a corner, a subring and A/J: each takes its parent's law rows
-        # on trust, and only the closure and identity rows are scanned
+        # a corner, a subring and A/J: each takes its parent's law rows on
+        # trust, and the closure and identity rows are read off its tables
+        # directly, so no row of AXIOMS runs; a refused carrier runs the
+        # rows of the plain scan up to the one that fails, no law row
         ring = parse_spec("cyclic:6")
-        scans = []
-        require = tables.require
+        ran = []
 
-        def recording(*args, **kw):
-            scans.append(kw.get("laws", True))
-            return require(*args, **kw)
+        def recording(row):
+            return row._replace(witness=lambda *args: ran.append(row) or row.witness(*args))
 
-        monkeypatch.setattr(tables, "require", recording)
-        assert induced(ring, [0, 3], 3).n == 2
+        monkeypatch.setattr(tables, "AXIOMS", tuple(map(recording, AXIOMS)))
+        assert corner_ring(ring, 3).ring.n == 2
         assert induced(ring, [0, 2, 4], 4).n == 3
         quotient = quotient_ring(ring, validate_ideal(ring, [0, 3]))
         assert quotient.target.mul.tolist() == corpus.z(3).mul.tolist()
-        assert scans == [False, False, False]
+        assert ran == []
+        with pytest.raises(NotIdentity):
+            induced(ring, [0, 3], 1)
+        assert [row.error for row in ran] == [EntriesOutOfRange, NotLatinSquare, NoTwoSidedZero,
+                                              EntriesOutOfRange, NotIdentity]
+
+
+NOT_LAWS = (EntriesOutOfRange, NotLatinSquare, NoTwoSidedZero, NotIdentity)
+
+
+def first_not_law(n, add, mul, one):
+    """The first failing row of AXIOMS that is not a law, by plain loops:
+    (axiom, witness as a list or None), else None."""
+    r = range(n)
+    if not all(0 <= v < n for row in add for v in row):
+        return ("entries-in-range", None)
+    lines = [add[i] for i in r] + [[add[j][i] for j in r] for i in r]
+    for pos, line in enumerate(lines):
+        if sorted(line) != list(r):
+            return ("latin-square", [pos % n, min(v for v in line if line.count(v) > 1)])
+    for a in r:
+        if add[0][a] != a or add[a][0] != a:
+            return ("two-sided-zero", [a])
+    if not all(0 <= v < n for row in mul for v in row):
+        return ("entries-in-range", None)
+    if not 0 <= one < n:
+        return ("mul-identity", [one])
+    for a in r:
+        if mul[one][a] != a or mul[a][one] != a:
+            return ("mul-identity", [a])
+    return None
+
+
+def derived_rings():
+    """Every corner, A/J and image subring of TestInheritedLaws, by name."""
+    for spec, kind, n in CATALOG:
+        if kind == "ring" and n <= 64:
+            ring = parse_spec(spec)
+            for e in idempotents(ring):
+                if e != ring.zero:
+                    yield f"{spec} corner {e}", corner_ring(ring, e).ring
+            yield f"{spec} A/J", quotient_ring(ring, jacobson_radical(ring)).target
+    for name, hom in derived_images():
+        yield name, image_subring(hom).target
+
+
+def edited(table, i, j, v):
+    out = table.copy()
+    out[i, j] = v
+    return out
+
+
+def edits(ring, rng):
+    """(what, add, mul, one): the ring's own tables, then single-entry
+    edits that break closure, a row and a column, the zero or the
+    identity; two entries of a row of + swapped, which breaks columns
+    alone, two of a column, which breaks rows alone, and two rows
+    swapped, which breaks only the zero.
+    -1 stands for an entry outside the carrier, as ``_image`` leaves it."""
+    k, add, mul, one = ring.n, ring.add, ring.mul, ring.one
+    i, j = (int(v) for v in rng.integers(k, size=2))
+    yield "as derived", add, mul, one
+    yield "+ not closed", edited(add, i, j, -1), mul, one
+    yield "* not closed", add, edited(mul, i, j, -1), one
+    yield "one past the carrier", add, mul, k
+    yield "one before the carrier", add, mul, -1
+    if k == 1:
+        return
+    shift = int(rng.integers(1, k))
+    yield "a row and a column of +", edited(add, i, j, (add[i, j] + shift) % k), mul, one
+    yield "row 0 of +", edited(add, 0, j, (add[0, j] + shift) % k), mul, one
+    yield "row one of *", add, edited(mul, one, j, (mul[one, j] + shift) % k), one
+    yield "column one of *", add, edited(mul, i, one, (mul[i, one] + shift) % k), one
+    a, b = (int(v) for v in rng.choice(k, size=2, replace=False))
+    swap = np.arange(k)
+    swap[[a, b]] = b, a
+    yield "two entries of a row of + swapped", edited(add, i, [a, b], add[i, [b, a]]), mul, one
+    yield "two entries of a column of + swapped", edited(add, [a, b], j, add[[b, a], j]), mul, one
+    if k > 2 and a and b:
+        yield "two rows of + swapped", add[swap], mul, one
+    # off row and column one, and off column 0, which a ring's zero
+    # symmetry (n*0 = 0) reads
+    cols = [x for x in range(k) if x not in (0, one)]
+    if cols:
+        a = int(rng.choice([x for x in range(k) if x != one]))
+        b = int(rng.choice(cols))
+        yield "* off the identity", add, edited(mul, a, b, (mul[a, b] + shift) % k), one
+
+
+class TestDirectAccept:
+    """``nearrings._derived`` reads the rows of AXIOMS that are not laws
+    directly on a derived ring's tables and sends only tables that fail
+    them to the plain scan.  Oracle: ``first_not_law``, plain loops over
+    those rows, on every corner, A/J and image subring of the catalog
+    rings up to order 64 and seeded edits of their tables."""
+
+    def test_the_rows_that_are_not_laws_lead_the_scan(self):
+        # so the plain scan, which stops at its first failing row, raises
+        # one of them on tables that fail the direct read, before any law
+        kinds = [row.error in NOT_LAWS for row in AXIOMS]
+        assert kinds == sorted(kinds, reverse=True) and sum(kinds) == 6
+
+    def test_accepts_exactly_what_the_rows_that_are_not_laws_accept(self):
+        rng = np.random.default_rng(46)
+        seen = set()
+        for name, ring in derived_rings():
+            for what, add, mul, one in edits(ring, rng):
+                want = first_not_law(ring.n, add.tolist(), mul.tolist(), one)
+                try:
+                    got = nearrings._derived(FiniteRing, add.copy(), mul.copy(), one)
+                except ValidationError as exc:
+                    assert want is not None, (name, what)
+                    assert (exc.axiom, None if exc.witness is None else list(exc.witness)) == want, (
+                        name, what)
+                    with pytest.raises(type(exc)) as scan:
+                        tables.require(add, mul, one)
+                    assert (str(exc), exc.witness) == (str(scan.value), scan.value.witness)
+                    seen.add(exc.axiom)
+                else:
+                    assert want is None, (name, what)
+                    assert (got.n, got.one, got.add.tolist(), got.mul.tolist()) == (
+                        ring.n, one, add.tolist(), mul.tolist()), (name, what)
+                    assert not got.add.flags.writeable and not got.mul.flags.writeable
+                    seen.add(what)
+        assert seen >= {"as derived", "* off the identity", "entries-in-range", "latin-square",
+                        "two-sided-zero", "mul-identity"}
 
 
 def least_assoc_witness(op):

@@ -136,10 +136,18 @@ class TestPrimitivity:
         with pytest.raises(ZeroIdempotent):
             is_primitive(corpus.z(6), 0)
 
-    @pytest.mark.parametrize("e, error", [(2, NotIdempotent), (6, ValueError), (-1, ValueError)])
+    @pytest.mark.parametrize("e, error", [(2, NotIdempotent), (6, ValueError), (-1, ValueError),
+                                          (3.0, ValueError), (True, ValueError)])
     def test_rejects_non_idempotent_and_outside(self, e, error):
         with pytest.raises(error):
             is_primitive(corpus.z(6), e)
+        # the decomposition reads kept corners past the element gate; the
+        # public entry points keep it, also with the corner at 3 (== 3.0) kept
+        ring = parse_spec("cyclic:6")
+        assert is_primitive(ring, 3) and set(ring._corners) == {3}
+        for public in (corner_ring, is_primitive):
+            with pytest.raises(error):
+                public(ring, e)
 
     def test_matches_brute_corner_idempotents_on_corpus(self):
         # brute oracle: e is primitive when e*A*e, built from the parent's
