@@ -296,7 +296,7 @@ def _checked_map(f, source_n: int, target_n: int) -> np.ndarray:
 
 def _require_law(fm: np.ndarray, src: np.ndarray, tgt: np.ndarray, op: str) -> None:
     """f(a op b) = f(a) op f(b) for all a, b, or the least failing (a, b)."""
-    bad = fm[src] != tgt[np.ix_(fm, fm)]
+    bad = fm[src] != tgt[fm[:, None], fm]
     if bad.any():
         a, b = (int(x) for x in np.argwhere(bad)[0])
         raise NotAHomomorphism(f"f({a} {op} {b}) != f({a}) {op} f({b})", witness=(a, b))

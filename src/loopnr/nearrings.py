@@ -60,7 +60,7 @@ class LoopNearRing(CayleyLoop):
     def _units(self) -> ElementSubset:
         mask = self.inverse >= 0
         members = mask.nonzero()[0]
-        if members.size and not mask[self.mul[np.ix_(members, members)]].all():
+        if members.size and not mask[self.mul[members[:, None], members]].all():
             raise TheoremViolation("units are not closed under multiplication")
         return ElementSubset.from_mask(mask)
 
