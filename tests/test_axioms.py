@@ -782,7 +782,7 @@ def edits(ring, rng):
     swap[[a, b]] = b, a
     yield "two entries of a row of + swapped", edited(add, i, [a, b], add[i, [b, a]]), mul, one
     yield "two entries of a column of + swapped", edited(add, [a, b], j, add[[b, a], j]), mul, one
-    if k > 2 and a and b:
+    if a and b:
         yield "two rows of + swapped", add[swap], mul, one
     # off row and column one, and off column 0, which a ring's zero
     # symmetry (n*0 = 0) reads
